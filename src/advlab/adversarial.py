@@ -112,13 +112,12 @@ def pgd_attack(net: nn.DenseNet, features: np.ndarray, label: int,
 
 def adv_grad(net: nn.DenseNet, batch: LabeledSet, attack: AttackSpec,
              loss_spec: nn.LossSpec = nn.LossSpec()):
-    """Adversarial-loss gradients: per-example gradients at each PGD endpoint.
+    """:func:`advlab.nn.grad_params` evaluated at the PGD endpoints of ``batch``.
 
-    Returns ``(mean_grad, per_example, per_example_adv_loss)``. With radius
-    0 this collapses bitwise to :func:`advlab.nn.grad_params` plus the
-    clean losses.
+    Returns ``(mean_grad, per_example_norms, per_example_adv_losses)`` from
+    one backward pass. With radius 0 (or 0 steps) :func:`pgd_batch` returns
+    the clean features, so the result is bitwise the clean
+    ``grad_params`` of the batch; the ERM model trains through this path.
     """
     x_adv = pgd_batch(net, batch.features, batch.labels, attack, loss_spec)
-    mean, per_example = nn.grad_params(net, (x_adv, batch.labels), loss_spec)
-    _, losses = nn.loss_batch(net, (x_adv, batch.labels), loss_spec)
-    return mean, per_example, losses
+    return nn.grad_params(net, (x_adv, batch.labels), loss_spec)

@@ -38,11 +38,6 @@ def stability_beta(eps: float, delta: float, m: float) -> float:
     return m * delta * e + m * (1.0 - e)
 
 
-def on_average_bound(eps: float, delta: float, m: float) -> float:
-    """Expected generalization error bound; the same expression as the stability."""
-    return stability_beta(eps, delta, m)
-
-
 def high_prob_bound(beta: float, n: int, gamma: float, c: float = 1.0,
                     m: float | None = None) -> float:
     """Generalization bound holding with probability at least 1 - gamma."""
@@ -64,8 +59,7 @@ def high_prob_bound(beta: float, n: int, gamma: float, c: float = 1.0,
 class BoundReport:
     """Stability plus both generalization bounds and every input that shaped them."""
 
-    beta: float
-    on_avg_bound: float
+    beta: float  # also the on-average generalization bound
     high_prob_bound: float
     high_prob_bound_normalized: float  # computed on loss / M
     high_prob_bound_rescaled: float    # normalized bound scaled back by M
@@ -83,7 +77,6 @@ def bound_report(eps: float, delta: float, m: float, n: int, gamma: float,
     normalized = high_prob_bound(beta / m, n, gamma, c, 1.0)
     return BoundReport(
         beta=beta,
-        on_avg_bound=on_average_bound(eps, delta, m),
         high_prob_bound=high_prob_bound(beta, n, gamma, c, m),
         high_prob_bound_normalized=normalized,
         high_prob_bound_rescaled=m * normalized,

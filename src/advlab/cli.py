@@ -12,7 +12,10 @@ across reruns of the same config and seed):
         summary.json     intensities, budgets, bounds, attack, accuracies
         meta.json        wall-clock timestamps only
 
-Exit codes: 0 success, 1 at least one run failed, 2 configuration error.
+Exit codes: 0 success, 1 at least one run failed (for ``sweep`` and
+``report``, a diverged run counts as failed), 2 configuration error,
+including invalid arguments to the ``accountant`` and ``bounds``
+calculators.
 """
 
 from __future__ import annotations
@@ -126,7 +129,7 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
         rep = bounds.bound_report(leading.epsilon, leading.delta, cfg.loss_bound,
                                   n, gamma, cfg.constant_c)
         summary["bounds"].append({
-            "gamma": gamma, "beta": rep.beta, "on_avg_bound": rep.on_avg_bound,
+            "gamma": gamma, "beta": rep.beta, "on_avg_bound": rep.beta,
             "high_prob_bound": rep.high_prob_bound,
             "high_prob_bound_normalized": rep.high_prob_bound_normalized,
             "high_prob_bound_rescaled": rep.high_prob_bound_rescaled, "c": rep.c})
@@ -260,6 +263,19 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
         if workers > 1:
             pool.shutdown()
 
+    _, failures = merge_sweep(cfg, summaries, failures)
+    return summaries, failures
+
+
+def merge_sweep(cfg: ExperimentConfig, summaries: list[dict],
+                failures: list[str]) -> tuple[list[dict], list[str]]:
+    """Write sweep.csv and analysis.json; returns (rows, every failure).
+
+    A summary whose ``diverged_at`` is set is a failure, not a row, so a
+    resumed sweep or a report cannot drop a diverged run silently.
+    """
+    failures = [*failures, *(f"rho={s['rho']} seed={s['seed']}: diverged at t={s['diverged_at']}"
+                             for s in summaries if s.get("diverged_at") is not None)]
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = sweep_rows([s for s in summaries if s.get("diverged_at") is None])
@@ -267,7 +283,7 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
     report = analyze_rows(rows) if len(rows) >= 3 else {"rows": len(rows)}
     report["failures"] = sorted(failures)
     _write_json(out / "analysis.json", report)
-    return summaries, failures
+    return rows, report["failures"]
 
 
 # ---------------------------------------------------------------- commands
@@ -301,15 +317,11 @@ def _cmd_report(args) -> int:
             p = run_dir_for(cfg, rho, seed) / "summary.json"
             if p.exists():
                 summaries.append(json.loads(p.read_text(encoding="utf-8")))
-    rows = sweep_rows([s for s in summaries if s.get("diverged_at") is None])
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_sweep_csv(rows, out / "sweep.csv")
-    report = analyze_rows(rows) if len(rows) >= 3 else {"rows": len(rows)}
-    report["failures"] = []
-    _write_json(out / "analysis.json", report)
-    print(f"merged {len(rows)} runs into {out / 'sweep.csv'}")
-    return 0
+    rows, failures = merge_sweep(cfg, summaries, [])
+    for f in failures:
+        print(f, file=sys.stderr)
+    print(f"merged {len(rows)} runs into {Path(cfg.output_dir) / 'sweep.csv'}")
+    return 1 if failures else 0
 
 
 def _read_series_csv(path) -> tuple[list[float], list[float]]:
@@ -340,28 +352,35 @@ def _cmd_accountant(args) -> int:
             raise ConfigError("scalar mode needs --l-erm and --intensity")
         l_erm = [args.l_erm] * args.iterations
         intens = [args.intensity] * args.iterations
-    eps_series = [privacy.per_step_epsilon(l, i, args.n, args.b)
-                  for l, i in zip(l_erm, intens)]
-    out = {"composed_thm4": _budget_json(privacy.compose(eps_series, args.delta_prime, args.n))}
-    if l_erm:
-        l_1t = intensity.composite_intensity(l_erm)
-        i_1t = intensity.composite_intensity(intens)
-        out["leading_thm5"] = _budget_json(privacy.leading_epsilon(
-            l_1t, i_1t, len(l_erm), args.n, args.b, args.delta_prime))
-        out["erm_corollary"] = _budget_json(privacy.erm_epsilon(
-            l_1t, len(l_erm), args.n, args.b, args.delta_prime))
-    else:
-        out["leading_thm5"] = None
-        out["erm_corollary"] = None
+    try:
+        eps_series = [privacy.per_step_epsilon(l, i, args.n, args.b)
+                      for l, i in zip(l_erm, intens)]
+        out = {"composed_thm4": _budget_json(
+            privacy.compose(eps_series, args.delta_prime, args.n))}
+        if l_erm:
+            l_1t = intensity.composite_intensity(l_erm)
+            i_1t = intensity.composite_intensity(intens)
+            out["leading_thm5"] = _budget_json(privacy.leading_epsilon(
+                l_1t, i_1t, len(l_erm), args.n, args.b, args.delta_prime))
+            out["erm_corollary"] = _budget_json(privacy.erm_epsilon(
+                l_1t, len(l_erm), args.n, args.b, args.delta_prime))
+        else:
+            out["leading_thm5"] = None
+            out["erm_corollary"] = None
+    except ValueError as exc:  # invalid calculator arguments
+        raise ConfigError(str(exc)) from None
     print(json.dumps(out, sort_keys=True, indent=2))
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    rep = bounds.bound_report(args.eps, args.delta, args.loss_bound, args.n,
-                              args.gamma, args.c)
+    try:
+        rep = bounds.bound_report(args.eps, args.delta, args.loss_bound, args.n,
+                                  args.gamma, args.c)
+    except ValueError as exc:  # invalid calculator arguments
+        raise ConfigError(str(exc)) from None
     print(json.dumps({
-        "beta": rep.beta, "on_avg_bound": rep.on_avg_bound,
+        "beta": rep.beta, "on_avg_bound": rep.beta,
         "high_prob_bound": rep.high_prob_bound,
         "high_prob_bound_normalized": rep.high_prob_bound_normalized,
         "high_prob_bound_rescaled": rep.high_prob_bound_rescaled,

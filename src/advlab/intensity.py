@@ -19,12 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .adversarial import AttackSpec, pgd_batch
+from .adversarial import AttackSpec, adv_grad
 from .data import LabeledSet
 from .rng import DOMAIN_PROBE, stream
-from .training import IterationRecord
-
-DEGENERATE_DENOMINATOR = 1e-30
+from .training import DEGENERATE_GRAD_FLOOR, IterationRecord
 
 
 class DegenerateDenominatorError(ValueError):
@@ -35,7 +33,7 @@ def single_intensity(l_adv: float, l_erm: float) -> float:
     """Ratio l_adv / l_erm of max gradient norms for one iteration."""
     if l_adv < 0:
         raise ValueError("l_adv must be nonnegative")
-    if l_erm <= DEGENERATE_DENOMINATOR:
+    if l_erm <= DEGENERATE_GRAD_FLOOR:
         raise DegenerateDenominatorError(
             f"clean max gradient norm {l_erm!r} is degenerate; skip this record")
     return l_adv / l_erm
@@ -96,10 +94,8 @@ def consistency_probe(net_erm: nn.DenseNet, net_adv: nn.DenseNet, dataset: Label
     for tau in tau_grid:
         if not 1 <= tau <= n:
             raise ValueError(f"tau {tau} outside [1, {n}]")
-    clean_norms = nn.per_example_grad_norms(
-        net_erm, (dataset.features, dataset.labels), loss_spec)
-    x_adv = pgd_batch(net_adv, dataset.features, dataset.labels, attack, loss_spec)
-    adv_norms = nn.per_example_grad_norms(net_adv, (x_adv, dataset.labels), loss_spec)
+    clean_norms = nn.grad_params(net_erm, (dataset.features, dataset.labels), loss_spec)[1]
+    adv_norms = adv_grad(net_adv, dataset, attack, loss_spec)[1]
     full = single_intensity(float(adv_norms.max()), float(clean_norms.max()))
 
     rows = []

@@ -216,7 +216,7 @@ def loss_batch(net: DenseNet, batch, spec: LossSpec = LossSpec()):
 
 
 def _backward(net: DenseNet, x: np.ndarray, y: np.ndarray, spec: LossSpec):
-    """Shared backward pass: per-layer deltas and cached activations.
+    """Shared backward pass: cached activations, per-layer deltas, clipped losses.
 
     The returned deltas already carry the clip factor, which zeroes every
     example whose raw loss reached clip_m.
@@ -230,37 +230,11 @@ def _backward(net: DenseNet, x: np.ndarray, y: np.ndarray, spec: LossSpec):
         delta = (delta @ net.weights[i]) * _act_deriv(net, zs[i - 1])
         deltas.append(delta)
     deltas.reverse()
-    return acts, deltas
+    return acts, deltas, np.minimum(raw, spec.clip_m)
 
 
-def grad_params(net: DenseNet, batch, spec: LossSpec = LossSpec()):
-    """Per-example parameter gradients and their componentwise mean.
-
-    Returns ``(mean_grad, per_example)`` where ``per_example`` is an
-    (n, num_params) array in the flattened order and ``mean_grad`` is
-    exactly ``per_example.mean(axis=0)``.
-    """
-    x = _check_features(net, batch[0])
-    y = _check_labels(net, batch[1], len(x))
-    acts, deltas = _backward(net, x, y, spec)
-    parts = []
-    for a, d in zip(acts[:-1], deltas):
-        parts.append(np.einsum("no,ni->noi", d, a).reshape(len(x), -1))
-        parts.append(d)
-    per_example = np.concatenate(parts, axis=1)
-    return per_example.mean(axis=0), per_example
-
-
-def mean_grad(net: DenseNet, batch, spec: LossSpec = LossSpec()) -> np.ndarray:
-    """Mean parameter gradient via aggregated matmuls (no per-example storage).
-
-    Same value as ``grad_params(...)[0]`` up to float summation order; used
-    where only the average is needed on large batches.
-    """
-    x = _check_features(net, batch[0])
-    y = _check_labels(net, batch[1], len(x))
-    acts, deltas = _backward(net, x, y, spec)
-    n = len(x)
+def _mean(acts, deltas, n: int) -> np.ndarray:
+    """Mean parameter gradient via aggregated matmuls (no per-example storage)."""
     parts = []
     for a, d in zip(acts[:-1], deltas):
         parts.append((d.T @ a).ravel() / n)
@@ -268,29 +242,42 @@ def mean_grad(net: DenseNet, batch, spec: LossSpec = LossSpec()) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def per_example_grad_norms(net: DenseNet, batch, spec: LossSpec = LossSpec()) -> np.ndarray:
-    """Euclidean norms of per-example parameter gradients, without materializing them.
+def grad_params(net: DenseNet, batch, spec: LossSpec = LossSpec()):
+    """Everything one training step needs, from a single backward pass.
 
-    Uses the rank-one structure of dense-layer gradients: the weight block
-    of example i at layer l is an outer product delta x activation, so its
-    squared Frobenius norm is ``|delta|^2 * |activation|^2`` and the bias
-    block adds ``|delta|^2``.
+    Returns ``(mean_grad, per_example_norms, losses)``: the mean parameter
+    gradient in the flattened order (bitwise equal to :func:`mean_grad`),
+    the Euclidean norm of each example's parameter gradient, and each
+    example's clipped loss (equal to ``loss_batch(...)[1]``).
+
+    The norms never materialize the (n, num_params) per-example gradients.
+    The weight block of example i at layer l is the outer product
+    delta x activation, so its squared Frobenius norm is
+    ``|delta|^2 * |activation|^2``, and the bias block adds ``|delta|^2``.
     """
     x = _check_features(net, batch[0])
     y = _check_labels(net, batch[1], len(x))
-    acts, deltas = _backward(net, x, y, spec)
+    acts, deltas, losses = _backward(net, x, y, spec)
     sq = np.zeros(len(x))
     for a, d in zip(acts[:-1], deltas):
         dsq = (d * d).sum(axis=1)
         sq += dsq * (a * a).sum(axis=1) + dsq
-    return np.sqrt(sq)
+    return _mean(acts, deltas, len(x)), np.sqrt(sq), losses
+
+
+def mean_grad(net: DenseNet, batch, spec: LossSpec = LossSpec()) -> np.ndarray:
+    """Mean parameter gradient alone; bitwise equal to ``grad_params(...)[0]``."""
+    x = _check_features(net, batch[0])
+    y = _check_labels(net, batch[1], len(x))
+    acts, deltas, _ = _backward(net, x, y, spec)
+    return _mean(acts, deltas, len(x))
 
 
 def grad_inputs(net: DenseNet, features: np.ndarray, labels, spec: LossSpec = LossSpec()) -> np.ndarray:
     """Gradient of each example's clipped loss w.r.t. its own feature row."""
     x = _check_features(net, features)
     y = _check_labels(net, labels, len(x))
-    _, deltas = _backward(net, x, y, spec)
+    _, deltas, _ = _backward(net, x, y, spec)
     return deltas[0] @ net.weights[0]
 
 

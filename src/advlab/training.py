@@ -8,9 +8,11 @@ gradient norm of the current batch at each model's own parameters (clean
 gradients at the ERM iterate, attack-endpoint gradients at the adversarial
 iterate) together with their ratio, the per-iteration intensity.
 
-With attack radius 0 the two update paths run byte-identical code on
-byte-identical inputs, so the trajectories coincide exactly; tests rely on
-this collapse.
+Both models take the same step function, :func:`_model_step`: the ERM
+model passes the zero-radius ``AttackSpec()``, under which PGD returns the
+clean batch. So with attack radius 0 the two models run the same code on
+byte-identical inputs and their trajectories coincide exactly; tests rely
+on this collapse.
 
 Checkpoint format (little endian): magic ``RPG1``, uint8 activation code
 (0 relu, 1 tanh), uint32 layer count L, uint32 widths[L+1], then float64
@@ -120,22 +122,15 @@ def sgd_step(net: nn.DenseNet, grad: np.ndarray, lr: float, velocity: np.ndarray
     return net.with_params(new_theta), v
 
 
-def _model_step(net, velocity, batch, t, config, loss_spec, adversarial, log):
-    """One model's update; returns (net, velocity, stats or None)."""
-    if adversarial:
-        g_mean, per_ex, losses = adv_grad(net, batch, config.attack, loss_spec)
-    else:
-        g_mean, per_ex = nn.grad_params(net, (batch.features, batch.labels), loss_spec)
-        losses = None
-    stats = None
-    if log:
-        if losses is None:
-            _, losses = nn.loss_batch(net, (batch.features, batch.labels), loss_spec)
-        norms = np.linalg.norm(per_ex, axis=1)
-        stats = (float(norms.max()), float(losses.mean()))
+def _model_step(net, velocity, batch, t, config, loss_spec, attack):
+    """One model's update under ``attack``.
+
+    Returns (net, velocity, (max per-example gradient norm, mean batch loss)).
+    """
+    g_mean, norms, losses = adv_grad(net, batch, attack, loss_spec)
     net, velocity = sgd_step(net, g_mean, config.lr(t), velocity,
                              config.momentum, config.weight_decay)
-    return net, velocity, stats
+    return net, velocity, (float(norms.max()), float(losses.mean()))
 
 
 def train_twin(train_set: LabeledSet, test_set: LabeledSet, config: TrainConfig,
@@ -168,16 +163,15 @@ def train_twin(train_set: LabeledSet, test_set: LabeledSet, config: TrainConfig,
         h_adv.update(idx_adv.astype("<i8").tobytes())
         batch_erm = train_set.subset(idx_erm)
         batch_adv = train_set.subset(idx_adv)
-        log = t % config.log_every == 0
         try:
             erm_net, v_erm, s_erm = _model_step(erm_net, v_erm, batch_erm, t, config,
-                                                loss_spec, adversarial=False, log=log)
+                                                loss_spec, AttackSpec())
             adv_net, v_adv, s_adv = _model_step(adv_net, v_adv, batch_adv, t, config,
-                                                loss_spec, adversarial=True, log=log)
+                                                loss_spec, config.attack)
         except DivergenceError:
             ledger.diverged_at = t
             break
-        if log:
+        if t % config.log_every == 0:
             l_erm, erm_loss = s_erm
             l_adv, adv_loss = s_adv
             if not all(np.isfinite(v) for v in (l_erm, l_adv, erm_loss, adv_loss)):

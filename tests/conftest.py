@@ -2,6 +2,8 @@
 
 The finite-difference helpers here are the independent gradient oracle:
 they never touch the backward pass, only repeated forward losses.
+``per_example_grads`` is the materialized per-example gradient matrix that
+the library's mean and rank-one norm shortcuts are checked against.
 """
 
 from __future__ import annotations
@@ -27,6 +29,21 @@ def fd_grad_params(net: nn.DenseNet, X, y, spec: nn.LossSpec, h: float = FD_STEP
         lm = nn.loss_batch(net.with_params(tm), (X, y), spec)[0]
         out[i] = (lp - lm) / (2 * h)
     return out
+
+
+def per_example_grads(net: nn.DenseNet, X, y, spec: nn.LossSpec = nn.LossSpec()) -> np.ndarray:
+    """(n, num_params) per-example parameter gradients in the flattened order.
+
+    Materializes every outer product from the shared backward pass; the
+    library itself only ever needs their mean and their norms.
+    """
+    acts, deltas, _ = nn._backward(net, np.asarray(X, dtype=np.float64),
+                                   np.asarray(y, dtype=np.int64), spec)
+    parts = []
+    for a, d in zip(acts[:-1], deltas):
+        parts.append(np.einsum("no,ni->noi", d, a).reshape(len(d), -1))
+        parts.append(d)
+    return np.concatenate(parts, axis=1)
 
 
 def fd_grad_inputs(net: nn.DenseNet, X, y, spec: nn.LossSpec, h: float = FD_STEP) -> np.ndarray:

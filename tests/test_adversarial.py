@@ -132,10 +132,10 @@ class TestAdvGrad:
         net, X, y = random_net_and_batch(5)
         from advlab.data import LabeledSet
         batch = LabeledSet(X, y, net.out_dim)
-        mean, per, losses = adversarial.adv_grad(net, batch, adversarial.AttackSpec(radius=0.0))
-        mean0, per0 = nn.grad_params(net, (X, y))
+        mean, norms, losses = adversarial.adv_grad(net, batch, adversarial.AttackSpec(radius=0.0))
+        mean0, norms0, _ = nn.grad_params(net, (X, y))
         assert np.array_equal(mean, mean0)
-        assert np.array_equal(per, per0)
+        assert np.array_equal(norms, norms0)
         assert np.array_equal(losses, nn.loss_batch(net, (X, y))[1])
 
     def test_duplicated_batch_mean_equals_single(self):

@@ -94,6 +94,19 @@ class TestSweepCommand:
         assert cli.main(["report", "--config", str(path)]) == 0
         assert (tmp_path / "runs" / "sweep.csv").read_bytes() == sweep_csv
 
+    def test_diverged_run_stays_a_failure_on_resume_and_report(self, tmp_path, capsys):
+        cfg, path = tiny_config(tmp_path, seeds=(1,), lr_init=1e200)
+        assert cli.main(["sweep", "--config", str(path)]) == 1
+        # the diverged runs left summary.json behind; loading it is no success
+        assert cli.main(["sweep", "--config", str(path)]) == 1
+        failures = json.loads((tmp_path / "runs" / "analysis.json").read_text())["failures"]
+        assert len(failures) == len(cfg.radius_list)
+        assert all("diverged at t=" in f for f in failures)
+        capsys.readouterr()
+        assert cli.main(["report", "--config", str(path)]) == 1
+        assert "diverged at t=" in capsys.readouterr().err
+        assert json.loads((tmp_path / "runs" / "analysis.json").read_text())["failures"] == failures
+
 
 class TestAccountantCommand:
     def test_scalar_mode_reproduces_hand_example(self, capsys):
@@ -141,6 +154,18 @@ class TestCalculatorCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["beta"] == out["on_avg_bound"]
         assert out["inputs"]["c"] == 1.0
+
+    def test_bounds_invalid_gamma_is_config_error(self, capsys):
+        assert cli.main(["bounds", "--eps", "0.1", "--delta", "0.01", "--n", "1000",
+                         "--gamma", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "gamma" in err
+
+    def test_accountant_zero_b_is_config_error(self, capsys):
+        assert cli.main(["accountant", "--l-erm", "0.5", "--intensity", "1.0",
+                         "--n", "10", "--b", "0", "--delta-prime", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Laplace scale b" in err
 
     def test_attack_and_noise_and_probe(self, tmp_path, capsys):
         cfg, path = tiny_config(tmp_path, seeds=(1,), radius_list=(0.0, 0.1))

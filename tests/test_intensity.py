@@ -111,9 +111,9 @@ class TestConsistencyProbe:
         train, e, a = probe_instance()
         atk = AttackSpec(norm="l2", radius=0.4)
         spec = nn.LossSpec()
-        clean = nn.per_example_grad_norms(e, (train.features, train.labels), spec)
+        clean = nn.grad_params(e, (train.features, train.labels), spec)[1]
         x_adv = pgd_batch(a, train.features, train.labels, atk, spec)
-        adv = nn.per_example_grad_norms(a, (x_adv, train.labels), spec)
+        adv = nn.grad_params(a, (x_adv, train.labels), spec)[1]
         rng = np.random.default_rng(5)
         for _ in range(25):
             idx = rng.permutation(len(train))[:40]

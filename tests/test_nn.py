@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advlab import nn
-from conftest import assert_grad_close, fd_grad_inputs, fd_grad_params, random_net_and_batch
+from conftest import (assert_grad_close, fd_grad_inputs, fd_grad_params, per_example_grads,
+                      random_net_and_batch)
 
 
 def identity_net(d):
@@ -127,7 +128,7 @@ class TestGradParams:
     def test_zero_gradient_at_constructed_minimum(self):
         # all softmax mass on the true class, loss far inside the clip
         net = nn.DenseNet((np.zeros((2, 2)),), (np.array([60.0, 0.0]),), "relu")
-        mean, _ = nn.grad_params(net, (np.ones((3, 2)), np.zeros(3, dtype=int)))
+        mean, _, _ = nn.grad_params(net, (np.ones((3, 2)), np.zeros(3, dtype=int)))
         assert np.linalg.norm(mean) < 1e-9
 
     @pytest.mark.parametrize("seed", range(6))
@@ -135,14 +136,15 @@ class TestGradParams:
     def test_matches_finite_differences(self, seed, activation):
         net, X, y = random_net_and_batch(seed, activation)
         spec = nn.LossSpec()
-        mean, _ = nn.grad_params(net, (X, y), spec)
+        mean, _, _ = nn.grad_params(net, (X, y), spec)
         assert_grad_close(mean, fd_grad_params(net, X, y, spec))
 
     def test_duplicated_batch_equals_single_example(self):
         net, X, y = random_net_and_batch(21)
         x1, y1 = X[:1], y[:1]
-        single, _ = nn.grad_params(net, (x1, y1))
-        dup, per = nn.grad_params(net, (np.repeat(x1, 4, axis=0), np.repeat(y1, 4)))
+        single, _, _ = nn.grad_params(net, (x1, y1))
+        dup, _, _ = nn.grad_params(net, (np.repeat(x1, 4, axis=0), np.repeat(y1, 4)))
+        per = per_example_grads(net, np.repeat(x1, 4, axis=0), np.repeat(y1, 4))
         # every duplicate row is bitwise identical; the mean can differ from
         # the 1-row batch only by BLAS kernel choice, i.e. the last ulp
         assert all(np.array_equal(per[0], row) for row in per)
@@ -150,27 +152,38 @@ class TestGradParams:
 
     def test_mean_is_componentwise_mean_of_per_example(self):
         net, X, y = random_net_and_batch(22)
-        mean, per = nn.grad_params(net, (X, y))
-        assert np.array_equal(mean, per.mean(axis=0))
+        mean, _, _ = nn.grad_params(net, (X, y))
+        per = per_example_grads(net, X, y)
+        # aggregated matmuls sum in a different order than the row mean
+        assert mean == pytest.approx(per.mean(axis=0), rel=1e-12, abs=1e-15)
         assert per.shape == (len(X), net.num_params)
 
     def test_clip_active_zeroes_that_example(self):
         net = nn.DenseNet((np.zeros((2, 2)),), (np.zeros(2),), "relu")
         spec = nn.LossSpec(clip_m=0.5)  # ln 2 > 0.5 for every example
-        mean, per = nn.grad_params(net, (np.ones((3, 2)), np.zeros(3, dtype=int)), spec)
+        X, y = np.ones((3, 2)), np.zeros(3, dtype=int)
+        mean, norms, _ = nn.grad_params(net, (X, y), spec)
+        per = per_example_grads(net, X, y, spec)
         assert np.array_equal(per, np.zeros_like(per))
+        assert np.array_equal(norms, np.zeros_like(norms))
         assert np.array_equal(mean, np.zeros_like(mean))
 
     def test_norm_shortcut_matches_materialized_gradients(self):
         net, X, y = random_net_and_batch(23, widths=(5, 7, 4), n=9)
-        _, per = nn.grad_params(net, (X, y))
-        fast = nn.per_example_grad_norms(net, (X, y))
+        per = per_example_grads(net, X, y)
+        _, fast, _ = nn.grad_params(net, (X, y))
         assert fast == pytest.approx(np.linalg.norm(per, axis=1), rel=1e-12)
+
+    def test_losses_are_the_clipped_per_example_losses(self):
+        net, X, y = random_net_and_batch(25)
+        spec = nn.LossSpec(clip_m=1.0)
+        _, _, losses = nn.grad_params(net, (X, y), spec)
+        assert np.array_equal(losses, nn.loss_batch(net, (X, y), spec)[1])
 
     def test_aggregated_mean_grad_matches(self):
         net, X, y = random_net_and_batch(24)
-        mean, _ = nn.grad_params(net, (X, y))
-        assert nn.mean_grad(net, (X, y)) == pytest.approx(mean, rel=1e-12, abs=1e-15)
+        mean, _, _ = nn.grad_params(net, (X, y))
+        assert np.array_equal(nn.mean_grad(net, (X, y)), mean)
 
 
 class TestGradInput:
