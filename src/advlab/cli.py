@@ -41,7 +41,15 @@ SWEEP_COLUMNS = ("rho", "seed", "intensity_1t", "adv_accuracy", "adv_accuracy_co
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    """Write ``obj`` as JSON all at once: a process killed mid-write leaves
+    either the old file or none, never a truncated one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_histogram_csv(path: Path, edges: np.ndarray, counts: np.ndarray) -> None:
@@ -233,20 +241,36 @@ def analyze_rows(rows: list[dict]) -> dict:
     }
 
 
+def _load_summaries(cfg: ExperimentConfig) -> tuple[list[dict], dict[tuple, str | None]]:
+    """Read every run's summary.json.
+
+    Returns (summaries, unfinished). ``unfinished`` maps each (rho, seed)
+    pair without a loadable summary, in sweep order, to None when its
+    summary.json is missing and to a failure message when it cannot be
+    parsed.
+    """
+    summaries, unfinished = [], {}
+    for rho in cfg.radius_list:
+        for seed in cfg.seeds:
+            path = run_dir_for(cfg, rho, seed) / "summary.json"
+            try:
+                summaries.append(json.loads(path.read_text(encoding="utf-8")))
+            except FileNotFoundError:
+                unfinished[rho, seed] = None
+            except ValueError as exc:  # truncated or corrupt JSON
+                unfinished[rho, seed] = f"rho={rho} seed={seed}: unreadable {path}: {exc}"
+    return summaries, unfinished
+
+
 def run_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
     """Run every (rho, seed) pair, skipping finished run directories.
 
-    Returns (summaries, failure messages). Each run writes only inside its
-    own directory; the merge below is single-threaded.
+    A run whose summary.json is missing or unreadable is unfinished and
+    runs again. Returns (summaries, failure messages). Each run writes only
+    inside its own directory; the merge below is single-threaded.
     """
-    jobs, summaries = [], []
-    for rho in cfg.radius_list:
-        for seed in cfg.seeds:
-            done = run_dir_for(cfg, rho, seed) / "summary.json"
-            if done.exists():
-                summaries.append(json.loads(done.read_text(encoding="utf-8")))
-            else:
-                jobs.append((cfg, rho, seed))
+    summaries, unfinished = _load_summaries(cfg)
+    jobs = [(cfg, rho, seed) for rho, seed in unfinished]
     failures = []
     if jobs:
         workers = cfg.workers or min(len(jobs), os.cpu_count() or 1)
@@ -311,13 +335,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_report(args) -> int:
     cfg = load_config(args.config)
-    summaries = []
-    for rho in cfg.radius_list:
-        for seed in cfg.seeds:
-            p = run_dir_for(cfg, rho, seed) / "summary.json"
-            if p.exists():
-                summaries.append(json.loads(p.read_text(encoding="utf-8")))
-    rows, failures = merge_sweep(cfg, summaries, [])
+    summaries, unfinished = _load_summaries(cfg)
+    rows, failures = merge_sweep(cfg, summaries, [m for m in unfinished.values() if m])
     for f in failures:
         print(f, file=sys.stderr)
     print(f"merged {len(rows)} runs into {Path(cfg.output_dir) / 'sweep.csv'}")

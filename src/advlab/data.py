@@ -61,7 +61,27 @@ class LabeledSet:
         return self.features.shape[1]
 
     def subset(self, indices: np.ndarray) -> "LabeledSet":
-        return LabeledSet(self.features[indices], self.labels[indices], self.num_classes)
+        """The rows at ``indices``, in index order, as a new set.
+
+        Built without re-running validation: every row already passed it
+        when this set was constructed, so the rows are finite and the labels
+        are int64 in range. An index array copies the rows and a slice views
+        them; either way the result is read-only like the originals. Only
+        the shape of the selection is checked; an empty one is rejected.
+        """
+        x = self.features[indices]
+        y = self.labels[indices]
+        if y.ndim != 1:
+            raise ValueError(f"misaligned features {x.shape} / labels {y.shape}")
+        if len(y) < 1:
+            raise ValueError("dataset must contain at least one example")
+        x.setflags(write=False)
+        y.setflags(write=False)
+        out = object.__new__(LabeledSet)
+        object.__setattr__(out, "features", x)
+        object.__setattr__(out, "labels", y)
+        object.__setattr__(out, "num_classes", self.num_classes)
+        return out
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,15 @@ convex objectives with hand-computable gradients.
 
 Conventions pinned for determinism: the relu subgradient at 0 is 0, and
 the clip subgradient at raw loss == clip_m is 0.
+
+Per-call cost
+-------------
+Training calls the backward pass on small batches thousands of times, so
+per-call overhead matters more than flops. One backward pass exponentiates
+the logits once: :func:`_losses_and_dlogits` returns the raw losses and
+the logit gradient from the same softmax. The relu derivative and the clip
+factor are boolean masks that multiply float arrays directly; multiplying
+by a bool gives bitwise the same result as multiplying by 0.0 or 1.0.
 """
 
 from __future__ import annotations
@@ -99,18 +108,40 @@ class DenseNet:
             parts.append(b)
         return np.concatenate(parts)
 
-    def with_params(self, flat: np.ndarray) -> "DenseNet":
-        """New net with the same shape and parameters taken from ``flat``."""
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.num_params,):
-            raise ValueError(f"expected {self.num_params} parameters, got {flat.shape}")
+    def _views(self, flat: np.ndarray):
+        """(weights, biases) of this net's shape, as views into ``flat``."""
         ws, bs, k = [], [], 0
         for w, b in zip(self.weights, self.biases):
             ws.append(flat[k : k + w.size].reshape(w.shape))
             k += w.size
             bs.append(flat[k : k + b.size])
             k += b.size
-        return DenseNet(tuple(ws), tuple(bs), self.activation)
+        return tuple(ws), tuple(bs)
+
+    def with_params(self, flat: np.ndarray) -> "DenseNet":
+        """New net with the same shape and parameters taken from ``flat``."""
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.shape != (self.num_params,):
+            raise ValueError(f"expected {self.num_params} parameters, got {flat.shape}")
+        return DenseNet(*self._views(flat), self.activation)
+
+    def _adopt(self, flat: np.ndarray) -> "DenseNet":
+        """New net of this shape that takes ownership of ``flat``; no copy, no scan.
+
+        Private constructor for the SGD hot path, which has just computed
+        ``flat`` and checked it finite. The caller guarantees that ``flat``
+        is a fresh float64 vector of length ``num_params`` that nothing else
+        holds. It is marked read-only here and the weights and biases are
+        views into it, so the new net is as immutable as one from
+        ``DenseNet(...)``, which copies and validates every array.
+        """
+        flat.setflags(write=False)
+        net = object.__new__(DenseNet)
+        ws, bs = self._views(flat)
+        object.__setattr__(net, "weights", ws)
+        object.__setattr__(net, "biases", bs)
+        object.__setattr__(net, "activation", self.activation)
+        return net
 
     @staticmethod
     def random(widths: tuple[int, ...], activation: str, seed: int) -> "DenseNet":
@@ -151,11 +182,11 @@ def _check_labels(net: DenseNet, labels: np.ndarray, n: int) -> np.ndarray:
     y = np.asarray(labels)
     if y.shape != (n,):
         raise ValueError(f"labels must have shape ({n},), got {y.shape}")
-    if not np.issubdtype(y.dtype, np.integer):
+    if y.dtype.kind not in "iu":
         raise ValueError("labels must be integers")
     if y.size and (y.min() < 0 or y.max() >= net.out_dim):
         raise ValueError(f"label out of range [0, {net.out_dim})")
-    return y.astype(np.int64)
+    return y.astype(np.int64, copy=False)
 
 
 def _act(net: DenseNet, z: np.ndarray) -> np.ndarray:
@@ -163,8 +194,8 @@ def _act(net: DenseNet, z: np.ndarray) -> np.ndarray:
 
 
 def _act_deriv(net: DenseNet, z: np.ndarray) -> np.ndarray:
-    # relu subgradient at exactly 0 is taken as 0
-    return (z > 0).astype(np.float64) if net.activation == "relu" else 1.0 - np.tanh(z) ** 2
+    # relu subgradient at exactly 0 is taken as 0; a boolean mask
+    return z > 0 if net.activation == "relu" else 1.0 - np.tanh(z) ** 2
 
 
 def _forward_cached(net: DenseNet, x: np.ndarray):
@@ -186,31 +217,27 @@ def forward(net: DenseNet, features: np.ndarray) -> np.ndarray:
     return _forward_cached(net, x)[0][-1]
 
 
-def _raw_losses(net: DenseNet, logits: np.ndarray, y: np.ndarray, spec: LossSpec) -> np.ndarray:
+def _losses_and_dlogits(logits: np.ndarray, y: np.ndarray, spec: LossSpec):
+    """(raw per-example losses, loss gradient w.r.t. the logits), from one softmax."""
     if spec.kind == "cross_entropy":
+        rows = np.arange(len(y))
         shifted = logits - logits.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1))
-        return lse - shifted[np.arange(len(y)), y]
+        e = np.exp(shifted)
+        total = e.sum(axis=1, keepdims=True)
+        raw = np.log(total[:, 0]) - shifted[rows, y]
+        e /= total
+        e[rows, y] -= 1.0
+        return raw, e
     # squared: label acts as a real target shared by every output coordinate
-    return ((logits - y[:, None].astype(np.float64)) ** 2).sum(axis=1)
-
-
-def _dlogits(net: DenseNet, logits: np.ndarray, y: np.ndarray, spec: LossSpec) -> np.ndarray:
-    if spec.kind == "cross_entropy":
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        p = np.exp(shifted)
-        p /= p.sum(axis=1, keepdims=True)
-        d = p
-        d[np.arange(len(y)), y] -= 1.0
-        return d
-    return 2.0 * (logits - y[:, None].astype(np.float64))
+    r = logits - y[:, None].astype(np.float64)
+    return (r ** 2).sum(axis=1), 2.0 * r
 
 
 def loss_batch(net: DenseNet, batch, spec: LossSpec = LossSpec()):
     """(mean clipped loss, per-example clipped losses) for a (features, labels) batch."""
     x = _check_features(net, batch[0])
     y = _check_labels(net, batch[1], len(x))
-    raw = _raw_losses(net, forward(net, x), y, spec)
+    raw, _ = _losses_and_dlogits(forward(net, x), y, spec)
     clipped = np.minimum(raw, spec.clip_m)
     return float(clipped.mean()), clipped
 
@@ -222,9 +249,8 @@ def _backward(net: DenseNet, x: np.ndarray, y: np.ndarray, spec: LossSpec):
     example whose raw loss reached clip_m.
     """
     acts, zs = _forward_cached(net, x)
-    raw = _raw_losses(net, acts[-1], y, spec)
-    keep = (raw < spec.clip_m).astype(np.float64)
-    delta = _dlogits(net, acts[-1], y, spec) * keep[:, None]
+    raw, dlogits = _losses_and_dlogits(acts[-1], y, spec)
+    delta = dlogits * (raw < spec.clip_m)[:, None]
     deltas = [delta]
     for i in range(len(net.weights) - 1, 0, -1):
         delta = (delta @ net.weights[i]) * _act_deriv(net, zs[i - 1])

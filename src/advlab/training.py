@@ -108,7 +108,11 @@ class RunLedger:
 
 def sgd_step(net: nn.DenseNet, grad: np.ndarray, lr: float, velocity: np.ndarray,
              momentum: float, weight_decay: float):
-    """Heavy-ball update: v <- mu*v + (g + wd*theta); theta <- theta - lr*v."""
+    """Heavy-ball update: v <- mu*v + (g + wd*theta); theta <- theta - lr*v.
+
+    The new parameter vector is fresh and checked finite here, so the new
+    net adopts it as read-only views instead of copying and rescanning it.
+    """
     theta = net.flatten()
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != theta.shape:
@@ -117,9 +121,11 @@ def sgd_step(net: nn.DenseNet, grad: np.ndarray, lr: float, velocity: np.ndarray
         raise DivergenceError("non-finite gradient in SGD step")
     v = momentum * velocity + (grad + weight_decay * theta)
     new_theta = theta - lr * v
+    if new_theta.shape != theta.shape:
+        raise ValueError(f"updated parameters {new_theta.shape} != parameter count {theta.shape}")
     if not np.isfinite(new_theta).all():
         raise DivergenceError("non-finite parameters after update")
-    return net.with_params(new_theta), v
+    return net._adopt(new_theta), v
 
 
 def _model_step(net, velocity, batch, t, config, loss_spec, attack):
@@ -133,13 +139,18 @@ def _model_step(net, velocity, batch, t, config, loss_spec, attack):
     return net, velocity, (float(norms.max()), float(losses.mean()))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_twin(train_set: LabeledSet, test_set: LabeledSet, config: TrainConfig,
                hidden: tuple[int, ...] = (64, 64), activation: str = "relu",
                loss_spec: nn.LossSpec = nn.LossSpec()) -> RunLedger:
     """Run the lockstep twin trainer and return its ledger.
 
     On divergence (any non-finite loss or gradient) the partial ledger is
-    returned with ``diverged_at`` set instead of raising.
+    returned with ``diverged_at`` set instead of raising. A diverging run
+    overflows on its way to the non-finite value that stops it, so numpy's
+    overflow and invalid-value warnings are silenced inside this call; the
+    ``isfinite`` checks in :func:`sgd_step` and on the logged statistics
+    still catch the divergence.
     """
     if config.batch_size > len(train_set):
         raise ValueError("batch_size exceeds training set size")

@@ -63,6 +63,8 @@ class TestMiaAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             attacks.mia_accuracy(np.array([]), np.ones(2), 0.5)
+        with pytest.raises(ValueError):
+            attacks.optimal_threshold(np.ones(2), np.array([]))
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=30),
@@ -115,6 +117,19 @@ class TestOptimalThreshold:
             mids = np.linspace(a, b, 5)[1:]  # (a, b] half-open: jump happens at a
             accs = {attacks.mia_accuracy(train, test, float(z)) for z in mids}
             assert len(accs) == 1
+
+    # a few shared values force ties within and across the two vectors; NaN
+    # (from a diverged checkpoint) compares false against every threshold
+    CONFS = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, math.nan, math.inf]),
+                      st.floats(allow_nan=True, allow_infinity=True))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(CONFS, min_size=1, max_size=30), st.lists(CONFS, min_size=1, max_size=30))
+    def test_sweep_entries_equal_mia_accuracy_exactly(self, train, test):
+        train, test = np.array(train), np.array(test)
+        rep = attacks.optimal_threshold(train, test)
+        for zeta, acc in rep.sweep:
+            assert acc == attacks.mia_accuracy(train, test, zeta)
 
     def test_sweep_is_recorded(self):
         rep = attacks.optimal_threshold(np.array([0.8]), np.array([0.3]))

@@ -107,6 +107,37 @@ class TestSweepCommand:
         assert "diverged at t=" in capsys.readouterr().err
         assert json.loads((tmp_path / "runs" / "analysis.json").read_text())["failures"] == failures
 
+    def test_truncated_summary_is_a_failure_then_rerun(self, tmp_path, capsys):
+        cfg, path = tiny_config(tmp_path, seeds=(1,))
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+        sweep_csv = (tmp_path / "runs" / "sweep.csv").read_bytes()
+        summary = cli.run_dir_for(cfg, cfg.radius_list[-1], 1) / "summary.json"
+        whole = summary.read_bytes()
+        summary.write_bytes(whole[:100])  # as left by a run killed mid-write
+        capsys.readouterr()
+        assert cli.main(["report", "--config", str(path)]) == 1
+        assert "unreadable" in capsys.readouterr().err
+        failures = json.loads((tmp_path / "runs" / "analysis.json").read_text())["failures"]
+        assert len(failures) == 1 and "unreadable" in failures[0]
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+        assert summary.read_bytes() == whole
+        assert (tmp_path / "runs" / "sweep.csv").read_bytes() == sweep_csv
+
+
+class TestWriteJson:
+    def test_failed_write_keeps_old_file_and_no_temporary(self, tmp_path, monkeypatch):
+        path = tmp_path / "summary.json"
+        cli._write_json(path, {"a": 1})
+
+        def killed(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.os, "replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            cli._write_json(path, {"a": 2})
+        assert json.loads(path.read_text()) == {"a": 1}
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestAccountantCommand:
     def test_scalar_mode_reproduces_hand_example(self, capsys):

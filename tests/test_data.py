@@ -164,3 +164,23 @@ class TestLabeledSetInvariants:
         ds = data.synth_blobs(2, 2, 2, 1.0, seed=0)
         with pytest.raises(ValueError):
             ds.features[0, 0] = 99.0
+
+    def test_subset_rows_in_index_order_read_only_int64(self):
+        ds = data.LabeledSet(np.arange(10.0).reshape(5, 2),
+                             np.array([1, 0, 1, 0, 1], dtype=np.int32), 2)
+        idx = np.array([4, 0, 4, 2])
+        sub = ds.subset(idx)
+        assert np.array_equal(sub.features, ds.features[idx])
+        assert np.array_equal(sub.labels, ds.labels[idx])
+        assert sub.features.dtype == np.float64 and sub.labels.dtype == np.int64
+        assert sub.num_classes == 2
+        for a in (sub.features, sub.labels, ds.subset(slice(1, 3)).features):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_subset_rejects_empty_or_scalar_selection(self):
+        ds = data.synth_blobs(2, 2, 2, 1.0, seed=0)
+        with pytest.raises(ValueError, match="at least one"):
+            ds.subset(np.array([], dtype=np.int64))
+        with pytest.raises(ValueError, match="misaligned"):
+            ds.subset(0)

@@ -63,6 +63,25 @@ class TestSgdStep:
         with pytest.raises(ValueError, match="length"):
             training.sgd_step(self.net1(), np.array([1.0]), 0.1, np.zeros(1), 0.0, 0.0)
 
+    def test_velocity_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            training.sgd_step(self.net1(), np.array([1.0, 0.0]), 0.1, np.zeros((2, 2)), 0.9, 0.0)
+
+    def test_stepped_net_is_read_only_and_bitwise_the_update(self):
+        net = nn.DenseNet.random((3, 4, 2), "tanh", seed=1)
+        rng = np.random.default_rng(0)
+        grad, v0 = rng.normal(size=net.num_params), rng.normal(size=net.num_params)
+        out, v = training.sgd_step(net, grad, 0.1, v0, 0.9, 0.01)
+        expected = net.flatten() - 0.1 * v
+        assert out.flatten().tobytes() == expected.tobytes()
+        ref = net.with_params(expected)
+        assert out.activation == ref.activation
+        for p, q in zip((*out.weights, *out.biases), (*ref.weights, *ref.biases)):
+            assert p.shape == q.shape and p.tobytes() == q.tobytes()
+            assert not p.flags.writeable
+            with pytest.raises(ValueError):
+                p[0] = 1.0
+
 
 class TestLrSchedule:
     def test_decay_boundaries(self):
@@ -122,13 +141,21 @@ class TestTrainTwin:
                     ledger.adv_train_acc, ledger.adv_test_acc):
             assert 0.0 <= acc <= 1.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_marked_not_raised(self):
         train, test = small_sets()
         cfg = quick_config(lr_init=1e200, total_iterations=20, log_every=1)
         ledger = training.train_twin(train, test, cfg, hidden=(8,))
         assert ledger.diverged_at is not None
         assert len(ledger.records) < 20
+
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_is_quiet_and_leaves_error_state_alone(self):
+        train, test = small_sets()
+        before = np.geterr()
+        cfg = quick_config(lr_init=1e200, total_iterations=20, log_every=1)
+        ledger = training.train_twin(train, test, cfg, hidden=(8,))
+        assert ledger.diverged_at is not None
+        assert np.geterr() == before
 
     def test_batch_size_validated(self):
         train, test = small_sets()
