@@ -9,31 +9,71 @@ across reruns of the same config and seed):
         erm.ckpt         final ERM model (RPG1 format)
         adv.ckpt         final adversarial model
         noise_hist.csv   201-bin histogram of normalized gradient noise
-        summary.json     intensities, budgets, bounds, attack, accuracies
-        meta.json        wall-clock timestamps only
+        summary.json     intensities, budgets, bounds, attack, accuracies,
+                         and the config digest the run was made under
+        meta.json        how the run was made: ``started`` and ``finished``
+                         wall-clock stamps, ``blas_env`` (the BLAS thread
+                         variables in effect), ``numpy_preloaded`` and
+                         ``versions`` (advlab, numpy, Python)
 
-Exit codes: 0 success, 1 at least one run failed (for ``sweep`` and
-``report``, a diverged run counts as failed), 2 configuration error,
-including invalid arguments to the ``accountant`` and ``bounds``
-calculators.
+``sweep`` reruns a run whose summary.json is missing, unreadable or stale:
+its ``config_digest`` covers every config field except ``seeds``,
+``output_dir`` and ``workers``, so editing any other field reruns the sweep.
+
+BLAS threads: importing this module sets ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 unless one of
+``BLAS_THREAD_VARS`` is already set, so each process, sweep workers
+included, runs BLAS on one thread. To choose another count, export one of
+those variables before starting advlab. The pin only works when numpy
+is not loaded yet; ``numpy_preloaded`` in meta.json says whether it was.
+On one thread, large products also sum in one order, so the artifacts do
+not depend on the machine's core count.
+
+Exit codes: 0 success; 1 at least one run failed (a diverged run counts
+as failed, for ``sweep`` so does a run lost with a dead worker, and for
+``report`` a stale or unreadable one), or ``attack`` and ``noise`` were
+given a checkpoint whose outputs are not finite, as a diverged run leaves;
+2 configuration error, including invalid arguments to the ``accountant``
+and ``bounds`` calculators.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
+
+# Pin BLAS to one thread before numpy loads it, unless the user chose a
+# thread count. The sweep already runs one worker process per core, and an
+# idle OpenBLAS helper thread spin-waits after every large product, taking
+# CPU from the other workers. Pool workers fork from this process (or spawn
+# with its environment), so they inherit the pin.
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+if not any(v in os.environ for v in BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+BLAS_ENV = {v: os.environ[v] for v in BLAS_THREAD_VARS if v in os.environ}
+NUMPY_PRELOADED = "numpy" in sys.modules  # then the environment came too late
+
+# the imports below load numpy, so they come after the pin
+import argparse
+import json
+import platform
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, attacks, bounds, intensity, nn, privacy, training
-from .config import ConfigError, ExperimentConfig, load_config, save_config, to_ini
+from . import __version__, analysis, attacks, bounds, intensity, nn, privacy, training
+from .config import (ConfigError, ExperimentConfig, config_digest, load_config,
+                     save_config, to_ini)
 from .data import CsvFormatError
+
+VERSIONS = {"advlab": __version__, "numpy": np.__version__,
+            "python": platform.python_version()}
 
 SWEEP_COLUMNS = ("rho", "seed", "intensity_1t", "adv_accuracy", "adv_accuracy_common",
                  "attack_accuracy", "gen_gap", "eps_leading", "on_avg_bound",
@@ -57,6 +97,12 @@ def _write_histogram_csv(path: Path, edges: np.ndarray, counts: np.ndarray) -> N
         fh.write("bin_left,bin_right,count\n")
         for lo, hi, c in zip(edges[:-1], edges[1:], counts):
             fh.write(f"{lo!r},{hi!r},{int(c)}\n")
+
+
+def _write_meta(run_dir: Path, started: float) -> None:
+    _write_json(run_dir / "meta.json", {
+        "started": started, "finished": time.time(), "blas_env": BLAS_ENV,
+        "numpy_preloaded": NUMPY_PRELOADED, "versions": VERSIONS})
 
 
 def run_dir_for(cfg: ExperimentConfig, rho: float, seed: int) -> Path:
@@ -86,6 +132,7 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
     summary = {
         "rho": rho,
         "seed": seed,
+        "config_digest": config_digest(cfg),
         "diverged_at": ledger.diverged_at,
         "n_train": len(train_set),
         "n_test": len(test_set),
@@ -101,7 +148,7 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
     }
     if ledger.diverged_at is not None:
         _write_json(run_dir / "summary.json", summary)
-        _write_json(run_dir / "meta.json", {"started": started, "finished": time.time()})
+        _write_meta(run_dir, started)
         raise RuntimeError(f"run rho={rho} seed={seed} diverged at t={ledger.diverged_at}")
 
     series = intensity.IntensitySeries.from_records(ledger.records)
@@ -155,7 +202,7 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
         ledger.adv_net, test_set, cfg.attack_spec(cfg.radius_list[-1]), loss_spec)
 
     _write_json(run_dir / "summary.json", summary)
-    _write_json(run_dir / "meta.json", {"started": started, "finished": time.time()})
+    _write_meta(run_dir, started)
     return summary
 
 
@@ -165,6 +212,15 @@ def _run_job(args) -> tuple[float, int, dict | None, str]:
         return rho, seed, run_experiment(cfg, rho, seed), ""
     except Exception:
         return rho, seed, None, traceback.format_exc()
+
+
+def _pool_result(future, job) -> tuple[float, int, dict | None, str]:
+    """A job's result; a job that a dead worker left unfinished is a failure."""
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        _, rho, seed = job
+        return rho, seed, None, f"worker process died before this run finished: {exc}"
 
 
 def sweep_rows(summaries: list[dict]) -> list[dict]:
@@ -245,29 +301,38 @@ def _load_summaries(cfg: ExperimentConfig) -> tuple[list[dict], dict[tuple, str 
     """Read every run's summary.json.
 
     Returns (summaries, unfinished). ``unfinished`` maps each (rho, seed)
-    pair without a loadable summary, in sweep order, to None when its
+    pair without a current summary, in sweep order, to None when its
     summary.json is missing and to a failure message when it cannot be
-    parsed.
+    parsed or was written under a config with another digest.
     """
+    digest = config_digest(cfg)
     summaries, unfinished = [], {}
     for rho in cfg.radius_list:
         for seed in cfg.seeds:
             path = run_dir_for(cfg, rho, seed) / "summary.json"
             try:
-                summaries.append(json.loads(path.read_text(encoding="utf-8")))
+                summary = json.loads(path.read_text(encoding="utf-8"))
             except FileNotFoundError:
                 unfinished[rho, seed] = None
             except ValueError as exc:  # truncated or corrupt JSON
                 unfinished[rho, seed] = f"rho={rho} seed={seed}: unreadable {path}: {exc}"
+            else:
+                if summary.get("config_digest") == digest:
+                    summaries.append(summary)
+                else:
+                    unfinished[rho, seed] = (f"rho={rho} seed={seed}: stale {path}: "
+                                             "written under another config")
     return summaries, unfinished
 
 
 def run_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
     """Run every (rho, seed) pair, skipping finished run directories.
 
-    A run whose summary.json is missing or unreadable is unfinished and
-    runs again. Returns (summaries, failure messages). Each run writes only
-    inside its own directory; the merge below is single-threaded.
+    A run whose summary.json is missing, unreadable or stale (another
+    config digest) is unfinished and runs again. A worker that dies fails
+    each run it left unfinished, and the merge still runs. Returns
+    (summaries, failure messages). Each run writes only inside its own
+    directory; the merge below is single-threaded.
     """
     summaries, unfinished = _load_summaries(cfg)
     jobs = [(cfg, rho, seed) for rho, seed in unfinished]
@@ -277,15 +342,14 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
         if workers == 1:
             results = map(_run_job, jobs)
         else:
-            pool = ProcessPoolExecutor(max_workers=workers)
-            results = pool.map(_run_job, jobs)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(_run_job, job) for job in jobs]
+                results = [_pool_result(future, job) for future, job in zip(futures, jobs)]
         for rho, seed, summary, err in results:
             if summary is None:
                 failures.append(f"rho={rho} seed={seed}:\n{err}")
             else:
                 summaries.append(summary)
-        if workers > 1:
-            pool.shutdown()
 
     _, failures = merge_sweep(cfg, summaries, failures)
     return summaries, failures
@@ -412,9 +476,12 @@ def _cmd_attack(args) -> int:
     cfg = load_config(args.config)
     net = training.load_checkpoint(args.checkpoint)
     train_set, test_set = cfg.load_datasets()
-    report = attacks.optimal_threshold(
-        attacks.true_label_confidences(net, train_set),
-        attacks.true_label_confidences(net, test_set))
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged model overflows
+        confs = [attacks.true_label_confidences(net, s) for s in (train_set, test_set)]
+    if not all(np.isfinite(c).all() for c in confs):
+        raise training.DivergenceError(
+            f"{args.checkpoint}: non-finite confidences; is it a diverged run's checkpoint?")
+    report = attacks.optimal_threshold(*confs)
     if args.sweep_csv:
         with open(args.sweep_csv, "w", encoding="utf-8") as fh:
             fh.write("zeta,accuracy\n")
@@ -430,9 +497,10 @@ def _cmd_noise(args) -> int:
     cfg = load_config(args.config)
     net = training.load_checkpoint(args.checkpoint)
     train_set, _ = cfg.load_datasets()
-    sample = privacy.collect_noise(net, train_set, cfg.noise_tau, cfg.noise_batches,
-                                   cfg.noise_components, seed=args.seed,
-                                   loss_spec=cfg.loss_spec())
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged model overflows
+        sample = privacy.collect_noise(net, train_set, cfg.noise_tau, cfg.noise_batches,
+                                       cfg.noise_components, seed=args.seed,
+                                       loss_spec=cfg.loss_spec())
     fit = privacy.fit_laplace(sample)
     edges, counts = privacy.noise_histogram(sample.values)
     _write_histogram_csv(Path(args.out), edges, counts)
@@ -546,7 +614,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CsvFormatError, FileNotFoundError, training.CheckpointFormatError) as exc:
+    except (CsvFormatError, FileNotFoundError, training.CheckpointFormatError,
+            training.DivergenceError, privacy.DegenerateNoiseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

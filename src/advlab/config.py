@@ -12,6 +12,7 @@ ERM baseline row).
 from __future__ import annotations
 
 import configparser
+import hashlib
 import io
 from dataclasses import dataclass, fields
 
@@ -200,6 +201,21 @@ def from_ini(text: str) -> ExperimentConfig:
             kind = _FIELD_KINDS.get(key) or base_kinds[types[key]]
             kwargs[key] = _parse(key, parser[section][key], kind)
     return ExperimentConfig(**kwargs)
+
+
+# sweep bookkeeping: a run's directory names its seed, and neither the output
+# directory nor the worker count changes what a run writes
+_NOT_DIGESTED = ("seeds", "output_dir", "workers")
+
+
+def config_digest(cfg: ExperimentConfig) -> str:
+    """sha256 over every field that can change a run's artifacts, each
+    written as in the INI file. ``radius_list`` is included because each
+    run is also attacked at its last radius; a CSV source enters by its
+    paths, not its contents."""
+    text = "".join(f"{f.name}={_format(getattr(cfg, f.name))}\n"
+                   for f in fields(ExperimentConfig) if f.name not in _NOT_DIGESTED)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def load_config(path) -> ExperimentConfig:

@@ -39,7 +39,7 @@ HISTOGRAM_RANGE = (-10.0, 10.0)
 
 
 class DegenerateNoiseError(ValueError):
-    """Pooled noise has zero spread; nothing to normalize or fit."""
+    """Pooled noise has zero or non-finite spread; nothing to normalize or fit."""
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,9 @@ def collect_noise(net: nn.DenseNet, dataset: LabeledSet, tau: int, n_batches: in
         comp = rng.permutation(full.size)[:components_per_batch]
         pooled[j * components_per_batch:(j + 1) * components_per_batch] = diff[comp]
     sd = float(np.std(pooled))
-    if sd <= 0.0:
-        raise DegenerateNoiseError("pooled gradient noise has zero standard deviation")
+    if not 0.0 < sd < math.inf:  # nan when a gradient overflowed
+        raise DegenerateNoiseError(f"pooled gradient noise has standard deviation {sd!r}, "
+                                   "not a positive finite number")
     return NoiseSample(pooled / sd, divisor=sd, model_tag=model_tag, iteration=iteration)
 
 

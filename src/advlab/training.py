@@ -39,7 +39,7 @@ DEGENERATE_GRAD_FLOOR = 1e-30
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite quantity."""
+    """Training, or a model it produced, gave a non-finite quantity."""
 
 
 class CheckpointFormatError(ValueError):
@@ -131,12 +131,13 @@ def sgd_step(net: nn.DenseNet, grad: np.ndarray, lr: float, velocity: np.ndarray
 def _model_step(net, velocity, batch, t, config, loss_spec, attack):
     """One model's update under ``attack``.
 
-    Returns (net, velocity, (max per-example gradient norm, mean batch loss)).
+    Returns (net, velocity, per-example gradient norms, per-example losses);
+    the caller reduces the statistics only on the steps it logs.
     """
     g_mean, norms, losses = adv_grad(net, batch, attack, loss_spec)
     net, velocity = sgd_step(net, g_mean, config.lr(t), velocity,
                              config.momentum, config.weight_decay)
-    return net, velocity, (float(norms.max()), float(losses.mean()))
+    return net, velocity, norms, losses
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -175,16 +176,16 @@ def train_twin(train_set: LabeledSet, test_set: LabeledSet, config: TrainConfig,
         batch_erm = train_set.subset(idx_erm)
         batch_adv = train_set.subset(idx_adv)
         try:
-            erm_net, v_erm, s_erm = _model_step(erm_net, v_erm, batch_erm, t, config,
-                                                loss_spec, AttackSpec())
-            adv_net, v_adv, s_adv = _model_step(adv_net, v_adv, batch_adv, t, config,
-                                                loss_spec, config.attack)
+            erm_net, v_erm, norms_erm, losses_erm = _model_step(
+                erm_net, v_erm, batch_erm, t, config, loss_spec, AttackSpec())
+            adv_net, v_adv, norms_adv, losses_adv = _model_step(
+                adv_net, v_adv, batch_adv, t, config, loss_spec, config.attack)
         except DivergenceError:
             ledger.diverged_at = t
             break
         if t % config.log_every == 0:
-            l_erm, erm_loss = s_erm
-            l_adv, adv_loss = s_adv
+            l_erm, erm_loss = float(norms_erm.max()), float(losses_erm.mean())
+            l_adv, adv_loss = float(norms_adv.max()), float(losses_adv.mean())
             if not all(np.isfinite(v) for v in (l_erm, l_adv, erm_loss, adv_loss)):
                 ledger.diverged_at = t
                 break

@@ -1,5 +1,10 @@
 import dataclasses
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +57,12 @@ class TestTrainCommand:
         for name in ("ledger.csv", "erm.ckpt", "adv.ckpt", "noise_hist.csv",
                      "summary.json", "meta.json"):
             assert (run / name).exists(), name
+        meta = json.loads((run / "meta.json").read_text())
+        assert meta["started"] <= meta["finished"]
+        assert meta["blas_env"] == cli.BLAS_ENV
+        assert meta["numpy_preloaded"] is True  # the test session imported numpy first
+        assert meta["versions"] == {"advlab": "0.1.0", "numpy": np.__version__,
+                                    "python": ".".join(map(str, sys.version_info[:3]))}
 
     def test_config_error_exit_code_2(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
@@ -83,8 +94,63 @@ class TestSweepCommand:
             stamps[str(p)] = p.stat().st_mtime_ns
         assert cli.main(["sweep", "--config", str(path)]) == 0
         for p, t in stamps.items():
-            from pathlib import Path
             assert Path(p).stat().st_mtime_ns == t  # untouched, not re-run
+
+    def test_config_edit_reruns_every_run(self, tmp_path, capsys):
+        cfg, path = tiny_config(tmp_path, seeds=(1,))
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+        runs = [cli.run_dir_for(cfg, rho, 1) for rho in cfg.radius_list]
+        before = {run: (run / "summary.json").stat().st_mtime_ns for run in runs}
+        # the worker count cannot change a run's artifacts
+        config.save_config(dataclasses.replace(cfg, workers=2), path)
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+        assert {run: (run / "summary.json").stat().st_mtime_ns for run in runs} == before
+
+        edited = dataclasses.replace(cfg, lr_init=0.05)
+        config.save_config(edited, path)
+        capsys.readouterr()
+        assert cli.main(["report", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.count("written under another config") == len(runs)
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+        for run in runs:
+            summary = json.loads((run / "summary.json").read_text())
+            assert summary["config_digest"] == config.config_digest(edited)
+            assert summary["config_digest"] != config.config_digest(cfg)
+
+    def test_pool_and_serial_sweeps_write_identical_bytes(self, tmp_path, capsys):
+        trees = []
+        for workers in (1, 2):
+            (tmp_path / str(workers)).mkdir()
+            cfg, path = tiny_config(tmp_path / str(workers), workers=workers)
+            assert cli.main(["sweep", "--config", str(path)]) == 0
+            out = Path(cfg.output_dir)
+            trees.append({f.relative_to(out): f.read_bytes() for f in out.rglob("*")
+                          if f.is_file() and f.name != "meta.json"})
+        assert len(trees[0]) == 2 + 4 * 5  # sweep.csv, analysis.json, 4 runs x 5 files
+        assert trees[0] == trees[1]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched run must reach the workers by fork")
+    def test_dead_worker_fails_its_unfinished_runs_and_merge_still_runs(
+            self, tmp_path, capsys, monkeypatch):
+        cfg, path = tiny_config(tmp_path, workers=2)
+        real = cli.run_experiment
+
+        def dies_on_last_run(cfg, rho, seed):
+            if (rho, seed) == (cfg.radius_list[-1], cfg.seeds[-1]):
+                os._exit(3)
+            return real(cfg, rho, seed)
+
+        monkeypatch.setattr(cli, "run_experiment", dies_on_last_run)
+        assert cli.main(["sweep", "--config", str(path)]) == 1
+        failures = json.loads((tmp_path / "runs" / "analysis.json").read_text())["failures"]
+        rows = (tmp_path / "runs" / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) + len(failures) == len(cfg.radius_list) * len(cfg.seeds)
+        assert all("worker process died" in f for f in failures)
+        assert any(f.startswith("rho=0.15 seed=2:") for f in failures)
+        assert "worker process died" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert cli.main(["sweep", "--config", str(path)]) == 0
 
     def test_report_rebuilds_merge(self, tmp_path, capsys):
         cfg, path = tiny_config(tmp_path, seeds=(1,))
@@ -230,6 +296,18 @@ class TestCalculatorCommands:
         assert lines[0] == "tau,mean_estimate,full_value"
         assert len(lines) == 4
 
+    def test_diverged_checkpoint_is_one_line_error_exit_1(self, tmp_path, capsys):
+        cfg, path = tiny_config(tmp_path, seeds=(1,), lr_init=1e200)
+        assert cli.main(["train", "--config", str(path), "--rho", "0", "--seed", "1"]) == 1
+        ckpt = cli.run_dir_for(cfg, 0.0, 1) / "erm.ckpt"
+        assert ckpt.exists()  # finite parameters near 1e200
+        for argv in (["attack"], ["noise", "--out", str(tmp_path / "nh.csv")]):
+            capsys.readouterr()
+            assert cli.main([*argv, "--config", str(path), "--checkpoint", str(ckpt)]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1 and err.startswith("error: "), argv
+            assert "non-finite" in err or "nan" in err, argv
+
     def test_missing_checkpoint_is_error_exit_1(self, tmp_path, capsys):
         cfg, path = tiny_config(tmp_path)
         assert cli.main(["attack", "--config", str(path),
@@ -240,3 +318,36 @@ class TestCalculatorCommands:
         assert rc == 0
         text = capsys.readouterr().out
         assert config.from_ini(text) == config.ExperimentConfig()
+
+
+class TestBlasPin:
+    PROBE = ("import json, os, sys\n"
+             "{preamble}"
+             "from advlab import cli\n"
+             "import numpy as np\n"
+             "a = np.ones((600, 600))\n"
+             "a @ a\n"
+             "print(json.dumps({{'threads': len(os.listdir('/proc/self/task')),\n"
+             "    'env': {{v: os.environ[v] for v in cli.BLAS_THREAD_VARS if v in os.environ}},\n"
+             "    'blas_env': cli.BLAS_ENV, 'preloaded': cli.NUMPY_PRELOADED}}))\n")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    @pytest.mark.parametrize("preamble, user_env, want_env, want_threads, want_preloaded", [
+        ("", {}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"},
+         1, False),
+        ("", {"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2"}, None, False),
+        ("import numpy\n", {}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                                 "MKL_NUM_THREADS": "1"}, None, True),
+    ])
+    def test_fresh_interpreter(self, preamble, user_env, want_env, want_threads, want_preloaded):
+        env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.update(user_env)
+        proc = subprocess.run([sys.executable, "-c", self.PROBE.format(preamble=preamble)],
+                              env=env, capture_output=True, text=True, timeout=60, check=True)
+        got = json.loads(proc.stdout)
+        assert got["env"] == got["blas_env"] == want_env
+        assert got["preloaded"] is want_preloaded
+        if want_threads is not None:
+            assert got["threads"] == want_threads

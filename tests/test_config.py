@@ -118,3 +118,18 @@ class TestDerivedSpecs:
     def test_loss_spec_uses_loss_bound(self):
         cfg = config.ExperimentConfig()
         assert cfg.loss_spec().clip_m == cfg.loss_bound
+
+
+class TestConfigDigest:
+    def test_sweep_bookkeeping_leaves_the_digest_alone(self):
+        cfg = config.ExperimentConfig()
+        moved = dataclasses.replace(cfg, seeds=(9,), output_dir="elsewhere", workers=3)
+        assert config.config_digest(moved) == config.config_digest(cfg)
+
+    @pytest.mark.parametrize("change", [
+        {"lr_init": 0.05}, {"radius_list": (0.0, 0.05, 0.4)}, {"steps": 4},
+        {"hidden": (32,)}, {"step_size": 0.01}, {"noise_tau": 32}, {"gamma_list": (0.1,)},
+    ])
+    def test_fields_that_shape_a_run_change_the_digest(self, change):
+        cfg = config.ExperimentConfig()
+        assert config.config_digest(dataclasses.replace(cfg, **change)) != config.config_digest(cfg)
