@@ -1,5 +1,7 @@
 """Command-line front end: run one twin experiment, a radius sweep, or the
-standalone calculators, and persist every artifact as CSV/JSON.
+standalone calculators. Every artifact is written whole, to a temporary file
+in its directory that ``os.replace`` then moves into place. A CSV cell holds
+an integer as ``str(int(v))`` and any other number as ``repr(float(v))``.
 
 Artifact layout for one run (everything except meta.json is byte-stable
 across reruns of the same config and seed):
@@ -33,7 +35,8 @@ Exit codes: 0 success; 1 at least one run failed (a diverged run counts
 as failed, for ``sweep`` so does a run lost with a dead worker, and for
 ``report`` a stale or unreadable one), or ``attack`` and ``noise`` were
 given a checkpoint whose outputs are not finite, as a diverged run leaves;
-2 configuration error, including invalid arguments to the ``accountant``
+2 configuration error, including noise fields that do not fit the data
+(checked before any training) and invalid arguments to the ``accountant``
 and ``bounds`` calculators.
 """
 
@@ -68,9 +71,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, attacks, bounds, intensity, nn, privacy, training
-from .config import (ConfigError, ExperimentConfig, config_digest, load_config,
-                     save_config, to_ini)
-from .data import CsvFormatError
+from .config import ConfigError, ExperimentConfig, config_digest, load_config, to_ini
+from .data import CsvFormatError, write_atomic, write_csv
 
 VERSIONS = {"advlab": __version__, "numpy": np.__version__,
             "python": platform.python_version()}
@@ -81,22 +83,12 @@ SWEEP_COLUMNS = ("rho", "seed", "intensity_1t", "adv_accuracy", "adv_accuracy_co
 
 
 def _write_json(path: Path, obj) -> None:
-    """Write ``obj`` as JSON all at once: a process killed mid-write leaves
-    either the old file or none, never a truncated one."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _write_histogram_csv(path: Path, edges: np.ndarray, counts: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("bin_left,bin_right,count\n")
-        for lo, hi, c in zip(edges[:-1], edges[1:], counts):
-            fh.write(f"{lo!r},{hi!r},{int(c)}\n")
+def _write_histogram_csv(path: Path, values: np.ndarray) -> None:
+    edges, counts = privacy.noise_histogram(values)
+    write_csv(path, ("bin_left", "bin_right", "count"), zip(edges[:-1], edges[1:], counts))
 
 
 def _write_meta(run_dir: Path, started: float) -> None:
@@ -116,11 +108,12 @@ def _budget_json(b: privacy.PrivacyBudget) -> dict:
 
 def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
     """Full per-run pipeline: train, measure, account, bound, attack, persist."""
+    started = time.time()
+    train_set, test_set = cfg.load_datasets()
+    cfg.check_noise(train_set)
     run_dir = run_dir_for(cfg, rho, seed)
     run_dir.mkdir(parents=True, exist_ok=True)
-    started = time.time()
 
-    train_set, test_set = cfg.load_datasets()
     loss_spec = cfg.loss_spec()
     ledger = training.train_twin(train_set, test_set, cfg.train_config(rho, seed),
                                  hidden=cfg.hidden, activation=cfg.activation,
@@ -163,8 +156,7 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
                                   loss_spec=loss_spec, model_tag="erm",
                                   iteration=cfg.total_iterations)
     fit = privacy.fit_laplace(noise)
-    edges, counts = privacy.noise_histogram(noise.values)
-    _write_histogram_csv(run_dir / "noise_hist.csv", edges, counts)
+    _write_histogram_csv(run_dir / "noise_hist.csv", noise.values)
     summary["noise"] = {"b": fit.scale, "location": fit.location, "count": fit.count,
                         "divisor": noise.divisor}
 
@@ -238,12 +230,7 @@ def sweep_rows(summaries: list[dict]) -> list[dict]:
 
 
 def write_sweep_csv(rows: list[dict], path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                str(row[c]) if c == "seed" else repr(float(row[c]))
-                for c in SWEEP_COLUMNS) + "\n")
+    write_csv(path, SWEEP_COLUMNS, ([row[c] for c in SWEEP_COLUMNS] for row in rows))
 
 
 def _fit_json(fit: analysis.PolyFit | None) -> dict | None:
@@ -332,8 +319,10 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
     config digest) is unfinished and runs again. A worker that dies fails
     each run it left unfinished, and the merge still runs. Returns
     (summaries, failure messages). Each run writes only inside its own
-    directory; the merge below is single-threaded.
+    directory; the merge below is single-threaded. A config error is raised
+    before any run starts.
     """
+    cfg.check_noise(cfg.load_datasets()[0])
     summaries, unfinished = _load_summaries(cfg)
     jobs = [(cfg, rho, seed) for rho, seed in unfinished]
     failures = []
@@ -483,10 +472,7 @@ def _cmd_attack(args) -> int:
             f"{args.checkpoint}: non-finite confidences; is it a diverged run's checkpoint?")
     report = attacks.optimal_threshold(*confs)
     if args.sweep_csv:
-        with open(args.sweep_csv, "w", encoding="utf-8") as fh:
-            fh.write("zeta,accuracy\n")
-            for z, a in report.sweep:
-                fh.write(f"{z!r},{a!r}\n")
+        write_csv(args.sweep_csv, ("zeta", "accuracy"), report.sweep)
     print(json.dumps({"zeta_optim": report.zeta_optim, "accuracy": report.accuracy,
                       "n_train": report.n_train, "n_test": report.n_test},
                      sort_keys=True, indent=2))
@@ -497,13 +483,13 @@ def _cmd_noise(args) -> int:
     cfg = load_config(args.config)
     net = training.load_checkpoint(args.checkpoint)
     train_set, _ = cfg.load_datasets()
+    cfg.check_noise(train_set)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged model overflows
         sample = privacy.collect_noise(net, train_set, cfg.noise_tau, cfg.noise_batches,
                                        cfg.noise_components, seed=args.seed,
                                        loss_spec=cfg.loss_spec())
     fit = privacy.fit_laplace(sample)
-    edges, counts = privacy.noise_histogram(sample.values)
-    _write_histogram_csv(Path(args.out), edges, counts)
+    _write_histogram_csv(Path(args.out), sample.values)
     print(json.dumps({"b": fit.scale, "location": fit.location, "count": fit.count,
                       "divisor": sample.divisor, "histogram": args.out},
                      sort_keys=True, indent=2))
@@ -521,10 +507,8 @@ def _cmd_probe(args) -> int:
     rows = intensity.consistency_probe(net_erm, net_adv, train_set,
                                        cfg.attack_spec(args.rho), taus,
                                        args.repeats, args.seed, cfg.loss_spec())
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("tau,mean_estimate,full_value\n")
-        for r in rows:
-            fh.write(f"{r.tau},{r.mean_estimate!r},{r.full_value!r}\n")
+    write_csv(args.out, ("tau", "mean_estimate", "full_value"),
+              ((r.tau, r.mean_estimate, r.full_value) for r in rows))
     print(f"probe table written to {args.out}")
     return 0
 

@@ -17,7 +17,7 @@ import io
 from dataclasses import dataclass, fields
 
 from .adversarial import AttackSpec
-from .data import LabeledSet, load_csv, split, synth_blobs
+from .data import LabeledSet, load_csv, split, synth_blobs, write_atomic
 from .nn import LossSpec
 from .training import TrainConfig
 
@@ -89,6 +89,8 @@ class ExperimentConfig:
             raise ConfigError("delta_prime must be positive")
         if not self.loss_bound > 0 or not self.constant_c > 0:
             raise ConfigError("loss_bound and constant_c must be positive")
+        if self.noise_batches < 1:
+            raise ConfigError("noise_batches must be >= 1")
 
     # derived pieces ----------------------------------------------------
     def loss_spec(self) -> LossSpec:
@@ -120,6 +122,16 @@ class ExperimentConfig:
         if not 1 <= self.n_train < len(pool):
             raise ConfigError(f"n_train must lie in [1, {len(pool) - 1}]")
         return split(pool, self.n_train, self.data_seed)
+
+    def check_noise(self, train: LabeledSet) -> None:
+        """Fit the noise fields to the training set and the net trained on it,
+        which the csv source fixes only once its files are read."""
+        widths = (train.dim, *self.hidden, train.num_classes)
+        params = sum(i * o + o for i, o in zip(widths[:-1], widths[1:]))
+        if not 1 <= self.noise_tau <= len(train):
+            raise ConfigError(f"noise_tau must lie in [1, {len(train)}], the training set size")
+        if not 1 <= self.noise_components <= params:
+            raise ConfigError(f"noise_components must lie in [1, {params}], the parameter count")
 
 
 _SECTIONS = {
@@ -224,5 +236,4 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_ini(cfg))
+    write_atomic(path, to_ini(cfg))

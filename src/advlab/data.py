@@ -13,7 +13,9 @@ one integer label column. A header row is skipped when ``header=True``.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -145,9 +147,33 @@ def load_csv(path, header: bool = False) -> LabeledSet:
 
 
 def save_csv(dataset: LabeledSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for x, y in zip(dataset.features, dataset.labels):
-            fh.write(",".join(repr(float(v)) for v in x) + f",{int(y)}\n")
+    write_csv(path, (), ((*x, y) for x, y in zip(dataset.features, dataset.labels)))
+
+
+def write_atomic(path, content: str | bytes) -> None:
+    """Write ``content`` (text as UTF-8) to a temporary file beside ``path``, then
+    ``os.replace`` it: a killed process leaves the old file or none, never part of one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(content.encode("utf-8") if isinstance(content, str) else content)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _cell(v) -> str:
+    return str(int(v)) if isinstance(v, (int, np.integer, np.bool_)) else repr(float(v))
+
+
+def write_csv(path, columns, rows) -> None:
+    """A header line (none if ``columns`` is empty), then one line per row. A cell that
+    is an int, a numpy integer or a bool is written as ``str(int(v))``, any other as
+    ``repr(float(v))``, the shortest text that parses back to the same double."""
+    lines = [",".join(columns)] if columns else []
+    lines += [",".join(map(_cell, row)) for row in rows]
+    write_atomic(path, "".join(line + "\n" for line in lines))
 
 
 def blob_center(k: int, dim: int) -> np.ndarray:

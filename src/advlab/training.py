@@ -30,7 +30,7 @@ import numpy as np
 from . import nn
 from .adversarial import AttackSpec, adv_grad
 from .attacks import accuracy
-from .data import BatchSchedule, LabeledSet
+from .data import BatchSchedule, LabeledSet, write_atomic, write_csv
 
 CHECKPOINT_MAGIC = b"RPG1"
 _ACT_CODES = {"relu": 0, "tanh": 1}
@@ -208,11 +208,7 @@ LEDGER_COLUMNS = ("t", "l_erm", "l_adv", "intensity", "erm_loss", "adv_loss", "d
 
 
 def write_ledger_csv(records: list[IterationRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(LEDGER_COLUMNS) + "\n")
-        for r in records:
-            fh.write(f"{r.t},{r.l_erm!r},{r.l_adv!r},{r.intensity!r},"
-                     f"{r.erm_loss!r},{r.adv_loss!r},{int(r.degenerate)}\n")
+    write_csv(path, LEDGER_COLUMNS, ([getattr(r, c) for c in LEDGER_COLUMNS] for r in records))
 
 
 def read_ledger_csv(path) -> list[IterationRecord]:
@@ -234,8 +230,7 @@ def save_checkpoint(net: nn.DenseNet, path) -> None:
     blob += struct.pack("<BI", _ACT_CODES[net.activation], len(net.weights))
     blob += struct.pack(f"<{len(widths)}I", *widths)
     blob += net.flatten().astype("<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    write_atomic(path, blob)
 
 
 def load_checkpoint(path) -> nn.DenseNet:

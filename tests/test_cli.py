@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from advlab import cli, config
+from advlab import cli, config, data, nn, training
 
 # frozen oracle value shared with test_privacy: compose([0.1], N/delta'=100)
 COMPOSE_HAND = 0.30848126337324882
@@ -190,19 +190,82 @@ class TestSweepCommand:
         assert (tmp_path / "runs" / "sweep.csv").read_bytes() == sweep_csv
 
 
+# every artifact writer, called with a version number k that changes its bytes
+WRITERS = {
+    "json": lambda path, k: cli._write_json(path, {"a": k}),
+    "ledger": lambda path, k: training.write_ledger_csv(
+        [training.IterationRecord(20, 1.0, 2.0 * k, 2.0 * k, 0.5, 0.5)], path),
+    "checkpoint": lambda path, k: training.save_checkpoint(
+        nn.DenseNet.random((2, 3, 2), "relu", seed=k), path),
+    "histogram": lambda path, k: cli._write_histogram_csv(path, np.full(10, float(k))),
+    "sweep_csv": lambda path, k: cli.write_sweep_csv(
+        [{c: float(k) for c in cli.SWEEP_COLUMNS} | {"seed": k}], path),
+    "dataset_csv": lambda path, k: data.save_csv(data.synth_blobs(2, 2, 3, 1.0, seed=k), path),
+    "config": lambda path, k: config.save_config(
+        dataclasses.replace(config.ExperimentConfig(), data_seed=k), path),
+}
+
+
 class TestWriteJson:
-    def test_failed_write_keeps_old_file_and_no_temporary(self, tmp_path, monkeypatch):
-        path = tmp_path / "summary.json"
-        cli._write_json(path, {"a": 1})
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_failed_write_keeps_old_file_and_no_temporary(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "artifact"
+        WRITERS[writer](path, 1)
+        old = path.read_bytes()
 
         def killed(src, dst):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli.os, "replace", killed)
+        monkeypatch.setattr(os, "replace", killed)
         with pytest.raises(KeyboardInterrupt):
-            cli._write_json(path, {"a": 2})
-        assert json.loads(path.read_text()) == {"a": 1}
+            WRITERS[writer](path, 2)
+        assert path.read_bytes() == old
         assert list(tmp_path.iterdir()) == [path]
+        monkeypatch.undo()
+        WRITERS[writer](path, 2)
+        assert path.read_bytes() != old  # the interrupted write had new bytes to lose
+
+
+class TestCsvCells:
+    def test_every_cell_of_run_and_sweep_tables_is_a_number(self, tmp_path, capsys):
+        cfg, path = tiny_config(tmp_path, seeds=(1,))
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+        out = Path(cfg.output_dir)
+        tables = [out / "sweep.csv", *out.rglob("ledger.csv"), *out.rglob("noise_hist.csv")]
+        assert len(tables) == 1 + 2 * len(cfg.radius_list)
+        for table in tables:
+            header, *rows = table.read_text().splitlines()
+            assert rows, table
+            for row in rows:
+                for cell in row.split(","):
+                    try:
+                        int(cell)
+                    except ValueError:
+                        float(cell)  # raises on text such as np.float64(-10.0)
+
+
+class TestNoiseFields:
+    @pytest.mark.parametrize("command", ["train", "sweep", "noise"])
+    @pytest.mark.parametrize("field, value", [
+        ("noise_tau", 61),  # n_train + 1
+        ("noise_components", 68),  # the 4-8-3 net has 67 parameters
+    ])
+    def test_outside_the_data_is_config_error_before_training(
+            self, tmp_path, capsys, monkeypatch, command, field, value):
+        cfg, path = tiny_config(tmp_path, **{field: value})
+        ckpt = tmp_path / "erm.ckpt"
+        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), "relu", seed=1), ckpt)
+
+        def never(*args, **kwargs):
+            raise AssertionError("trained despite a config error")
+
+        monkeypatch.setattr(training, "train_twin", never)
+        extra = ["--checkpoint", str(ckpt), "--out", str(tmp_path / "nh.csv")] if command == "noise" else []
+        assert cli.main([command, "--config", str(path), *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("config error: ")
+        assert field in err
+        assert not Path(cfg.output_dir).exists() and not (tmp_path / "nh.csv").exists()
 
 
 class TestAccountantCommand:

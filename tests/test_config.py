@@ -50,6 +50,10 @@ class TestValidation:
         with pytest.raises(config.ConfigError, match="gamma"):
             dataclasses.replace(config.ExperimentConfig(), gamma_list=(1.5,))
 
+    def test_noise_batches_positive(self):
+        with pytest.raises(config.ConfigError, match="noise_batches"):
+            dataclasses.replace(config.ExperimentConfig(), noise_batches=0)
+
     def test_unknown_key_rejected(self):
         text = config.to_ini(config.ExperimentConfig()).replace(
             "[train]\n", "[train]\nbogus_key = 1\n")
@@ -94,6 +98,24 @@ class TestDatasets:
         train, test = cfg.load_datasets()
         assert len(train) == 30 and len(test) == 15
         assert train.num_classes == test.num_classes == 3
+
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    def test_noise_fields_checked_against_the_data(self, tmp_path, source):
+        from advlab.data import save_csv, synth_blobs
+        save_csv(synth_blobs(10, 3, 4, 1.0, seed=1), tmp_path / "train.csv")
+        save_csv(synth_blobs(5, 3, 4, 1.0, seed=2), tmp_path / "test.csv")
+        # 30 training rows of 4 features in 3 classes; a 4-8-3 net has 67 parameters
+        cfg = dataclasses.replace(config.ExperimentConfig(), source=source, n_per_class=15,
+                                  num_classes=3, dim=4, n_train=30, hidden=(8,),
+                                  noise_tau=30, noise_components=67,
+                                  train_csv=str(tmp_path / "train.csv"),
+                                  test_csv=str(tmp_path / "test.csv"))
+        train, _ = cfg.load_datasets()
+        cfg.check_noise(train)  # both at their largest valid value
+        for bad in ({"noise_tau": 31}, {"noise_tau": 0}, {"noise_components": 68},
+                    {"noise_components": 0}):
+            with pytest.raises(config.ConfigError, match=next(iter(bad))):
+                dataclasses.replace(cfg, **bad).check_noise(train)
 
     def test_csv_source_needs_paths(self):
         cfg = dataclasses.replace(config.ExperimentConfig(), source="csv")

@@ -52,6 +52,20 @@ class TestLoadCsv:
         assert np.array_equal(back.labels, ds.labels)
 
 
+class TestWriteCsv:
+    def test_one_cell_format_for_python_and_numpy_numbers(self, tmp_path):
+        p = tmp_path / "t.csv"
+        data.write_csv(p, ("a", "b", "c", "d", "e", "f"), [
+            (3, np.int64(-4), True, np.bool_(False), np.float64(-10.0), 0.1),
+            (0, np.uint8(7), False, np.bool_(True), np.float32(0.5), float("nan"))])
+        assert p.read_text() == "a,b,c,d,e,f\n3,-4,1,0,-10.0,0.1\n0,7,0,1,0.5,nan\n"
+
+    def test_no_columns_means_no_header(self, tmp_path):
+        p = tmp_path / "t.csv"
+        data.write_csv(p, (), [(1.5, 2)])
+        assert p.read_text() == "1.5,2\n"
+
+
 class TestSynthBlobs:
     def test_zero_spread_hits_centers_exactly(self):
         ds = data.synth_blobs(3, 4, 6, spread=0.0, seed=1)
