@@ -53,26 +53,8 @@ class AttackSpec:
         return self.radius / 4.0 if self.step_size is None else self.step_size
 
 
-def project(center: np.ndarray, point: np.ndarray, norm: str, radius: float) -> np.ndarray:
-    """Nearest point to ``point`` in the radius-ball around ``center``."""
-    center = np.asarray(center, dtype=np.float64)
-    point = np.asarray(point, dtype=np.float64)
-    if center.shape != point.shape:
-        raise ValueError("center and point must share a shape")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    d = point - center
-    if norm == "linf":
-        return center + np.clip(d, -radius, radius)
-    if norm == "l2":
-        dist = np.linalg.norm(d)
-        if dist <= radius:
-            return point
-        return center + d * (radius / dist)
-    raise ValueError(f"unknown norm {norm!r}")
-
-
-def _project_rows(clean: np.ndarray, pts: np.ndarray, norm: str, radius: float) -> np.ndarray:
+def project(clean: np.ndarray, pts: np.ndarray, norm: str, radius: float) -> np.ndarray:
+    """Nearest point to each row of ``pts`` in the radius-ball around the same row of ``clean``."""
     d = pts - clean
     if norm == "linf":
         return clean + np.clip(d, -radius, radius)
@@ -99,15 +81,8 @@ def pgd_batch(net: nn.DenseNet, features: np.ndarray, labels: np.ndarray,
             x = x + attack.alpha * np.sign(g)
         else:
             x = x + attack.alpha * g
-        x = _project_rows(x0, x, attack.norm, attack.radius)
+        x = project(x0, x, attack.norm, attack.radius)
     return x
-
-
-def pgd_attack(net: nn.DenseNet, features: np.ndarray, label: int,
-               attack: AttackSpec, loss_spec: nn.LossSpec = nn.LossSpec()) -> np.ndarray:
-    """Single-example PGD; returns the adversarial feature vector."""
-    x = np.asarray(features, dtype=np.float64).reshape(1, -1)
-    return pgd_batch(net, x, np.array([label]), attack, loss_spec)[0]
 
 
 def adv_grad(net: nn.DenseNet, batch: LabeledSet, attack: AttackSpec,

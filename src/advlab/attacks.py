@@ -1,4 +1,4 @@
-"""Threshold membership inference and generalization-gap measurement.
+"""Threshold membership inference and 0/1 accuracy.
 
 The attacker sees a model and a candidate example, assumed equally likely
 to come from the training or the test set, and predicts "member" when the
@@ -26,11 +26,6 @@ def accuracy(net: nn.DenseNet, dataset: LabeledSet) -> float:
     """0/1 accuracy; argmax over logits, first index wins ties."""
     pred = np.argmax(nn.forward(net, dataset.features), axis=1)
     return float((pred == dataset.labels).mean())
-
-
-def generalization_gap(net: nn.DenseNet, train_set: LabeledSet, test_set: LabeledSet) -> float:
-    """Training accuracy minus test accuracy."""
-    return accuracy(net, train_set) - accuracy(net, test_set)
 
 
 def true_label_confidences(net: nn.DenseNet, dataset: LabeledSet) -> np.ndarray:

@@ -36,8 +36,13 @@ as failed, for ``sweep`` so does a run lost with a dead worker, and for
 ``report`` a stale or unreadable one), or ``attack`` and ``noise`` were
 given a checkpoint whose outputs are not finite, as a diverged run leaves;
 2 configuration error, including noise fields that do not fit the data
-(checked before any training) and invalid arguments to the ``accountant``
-and ``bounds`` calculators.
+(checked before any training; for ``noise``, against the checkpoint's
+parameter count), a checkpoint given to ``attack``, ``noise`` or ``probe``
+whose input width differs from the data's or that has fewer outputs than
+the data has classes, ``probe`` batch sizes that are not integers in
+[1, training set size] or ``--repeats`` below 1 (checked before any
+gradient work), and invalid arguments to the ``accountant`` and ``bounds``
+calculators.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ import numpy as np
 
 from . import __version__, analysis, attacks, bounds, intensity, nn, privacy, training
 from .config import ConfigError, ExperimentConfig, config_digest, load_config, to_ini
-from .data import CsvFormatError, write_atomic, write_csv
+from .data import CsvFormatError, LabeledSet, write_atomic, write_csv
 
 VERSIONS = {"advlab": __version__, "numpy": np.__version__,
             "python": platform.python_version()}
@@ -153,8 +158,7 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
     # gradient noise and Laplace scale, taken at the final ERM iterate
     noise = privacy.collect_noise(ledger.erm_net, train_set, cfg.noise_tau,
                                   cfg.noise_batches, cfg.noise_components, seed=seed,
-                                  loss_spec=loss_spec, model_tag="erm",
-                                  iteration=cfg.total_iterations)
+                                  loss_spec=loss_spec)
     fit = privacy.fit_laplace(noise)
     _write_histogram_csv(run_dir / "noise_hist.csv", noise.values)
     summary["noise"] = {"b": fit.scale, "location": fit.location, "count": fit.count,
@@ -461,10 +465,20 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _load_checkpoint_for(path, data: LabeledSet) -> nn.DenseNet:
+    """The checkpoint at ``path``; a config error unless it reads the data's
+    features and scores every one of its classes."""
+    net = training.load_checkpoint(path)
+    if net.in_dim != data.dim or net.out_dim < data.num_classes:
+        raise ConfigError(f"{path}: a {'-'.join(map(str, net.layer_widths))} net does not fit "
+                          f"data with {data.dim} features and {data.num_classes} classes")
+    return net
+
+
 def _cmd_attack(args) -> int:
     cfg = load_config(args.config)
-    net = training.load_checkpoint(args.checkpoint)
     train_set, test_set = cfg.load_datasets()
+    net = _load_checkpoint_for(args.checkpoint, train_set)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged model overflows
         confs = [attacks.true_label_confidences(net, s) for s in (train_set, test_set)]
     if not all(np.isfinite(c).all() for c in confs):
@@ -481,9 +495,9 @@ def _cmd_attack(args) -> int:
 
 def _cmd_noise(args) -> int:
     cfg = load_config(args.config)
-    net = training.load_checkpoint(args.checkpoint)
     train_set, _ = cfg.load_datasets()
-    cfg.check_noise(train_set)
+    net = _load_checkpoint_for(args.checkpoint, train_set)
+    cfg.check_noise_for(len(train_set), net.num_params)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged model overflows
         sample = privacy.collect_noise(net, train_set, cfg.noise_tau, cfg.noise_batches,
                                        cfg.noise_components, seed=args.seed,
@@ -498,12 +512,16 @@ def _cmd_noise(args) -> int:
 
 def _cmd_probe(args) -> int:
     cfg = load_config(args.config)
-    net_erm = training.load_checkpoint(args.erm_checkpoint)
-    net_adv = training.load_checkpoint(args.adv_checkpoint)
     train_set, _ = cfg.load_datasets()
     n = len(train_set)
-    taus = ([int(v) for v in args.taus.split(",")] if args.taus
-            else [max(1, n // 8), max(1, n // 2), n])
+    try:
+        taus = ([int(v) for v in args.taus.split(",")] if args.taus
+                else [max(1, n // 8), max(1, n // 2), n])
+        intensity.check_probe(taus, args.repeats, n)
+    except ValueError as exc:  # a --taus entry that is not an integer, or out of range
+        raise ConfigError(f"probe --taus/--repeats: {exc}") from None
+    net_erm = _load_checkpoint_for(args.erm_checkpoint, train_set)
+    net_adv = _load_checkpoint_for(args.adv_checkpoint, train_set)
     rows = intensity.consistency_probe(net_erm, net_adv, train_set,
                                        cfg.attack_spec(args.rho), taus,
                                        args.repeats, args.seed, cfg.loss_spec())

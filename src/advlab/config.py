@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 from .adversarial import AttackSpec
 from .data import LabeledSet, load_csv, split, synth_blobs, write_atomic
-from .nn import LossSpec
+from .nn import LossSpec, param_count
 from .training import TrainConfig
 
 
@@ -126,10 +126,13 @@ class ExperimentConfig:
     def check_noise(self, train: LabeledSet) -> None:
         """Fit the noise fields to the training set and the net trained on it,
         which the csv source fixes only once its files are read."""
-        widths = (train.dim, *self.hidden, train.num_classes)
-        params = sum(i * o + o for i, o in zip(widths[:-1], widths[1:]))
-        if not 1 <= self.noise_tau <= len(train):
-            raise ConfigError(f"noise_tau must lie in [1, {len(train)}], the training set size")
+        self.check_noise_for(len(train), param_count((train.dim, *self.hidden, train.num_classes)))
+
+    def check_noise_for(self, n_train: int, params: int) -> None:
+        """Fit the noise fields to an ``n_train``-row training set and the
+        ``params`` parameters of the net the noise is collected on."""
+        if not 1 <= self.noise_tau <= n_train:
+            raise ConfigError(f"noise_tau must lie in [1, {n_train}], the training set size")
         if not 1 <= self.noise_components <= params:
             raise ConfigError(f"noise_components must lie in [1, {params}], the parameter count")
 

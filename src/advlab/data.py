@@ -107,11 +107,6 @@ class BatchSchedule:
         return rng.permutation(n)[: self.batch_size]
 
 
-def next_batch(dataset: LabeledSet, schedule: BatchSchedule, t: int) -> LabeledSet:
-    """The iteration-t mini batch: batch_size rows, uniform without replacement."""
-    return dataset.subset(schedule.indices(t, len(dataset)))
-
-
 def load_csv(path, header: bool = False) -> LabeledSet:
     """Parse a feature+label CSV; errors name the 1-based offending line."""
     rows, labels = [], []
@@ -144,10 +139,6 @@ def load_csv(path, header: bool = False) -> LabeledSet:
     if y.min() < 0:
         raise CsvFormatError(f"{path}: negative label")
     return LabeledSet(np.array(rows), y, int(y.max()) + 1)
-
-
-def save_csv(dataset: LabeledSet, path) -> None:
-    write_csv(path, (), ((*x, y) for x, y in zip(dataset.features, dataset.labels)))
 
 
 def write_atomic(path, content: str | bytes) -> None:

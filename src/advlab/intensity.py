@@ -51,9 +51,8 @@ def composite_intensity(values) -> float:
 
 @dataclass(frozen=True)
 class IntensitySeries:
-    """Per-iteration intensities of one run plus their composites."""
+    """Composites of one run's per-iteration intensities and clean max norms."""
 
-    entries: tuple[tuple[int, float], ...]  # (t, intensity), degenerate records dropped
     intensity_1t: float
     l_erm_1t: float
     skipped: int = 0
@@ -64,7 +63,6 @@ class IntensitySeries:
         if not good:
             raise DegenerateDenominatorError("every logged record was degenerate")
         return IntensitySeries(
-            entries=tuple((r.t, r.intensity) for r in good),
             intensity_1t=composite_intensity([r.intensity for r in good]),
             l_erm_1t=composite_intensity([r.l_erm for r in good]),
             skipped=len(records) - len(good),
@@ -78,6 +76,15 @@ class ProbeRow:
     full_value: float
 
 
+def check_probe(tau_grid, repeats: int, n: int) -> None:
+    """Reject batch sizes outside [1, n] and fewer than one repeat."""
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    for tau in tau_grid:
+        if not 1 <= tau <= n:
+            raise ValueError(f"tau {tau} outside [1, {n}]")
+
+
 def consistency_probe(net_erm: nn.DenseNet, net_adv: nn.DenseNet, dataset: LabeledSet,
                       attack: AttackSpec, tau_grid, repeats: int, seed: int,
                       loss_spec: nn.LossSpec = nn.LossSpec()) -> list[ProbeRow]:
@@ -89,11 +96,7 @@ def consistency_probe(net_erm: nn.DenseNet, net_adv: nn.DenseNet, dataset: Label
     row is the full-dataset value itself, computed exactly once.
     """
     n = len(dataset)
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    for tau in tau_grid:
-        if not 1 <= tau <= n:
-            raise ValueError(f"tau {tau} outside [1, {n}]")
+    check_probe(tau_grid, repeats, n)
     clean_norms = nn.grad_params(net_erm, (dataset.features, dataset.labels), loss_spec)[1]
     adv_norms = adv_grad(net_adv, dataset, attack, loss_spec)[1]
     full = single_intensity(float(adv_norms.max()), float(clean_norms.max()))

@@ -50,6 +50,11 @@ ACTIVATIONS = ("relu", "tanh")
 LOSS_KINDS = ("cross_entropy", "squared")
 
 
+def param_count(widths) -> int:
+    """Parameter count of a dense net with layer widths (in, hidden..., out)."""
+    return sum(i * o + o for i, o in zip(widths[:-1], widths[1:]))
+
+
 def _lock(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=np.float64)
     a.setflags(write=False)
@@ -98,7 +103,7 @@ class DenseNet:
 
     @property
     def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return param_count(self.layer_widths)
 
     def flatten(self) -> np.ndarray:
         """Parameters as one vector in the documented order (row-major W, then b, per layer)."""
@@ -305,12 +310,6 @@ def grad_inputs(net: DenseNet, features: np.ndarray, labels, spec: LossSpec = Lo
     y = _check_labels(net, labels, len(x))
     _, deltas, _ = _backward(net, x, y, spec)
     return deltas[0] @ net.weights[0]
-
-
-def grad_input(net: DenseNet, features: np.ndarray, label: int, spec: LossSpec = LossSpec()) -> np.ndarray:
-    """Single-example input-space gradient (feature vector in, vector out)."""
-    x = np.asarray(features, dtype=np.float64).reshape(1, -1)
-    return grad_inputs(net, x, np.array([label]), spec)[0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

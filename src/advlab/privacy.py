@@ -44,12 +44,10 @@ class DegenerateNoiseError(ValueError):
 
 @dataclass(frozen=True)
 class NoiseSample:
-    """Normalized gradient-noise components plus collection metadata."""
+    """Normalized gradient-noise components and the spread divided out of them."""
 
     values: np.ndarray
     divisor: float           # the pooled standard deviation that was divided out
-    model_tag: str = ""
-    iteration: int | None = None
 
     def __post_init__(self):
         v = np.array(self.values, dtype=np.float64)
@@ -82,8 +80,7 @@ class PrivacyBudget:
 
 def collect_noise(net: nn.DenseNet, dataset: LabeledSet, tau: int, n_batches: int,
                   components_per_batch: int, seed: int,
-                  loss_spec: nn.LossSpec = nn.LossSpec(), model_tag: str = "",
-                  iteration: int | None = None) -> NoiseSample:
+                  loss_spec: nn.LossSpec = nn.LossSpec()) -> NoiseSample:
     """Run the five-step noise pipeline against clean-loss gradients.
 
     Batch indices are drawn without replacement and kept in ascending
@@ -111,7 +108,7 @@ def collect_noise(net: nn.DenseNet, dataset: LabeledSet, tau: int, n_batches: in
     if not 0.0 < sd < math.inf:  # nan when a gradient overflowed
         raise DegenerateNoiseError(f"pooled gradient noise has standard deviation {sd!r}, "
                                    "not a positive finite number")
-    return NoiseSample(pooled / sd, divisor=sd, model_tag=model_tag, iteration=iteration)
+    return NoiseSample(pooled / sd, divisor=sd)
 
 
 def fit_laplace(sample: NoiseSample | np.ndarray) -> LaplaceFit:

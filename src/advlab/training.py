@@ -211,19 +211,6 @@ def write_ledger_csv(records: list[IterationRecord], path) -> None:
     write_csv(path, LEDGER_COLUMNS, ([getattr(r, c) for c in LEDGER_COLUMNS] for r in records))
 
 
-def read_ledger_csv(path) -> list[IterationRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != ",".join(LEDGER_COLUMNS):
-        raise ValueError(f"{path}: not a ledger CSV")
-    out = []
-    for line in lines[1:]:
-        t, le, la, i, el, al, deg = line.split(",")
-        out.append(IterationRecord(int(t), float(le), float(la), float(i),
-                                   float(el), float(al), bool(int(deg))))
-    return out
-
-
 def save_checkpoint(net: nn.DenseNet, path) -> None:
     widths = net.layer_widths
     blob = CHECKPOINT_MAGIC
@@ -252,7 +239,7 @@ def load_checkpoint(path) -> nn.DenseNet:
     except struct.error:
         raise CheckpointFormatError(f"{path}: truncated dimension header") from None
     off += struct.calcsize(f"<{n_layers + 1}I")
-    n_params = sum(o * i + o for i, o in zip(widths[:-1], widths[1:]))
+    n_params = nn.param_count(widths)
     payload = blob[off:]
     if len(payload) != 8 * n_params:
         raise CheckpointFormatError(

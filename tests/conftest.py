@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from advlab import nn
+from advlab import data, nn
 
 FD_STEP = 1e-4
 
@@ -60,6 +60,11 @@ def fd_grad_inputs(net: nn.DenseNet, X, y, spec: nn.LossSpec, h: float = FD_STEP
             lm = nn.loss_batch(net, (Xm, y), spec)[1][i]
             out[i, j] = (lp - lm) / (2 * h)
     return out
+
+
+def write_dataset_csv(dataset: data.LabeledSet, path) -> None:
+    """A dataset as the headerless feature+label CSV that ``data.load_csv`` reads."""
+    data.write_csv(path, (), ((*x, y) for x, y in zip(dataset.features, dataset.labels)))
 
 
 def random_net_and_batch(seed: int, activation: str = "relu", widths=(4, 6, 3), n: int = 5):

@@ -47,15 +47,15 @@ class TestProject:
     def test_point_inside_unchanged(self):
         p = np.array([0.2, -0.1])
         for norm in ("linf", "l2"):
-            assert np.array_equal(adversarial.project(np.zeros(2), p, norm, 1.0), p)
+            assert np.array_equal(adversarial.project(np.zeros((1, 2)), p[None], norm, 1.0), [p])
 
     def test_linf_componentwise_clamp(self):
-        out = adversarial.project(np.zeros(2), np.array([2.0, -3.0]), "linf", 1.0)
-        assert np.array_equal(out, [1.0, -1.0])
+        out = adversarial.project(np.zeros((1, 2)), np.array([[2.0, -3.0]]), "linf", 1.0)
+        assert np.array_equal(out, [[1.0, -1.0]])
 
     def test_l2_radial_scaling(self):
-        out = adversarial.project(np.zeros(2), np.array([3.0, 4.0]), "l2", 1.0)
-        assert out == pytest.approx([0.6, 0.8], abs=1e-15)
+        out = adversarial.project(np.zeros((1, 2)), np.array([[3.0, 4.0]]), "l2", 1.0)
+        assert out[0] == pytest.approx([0.6, 0.8], abs=1e-15)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=6).map(np.array),
@@ -64,7 +64,7 @@ class TestProject:
     def test_result_always_feasible(self, center, point, rho, norm):
         k = min(len(center), len(point))
         center, point = center[:k], point[:k]
-        out = adversarial.project(center, point, norm, rho)
+        out = adversarial.project(center[None], point[None], norm, rho)[0]
         d = out - center
         dist = np.abs(d).max() if norm == "linf" else np.linalg.norm(d)
         assert dist <= rho + 1e-9
@@ -86,7 +86,7 @@ class TestPgdAttack:
     def test_1d_trajectory_matches_enumeration(self):
         net = linear_1d_net()
         spec = adversarial.AttackSpec(norm="linf", radius=0.5, steps=8, step_size=0.125)
-        got = adversarial.pgd_attack(net, np.array([1.0]), 0, spec, SQUARED)
+        got = adversarial.pgd_batch(net, np.array([[1.0]]), np.array([0]), spec, SQUARED)[0]
         expected = enumerate_ascent_1d(1.0, 0.5, 0.125, 8)
         assert expected == 1.5  # saturates at the ball boundary
         assert got == pytest.approx([expected], abs=1e-12)
@@ -106,7 +106,7 @@ class TestPgdAttack:
         for x0 in (-2.0, -0.5, 0.7, 1.0, 3.0):
             net = linear_1d_net()
             spec = adversarial.AttackSpec(norm="linf", radius=0.4, steps=8, step_size=0.1)
-            adv = adversarial.pgd_attack(net, np.array([x0]), 0, spec, SQUARED)
+            adv = adversarial.pgd_batch(net, np.array([[x0]]), np.array([0]), spec, SQUARED)[0]
             clean_loss = nn.loss_batch(net, (np.array([[x0]]), np.array([0])), SQUARED)[1][0]
             adv_loss = nn.loss_batch(net, (adv.reshape(1, 1), np.array([0])), SQUARED)[1][0]
             assert adv_loss >= clean_loss - 1e-12
@@ -123,7 +123,7 @@ class TestPgdAttack:
         net, X, y = random_net_and_batch(30)
         spec = adversarial.AttackSpec(norm="l2", radius=0.4)
         batched = adversarial.pgd_batch(net, X, y, spec)
-        rows = [adversarial.pgd_attack(net, X[i], int(y[i]), spec) for i in range(len(X))]
+        rows = [adversarial.pgd_batch(net, X[i:i + 1], y[i:i + 1], spec)[0] for i in range(len(X))]
         assert batched == pytest.approx(np.stack(rows), rel=1e-12, abs=1e-14)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from advlab import cli, config, data, nn, training
+from advlab import cli, config, intensity, nn, training
 
 # frozen oracle value shared with test_privacy: compose([0.1], N/delta'=100)
 COMPOSE_HAND = 0.30848126337324882
@@ -200,7 +200,6 @@ WRITERS = {
     "histogram": lambda path, k: cli._write_histogram_csv(path, np.full(10, float(k))),
     "sweep_csv": lambda path, k: cli.write_sweep_csv(
         [{c: float(k) for c in cli.SWEEP_COLUMNS} | {"seed": k}], path),
-    "dataset_csv": lambda path, k: data.save_csv(data.synth_blobs(2, 2, 3, 1.0, seed=k), path),
     "config": lambda path, k: config.save_config(
         dataclasses.replace(config.ExperimentConfig(), data_seed=k), path),
 }
@@ -266,6 +265,71 @@ class TestNoiseFields:
         assert out == "" and err.count("\n") == 1 and err.startswith("config error: ")
         assert field in err
         assert not Path(cfg.output_dir).exists() and not (tmp_path / "nh.csv").exists()
+
+
+class TestCheckpointCommands:
+    def assert_config_error(self, capsys, argv, *words):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("config error: ")
+        assert all(w in err for w in words), err
+
+    @pytest.mark.parametrize("flags, words", [
+        (["--taus", "61"], ["--taus", "60"]),  # 60 training rows
+        (["--taus", "15,x"], ["--taus", "'x'"]),
+        (["--repeats", "0"], ["--repeats"]),
+    ], ids=["tau_above_n", "tau_not_an_integer", "zero_repeats"])
+    def test_probe_bad_arguments_fail_before_any_gradient(
+            self, tmp_path, capsys, monkeypatch, flags, words):
+        _, path = tiny_config(tmp_path)
+        ckpt = tmp_path / "net.ckpt"
+        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), "relu", seed=1), ckpt)
+
+        def never(*args, **kwargs):
+            raise AssertionError("probed despite a config error")
+
+        monkeypatch.setattr(intensity, "consistency_probe", never)
+        out = tmp_path / "probe.csv"
+        self.assert_config_error(capsys, [
+            "probe", "--config", str(path), "--erm-checkpoint", str(ckpt),
+            "--adv-checkpoint", str(ckpt), "--rho", "0.1", "--out", str(out), *flags], *words)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["attack", "noise", "probe"])
+    @pytest.mark.parametrize("widths", [(5, 8, 3), (4, 8, 2)],  # data: 4 features, 3 classes
+                             ids=["wide_input", "few_outputs"])
+    def test_checkpoint_that_does_not_fit_the_data_is_config_error(
+            self, tmp_path, capsys, command, widths):
+        _, path = tiny_config(tmp_path)
+        ckpt = tmp_path / "net.ckpt"
+        training.save_checkpoint(nn.DenseNet.random(widths, "relu", seed=1), ckpt)
+        argv = {"attack": ["--checkpoint", str(ckpt)],
+                "noise": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "nh.csv")],
+                "probe": ["--erm-checkpoint", str(ckpt), "--adv-checkpoint", str(ckpt),
+                          "--rho", "0.1", "--out", str(tmp_path / "probe.csv")]}[command]
+        self.assert_config_error(capsys, [command, "--config", str(path), *argv],
+                                 str(ckpt), "-".join(map(str, widths)))
+        assert sorted(tmp_path.iterdir()) == sorted([path, ckpt])
+
+    def test_noise_components_are_checked_against_the_checkpoint(self, tmp_path, capsys):
+        # the config's 4-8-3 net has 67 parameters
+        _, path = tiny_config(tmp_path, noise_components=30)
+        small, large = tmp_path / "small.ckpt", tmp_path / "large.ckpt"
+        training.save_checkpoint(nn.DenseNet.random((4, 3, 3), "relu", seed=1), small)  # 27
+        training.save_checkpoint(nn.DenseNet.random((4, 16, 3), "relu", seed=1), large)  # 131
+        self.assert_config_error(capsys, ["noise", "--config", str(path), "--checkpoint",
+                                          str(small), "--out", str(tmp_path / "nh.csv")],
+                                 "noise_components", "27")
+        _, path = tiny_config(tmp_path, noise_components=131)
+        assert cli.main(["noise", "--config", str(path), "--checkpoint", str(large),
+                         "--out", str(tmp_path / "nh.csv")]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 20 * 131
+
+    def test_checkpoint_with_extra_outputs_is_accepted(self, tmp_path, capsys):
+        _, path = tiny_config(tmp_path)
+        ckpt = tmp_path / "net.ckpt"
+        training.save_checkpoint(nn.DenseNet.random((4, 8, 5), "relu", seed=1), ckpt)
+        assert cli.main(["attack", "--config", str(path), "--checkpoint", str(ckpt)]) == 0
 
 
 class TestAccountantCommand:

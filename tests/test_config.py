@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from advlab import config
+from conftest import write_dataset_csv
 
 
 class TestRoundTrip:
@@ -87,11 +88,11 @@ class TestDatasets:
         assert np.array_equal(a.features, b.features)
 
     def test_csv_source(self, tmp_path):
-        from advlab.data import save_csv, synth_blobs
+        from advlab.data import synth_blobs
         tr = synth_blobs(10, 3, 4, 1.0, seed=1)
         te = synth_blobs(5, 3, 4, 1.0, seed=2)
-        save_csv(tr, tmp_path / "train.csv")
-        save_csv(te, tmp_path / "test.csv")
+        write_dataset_csv(tr, tmp_path / "train.csv")
+        write_dataset_csv(te, tmp_path / "test.csv")
         cfg = dataclasses.replace(config.ExperimentConfig(), source="csv",
                                   train_csv=str(tmp_path / "train.csv"),
                                   test_csv=str(tmp_path / "test.csv"))
@@ -101,9 +102,9 @@ class TestDatasets:
 
     @pytest.mark.parametrize("source", ["synthetic", "csv"])
     def test_noise_fields_checked_against_the_data(self, tmp_path, source):
-        from advlab.data import save_csv, synth_blobs
-        save_csv(synth_blobs(10, 3, 4, 1.0, seed=1), tmp_path / "train.csv")
-        save_csv(synth_blobs(5, 3, 4, 1.0, seed=2), tmp_path / "test.csv")
+        from advlab.data import synth_blobs
+        write_dataset_csv(synth_blobs(10, 3, 4, 1.0, seed=1), tmp_path / "train.csv")
+        write_dataset_csv(synth_blobs(5, 3, 4, 1.0, seed=2), tmp_path / "test.csv")
         # 30 training rows of 4 features in 3 classes; a 4-8-3 net has 67 parameters
         cfg = dataclasses.replace(config.ExperimentConfig(), source=source, n_per_class=15,
                                   num_classes=3, dim=4, n_train=30, hidden=(8,),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from advlab import data
+from conftest import write_dataset_csv
 
 
 class TestLoadCsv:
@@ -46,7 +47,7 @@ class TestLoadCsv:
     def test_save_load_round_trip_exact(self, tmp_path):
         ds = data.synth_blobs(7, 3, 5, 1.3, seed=2)
         p = tmp_path / "r.csv"
-        data.save_csv(ds, p)
+        write_dataset_csv(ds, p)
         back = data.load_csv(p)
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
@@ -103,7 +104,7 @@ class TestBatchSchedule:
     def test_exhaustive_batch_is_permutation(self):
         ds = data.synth_blobs(5, 2, 3, 1.0, seed=3)
         sched = data.BatchSchedule(seed=4, batch_size=len(ds))
-        batch = data.next_batch(ds, sched, 1)
+        batch = ds.subset(sched.indices(1, len(ds)))
         assert sorted(sched.indices(1, len(ds)).tolist()) == list(range(len(ds)))
         assert np.array_equal(np.sort(batch.labels), np.sort(ds.labels))
 
@@ -124,7 +125,7 @@ class TestBatchSchedule:
     def test_batch_too_large_rejected(self):
         ds = data.synth_blobs(2, 2, 2, 1.0, seed=0)
         with pytest.raises(ValueError, match="exceeds"):
-            data.next_batch(ds, data.BatchSchedule(seed=0, batch_size=5), 1)
+            ds.subset(data.BatchSchedule(seed=0, batch_size=5).indices(1, len(ds)))
 
     def test_iteration_starts_at_one(self):
         with pytest.raises(ValueError, match="starts at 1"):

@@ -79,7 +79,8 @@ class TestDenseNetInvariants:
 
     def test_num_params_matches_flatten(self):
         net, _, _ = random_net_and_batch(8, widths=(3, 4, 4, 2))
-        assert net.num_params == len(net.flatten())
+        assert net.num_params == len(net.flatten()) == 46  # (3*4 + 4) + (4*4 + 4) + (4*2 + 2)
+        assert nn.param_count(net.layer_widths) == 46
 
 
 class TestLossBatch:
@@ -190,7 +191,7 @@ class TestGradInput:
     def test_zero_first_layer_kills_input_path(self):
         net = nn.DenseNet((np.zeros((3, 2)), np.ones((2, 3))),
                           (np.ones(3), np.zeros(2)), "relu")
-        g = nn.grad_input(net, np.array([1.0, -2.0]), 0)
+        g = nn.grad_inputs(net, np.array([[1.0, -2.0]]), np.array([0]))[0]
         assert np.array_equal(g, [0.0, 0.0])
 
     @pytest.mark.parametrize("seed", range(4))
@@ -204,5 +205,5 @@ class TestGradInput:
     def test_linear_squared_loss_hand_calculus(self):
         # h(x) = x, squared loss, y = 0, x = 1: d/dx (x - 0)^2 = 2
         net = nn.DenseNet((np.array([[1.0]]),), (np.zeros(1),), "relu")
-        g = nn.grad_input(net, np.array([1.0]), 0, nn.LossSpec(kind="squared"))
+        g = nn.grad_inputs(net, np.array([[1.0]]), np.array([0]), nn.LossSpec(kind="squared"))[0]
         assert g == pytest.approx([2.0], abs=1e-15)

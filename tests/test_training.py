@@ -229,14 +229,14 @@ class TestLedgerCsv:
                                      hidden=(8,))
         p = tmp_path / "ledger.csv"
         training.write_ledger_csv(ledger.records, p)
-        back = training.read_ledger_csv(p)
+        header, *rows = p.read_text().splitlines()
+        assert header == ",".join(training.LEDGER_COLUMNS)
+        back = []
+        for row in rows:
+            t, le, la, i, el, al, deg = row.split(",")
+            back.append(training.IterationRecord(int(t), float(le), float(la), float(i),
+                                                 float(el), float(al), bool(int(deg))))
         assert back == ledger.records
-
-    def test_rejects_foreign_file(self, tmp_path):
-        p = tmp_path / "x.csv"
-        p.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="not a ledger"):
-            training.read_ledger_csv(p)
 
 
 class TestCheckpoint:
