@@ -14,7 +14,13 @@ across reruns of the same config and seed):
         summary.json     intensities, budgets, bounds, attack, accuracies,
                          and the config digest the run was made under
         meta.json        how the run was made: ``started`` and ``finished``
-                         wall-clock stamps, ``blas_env`` (the BLAS thread
+                         wall-clock stamps, ``stages_s`` (wall seconds spent
+                         in ``train``, ``noise``, ``mia``, ``adv_eval`` and
+                         ``writes``; the rest of the run, such as loading data
+                         and accounting, is in none of them), ``max_rss_mb``
+                         (the process's peak resident set so far, from
+                         ``ru_maxrss``; a sweep worker's peak covers its
+                         earlier jobs), ``blas_env`` (the BLAS thread
                          variables in effect), ``numpy_preloaded`` and
                          ``versions`` (advlab, numpy, Python)
 
@@ -65,8 +71,10 @@ NUMPY_PRELOADED = "numpy" in sys.modules  # then the environment came too late
 
 # the imports below load numpy, so they come after the pin
 import argparse
+import contextlib
 import json
 import platform
+import resource
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -96,10 +104,21 @@ def _write_histogram_csv(path: Path, values: np.ndarray) -> None:
     write_csv(path, ("bin_left", "bin_right", "count"), zip(edges[:-1], edges[1:], counts))
 
 
-def _write_meta(run_dir: Path, started: float) -> None:
+@contextlib.contextmanager
+def _stage(stages: dict, name: str):
+    """Add the wall seconds of the ``with`` body to ``stages[name]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        stages[name] += time.perf_counter() - start
+
+
+def _write_meta(run_dir: Path, started: float, stages: dict) -> None:
     _write_json(run_dir / "meta.json", {
-        "started": started, "finished": time.time(), "blas_env": BLAS_ENV,
-        "numpy_preloaded": NUMPY_PRELOADED, "versions": VERSIONS})
+        "started": started, "finished": time.time(), "stages_s": stages,
+        "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "blas_env": BLAS_ENV, "numpy_preloaded": NUMPY_PRELOADED, "versions": VERSIONS})
 
 
 def run_dir_for(cfg: ExperimentConfig, rho: float, seed: int) -> Path:
@@ -114,18 +133,21 @@ def _budget_json(b: privacy.PrivacyBudget) -> dict:
 def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
     """Full per-run pipeline: train, measure, account, bound, attack, persist."""
     started = time.time()
+    stages = dict.fromkeys(("train", "noise", "mia", "adv_eval", "writes"), 0.0)
     train_set, test_set = cfg.load_datasets()
     cfg.check_noise(train_set)
     run_dir = run_dir_for(cfg, rho, seed)
     run_dir.mkdir(parents=True, exist_ok=True)
 
     loss_spec = cfg.loss_spec()
-    ledger = training.train_twin(train_set, test_set, cfg.train_config(rho, seed),
-                                 hidden=cfg.hidden, activation=cfg.activation,
-                                 loss_spec=loss_spec)
-    training.write_ledger_csv(ledger.records, run_dir / "ledger.csv")
-    training.save_checkpoint(ledger.erm_net, run_dir / "erm.ckpt")
-    training.save_checkpoint(ledger.adv_net, run_dir / "adv.ckpt")
+    with _stage(stages, "train"):
+        ledger = training.train_twin(train_set, test_set, cfg.train_config(rho, seed),
+                                     hidden=cfg.hidden, activation=cfg.activation,
+                                     loss_spec=loss_spec)
+    with _stage(stages, "writes"):
+        training.write_ledger_csv(ledger.records, run_dir / "ledger.csv")
+        training.save_checkpoint(ledger.erm_net, run_dir / "erm.ckpt")
+        training.save_checkpoint(ledger.adv_net, run_dir / "adv.ckpt")
 
     summary = {
         "rho": rho,
@@ -145,8 +167,9 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
                 "gen_gap": ledger.adv_train_acc - ledger.adv_test_acc},
     }
     if ledger.diverged_at is not None:
-        _write_json(run_dir / "summary.json", summary)
-        _write_meta(run_dir, started)
+        with _stage(stages, "writes"):
+            _write_json(run_dir / "summary.json", summary)
+        _write_meta(run_dir, started, stages)
         raise RuntimeError(f"run rho={rho} seed={seed} diverged at t={ledger.diverged_at}")
 
     series = intensity.IntensitySeries.from_records(ledger.records)
@@ -156,11 +179,13 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
     summary["records_skipped"] = series.skipped
 
     # gradient noise and Laplace scale, taken at the final ERM iterate
-    noise = privacy.collect_noise(ledger.erm_net, train_set, cfg.noise_tau,
-                                  cfg.noise_batches, cfg.noise_components, seed=seed,
-                                  loss_spec=loss_spec)
-    fit = privacy.fit_laplace(noise)
-    _write_histogram_csv(run_dir / "noise_hist.csv", noise.values)
+    with _stage(stages, "noise"):
+        noise = privacy.collect_noise(ledger.erm_net, train_set, cfg.noise_tau,
+                                      cfg.noise_batches, cfg.noise_components, seed=seed,
+                                      loss_spec=loss_spec)
+        fit = privacy.fit_laplace(noise)
+    with _stage(stages, "writes"):
+        _write_histogram_csv(run_dir / "noise_hist.csv", noise.values)
     summary["noise"] = {"b": fit.scale, "location": fit.location, "count": fit.count,
                         "divisor": noise.divisor}
 
@@ -185,20 +210,23 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
             "high_prob_bound_normalized": rep.high_prob_bound_normalized,
             "high_prob_bound_rescaled": rep.high_prob_bound_rescaled, "c": rep.c})
 
-    report = attacks.optimal_threshold(
-        attacks.true_label_confidences(ledger.adv_net, train_set),
-        attacks.true_label_confidences(ledger.adv_net, test_set))
+    with _stage(stages, "mia"):
+        report = attacks.optimal_threshold(
+            attacks.true_label_confidences(ledger.adv_net, train_set),
+            attacks.true_label_confidences(ledger.adv_net, test_set))
     summary["mia"] = {"zeta_optim": report.zeta_optim, "accuracy": report.accuracy}
 
-    summary["adv_accuracy"] = analysis.adversarial_accuracy(
-        ledger.adv_net, test_set, cfg.attack_spec(rho), loss_spec)
-    # the same model under the sweep's common (largest-radius) attack, so
-    # robustness is comparable across runs
-    summary["adv_accuracy_common"] = analysis.adversarial_accuracy(
-        ledger.adv_net, test_set, cfg.attack_spec(cfg.radius_list[-1]), loss_spec)
+    with _stage(stages, "adv_eval"):
+        summary["adv_accuracy"] = analysis.adversarial_accuracy(
+            ledger.adv_net, test_set, cfg.attack_spec(rho), loss_spec)
+        # the same model under the sweep's common (largest-radius) attack, so
+        # robustness is comparable across runs
+        summary["adv_accuracy_common"] = analysis.adversarial_accuracy(
+            ledger.adv_net, test_set, cfg.attack_spec(cfg.radius_list[-1]), loss_spec)
 
-    _write_json(run_dir / "summary.json", summary)
-    _write_meta(run_dir, started)
+    with _stage(stages, "writes"):
+        _write_json(run_dir / "summary.json", summary)
+    _write_meta(run_dir, started, stages)
     return summary
 
 

@@ -30,12 +30,14 @@ the clip subgradient at raw loss == clip_m is 0.
 
 Per-call cost
 -------------
-Training calls the backward pass on small batches thousands of times, so
-per-call overhead matters more than flops. One backward pass exponentiates
-the logits once: :func:`_losses_and_dlogits` returns the raw losses and
-the logit gradient from the same softmax. The relu derivative and the clip
-factor are boolean masks that multiply float arrays directly; multiplying
-by a bool gives bitwise the same result as multiplying by 0.0 or 1.0.
+Training runs the backward pass on small batches thousands of times, so
+per-call overhead and allocations matter more than flops. The forward pass
+keeps one array per layer and adds the bias and activation in place. The
+backward pass reads each derivative from the activation (relu ``h > 0``,
+the same mask as ``z > 0``; tanh ``1 - h**2``) and scales deltas in place,
+bitwise equal to the textbook form. One softmax yields the raw losses and
+the logit gradient. A bool mask (relu derivative, clip factor) multiplies
+float arrays directly, bitwise like multiplying by 0.0 or 1.0.
 """
 
 from __future__ import annotations
@@ -194,32 +196,28 @@ def _check_labels(net: DenseNet, labels: np.ndarray, n: int) -> np.ndarray:
     return y.astype(np.int64, copy=False)
 
 
-def _act(net: DenseNet, z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0) if net.activation == "relu" else np.tanh(z)
+def _act_deriv(net: DenseNet, h: np.ndarray) -> np.ndarray:
+    """Activation derivative from the activation ``h``: relu at 0 gives 0 (a bool mask)."""
+    return h > 0 if net.activation == "relu" else 1.0 - h ** 2
 
 
-def _act_deriv(net: DenseNet, z: np.ndarray) -> np.ndarray:
-    # relu subgradient at exactly 0 is taken as 0; a boolean mask
-    return z > 0 if net.activation == "relu" else 1.0 - np.tanh(z) ** 2
-
-
-def _forward_cached(net: DenseNet, x: np.ndarray):
-    """Returns (activations per layer incl. input, pre-activations per layer)."""
-    acts, zs = [x], []
-    h = x
+def _forward_cached(net: DenseNet, x: np.ndarray) -> list[np.ndarray]:
+    """Activations per layer, input first and logits last; one array per layer."""
+    acts, h = [x], x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w.T + b
-        zs.append(z)
-        h = z if i == last else _act(net, z)
+        h = h @ w.T
+        h += b
+        if i < last:
+            np.maximum(h, 0.0, out=h) if net.activation == "relu" else np.tanh(h, out=h)
         acts.append(h)
-    return acts, zs
+    return acts
 
 
 def forward(net: DenseNet, features: np.ndarray) -> np.ndarray:
     """Logits, one row per input row. Deterministic and pure."""
     x = _check_features(net, features)
-    return _forward_cached(net, x)[0][-1]
+    return _forward_cached(net, x)[-1]
 
 
 def _losses_and_dlogits(logits: np.ndarray, y: np.ndarray, spec: LossSpec):
@@ -253,12 +251,13 @@ def _backward(net: DenseNet, x: np.ndarray, y: np.ndarray, spec: LossSpec):
     The returned deltas already carry the clip factor, which zeroes every
     example whose raw loss reached clip_m.
     """
-    acts, zs = _forward_cached(net, x)
+    acts = _forward_cached(net, x)
     raw, dlogits = _losses_and_dlogits(acts[-1], y, spec)
     delta = dlogits * (raw < spec.clip_m)[:, None]
     deltas = [delta]
     for i in range(len(net.weights) - 1, 0, -1):
-        delta = (delta @ net.weights[i]) * _act_deriv(net, zs[i - 1])
+        delta = delta @ net.weights[i]
+        delta *= _act_deriv(net, acts[i])
         deltas.append(delta)
     deltas.reverse()
     return acts, deltas, np.minimum(raw, spec.clip_m)

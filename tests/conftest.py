@@ -3,7 +3,10 @@
 The finite-difference helpers here are the independent gradient oracle:
 they never touch the backward pass, only repeated forward losses.
 ``per_example_grads`` is the materialized per-example gradient matrix that
-the library's mean and rank-one norm shortcuts are checked against.
+the library's mean and rank-one norm shortcuts are checked against. The
+``textbook_*`` functions are the plain dense pass, with a stored
+pre-activation per layer and fresh arrays for every step, that the
+library's in-place pass must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -67,6 +70,48 @@ def write_dataset_csv(dataset: data.LabeledSet, path) -> None:
     data.write_csv(path, (), ((*x, y) for x, y in zip(dataset.features, dataset.labels)))
 
 
+def textbook_forward(net: nn.DenseNet, X):
+    """(activations incl. input, pre-activations) per layer: ``z = h @ w.T + b``."""
+    acts, zs = [np.asarray(X, dtype=np.float64)], []
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[-1] @ w.T + b
+        zs.append(z)
+        if i == len(net.weights) - 1:
+            acts.append(z)
+        else:
+            acts.append(np.maximum(z, 0.0) if net.activation == "relu" else np.tanh(z))
+    return acts, zs
+
+
+def textbook_backward(net: nn.DenseNet, X, y, spec: nn.LossSpec):
+    """(activations, per-layer deltas, clipped losses): ``delta = (delta @ W) * mask(z)``.
+
+    The loss head is the library's own ``_losses_and_dlogits``; the layer
+    recursion around it is written out with the pre-activation mask.
+    """
+    acts, zs = textbook_forward(net, X)
+    y = np.asarray(y, dtype=np.int64)
+    raw, dlogits = nn._losses_and_dlogits(acts[-1], y, spec)
+    deltas = [dlogits * (raw < spec.clip_m)[:, None]]
+    for i in range(len(net.weights) - 1, 0, -1):
+        z = zs[i - 1]
+        mask = z > 0 if net.activation == "relu" else 1.0 - np.tanh(z) ** 2
+        deltas.insert(0, (deltas[0] @ net.weights[i]) * mask)
+    return acts, deltas, np.minimum(raw, spec.clip_m)
+
+
+def textbook_grads(net: nn.DenseNet, X, y, spec: nn.LossSpec):
+    """(mean gradient, per-example norms, clipped losses, input gradient) from the textbook pass."""
+    acts, deltas, losses = textbook_backward(net, X, y, spec)
+    n = len(acts[0])
+    parts, sq = [], np.zeros(n)
+    for a, d in zip(acts[:-1], deltas):
+        parts += [(d.T @ a).ravel() / n, d.sum(axis=0) / n]
+        dsq = (d * d).sum(axis=1)
+        sq += dsq * (a * a).sum(axis=1) + dsq
+    return np.concatenate(parts), np.sqrt(sq), losses, deltas[0] @ net.weights[0]
+
+
 def random_net_and_batch(seed: int, activation: str = "relu", widths=(4, 6, 3), n: int = 5):
     """Random net plus a batch kept away from relu kinks and the loss clip.
 
@@ -82,7 +127,7 @@ def random_net_and_batch(seed: int, activation: str = "relu", widths=(4, 6, 3), 
         net = nn.DenseNet(ws, bs, activation)
         X = rng.normal(size=(n, widths[0]))
         y = rng.integers(0, widths[-1], size=n)
-        acts, zs = nn._forward_cached(net, X)
+        _, zs = textbook_forward(net, X)
         margin = min(np.abs(z).min() for z in zs[:-1]) if len(zs) > 1 else 1.0
         if activation != "relu" or margin > 1e-3:
             return net, X, y

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -59,6 +60,11 @@ class TestTrainCommand:
             assert (run / name).exists(), name
         meta = json.loads((run / "meta.json").read_text())
         assert meta["started"] <= meta["finished"]
+        stages = meta["stages_s"]
+        assert set(stages) == {"train", "noise", "mia", "adv_eval", "writes"}
+        assert all(v >= 0 for v in stages.values())
+        assert sum(stages.values()) <= meta["finished"] - meta["started"]
+        assert meta["max_rss_mb"] > 0
         assert meta["blas_env"] == cli.BLAS_ENV
         assert meta["numpy_preloaded"] is True  # the test session imported numpy first
         assert meta["versions"] == {"advlab": "0.1.0", "numpy": np.__version__,
@@ -340,6 +346,21 @@ class TestAccountantCommand:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["composed_thm4"]["epsilon"] == pytest.approx(COMPOSE_HAND, abs=1e-12)
+
+    @pytest.mark.parametrize("steps", [1, 2000])
+    def test_scalar_mode_composed_is_leading_plus_second_order_sum(self, steps, capsys):
+        # constant (L, I): composed_thm4 = leading_thm5 + T * eps * expm1(eps) / (e^eps + 1)
+        l_erm, inten, n, b = 0.7, 3.0, 500, 0.25
+        assert cli.main(["accountant", "--l-erm", str(l_erm), "--intensity", str(inten),
+                         "--iterations", str(steps), "--n", str(n), "--b", str(b),
+                         "--delta-prime", "0.5"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        eps = 2 * l_erm * inten / (n * b)
+        second = steps * eps * math.expm1(eps) / (math.exp(eps) + 1)
+        assert out["composed_thm4"]["inputs"]["steps"] == steps
+        assert out["leading_thm5"]["inputs"]["t"] == steps
+        assert out["composed_thm4"]["epsilon"] == pytest.approx(
+            out["leading_thm5"]["epsilon"] + second, rel=1e-12)
 
     def test_series_csv_mode(self, tmp_path, capsys):
         p = tmp_path / "series.csv"

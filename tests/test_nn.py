@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
 
-from advlab import nn
+from advlab import adversarial, nn, training
 from conftest import (assert_grad_close, fd_grad_inputs, fd_grad_params, per_example_grads,
-                      random_net_and_batch)
+                      random_net_and_batch, textbook_forward, textbook_grads)
 
 
 def identity_net(d):
@@ -207,3 +209,111 @@ class TestGradInput:
         net = nn.DenseNet((np.array([[1.0]]),), (np.zeros(1),), "relu")
         g = nn.grad_inputs(net, np.array([[1.0]]), np.array([0]), nn.LossSpec(kind="squared"))[0]
         assert g == pytest.approx([2.0], abs=1e-15)
+
+
+def _edge_case_batch(activation: str, kind: str):
+    """A 5-7-6-3 net and 12 rows with exact-zero pre-activations and clipped rows.
+
+    Row 0 is all zeros and the first layer's bias 0 is 0, so that row's unit
+    0 has z exactly 0; unit 2 of the second layer has zero weights and bias,
+    so its z is exactly 0 on every row. ``clip_m`` is the median raw loss,
+    so the upper half of the rows is clipped, one of them at the boundary.
+    """
+    rng = np.random.default_rng(11)
+    widths = (5, 7, 6, 3)
+    ws = [rng.normal(scale=0.8, size=(o, i)) for i, o in zip(widths[:-1], widths[1:])]
+    bs = [rng.normal(scale=0.3, size=o) for o in widths[1:]]
+    bs[0][0] = 0.0
+    ws[1][2] = 0.0
+    bs[1][2] = 0.0
+    net = nn.DenseNet(tuple(ws), tuple(bs), activation)
+    X = rng.normal(size=(12, 5))
+    X[0] = 0.0
+    y = rng.integers(0, 3, size=12)
+    _, zs = textbook_forward(net, X)
+    assert zs[0][0, 0] == 0.0 and (zs[1][:, 2] == 0.0).all()
+    raw = textbook_grads(net, X, y, nn.LossSpec(kind, clip_m=math.inf))[2]
+    spec = nn.LossSpec(kind, clip_m=float(np.sort(raw)[6]))
+    assert (raw >= spec.clip_m).any() and (raw < spec.clip_m).any()
+    return net, X, y, spec
+
+
+class TestTextbookOracle:
+    """The in-place pass equals ``conftest.textbook_grads`` bit for bit."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("kind", ["cross_entropy", "squared"])
+    def test_every_output_bitwise_equal(self, activation, kind):
+        net, X, y, spec = _edge_case_batch(activation, kind)
+        mean, norms, losses, gx = textbook_grads(net, X, y, spec)
+        assert_array_equal(nn.forward(net, X), textbook_forward(net, X)[0][-1])
+        got_mean, got_norms, got_losses = nn.grad_params(net, (X, y), spec)
+        assert_array_equal(got_mean, mean)
+        assert_array_equal(got_norms, norms)
+        assert_array_equal(got_losses, losses)
+        assert_array_equal(nn.grad_inputs(net, X, y, spec), gx)
+
+
+class TestCallerArraysUntouched:
+    """In-place arithmetic never writes to an array the caller passed in."""
+
+    NET = nn.DenseNet.random((4, 6, 3), "relu", seed=3)
+    CALLS = {
+        "forward": lambda net, a: nn.forward(net, a["x"]),
+        "grad_params": lambda net, a: nn.grad_params(net, (a["x"], a["y"])),
+        "grad_inputs": lambda net, a: nn.grad_inputs(net, a["x"], a["y"]),
+        "pgd_batch_linf": lambda net, a: adversarial.pgd_batch(
+            net, a["x"], a["y"], adversarial.AttackSpec("linf", 0.3, 3)),
+        "pgd_batch_l2": lambda net, a: adversarial.pgd_batch(
+            net, a["x"], a["y"], adversarial.AttackSpec("l2", 0.3, 3)),
+        "project_linf": lambda net, a: adversarial.project(a["x"], a["pts"], "linf", 0.1),
+        "project_l2": lambda net, a: adversarial.project(a["x"], a["pts"], "l2", 0.1),
+        "sgd_step": lambda net, a: training.sgd_step(net, a["grad"], 0.1, a["velocity"],
+                                                     0.9, 1e-3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_inputs_unchanged(self, name):
+        rng = np.random.default_rng(5)
+        arrays = {"x": rng.normal(size=(6, 4)), "y": rng.integers(0, 3, size=6),
+                  "pts": rng.normal(size=(6, 4)), "grad": rng.normal(size=self.NET.num_params),
+                  "velocity": rng.normal(size=self.NET.num_params)}
+        before = {k: v.copy() for k, v in arrays.items()}
+        assert all(v.flags.writeable for v in arrays.values())
+        self.CALLS[name](self.NET, arrays)
+        for k, v in arrays.items():
+            assert_array_equal(v, before[k], err_msg=k)
+
+
+class TestPeakMemory:
+    """Peak traced allocation of one call on a 20-64-64-4 net and 2,000 rows.
+
+    One unit is one (2000, 64) float64 array. With one array per layer,
+    grad_inputs peaks near 4.4 units and forward near 2.1; a pass that also
+    keeps every pre-activation and allocates each bias add and derivative
+    mask peaks near 6.4 and 4.2.
+    """
+
+    @staticmethod
+    def _peak_bytes(fn) -> int:
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    def test_grad_inputs_and_forward_peaks(self):
+        n = 2000
+        net = nn.DenseNet.random((20, 64, 64, 4), "relu", seed=1)
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(n, 20))
+        y = rng.integers(0, 4, size=n)
+        unit = n * 64 * 8
+        assert self._peak_bytes(lambda: nn.grad_inputs(net, X, y)) <= 5 * unit
+        assert self._peak_bytes(lambda: nn.forward(net, X)) <= 3 * unit
