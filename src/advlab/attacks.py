@@ -49,7 +49,7 @@ class AttackReport:
 
     zeta_optim: float
     accuracy: float
-    sweep: tuple[tuple[float, float], ...]  # (zeta candidate, Acc(zeta))
+    sweep: np.ndarray  # read-only (k, 2): rows of (zeta candidate, Acc(zeta)), zeta ascending
     n_train: int
     n_test: int
 
@@ -80,7 +80,8 @@ def optimal_threshold(train_confs: np.ndarray, test_confs: np.ndarray) -> Attack
     below = np.where(np.isnan(candidates), 0,
                      np.searchsorted(test_sorted, candidates, side="left"))
     acc = 0.5 * (at_least / train_confs.size + below / test_confs.size)
-    sweep = list(zip(candidates.tolist(), acc.tolist()))
-    best = max(sweep, key=lambda za: (za[1], -za[0]))
-    return AttackReport(zeta_optim=best[0], accuracy=best[1], sweep=tuple(sweep),
-                        n_train=train_confs.size, n_test=test_confs.size)
+    sweep = np.column_stack((candidates, acc))
+    sweep.setflags(write=False)
+    best = int(np.argmax(acc))  # the first maximum: candidates ascend
+    return AttackReport(zeta_optim=float(candidates[best]), accuracy=float(acc[best]),
+                        sweep=sweep, n_train=train_confs.size, n_test=test_confs.size)

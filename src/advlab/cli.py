@@ -20,7 +20,14 @@ across reruns of the same config and seed):
                          and accounting, is in none of them), ``max_rss_mb``
                          (the process's peak resident set so far, from
                          ``ru_maxrss``; a sweep worker's peak covers its
-                         earlier jobs), ``blas_env`` (the BLAS thread
+                         earlier jobs), ``stage_peak_rss_mb`` (that peak
+                         as each stage last ended, null for a stage that did
+                         not run; ``train``, ``noise``, ``mia`` and
+                         ``adv_eval`` run in this order with ``writes``
+                         between them, so the first of the four whose value
+                         equals ``max_rss_mb`` ends the stretch of the run
+                         that set its peak),
+                         ``blas_env`` (the BLAS thread
                          variables in effect), ``numpy_preloaded`` and
                          ``versions`` (advlab, numpy, Python)
 
@@ -104,20 +111,26 @@ def _write_histogram_csv(path: Path, values: np.ndarray) -> None:
     write_csv(path, ("bin_left", "bin_right", "count"), zip(edges[:-1], edges[1:], counts))
 
 
+def _max_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 @contextlib.contextmanager
 def _stage(stages: dict, name: str):
-    """Add the wall seconds of the ``with`` body to ``stages[name]``."""
+    """Add the wall seconds of the ``with`` body to ``stages["s"][name]``, and set
+    ``stages["peak_rss_mb"][name]`` to the peak resident set at its end."""
     start = time.perf_counter()
     try:
         yield
     finally:
-        stages[name] += time.perf_counter() - start
+        stages["s"][name] += time.perf_counter() - start
+        stages["peak_rss_mb"][name] = _max_rss_mb()
 
 
 def _write_meta(run_dir: Path, started: float, stages: dict) -> None:
     _write_json(run_dir / "meta.json", {
-        "started": started, "finished": time.time(), "stages_s": stages,
-        "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "started": started, "finished": time.time(), "stages_s": stages["s"],
+        "stage_peak_rss_mb": stages["peak_rss_mb"], "max_rss_mb": _max_rss_mb(),
         "blas_env": BLAS_ENV, "numpy_preloaded": NUMPY_PRELOADED, "versions": VERSIONS})
 
 
@@ -133,7 +146,8 @@ def _budget_json(b: privacy.PrivacyBudget) -> dict:
 def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
     """Full per-run pipeline: train, measure, account, bound, attack, persist."""
     started = time.time()
-    stages = dict.fromkeys(("train", "noise", "mia", "adv_eval", "writes"), 0.0)
+    names = ("train", "noise", "mia", "adv_eval", "writes")
+    stages = {"s": dict.fromkeys(names, 0.0), "peak_rss_mb": dict.fromkeys(names)}
     train_set, test_set = cfg.load_datasets()
     cfg.check_noise(train_set)
     run_dir = run_dir_for(cfg, rho, seed)

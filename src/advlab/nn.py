@@ -38,6 +38,20 @@ the same mask as ``z > 0``; tanh ``1 - h**2``) and scales deltas in place,
 bitwise equal to the textbook form. One softmax yields the raw losses and
 the logit gradient. A bool mask (relu derivative, clip factor) multiplies
 float arrays directly, bitwise like multiplying by 0.0 or 1.0.
+
+Whole-dataset calls (evaluation, PGD over a test set, the full gradient of
+the noise pipeline) run the same pass over consecutive blocks of at most
+``ROW_BLOCK`` rows, so their layer arrays take one block's memory whatever
+the row count. Per-row outputs (logits, input gradients, norms, losses)
+are written into one array block by block. Each row's arithmetic is the
+same as in one pass over all rows, but the BLAS may pick another matmul
+kernel for a block's shape, which can round a row's last bit differently
+(OpenBLAS 0.3.31 on an AVX-512 CPU does so on the 64-to-4 output layer
+of the default net, not on the small nets of the tests). The parameter
+gradient is summed over the blocks and divided by the row count once, so
+it may also differ from one pass in the last bits. A batch of at most
+``ROW_BLOCK`` rows, such as every training batch, is one block with
+one-pass arithmetic.
 """
 
 from __future__ import annotations
@@ -50,6 +64,7 @@ from .rng import DOMAIN_INIT, stream
 
 ACTIVATIONS = ("relu", "tanh")
 LOSS_KINDS = ("cross_entropy", "squared")
+ROW_BLOCK = 256  # rows per pass; one (256, 64) float64 layer array is 128 KiB
 
 
 def param_count(widths) -> int:
@@ -214,10 +229,30 @@ def _forward_cached(net: DenseNet, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most ``ROW_BLOCK`` rows covering ``n`` rows (one if n <= ROW_BLOCK)."""
+    return [slice(s, s + ROW_BLOCK) for s in range(0, max(n, 1), ROW_BLOCK)]
+
+
+def _by_rows(fn, width: int, *arrays) -> np.ndarray:
+    """(n, width) rows of ``fn`` over row blocks of ``arrays``, written block by block.
+
+    A batch of at most ``ROW_BLOCK`` rows is passed whole, and ``fn``'s
+    result is returned as it is.
+    """
+    n = len(arrays[0])
+    if n <= ROW_BLOCK:
+        return fn(*arrays)
+    out = np.empty((n, width))
+    for s in _row_blocks(n):
+        out[s] = fn(*(a[s] for a in arrays))
+    return out
+
+
 def forward(net: DenseNet, features: np.ndarray) -> np.ndarray:
     """Logits, one row per input row. Deterministic and pure."""
     x = _check_features(net, features)
-    return _forward_cached(net, x)[-1]
+    return _by_rows(lambda xb: _forward_cached(net, xb)[-1], net.out_dim, x)
 
 
 def _losses_and_dlogits(logits: np.ndarray, y: np.ndarray, spec: LossSpec):
@@ -263,13 +298,40 @@ def _backward(net: DenseNet, x: np.ndarray, y: np.ndarray, spec: LossSpec):
     return acts, deltas, np.minimum(raw, spec.clip_m)
 
 
-def _mean(acts, deltas, n: int) -> np.ndarray:
-    """Mean parameter gradient via aggregated matmuls (no per-example storage)."""
-    parts = []
-    for a, d in zip(acts[:-1], deltas):
-        parts.append((d.T @ a).ravel() / n)
-        parts.append(d.sum(axis=0) / n)
-    return np.concatenate(parts)
+def _block_grads(net: DenseNet, x: np.ndarray, y: np.ndarray, spec: LossSpec, rows: slice,
+                 sq, losses) -> np.ndarray:
+    """Parameter gradient summed over the row block ``rows``, in the flattened order.
+
+    Unless ``sq`` is None, it also adds each row's squared gradient norm into
+    ``sq[rows]`` and writes its clipped loss to ``losses[rows]``. The block's
+    layer arrays die on return.
+    """
+    acts, deltas, block_losses = _backward(net, x[rows], y[rows], spec)
+    if sq is not None:
+        losses[rows] = block_losses
+        block_sq = sq[rows]
+        for a, d in zip(acts[:-1], deltas):
+            dsq = (d * d).sum(axis=1)
+            block_sq += dsq * (a * a).sum(axis=1) + dsq
+    return np.concatenate([part for a, d in zip(acts[:-1], deltas)
+                           for part in ((d.T @ a).ravel(), d.sum(axis=0))])
+
+
+def _grad_pass(net: DenseNet, batch, spec: LossSpec, per_row: bool):
+    """Mean gradient, with ``per_row`` also per-example norms and clipped losses.
+
+    The row blocks' gradient sums are added up and divided by the row count once.
+    """
+    x = _check_features(net, batch[0])
+    y = _check_labels(net, batch[1], len(x))
+    n = len(x)
+    sq, losses = (np.zeros(n), np.empty(n)) if per_row else (None, None)
+    first, *rest = _row_blocks(n)
+    total = _block_grads(net, x, y, spec, first, sq, losses)
+    for rows in rest:
+        total += _block_grads(net, x, y, spec, rows, sq, losses)
+    total /= n
+    return (total, np.sqrt(sq, out=sq), losses) if per_row else total
 
 
 def grad_params(net: DenseNet, batch, spec: LossSpec = LossSpec()):
@@ -285,30 +347,20 @@ def grad_params(net: DenseNet, batch, spec: LossSpec = LossSpec()):
     delta x activation, so its squared Frobenius norm is
     ``|delta|^2 * |activation|^2``, and the bias block adds ``|delta|^2``.
     """
-    x = _check_features(net, batch[0])
-    y = _check_labels(net, batch[1], len(x))
-    acts, deltas, losses = _backward(net, x, y, spec)
-    sq = np.zeros(len(x))
-    for a, d in zip(acts[:-1], deltas):
-        dsq = (d * d).sum(axis=1)
-        sq += dsq * (a * a).sum(axis=1) + dsq
-    return _mean(acts, deltas, len(x)), np.sqrt(sq), losses
+    return _grad_pass(net, batch, spec, per_row=True)
 
 
 def mean_grad(net: DenseNet, batch, spec: LossSpec = LossSpec()) -> np.ndarray:
     """Mean parameter gradient alone; bitwise equal to ``grad_params(...)[0]``."""
-    x = _check_features(net, batch[0])
-    y = _check_labels(net, batch[1], len(x))
-    acts, deltas, _ = _backward(net, x, y, spec)
-    return _mean(acts, deltas, len(x))
+    return _grad_pass(net, batch, spec, per_row=False)
 
 
 def grad_inputs(net: DenseNet, features: np.ndarray, labels, spec: LossSpec = LossSpec()) -> np.ndarray:
     """Gradient of each example's clipped loss w.r.t. its own feature row."""
     x = _check_features(net, features)
     y = _check_labels(net, labels, len(x))
-    _, deltas, _ = _backward(net, x, y, spec)
-    return deltas[0] @ net.weights[0]
+    return _by_rows(lambda xb, yb: _backward(net, xb, yb, spec)[1][0] @ net.weights[0],
+                    net.in_dim, x, y)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

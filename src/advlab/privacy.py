@@ -36,6 +36,7 @@ from .rng import DOMAIN_NOISE, stream
 
 HISTOGRAM_BINS = 201
 HISTOGRAM_RANGE = (-10.0, 10.0)
+HISTOGRAM_SLICE = 4096  # values per np.histogram call
 
 
 class DegenerateNoiseError(ValueError):
@@ -55,6 +56,17 @@ class NoiseSample:
             raise ValueError("non-finite noise value")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, divisor: float) -> "NoiseSample":
+        """Sample that takes ownership of ``values``, a finite float64 vector that
+        nothing else holds; no copy, no scan. ``values`` is marked read-only
+        here, as ``NoiseSample(...)`` marks its copy."""
+        values.setflags(write=False)
+        sample = object.__new__(cls)
+        object.__setattr__(sample, "values", values)
+        object.__setattr__(sample, "divisor", divisor)
+        return sample
 
 
 @dataclass(frozen=True)
@@ -108,7 +120,10 @@ def collect_noise(net: nn.DenseNet, dataset: LabeledSet, tau: int, n_batches: in
     if not 0.0 < sd < math.inf:  # nan when a gradient overflowed
         raise DegenerateNoiseError(f"pooled gradient noise has standard deviation {sd!r}, "
                                    "not a positive finite number")
-    return NoiseSample(pooled / sd, divisor=sd)
+    # a finite sd > 0 means every value is finite, and not all are equal, so sd is
+    # not negligible next to the largest |value| and no quotient overflows
+    pooled /= sd
+    return NoiseSample._adopt(pooled, divisor=sd)
 
 
 def fit_laplace(sample: NoiseSample | np.ndarray) -> LaplaceFit:
@@ -121,15 +136,25 @@ def fit_laplace(sample: NoiseSample | np.ndarray) -> LaplaceFit:
     if v[0] == v[-1]:
         raise DegenerateNoiseError("all noise values identical; scale would be zero")
     location = float(v[(len(v) - 1) // 2])
-    scale = float(np.abs(v - location).mean())
+    v -= location
+    scale = float(np.abs(v, out=v).mean())
     return LaplaceFit(location=location, scale=scale, count=int(v.size))
 
 
 def noise_histogram(values: np.ndarray, bins: int = HISTOGRAM_BINS,
                     value_range: tuple[float, float] = HISTOGRAM_RANGE):
-    """(edges, counts) over the fixed histogram window; out-of-window values drop."""
-    counts, edges = np.histogram(np.asarray(values, dtype=np.float64),
-                                 bins=bins, range=value_range)
+    """(edges, counts) over the fixed histogram window; out-of-window values drop.
+
+    The counts are summed over slices of ``HISTOGRAM_SLICE`` values, which
+    bounds ``np.histogram``'s temporaries; each value falls in the same bin
+    either way, so the counts equal one call's.
+    """
+    v = np.asarray(values, dtype=np.float64).ravel()
+    counts = 0
+    for start in range(0, max(v.size, 1), HISTOGRAM_SLICE):
+        part, edges = np.histogram(v[start:start + HISTOGRAM_SLICE], bins=bins,
+                                   range=value_range)
+        counts = counts + part
     return edges, counts
 
 

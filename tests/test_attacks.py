@@ -87,6 +87,16 @@ class TestOptimalThreshold:
         assert rep.accuracy == 0.5
         assert rep.zeta_optim == 0.0  # the low sentinel, smallest tied candidate
 
+    def test_sweep_is_a_read_only_array_and_ties_go_to_the_smallest_zeta(self):
+        # Acc is 0.75 at both 0.3 and 0.9
+        rep = attacks.optimal_threshold(np.array([0.9, 0.3]), np.array([0.5, 0.1]))
+        assert rep.zeta_optim == 0.3 and rep.accuracy == 0.75
+        assert type(rep.zeta_optim) is float and type(rep.accuracy) is float
+        assert rep.sweep.shape == (6, 2) and rep.sweep.dtype == np.float64
+        assert not rep.sweep.flags.writeable
+        assert (np.diff(rep.sweep[:, 0]) > 0).all()
+        assert rep.sweep[:, 1].tolist() == [0.5, 0.5, 0.75, 0.5, 0.75, 0.5]
+
     def test_never_beaten_by_random_probes(self):
         rng = np.random.default_rng(8)
         train = rng.uniform(size=40)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from advlab import cli, config, intensity, nn, training
+from advlab import attacks, cli, config, intensity, nn, training
 
 # frozen oracle value shared with test_privacy: compose([0.1], N/delta'=100)
 COMPOSE_HAND = 0.30848126337324882
@@ -65,6 +65,10 @@ class TestTrainCommand:
         assert all(v >= 0 for v in stages.values())
         assert sum(stages.values()) <= meta["finished"] - meta["started"]
         assert meta["max_rss_mb"] > 0
+        peaks = meta["stage_peak_rss_mb"]
+        assert set(peaks) == set(stages)
+        order = [peaks[k] for k in ("train", "noise", "mia", "adv_eval", "writes")]
+        assert 0 < order[0] and order == sorted(order) and order[-1] <= meta["max_rss_mb"]
         assert meta["blas_env"] == cli.BLAS_ENV
         assert meta["numpy_preloaded"] is True  # the test session imported numpy first
         assert meta["versions"] == {"advlab": "0.1.0", "numpy": np.__version__,
@@ -424,7 +428,13 @@ class TestCalculatorCommands:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert 0.0 <= out["accuracy"] <= 1.0
-        assert (tmp_path / "mia.csv").read_text().startswith("zeta,accuracy")
+        train_set, test_set = cfg.load_datasets()
+        net = training.load_checkpoint(run / "adv.ckpt")
+        rep = attacks.optimal_threshold(attacks.true_label_confidences(net, train_set),
+                                        attacks.true_label_confidences(net, test_set))
+        assert out["zeta_optim"] == rep.zeta_optim and out["accuracy"] == rep.accuracy
+        assert (tmp_path / "mia.csv").read_text() == "zeta,accuracy\n" + "".join(
+            f"{z!r},{a!r}\n" for z, a in rep.sweep.tolist())
 
         rc = cli.main(["noise", "--config", str(path),
                        "--checkpoint", str(run / "erm.ckpt"),

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from advlab import adversarial, nn, training
+from advlab import adversarial, analysis, attacks, nn, privacy, training
+from advlab.data import LabeledSet
 from conftest import (assert_grad_close, fd_grad_inputs, fd_grad_params, per_example_grads,
                       random_net_and_batch, textbook_forward, textbook_grads)
 
@@ -253,6 +254,54 @@ class TestTextbookOracle:
         assert_array_equal(got_losses, losses)
         assert_array_equal(nn.grad_inputs(net, X, y, spec), gx)
 
+    @staticmethod
+    def _blocked_batch(activation, kind):
+        """2 * ROW_BLOCK + 3 rows: two full blocks, then a ragged block of 3.
+
+        The 12 edge-case rows come last, so they span the second and third blocks.
+        """
+        net, X_edge, y_edge, spec = _edge_case_batch(activation, kind)
+        rng = np.random.default_rng(12)
+        m = 2 * nn.ROW_BLOCK + 3 - len(X_edge)
+        X = np.concatenate([rng.normal(size=(m, 5)), X_edge])
+        y = np.concatenate([rng.integers(0, 3, size=m), y_edge])
+        assert len(nn._row_blocks(len(X))) == 3
+        return net, X, y, spec
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("kind", ["cross_entropy", "squared"])
+    def test_blocked_passes_equal_one_pass(self, activation, kind):
+        net, X, y, spec = self._blocked_batch(activation, kind)
+        mean, norms, losses, gx = textbook_grads(net, X, y, spec)
+        assert_array_equal(nn.forward(net, X), textbook_forward(net, X)[0][-1])
+        assert_array_equal(nn.grad_inputs(net, X, y, spec), gx)
+        got_mean, got_norms, got_losses = nn.grad_params(net, (X, y), spec)
+        assert_array_equal(got_norms, norms)
+        assert_array_equal(got_losses, losses)
+        # the sum over blocks adds in another order than one matmul
+        np.testing.assert_allclose(got_mean, mean, rtol=1e-12, atol=0)
+        assert_array_equal(nn.mean_grad(net, (X, y), spec), got_mean)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_dataset_evaluations_equal_one_pass(self, activation, monkeypatch):
+        net, X, y, spec = self._blocked_batch(activation, "cross_entropy")
+        ds = LabeledSet(X, y, 3)
+        attack = adversarial.AttackSpec("linf", 0.3, 3)
+
+        def evaluate():
+            return (attacks.accuracy(net, ds), attacks.true_label_confidences(net, ds),
+                    adversarial.pgd_batch(net, X, y, attack, spec),
+                    analysis.adversarial_accuracy(net, ds, attack, spec))
+
+        blocked = evaluate()
+        monkeypatch.setattr(nn, "ROW_BLOCK", len(X))
+        assert nn._row_blocks(len(X)) == [slice(0, len(X))]
+        one_pass = evaluate()
+        assert blocked[0] == one_pass[0]
+        assert_array_equal(blocked[1], one_pass[1])
+        assert_array_equal(blocked[2], one_pass[2])
+        assert blocked[3] == one_pass[3]
+
 
 class TestCallerArraysUntouched:
     """In-place arithmetic never writes to an array the caller passed in."""
@@ -270,6 +319,8 @@ class TestCallerArraysUntouched:
         "project_l2": lambda net, a: adversarial.project(a["x"], a["pts"], "l2", 0.1),
         "sgd_step": lambda net, a: training.sgd_step(net, a["grad"], 0.1, a["velocity"],
                                                      0.9, 1e-3),
+        "fit_laplace": lambda net, a: privacy.fit_laplace(a["pts"].ravel()),
+        "noise_histogram": lambda net, a: privacy.noise_histogram(a["pts"].ravel()),
     }
 
     @pytest.mark.parametrize("name", sorted(CALLS))
@@ -285,14 +336,34 @@ class TestCallerArraysUntouched:
             assert_array_equal(v, before[k], err_msg=k)
 
 
-class TestPeakMemory:
-    """Peak traced allocation of one call on a 20-64-64-4 net and 2,000 rows.
+def _noise_pipeline(net, ds):
+    sample = privacy.collect_noise(net, ds, 64, 200, 500, seed=1)
+    privacy.fit_laplace(sample)
+    return (sample.values, *privacy.noise_histogram(sample.values))
 
-    One unit is one (2000, 64) float64 array. With one array per layer,
-    grad_inputs peaks near 4.4 units and forward near 2.1; a pass that also
-    keeps every pre-activation and allocates each bias add and derivative
-    mask peaks near 6.4 and 4.2.
+
+class TestPeakMemory:
+    """Peak traced allocation of one whole-dataset pass on a 20-64-64-4 net.
+
+    One unit is one (ROW_BLOCK, 64) float64 layer array. Each pass runs over
+    row blocks, so beyond its inputs and outputs it peaks at a few units
+    whatever the row count. Measured at 2,000 and 8,000 rows: forward 2.5,
+    grad_inputs 4.9, grad_params 5.2, mean_grad 4.9, and the noise pipeline
+    1.2 beyond its 100,000-value pool and the one sorted copy that
+    ``fit_laplace`` takes. A pass that holds every row's layer arrays at once
+    needs 16 to 40 units at 2,000 rows and four times that at 8,000.
     """
+
+    UNIT = nn.ROW_BLOCK * 64 * 8
+    POOL = 200 * 500 * 8  # bytes of the noise pool
+    NET = nn.DenseNet.random((20, 64, 64, 4), "relu", seed=1)
+    PASSES = {  # name: (call returning its output arrays, bound in units beyond them)
+        "forward": (lambda net, ds: nn.forward(net, ds.features), 3),
+        "grad_inputs": (lambda net, ds: nn.grad_inputs(net, ds.features, ds.labels), 6),
+        "grad_params": (lambda net, ds: nn.grad_params(net, (ds.features, ds.labels)), 6),
+        "mean_grad": (lambda net, ds: nn.mean_grad(net, (ds.features, ds.labels)), 6),
+        "noise_pipeline": (_noise_pipeline, 2 + POOL / UNIT),
+    }
 
     @staticmethod
     def _peak_bytes(fn) -> int:
@@ -308,12 +379,17 @@ class TestPeakMemory:
             if not tracing:
                 tracemalloc.stop()
 
-    def test_grad_inputs_and_forward_peaks(self):
-        n = 2000
-        net = nn.DenseNet.random((20, 64, 64, 4), "relu", seed=1)
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(n, 20))
-        y = rng.integers(0, 4, size=n)
-        unit = n * 64 * 8
-        assert self._peak_bytes(lambda: nn.grad_inputs(net, X, y)) <= 5 * unit
-        assert self._peak_bytes(lambda: nn.forward(net, X)) <= 3 * unit
+    @pytest.mark.parametrize("name", sorted(PASSES))
+    def test_whole_dataset_pass_does_not_grow_with_rows(self, name):
+        call, units = self.PASSES[name]
+        excess = {}
+        for n in (2000, 8000):
+            rng = np.random.default_rng(0)
+            ds = LabeledSet(rng.normal(size=(n, 20)), rng.integers(0, 4, size=n), 4)
+            out = []
+            peak = self._peak_bytes(lambda: out.append(call(self.NET, ds)))
+            arrays = out[0] if isinstance(out[0], tuple) else (out[0],)
+            excess[n] = peak - sum(a.nbytes for a in arrays)
+            assert excess[n] <= units * self.UNIT, (n, excess[n] / self.UNIT)
+        assert excess[8000] <= excess[2000] + self.UNIT / 4, (
+            {n: e / self.UNIT for n, e in excess.items()})

@@ -44,6 +44,15 @@ class TestCollectNoise:
         assert abs(float(np.std(sample.values)) - 1.0) <= 1e-12
         assert sample.divisor > 0
 
+    def test_values_are_read_only(self):
+        ds = synth_blobs(20, 3, 4, 1.0, seed=4)
+        net = nn.DenseNet.random((4, 6, 3), "relu", seed=5)
+        sample = privacy.collect_noise(net, ds, tau=8, n_batches=3,
+                                       components_per_batch=12, seed=6)
+        assert not sample.values.flags.writeable
+        with pytest.raises(ValueError):
+            sample.values[0] = 0.0
+
     def test_hand_trace_two_point_linear_model(self):
         # squared loss on h(x) = wx + b with w=1, b=0; points x=1 and x=3:
         # per-example grads (2,2) and (18,6) so the full mean is (10,4);
@@ -251,6 +260,17 @@ class TestHistogram:
         assert len(edges) == 202 and len(counts) == 201
         assert edges[0] == -10.0 and edges[-1] == 10.0
         assert counts.sum() == 3  # the 20.0 falls outside the window
+
+    def test_counts_over_slices_equal_one_histogram_call(self):
+        rng = np.random.default_rng(4)
+        v = rng.laplace(scale=4.0, size=3 * privacy.HISTOGRAM_SLICE + 5)
+        v[:5] = [-10.0, 10.0, 0.1, -0.1, 25.0]  # window ends, bin edges, one outside
+        edges, counts = privacy.noise_histogram(v)
+        ref_counts, ref_edges = np.histogram(v, bins=privacy.HISTOGRAM_BINS,
+                                             range=privacy.HISTOGRAM_RANGE)
+        np.testing.assert_array_equal(edges, ref_edges)
+        np.testing.assert_array_equal(counts, ref_counts)
+        assert counts.dtype == ref_counts.dtype
 
     def test_total_mass_for_in_window_data(self):
         rng = np.random.default_rng(3)
