@@ -68,21 +68,26 @@ def pgd_batch(net: nn.DenseNet, features: np.ndarray, labels: np.ndarray,
     """PGD endpoints for every row; rows are attacked independently.
 
     Row i of the result is exactly what a sequential single-example attack
-    would produce, so batching is only a speed concern.
+    would produce, so batching is only a speed concern. All K steps run on
+    one block of at most ``nn.ROW_BLOCK`` rows before the next block starts,
+    so the attack state takes one block's memory whatever the row count.
     """
     x0 = np.asarray(features, dtype=np.float64)
     if attack.radius == 0.0 or attack.steps == 0:
         return x0.copy()
-    labels = np.asarray(labels)
-    x = x0.copy()
-    for _ in range(attack.steps):
-        g = nn.grad_inputs(net, x, labels, loss_spec)
-        if attack.norm == "linf":
-            x = x + attack.alpha * np.sign(g)
-        else:
-            x = x + attack.alpha * g
-        x = project(x0, x, attack.norm, attack.radius)
-    return x
+
+    def attack_rows(clean: np.ndarray, y: np.ndarray) -> np.ndarray:
+        x = clean.copy()
+        for _ in range(attack.steps):
+            g = nn.grad_inputs(net, x, y, loss_spec)
+            if attack.norm == "linf":
+                x = x + attack.alpha * np.sign(g)
+            else:
+                x = x + attack.alpha * g
+            x = project(clean, x, attack.norm, attack.radius)
+        return x
+
+    return nn._by_rows(attack_rows, net.in_dim, x0, np.asarray(labels))
 
 
 def adv_grad(net: nn.DenseNet, batch: LabeledSet, attack: AttackSpec,

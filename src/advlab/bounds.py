@@ -25,7 +25,7 @@ from dataclasses import dataclass
 def _check_privacy(eps: float, delta: float, m: float) -> None:
     if not m > 0:
         raise ValueError("loss bound M must be positive")
-    if eps < 0:
+    if not eps >= 0:  # nan fails; eps = inf is valid and gives beta = M
         raise ValueError("epsilon must be nonnegative")
     if not 0 <= delta <= 1:
         raise ValueError("delta must lie in [0, 1]")

@@ -45,17 +45,21 @@ On one thread, large products also sum in one order, so the artifacts do
 not depend on the machine's core count.
 
 Exit codes: 0 success; 1 at least one run failed (a diverged run counts
-as failed, for ``sweep`` so does a run lost with a dead worker, and for
-``report`` a stale or unreadable one), or ``attack`` and ``noise`` were
-given a checkpoint whose outputs are not finite, as a diverged run leaves;
-2 configuration error, including noise fields that do not fit the data
-(checked before any training; for ``noise``, against the checkpoint's
-parameter count), a checkpoint given to ``attack``, ``noise`` or ``probe``
-whose input width differs from the data's or that has fewer outputs than
-the data has classes, ``probe`` batch sizes that are not integers in
-[1, training set size] or ``--repeats`` below 1 (checked before any
-gradient work), and invalid arguments to the ``accountant`` and ``bounds``
-calculators.
+as failed, so does a run whose logged records are all degenerate, with
+every clean max gradient norm numerically zero; for ``sweep`` so does a
+run lost with a dead worker, and for ``report`` a stale or unreadable
+one), or ``attack`` and ``noise`` were given a checkpoint whose outputs
+are not finite, as a diverged run leaves, or ``probe`` met a degenerate
+clean max gradient norm; 2 configuration error, including noise fields
+that do not fit the data (checked before any training; for ``noise``,
+against the checkpoint's parameter count), a checkpoint given to
+``attack``, ``noise`` or ``probe`` whose input width differs from the
+data's or that has fewer outputs than the data has classes, ``probe``
+batch sizes that are not integers in [1, training set size] or
+``--repeats`` below 1 (checked before any gradient work), and invalid
+arguments to the ``accountant`` and ``bounds`` calculators: among them an
+``accountant`` statistic that is nan or infinite, a scalar-mode
+``--iterations`` below 1 and a ``bounds --eps`` of nan.
 """
 
 from __future__ import annotations
@@ -92,7 +96,7 @@ import numpy as np
 
 from . import __version__, analysis, attacks, bounds, intensity, nn, privacy, training
 from .config import ConfigError, ExperimentConfig, config_digest, load_config, to_ini
-from .data import CsvFormatError, LabeledSet, write_atomic, write_csv
+from .data import CsvFormatError, LabeledSet, _csv_rows, write_atomic, write_csv
 
 VERSIONS = {"advlab": __version__, "numpy": np.__version__,
             "python": platform.python_version()}
@@ -138,7 +142,9 @@ def run_dir_for(cfg: ExperimentConfig, rho: float, seed: int) -> Path:
     return Path(cfg.output_dir) / f"rho={rho!r}" / f"seed={seed}"
 
 
-def _budget_json(b: privacy.PrivacyBudget) -> dict:
+def _budget_json(b: privacy.PrivacyBudget | None) -> dict | None:
+    if b is None:
+        return None
     return {"epsilon": b.epsilon, "delta": b.delta, "provenance": b.provenance,
             "inputs": b.inputs}
 
@@ -186,33 +192,33 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
         _write_meta(run_dir, started, stages)
         raise RuntimeError(f"run rho={rho} seed={seed} diverged at t={ledger.diverged_at}")
 
-    series = intensity.IntensitySeries.from_records(ledger.records)
-    summary["intensity_1t"] = series.intensity_1t
-    summary["l_erm_1t"] = series.l_erm_1t
+    good = [r for r in ledger.records if not r.degenerate]
+    if not good:
+        raise intensity.DegenerateDenominatorError(
+            f"run rho={rho} seed={seed}: every logged record was degenerate (clean max "
+            "gradient norm numerically zero), so there is no intensity to account")
     summary["records"] = len(ledger.records)
-    summary["records_skipped"] = series.skipped
+    summary["records_skipped"] = len(ledger.records) - len(good)
 
     # gradient noise and Laplace scale, taken at the final ERM iterate
     with _stage(stages, "noise"):
         noise = privacy.collect_noise(ledger.erm_net, train_set, cfg.noise_tau,
                                       cfg.noise_batches, cfg.noise_components, seed=seed,
                                       loss_spec=loss_spec)
-        fit = privacy.fit_laplace(noise)
+        fit = privacy.fit_laplace(noise.values)
     with _stage(stages, "writes"):
         _write_histogram_csv(run_dir / "noise_hist.csv", noise.values)
     summary["noise"] = {"b": fit.scale, "location": fit.location, "count": fit.count,
                         "divisor": noise.divisor}
 
     n = len(train_set)
-    eps_series = [privacy.per_step_epsilon(r.l_erm, r.intensity, n, fit.scale)
-                  for r in ledger.records if not r.degenerate]
-    composed = privacy.compose(eps_series, cfg.delta_prime, n)
-    leading = privacy.leading_epsilon(series.l_erm_1t, series.intensity_1t,
-                                      cfg.total_iterations, n, fit.scale, cfg.delta_prime)
-    erm_base = privacy.erm_epsilon(series.l_erm_1t, cfg.total_iterations, n,
-                                   fit.scale, cfg.delta_prime)
-    summary["eps_per_step"] = eps_series
-    summary["budgets"] = {b.provenance: _budget_json(b) for b in (composed, leading, erm_base)}
+    summary["eps_per_step"], budgets = privacy.budgets(
+        [r.l_erm for r in good], [r.intensity for r in good], cfg.total_iterations, n,
+        fit.scale, cfg.delta_prime)
+    leading = budgets["leading_thm5"]
+    summary["intensity_1t"] = leading.inputs["i_1t"]
+    summary["l_erm_1t"] = leading.inputs["l_erm_1t"]
+    summary["budgets"] = {k: _budget_json(b) for k, b in budgets.items()}
 
     summary["bounds"] = []
     for gamma in cfg.gamma_list:
@@ -443,20 +449,11 @@ def _cmd_report(args) -> int:
 
 
 def _read_series_csv(path) -> tuple[list[float], list[float]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "l_erm,intensity":
-        raise CsvFormatError(f"{path}: line 1: expected header 'l_erm,intensity'")
     l_erm, intens = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise CsvFormatError(f"{path}: line {lineno}: expected 2 columns")
+    for lineno, (l, i) in _csv_rows(path, header="l_erm,intensity", width=2):
         try:
-            l_erm.append(float(cells[0]))
-            intens.append(float(cells[1]))
+            l_erm.append(float(l))
+            intens.append(float(i))
         except ValueError:
             raise CsvFormatError(f"{path}: line {lineno}: non-numeric value") from None
     return l_erm, intens
@@ -468,26 +465,17 @@ def _cmd_accountant(args) -> int:
     else:
         if args.l_erm is None or args.intensity is None:
             raise ConfigError("scalar mode needs --l-erm and --intensity")
+        if args.iterations < 1:
+            raise ConfigError("--iterations must be >= 1")
         l_erm = [args.l_erm] * args.iterations
         intens = [args.intensity] * args.iterations
     try:
-        eps_series = [privacy.per_step_epsilon(l, i, args.n, args.b)
-                      for l, i in zip(l_erm, intens)]
-        out = {"composed_thm4": _budget_json(
-            privacy.compose(eps_series, args.delta_prime, args.n))}
-        if l_erm:
-            l_1t = intensity.composite_intensity(l_erm)
-            i_1t = intensity.composite_intensity(intens)
-            out["leading_thm5"] = _budget_json(privacy.leading_epsilon(
-                l_1t, i_1t, len(l_erm), args.n, args.b, args.delta_prime))
-            out["erm_corollary"] = _budget_json(privacy.erm_epsilon(
-                l_1t, len(l_erm), args.n, args.b, args.delta_prime))
-        else:
-            out["leading_thm5"] = None
-            out["erm_corollary"] = None
+        _, budgets = privacy.budgets(l_erm, intens, len(l_erm), args.n, args.b,
+                                     args.delta_prime)
     except ValueError as exc:  # invalid calculator arguments
         raise ConfigError(str(exc)) from None
-    print(json.dumps(out, sort_keys=True, indent=2))
+    print(json.dumps({k: _budget_json(b) for k, b in budgets.items()},
+                     sort_keys=True, indent=2))
     return 0
 
 
@@ -544,7 +532,7 @@ def _cmd_noise(args) -> int:
         sample = privacy.collect_noise(net, train_set, cfg.noise_tau, cfg.noise_batches,
                                        cfg.noise_components, seed=args.seed,
                                        loss_spec=cfg.loss_spec())
-    fit = privacy.fit_laplace(sample)
+    fit = privacy.fit_laplace(sample.values)
     _write_histogram_csv(Path(args.out), sample.values)
     print(json.dumps({"b": fit.scale, "location": fit.location, "count": fit.count,
                       "divisor": sample.divisor, "histogram": args.out},
@@ -659,7 +647,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (CsvFormatError, FileNotFoundError, training.CheckpointFormatError,
-            training.DivergenceError, privacy.DegenerateNoiseError) as exc:
+            training.DivergenceError, privacy.DegenerateNoiseError,
+            intensity.DegenerateDenominatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -107,12 +107,17 @@ class BatchSchedule:
         return rng.permutation(n)[: self.batch_size]
 
 
-def load_csv(path, header: bool = False) -> LabeledSet:
-    """Parse a feature+label CSV; errors name the 1-based offending line."""
-    rows, labels = [], []
-    width = None
+def _csv_rows(path, header: bool | str = False, width: int | None = None):
+    """(1-based line number, cells) of each non-blank line of a CSV file.
+
+    ``header=True`` skips line 1; a string also requires line 1 to equal it.
+    Every row has ``width`` cells, or as many as the first row when ``width``
+    is None. Errors are ``CsvFormatError``s naming the file and the line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
+    if isinstance(header, str) and (not lines or lines[0].strip() != header):
+        raise CsvFormatError(f"{path}: line 1: expected header {header!r}")
     start = 1 if header else 0
     for lineno, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
@@ -120,10 +125,17 @@ def load_csv(path, header: bool = False) -> LabeledSet:
         cells = line.split(",")
         if width is None:
             width = len(cells)
-            if width < 2:
-                raise CsvFormatError(f"{path}: line {lineno}: need at least one feature and a label")
         elif len(cells) != width:
             raise CsvFormatError(f"{path}: line {lineno}: expected {width} columns, got {len(cells)}")
+        yield lineno, cells
+
+
+def load_csv(path, header: bool = False) -> LabeledSet:
+    """Parse a feature+label CSV; errors name the 1-based offending line."""
+    rows, labels = [], []
+    for lineno, cells in _csv_rows(path, header):
+        if len(cells) < 2:
+            raise CsvFormatError(f"{path}: line {lineno}: need at least one feature and a label")
         try:
             rows.append([float(c) for c in cells[:-1]])
         except ValueError:

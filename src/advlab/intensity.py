@@ -22,7 +22,7 @@ from . import nn
 from .adversarial import AttackSpec, adv_grad
 from .data import LabeledSet
 from .rng import DOMAIN_PROBE, stream
-from .training import DEGENERATE_GRAD_FLOOR, IterationRecord
+from .training import DEGENERATE_GRAD_FLOOR
 
 
 class DegenerateDenominatorError(ValueError):
@@ -47,26 +47,6 @@ def composite_intensity(values) -> float:
     if not (v > 0).all():
         raise ValueError("series entries must be positive")
     return float(np.mean(v ** 4) ** 0.25)
-
-
-@dataclass(frozen=True)
-class IntensitySeries:
-    """Composites of one run's per-iteration intensities and clean max norms."""
-
-    intensity_1t: float
-    l_erm_1t: float
-    skipped: int = 0
-
-    @staticmethod
-    def from_records(records: list[IterationRecord]) -> "IntensitySeries":
-        good = [r for r in records if not r.degenerate]
-        if not good:
-            raise DegenerateDenominatorError("every logged record was degenerate")
-        return IntensitySeries(
-            intensity_1t=composite_intensity([r.intensity for r in good]),
-            l_erm_1t=composite_intensity([r.l_erm for r in good]),
-            skipped=len(records) - len(good),
-        )
 
 
 @dataclass(frozen=True)

@@ -42,16 +42,18 @@ float arrays directly, bitwise like multiplying by 0.0 or 1.0.
 Whole-dataset calls (evaluation, PGD over a test set, the full gradient of
 the noise pipeline) run the same pass over consecutive blocks of at most
 ``ROW_BLOCK`` rows, so their layer arrays take one block's memory whatever
-the row count. Per-row outputs (logits, input gradients, norms, losses)
-are written into one array block by block. Each row's arithmetic is the
-same as in one pass over all rows, but the BLAS may pick another matmul
-kernel for a block's shape, which can round a row's last bit differently
-(OpenBLAS 0.3.31 on an AVX-512 CPU does so on the 64-to-4 output layer
-of the default net, not on the small nets of the tests). The parameter
-gradient is summed over the blocks and divided by the row count once, so
-it may also differ from one pass in the last bits. A batch of at most
-``ROW_BLOCK`` rows, such as every training batch, is one block with
-one-pass arithmetic.
+the row count. PGD runs all its steps on one block before the next
+(``adversarial.pgd_batch``), so :func:`grad_inputs`, called once per step,
+is one pass over the rows it is given. Per-row outputs (logits, PGD
+endpoints, norms, losses) are written into one array block by block. Each
+row's arithmetic is the same as in one pass over all rows, but the BLAS
+may pick another matmul kernel for a block's shape, which can round a
+row's last bit differently (OpenBLAS 0.3.31 on an AVX-512 CPU does so on
+the 64-to-4 output layer of the default net, not on the small nets of the
+tests). The parameter gradient is summed over the blocks and divided by
+the row count once, so it may also differ from one pass in the last bits.
+A batch of at most ``ROW_BLOCK`` rows, such as every training batch, is
+one block with one-pass arithmetic.
 """
 
 from __future__ import annotations
@@ -356,11 +358,10 @@ def mean_grad(net: DenseNet, batch, spec: LossSpec = LossSpec()) -> np.ndarray:
 
 
 def grad_inputs(net: DenseNet, features: np.ndarray, labels, spec: LossSpec = LossSpec()) -> np.ndarray:
-    """Gradient of each example's clipped loss w.r.t. its own feature row."""
+    """Gradient of each example's clipped loss w.r.t. its own feature row, in one pass."""
     x = _check_features(net, features)
     y = _check_labels(net, labels, len(x))
-    return _by_rows(lambda xb, yb: _backward(net, xb, yb, spec)[1][0] @ net.weights[0],
-                    net.in_dim, x, y)
+    return _backward(net, x, y, spec)[1][0] @ net.weights[0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -20,7 +20,9 @@ and T steps compose to
 The leading-term budget replaces the per-step series by its fourth-power
 composites: eps = (2 * L_1T * I_1T / (N * b)) * sqrt(2 T ln(N / delta')),
 dropping an O(1/N^2) remainder; the ERM baseline is the same with
-intensity 1. Logs are natural throughout.
+intensity 1. Logs are natural throughout. :func:`budgets` is the one place
+that turns an (L_erm, I) series into these budgets, for a training run and
+for the ``accountant`` calculator alike.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import numpy as np
 
 from . import nn
 from .data import LabeledSet
+from .intensity import composite_intensity
 from .rng import DOMAIN_NOISE, stream
 
 HISTOGRAM_BINS = 201
@@ -45,28 +48,10 @@ class DegenerateNoiseError(ValueError):
 
 @dataclass(frozen=True)
 class NoiseSample:
-    """Normalized gradient-noise components and the spread divided out of them."""
+    """Normalized gradient-noise components (read-only) and the spread divided out of them."""
 
     values: np.ndarray
     divisor: float           # the pooled standard deviation that was divided out
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
-        if not np.isfinite(v).all():
-            raise ValueError("non-finite noise value")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def _adopt(cls, values: np.ndarray, divisor: float) -> "NoiseSample":
-        """Sample that takes ownership of ``values``, a finite float64 vector that
-        nothing else holds; no copy, no scan. ``values`` is marked read-only
-        here, as ``NoiseSample(...)`` marks its copy."""
-        values.setflags(write=False)
-        sample = object.__new__(cls)
-        object.__setattr__(sample, "values", values)
-        object.__setattr__(sample, "divisor", divisor)
-        return sample
 
 
 @dataclass(frozen=True)
@@ -123,16 +108,16 @@ def collect_noise(net: nn.DenseNet, dataset: LabeledSet, tau: int, n_batches: in
     # a finite sd > 0 means every value is finite, and not all are equal, so sd is
     # not negligible next to the largest |value| and no quotient overflows
     pooled /= sd
-    return NoiseSample._adopt(pooled, divisor=sd)
+    pooled.setflags(write=False)
+    return NoiseSample(pooled, divisor=sd)
 
 
-def fit_laplace(sample: NoiseSample | np.ndarray) -> LaplaceFit:
+def fit_laplace(values: np.ndarray) -> LaplaceFit:
     """Closed-form Laplace MLE: location is the (lower) median, scale the
     mean absolute deviation from it."""
-    values = sample.values if isinstance(sample, NoiseSample) else np.asarray(sample, dtype=np.float64)
-    if values.size < 2:
+    v = np.sort(np.asarray(values, dtype=np.float64))
+    if v.size < 2:
         raise ValueError("need at least two values")
-    v = np.sort(values)
     if v[0] == v[-1]:
         raise DegenerateNoiseError("all noise values identical; scale would be zero")
     location = float(v[(len(v) - 1) // 2])
@@ -164,8 +149,8 @@ def per_step_epsilon(l_erm_t: float, i_t: float, n: int, b: float) -> float:
         raise ValueError("N must be >= 1")
     if not b > 0:
         raise ValueError("Laplace scale b must be positive")
-    if l_erm_t < 0 or i_t < 0:
-        raise ValueError("gradient statistics must be nonnegative")
+    if not (0 <= l_erm_t < math.inf and 0 <= i_t < math.inf):
+        raise ValueError("gradient statistics must be finite and nonnegative")
     return 2.0 * l_erm_t * i_t / (n * b)
 
 
@@ -219,3 +204,23 @@ def erm_epsilon(l_erm_1t: float, t: int, n: int, b: float, delta_prime: float) -
     budget = leading_epsilon(l_erm_1t, 1.0, t, n, b, delta_prime)
     return PrivacyBudget(epsilon=budget.epsilon, delta=budget.delta,
                          provenance="erm_corollary", inputs=budget.inputs)
+
+
+def budgets(l_erm, intensity, t: int, n: int, b: float, delta_prime: float):
+    """Per-step epsilons and the three budgets of one (L_erm, I) series.
+
+    Returns ``(eps_per_step, budgets)``, with ``budgets`` keyed by
+    provenance. ``composed_thm4`` composes the series' steps; the leading and
+    ERM budgets take the series' fourth-power composites (in their
+    ``inputs`` as ``l_erm_1t`` and ``i_1t``) over ``t`` steps, and are None
+    for an empty series.
+    """
+    eps = [per_step_epsilon(l, i, n, b) for l, i in zip(l_erm, intensity)]
+    out = {"composed_thm4": compose(eps, delta_prime, n),
+           "leading_thm5": None, "erm_corollary": None}
+    if eps:
+        l_1t = composite_intensity(l_erm)
+        out["leading_thm5"] = leading_epsilon(l_1t, composite_intensity(intensity), t, n, b,
+                                              delta_prime)
+        out["erm_corollary"] = erm_epsilon(l_1t, t, n, b, delta_prime)
+    return eps, out

@@ -74,6 +74,16 @@ class TestTrainCommand:
         assert meta["versions"] == {"advlab": "0.1.0", "numpy": np.__version__,
                                     "python": ".".join(map(str, sys.version_info[:3]))}
 
+    def test_all_degenerate_run_is_one_line_error_exit_1(self, tmp_path, capsys):
+        # a loss bound this small clips every loss, so every clean max gradient norm is 0
+        cfg, path = tiny_config(tmp_path, loss_bound=1e-9, seeds=(1,))
+        assert cli.main(["train", "--config", str(path), "--rho", "0.15"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "degenerate" in err
+        assert cli.main(["sweep", "--config", str(path)]) == 1
+        failures = json.loads((Path(cfg.output_dir) / "analysis.json").read_text())["failures"]
+        assert len(failures) == 2 and all("degenerate" in f for f in failures)
+
     def test_config_error_exit_code_2(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text(config.to_ini(config.ExperimentConfig()).replace(
@@ -366,6 +376,22 @@ class TestAccountantCommand:
         assert out["composed_thm4"]["epsilon"] == pytest.approx(
             out["leading_thm5"]["epsilon"] + second, rel=1e-12)
 
+    def test_run_ledger_as_series_reproduces_the_run_composed_budget(self, tmp_path, capsys):
+        cfg, path = tiny_config(tmp_path)
+        assert cli.main(["train", "--config", str(path), "--rho", "0.15", "--seed", "1"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        lines = (cli.run_dir_for(cfg, 0.15, 1) / "ledger.csv").read_text().splitlines()
+        columns = lines[0].split(",")
+        rows = [dict(zip(columns, line.split(","))) for line in lines[1:]]
+        series = tmp_path / "series.csv"
+        series.write_text("l_erm,intensity\n" + "".join(
+            f"{r['l_erm']},{r['intensity']}\n" for r in rows if r["degenerate"] == "0"))
+        assert cli.main(["accountant", "--series", str(series), "--n", str(summary["n_train"]),
+                         "--b", repr(summary["noise"]["b"]),
+                         "--delta-prime", repr(cfg.delta_prime)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["composed_thm4"]["epsilon"] == summary["budgets"]["composed_thm4"]["epsilon"]
+
     def test_series_csv_mode(self, tmp_path, capsys):
         p = tmp_path / "series.csv"
         p.write_text("l_erm,intensity\n1.0,2.0\n1.0,2.0\n")
@@ -415,6 +441,32 @@ class TestCalculatorCommands:
                          "--n", "10", "--b", "0", "--delta-prime", "0.1"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Laplace scale b" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["accountant", "--l-erm", "inf", "--intensity", "1"], "finite"),
+        (["accountant", "--l-erm", "0.5", "--intensity", "nan"], "finite"),
+        (["accountant", "--series", "{series}"], "finite"),
+        (["accountant", "--l-erm", "0.5", "--intensity", "1", "--iterations", "0"], "--iterations"),
+        (["accountant", "--l-erm", "0.5", "--intensity", "1", "--iterations", "-3"], "--iterations"),
+        (["bounds", "--eps", "nan", "--delta", "0.1"], "epsilon"),
+    ], ids=["inf-l-erm", "nan-intensity", "inf-in-series", "zero-iterations",
+            "negative-iterations", "nan-eps"])
+    def test_non_finite_or_empty_input_is_config_error(self, argv, message, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("l_erm,intensity\n0.5,1.0\n0.5,inf\n")
+        argv = [str(series) if a == "{series}" else a for a in argv]
+        argv += ["--n", "100"] + (["--b", "0.1", "--delta-prime", "1"]
+                                  if argv[0] == "accountant" else [])
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("config error:")
+        assert message in captured.err
+
+    def test_bounds_infinite_eps_gives_beta_m(self, capsys):
+        assert cli.main(["bounds", "--eps", "inf", "--delta", "0.1", "--loss-bound", "3",
+                         "--n", "100"]) == 0
+        assert json.loads(capsys.readouterr().out)["beta"] == 3.0
 
     def test_attack_and_noise_and_probe(self, tmp_path, capsys):
         cfg, path = tiny_config(tmp_path, seeds=(1,), radius_list=(0.0, 0.1))

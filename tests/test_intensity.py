@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advlab import intensity, nn, training
+from advlab import intensity, nn
 from advlab.adversarial import AttackSpec, pgd_batch
 from advlab.data import split, synth_blobs
 
@@ -64,30 +64,6 @@ class TestCompositeIntensity:
     def test_equals_extremes_only_when_constant(self):
         c = intensity.composite_intensity([1.0, 3.0])
         assert 1.0 < c < 3.0
-
-
-class TestIntensitySeries:
-    def rec(self, t, l_erm, l_adv, degenerate=False):
-        i = float("nan") if degenerate else l_adv / l_erm
-        return training.IterationRecord(t, l_erm, l_adv, i, 0.1, 0.1, degenerate)
-
-    def test_composites_and_skip_count(self):
-        records = [self.rec(1, 1.0, 2.0), self.rec(2, 1.0, 1.0, degenerate=True),
-                   self.rec(3, 2.0, 4.0)]
-        s = intensity.IntensitySeries.from_records(records)
-        assert s.intensity_1t == pytest.approx(2.0, rel=1e-15)
-        assert s.l_erm_1t == pytest.approx(intensity.composite_intensity([1.0, 2.0]))
-        assert s.skipped == 1
-
-    def test_all_degenerate_rejected(self):
-        with pytest.raises(intensity.DegenerateDenominatorError):
-            intensity.IntensitySeries.from_records([self.rec(1, 0.0, 1.0, degenerate=True)])
-
-    def test_composite_between_extremes(self):
-        records = [self.rec(t, 1.0, 1.0 + 0.2 * t) for t in range(1, 8)]
-        s = intensity.IntensitySeries.from_records(records)
-        vals = [r.intensity for r in records]
-        assert min(vals) <= s.intensity_1t <= max(vals)
 
 
 def probe_instance(n_total=240, n_train=160, seed=13):

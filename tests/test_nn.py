@@ -338,7 +338,7 @@ class TestCallerArraysUntouched:
 
 def _noise_pipeline(net, ds):
     sample = privacy.collect_noise(net, ds, 64, 200, 500, seed=1)
-    privacy.fit_laplace(sample)
+    privacy.fit_laplace(sample.values)
     return (sample.values, *privacy.noise_histogram(sample.values))
 
 
@@ -348,10 +348,10 @@ class TestPeakMemory:
     One unit is one (ROW_BLOCK, 64) float64 layer array. Each pass runs over
     row blocks, so beyond its inputs and outputs it peaks at a few units
     whatever the row count. Measured at 2,000 and 8,000 rows: forward 2.5,
-    grad_inputs 4.9, grad_params 5.2, mean_grad 4.9, and the noise pipeline
-    1.2 beyond its 100,000-value pool and the one sorted copy that
-    ``fit_laplace`` takes. A pass that holds every row's layer arrays at once
-    needs 16 to 40 units at 2,000 rows and four times that at 8,000.
+    grad_params 5.2, mean_grad 4.9, an 8-step linf ``pgd_batch`` 5.5, and the
+    noise pipeline 1.2 beyond its 100,000-value pool and the one sorted copy
+    that ``fit_laplace`` takes. A pass that holds every row's layer arrays at
+    once needs 16 to 40 units at 2,000 rows and four times that at 8,000.
     """
 
     UNIT = nn.ROW_BLOCK * 64 * 8
@@ -359,7 +359,8 @@ class TestPeakMemory:
     NET = nn.DenseNet.random((20, 64, 64, 4), "relu", seed=1)
     PASSES = {  # name: (call returning its output arrays, bound in units beyond them)
         "forward": (lambda net, ds: nn.forward(net, ds.features), 3),
-        "grad_inputs": (lambda net, ds: nn.grad_inputs(net, ds.features, ds.labels), 6),
+        "pgd_batch": (lambda net, ds: adversarial.pgd_batch(
+            net, ds.features, ds.labels, adversarial.AttackSpec("linf", 0.35, 8)), 6),
         "grad_params": (lambda net, ds: nn.grad_params(net, (ds.features, ds.labels)), 6),
         "mean_grad": (lambda net, ds: nn.mean_grad(net, (ds.features, ds.labels)), 6),
         "noise_pipeline": (_noise_pipeline, 2 + POOL / UNIT),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advlab import intensity, nn, privacy
+from advlab import intensity, nn, privacy, training
 from advlab.data import LabeledSet, synth_blobs
 
 mp.mp.dps = 50
@@ -222,6 +222,52 @@ class TestErmEpsilon:
     def test_hand_example_frozen(self):
         b = privacy.erm_epsilon(1.0, 100, 1000, 0.1, 1.0)
         assert b.epsilon == pytest.approx(ERM_HAND, rel=1e-14)
+
+
+class TestBudgets:
+    """``privacy.budgets`` over a run's non-degenerate records, as ``run_experiment`` calls it."""
+
+    def rec(self, t, l_erm, l_adv, degenerate=False):
+        i = float("nan") if degenerate else l_adv / l_erm
+        return training.IterationRecord(t, l_erm, l_adv, i, 0.1, 0.1, degenerate)
+
+    def budgets(self, records, t=100):
+        good = [r for r in records if not r.degenerate]
+        return privacy.budgets([r.l_erm for r in good], [r.intensity for r in good], t,
+                               1000, 0.1, 1.0)
+
+    def test_composites_and_skip_count(self):
+        records = [self.rec(1, 1.0, 2.0), self.rec(2, 1.0, 1.0, degenerate=True),
+                   self.rec(3, 2.0, 4.0)]
+        eps, budgets = self.budgets(records)
+        lead = budgets["leading_thm5"].inputs
+        assert lead["i_1t"] == pytest.approx(2.0, rel=1e-15)
+        assert lead["l_erm_1t"] == pytest.approx(intensity.composite_intensity([1.0, 2.0]))
+        assert len(records) - len(eps) == 1
+        assert budgets["composed_thm4"].inputs["steps"] == len(eps)
+
+    def test_empty_series_has_no_leading_or_erm_budget(self):
+        eps, budgets = self.budgets([self.rec(1, 0.0, 1.0, degenerate=True)])
+        assert eps == []
+        assert budgets["composed_thm4"].epsilon == 0.0
+        assert budgets["leading_thm5"] is None and budgets["erm_corollary"] is None
+
+    def test_composite_between_extremes(self):
+        records = [self.rec(t, 1.0, 1.0 + 0.2 * t) for t in range(1, 8)]
+        _, budgets = self.budgets(records)
+        vals = [r.intensity for r in records]
+        assert min(vals) <= budgets["leading_thm5"].inputs["i_1t"] <= max(vals)
+
+    def test_each_budget_is_its_theorem_over_the_series(self):
+        l_series, i_series, t, n, b, dp = [0.4, 0.9, 0.7], [1.5, 1.1, 2.0], 2000, 500, 0.3, 0.5
+        eps, budgets = privacy.budgets(l_series, i_series, t, n, b, dp)
+        assert eps == [privacy.per_step_epsilon(l, i, n, b) for l, i in zip(l_series, i_series)]
+        l_1t = intensity.composite_intensity(l_series)
+        i_1t = intensity.composite_intensity(i_series)
+        assert budgets == {
+            "composed_thm4": privacy.compose(eps, dp, n),
+            "leading_thm5": privacy.leading_epsilon(l_1t, i_1t, t, n, b, dp),
+            "erm_corollary": privacy.erm_epsilon(l_1t, t, n, b, dp)}
 
 
 class TestAccountantRelations:
