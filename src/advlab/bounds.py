@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 
 def _check_privacy(eps: float, delta: float, m: float) -> None:
-    if not m > 0:
-        raise ValueError("loss bound M must be positive")
+    if not 0 < m < math.inf:
+        raise ValueError("loss bound M must be positive and finite")
     if not eps >= 0:  # nan fails; eps = inf is valid and gives beta = M
         raise ValueError("epsilon must be nonnegative")
     if not 0 <= delta <= 1:
@@ -45,8 +45,8 @@ def high_prob_bound(beta: float, n: int, gamma: float, c: float = 1.0,
         raise ValueError("N must be >= 2")
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie in (0, 1)")
-    if not c > 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     if m is not None and beta > m:

@@ -44,22 +44,24 @@ is not loaded yet; ``numpy_preloaded`` in meta.json says whether it was.
 On one thread, large products also sum in one order, so the artifacts do
 not depend on the machine's core count.
 
-Exit codes: 0 success; 1 at least one run failed (a diverged run counts
-as failed, so does a run whose logged records are all degenerate, with
-every clean max gradient norm numerically zero; for ``sweep`` so does a
-run lost with a dead worker, and for ``report`` a stale or unreadable
-one), or ``attack`` and ``noise`` were given a checkpoint whose outputs
-are not finite, as a diverged run leaves, or ``probe`` met a degenerate
-clean max gradient norm; 2 configuration error, including noise fields
-that do not fit the data (checked before any training; for ``noise``,
-against the checkpoint's parameter count), a checkpoint given to
-``attack``, ``noise`` or ``probe`` whose input width differs from the
-data's or that has fewer outputs than the data has classes, ``probe``
-batch sizes that are not integers in [1, training set size] or
-``--repeats`` below 1 (checked before any gradient work), and invalid
-arguments to the ``accountant`` and ``bounds`` calculators: among them an
-``accountant`` statistic that is nan or infinite, a scalar-mode
-``--iterations`` below 1 and a ``bounds --eps`` of nan.
+Exit codes: 0 success; 1 a run failed, in one ``error:`` or ``run failed:``
+line: it diverged, its logged records are all degenerate (every clean max
+gradient norm numerically zero), or a logged intensity is exactly zero; for
+``sweep`` also a run lost with a dead worker, for ``report`` a stale or
+unreadable one. 1 also means ``attack`` or ``noise`` got a checkpoint whose
+outputs are not finite, as a diverged run leaves, or ``probe`` met a
+degenerate clean max gradient norm. 2 configuration error, in one ``config
+error:`` line: noise fields that do not fit the data (checked before any
+training; for ``noise``, against the checkpoint's parameter count), a
+``loss_bound`` or ``constant_c`` that is not positive and finite, a
+checkpoint given to ``attack``, ``noise`` or ``probe`` whose input width
+differs from the data's or that has fewer outputs than the data has
+classes, ``probe`` batch sizes that are not integers in [1, training set
+size] or ``--repeats`` below 1 (checked before any gradient work), and
+invalid ``accountant`` and ``bounds`` arguments, among them a nan or
+infinite ``accountant`` statistic, a scalar-mode ``--iterations`` below 1,
+a ``bounds --eps`` of nan, and a ``--loss-bound`` or ``--c`` that is not
+positive and finite.
 """
 
 from __future__ import annotations
@@ -166,8 +168,8 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
                                      loss_spec=loss_spec)
     with _stage(stages, "writes"):
         training.write_ledger_csv(ledger.records, run_dir / "ledger.csv")
-        training.save_checkpoint(ledger.erm_net, run_dir / "erm.ckpt")
-        training.save_checkpoint(ledger.adv_net, run_dir / "adv.ckpt")
+        training.save_checkpoint(ledger.erm.net, run_dir / "erm.ckpt")
+        training.save_checkpoint(ledger.adv.net, run_dir / "adv.ckpt")
 
     summary = {
         "rho": rho,
@@ -177,9 +179,9 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
         "n_train": len(train_set),
         "n_test": len(test_set),
         "index_digests": {
-            "erm": ledger.erm_index_digest,
-            "adv": ledger.adv_index_digest,
-            "match": ledger.erm_index_digest == ledger.adv_index_digest,
+            "erm": ledger.erm.index_digest,
+            "adv": ledger.adv.index_digest,
+            "match": ledger.erm.index_digest == ledger.adv.index_digest,
         },
         "erm": {"train_acc": ledger.erm_train_acc, "test_acc": ledger.erm_test_acc,
                 "gen_gap": ledger.erm_train_acc - ledger.erm_test_acc},
@@ -197,12 +199,17 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
         raise intensity.DegenerateDenominatorError(
             f"run rho={rho} seed={seed}: every logged record was degenerate (clean max "
             "gradient norm numerically zero), so there is no intensity to account")
+    zero = [r.t for r in good if r.intensity == 0.0]
+    if zero:  # whether an intensity of 0 is a valid value is not settled yet
+        raise intensity.DegenerateDenominatorError(
+            f"run rho={rho} seed={seed}: the intensity is 0 (adversarial max gradient norm "
+            f"exactly zero) at {len(zero)} record(s) from t={zero[0]}; the composite needs > 0")
     summary["records"] = len(ledger.records)
     summary["records_skipped"] = len(ledger.records) - len(good)
 
     # gradient noise and Laplace scale, taken at the final ERM iterate
     with _stage(stages, "noise"):
-        noise = privacy.collect_noise(ledger.erm_net, train_set, cfg.noise_tau,
+        noise = privacy.collect_noise(ledger.erm.net, train_set, cfg.noise_tau,
                                       cfg.noise_batches, cfg.noise_components, seed=seed,
                                       loss_spec=loss_spec)
         fit = privacy.fit_laplace(noise.values)
@@ -232,17 +239,17 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
 
     with _stage(stages, "mia"):
         report = attacks.optimal_threshold(
-            attacks.true_label_confidences(ledger.adv_net, train_set),
-            attacks.true_label_confidences(ledger.adv_net, test_set))
+            attacks.true_label_confidences(ledger.adv.net, train_set),
+            attacks.true_label_confidences(ledger.adv.net, test_set))
     summary["mia"] = {"zeta_optim": report.zeta_optim, "accuracy": report.accuracy}
 
     with _stage(stages, "adv_eval"):
         summary["adv_accuracy"] = analysis.adversarial_accuracy(
-            ledger.adv_net, test_set, cfg.attack_spec(rho), loss_spec)
+            ledger.adv.net, test_set, cfg.attack_spec(rho), loss_spec)
         # the same model under the sweep's common (largest-radius) attack, so
         # robustness is comparable across runs
         summary["adv_accuracy_common"] = analysis.adversarial_accuracy(
-            ledger.adv_net, test_set, cfg.attack_spec(cfg.radius_list[-1]), loss_spec)
+            ledger.adv.net, test_set, cfg.attack_spec(cfg.radius_list[-1]), loss_spec)
 
     with _stage(stages, "writes"):
         _write_json(run_dir / "summary.json", summary)

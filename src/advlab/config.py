@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, fields
 
 from .adversarial import AttackSpec
@@ -87,8 +88,8 @@ class ExperimentConfig:
             raise ConfigError("gamma values must lie in (0, 1)")
         if not 0 < self.delta_prime:
             raise ConfigError("delta_prime must be positive")
-        if not self.loss_bound > 0 or not self.constant_c > 0:
-            raise ConfigError("loss_bound and constant_c must be positive")
+        if not (0 < self.loss_bound < math.inf and 0 < self.constant_c < math.inf):
+            raise ConfigError("loss_bound and constant_c must be positive and finite")
         if self.noise_batches < 1:
             raise ConfigError("noise_batches must be >= 1")
 

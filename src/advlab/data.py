@@ -194,8 +194,10 @@ def synth_blobs(n_per_class: int, num_classes: int, dim: int, spread: float, see
         raise ValueError("spread must be nonnegative")
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)
     centers = np.stack([blob_center(k, dim) for k in range(num_classes)])
-    noise = stream(seed, DOMAIN_BLOBS).standard_normal((len(labels), dim))
-    return LabeledSet(centers[labels] + spread * noise, labels, num_classes)
+    x = stream(seed, DOMAIN_BLOBS).standard_normal((len(labels), dim))
+    x *= spread  # in place, which saves two feature-sized temporaries
+    x += centers[labels]
+    return LabeledSet(x, labels, num_classes)
 
 
 def split(dataset: LabeledSet, n_train: int, seed: int) -> tuple[LabeledSet, LabeledSet]:

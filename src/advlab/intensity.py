@@ -1,15 +1,20 @@
-"""Robustified-intensity computation.
+"""Robustified intensity: the per-iteration ratio, its degeneracy rule, the composite.
 
-The single-iteration intensity is the ratio of two batch statistics: the
-max per-example gradient norm of the attacked loss at the adversarially
-trained iterate, over the max per-example clean gradient norm at the ERM
-iterate. A whole run is summarized by the fourth-power mean root of its
+The single-iteration intensity is the max per-example gradient norm of the
+attacked loss at the adversarial iterate over the max per-example clean
+gradient norm at the ERM iterate, on the same batch; a clean norm at most
+``DEGENERATE_GRAD_FLOOR`` leaves it undefined. Each norm is read at its own
+model's iterate of step t, so I_t compares the two training algorithms, as
+the abstract's "robustness of an adversarial training algorithm" suggests.
+The clean norm at the adversarial iterate would isolate the attack instead;
+it stays a candidate until it is recorded beside this reading, under which
+a few late, near-converged ERM records dominate the composite.
+
+A whole run is summarized by the fourth-power mean root of its
 per-iteration intensities; the same aggregation is applied to the clean
-max-norm series for the privacy accountant.
-
-The consistency probe quantifies how fast the batch estimate approaches
-the full-dataset value as the batch grows, holding both parameter vectors
-fixed so only batch sampling varies.
+max-norm series for the privacy accountant. The consistency probe measures
+how fast the batch estimate approaches the full-dataset value as the batch
+grows, holding both parameter vectors fixed so only batch sampling varies.
 """
 
 from __future__ import annotations
@@ -22,11 +27,13 @@ from . import nn
 from .adversarial import AttackSpec, adv_grad
 from .data import LabeledSet
 from .rng import DOMAIN_PROBE, stream
-from .training import DEGENERATE_GRAD_FLOOR
+
+DEGENERATE_GRAD_FLOOR = 1e-30
 
 
 class DegenerateDenominatorError(ValueError):
-    """Clean max gradient norm is numerically zero (training converged)."""
+    """No intensity to use: a clean max gradient norm is numerically zero
+    (training converged), or a run's logged intensity is exactly zero."""
 
 
 def single_intensity(l_adv: float, l_erm: float) -> float:

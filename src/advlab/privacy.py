@@ -71,7 +71,7 @@ class PrivacyBudget:
     inputs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.epsilon < 0 or not 0 <= self.delta <= 1:
+        if not self.epsilon >= 0 or not 0 <= self.delta <= 1:  # nan fails too
             raise ValueError("budget outside the valid (eps >= 0, delta in [0,1]) region")
 
 
@@ -170,7 +170,8 @@ def compose(eps_list, delta_prime: float, n: int) -> PrivacyBudget:
         raise ValueError("per-step epsilons must be nonnegative")
     log_term = math.log(n / delta_prime)
     sq = math.sqrt(2.0 * log_term * float(np.sum(eps ** 2)))
-    second = float(np.sum(eps * np.expm1(eps) / (np.exp(eps) + 1.0)))
+    # (e^eps - 1) / (e^eps + 1) written as tanh(eps / 2), which cannot overflow
+    second = float(np.sum(eps * np.tanh(eps / 2.0)))
     return PrivacyBudget(
         epsilon=sq + second,
         delta=delta_prime / n,

@@ -1,18 +1,23 @@
-"""Twin SGD trainer: one ERM model and one adversarially trained model, in lockstep.
+"""SGD for one model, and the twin run: an ERM model and an adversarial model.
 
-Both models start from the same seed-derived initialization and consume the
-identical batch index sequence, so the only difference between the two
-trajectories is the attack applied to the adversarial model's batches.
-Every ``log_every`` iterations the trainer records the max per-example
-gradient norm of the current batch at each model's own parameters (clean
-gradients at the ERM iterate, attack-endpoint gradients at the adversarial
-iterate) together with their ratio, the per-iteration intensity.
+:func:`train_model` runs one model's trajectory from a given initial net
+under a given attack: it draws and hashes its own batch schedule and takes
+``adv_grad`` plus :func:`sgd_step` at each iteration. Every ``log_every``
+iterations it records the batch's max per-example gradient norm and mean
+loss at its parameters before the step.
 
-Both models take the same step function, :func:`_model_step`: the ERM
-model passes the zero-radius ``AttackSpec()``, under which PGD returns the
-clean batch. So with attack radius 0 the two models run the same code on
-byte-identical inputs and their trajectories coincide exactly; tests rely
-on this collapse.
+:func:`train_twin` is two such runs from the seed-derived initialization,
+not a lockstep loop: the ERM model under the zero-radius ``AttackSpec()``,
+for which PGD returns the clean batch, then the adversarial model. It pairs
+the logged series into records whose ratio is the intensity
+(:mod:`advlab.intensity`). The ERM run does not depend on the radius, and at
+radius 0 both runs execute the same code on byte-identical inputs, so they
+coincide exactly; tests rely on this.
+
+Divergence: a run stops at the first iteration whose gradient, update or
+logged statistics are not finite, and keeps its last finite iterate. If the
+ERM run fails at t, the adversarial run takes at most t - 1 steps.
+``diverged_at`` is the earlier failure, and the records stop before it.
 
 Checkpoint format (little endian): magic ``RPG1``, uint8 activation code
 (0 relu, 1 tanh), uint32 layer count L, uint32 widths[L+1], then float64
@@ -23,11 +28,11 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
+from . import intensity, nn
 from .adversarial import AttackSpec, adv_grad
 from .attacks import accuracy
 from .data import BatchSchedule, LabeledSet, write_atomic, write_csv
@@ -35,7 +40,6 @@ from .data import BatchSchedule, LabeledSet, write_atomic, write_csv
 CHECKPOINT_MAGIC = b"RPG1"
 _ACT_CODES = {"relu": 0, "tanh": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
-DEGENERATE_GRAD_FLOOR = 1e-30
 
 
 class DivergenceError(RuntimeError):
@@ -89,23 +93,6 @@ class IterationRecord:
     degenerate: bool = False
 
 
-@dataclass
-class RunLedger:
-    """Everything one twin run produced."""
-
-    config: TrainConfig
-    records: list[IterationRecord] = field(default_factory=list)
-    erm_net: nn.DenseNet | None = None
-    adv_net: nn.DenseNet | None = None
-    erm_train_acc: float = float("nan")
-    erm_test_acc: float = float("nan")
-    adv_train_acc: float = float("nan")
-    adv_test_acc: float = float("nan")
-    erm_index_digest: str = ""
-    adv_index_digest: str = ""
-    diverged_at: int | None = None
-
-
 def sgd_step(net: nn.DenseNet, grad: np.ndarray, lr: float, velocity: np.ndarray,
              momentum: float, weight_decay: float):
     """Heavy-ball update: v <- mu*v + (g + wd*theta); theta <- theta - lr*v.
@@ -128,80 +115,85 @@ def sgd_step(net: nn.DenseNet, grad: np.ndarray, lr: float, velocity: np.ndarray
     return net._adopt(new_theta), v
 
 
-def _model_step(net, velocity, batch, t, config, loss_spec, attack):
-    """One model's update under ``attack``.
+@dataclass(frozen=True)
+class Trajectory:
+    """One model's run: its last finite iterate, its logged ``(t, max per-example
+    gradient norm, mean loss)``, the sha256 of its batch indices, its failure."""
 
-    Returns (net, velocity, per-example gradient norms, per-example losses);
-    the caller reduces the statistics only on the steps it logs.
-    """
-    g_mean, norms, losses = adv_grad(net, batch, attack, loss_spec)
-    net, velocity = sgd_step(net, g_mean, config.lr(t), velocity,
-                             config.momentum, config.weight_decay)
-    return net, velocity, norms, losses
+    net: nn.DenseNet
+    logged: list[tuple[int, float, float]]
+    index_digest: str
+    diverged_at: int | None
+
+
+@dataclass(frozen=True)
+class RunLedger:
+    """Everything one twin run produced."""
+
+    erm: Trajectory
+    adv: Trajectory
+    records: list[IterationRecord]
+    erm_train_acc: float
+    erm_test_acc: float
+    adv_train_acc: float
+    adv_test_acc: float
+    diverged_at: int | None
+
+
+def train_model(train_set: LabeledSet, net: nn.DenseNet, config: TrainConfig,
+                attack: AttackSpec, loss_spec: nn.LossSpec = nn.LossSpec(),
+                iterations: int | None = None) -> Trajectory:
+    """The trajectory from ``net`` under ``attack`` for ``iterations`` steps
+    (default ``config.total_iterations``), as the module docstring describes."""
+    if config.batch_size > len(train_set):
+        raise ValueError("batch_size exceeds training set size")
+    velocity = np.zeros(net.num_params)
+    schedule = BatchSchedule(config.seed, config.batch_size)
+    digest, logged, diverged_at = hashlib.sha256(), [], None
+    for t in range(1, (config.total_iterations if iterations is None else iterations) + 1):
+        idx = schedule.indices(t, len(train_set))
+        digest.update(idx.astype("<i8").tobytes())
+        g_mean, norms, losses = adv_grad(net, train_set.subset(idx), attack, loss_spec)
+        try:
+            net, velocity = sgd_step(net, g_mean, config.lr(t), velocity,
+                                     config.momentum, config.weight_decay)
+        except DivergenceError:
+            diverged_at = t
+            break
+        if t % config.log_every == 0:
+            stats = (t, float(norms.max()), float(losses.mean()))
+            if not np.isfinite(stats[1:]).all():
+                diverged_at = t
+                break
+            logged.append(stats)
+    return Trajectory(net, logged, digest.hexdigest(), diverged_at)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def train_twin(train_set: LabeledSet, test_set: LabeledSet, config: TrainConfig,
                hidden: tuple[int, ...] = (64, 64), activation: str = "relu",
                loss_spec: nn.LossSpec = nn.LossSpec()) -> RunLedger:
-    """Run the lockstep twin trainer and return its ledger.
-
-    On divergence (any non-finite loss or gradient) the partial ledger is
-    returned with ``diverged_at`` set instead of raising. A diverging run
-    overflows on its way to the non-finite value that stops it, so numpy's
-    overflow and invalid-value warnings are silenced inside this call; the
-    ``isfinite`` checks in :func:`sgd_step` and on the logged statistics
-    still catch the divergence.
-    """
-    if config.batch_size > len(train_set):
-        raise ValueError("batch_size exceeds training set size")
-    widths = (train_set.dim, *hidden, train_set.num_classes)
-    net0 = nn.DenseNet.random(widths, activation, config.seed)
-    schedule = BatchSchedule(config.seed, config.batch_size)
-
-    ledger = RunLedger(config=config)
-    erm_net = adv_net = net0
-    v_erm = np.zeros(net0.num_params)
-    v_adv = np.zeros(net0.num_params)
-    h_erm = hashlib.sha256()
-    h_adv = hashlib.sha256()
-
-    for t in range(1, config.total_iterations + 1):
-        # each model draws its own copy of the schedule so the digests are
-        # an actual replay check, not a tautology
-        idx_erm = schedule.indices(t, len(train_set))
-        idx_adv = schedule.indices(t, len(train_set))
-        h_erm.update(idx_erm.astype("<i8").tobytes())
-        h_adv.update(idx_adv.astype("<i8").tobytes())
-        batch_erm = train_set.subset(idx_erm)
-        batch_adv = train_set.subset(idx_adv)
+    """Train the ERM model, then the adversarial one; pair their logged series.
+    A diverging run overflows before a non-finite value stops it, so numpy's
+    overflow and invalid-value warnings are silenced inside this call."""
+    net0 = nn.DenseNet.random((train_set.dim, *hidden, train_set.num_classes), activation,
+                              config.seed)
+    erm = train_model(train_set, net0, config, AttackSpec(), loss_spec)
+    adv = train_model(train_set, net0, config, config.attack, loss_spec,
+                      None if erm.diverged_at is None else erm.diverged_at - 1)
+    records = []
+    # zip stops at the shorter series, which ends before either failure
+    for (t, l_erm, erm_loss), (_, l_adv, adv_loss) in zip(erm.logged, adv.logged):
         try:
-            erm_net, v_erm, norms_erm, losses_erm = _model_step(
-                erm_net, v_erm, batch_erm, t, config, loss_spec, AttackSpec())
-            adv_net, v_adv, norms_adv, losses_adv = _model_step(
-                adv_net, v_adv, batch_adv, t, config, loss_spec, config.attack)
-        except DivergenceError:
-            ledger.diverged_at = t
-            break
-        if t % config.log_every == 0:
-            l_erm, erm_loss = float(norms_erm.max()), float(losses_erm.mean())
-            l_adv, adv_loss = float(norms_adv.max()), float(losses_adv.mean())
-            if not all(np.isfinite(v) for v in (l_erm, l_adv, erm_loss, adv_loss)):
-                ledger.diverged_at = t
-                break
-            degenerate = l_erm <= DEGENERATE_GRAD_FLOOR
-            intensity = float("nan") if degenerate else l_adv / l_erm
-            ledger.records.append(IterationRecord(t, l_erm, l_adv, intensity,
-                                                  erm_loss, adv_loss, degenerate))
-
-    ledger.erm_net, ledger.adv_net = erm_net, adv_net
-    ledger.erm_index_digest = h_erm.hexdigest()
-    ledger.adv_index_digest = h_adv.hexdigest()
-    ledger.erm_train_acc = accuracy(erm_net, train_set)
-    ledger.erm_test_acc = accuracy(erm_net, test_set)
-    ledger.adv_train_acc = accuracy(adv_net, train_set)
-    ledger.adv_test_acc = accuracy(adv_net, test_set)
-    return ledger
+            value, degenerate = intensity.single_intensity(l_adv, l_erm), False
+        except intensity.DegenerateDenominatorError:
+            value, degenerate = float("nan"), True
+        records.append(IterationRecord(t, l_erm, l_adv, value, erm_loss, adv_loss, degenerate))
+    # the adversarial run stops before the ERM failure, so its own comes first
+    return RunLedger(erm, adv, records,
+                     accuracy(erm.net, train_set), accuracy(erm.net, test_set),
+                     accuracy(adv.net, train_set), accuracy(adv.net, test_set),
+                     adv.diverged_at or erm.diverged_at)
 
 
 LEDGER_COLUMNS = ("t", "l_erm", "l_adv", "intensity", "erm_loss", "adv_loss", "degenerate")

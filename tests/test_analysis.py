@@ -120,7 +120,7 @@ class TestAdversarialAccuracy:
                           lr_init=0.1, lr_decay_every=100,
                           attack=AttackSpec(norm="linf", radius=0.1), seed=5)
         ledger = train_twin(train, test, cfg, hidden=(12,))
-        return ledger.adv_net, test
+        return ledger.adv.net, test
 
     def test_zero_radius_equals_clean_accuracy(self):
         from advlab.attacks import accuracy

@@ -84,6 +84,38 @@ class TestTrainCommand:
         failures = json.loads((Path(cfg.output_dir) / "analysis.json").read_text())["failures"]
         assert len(failures) == 2 and all("degenerate" in f for f in failures)
 
+    def test_zero_intensity_run_is_one_line_error_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a dead adversarial net has a max gradient norm, so an intensity, of exactly 0
+        cfg, path = tiny_config(tmp_path, radius_list=(0.0,), seeds=(1,))
+        train_twin = training.train_twin
+
+        def dead_adversary(*args, **kwargs):
+            ledger = train_twin(*args, **kwargs)
+            ledger.records[1] = dataclasses.replace(ledger.records[1], l_adv=0.0, intensity=0.0)
+            return ledger
+
+        monkeypatch.setattr(training, "train_twin", dead_adversary)
+        assert cli.main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "intensity is 0" in err
+        assert cli.main(["sweep", "--config", str(path)]) == 1
+        failures = json.loads((Path(cfg.output_dir) / "analysis.json").read_text())["failures"]
+        assert len(failures) == 1 and "intensity is 0" in failures[0]
+
+    def test_erm_side_does_not_depend_on_the_radius(self, tmp_path, capsys):
+        cfg, path = tiny_config(tmp_path)
+        for rho in ("0", "0.1"):
+            assert cli.main(["train", "--config", str(path), "--rho", rho, "--seed", "1"]) == 0
+        runs = [cli.run_dir_for(cfg, rho, 1) for rho in (0.0, 0.1)]
+        assert (runs[0] / "erm.ckpt").read_bytes() == (runs[1] / "erm.ckpt").read_bytes()
+
+        def erm_columns(run):
+            header, *rows = (run / "ledger.csv").read_text().splitlines()
+            i, j = header.split(",").index("l_erm"), header.split(",").index("erm_loss")
+            return [(cells[i], cells[j]) for cells in (row.split(",") for row in rows)]
+
+        assert erm_columns(runs[0]) == erm_columns(runs[1]) != []
+
     def test_config_error_exit_code_2(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text(config.to_ini(config.ExperimentConfig()).replace(
@@ -462,6 +494,31 @@ class TestCalculatorCommands:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("config error:")
         assert message in captured.err
+
+    @pytest.mark.parametrize("argv, ini_edit", [
+        (["bounds", "--eps", "1", "--delta", "0", "--loss-bound", "inf", "--n", "100"], None),
+        (["bounds", "--eps", "1", "--delta", "0", "--c", "inf", "--n", "100"], None),
+        (["train", "--rho", "0.1"], ("loss_bound = 10.0", "loss_bound = inf")),
+        (["train", "--rho", "0.1"], ("constant_c = 1.0", "constant_c = inf")),
+    ], ids=["bounds-loss-bound", "bounds-c", "config-loss-bound", "config-constant-c"])
+    def test_infinite_loss_bound_or_c_is_config_error(self, argv, ini_edit, tmp_path, capsys):
+        if ini_edit:
+            cfg, path = tiny_config(tmp_path)
+            text = path.read_text()
+            assert ini_edit[0] in text
+            path.write_text(text.replace(*ini_edit))
+            argv = [*argv, "--config", str(path)]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("config error:")
+        assert not (tmp_path / "runs").exists()
+
+    def test_accountant_huge_step_gives_finite_json(self, capsys):
+        # one per-step epsilon of 800, past where e^eps overflows
+        assert cli.main(["accountant", "--l-erm", "400", "--intensity", "1", "--n", "1",
+                         "--b", "1", "--delta-prime", "0.5"]) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=lambda c: pytest.fail(c))
+        assert out["composed_thm4"]["epsilon"] > out["leading_thm5"]["epsilon"]
 
     def test_bounds_infinite_eps_gives_beta_m(self, capsys):
         assert cli.main(["bounds", "--eps", "inf", "--delta", "0.1", "--loss-bound", "3",

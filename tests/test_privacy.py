@@ -168,6 +168,17 @@ class TestCompose:
         with pytest.raises(ValueError):
             privacy.compose([-0.1], 1.0, 100)
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_step_composes_to_a_finite_epsilon(self):
+        # e^800 overflows a double; tanh(800 / 2) == 1 does not
+        b = privacy.compose([800.0], 0.5, 1)
+        assert b.epsilon == pytest.approx(math.sqrt(2 * math.log(2) * 800.0 ** 2) + 800.0,
+                                          rel=1e-15)
+
+    def test_nan_epsilon_is_not_a_budget(self):
+        with pytest.raises(ValueError, match="budget"):
+            privacy.PrivacyBudget(float("nan"), 0.1, "composed_thm4")
+
     def test_purity_bitwise(self):
         eps = np.linspace(0.001, 0.3, 50)
         a = privacy.compose(eps, 0.7, 4321).epsilon

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -99,7 +100,7 @@ class TestTrainTwin:
         assert len(ledger.records) == 4
         for r in ledger.records:
             assert abs(r.intensity - 1.0) <= 1e-9
-        assert np.array_equal(ledger.erm_net.flatten(), ledger.adv_net.flatten())
+        assert np.array_equal(ledger.erm.net.flatten(), ledger.adv.net.flatten())
 
     def test_seed_replay_identical(self):
         train, test = small_sets()
@@ -107,15 +108,15 @@ class TestTrainTwin:
         a = training.train_twin(train, test, cfg, hidden=(8,))
         b = training.train_twin(train, test, cfg, hidden=(8,))
         assert a.records == b.records
-        assert np.array_equal(a.adv_net.flatten(), b.adv_net.flatten())
-        assert a.erm_index_digest == b.erm_index_digest
+        assert np.array_equal(a.adv.net.flatten(), b.adv.net.flatten())
+        assert a.erm.index_digest == b.erm.index_digest
 
     def test_lockstep_index_digests_match(self):
         train, test = small_sets()
         ledger = training.train_twin(train, test,
                                      quick_config(attack=AttackSpec(radius=0.1)),
                                      hidden=(8,))
-        assert ledger.erm_index_digest == ledger.adv_index_digest != ""
+        assert ledger.erm.index_digest == ledger.adv.index_digest != ""
 
     def test_ledger_cardinality_floor_t_over_m(self):
         train, test = small_sets()
@@ -156,6 +157,37 @@ class TestTrainTwin:
         ledger = training.train_twin(train, test, cfg, hidden=(8,))
         assert ledger.diverged_at is not None
         assert np.geterr() == before
+
+    def test_train_model_is_the_twin_erm_side_bitwise(self):
+        train, test = small_sets()
+        cfg = quick_config(attack=AttackSpec(radius=0.2))
+        ledger = training.train_twin(train, test, cfg, hidden=(8,))
+        net0 = nn.DenseNet.random((train.dim, 8, train.num_classes), "relu", cfg.seed)
+        erm = training.train_model(train, net0, cfg, AttackSpec())
+        assert erm.net.flatten().tobytes() == ledger.erm.net.flatten().tobytes()
+        assert erm.logged == [(r.t, r.l_erm, r.erm_loss) for r in ledger.records]
+        schedule, h = BatchSchedule(cfg.seed, cfg.batch_size), hashlib.sha256()
+        for t in range(1, cfg.total_iterations + 1):
+            h.update(schedule.indices(t, len(train)).astype("<i8").tobytes())
+        assert erm.index_digest == ledger.erm.index_digest == h.hexdigest()
+        assert erm.diverged_at is None
+
+    def test_adversarial_run_stops_before_the_erm_failure(self):
+        train, test = small_sets()
+        cfg = quick_config(lr_init=1e200, total_iterations=20, log_every=1,
+                           attack=AttackSpec(radius=0.2))
+        ledger = training.train_twin(train, test, cfg, hidden=(8,))
+        erm, adv = ledger.erm, ledger.adv
+        assert erm.diverged_at is not None and adv.diverged_at is None
+        assert ledger.diverged_at == erm.diverged_at
+        # the adversarial run drew the batches of the steps ERM completed, no more
+        schedule, h = BatchSchedule(cfg.seed, cfg.batch_size), hashlib.sha256()
+        for t in range(1, erm.diverged_at):
+            h.update(schedule.indices(t, len(train)).astype("<i8").tobytes())
+        assert adv.index_digest == h.hexdigest()
+        assert [r.t for r in ledger.records] == list(range(1, ledger.diverged_at))
+        for net in (erm.net, adv.net):
+            assert np.isfinite(net.flatten()).all()
 
     def test_batch_size_validated(self):
         train, test = small_sets()
@@ -217,8 +249,8 @@ class TestTrainTwin:
             assert rec.erm_loss == pytest.approx(erm_loss, rel=1e-12)
             assert rec.adv_loss == pytest.approx(adv_loss, rel=1e-12)
 
-        assert ledger.erm_net.flatten() == pytest.approx([w_e, b_e], rel=1e-12)
-        assert ledger.adv_net.flatten() == pytest.approx([w_a, b_a], rel=1e-12)
+        assert ledger.erm.net.flatten() == pytest.approx([w_e, b_e], rel=1e-12)
+        assert ledger.adv.net.flatten() == pytest.approx([w_a, b_a], rel=1e-12)
 
 
 class TestLedgerCsv:
