@@ -34,6 +34,8 @@ across reruns of the same config and seed):
 ``sweep`` reruns a run whose summary.json is missing, unreadable or stale:
 its ``config_digest`` covers every config field except ``seeds``,
 ``output_dir`` and ``workers``, so editing any other field reruns the sweep.
+A failed run still writes summary.json (with ``diverged_at`` or a one-line
+``failure``) and meta.json, so it is not retrained and merges as a failure.
 
 BLAS threads: importing this module sets ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 unless one of
@@ -51,9 +53,10 @@ gradient norm numerically zero), or a logged intensity is exactly zero; for
 unreadable one. 1 also means ``attack`` or ``noise`` got a checkpoint whose
 outputs are not finite, as a diverged run leaves, or ``probe`` met a
 degenerate clean max gradient norm. 2 configuration error, in one ``config
-error:`` line: noise fields that do not fit the data (checked before any
-training; for ``noise``, against the checkpoint's parameter count), a
-``loss_bound`` or ``constant_c`` that is not positive and finite, a
+error:`` line: any value ``ExperimentConfig`` rejects, a ``batch_size`` or
+noise field that does not fit the data, or a ``--rho`` that makes no valid
+attack (``train`` and ``sweep`` exit before any directory or job; ``noise``
+checks its noise fields against the checkpoint's parameter count), a
 checkpoint given to ``attack``, ``noise`` or ``probe`` whose input width
 differs from the data's or that has fewer outputs than the data has
 classes, ``probe`` batch sizes that are not integers in [1, training set
@@ -90,8 +93,6 @@ import platform
 import resource
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,7 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
     started = time.time()
     names = ("train", "noise", "mia", "adv_eval", "writes")
     stages = {"s": dict.fromkeys(names, 0.0), "peak_rss_mb": dict.fromkeys(names)}
+    attack = cfg.attack_spec(rho)
     train_set, test_set = cfg.load_datasets()
     cfg.check_noise(train_set)
     run_dir = run_dir_for(cfg, rho, seed)
@@ -163,9 +165,7 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
 
     loss_spec = cfg.loss_spec()
     with _stage(stages, "train"):
-        ledger = training.train_twin(train_set, test_set, cfg.train_config(rho, seed),
-                                     hidden=cfg.hidden, activation=cfg.activation,
-                                     loss_spec=loss_spec)
+        ledger = training.train_twin(train_set, test_set, cfg, attack, seed, loss_spec)
     with _stage(stages, "writes"):
         training.write_ledger_csv(ledger.records, run_dir / "ledger.csv")
         training.save_checkpoint(ledger.erm.net, run_dir / "erm.ckpt")
@@ -188,22 +188,22 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
         "adv": {"train_acc": ledger.adv_train_acc, "test_acc": ledger.adv_test_acc,
                 "gen_gap": ledger.adv_train_acc - ledger.adv_test_acc},
     }
-    if ledger.diverged_at is not None:
+    good = [r for r in ledger.records if not r.degenerate]
+    zero = [r.t for r in good if r.intensity == 0.0]
+    if ledger.diverged_at is None and not good:
+        summary["failure"] = ("every logged record was degenerate (clean max gradient norm "
+                              "numerically zero), so there is no intensity to account")
+    elif ledger.diverged_at is None and zero:  # is an intensity of 0 valid? not settled yet
+        summary["failure"] = (f"the intensity is 0 (adversarial max gradient norm exactly "
+                              f"zero) at {len(zero)} record(s) from t={zero[0]}; the "
+                              "composite needs > 0")
+    failure = _run_failure(summary)
+    if failure is not None:
         with _stage(stages, "writes"):
             _write_json(run_dir / "summary.json", summary)
         _write_meta(run_dir, started, stages)
-        raise RuntimeError(f"run rho={rho} seed={seed} diverged at t={ledger.diverged_at}")
-
-    good = [r for r in ledger.records if not r.degenerate]
-    if not good:
-        raise intensity.DegenerateDenominatorError(
-            f"run rho={rho} seed={seed}: every logged record was degenerate (clean max "
-            "gradient norm numerically zero), so there is no intensity to account")
-    zero = [r.t for r in good if r.intensity == 0.0]
-    if zero:  # whether an intensity of 0 is a valid value is not settled yet
-        raise intensity.DegenerateDenominatorError(
-            f"run rho={rho} seed={seed}: the intensity is 0 (adversarial max gradient norm "
-            f"exactly zero) at {len(zero)} record(s) from t={zero[0]}; the composite needs > 0")
+        error = RuntimeError if ledger.diverged_at else intensity.DegenerateDenominatorError
+        raise error(f"run rho={rho} seed={seed}: {failure}")
     summary["records"] = len(ledger.records)
     summary["records_skipped"] = len(ledger.records) - len(good)
 
@@ -245,7 +245,7 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
 
     with _stage(stages, "adv_eval"):
         summary["adv_accuracy"] = analysis.adversarial_accuracy(
-            ledger.adv.net, test_set, cfg.attack_spec(rho), loss_spec)
+            ledger.adv.net, test_set, attack, loss_spec)
         # the same model under the sweep's common (largest-radius) attack, so
         # robustness is comparable across runs
         summary["adv_accuracy_common"] = analysis.adversarial_accuracy(
@@ -255,6 +255,13 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
         _write_json(run_dir / "summary.json", summary)
     _write_meta(run_dir, started, stages)
     return summary
+
+
+def _run_failure(summary: dict) -> str | None:
+    """Why a run's summary is no sweep row, or None when it is one."""
+    if summary.get("diverged_at") is not None:
+        return f"diverged at t={summary['diverged_at']}"
+    return summary.get("failure")
 
 
 def _run_job(args) -> tuple[float, int, dict | None, str]:
@@ -267,6 +274,7 @@ def _run_job(args) -> tuple[float, int, dict | None, str]:
 
 def _pool_result(future, job) -> tuple[float, int, dict | None, str]:
     """A job's result; a job that a dead worker left unfinished is a failure."""
+    from concurrent.futures.process import BrokenProcessPool  # only a sweep loads the pool
     try:
         return future.result()
     except BrokenProcessPool as exc:
@@ -390,6 +398,7 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
         if workers == 1:
             results = map(_run_job, jobs)
         else:
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_run_job, job) for job in jobs]
                 results = [_pool_result(future, job) for future, job in zip(futures, jobs)]
@@ -407,14 +416,15 @@ def merge_sweep(cfg: ExperimentConfig, summaries: list[dict],
                 failures: list[str]) -> tuple[list[dict], list[str]]:
     """Write sweep.csv and analysis.json; returns (rows, every failure).
 
-    A summary whose ``diverged_at`` is set is a failure, not a row, so a
-    resumed sweep or a report cannot drop a diverged run silently.
+    A summary that records a failure (``diverged_at`` set, or a ``failure``
+    reason) is a failure, not a row, so a resumed sweep or a report cannot
+    drop a failed run silently.
     """
-    failures = [*failures, *(f"rho={s['rho']} seed={s['seed']}: diverged at t={s['diverged_at']}"
-                             for s in summaries if s.get("diverged_at") is not None)]
+    failures = [*failures, *(f"rho={s['rho']} seed={s['seed']}: {_run_failure(s)}"
+                             for s in summaries if _run_failure(s) is not None)]
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = sweep_rows([s for s in summaries if s.get("diverged_at") is None])
+    rows = sweep_rows([s for s in summaries if _run_failure(s) is None])
     write_sweep_csv(rows, out / "sweep.csv")
     report = analyze_rows(rows) if len(rows) >= 3 else {"rows": len(rows)}
     report["failures"] = sorted(failures)

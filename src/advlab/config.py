@@ -7,6 +7,10 @@ round-trip exactly. Defaults describe the desk-scale experiment: 4-class
 Gaussian blobs in 20 dimensions, a 20-64-64-4 relu net, 2000 SGD
 iterations, and an 8-point attack-radius grid that starts at 0 (the plain
 ERM baseline row).
+
+``ExperimentConfig`` alone decides whether an experiment is valid: its
+``__post_init__`` rejects each value that cannot make a run, and
+``check_noise`` each that does not fit the loaded training set.
 """
 
 from __future__ import annotations
@@ -19,8 +23,7 @@ from dataclasses import dataclass, fields
 
 from .adversarial import AttackSpec
 from .data import LabeledSet, load_csv, split, synth_blobs, write_atomic
-from .nn import LossSpec, param_count
-from .training import TrainConfig
+from .nn import ACTIVATIONS, LossSpec, param_count
 
 
 class ConfigError(ValueError):
@@ -76,8 +79,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown data source {self.source!r}")
         if not self.radius_list:
             raise ConfigError("radius_list must be non-empty")
-        if any(r < 0 for r in self.radius_list):
-            raise ConfigError("radii must be nonnegative")
+        for radius in self.radius_list:  # also checks norm, steps and step_size
+            self.attack_spec(radius)
         if list(self.radius_list) != sorted(set(self.radius_list)):
             raise ConfigError("radius_list must be strictly ascending")
         if self.radius_list[0] != 0.0:
@@ -90,23 +93,34 @@ class ExperimentConfig:
             raise ConfigError("delta_prime must be positive")
         if not (0 < self.loss_bound < math.inf and 0 < self.constant_c < math.inf):
             raise ConfigError("loss_bound and constant_c must be positive and finite")
-        if self.noise_batches < 1:
-            raise ConfigError("noise_batches must be >= 1")
+        floors = {"total_iterations": 1, "log_every": 1, "batch_size": 1, "lr_decay_every": 1,
+                  "noise_batches": 1, "workers": 0}
+        if self.source == "synthetic":
+            floors.update(n_per_class=1, num_classes=1, dim=1, spread=0)
+        for name, floor in floors.items():
+            if getattr(self, name) < floor:
+                raise ConfigError(f"{name} must be >= {floor}")
+        if any(width < 1 for width in self.hidden):
+            raise ConfigError("hidden widths must be >= 1")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"unknown activation {self.activation!r}")
+        pool = self.n_per_class * self.num_classes
+        if self.source == "synthetic" and not 1 <= self.n_train < pool:
+            raise ConfigError(f"n_train must lie in [1, {pool - 1}]")
 
     # derived pieces ----------------------------------------------------
     def loss_spec(self) -> LossSpec:
         return LossSpec(kind="cross_entropy", clip_m=self.loss_bound)
 
     def attack_spec(self, radius: float) -> AttackSpec:
-        return AttackSpec(norm=self.norm, radius=radius, steps=self.steps,
-                          step_size=self.step_size)
+        try:
+            return AttackSpec(norm=self.norm, radius=radius, steps=self.steps,
+                              step_size=self.step_size)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
-    def train_config(self, radius: float, seed: int) -> TrainConfig:
-        return TrainConfig(
-            total_iterations=self.total_iterations, batch_size=self.batch_size,
-            log_every=self.log_every, lr_init=self.lr_init, lr_decay=self.lr_decay,
-            lr_decay_every=self.lr_decay_every, momentum=self.momentum,
-            weight_decay=self.weight_decay, attack=self.attack_spec(radius), seed=seed)
+    def lr(self, t: int) -> float:
+        return self.lr_init * self.lr_decay ** ((t - 1) // self.lr_decay_every)
 
     def load_datasets(self) -> tuple[LabeledSet, LabeledSet]:
         if self.source == "csv":
@@ -120,13 +134,13 @@ class ExperimentConfig:
             return train, test
         pool = synth_blobs(self.n_per_class, self.num_classes, self.dim,
                            self.spread, self.data_seed)
-        if not 1 <= self.n_train < len(pool):
-            raise ConfigError(f"n_train must lie in [1, {len(pool) - 1}]")
         return split(pool, self.n_train, self.data_seed)
 
     def check_noise(self, train: LabeledSet) -> None:
-        """Fit the noise fields to the training set and the net trained on it,
-        which the csv source fixes only once its files are read."""
+        """Fit ``batch_size`` and the noise fields to the training set and the
+        net trained on it, which the csv source fixes only once its files are read."""
+        if self.batch_size > len(train):
+            raise ConfigError(f"batch_size must be <= {len(train)}, the training set size")
         self.check_noise_for(len(train), param_count((train.dim, *self.hidden, train.num_classes)))
 
     def check_noise_for(self, n_train: int, params: int) -> None:

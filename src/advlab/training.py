@@ -1,5 +1,9 @@
 """SGD for one model, and the twin run: an ERM model and an adversarial model.
 
+The trainers read the SGD settings, the step-size schedule ``ExperimentConfig.lr``,
+``hidden`` and ``activation`` from an already validated ``ExperimentConfig``;
+the run's attack, seed and loss are arguments.
+
 :func:`train_model` runs one model's trajectory from a given initial net
 under a given attack: it draws and hashes its own batch schedule and takes
 ``adv_grad`` plus :func:`sgd_step` at each iteration. Every ``log_every``
@@ -35,6 +39,7 @@ import numpy as np
 from . import intensity, nn
 from .adversarial import AttackSpec, adv_grad
 from .attacks import accuracy
+from .config import ExperimentConfig
 from .data import BatchSchedule, LabeledSet, write_atomic, write_csv
 
 CHECKPOINT_MAGIC = b"RPG1"
@@ -48,36 +53,6 @@ class DivergenceError(RuntimeError):
 
 class CheckpointFormatError(ValueError):
     """Checkpoint bytes do not match the documented layout."""
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """SGD settings for one twin run; defaults follow the full-scale recipe
-    (momentum 0.9, weight decay 2e-4, batch 128, lr 0.1 decaying x0.1)."""
-
-    total_iterations: int
-    batch_size: int = 128
-    log_every: int = 20
-    lr_init: float = 0.1
-    lr_decay: float = 0.1
-    lr_decay_every: int = 750
-    momentum: float = 0.9
-    weight_decay: float = 0.0002
-    attack: AttackSpec = AttackSpec()
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.total_iterations < 1:
-            raise ValueError("total_iterations must be >= 1")
-        if self.log_every < 1:
-            raise ValueError("log_every must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.lr_decay_every < 1:
-            raise ValueError("lr_decay_every must be >= 1")
-
-    def lr(self, t: int) -> float:
-        return self.lr_init * self.lr_decay ** ((t - 1) // self.lr_decay_every)
 
 
 @dataclass(frozen=True)
@@ -140,27 +115,27 @@ class RunLedger:
     diverged_at: int | None
 
 
-def train_model(train_set: LabeledSet, net: nn.DenseNet, config: TrainConfig,
-                attack: AttackSpec, loss_spec: nn.LossSpec = nn.LossSpec(),
+def train_model(train_set: LabeledSet, net: nn.DenseNet, cfg: ExperimentConfig,
+                attack: AttackSpec, seed: int, loss_spec: nn.LossSpec = nn.LossSpec(),
                 iterations: int | None = None) -> Trajectory:
-    """The trajectory from ``net`` under ``attack`` for ``iterations`` steps
-    (default ``config.total_iterations``), as the module docstring describes."""
-    if config.batch_size > len(train_set):
+    """The trajectory from ``net`` under ``attack`` and ``seed``'s batch schedule for
+    ``iterations`` steps (default ``cfg.total_iterations``); see the module docstring."""
+    if cfg.batch_size > len(train_set):
         raise ValueError("batch_size exceeds training set size")
     velocity = np.zeros(net.num_params)
-    schedule = BatchSchedule(config.seed, config.batch_size)
+    schedule = BatchSchedule(seed, cfg.batch_size)
     digest, logged, diverged_at = hashlib.sha256(), [], None
-    for t in range(1, (config.total_iterations if iterations is None else iterations) + 1):
+    for t in range(1, (cfg.total_iterations if iterations is None else iterations) + 1):
         idx = schedule.indices(t, len(train_set))
         digest.update(idx.astype("<i8").tobytes())
         g_mean, norms, losses = adv_grad(net, train_set.subset(idx), attack, loss_spec)
         try:
-            net, velocity = sgd_step(net, g_mean, config.lr(t), velocity,
-                                     config.momentum, config.weight_decay)
+            net, velocity = sgd_step(net, g_mean, cfg.lr(t), velocity,
+                                     cfg.momentum, cfg.weight_decay)
         except DivergenceError:
             diverged_at = t
             break
-        if t % config.log_every == 0:
+        if t % cfg.log_every == 0:
             stats = (t, float(norms.max()), float(losses.mean()))
             if not np.isfinite(stats[1:]).all():
                 diverged_at = t
@@ -170,16 +145,16 @@ def train_model(train_set: LabeledSet, net: nn.DenseNet, config: TrainConfig,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def train_twin(train_set: LabeledSet, test_set: LabeledSet, config: TrainConfig,
-               hidden: tuple[int, ...] = (64, 64), activation: str = "relu",
+def train_twin(train_set: LabeledSet, test_set: LabeledSet, cfg: ExperimentConfig,
+               attack: AttackSpec, seed: int,
                loss_spec: nn.LossSpec = nn.LossSpec()) -> RunLedger:
-    """Train the ERM model, then the adversarial one; pair their logged series.
+    """Train the ERM model, then the one under ``attack``; pair their logged series.
     A diverging run overflows before a non-finite value stops it, so numpy's
     overflow and invalid-value warnings are silenced inside this call."""
-    net0 = nn.DenseNet.random((train_set.dim, *hidden, train_set.num_classes), activation,
-                              config.seed)
-    erm = train_model(train_set, net0, config, AttackSpec(), loss_spec)
-    adv = train_model(train_set, net0, config, config.attack, loss_spec,
+    net0 = nn.DenseNet.random((train_set.dim, *cfg.hidden, train_set.num_classes),
+                              cfg.activation, seed)
+    erm = train_model(train_set, net0, cfg, AttackSpec(), seed, loss_spec)
+    adv = train_model(train_set, net0, cfg, attack, seed, loss_spec,
                       None if erm.diverged_at is None else erm.diverged_at - 1)
     records = []
     # zip stops at the shorter series, which ends before either failure

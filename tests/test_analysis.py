@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,11 +117,11 @@ class TestAdversarialAccuracy:
     def trained_pair(self):
         pool = synth_blobs(60, 3, 5, 1.0, seed=31)
         train, test = split(pool, 120, seed=31)
-        from advlab.training import TrainConfig, train_twin
-        cfg = TrainConfig(total_iterations=150, batch_size=24, log_every=50,
-                          lr_init=0.1, lr_decay_every=100,
-                          attack=AttackSpec(norm="linf", radius=0.1), seed=5)
-        ledger = train_twin(train, test, cfg, hidden=(12,))
+        from advlab.config import ExperimentConfig
+        from advlab.training import train_twin
+        cfg = dataclasses.replace(ExperimentConfig(), total_iterations=150, batch_size=24,
+                                  log_every=50, lr_init=0.1, lr_decay_every=100, hidden=(12,))
+        ledger = train_twin(train, test, cfg, AttackSpec(norm="linf", radius=0.1), 5)
         return ledger.adv.net, test
 
     def test_zero_radius_equals_clean_accuracy(self):

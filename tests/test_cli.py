@@ -225,6 +225,26 @@ class TestSweepCommand:
         assert "diverged at t=" in capsys.readouterr().err
         assert json.loads((tmp_path / "runs" / "analysis.json").read_text())["failures"] == failures
 
+    def test_unaccountable_run_stays_a_failure_and_is_not_retrained(
+            self, tmp_path, capsys, monkeypatch):
+        # a loss bound this small clips every loss, so every logged record is degenerate
+        cfg, path = tiny_config(tmp_path, loss_bound=1e-9, radius_list=(0.0,), seeds=(1,))
+        assert cli.main(["sweep", "--config", str(path)]) == 1
+        run = cli.run_dir_for(cfg, 0.0, 1)
+        assert "degenerate" in json.loads((run / "summary.json").read_text())["failure"]
+        assert (run / "meta.json").exists()
+        analysis_json = tmp_path / "runs" / "analysis.json"
+
+        def never(*args, **kwargs):
+            raise AssertionError("retrained a run that left its summary")
+
+        monkeypatch.setattr(training, "train_twin", never)
+        for command in ("sweep", "report"):
+            assert cli.main([command, "--config", str(path)]) == 1
+            assert json.loads(analysis_json.read_text())["failures"] == [
+                f"rho=0.0 seed=1: {json.loads((run / 'summary.json').read_text())['failure']}"]
+            assert (tmp_path / "runs" / "sweep.csv").read_text().count("\n") == 1  # header only
+
     def test_truncated_summary_is_a_failure_then_rerun(self, tmp_path, capsys):
         cfg, path = tiny_config(tmp_path, seeds=(1,))
         assert cli.main(["sweep", "--config", str(path)]) == 0
@@ -317,6 +337,33 @@ class TestNoiseFields:
         assert out == "" and err.count("\n") == 1 and err.startswith("config error: ")
         assert field in err
         assert not Path(cfg.output_dir).exists() and not (tmp_path / "nh.csv").exists()
+
+
+class TestInvalidValues:
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("field, value", [
+        ("total_iterations", "0"), ("log_every", "0"), ("lr_decay_every", "0"),
+        ("batch_size", "0"), ("batch_size", "5000"), ("steps", "-1"), ("norm", "l3"),
+        ("activation", "sigmoid"), ("hidden", "8,0"), ("n_per_class", "0"), ("dim", "0"),
+        ("spread", "-1.0"), ("workers", "-1"),
+    ])
+    def test_is_one_config_error_before_any_directory_or_job(
+            self, tmp_path, capsys, monkeypatch, command, field, value):
+        cfg, path = tiny_config(tmp_path, total_iterations=40, n_per_class=100, n_train=200)
+        text = path.read_text()
+        line = next(line for line in text.splitlines(True) if line.startswith(f"{field} = "))
+        path.write_text(text.replace(line, f"{field} = {value}\n"))
+
+        def never(*args, **kwargs):
+            raise AssertionError("trained despite a config error")
+
+        monkeypatch.setattr(training, "train_twin", never)
+        extra = ["--rho", "0.1"] if command == "train" else []
+        assert cli.main([command, "--config", str(path), *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("config error: ")
+        assert field in err
+        assert not Path(cfg.output_dir).exists()
 
 
 class TestCheckpointCommands:

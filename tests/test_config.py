@@ -108,13 +108,13 @@ class TestDatasets:
         # 30 training rows of 4 features in 3 classes; a 4-8-3 net has 67 parameters
         cfg = dataclasses.replace(config.ExperimentConfig(), source=source, n_per_class=15,
                                   num_classes=3, dim=4, n_train=30, hidden=(8,),
-                                  noise_tau=30, noise_components=67,
+                                  batch_size=30, noise_tau=30, noise_components=67,
                                   train_csv=str(tmp_path / "train.csv"),
                                   test_csv=str(tmp_path / "test.csv"))
         train, _ = cfg.load_datasets()
-        cfg.check_noise(train)  # both at their largest valid value
-        for bad in ({"noise_tau": 31}, {"noise_tau": 0}, {"noise_components": 68},
-                    {"noise_components": 0}):
+        cfg.check_noise(train)  # all three at their largest valid value
+        for bad in ({"batch_size": 31}, {"noise_tau": 31}, {"noise_tau": 0},
+                    {"noise_components": 68}, {"noise_components": 0}):
             with pytest.raises(config.ConfigError, match=next(iter(bad))):
                 dataclasses.replace(cfg, **bad).check_noise(train)
 
@@ -129,14 +129,6 @@ class TestDerivedSpecs:
         cfg = config.ExperimentConfig()
         spec = cfg.attack_spec(0.25)
         assert spec.radius == 0.25 and spec.norm == cfg.norm and spec.steps == cfg.steps
-
-    def test_train_config_assembly(self):
-        cfg = config.ExperimentConfig()
-        t = cfg.train_config(0.1, seed=11)
-        assert t.seed == 11
-        assert t.attack.radius == 0.1
-        assert t.total_iterations == cfg.total_iterations
-        assert t.batch_size == cfg.batch_size
 
     def test_loss_spec_uses_loss_bound(self):
         cfg = config.ExperimentConfig()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -6,9 +7,11 @@ import pytest
 
 from advlab import nn, training
 from advlab.adversarial import AttackSpec
+from advlab.config import ExperimentConfig
 from advlab.data import BatchSchedule, LabeledSet, split, synth_blobs
 
 SQUARED = nn.LossSpec(kind="squared", clip_m=1e6)
+SEED = 3
 
 
 def small_sets(seed=9):
@@ -18,10 +21,9 @@ def small_sets(seed=9):
 
 def quick_config(**kw):
     base = dict(total_iterations=40, batch_size=16, log_every=10, lr_init=0.05,
-                lr_decay=0.1, lr_decay_every=30, momentum=0.9, weight_decay=0.0002,
-                attack=AttackSpec(radius=0.0), seed=3)
+                lr_decay=0.1, lr_decay_every=30, momentum=0.9, weight_decay=0.0002)
     base.update(kw)
-    return training.TrainConfig(**base)
+    return dataclasses.replace(ExperimentConfig(), **base)
 
 
 class TestSgdStep:
@@ -96,7 +98,7 @@ class TestLrSchedule:
 class TestTrainTwin:
     def test_rho_zero_collapse(self):
         train, test = small_sets()
-        ledger = training.train_twin(train, test, quick_config(), hidden=(8,))
+        ledger = training.train_twin(train, test, quick_config(hidden=(8,)), AttackSpec(), SEED)
         assert len(ledger.records) == 4
         for r in ledger.records:
             assert abs(r.intensity - 1.0) <= 1e-9
@@ -104,32 +106,30 @@ class TestTrainTwin:
 
     def test_seed_replay_identical(self):
         train, test = small_sets()
-        cfg = quick_config(attack=AttackSpec(norm="linf", radius=0.2))
-        a = training.train_twin(train, test, cfg, hidden=(8,))
-        b = training.train_twin(train, test, cfg, hidden=(8,))
+        cfg, attack = quick_config(hidden=(8,)), AttackSpec(norm="linf", radius=0.2)
+        a = training.train_twin(train, test, cfg, attack, SEED)
+        b = training.train_twin(train, test, cfg, attack, SEED)
         assert a.records == b.records
         assert np.array_equal(a.adv.net.flatten(), b.adv.net.flatten())
         assert a.erm.index_digest == b.erm.index_digest
 
     def test_lockstep_index_digests_match(self):
         train, test = small_sets()
-        ledger = training.train_twin(train, test,
-                                     quick_config(attack=AttackSpec(radius=0.1)),
-                                     hidden=(8,))
+        ledger = training.train_twin(train, test, quick_config(hidden=(8,)),
+                                     AttackSpec(radius=0.1), SEED)
         assert ledger.erm.index_digest == ledger.adv.index_digest != ""
 
     def test_ledger_cardinality_floor_t_over_m(self):
         train, test = small_sets()
         ledger = training.train_twin(train, test,
-                                     quick_config(total_iterations=45, log_every=10),
-                                     hidden=(4,))
+                                     quick_config(total_iterations=45, log_every=10, hidden=(4,)),
+                                     AttackSpec(), SEED)
         assert len(ledger.records) == 4  # floor(45/10)
 
     def test_recorded_norms_finite_and_positive(self):
         train, test = small_sets()
-        ledger = training.train_twin(train, test,
-                                     quick_config(attack=AttackSpec(radius=0.15)),
-                                     hidden=(8,))
+        ledger = training.train_twin(train, test, quick_config(hidden=(8,)),
+                                     AttackSpec(radius=0.15), SEED)
         for r in ledger.records:
             assert math.isfinite(r.l_erm) and r.l_erm > 0
             assert math.isfinite(r.l_adv) and r.l_adv > 0
@@ -137,15 +137,15 @@ class TestTrainTwin:
 
     def test_accuracies_populated(self):
         train, test = small_sets()
-        ledger = training.train_twin(train, test, quick_config(), hidden=(8,))
+        ledger = training.train_twin(train, test, quick_config(hidden=(8,)), AttackSpec(), SEED)
         for acc in (ledger.erm_train_acc, ledger.erm_test_acc,
                     ledger.adv_train_acc, ledger.adv_test_acc):
             assert 0.0 <= acc <= 1.0
 
     def test_divergence_marked_not_raised(self):
         train, test = small_sets()
-        cfg = quick_config(lr_init=1e200, total_iterations=20, log_every=1)
-        ledger = training.train_twin(train, test, cfg, hidden=(8,))
+        cfg = quick_config(lr_init=1e200, total_iterations=20, log_every=1, hidden=(8,))
+        ledger = training.train_twin(train, test, cfg, AttackSpec(), SEED)
         assert ledger.diverged_at is not None
         assert len(ledger.records) < 20
 
@@ -153,20 +153,20 @@ class TestTrainTwin:
     def test_divergence_is_quiet_and_leaves_error_state_alone(self):
         train, test = small_sets()
         before = np.geterr()
-        cfg = quick_config(lr_init=1e200, total_iterations=20, log_every=1)
-        ledger = training.train_twin(train, test, cfg, hidden=(8,))
+        cfg = quick_config(lr_init=1e200, total_iterations=20, log_every=1, hidden=(8,))
+        ledger = training.train_twin(train, test, cfg, AttackSpec(), SEED)
         assert ledger.diverged_at is not None
         assert np.geterr() == before
 
     def test_train_model_is_the_twin_erm_side_bitwise(self):
         train, test = small_sets()
-        cfg = quick_config(attack=AttackSpec(radius=0.2))
-        ledger = training.train_twin(train, test, cfg, hidden=(8,))
-        net0 = nn.DenseNet.random((train.dim, 8, train.num_classes), "relu", cfg.seed)
-        erm = training.train_model(train, net0, cfg, AttackSpec())
+        cfg = quick_config(hidden=(8,))
+        ledger = training.train_twin(train, test, cfg, AttackSpec(radius=0.2), SEED)
+        net0 = nn.DenseNet.random((train.dim, 8, train.num_classes), "relu", SEED)
+        erm = training.train_model(train, net0, cfg, AttackSpec(), SEED)
         assert erm.net.flatten().tobytes() == ledger.erm.net.flatten().tobytes()
         assert erm.logged == [(r.t, r.l_erm, r.erm_loss) for r in ledger.records]
-        schedule, h = BatchSchedule(cfg.seed, cfg.batch_size), hashlib.sha256()
+        schedule, h = BatchSchedule(SEED, cfg.batch_size), hashlib.sha256()
         for t in range(1, cfg.total_iterations + 1):
             h.update(schedule.indices(t, len(train)).astype("<i8").tobytes())
         assert erm.index_digest == ledger.erm.index_digest == h.hexdigest()
@@ -174,14 +174,13 @@ class TestTrainTwin:
 
     def test_adversarial_run_stops_before_the_erm_failure(self):
         train, test = small_sets()
-        cfg = quick_config(lr_init=1e200, total_iterations=20, log_every=1,
-                           attack=AttackSpec(radius=0.2))
-        ledger = training.train_twin(train, test, cfg, hidden=(8,))
+        cfg = quick_config(lr_init=1e200, total_iterations=20, log_every=1, hidden=(8,))
+        ledger = training.train_twin(train, test, cfg, AttackSpec(radius=0.2), SEED)
         erm, adv = ledger.erm, ledger.adv
         assert erm.diverged_at is not None and adv.diverged_at is None
         assert ledger.diverged_at == erm.diverged_at
         # the adversarial run drew the batches of the steps ERM completed, no more
-        schedule, h = BatchSchedule(cfg.seed, cfg.batch_size), hashlib.sha256()
+        schedule, h = BatchSchedule(SEED, cfg.batch_size), hashlib.sha256()
         for t in range(1, erm.diverged_at):
             h.update(schedule.indices(t, len(train)).astype("<i8").tobytes())
         assert adv.index_digest == h.hexdigest()
@@ -192,19 +191,18 @@ class TestTrainTwin:
     def test_batch_size_validated(self):
         train, test = small_sets()
         with pytest.raises(ValueError, match="exceeds"):
-            training.train_twin(train, test, quick_config(batch_size=1000))
+            training.train_twin(train, test, quick_config(batch_size=1000), AttackSpec(), SEED)
 
     def test_two_step_hand_trace(self):
         """Full ledger of a 2-iteration twin run reproduced in plain python."""
         x = [0.5, 2.0]
         ds = LabeledSet(np.array([[x[0]], [x[1]]]), np.array([0, 0]), 1)
         rho, alpha, steps, lr = 0.25, 0.0625, 8, 0.05
-        cfg = training.TrainConfig(
-            total_iterations=2, batch_size=2, log_every=1, lr_init=lr,
-            lr_decay=1.0, lr_decay_every=1, momentum=0.0, weight_decay=0.0,
-            attack=AttackSpec(norm="linf", radius=rho, steps=steps, step_size=alpha),
-            seed=17)
-        ledger = training.train_twin(ds, ds, cfg, hidden=(), loss_spec=SQUARED)
+        cfg = dataclasses.replace(
+            ExperimentConfig(), total_iterations=2, batch_size=2, log_every=1, lr_init=lr,
+            lr_decay=1.0, lr_decay_every=1, momentum=0.0, weight_decay=0.0, hidden=())
+        attack = AttackSpec(norm="linf", radius=rho, steps=steps, step_size=alpha)
+        ledger = training.train_twin(ds, ds, cfg, attack, 17, loss_spec=SQUARED)
 
         # oracle: straight-line float trace sharing only the init and the
         # batch schedule contract (batch of size 2 == the whole set)
@@ -256,9 +254,8 @@ class TestTrainTwin:
 class TestLedgerCsv:
     def test_round_trip(self, tmp_path):
         train, test = small_sets()
-        ledger = training.train_twin(train, test,
-                                     quick_config(attack=AttackSpec(radius=0.1)),
-                                     hidden=(8,))
+        ledger = training.train_twin(train, test, quick_config(hidden=(8,)),
+                                     AttackSpec(radius=0.1), SEED)
         p = tmp_path / "ledger.csv"
         training.write_ledger_csv(ledger.records, p)
         header, *rows = p.read_text().splitlines()
