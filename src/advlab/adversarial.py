@@ -14,6 +14,7 @@ the norm ball.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,12 +42,12 @@ class AttackSpec:
     def __post_init__(self):
         if self.norm not in NORMS:
             raise ValueError(f"unknown norm {self.norm!r}")
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
+        if not 0 <= self.radius < math.inf:
+            raise ValueError(f"radius must be finite and nonnegative, got {self.radius!r}")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
-        if self.step_size is not None and not self.step_size > 0:
-            raise ValueError("step_size must be positive when given")
+        if self.step_size is not None and not 0 < self.step_size < math.inf:
+            raise ValueError("step_size must be positive and finite when given")
 
     @property
     def alpha(self) -> float:

@@ -46,24 +46,26 @@ is not loaded yet; ``numpy_preloaded`` in meta.json says whether it was.
 On one thread, large products also sum in one order, so the artifacts do
 not depend on the machine's core count.
 
-Exit codes: 0 success; 1 a run failed, in one ``error:`` or ``run failed:``
-line: it diverged, its logged records are all degenerate (every clean max
-gradient norm numerically zero), or a logged intensity is exactly zero; for
-``sweep`` also a run lost with a dead worker, for ``report`` a stale or
+Exit codes: 0 success; 1 an error, in one ``error:`` line (``sweep`` and
+``report`` print one ``rho=R seed=S: <why>`` line per failed run): a run
+diverged, its logged records are all degenerate (every clean max gradient
+norm numerically zero), or a logged intensity is exactly zero; for ``sweep``
+also a run that raised or lost its worker, for ``report`` a stale or
 unreadable one. 1 also means ``attack`` or ``noise`` got a checkpoint whose
 outputs are not finite, as a diverged run leaves, or ``probe`` met a
 degenerate clean max gradient norm. 2 configuration error, in one ``config
-error:`` line: any value ``ExperimentConfig`` rejects, a ``batch_size`` or
-noise field that does not fit the data, or a ``--rho`` that makes no valid
-attack (``train`` and ``sweep`` exit before any directory or job; ``noise``
-checks its noise fields against the checkpoint's parameter count), a
-checkpoint given to ``attack``, ``noise`` or ``probe`` whose input width
-differs from the data's or that has fewer outputs than the data has
+error:`` line: any value ``ExperimentConfig`` rejects (a non-finite number
+or a seed outside [0, 2**128) among them), a ``batch_size``, ``delta_prime``
+or noise field that does not fit the data, or a ``--rho`` or ``--seed`` that
+makes no valid run (``train`` and ``sweep`` exit before any directory or
+job; ``noise`` checks its noise fields against the checkpoint's parameter
+count), a checkpoint given to ``attack``, ``noise`` or ``probe`` whose input
+width differs from the data's or that has fewer outputs than the data has
 classes, ``probe`` batch sizes that are not integers in [1, training set
 size] or ``--repeats`` below 1 (checked before any gradient work), and
 invalid ``accountant`` and ``bounds`` arguments, among them a nan or
-infinite ``accountant`` statistic, a scalar-mode ``--iterations`` below 1,
-a ``bounds --eps`` of nan, and a ``--loss-bound`` or ``--c`` that is not
+infinite ``accountant`` statistic, a scalar-mode ``--iterations`` below 1, a
+``bounds --eps`` of nan, and a ``--loss-bound`` or ``--c`` that is not
 positive and finite.
 """
 
@@ -98,7 +100,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, attacks, bounds, intensity, nn, privacy, training
-from .config import ConfigError, ExperimentConfig, config_digest, load_config, to_ini
+from .config import ConfigError, ExperimentConfig, check_seed, config_digest, load_config, to_ini
 from .data import CsvFormatError, LabeledSet, _csv_rows, write_atomic, write_csv
 
 VERSIONS = {"advlab": __version__, "numpy": np.__version__,
@@ -134,11 +136,15 @@ def _stage(stages: dict, name: str):
         stages["peak_rss_mb"][name] = _max_rss_mb()
 
 
-def _write_meta(run_dir: Path, started: float, stages: dict) -> None:
+def _write_run(run_dir: Path, started: float, stages: dict, summary: dict) -> dict:
+    """Write a run's summary.json, then its meta.json; returns the summary."""
+    with _stage(stages, "writes"):
+        _write_json(run_dir / "summary.json", summary)
     _write_json(run_dir / "meta.json", {
         "started": started, "finished": time.time(), "stages_s": stages["s"],
         "stage_peak_rss_mb": stages["peak_rss_mb"], "max_rss_mb": _max_rss_mb(),
         "blas_env": BLAS_ENV, "numpy_preloaded": NUMPY_PRELOADED, "versions": VERSIONS})
+    return summary
 
 
 def run_dir_for(cfg: ExperimentConfig, rho: float, seed: int) -> Path:
@@ -153,11 +159,16 @@ def _budget_json(b: privacy.PrivacyBudget | None) -> dict | None:
 
 
 def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
-    """Full per-run pipeline: train, measure, account, bound, attack, persist."""
+    """Full per-run pipeline: train, measure, account, bound, attack, persist.
+
+    Returns the summary it writes. A run that diverged or has no intensity
+    to account stops after training, with ``diverged_at`` or ``failure`` set.
+    """
     started = time.time()
     names = ("train", "noise", "mia", "adv_eval", "writes")
     stages = {"s": dict.fromkeys(names, 0.0), "peak_rss_mb": dict.fromkeys(names)}
     attack = cfg.attack_spec(rho)
+    check_seed("seed", seed)
     train_set, test_set = cfg.load_datasets()
     cfg.check_noise(train_set)
     run_dir = run_dir_for(cfg, rho, seed)
@@ -197,13 +208,8 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
         summary["failure"] = (f"the intensity is 0 (adversarial max gradient norm exactly "
                               f"zero) at {len(zero)} record(s) from t={zero[0]}; the "
                               "composite needs > 0")
-    failure = _run_failure(summary)
-    if failure is not None:
-        with _stage(stages, "writes"):
-            _write_json(run_dir / "summary.json", summary)
-        _write_meta(run_dir, started, stages)
-        error = RuntimeError if ledger.diverged_at else intensity.DegenerateDenominatorError
-        raise error(f"run rho={rho} seed={seed}: {failure}")
+    if _run_failure(summary) is not None:  # nothing to account; summary.json says why
+        return _write_run(run_dir, started, stages, summary)
     summary["records"] = len(ledger.records)
     summary["records_skipped"] = len(ledger.records) - len(good)
 
@@ -251,35 +257,38 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
         summary["adv_accuracy_common"] = analysis.adversarial_accuracy(
             ledger.adv.net, test_set, cfg.attack_spec(cfg.radius_list[-1]), loss_spec)
 
-    with _stage(stages, "writes"):
-        _write_json(run_dir / "summary.json", summary)
-    _write_meta(run_dir, started, stages)
-    return summary
+    return _write_run(run_dir, started, stages, summary)
 
 
 def _run_failure(summary: dict) -> str | None:
-    """Why a run's summary is no sweep row, or None when it is one."""
+    """``rho=R seed=S: <why>`` when a run's summary is no sweep row, else None."""
+    why = summary.get("failure")
     if summary.get("diverged_at") is not None:
-        return f"diverged at t={summary['diverged_at']}"
-    return summary.get("failure")
+        why = f"diverged at t={summary['diverged_at']}"
+    return None if why is None else f"rho={summary['rho']} seed={summary['seed']}: {why}"
 
 
-def _run_job(args) -> tuple[float, int, dict | None, str]:
+def _failed(rho: float, seed: int, why: str) -> dict:
+    """The summary of a run that left none of its own."""
+    return {"rho": rho, "seed": seed, "failure": why}
+
+
+def _run_job(args) -> dict:
     cfg, rho, seed = args
     try:
-        return rho, seed, run_experiment(cfg, rho, seed), ""
+        return run_experiment(cfg, rho, seed)
     except Exception:
-        return rho, seed, None, traceback.format_exc()
+        return _failed(rho, seed, traceback.format_exc().rstrip())
 
 
-def _pool_result(future, job) -> tuple[float, int, dict | None, str]:
-    """A job's result; a job that a dead worker left unfinished is a failure."""
+def _pool_result(future, job) -> dict:
+    """A job's summary; a job that a dead worker left unfinished is a failure."""
     from concurrent.futures.process import BrokenProcessPool  # only a sweep loads the pool
     try:
         return future.result()
     except BrokenProcessPool as exc:
         _, rho, seed = job
-        return rho, seed, None, f"worker process died before this run finished: {exc}"
+        return _failed(rho, seed, f"worker process died before this run finished: {exc}")
 
 
 def sweep_rows(summaries: list[dict]) -> list[dict]:
@@ -356,8 +365,8 @@ def _load_summaries(cfg: ExperimentConfig) -> tuple[list[dict], dict[tuple, str 
 
     Returns (summaries, unfinished). ``unfinished`` maps each (rho, seed)
     pair without a current summary, in sweep order, to None when its
-    summary.json is missing and to a failure message when it cannot be
-    parsed or was written under a config with another digest.
+    summary.json is missing and to the reason when it cannot be parsed or
+    was written under a config with another digest.
     """
     digest = config_digest(cfg)
     summaries, unfinished = [], {}
@@ -369,13 +378,12 @@ def _load_summaries(cfg: ExperimentConfig) -> tuple[list[dict], dict[tuple, str 
             except FileNotFoundError:
                 unfinished[rho, seed] = None
             except ValueError as exc:  # truncated or corrupt JSON
-                unfinished[rho, seed] = f"rho={rho} seed={seed}: unreadable {path}: {exc}"
+                unfinished[rho, seed] = f"unreadable {path}: {exc}"
             else:
                 if summary.get("config_digest") == digest:
                     summaries.append(summary)
                 else:
-                    unfinished[rho, seed] = (f"rho={rho} seed={seed}: stale {path}: "
-                                             "written under another config")
+                    unfinished[rho, seed] = f"stale {path}: written under another config"
     return summaries, unfinished
 
 
@@ -385,43 +393,35 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
     A run whose summary.json is missing, unreadable or stale (another
     config digest) is unfinished and runs again. A worker that dies fails
     each run it left unfinished, and the merge still runs. Returns
-    (summaries, failure messages). Each run writes only inside its own
-    directory; the merge below is single-threaded. A config error is raised
-    before any run starts.
+    (summaries, failed runs' too; failure messages). Each run writes only
+    inside its own directory; the merge below is single-threaded. A config
+    error is raised before any run starts.
     """
     cfg.check_noise(cfg.load_datasets()[0])
     summaries, unfinished = _load_summaries(cfg)
     jobs = [(cfg, rho, seed) for rho, seed in unfinished]
-    failures = []
     if jobs:
         workers = cfg.workers or min(len(jobs), os.cpu_count() or 1)
         if workers == 1:
-            results = map(_run_job, jobs)
+            summaries.extend(map(_run_job, jobs))
         else:
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_run_job, job) for job in jobs]
-                results = [_pool_result(future, job) for future, job in zip(futures, jobs)]
-        for rho, seed, summary, err in results:
-            if summary is None:
-                failures.append(f"rho={rho} seed={seed}:\n{err}")
-            else:
-                summaries.append(summary)
+                summaries.extend(_pool_result(future, job) for future, job in zip(futures, jobs))
 
-    _, failures = merge_sweep(cfg, summaries, failures)
+    _, failures = merge_sweep(cfg, summaries)
     return summaries, failures
 
 
-def merge_sweep(cfg: ExperimentConfig, summaries: list[dict],
-                failures: list[str]) -> tuple[list[dict], list[str]]:
+def merge_sweep(cfg: ExperimentConfig, summaries: list[dict]) -> tuple[list[dict], list[str]]:
     """Write sweep.csv and analysis.json; returns (rows, every failure).
 
     A summary that records a failure (``diverged_at`` set, or a ``failure``
     reason) is a failure, not a row, so a resumed sweep or a report cannot
     drop a failed run silently.
     """
-    failures = [*failures, *(f"rho={s['rho']} seed={s['seed']}: {_run_failure(s)}"
-                             for s in summaries if _run_failure(s) is not None)]
+    failures = [f for f in map(_run_failure, summaries) if f is not None]
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = sweep_rows([s for s in summaries if _run_failure(s) is None])
@@ -440,6 +440,9 @@ def _cmd_train(args) -> int:
     rho = args.rho if args.rho is not None else cfg.radius_list[0]
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     summary = run_experiment(cfg, rho, seed)
+    if (failure := _run_failure(summary)) is not None:
+        print(f"error: run {failure}", file=sys.stderr)
+        return 1
     print(json.dumps(summary, sort_keys=True, indent=2))
     return 0
 
@@ -458,7 +461,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_report(args) -> int:
     cfg = load_config(args.config)
     summaries, unfinished = _load_summaries(cfg)
-    rows, failures = merge_sweep(cfg, summaries, [m for m in unfinished.values() if m])
+    rows, failures = merge_sweep(cfg, summaries + [
+        _failed(rho, seed, why) for (rho, seed), why in unfinished.items() if why])
     for f in failures:
         print(f, file=sys.stderr)
     print(f"merged {len(rows)} runs into {Path(cfg.output_dir) / 'sweep.csv'}")
@@ -542,6 +546,7 @@ def _cmd_attack(args) -> int:
 
 def _cmd_noise(args) -> int:
     cfg = load_config(args.config)
+    check_seed("--seed", args.seed)
     train_set, _ = cfg.load_datasets()
     net = _load_checkpoint_for(args.checkpoint, train_set)
     cfg.check_noise_for(len(train_set), net.num_params)
@@ -559,6 +564,7 @@ def _cmd_noise(args) -> int:
 
 def _cmd_probe(args) -> int:
     cfg = load_config(args.config)
+    check_seed("--seed", args.seed)
     train_set, _ = cfg.load_datasets()
     n = len(train_set)
     try:
@@ -667,9 +673,6 @@ def main(argv=None) -> int:
             training.DivergenceError, privacy.DegenerateNoiseError,
             intensity.DegenerateDenominatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
         return 1
 
 

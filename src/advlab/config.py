@@ -9,8 +9,9 @@ iterations, and an 8-point attack-radius grid that starts at 0 (the plain
 ERM baseline row).
 
 ``ExperimentConfig`` alone decides whether an experiment is valid: its
-``__post_init__`` rejects each value that cannot make a run, and
-``check_noise`` each that does not fit the loaded training set.
+``__post_init__`` rejects each value that cannot make a run (among them
+every non-finite number and every seed that cannot key a Philox stream),
+and ``check_noise`` each that does not fit the loaded training set.
 """
 
 from __future__ import annotations
@@ -24,10 +25,17 @@ from dataclasses import dataclass, fields
 from .adversarial import AttackSpec
 from .data import LabeledSet, load_csv, split, synth_blobs, write_atomic
 from .nn import ACTIVATIONS, LossSpec, param_count
+from .rng import SEED_LIMIT
 
 
 class ConfigError(ValueError):
     """Invalid or unparsable experiment configuration."""
+
+
+def check_seed(name: str, seed: int) -> None:
+    """Reject a seed that cannot key a Philox stream."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise ConfigError(f"{name} must lie in [0, 2**128), got {seed}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +85,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.source not in ("synthetic", "csv"):
             raise ConfigError(f"unknown data source {self.source!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(f"{f.name} must be finite, got {v!r}")
+        check_seed("data_seed", self.data_seed)
+        for seed in self.seeds:
+            check_seed("seeds", seed)
         if not self.radius_list:
             raise ConfigError("radius_list must be non-empty")
         for radius in self.radius_list:  # also checks norm, steps and step_size
@@ -87,12 +103,14 @@ class ExperimentConfig:
             raise ConfigError("radius_list must include 0 (the ERM baseline row)")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):  # a run directory per (rho, seed)
+            raise ConfigError("seeds must be distinct")
         if not all(0 < g < 1 for g in self.gamma_list) or not self.gamma_list:
             raise ConfigError("gamma values must lie in (0, 1)")
         if not 0 < self.delta_prime:
             raise ConfigError("delta_prime must be positive")
-        if not (0 < self.loss_bound < math.inf and 0 < self.constant_c < math.inf):
-            raise ConfigError("loss_bound and constant_c must be positive and finite")
+        if not (0 < self.loss_bound and 0 < self.constant_c):
+            raise ConfigError("loss_bound and constant_c must be positive")
         floors = {"total_iterations": 1, "log_every": 1, "batch_size": 1, "lr_decay_every": 1,
                   "noise_batches": 1, "workers": 0}
         if self.source == "synthetic":
@@ -137,15 +155,17 @@ class ExperimentConfig:
         return split(pool, self.n_train, self.data_seed)
 
     def check_noise(self, train: LabeledSet) -> None:
-        """Fit ``batch_size`` and the noise fields to the training set and the
+        """Fit ``batch_size`` and the privacy fields to the training set and the
         net trained on it, which the csv source fixes only once its files are read."""
         if self.batch_size > len(train):
             raise ConfigError(f"batch_size must be <= {len(train)}, the training set size")
         self.check_noise_for(len(train), param_count((train.dim, *self.hidden, train.num_classes)))
 
     def check_noise_for(self, n_train: int, params: int) -> None:
-        """Fit the noise fields to an ``n_train``-row training set and the
+        """Fit the privacy fields to an ``n_train``-row training set and the
         ``params`` parameters of the net the noise is collected on."""
+        if not self.delta_prime < n_train:
+            raise ConfigError(f"delta_prime must lie in (0, {n_train}), the training set size")
         if not 1 <= self.noise_tau <= n_train:
             raise ConfigError(f"noise_tau must lie in [1, {n_train}], the training set size")
         if not 1 <= self.noise_components <= params:

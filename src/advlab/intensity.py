@@ -33,7 +33,7 @@ DEGENERATE_GRAD_FLOOR = 1e-30
 
 class DegenerateDenominatorError(ValueError):
     """No intensity to use: a clean max gradient norm is numerically zero
-    (training converged), or a run's logged intensity is exactly zero."""
+    (training converged)."""
 
 
 def single_intensity(l_adv: float, l_erm: float) -> float:

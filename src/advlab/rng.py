@@ -1,9 +1,9 @@
 """Deterministic random streams built on the Philox counter-based generator.
 
 Every random draw in this package comes from numpy's Philox4x64 bit
-generator, keyed by a user-supplied 64-bit seed. Independent uses of the
-same seed are separated by placing each use at a distinct start position in
-Philox's 256-bit counter space:
+generator, keyed by a user-supplied seed in [0, 2**128). Independent uses
+of the same seed are separated by placing each use at a distinct start
+position in Philox's 256-bit counter space:
 
     counter = domain << 128 | step << 64
 
@@ -18,6 +18,8 @@ triple reproduces the exact same values on every platform.
 from __future__ import annotations
 
 import numpy as np
+
+SEED_LIMIT = 1 << 128  # a Philox key is 128 bits
 
 DOMAIN_BATCH = 0
 DOMAIN_INIT = 1

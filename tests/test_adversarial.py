@@ -42,6 +42,13 @@ class TestAttackSpec:
         with pytest.raises(ValueError):
             adversarial.AttackSpec(steps=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("radius", float("nan")), ("radius", float("inf")),
+        ("step_size", float("nan")), ("step_size", float("inf"))])
+    def test_non_finite_radius_or_step_size_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            adversarial.AttackSpec(**{field: value})
+
 
 class TestProject:
     def test_point_inside_unchanged(self):

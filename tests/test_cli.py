@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from advlab import attacks, cli, config, intensity, nn, training
+from advlab import attacks, cli, config, intensity, nn, privacy, training
 
 # frozen oracle value shared with test_privacy: compose([0.1], N/delta'=100)
 COMPOSE_HAND = 0.30848126337324882
@@ -28,6 +28,19 @@ def tiny_config(tmp_path, **overrides):
     path = tmp_path / "exp.ini"
     config.save_config(cfg, path)
     return cfg, path
+
+
+def kill_the_adversary(monkeypatch):
+    """Train twins whose second logged record has a dead adversarial net: a
+    max gradient norm, so an intensity, of exactly 0."""
+    train_twin = training.train_twin
+
+    def dead_adversary(*args, **kwargs):
+        ledger = train_twin(*args, **kwargs)
+        ledger.records[1] = dataclasses.replace(ledger.records[1], l_adv=0.0, intensity=0.0)
+        return ledger
+
+    monkeypatch.setattr(training, "train_twin", dead_adversary)
 
 
 class TestTrainCommand:
@@ -85,22 +98,25 @@ class TestTrainCommand:
         assert len(failures) == 2 and all("degenerate" in f for f in failures)
 
     def test_zero_intensity_run_is_one_line_error_exit_1(self, tmp_path, capsys, monkeypatch):
-        # a dead adversarial net has a max gradient norm, so an intensity, of exactly 0
         cfg, path = tiny_config(tmp_path, radius_list=(0.0,), seeds=(1,))
-        train_twin = training.train_twin
-
-        def dead_adversary(*args, **kwargs):
-            ledger = train_twin(*args, **kwargs)
-            ledger.records[1] = dataclasses.replace(ledger.records[1], l_adv=0.0, intensity=0.0)
-            return ledger
-
-        monkeypatch.setattr(training, "train_twin", dead_adversary)
+        kill_the_adversary(monkeypatch)
         assert cli.main(["train", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:") and "intensity is 0" in err
         assert cli.main(["sweep", "--config", str(path)]) == 1
         failures = json.loads((Path(cfg.output_dir) / "analysis.json").read_text())["failures"]
         assert len(failures) == 1 and "intensity is 0" in failures[0]
+
+    def test_diverged_run_is_one_error_line_and_still_writes_its_summary(self, tmp_path, capsys):
+        cfg, path = tiny_config(tmp_path, lr_init=1e200)
+        assert cli.main(["train", "--config", str(path), "--rho", "0.15", "--seed", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: run rho=0.15 seed=1: diverged at t=")
+        run = cli.run_dir_for(cfg, 0.15, 1)
+        summary = json.loads((run / "summary.json").read_text())
+        assert summary["diverged_at"] is not None and (run / "meta.json").exists()
+        assert cli.run_experiment(cfg, 0.15, 1) == summary  # returned, not raised
 
     def test_erm_side_does_not_depend_on_the_radius(self, tmp_path, capsys):
         cfg, path = tiny_config(tmp_path)
@@ -245,6 +261,24 @@ class TestSweepCommand:
                 f"rho=0.0 seed=1: {json.loads((run / 'summary.json').read_text())['failure']}"]
             assert (tmp_path / "runs" / "sweep.csv").read_text().count("\n") == 1  # header only
 
+    @pytest.mark.parametrize("kind", ["diverged", "degenerate", "zero_intensity"])
+    def test_failure_reads_the_same_on_first_sweep_resume_and_report(
+            self, tmp_path, capsys, monkeypatch, kind):
+        overrides = {"diverged": {"lr_init": 1e200}, "degenerate": {"loss_bound": 1e-9},
+                     "zero_intensity": {}}[kind]
+        cfg, path = tiny_config(tmp_path, radius_list=(0.0,), seeds=(1,), **overrides)
+        if kind == "zero_intensity":
+            kill_the_adversary(monkeypatch)
+        analysis_json = Path(cfg.output_dir) / "analysis.json"
+        seen = []
+        for command in ("sweep", "sweep", "report"):
+            assert cli.main([command, "--config", str(path)]) == 1
+            seen.append((analysis_json.read_bytes(), capsys.readouterr().err))
+        assert seen[0] == seen[1] == seen[2]
+        failures = json.loads(seen[0][0])["failures"]
+        assert len(failures) == 1 and seen[0][1] == failures[0] + "\n"
+        assert failures[0].startswith("rho=0.0 seed=1: ") and "Traceback" not in failures[0]
+
     def test_truncated_summary_is_a_failure_then_rerun(self, tmp_path, capsys):
         cfg, path = tiny_config(tmp_path, seeds=(1,))
         assert cli.main(["sweep", "--config", str(path)]) == 0
@@ -320,6 +354,7 @@ class TestNoiseFields:
     @pytest.mark.parametrize("field, value", [
         ("noise_tau", 61),  # n_train + 1
         ("noise_components", 68),  # the 4-8-3 net has 67 parameters
+        ("delta_prime", 60.0),  # ln(n_train / delta_prime) must be positive
     ])
     def test_outside_the_data_is_config_error_before_training(
             self, tmp_path, capsys, monkeypatch, command, field, value):
@@ -346,6 +381,10 @@ class TestInvalidValues:
         ("batch_size", "0"), ("batch_size", "5000"), ("steps", "-1"), ("norm", "l3"),
         ("activation", "sigmoid"), ("hidden", "8,0"), ("n_per_class", "0"), ("dim", "0"),
         ("spread", "-1.0"), ("workers", "-1"),
+        ("lr_init", "nan"), ("weight_decay", "nan"), ("lr_decay", "nan"), ("momentum", "inf"),
+        ("spread", "inf"), ("radius_list", "0.0,nan"), ("step_size", "inf"),
+        ("delta_prime", "inf"), ("seeds", "-1"), ("seeds", str(2 ** 128)), ("seeds", "1,1"),
+        ("data_seed", "-2"),
     ])
     def test_is_one_config_error_before_any_directory_or_job(
             self, tmp_path, capsys, monkeypatch, command, field, value):
@@ -364,6 +403,33 @@ class TestInvalidValues:
         assert out == "" and err.count("\n") == 1 and err.startswith("config error: ")
         assert field in err
         assert not Path(cfg.output_dir).exists()
+
+    @pytest.mark.parametrize("argv, words", [
+        (["train", "--rho", "nan"], ["radius", "nan"]),
+        (["train", "--rho", "inf"], ["radius", "inf"]),
+        (["train", "--rho", "0.1", "--seed", "-1"], ["seed", "-1"]),
+        (["noise", "--checkpoint", "{ckpt}", "--out", "{out}", "--seed", "-1"], ["--seed"]),
+        (["probe", "--erm-checkpoint", "{ckpt}", "--adv-checkpoint", "{ckpt}", "--rho", "0.1",
+          "--out", "{out}", "--seed", "-1"], ["--seed"]),
+    ], ids=["train-rho-nan", "train-rho-inf", "train-seed", "noise-seed", "probe-seed"])
+    def test_bad_rho_or_seed_flag_is_one_config_error_before_any_work(
+            self, tmp_path, capsys, monkeypatch, argv, words):
+        cfg, path = tiny_config(tmp_path)
+        ckpt, out = tmp_path / "net.ckpt", tmp_path / "out.csv"
+        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), "relu", seed=1), ckpt)
+
+        def never(*args, **kwargs):
+            raise AssertionError("started work despite a config error")
+
+        for module, name in ((training, "train_twin"), (privacy, "collect_noise"),
+                             (intensity, "consistency_probe")):
+            monkeypatch.setattr(module, name, never)
+        argv = [{"{ckpt}": str(ckpt), "{out}": str(out)}.get(a, a) for a in argv]
+        assert cli.main([*argv, "--config", str(path)]) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.count("\n") == 1 and err.startswith("config error: ")
+        assert all(w in err for w in words), err
+        assert not Path(cfg.output_dir).exists() and not out.exists()
 
 
 class TestCheckpointCommands:

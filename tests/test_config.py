@@ -51,6 +51,23 @@ class TestValidation:
         with pytest.raises(config.ConfigError, match="gamma"):
             dataclasses.replace(config.ExperimentConfig(), gamma_list=(1.5,))
 
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(config.ExperimentConfig)
+                                      if "float" in f.type])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_every_float_field_must_be_finite(self, name, value):
+        default = getattr(config.ExperimentConfig(), name)
+        bad = (0.0, value) if isinstance(default, tuple) else value
+        with pytest.raises(config.ConfigError, match=name):
+            dataclasses.replace(config.ExperimentConfig(), **{name: bad})
+
+    @pytest.mark.parametrize("name, bad", [
+        ("data_seed", -1), ("data_seed", 2 ** 128), ("seeds", (1, -1)), ("seeds", (2 ** 128,))])
+    def test_seeds_must_key_philox(self, name, bad):
+        with pytest.raises(config.ConfigError, match=name):
+            dataclasses.replace(config.ExperimentConfig(), **{name: bad})
+        ok = (2 ** 128 - 1,) if name == "seeds" else 2 ** 128 - 1
+        dataclasses.replace(config.ExperimentConfig(), **{name: ok})
+
     def test_noise_batches_positive(self):
         with pytest.raises(config.ConfigError, match="noise_batches"):
             dataclasses.replace(config.ExperimentConfig(), noise_batches=0)
@@ -109,12 +126,12 @@ class TestDatasets:
         cfg = dataclasses.replace(config.ExperimentConfig(), source=source, n_per_class=15,
                                   num_classes=3, dim=4, n_train=30, hidden=(8,),
                                   batch_size=30, noise_tau=30, noise_components=67,
-                                  train_csv=str(tmp_path / "train.csv"),
+                                  delta_prime=29.5, train_csv=str(tmp_path / "train.csv"),
                                   test_csv=str(tmp_path / "test.csv"))
         train, _ = cfg.load_datasets()
-        cfg.check_noise(train)  # all three at their largest valid value
+        cfg.check_noise(train)  # all four near their largest valid value
         for bad in ({"batch_size": 31}, {"noise_tau": 31}, {"noise_tau": 0},
-                    {"noise_components": 68}, {"noise_components": 0}):
+                    {"noise_components": 68}, {"noise_components": 0}, {"delta_prime": 30.0}):
             with pytest.raises(config.ConfigError, match=next(iter(bad))):
                 dataclasses.replace(cfg, **bad).check_noise(train)
 
