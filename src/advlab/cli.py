@@ -50,11 +50,14 @@ Exit codes: 0 success; 1 an error, in one ``error:`` line (``sweep`` and
 ``report`` print one ``rho=R seed=S: <why>`` line per failed run): a run
 diverged, its logged records are all degenerate (every clean max gradient
 norm numerically zero), or a logged intensity is exactly zero; for ``sweep``
-also a run that raised or lost its worker, for ``report`` a stale or
-unreadable one. 1 also means ``attack`` or ``noise`` got a checkpoint whose
-outputs are not finite, as a diverged run leaves, or ``probe`` met a
-degenerate clean max gradient norm. 2 configuration error, in one ``config
-error:`` line: any value ``ExperimentConfig`` rejects (a non-finite number
+also a run that raised or lost its worker, for ``report`` one whose
+summary.json is missing, stale or unreadable. 1 also means a file that
+cannot be read (any ``OSError``: missing, a directory, no permission), a
+malformed or non-UTF-8 data or ``--series`` CSV, ``attack`` or ``noise``
+given a checkpoint whose outputs are not finite, as a diverged run leaves,
+or ``probe`` meeting a degenerate clean max gradient norm. 2 configuration
+error, in one ``config error:`` line: a config file that is not UTF-8 or
+does not parse, any value ``ExperimentConfig`` rejects (a non-finite number
 or a seed outside [0, 2**128) among them), a ``batch_size``, ``delta_prime``
 or noise field that does not fit the data, or a ``--rho`` or ``--seed`` that
 makes no valid run (``train`` and ``sweep`` exit before any directory or
@@ -90,6 +93,7 @@ NUMPY_PRELOADED = "numpy" in sys.modules  # then the environment came too late
 # the imports below load numpy, so they come after the pin
 import argparse
 import contextlib
+import dataclasses
 import json
 import platform
 import resource
@@ -151,11 +155,38 @@ def run_dir_for(cfg: ExperimentConfig, rho: float, seed: int) -> Path:
     return Path(cfg.output_dir) / f"rho={rho!r}" / f"seed={seed}"
 
 
-def _budget_json(b: privacy.PrivacyBudget | None) -> dict | None:
-    if b is None:
-        return None
-    return {"epsilon": b.epsilon, "delta": b.delta, "provenance": b.provenance,
-            "inputs": b.inputs}
+def _noise(cfg: ExperimentConfig, net: nn.DenseNet, train_set: LabeledSet,
+           seed: int) -> tuple[np.ndarray, dict]:
+    """Gradient noise at ``net`` and its Laplace fit: (the normalized values,
+    the ``{b, location, count, divisor}`` record)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged model overflows
+        sample = privacy.collect_noise(net, train_set, cfg.noise_tau, cfg.noise_batches,
+                                       cfg.noise_components, seed=seed,
+                                       loss_spec=cfg.loss_spec())
+    fit = privacy.fit_laplace(sample.values)
+    return sample.values, {"b": fit.scale, "location": fit.location, "count": fit.count,
+                           "divisor": sample.divisor}
+
+
+def _mia(net: nn.DenseNet, train_set: LabeledSet,
+         test_set: LabeledSet) -> tuple[attacks.AttackReport, dict]:
+    """The threshold attack on ``net``'s true-label confidences: (its report, the
+    ``{zeta_optim, accuracy}`` record). A ``DivergenceError`` if a confidence
+    is not finite, as a diverged model's are."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged model overflows
+        confs = [attacks.true_label_confidences(net, s) for s in (train_set, test_set)]
+    if not all(np.isfinite(c).all() for c in confs):
+        raise training.DivergenceError(
+            "non-finite confidences; is it a diverged run's checkpoint?")
+    report = attacks.optimal_threshold(*confs)
+    return report, {"zeta_optim": report.zeta_optim, "accuracy": report.accuracy}
+
+
+def _bound_json(rep: bounds.BoundReport) -> dict:
+    """The bound fields of a run's ``bounds`` entry and of the ``bounds`` command."""
+    return {"beta": rep.beta, "on_avg_bound": rep.beta, "high_prob_bound": rep.high_prob_bound,
+            "high_prob_bound_normalized": rep.high_prob_bound_normalized,
+            "high_prob_bound_rescaled": rep.high_prob_bound_rescaled}
 
 
 def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
@@ -215,39 +246,26 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
 
     # gradient noise and Laplace scale, taken at the final ERM iterate
     with _stage(stages, "noise"):
-        noise = privacy.collect_noise(ledger.erm.net, train_set, cfg.noise_tau,
-                                      cfg.noise_batches, cfg.noise_components, seed=seed,
-                                      loss_spec=loss_spec)
-        fit = privacy.fit_laplace(noise.values)
+        values, summary["noise"] = _noise(cfg, ledger.erm.net, train_set, seed)
     with _stage(stages, "writes"):
-        _write_histogram_csv(run_dir / "noise_hist.csv", noise.values)
-    summary["noise"] = {"b": fit.scale, "location": fit.location, "count": fit.count,
-                        "divisor": noise.divisor}
+        _write_histogram_csv(run_dir / "noise_hist.csv", values)
 
     n = len(train_set)
     summary["eps_per_step"], budgets = privacy.budgets(
         [r.l_erm for r in good], [r.intensity for r in good], cfg.total_iterations, n,
-        fit.scale, cfg.delta_prime)
+        summary["noise"]["b"], cfg.delta_prime)
     leading = budgets["leading_thm5"]
     summary["intensity_1t"] = leading.inputs["i_1t"]
     summary["l_erm_1t"] = leading.inputs["l_erm_1t"]
-    summary["budgets"] = {k: _budget_json(b) for k, b in budgets.items()}
-
+    summary["budgets"] = {k: b and dataclasses.asdict(b) for k, b in budgets.items()}
     summary["bounds"] = []
     for gamma in cfg.gamma_list:
-        rep = bounds.bound_report(leading.epsilon, leading.delta, cfg.loss_bound,
-                                  n, gamma, cfg.constant_c)
-        summary["bounds"].append({
-            "gamma": gamma, "beta": rep.beta, "on_avg_bound": rep.beta,
-            "high_prob_bound": rep.high_prob_bound,
-            "high_prob_bound_normalized": rep.high_prob_bound_normalized,
-            "high_prob_bound_rescaled": rep.high_prob_bound_rescaled, "c": rep.c})
+        rep = bounds.bound_report(leading.epsilon, leading.delta, cfg.loss_bound, n, gamma,
+                                  cfg.constant_c)
+        summary["bounds"].append(_bound_json(rep) | {"gamma": gamma, "c": rep.c})
 
     with _stage(stages, "mia"):
-        report = attacks.optimal_threshold(
-            attacks.true_label_confidences(ledger.adv.net, train_set),
-            attacks.true_label_confidences(ledger.adv.net, test_set))
-    summary["mia"] = {"zeta_optim": report.zeta_optim, "accuracy": report.accuracy}
+        _, summary["mia"] = _mia(ledger.adv.net, train_set, test_set)
 
     with _stage(stages, "adv_eval"):
         summary["adv_accuracy"] = analysis.adversarial_accuracy(
@@ -309,24 +327,10 @@ def write_sweep_csv(rows: list[dict], path: Path) -> None:
     write_csv(path, SWEEP_COLUMNS, ([row[c] for c in SWEEP_COLUMNS] for row in rows))
 
 
-def _fit_json(fit: analysis.PolyFit | None) -> dict | None:
-    if fit is None:
-        return None
-    return {"coefficients": list(fit.coefficients),
-            "scaled_coefficients": list(fit.scaled_coefficients),
-            "x_center": fit.x_center, "x_scale": fit.x_scale, "degree": fit.degree}
-
-
-def _try_fit(xs, ys, degree=4):
+def _or_none(fn, *args):
+    """``fn(*args)``, or None where it raises ``ValueError``."""
     try:
-        return analysis.polyfit(xs, ys, degree)
-    except ValueError:
-        return None
-
-
-def _try_spearman(xs, ys) -> float | None:
-    try:
-        return analysis.spearman(xs, ys)
+        return fn(*args)
     except ValueError:
         return None
 
@@ -334,39 +338,38 @@ def _try_spearman(xs, ys) -> float | None:
 def analyze_rows(rows: list[dict]) -> dict:
     """Sweep-level correlations and trend fits; entries degrade to null when
     a column is constant or too short."""
-    col = lambda name: np.array([row[name] for row in rows])
+    col = lambda name, rows=rows: np.array([row[name] for row in rows])
+    corr = lambda xs, ys: _or_none(analysis.spearman, xs, ys)
+    fit = lambda xs, ys: _or_none(lambda: dataclasses.asdict(analysis.polyfit(xs, ys)))
     ii = col("intensity_1t")
     robust = [row for row in rows if row["rho"] > 0]  # attacked-training rows only
-    ii_r = np.array([row["intensity_1t"] for row in robust])
+    ii_r = col("intensity_1t", robust)
     return {
         "rows": len(rows),
         "spearman": {
-            "intensity_vs_radius": _try_spearman(ii, col("rho")),
-            "intensity_vs_attack_accuracy": _try_spearman(ii, col("attack_accuracy")),
-            "intensity_vs_gen_gap": _try_spearman(ii, col("gen_gap")),
+            "intensity_vs_radius": corr(ii, col("rho")),
+            "intensity_vs_attack_accuracy": corr(ii, col("attack_accuracy")),
+            "intensity_vs_gen_gap": corr(ii, col("gen_gap")),
             # Fig-1 style trend: every robust model judged by one common attack
-            "intensity_vs_common_attack_accuracy":
-                _try_spearman(ii_r, np.array([row["adv_accuracy_common"] for row in robust])),
-            "intensity_vs_matched_attack_accuracy":
-                _try_spearman(ii_r, np.array([row["adv_accuracy"] for row in robust])),
+            "intensity_vs_common_attack_accuracy": corr(ii_r, col("adv_accuracy_common", robust)),
+            "intensity_vs_matched_attack_accuracy": corr(ii_r, col("adv_accuracy", robust)),
         },
         "polyfit": {
-            "radius_to_intensity": _fit_json(_try_fit(col("rho"), ii)),
-            "intensity_to_common_attack_accuracy":
-                _fit_json(_try_fit(ii_r, np.array([row["adv_accuracy_common"] for row in robust]))),
-            "intensity_to_attack_accuracy": _fit_json(_try_fit(ii, col("attack_accuracy"))),
-            "intensity_to_gen_gap": _fit_json(_try_fit(ii, col("gen_gap"))),
+            "radius_to_intensity": fit(col("rho"), ii),
+            "intensity_to_common_attack_accuracy": fit(ii_r, col("adv_accuracy_common", robust)),
+            "intensity_to_attack_accuracy": fit(ii, col("attack_accuracy")),
+            "intensity_to_gen_gap": fit(ii, col("gen_gap")),
         },
     }
 
 
-def _load_summaries(cfg: ExperimentConfig) -> tuple[list[dict], dict[tuple, str | None]]:
+def _load_summaries(cfg: ExperimentConfig) -> tuple[list[dict], dict[tuple, str]]:
     """Read every run's summary.json.
 
     Returns (summaries, unfinished). ``unfinished`` maps each (rho, seed)
-    pair without a current summary, in sweep order, to None when its
-    summary.json is missing and to the reason when it cannot be parsed or
-    was written under a config with another digest.
+    pair without a current summary, in sweep order, to the reason: its
+    summary.json is missing, cannot be parsed, or was written under a
+    config with another digest.
     """
     digest = config_digest(cfg)
     summaries, unfinished = [], {}
@@ -376,7 +379,7 @@ def _load_summaries(cfg: ExperimentConfig) -> tuple[list[dict], dict[tuple, str 
             try:
                 summary = json.loads(path.read_text(encoding="utf-8"))
             except FileNotFoundError:
-                unfinished[rho, seed] = None
+                unfinished[rho, seed] = "no summary.json"
             except ValueError as exc:  # truncated or corrupt JSON
                 unfinished[rho, seed] = f"unreadable {path}: {exc}"
             else:
@@ -462,7 +465,7 @@ def _cmd_report(args) -> int:
     cfg = load_config(args.config)
     summaries, unfinished = _load_summaries(cfg)
     rows, failures = merge_sweep(cfg, summaries + [
-        _failed(rho, seed, why) for (rho, seed), why in unfinished.items() if why])
+        _failed(rho, seed, why) for (rho, seed), why in unfinished.items()])
     for f in failures:
         print(f, file=sys.stderr)
     print(f"merged {len(rows)} runs into {Path(cfg.output_dir) / 'sweep.csv'}")
@@ -495,7 +498,7 @@ def _cmd_accountant(args) -> int:
                                      args.delta_prime)
     except ValueError as exc:  # invalid calculator arguments
         raise ConfigError(str(exc)) from None
-    print(json.dumps({k: _budget_json(b) for k, b in budgets.items()},
+    print(json.dumps({k: b and dataclasses.asdict(b) for k, b in budgets.items()},
                      sort_keys=True, indent=2))
     return 0
 
@@ -506,13 +509,9 @@ def _cmd_bounds(args) -> int:
                                   args.gamma, args.c)
     except ValueError as exc:  # invalid calculator arguments
         raise ConfigError(str(exc)) from None
-    print(json.dumps({
-        "beta": rep.beta, "on_avg_bound": rep.beta,
-        "high_prob_bound": rep.high_prob_bound,
-        "high_prob_bound_normalized": rep.high_prob_bound_normalized,
-        "high_prob_bound_rescaled": rep.high_prob_bound_rescaled,
-        "inputs": {"eps": rep.eps, "delta": rep.delta, "m": rep.m, "n": rep.n,
-                   "gamma": rep.gamma, "c": rep.c}}, sort_keys=True, indent=2))
+    print(json.dumps(_bound_json(rep) | {"inputs": {
+        "eps": rep.eps, "delta": rep.delta, "m": rep.m, "n": rep.n, "gamma": rep.gamma,
+        "c": rep.c}}, sort_keys=True, indent=2))
     return 0
 
 
@@ -529,17 +528,10 @@ def _load_checkpoint_for(path, data: LabeledSet) -> nn.DenseNet:
 def _cmd_attack(args) -> int:
     cfg = load_config(args.config)
     train_set, test_set = cfg.load_datasets()
-    net = _load_checkpoint_for(args.checkpoint, train_set)
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverged model overflows
-        confs = [attacks.true_label_confidences(net, s) for s in (train_set, test_set)]
-    if not all(np.isfinite(c).all() for c in confs):
-        raise training.DivergenceError(
-            f"{args.checkpoint}: non-finite confidences; is it a diverged run's checkpoint?")
-    report = attacks.optimal_threshold(*confs)
+    report, mia = _mia(_load_checkpoint_for(args.checkpoint, train_set), train_set, test_set)
     if args.sweep_csv:
         write_csv(args.sweep_csv, ("zeta", "accuracy"), report.sweep)
-    print(json.dumps({"zeta_optim": report.zeta_optim, "accuracy": report.accuracy,
-                      "n_train": report.n_train, "n_test": report.n_test},
+    print(json.dumps(mia | {"n_train": report.n_train, "n_test": report.n_test},
                      sort_keys=True, indent=2))
     return 0
 
@@ -550,15 +542,9 @@ def _cmd_noise(args) -> int:
     train_set, _ = cfg.load_datasets()
     net = _load_checkpoint_for(args.checkpoint, train_set)
     cfg.check_noise_for(len(train_set), net.num_params)
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverged model overflows
-        sample = privacy.collect_noise(net, train_set, cfg.noise_tau, cfg.noise_batches,
-                                       cfg.noise_components, seed=args.seed,
-                                       loss_spec=cfg.loss_spec())
-    fit = privacy.fit_laplace(sample.values)
-    _write_histogram_csv(Path(args.out), sample.values)
-    print(json.dumps({"b": fit.scale, "location": fit.location, "count": fit.count,
-                      "divisor": sample.divisor, "histogram": args.out},
-                     sort_keys=True, indent=2))
+    values, noise = _noise(cfg, net, train_set, args.seed)
+    _write_histogram_csv(Path(args.out), values)
+    print(json.dumps(noise | {"histogram": args.out}, sort_keys=True, indent=2))
     return 0
 
 
@@ -608,7 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("report", help="re-merge completed runs into sweep.csv")
+    p = sub.add_parser("report", help="re-merge finished runs into sweep.csv; a run "
+                       "whose summary.json is missing, stale or unreadable fails")
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_report)
 
@@ -669,7 +656,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CsvFormatError, FileNotFoundError, training.CheckpointFormatError,
+    except (CsvFormatError, OSError, training.CheckpointFormatError,
             training.DivergenceError, privacy.DegenerateNoiseError,
             intensity.DegenerateDenominatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -197,31 +197,33 @@ def _format(value) -> str:
     return str(value)
 
 
-def _parse(name: str, raw: str, kind):
+def _bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(raw)
+
+
+def _tuple_of(kind):
+    return lambda raw: tuple(kind(v) for v in raw.split(",")) if raw else ()
+
+
+# one parser per field annotation, keyed by its text (see ``from __future__ import annotations``)
+_PARSERS = {
+    "str": str, "int": int, "float": float, "bool": _bool,
+    "tuple[int, ...]": _tuple_of(int), "tuple[float, ...]": _tuple_of(float),
+    "float | None": lambda raw: float(raw) if raw else None,
+}
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+
+
+def _parse(name: str, raw: str):
     raw = raw.strip()
     try:
-        if kind == "int_tuple":
-            return tuple(int(v) for v in raw.split(",")) if raw else ()
-        if kind == "float_tuple":
-            return tuple(float(v) for v in raw.split(",")) if raw else ()
-        if kind == "opt_float":
-            return float(raw) if raw else None
-        if kind is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        return kind(raw)
+        return _PARSERS[_FIELD_TYPES[name]](raw)
     except ValueError:
         raise ConfigError(f"bad value for {name}: {raw!r}") from None
-
-
-_FIELD_KINDS = {
-    "hidden": "int_tuple", "seeds": "int_tuple",
-    "radius_list": "float_tuple", "gamma_list": "float_tuple",
-    "step_size": "opt_float",
-}
 
 
 def to_ini(cfg: ExperimentConfig) -> str:
@@ -239,8 +241,6 @@ def from_ini(text: str) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"unparsable config: {exc}") from None
-    types = {f.name: f.type for f in fields(ExperimentConfig)}
-    base_kinds = {"str": str, "int": int, "float": float, "bool": bool}
     kwargs = {}
     for section, names in _SECTIONS.items():
         if not parser.has_section(section):
@@ -248,8 +248,7 @@ def from_ini(text: str) -> ExperimentConfig:
         for key in parser[section]:
             if key not in names:
                 raise ConfigError(f"unknown key [{section}] {key}")
-            kind = _FIELD_KINDS.get(key) or base_kinds[types[key]]
-            kwargs[key] = _parse(key, parser[section][key], kind)
+            kwargs[key] = _parse(key, parser[section][key])
     return ExperimentConfig(**kwargs)
 
 
@@ -269,8 +268,13 @@ def config_digest(cfg: ExperimentConfig) -> str:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_ini(fh.read())
+    """The config in the file at ``path``; a ``ConfigError`` if it is not UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"unparsable config: {path} is not UTF-8 text: {exc}") from None
+    return from_ini(text)
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:

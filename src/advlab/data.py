@@ -28,17 +28,30 @@ class CsvFormatError(ValueError):
     """Malformed dataset file; message names the offending line."""
 
 
+def _owned(a, dtype=None) -> np.ndarray:
+    """``a`` itself if it is a read-only array that owns its data (of ``dtype``,
+    when given), so no one can change it; else a copy that the caller cannot reach."""
+    if (isinstance(a, np.ndarray) and a.flags.owndata and not a.flags.writeable
+            and (dtype is None or a.dtype == dtype)):
+        return a
+    return np.array(a, dtype=dtype)
+
+
 @dataclass(frozen=True)
 class LabeledSet:
-    """Feature matrix [N x d] plus integer labels [N] in [0, num_classes)."""
+    """Feature matrix [N x d] plus integer labels [N] in [0, num_classes).
+
+    The set keeps read-only arrays that own their data as they are, and
+    copies any other input, so a caller's writable array never changes it.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
 
     def __post_init__(self):
-        x = np.array(self.features, dtype=np.float64)
-        y = np.array(self.labels)
+        x = _owned(self.features, np.float64)
+        y = _owned(self.labels)
         if x.ndim != 2 or y.ndim != 1 or len(x) != len(y):
             raise ValueError(f"misaligned features {x.shape} / labels {y.shape}")
         if len(x) < 1:
@@ -50,7 +63,7 @@ class LabeledSet:
         if not np.isfinite(x).all():
             raise ValueError("non-finite feature value")
         x.setflags(write=False)
-        y = y.astype(np.int64)
+        y = y.astype(np.int64, copy=False)
         y.setflags(write=False)
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "labels", y)
@@ -114,8 +127,11 @@ def _csv_rows(path, header: bool | str = False, width: int | None = None):
     Every row has ``width`` cells, or as many as the first row when ``width``
     is None. Errors are ``CsvFormatError``s naming the file and the line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text: {exc}") from None
     if isinstance(header, str) and (not lines or lines[0].strip() != header):
         raise CsvFormatError(f"{path}: line 1: expected header {header!r}")
     start = 1 if header else 0
@@ -147,10 +163,12 @@ def load_csv(path, header: bool = False) -> LabeledSet:
             raise CsvFormatError(f"{path}: line {lineno}: non-integer label {lab!r}") from None
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
-    y = np.array(labels, dtype=np.int64)
+    x, y = np.array(rows), np.array(labels, dtype=np.int64)
     if y.min() < 0:
         raise CsvFormatError(f"{path}: negative label")
-    return LabeledSet(np.array(rows), y, int(y.max()) + 1)
+    x.setflags(write=False)  # fresh and read-only, so the set keeps them uncopied
+    y.setflags(write=False)
+    return LabeledSet(x, y, int(y.max()) + 1)
 
 
 def write_atomic(path, content: str | bytes) -> None:
@@ -197,6 +215,8 @@ def synth_blobs(n_per_class: int, num_classes: int, dim: int, spread: float, see
     x = stream(seed, DOMAIN_BLOBS).standard_normal((len(labels), dim))
     x *= spread  # in place, which saves two feature-sized temporaries
     x += centers[labels]
+    x.setflags(write=False)  # fresh and read-only, so the set keeps them uncopied
+    labels.setflags(write=False)
     return LabeledSet(x, labels, num_classes)
 
 

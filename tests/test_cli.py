@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -227,6 +228,20 @@ class TestSweepCommand:
         (tmp_path / "runs" / "sweep.csv").unlink()
         assert cli.main(["report", "--config", str(path)]) == 0
         assert (tmp_path / "runs" / "sweep.csv").read_bytes() == sweep_csv
+
+    def test_report_names_a_missing_run(self, tmp_path, capsys):
+        cfg, path = tiny_config(tmp_path, radius_list=(0.0, 0.1, 0.2), seeds=(1,))
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+        shutil.rmtree(Path(cfg.output_dir) / "rho=0.1")
+        capsys.readouterr()
+        assert cli.main(["report", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert err == "rho=0.1 seed=1: no summary.json\n"
+        assert out.startswith("merged 2 runs")
+        analysis_json = json.loads((Path(cfg.output_dir) / "analysis.json").read_text())
+        assert analysis_json["failures"] == ["rho=0.1 seed=1: no summary.json"]
+        assert cli.main(["sweep", "--config", str(path)]) == 0  # the sweep reruns it
+        assert cli.main(["report", "--config", str(path)]) == 0
 
     def test_diverged_run_stays_a_failure_on_resume_and_report(self, tmp_path, capsys):
         cfg, path = tiny_config(tmp_path, seeds=(1,), lr_init=1e200)
@@ -698,6 +713,75 @@ class TestCalculatorCommands:
         assert rc == 0
         text = capsys.readouterr().out
         assert config.from_ini(text) == config.ExperimentConfig()
+
+
+class TestRunAndCommandsAgree:
+    def test_noise_attack_and_bounds_reproduce_the_run(self, tmp_path, capsys):
+        cfg, path = tiny_config(tmp_path, gamma_list=(0.1, 0.2))
+        assert cli.main(["train", "--config", str(path), "--rho", "0.15", "--seed", "2"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        run = cli.run_dir_for(cfg, 0.15, 2)
+
+        hist = tmp_path / "nh.csv"
+        assert cli.main(["noise", "--config", str(path), "--checkpoint", str(run / "erm.ckpt"),
+                         "--seed", "2", "--out", str(hist)]) == 0
+        assert json.loads(capsys.readouterr().out) == summary["noise"] | {"histogram": str(hist)}
+        assert hist.read_bytes() == (run / "noise_hist.csv").read_bytes()
+
+        assert cli.main(["attack", "--config", str(path),
+                         "--checkpoint", str(run / "adv.ckpt")]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == summary["mia"] | {"n_train": summary["n_train"], "n_test": summary["n_test"]}
+
+        leading = summary["budgets"]["leading_thm5"]
+        for want in summary["bounds"]:
+            assert cli.main(["bounds", "--eps", repr(leading["epsilon"]),
+                             "--delta", repr(leading["delta"]), "--n", str(summary["n_train"]),
+                             "--loss-bound", repr(cfg.loss_bound), "--gamma", repr(want["gamma"]),
+                             "--c", repr(cfg.constant_c)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            inputs = out.pop("inputs")
+            assert out | inputs == want | {"eps": leading["epsilon"], "delta": leading["delta"],
+                                           "m": cfg.loss_bound, "n": summary["n_train"]}
+
+
+class TestFileErrors:
+    def assert_one_line(self, capsys, argv, code, *words):
+        assert cli.main(argv) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith("error: " if code == 1 else "config error: "), err
+        assert all(w in err for w in words), err
+
+    @pytest.mark.parametrize("command", ["train", "config"])
+    def test_config_that_is_a_directory_is_one_error_line(self, tmp_path, capsys, command):
+        self.assert_one_line(capsys, [command, "--config", str(tmp_path)], 1, str(tmp_path))
+
+    @pytest.mark.parametrize("command", ["train", "config"])
+    def test_config_that_is_not_utf8_is_one_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "exp.ini"
+        path.write_bytes(b"\xff" + config.to_ini(config.ExperimentConfig()).encode())
+        self.assert_one_line(capsys, [command, "--config", str(path)], 2, str(path), "UTF-8")
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_series_is_one_error_line(self, tmp_path, capsys, kind):
+        series = tmp_path / "series.csv"
+        if kind == "directory":
+            series.mkdir()
+        else:
+            series.write_bytes(b"l_erm,intensity\n0.5,1.0\xff\n")
+        self.assert_one_line(capsys, ["accountant", "--series", str(series), "--n", "100",
+                                      "--b", "0.1", "--delta-prime", "1"], 1, str(series))
+
+    def test_data_csv_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys):
+        train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+        train_csv.write_text("0.5,1.0,0\n-0.5,2.0,1\n")
+        test_csv.write_bytes(b"0.5,1.0,0\n\xff-0.5,2.0,1\n")
+        cfg, path = tiny_config(tmp_path, source="csv", train_csv=str(train_csv),
+                                test_csv=str(test_csv), batch_size=1, noise_tau=1,
+                                delta_prime=1.0, noise_components=1)
+        self.assert_one_line(capsys, ["train", "--config", str(path)], 1, str(test_csv), "UTF-8")
+        assert not Path(cfg.output_dir).exists()
 
 
 class TestBlasPin:

@@ -44,6 +44,13 @@ class TestLoadCsv:
         with pytest.raises(data.CsvFormatError, match="line 2"):
             data.load_csv(p)
 
+    def test_not_utf8_names_the_file(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"1.0,2.0,0\n\xff3.0,4.0,1\n")
+        with pytest.raises(data.CsvFormatError, match="not UTF-8") as err:
+            data.load_csv(p)
+        assert str(p) in str(err.value)
+
     def test_save_load_round_trip_exact(self, tmp_path):
         ds = data.synth_blobs(7, 3, 5, 1.3, seed=2)
         p = tmp_path / "r.csv"
@@ -179,6 +186,29 @@ class TestLabeledSetInvariants:
         ds = data.synth_blobs(2, 2, 2, 1.0, seed=0)
         with pytest.raises(ValueError):
             ds.features[0, 0] = 99.0
+
+    def test_keeps_a_read_only_array_it_can_own_and_copies_any_other(self):
+        x, y = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]), np.array([0, 1, 0])
+        writable = data.LabeledSet(x, y, 2)
+        view = x[:]
+        view.setflags(write=False)  # read-only, but x can still change it
+        x.setflags(write=False)
+        y.setflags(write=False)
+        owned = data.LabeledSet(x, y, 2)
+        assert np.shares_memory(owned.features, x) and np.shares_memory(owned.labels, y)
+        for ds in (writable, data.LabeledSet(view, y, 2)):
+            assert not np.shares_memory(ds.features, x)
+        x.setflags(write=True)
+        x[0, 0] = 99.0
+        assert writable.features[0, 0] == 0.0
+
+    def test_datasets_are_built_without_a_feature_copy(self, tmp_path):
+        ds = data.synth_blobs(5, 2, 3, 1.0, seed=0)
+        p = tmp_path / "d.csv"
+        write_dataset_csv(ds, p)
+        for built in (ds, data.load_csv(p)):
+            rewrapped = data.LabeledSet(built.features, built.labels, 4)  # as load_datasets does
+            assert np.shares_memory(built.features, rewrapped.features)
 
     def test_subset_rows_in_index_order_read_only_int64(self):
         ds = data.LabeledSet(np.arange(10.0).reshape(5, 2),
