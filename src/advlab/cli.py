@@ -12,7 +12,10 @@ across reruns of the same config and seed):
         adv.ckpt         final adversarial model
         noise_hist.csv   201-bin histogram of normalized gradient noise
         summary.json     intensities, budgets, bounds, attack, accuracies,
-                         and the config digest the run was made under
+                         and the config digest the run was made under; a
+                         ``bounds`` entry per gamma holds ``beta`` (also the
+                         on-average bound), ``high_prob_bound`` (computed on
+                         loss / M, times M), ``gamma`` and ``c``
         meta.json        how the run was made: ``started`` and ``finished``
                          wall-clock stamps, ``stages_s`` (wall seconds spent
                          in ``train``, ``noise``, ``mia``, ``adv_eval`` and
@@ -30,6 +33,11 @@ across reruns of the same config and seed):
                          ``blas_env`` (the BLAS thread
                          variables in effect), ``numpy_preloaded`` and
                          ``versions`` (advlab, numpy, Python)
+
+``sweep`` and ``report`` write ``<output_dir>/sweep.csv``, a row per successful
+run with the ``SWEEP_COLUMNS`` rho, seed, intensity_1t, adv_accuracy,
+adv_accuracy_common, attack_accuracy, gen_gap, eps_leading, beta and
+high_prob_bound (the first gamma's bounds), and ``analysis.json``.
 
 ``sweep`` reruns a run whose summary.json is missing, unreadable or stale:
 its ``config_digest`` covers every config field except ``seeds``,
@@ -49,8 +57,9 @@ not depend on the machine's core count.
 Exit codes: 0 success; 1 an error, in one ``error:`` line (``sweep`` and
 ``report`` print one ``rho=R seed=S: <why>`` line per failed run): a run
 diverged, its logged records are all degenerate (every clean max gradient
-norm numerically zero), or a logged intensity is exactly zero; for ``sweep``
-also a run that raised or lost its worker, for ``report`` one whose
+norm numerically zero), a model is dead (its max gradient norm at the last
+logged step numerically zero), or a logged intensity is exactly zero; for
+``sweep`` also a run that raised or lost its worker, for ``report`` one whose
 summary.json is missing, stale or unreadable. 1 also means a file that
 cannot be read (any ``OSError``: missing, a directory, no permission), a
 malformed or non-UTF-8 data or ``--series`` CSV, ``attack`` or ``noise``
@@ -94,7 +103,9 @@ NUMPY_PRELOADED = "numpy" in sys.modules  # then the environment came too late
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
+import operator
 import platform
 import resource
 import time
@@ -110,9 +121,13 @@ from .data import CsvFormatError, LabeledSet, _csv_rows, write_atomic, write_csv
 VERSIONS = {"advlab": __version__, "numpy": np.__version__,
             "python": platform.python_version()}
 
-SWEEP_COLUMNS = ("rho", "seed", "intensity_1t", "adv_accuracy", "adv_accuracy_common",
-                 "attack_accuracy", "gen_gap", "eps_leading", "on_avg_bound",
-                 "high_prob_bound")
+# sweep.csv column -> its path in a run's summary.json; the bounds are the first gamma's
+SWEEP_COLUMNS = {
+    "rho": ("rho",), "seed": ("seed",), "intensity_1t": ("intensity_1t",),
+    "adv_accuracy": ("adv_accuracy",), "adv_accuracy_common": ("adv_accuracy_common",),
+    "attack_accuracy": ("mia", "accuracy"), "gen_gap": ("adv", "gen_gap"),
+    "eps_leading": ("budgets", "leading_thm5", "epsilon"), "beta": ("bounds", 0, "beta"),
+    "high_prob_bound": ("bounds", 0, "high_prob_bound")}
 
 
 def _write_json(path: Path, obj) -> None:
@@ -182,18 +197,18 @@ def _mia(net: nn.DenseNet, train_set: LabeledSet,
     return report, {"zeta_optim": report.zeta_optim, "accuracy": report.accuracy}
 
 
-def _bound_json(rep: bounds.BoundReport) -> dict:
-    """The bound fields of a run's ``bounds`` entry and of the ``bounds`` command."""
-    return {"beta": rep.beta, "on_avg_bound": rep.beta, "high_prob_bound": rep.high_prob_bound,
-            "high_prob_bound_normalized": rep.high_prob_bound_normalized,
-            "high_prob_bound_rescaled": rep.high_prob_bound_rescaled}
+def _accuracy(net: nn.DenseNet, train_set: LabeledSet, test_set: LabeledSet) -> dict:
+    """``net``'s ``{train_acc, test_acc, gen_gap}`` record."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged model overflows
+        train, test = attacks.accuracy(net, train_set), attacks.accuracy(net, test_set)
+    return {"train_acc": train, "test_acc": test, "gen_gap": train - test}
 
 
 def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
     """Full per-run pipeline: train, measure, account, bound, attack, persist.
 
-    Returns the summary it writes. A run that diverged or has no intensity
-    to account stops after training, with ``diverged_at`` or ``failure`` set.
+    Returns the summary it writes. A run that diverged, or that ``intensity.judge``
+    fails, stops after training with ``diverged_at`` or ``failure`` set.
     """
     started = time.time()
     names = ("train", "noise", "mia", "adv_eval", "writes")
@@ -207,9 +222,12 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
 
     loss_spec = cfg.loss_spec()
     with _stage(stages, "train"):
-        ledger = training.train_twin(train_set, test_set, cfg, attack, seed, loss_spec)
+        ledger = training.train_twin(train_set, cfg, attack, seed, loss_spec)
+        accuracies = {side: _accuracy(trajectory.net, train_set, test_set)
+                      for side, trajectory in (("erm", ledger.erm), ("adv", ledger.adv))}
+    records, good, failure = intensity.judge(ledger.erm.logged, ledger.adv.logged)
     with _stage(stages, "writes"):
-        training.write_ledger_csv(ledger.records, run_dir / "ledger.csv")
+        training.write_ledger_csv(records, run_dir / "ledger.csv")
         training.save_checkpoint(ledger.erm.net, run_dir / "erm.ckpt")
         training.save_checkpoint(ledger.adv.net, run_dir / "adv.ckpt")
 
@@ -225,24 +243,14 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
             "adv": ledger.adv.index_digest,
             "match": ledger.erm.index_digest == ledger.adv.index_digest,
         },
-        "erm": {"train_acc": ledger.erm_train_acc, "test_acc": ledger.erm_test_acc,
-                "gen_gap": ledger.erm_train_acc - ledger.erm_test_acc},
-        "adv": {"train_acc": ledger.adv_train_acc, "test_acc": ledger.adv_test_acc,
-                "gen_gap": ledger.adv_train_acc - ledger.adv_test_acc},
+        **accuracies,
     }
-    good = [r for r in ledger.records if not r.degenerate]
-    zero = [r.t for r in good if r.intensity == 0.0]
-    if ledger.diverged_at is None and not good:
-        summary["failure"] = ("every logged record was degenerate (clean max gradient norm "
-                              "numerically zero), so there is no intensity to account")
-    elif ledger.diverged_at is None and zero:  # is an intensity of 0 valid? not settled yet
-        summary["failure"] = (f"the intensity is 0 (adversarial max gradient norm exactly "
-                              f"zero) at {len(zero)} record(s) from t={zero[0]}; the "
-                              "composite needs > 0")
+    if ledger.diverged_at is None and failure is not None:
+        summary["failure"] = failure
     if _run_failure(summary) is not None:  # nothing to account; summary.json says why
         return _write_run(run_dir, started, stages, summary)
-    summary["records"] = len(ledger.records)
-    summary["records_skipped"] = len(ledger.records) - len(good)
+    summary["records"] = len(records)
+    summary["records_skipped"] = len(records) - len(good)
 
     # gradient noise and Laplace scale, taken at the final ERM iterate
     with _stage(stages, "noise"):
@@ -258,11 +266,10 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
     summary["intensity_1t"] = leading.inputs["i_1t"]
     summary["l_erm_1t"] = leading.inputs["l_erm_1t"]
     summary["budgets"] = {k: b and dataclasses.asdict(b) for k, b in budgets.items()}
-    summary["bounds"] = []
-    for gamma in cfg.gamma_list:
-        rep = bounds.bound_report(leading.epsilon, leading.delta, cfg.loss_bound, n, gamma,
-                                  cfg.constant_c)
-        summary["bounds"].append(_bound_json(rep) | {"gamma": gamma, "c": rep.c})
+    summary["bounds"] = [
+        bounds.bound_report(leading.epsilon, leading.delta, cfg.loss_bound, n, gamma,
+                            cfg.constant_c) | {"gamma": gamma, "c": cfg.constant_c}
+        for gamma in cfg.gamma_list]
 
     with _stage(stages, "mia"):
         _, summary["mia"] = _mia(ledger.adv.net, train_set, test_set)
@@ -310,17 +317,10 @@ def _pool_result(future, job) -> dict:
 
 
 def sweep_rows(summaries: list[dict]) -> list[dict]:
-    rows = []
-    for s in sorted(summaries, key=lambda s: (s["rho"], s["seed"])):
-        rows.append({
-            "rho": s["rho"], "seed": s["seed"], "intensity_1t": s["intensity_1t"],
-            "adv_accuracy": s["adv_accuracy"],
-            "adv_accuracy_common": s["adv_accuracy_common"],
-            "attack_accuracy": s["mia"]["accuracy"],
-            "gen_gap": s["adv"]["gen_gap"], "eps_leading": s["budgets"]["leading_thm5"]["epsilon"],
-            "on_avg_bound": s["bounds"][0]["on_avg_bound"],
-            "high_prob_bound": s["bounds"][0]["high_prob_bound"]})
-    return rows
+    """One ``SWEEP_COLUMNS`` row per summary, in (rho, seed) order."""
+    return [{column: functools.reduce(operator.getitem, path, s)
+             for column, path in SWEEP_COLUMNS.items()}
+            for s in sorted(summaries, key=lambda s: (s["rho"], s["seed"]))]
 
 
 def write_sweep_csv(rows: list[dict], path: Path) -> None:
@@ -398,20 +398,20 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
     each run it left unfinished, and the merge still runs. Returns
     (summaries, failed runs' too; failure messages). Each run writes only
     inside its own directory; the merge below is single-threaded. A config
-    error is raised before any run starts.
+    error is raised before any run starts. The pool has no more processes
+    than unfinished runs.
     """
     cfg.check_noise(cfg.load_datasets()[0])
     summaries, unfinished = _load_summaries(cfg)
     jobs = [(cfg, rho, seed) for rho, seed in unfinished]
-    if jobs:
-        workers = cfg.workers or min(len(jobs), os.cpu_count() or 1)
-        if workers == 1:
-            summaries.extend(map(_run_job, jobs))
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_run_job, job) for job in jobs]
-                summaries.extend(_pool_result(future, job) for future, job in zip(futures, jobs))
+    workers = min(cfg.workers or os.cpu_count() or 1, len(jobs))
+    if workers <= 1:  # one worker, or no job: run here
+        summaries.extend(map(_run_job, jobs))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_run_job, job) for job in jobs]
+            summaries.extend(_pool_result(future, job) for future, job in zip(futures, jobs))
 
     _, failures = merge_sweep(cfg, summaries)
     return summaries, failures
@@ -509,9 +509,9 @@ def _cmd_bounds(args) -> int:
                                   args.gamma, args.c)
     except ValueError as exc:  # invalid calculator arguments
         raise ConfigError(str(exc)) from None
-    print(json.dumps(_bound_json(rep) | {"inputs": {
-        "eps": rep.eps, "delta": rep.delta, "m": rep.m, "n": rep.n, "gamma": rep.gamma,
-        "c": rep.c}}, sort_keys=True, indent=2))
+    print(json.dumps(rep | {"inputs": {
+        "eps": args.eps, "delta": args.delta, "m": args.loss_bound, "n": args.n,
+        "gamma": args.gamma, "c": args.c}}, sort_keys=True, indent=2))
     return 0
 
 

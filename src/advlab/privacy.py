@@ -22,7 +22,8 @@ composites: eps = (2 * L_1T * I_1T / (N * b)) * sqrt(2 T ln(N / delta')),
 dropping an O(1/N^2) remainder; the ERM baseline is the same with
 intensity 1. Logs are natural throughout. :func:`budgets` is the one place
 that turns an (L_erm, I) series into these budgets, for a training run and
-for the ``accountant`` calculator alike.
+for the ``accountant`` calculator alike; :func:`compose` is its composition
+step.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class LaplaceFit:
 class PrivacyBudget:
     epsilon: float
     delta: float
-    provenance: str  # per_step | composed_thm4 | leading_thm5 | erm_corollary
+    provenance: str  # composed_thm4 | leading_thm5 | erm_corollary
     inputs: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -143,28 +144,11 @@ def noise_histogram(values: np.ndarray, bins: int = HISTOGRAM_BINS,
     return edges, counts
 
 
-def per_step_epsilon(l_erm_t: float, i_t: float, n: int, b: float) -> float:
-    """Single-step privacy loss 2 * L * I / (N * b)."""
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    if not b > 0:
-        raise ValueError("Laplace scale b must be positive")
-    if not (0 <= l_erm_t < math.inf and 0 <= i_t < math.inf):
-        raise ValueError("gradient statistics must be finite and nonnegative")
-    return 2.0 * l_erm_t * i_t / (n * b)
-
-
-def _check_delta_prime(delta_prime: float, n: int) -> None:
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    if not 0 < delta_prime < n:
-        raise ValueError("delta_prime must lie in (0, N) so that ln(N/delta') > 0 "
-                         "and delta <= 1")
-
-
 def compose(eps_list, delta_prime: float, n: int) -> PrivacyBudget:
     """Exact composition of per-step budgets into a whole-run (eps, delta)."""
-    _check_delta_prime(delta_prime, n)
+    if not 0 < delta_prime < n:  # so N > 0 as well
+        raise ValueError("delta_prime must lie in (0, N) so that ln(N/delta') > 0 "
+                         "and delta <= 1")
     eps = np.asarray(list(eps_list), dtype=np.float64)
     if eps.size and eps.min() < 0:
         raise ValueError("per-step epsilons must be nonnegative")
@@ -180,48 +164,34 @@ def compose(eps_list, delta_prime: float, n: int) -> PrivacyBudget:
     )
 
 
-def leading_epsilon(l_erm_1t: float, i_1t: float, t: int, n: int, b: float,
-                    delta_prime: float) -> PrivacyBudget:
-    """Leading-term budget from the fourth-power composites (remainder dropped)."""
-    _check_delta_prime(delta_prime, n)
-    if t < 1:
-        raise ValueError("T must be >= 1")
-    if not b > 0:
-        raise ValueError("Laplace scale b must be positive")
-    if l_erm_1t < 0 or i_1t < 0:
-        raise ValueError("composites must be nonnegative")
-    eps = (2.0 * l_erm_1t * i_1t / (n * b)) * math.sqrt(2.0 * t * math.log(n / delta_prime))
-    return PrivacyBudget(
-        epsilon=eps,
-        delta=delta_prime / n,
-        provenance="leading_thm5",
-        inputs={"l_erm_1t": l_erm_1t, "i_1t": i_1t, "t": t, "n": n, "b": b,
-                "delta_prime": delta_prime},
-    )
-
-
-def erm_epsilon(l_erm_1t: float, t: int, n: int, b: float, delta_prime: float) -> PrivacyBudget:
-    """ERM baseline: the leading-term budget at intensity exactly 1."""
-    budget = leading_epsilon(l_erm_1t, 1.0, t, n, b, delta_prime)
-    return PrivacyBudget(epsilon=budget.epsilon, delta=budget.delta,
-                         provenance="erm_corollary", inputs=budget.inputs)
-
-
 def budgets(l_erm, intensity, t: int, n: int, b: float, delta_prime: float):
     """Per-step epsilons and the three budgets of one (L_erm, I) series.
 
     Returns ``(eps_per_step, budgets)``, with ``budgets`` keyed by
     provenance. ``composed_thm4`` composes the series' steps; the leading and
     ERM budgets take the series' fourth-power composites (in their
-    ``inputs`` as ``l_erm_1t`` and ``i_1t``) over ``t`` steps, and are None
-    for an empty series.
+    ``inputs`` as ``l_erm_1t`` and ``i_1t``; ``i_1t`` is 1 for ERM) over
+    ``t`` steps, and are None for an empty series. Each input is checked
+    once: N, b, the series and T here, delta' by :func:`compose`.
     """
-    eps = [per_step_epsilon(l, i, n, b) for l, i in zip(l_erm, intensity)]
+    if n < 1:
+        raise ValueError("N must be >= 1")
+    if not b > 0:
+        raise ValueError("Laplace scale b must be positive")
+    if not all(0 <= v < math.inf for v in (*l_erm, *intensity)):
+        raise ValueError("gradient statistics must be finite and nonnegative")
+    eps = [2.0 * l * i / (n * b) for l, i in zip(l_erm, intensity)]
     out = {"composed_thm4": compose(eps, delta_prime, n),
            "leading_thm5": None, "erm_corollary": None}
     if eps:
+        if t < 1:
+            raise ValueError("T must be >= 1")
         l_1t = composite_intensity(l_erm)
-        out["leading_thm5"] = leading_epsilon(l_1t, composite_intensity(intensity), t, n, b,
-                                              delta_prime)
-        out["erm_corollary"] = erm_epsilon(l_1t, t, n, b, delta_prime)
+        root = math.sqrt(2.0 * t * math.log(n / delta_prime))
+        for name, i_1t in (("leading_thm5", composite_intensity(intensity)),
+                           ("erm_corollary", 1.0)):
+            out[name] = PrivacyBudget(
+                epsilon=(2.0 * l_1t * i_1t / (n * b)) * root, delta=delta_prime / n,
+                provenance=name, inputs={"l_erm_1t": l_1t, "i_1t": i_1t, "t": t, "n": n,
+                                         "b": b, "delta_prime": delta_prime})
     return eps, out

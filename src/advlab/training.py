@@ -2,7 +2,10 @@
 
 The trainers read the SGD settings, the step-size schedule ``ExperimentConfig.lr``,
 ``hidden`` and ``activation`` from an already validated ``ExperimentConfig``;
-the run's attack, seed and loss are arguments.
+the run's attack, seed and loss are arguments. This module only trains: pairing
+the two logged series into records, and judging whether they can be
+accounted, is :mod:`advlab.intensity`'s; evaluating the models is the
+caller's.
 
 :func:`train_model` runs one model's trajectory from a given initial net
 under a given attack: it draws and hashes its own batch schedule and takes
@@ -12,16 +15,15 @@ loss at its parameters before the step.
 
 :func:`train_twin` is two such runs from the seed-derived initialization,
 not a lockstep loop: the ERM model under the zero-radius ``AttackSpec()``,
-for which PGD returns the clean batch, then the adversarial model. It pairs
-the logged series into records whose ratio is the intensity
-(:mod:`advlab.intensity`). The ERM run does not depend on the radius, and at
-radius 0 both runs execute the same code on byte-identical inputs, so they
-coincide exactly; tests rely on this.
+for which PGD returns the clean batch, then the adversarial model. The ERM
+run does not depend on the radius, and at radius 0 both runs execute the
+same code on byte-identical inputs, so they coincide exactly; tests rely on
+this.
 
 Divergence: a run stops at the first iteration whose gradient, update or
 logged statistics are not finite, and keeps its last finite iterate. If the
 ERM run fails at t, the adversarial run takes at most t - 1 steps.
-``diverged_at`` is the earlier failure, and the records stop before it.
+``diverged_at`` is the earlier failure, and both logged series stop before it.
 
 Checkpoint format (little endian): magic ``RPG1``, uint8 activation code
 (0 relu, 1 tanh), uint32 layer count L, uint32 widths[L+1], then float64
@@ -36,9 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import intensity, nn
+from . import nn
 from .adversarial import AttackSpec, adv_grad
-from .attacks import accuracy
 from .config import ExperimentConfig
 from .data import BatchSchedule, LabeledSet, write_atomic, write_csv
 
@@ -53,19 +54,6 @@ class DivergenceError(RuntimeError):
 
 class CheckpointFormatError(ValueError):
     """Checkpoint bytes do not match the documented layout."""
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    """One logged iteration: max-gradient norms, their ratio, batch losses."""
-
-    t: int
-    l_erm: float
-    l_adv: float
-    intensity: float  # nan when degenerate
-    erm_loss: float
-    adv_loss: float
-    degenerate: bool = False
 
 
 def sgd_step(net: nn.DenseNet, grad: np.ndarray, lr: float, velocity: np.ndarray,
@@ -103,15 +91,10 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class RunLedger:
-    """Everything one twin run produced."""
+    """The two trajectories of one twin run and the run's first failure."""
 
     erm: Trajectory
     adv: Trajectory
-    records: list[IterationRecord]
-    erm_train_acc: float
-    erm_test_acc: float
-    adv_train_acc: float
-    adv_test_acc: float
     diverged_at: int | None
 
 
@@ -145,10 +128,9 @@ def train_model(train_set: LabeledSet, net: nn.DenseNet, cfg: ExperimentConfig,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def train_twin(train_set: LabeledSet, test_set: LabeledSet, cfg: ExperimentConfig,
-               attack: AttackSpec, seed: int,
+def train_twin(train_set: LabeledSet, cfg: ExperimentConfig, attack: AttackSpec, seed: int,
                loss_spec: nn.LossSpec = nn.LossSpec()) -> RunLedger:
-    """Train the ERM model, then the one under ``attack``; pair their logged series.
+    """Train the ERM model, then the one under ``attack``, from one initialization.
     A diverging run overflows before a non-finite value stops it, so numpy's
     overflow and invalid-value warnings are silenced inside this call."""
     net0 = nn.DenseNet.random((train_set.dim, *cfg.hidden, train_set.num_classes),
@@ -156,25 +138,15 @@ def train_twin(train_set: LabeledSet, test_set: LabeledSet, cfg: ExperimentConfi
     erm = train_model(train_set, net0, cfg, AttackSpec(), seed, loss_spec)
     adv = train_model(train_set, net0, cfg, attack, seed, loss_spec,
                       None if erm.diverged_at is None else erm.diverged_at - 1)
-    records = []
-    # zip stops at the shorter series, which ends before either failure
-    for (t, l_erm, erm_loss), (_, l_adv, adv_loss) in zip(erm.logged, adv.logged):
-        try:
-            value, degenerate = intensity.single_intensity(l_adv, l_erm), False
-        except intensity.DegenerateDenominatorError:
-            value, degenerate = float("nan"), True
-        records.append(IterationRecord(t, l_erm, l_adv, value, erm_loss, adv_loss, degenerate))
     # the adversarial run stops before the ERM failure, so its own comes first
-    return RunLedger(erm, adv, records,
-                     accuracy(erm.net, train_set), accuracy(erm.net, test_set),
-                     accuracy(adv.net, train_set), accuracy(adv.net, test_set),
-                     adv.diverged_at or erm.diverged_at)
+    return RunLedger(erm, adv, adv.diverged_at or erm.diverged_at)
 
 
 LEDGER_COLUMNS = ("t", "l_erm", "l_adv", "intensity", "erm_loss", "adv_loss", "degenerate")
 
 
-def write_ledger_csv(records: list[IterationRecord], path) -> None:
+def write_ledger_csv(records, path) -> None:
+    """One row per record: its ``LEDGER_COLUMNS`` attributes (``intensity.IterationRecord``)."""
     write_csv(path, LEDGER_COLUMNS, ([getattr(r, c) for c in LEDGER_COLUMNS] for r in records))
 
 

@@ -121,7 +121,7 @@ class TestAdversarialAccuracy:
         from advlab.training import train_twin
         cfg = dataclasses.replace(ExperimentConfig(), total_iterations=150, batch_size=24,
                                   log_every=50, lr_init=0.1, lr_decay_every=100, hidden=(12,))
-        ledger = train_twin(train, test, cfg, AttackSpec(norm="linf", radius=0.1), 5)
+        ledger = train_twin(train, cfg, AttackSpec(norm="linf", radius=0.1), 5)
         return ledger.adv.net, test
 
     def test_zero_radius_equals_clean_accuracy(self):

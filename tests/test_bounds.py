@@ -71,13 +71,13 @@ class TestHighProbBound:
 
     def test_beta_above_m_rejected(self):
         with pytest.raises(ValueError, match="exceed"):
-            bounds.high_prob_bound(2.0, 100, 0.1, 1.0, m=1.0)
+            bounds.high_prob_bound(2.0, 100, 0.1, 1.0)
 
 
 class TestRateChecks:
     def pipeline(self, n):
         # fixed accountant pipeline with leading-term eps and delta = 1/N
-        budget = privacy.leading_epsilon(1.0, 1.0, 100, n, 1.0, 1.0)
+        budget = privacy.budgets([1.0], [1.0], 100, n, 1.0, 1.0)[1]["leading_thm5"]
         return budget.epsilon, budget.delta
 
     def test_on_average_rate_sqrt_log_over_n(self):
@@ -99,11 +99,10 @@ class TestRateChecks:
 class TestBoundReport:
     def test_fields_consistent(self):
         rep = bounds.bound_report(eps=0.4, delta=1e-3, m=10.0, n=2000, gamma=0.05, c=1.0)
-        assert rep.beta == bounds.stability_beta(rep.eps, rep.delta, rep.m)
-        assert rep.beta <= rep.m
-        assert rep.high_prob_bound_rescaled == pytest.approx(
-            rep.m * rep.high_prob_bound_normalized, rel=1e-15)
-        # normalized variant uses beta / M
-        assert rep.high_prob_bound_normalized == pytest.approx(
-            bounds.high_prob_bound(rep.beta / rep.m, rep.n, rep.gamma, rep.c), rel=1e-15)
-        assert rep.c == 1.0
+        assert rep["beta"] == bounds.stability_beta(0.4, 1e-3, 10.0)
+        assert rep["beta"] <= 10.0
+        # the bound on loss / M, whose stability is beta / M, scaled back by M
+        assert rep["high_prob_bound"] == pytest.approx(
+            10.0 * bounds.high_prob_bound(rep["beta"] / 10.0, 2000, 0.05, 1.0), rel=1e-15)
+        # c defaults to 1
+        assert bounds.bound_report(eps=0.4, delta=1e-3, m=10.0, n=2000, gamma=0.05) == rep

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -31,17 +32,25 @@ def tiny_config(tmp_path, **overrides):
     return cfg, path
 
 
+def patch_logged_norm(monkeypatch, side, index, norm):
+    """Train twins whose ``side`` ("erm" or "adv") trajectory logs a max gradient
+    norm of ``norm`` at its ``index``-th logged step."""
+    train_twin = training.train_twin
+
+    def patched(*args, **kwargs):
+        ledger = train_twin(*args, **kwargs)
+        logged = getattr(ledger, side).logged
+        t, _, loss = logged[index]
+        logged[index] = (t, norm, loss)
+        return ledger
+
+    monkeypatch.setattr(training, "train_twin", patched)
+
+
 def kill_the_adversary(monkeypatch):
     """Train twins whose second logged record has a dead adversarial net: a
     max gradient norm, so an intensity, of exactly 0."""
-    train_twin = training.train_twin
-
-    def dead_adversary(*args, **kwargs):
-        ledger = train_twin(*args, **kwargs)
-        ledger.records[1] = dataclasses.replace(ledger.records[1], l_adv=0.0, intensity=0.0)
-        return ledger
-
-    monkeypatch.setattr(training, "train_twin", dead_adversary)
+    patch_logged_norm(monkeypatch, "adv", 1, 0.0)
 
 
 class TestTrainCommand:
@@ -107,6 +116,28 @@ class TestTrainCommand:
         assert cli.main(["sweep", "--config", str(path)]) == 1
         failures = json.loads((Path(cfg.output_dir) / "analysis.json").read_text())["failures"]
         assert len(failures) == 1 and "intensity is 0" in failures[0]
+
+    @pytest.mark.parametrize("side, name", [("erm", "ERM"), ("adv", "adversarial")])
+    def test_dead_model_run_is_one_line_error_exit_1(self, tmp_path, capsys, monkeypatch,
+                                                     side, name):
+        # a last logged max gradient norm as seed 3's ERM net ends with at n_train 200, spread 2.5
+        cfg, path = tiny_config(tmp_path, seeds=(1,))
+        patch_logged_norm(monkeypatch, side, -1, 6.1e-136)
+        assert cli.main(["train", "--config", str(path), "--rho", "0.15"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: run rho=0.15 seed=1: the {name} model is dead")
+        summary = json.loads((cli.run_dir_for(cfg, 0.15, 1) / "summary.json").read_text())
+        assert "dead" in summary["failure"] and "mia" not in summary
+
+    def test_accuracies_populated(self, tmp_path, capsys):
+        cfg, path = tiny_config(tmp_path)
+        assert cli.main(["train", "--config", str(path), "--rho", "0", "--seed", "1"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        for side in ("erm", "adv"):
+            acc = summary[side]
+            assert 0.0 <= acc["train_acc"] <= 1.0 and 0.0 <= acc["test_acc"] <= 1.0
+            assert acc["gen_gap"] == acc["train_acc"] - acc["test_acc"]
 
     def test_diverged_run_is_one_error_line_and_still_writes_its_summary(self, tmp_path, capsys):
         cfg, path = tiny_config(tmp_path, lr_init=1e200)
@@ -198,6 +229,35 @@ class TestSweepCommand:
         assert len(trees[0]) == 2 + 4 * 5  # sweep.csv, analysis.json, 4 runs x 5 files
         assert trees[0] == trees[1]
 
+    @pytest.mark.parametrize("seeds, pool_sizes", [((1,), []), ((1, 2), [2])],
+                             ids=["one_job_serial", "two_jobs_two_workers"])
+    def test_pool_has_no_more_workers_than_unfinished_runs(self, tmp_path, capsys, monkeypatch,
+                                                           seeds, pool_sizes):
+        cfg, path = tiny_config(tmp_path, radius_list=(0.0,), seeds=seeds, workers=3)
+        sizes = []
+
+        class InlinePool:
+            """Records its size and runs each job in this process: it starts no process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+        assert sizes == pool_sizes
+        assert len((Path(cfg.output_dir) / "sweep.csv").read_text().splitlines()) == 1 + len(seeds)
+
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched run must reach the workers by fork")
     def test_dead_worker_fails_its_unfinished_runs_and_merge_still_runs(
@@ -276,14 +336,16 @@ class TestSweepCommand:
                 f"rho=0.0 seed=1: {json.loads((run / 'summary.json').read_text())['failure']}"]
             assert (tmp_path / "runs" / "sweep.csv").read_text().count("\n") == 1  # header only
 
-    @pytest.mark.parametrize("kind", ["diverged", "degenerate", "zero_intensity"])
+    @pytest.mark.parametrize("kind", ["diverged", "degenerate", "zero_intensity", "dead_model"])
     def test_failure_reads_the_same_on_first_sweep_resume_and_report(
             self, tmp_path, capsys, monkeypatch, kind):
-        overrides = {"diverged": {"lr_init": 1e200}, "degenerate": {"loss_bound": 1e-9},
-                     "zero_intensity": {}}[kind]
-        cfg, path = tiny_config(tmp_path, radius_list=(0.0,), seeds=(1,), **overrides)
+        overrides = {"diverged": {"lr_init": 1e200}, "degenerate": {"loss_bound": 1e-9}}
+        cfg, path = tiny_config(tmp_path, radius_list=(0.0,), seeds=(1,),
+                                **overrides.get(kind, {}))
         if kind == "zero_intensity":
             kill_the_adversary(monkeypatch)
+        if kind == "dead_model":
+            patch_logged_norm(monkeypatch, "erm", -1, 0.0)
         analysis_json = Path(cfg.output_dir) / "analysis.json"
         seen = []
         for command in ("sweep", "sweep", "report"):
@@ -315,7 +377,7 @@ class TestSweepCommand:
 WRITERS = {
     "json": lambda path, k: cli._write_json(path, {"a": k}),
     "ledger": lambda path, k: training.write_ledger_csv(
-        [training.IterationRecord(20, 1.0, 2.0 * k, 2.0 * k, 0.5, 0.5)], path),
+        [intensity.IterationRecord(20, 1.0, 2.0 * k, 2.0 * k, 0.5, 0.5)], path),
     "checkpoint": lambda path, k: training.save_checkpoint(
         nn.DenseNet.random((2, 3, 2), "relu", seed=k), path),
     "histogram": lambda path, k: cli._write_histogram_csv(path, np.full(10, float(k))),
@@ -344,6 +406,53 @@ class TestWriteJson:
         monkeypatch.undo()
         WRITERS[writer](path, 2)
         assert path.read_bytes() != old  # the interrupted write had new bytes to lose
+
+
+# every key path of a finished run's summary.json; "[]" marks a list of objects
+SUMMARY_PATHS = {
+    "rho", "seed", "config_digest", "diverged_at", "n_train", "n_test",
+    "index_digests.erm", "index_digests.adv", "index_digests.match",
+    "erm.train_acc", "erm.test_acc", "erm.gen_gap",
+    "adv.train_acc", "adv.test_acc", "adv.gen_gap",
+    "records", "records_skipped",
+    "noise.b", "noise.location", "noise.count", "noise.divisor",
+    "eps_per_step", "intensity_1t", "l_erm_1t",
+    "budgets.composed_thm4.epsilon", "budgets.composed_thm4.delta",
+    "budgets.composed_thm4.provenance", "budgets.composed_thm4.inputs.n",
+    "budgets.composed_thm4.inputs.delta_prime", "budgets.composed_thm4.inputs.steps",
+    "budgets.leading_thm5.epsilon", "budgets.leading_thm5.delta",
+    "budgets.leading_thm5.provenance", "budgets.leading_thm5.inputs.l_erm_1t",
+    "budgets.leading_thm5.inputs.i_1t", "budgets.leading_thm5.inputs.t",
+    "budgets.leading_thm5.inputs.n", "budgets.leading_thm5.inputs.b",
+    "budgets.leading_thm5.inputs.delta_prime",
+    "budgets.erm_corollary.epsilon", "budgets.erm_corollary.delta",
+    "budgets.erm_corollary.provenance", "budgets.erm_corollary.inputs.l_erm_1t",
+    "budgets.erm_corollary.inputs.i_1t", "budgets.erm_corollary.inputs.t",
+    "budgets.erm_corollary.inputs.n", "budgets.erm_corollary.inputs.b",
+    "budgets.erm_corollary.inputs.delta_prime",
+    "bounds[].beta", "bounds[].high_prob_bound", "bounds[].gamma", "bounds[].c",
+    "mia.zeta_optim", "mia.accuracy", "adv_accuracy", "adv_accuracy_common",
+}
+SWEEP_HEADER = ("rho,seed,intensity_1t,adv_accuracy,adv_accuracy_common,attack_accuracy,"
+                "gen_gap,eps_leading,beta,high_prob_bound")
+
+
+def key_paths(obj, prefix=""):
+    if isinstance(obj, dict):
+        return {p for k, v in obj.items() for p in key_paths(v, f"{prefix}.{k}".lstrip("."))}
+    if isinstance(obj, list) and obj and isinstance(obj[0], dict):
+        return {p for v in obj for p in key_paths(v, f"{prefix}[]")}
+    return {prefix}
+
+
+class TestOutputLayout:
+    def test_summary_key_paths_and_sweep_header_are_pinned(self, tmp_path, capsys):
+        cfg, path = tiny_config(tmp_path, radius_list=(0.0,), seeds=(1,))
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+        summary = json.loads((cli.run_dir_for(cfg, 0.0, 1) / "summary.json").read_text())
+        assert key_paths(summary) == SUMMARY_PATHS
+        header = (Path(cfg.output_dir) / "sweep.csv").read_text().splitlines()[0]
+        assert header == SWEEP_HEADER
 
 
 class TestCsvCells:
@@ -587,7 +696,7 @@ class TestCalculatorCommands:
                        "--loss-bound", "1.0", "--n", "1000", "--gamma", "0.05"])
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["beta"] == out["on_avg_bound"]
+        assert set(out) == {"beta", "high_prob_bound", "inputs"}
         assert out["inputs"]["c"] == 1.0
 
     def test_bounds_invalid_gamma_is_config_error(self, capsys):

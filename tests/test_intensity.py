@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,41 @@ class TestSingleIntensity:
     def test_negative_numerator_rejected(self):
         with pytest.raises(ValueError):
             intensity.single_intensity(-1.0, 1.0)
+
+
+def logged(norms):
+    """A logged series with these max gradient norms, every ``log_every`` = 20 steps."""
+    return [(20 * (k + 1), norm, 0.5) for k, norm in enumerate(norms)]
+
+
+class TestJudge:
+    def test_pairs_the_series_and_skips_degenerate_records(self):
+        records, good, failure = intensity.judge(logged([1.0, 1e-30, 2.0]),
+                                                 logged([3.0, 1.0, 1.0]))
+        assert failure is None
+        assert [r.t for r in records] == [20, 40, 60]
+        assert records[1].degenerate and math.isnan(records[1].intensity)  # at the floor
+        assert [(r.t, r.intensity) for r in good] == [(20, 3.0), (60, 0.5)]
+
+    def test_pairing_stops_at_the_shorter_series(self):
+        records, _, _ = intensity.judge(logged([1.0, 1.0, 1.0]), logged([2.0, 2.0]))
+        assert [r.t for r in records] == [20, 40]
+
+    @pytest.mark.parametrize("erm, adv, words", [
+        ([0.0, 1e-31], [1.0, 1.0], "every logged record was degenerate"),
+        ([1.0, 1e-30], [1.0, 1.0], "the ERM model is dead"),
+        ([1.0, 6.1e-136], [0.0, 1.0], "the ERM model is dead"),
+        ([1.0, 1.0], [1.0, 1e-30], "the adversarial model is dead"),
+        ([1.0, 1.0], [0.0, 1.0], "the intensity is 0"),
+    ], ids=["all_degenerate", "dead_erm", "dead_erm_before_zero", "dead_adversary", "zero"])
+    def test_one_failure_reason(self, erm, adv, words):
+        _, _, failure = intensity.judge(logged(erm), logged(adv))
+        assert failure.startswith(words), failure
+        assert "\n" not in failure
+
+    def test_empty_series_has_nothing_to_account(self):
+        records, _, failure = intensity.judge([], [])
+        assert records == [] and "degenerate" in failure
 
 
 class TestCompositeIntensity:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advlab import intensity, nn, privacy, training
+from advlab import intensity, nn, privacy
 from advlab.data import LabeledSet, synth_blobs
 
 mp.mp.dps = 50
@@ -108,21 +108,33 @@ class TestFitLaplace:
             privacy.fit_laplace(np.array([1.0]))
 
 
-class TestPerStepEpsilon:
-    def test_zero_sensitivity(self):
-        assert privacy.per_step_epsilon(0.0, 1.0, 100, 0.1) == 0.0
+def per_step(l_erm, i, n, b, delta_prime=1.0):
+    """The per-step epsilon of a one-step (L_erm, I) series."""
+    return privacy.budgets([l_erm], [i], 1, n, b, delta_prime)[0][0]
 
+
+def leading(l_1t, i_1t, t, n, b, delta_prime):
+    """The leading-term budget of a one-step series, whose composites are its own values."""
+    return privacy.budgets([l_1t], [i_1t], t, n, b, delta_prime)[1]["leading_thm5"]
+
+
+def erm(l_1t, t, n, b, delta_prime):
+    """The ERM-corollary budget of a one-step series."""
+    return privacy.budgets([l_1t], [1.0], t, n, b, delta_prime)[1]["erm_corollary"]
+
+
+class TestPerStepEpsilon:
     def test_hand_arithmetic(self):
-        assert privacy.per_step_epsilon(1.0, 1.0, 100, 0.1) == pytest.approx(0.2, rel=1e-15)
+        assert per_step(1.0, 1.0, 100, 0.1) == pytest.approx(0.2, rel=1e-15)
 
     def test_doubling_n_halves_exactly(self):
-        a = privacy.per_step_epsilon(0.7, 1.3, 500, 0.05)
-        b = privacy.per_step_epsilon(0.7, 1.3, 1000, 0.05)
+        a = per_step(0.7, 1.3, 500, 0.05)
+        b = per_step(0.7, 1.3, 1000, 0.05)
         assert a == 2 * b
 
     def test_bad_scale_rejected(self):
         with pytest.raises(ValueError):
-            privacy.per_step_epsilon(1.0, 1.0, 100, 0.0)
+            per_step(1.0, 1.0, 100, 0.0)
 
 
 class TestCompose:
@@ -192,11 +204,8 @@ ERM_HAND = 0.74338443776996768939
 
 
 class TestLeadingEpsilon:
-    def test_zero_intensity(self):
-        assert privacy.leading_epsilon(1.0, 0.0, 100, 1000, 0.1, 1.0).epsilon == 0.0
-
     def test_hand_example_frozen(self):
-        b = privacy.leading_epsilon(1.0, 2.0, 100, 1000, 0.1, 1.0)
+        b = leading(1.0, 2.0, 100, 1000, 0.1, 1.0)
         assert b.epsilon == pytest.approx(LEADING_HAND, rel=1e-14)
         assert b.delta == pytest.approx(1e-3, rel=1e-15)
         assert b.provenance == "leading_thm5"
@@ -206,32 +215,32 @@ class TestLeadingEpsilon:
         # leading term must be >= the sqrt part of the composed budget
         n, b, dp, t = 2000, 0.2, 1.0, 50
         l, i = 0.8, 1.7
-        eps_t = privacy.per_step_epsilon(l, i, n, b)
-        sqrt_term = math.sqrt(2 * math.log(n / dp) * t * eps_t ** 2)
-        lead = privacy.leading_epsilon(l, i, t, n, b, dp).epsilon
+        eps, budgets = privacy.budgets([l] * t, [i] * t, t, n, b, dp)
+        sqrt_term = math.sqrt(2 * math.log(n / dp) * t * eps[0] ** 2)
+        lead = budgets["leading_thm5"].epsilon
         assert lead >= sqrt_term - 1e-12
         assert lead == pytest.approx(sqrt_term, rel=1e-12)
 
     def test_inputs_snapshot(self):
-        b = privacy.leading_epsilon(1.0, 2.0, 100, 1000, 0.1, 1.0)
+        b = leading(1.0, 2.0, 100, 1000, 0.1, 1.0)
         assert b.inputs == {"l_erm_1t": 1.0, "i_1t": 2.0, "t": 100, "n": 1000,
                             "b": 0.1, "delta_prime": 1.0}
 
 
 class TestErmEpsilon:
     def test_equals_leading_at_unit_intensity(self):
-        a = privacy.erm_epsilon(0.9, 80, 5000, 0.15, 1.0)
-        b = privacy.leading_epsilon(0.9, 1.0, 80, 5000, 0.15, 1.0)
+        a = erm(0.9, 80, 5000, 0.15, 1.0)
+        b = leading(0.9, 1.0, 80, 5000, 0.15, 1.0)
         assert a.epsilon == b.epsilon
         assert a.provenance == "erm_corollary"
 
     def test_ratio_is_composite_intensity(self):
-        lead = privacy.leading_epsilon(0.9, 1.8, 80, 5000, 0.15, 1.0).epsilon
-        base = privacy.erm_epsilon(0.9, 80, 5000, 0.15, 1.0).epsilon
+        _, budgets = privacy.budgets([0.9], [1.8], 80, 5000, 0.15, 1.0)
+        lead, base = budgets["leading_thm5"].epsilon, budgets["erm_corollary"].epsilon
         assert lead / base == pytest.approx(1.8, rel=1e-14)
 
     def test_hand_example_frozen(self):
-        b = privacy.erm_epsilon(1.0, 100, 1000, 0.1, 1.0)
+        b = erm(1.0, 100, 1000, 0.1, 1.0)
         assert b.epsilon == pytest.approx(ERM_HAND, rel=1e-14)
 
 
@@ -240,7 +249,7 @@ class TestBudgets:
 
     def rec(self, t, l_erm, l_adv, degenerate=False):
         i = float("nan") if degenerate else l_adv / l_erm
-        return training.IterationRecord(t, l_erm, l_adv, i, 0.1, 0.1, degenerate)
+        return intensity.IterationRecord(t, l_erm, l_adv, i, 0.1, 0.1, degenerate)
 
     def budgets(self, records, t=100):
         good = [r for r in records if not r.degenerate]
@@ -272,13 +281,17 @@ class TestBudgets:
     def test_each_budget_is_its_theorem_over_the_series(self):
         l_series, i_series, t, n, b, dp = [0.4, 0.9, 0.7], [1.5, 1.1, 2.0], 2000, 500, 0.3, 0.5
         eps, budgets = privacy.budgets(l_series, i_series, t, n, b, dp)
-        assert eps == [privacy.per_step_epsilon(l, i, n, b) for l, i in zip(l_series, i_series)]
+        assert eps == [2.0 * l * i / (n * b) for l, i in zip(l_series, i_series)]
         l_1t = intensity.composite_intensity(l_series)
         i_1t = intensity.composite_intensity(i_series)
+        root = math.sqrt(2.0 * t * math.log(n / dp))
+        inputs = {"l_erm_1t": l_1t, "t": t, "n": n, "b": b, "delta_prime": dp}
         assert budgets == {
             "composed_thm4": privacy.compose(eps, dp, n),
-            "leading_thm5": privacy.leading_epsilon(l_1t, i_1t, t, n, b, dp),
-            "erm_corollary": privacy.erm_epsilon(l_1t, t, n, b, dp)}
+            "leading_thm5": privacy.PrivacyBudget((2.0 * l_1t * i_1t / (n * b)) * root, dp / n,
+                                                  "leading_thm5", inputs | {"i_1t": i_1t}),
+            "erm_corollary": privacy.PrivacyBudget((2.0 * l_1t / (n * b)) * root, dp / n,
+                                                   "erm_corollary", inputs | {"i_1t": 1.0})}
 
 
 class TestAccountantRelations:
@@ -291,12 +304,9 @@ class TestAccountantRelations:
             l_series = rng.uniform(0.05, 2.0, size=t)
             i_series = rng.uniform(0.5, 3.0, size=t)
             n, b, dp = int(rng.integers(100, 100000)), float(rng.uniform(0.05, 1.0)), 1.0
-            eps_series = [privacy.per_step_epsilon(l, i, n, b)
-                          for l, i in zip(l_series, i_series)]
-            composed = privacy.compose(eps_series, dp, n).epsilon
-            lead = privacy.leading_epsilon(
-                intensity.composite_intensity(l_series),
-                intensity.composite_intensity(i_series), t, n, b, dp).epsilon
+            eps_series, budgets = privacy.budgets(l_series, i_series, t, n, b, dp)
+            composed = budgets["composed_thm4"].epsilon
+            lead = budgets["leading_thm5"].epsilon
             second = float(np.sum([e * (math.exp(e) - 1) / (math.exp(e) + 1)
                                    for e in eps_series]))
             assert composed <= lead + second + 1e-12
@@ -305,7 +315,7 @@ class TestAccountantRelations:
         # leading eps times N / sqrt(ln N) is constant when delta' = 1
         vals = []
         for n in (10 ** 3, 10 ** 4, 10 ** 5):
-            eps = privacy.leading_epsilon(1.0, 2.0, 100, n, 0.1, 1.0).epsilon
+            eps = leading(1.0, 2.0, 100, n, 0.1, 1.0).epsilon
             vals.append(eps * n / math.sqrt(math.log(n)))
         assert vals[0] == pytest.approx(vals[1], rel=1e-12)
         assert vals[1] == pytest.approx(vals[2], rel=1e-12)
