@@ -39,9 +39,11 @@ run with the ``SWEEP_COLUMNS`` rho, seed, intensity_1t, adv_accuracy,
 adv_accuracy_common, attack_accuracy, gen_gap, eps_leading, beta and
 high_prob_bound (the first gamma's bounds), and ``analysis.json``.
 
-``sweep`` reruns a run whose summary.json is missing, unreadable or stale:
-its ``config_digest`` covers every config field except ``seeds``,
-``output_dir`` and ``workers``, so editing any other field reruns the sweep.
+``sweep`` reruns a run whose summary.json is missing, unreadable (it does
+not parse, or is not a JSON object) or stale: its ``config_digest`` covers
+every config field except ``seeds``, ``output_dir`` and ``workers``, and for
+a CSV source the sha256 of both files' bytes, so editing any other field or
+either data file reruns the sweep.
 A failed run still writes summary.json (with ``diverged_at`` or a one-line
 ``failure``) and meta.json, so it is not retrained and merges as a failure.
 
@@ -61,20 +63,25 @@ norm numerically zero), a model is dead (its max gradient norm at the last
 logged step numerically zero), or a logged intensity is exactly zero; for
 ``sweep`` also a run that raised or lost its worker, for ``report`` one whose
 summary.json is missing, stale or unreadable. 1 also means a file that
-cannot be read (any ``OSError``: missing, a directory, no permission), a
-malformed or non-UTF-8 data or ``--series`` CSV, ``attack`` or ``noise``
+cannot be read (any ``OSError``: missing, a directory, no permission; ``report``
+reads a CSV source's data files for the digest), a malformed or non-UTF-8
+data or ``--series`` CSV (a data CSV also by a non-finite feature such as
+``nan``, ``inf`` or ``1e400``, named by file and line), ``attack`` or ``noise``
 given a checkpoint whose outputs are not finite, as a diverged run leaves,
 or ``probe`` meeting a degenerate clean max gradient norm. 2 configuration
 error, in one ``config error:`` line: a config file that is not UTF-8 or
 does not parse, any value ``ExperimentConfig`` rejects (a non-finite number
-or a seed outside [0, 2**128) among them), a ``batch_size``, ``delta_prime``
-or noise field that does not fit the data, or a ``--rho`` or ``--seed`` that
-makes no valid run (``train`` and ``sweep`` exit before any directory or
-job; ``noise`` checks its noise fields against the checkpoint's parameter
-count), a checkpoint given to ``attack``, ``noise`` or ``probe`` whose input
-width differs from the data's or that has fewer outputs than the data has
-classes, ``probe`` batch sizes that are not integers in [1, training set
-size] or ``--repeats`` below 1 (checked before any gradient work), and
+or a seed outside [0, 2**128) among them), train and test data of different
+feature widths or a ``batch_size``, ``delta_prime`` or noise field that does
+not fit the data (``ExperimentConfig.load_datasets`` checks these for every
+command that reads data: ``train``, ``sweep``, ``attack``, ``noise`` and
+``probe``), or a ``--rho`` or ``--seed`` that makes no valid run (``train``
+and ``sweep`` exit before any directory or job; ``noise`` also checks its
+noise fields against the checkpoint's parameter count), a checkpoint given
+to ``attack``, ``noise`` or ``probe`` whose input width differs from the
+data's or that has fewer outputs than the data has classes, ``probe``
+batch sizes that are not integers in [1, training set size] or
+``--repeats`` below 1 (checked before any gradient work), and
 invalid ``accountant`` and ``bounds`` arguments, among them a nan or
 infinite ``accountant`` statistic, a scalar-mode ``--iterations`` below 1, a
 ``bounds --eps`` of nan, and a ``--loss-bound`` or ``--c`` that is not
@@ -216,7 +223,6 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
     attack = cfg.attack_spec(rho)
     check_seed("seed", seed)
     train_set, test_set = cfg.load_datasets()
-    cfg.check_noise(train_set)
     run_dir = run_dir_for(cfg, rho, seed)
     run_dir.mkdir(parents=True, exist_ok=True)
 
@@ -368,8 +374,9 @@ def _load_summaries(cfg: ExperimentConfig) -> tuple[list[dict], dict[tuple, str]
 
     Returns (summaries, unfinished). ``unfinished`` maps each (rho, seed)
     pair without a current summary, in sweep order, to the reason: its
-    summary.json is missing, cannot be parsed, or was written under a
-    config with another digest.
+    summary.json is missing, unreadable (it does not parse, or parses to
+    something other than a JSON object), or was written under a config
+    with another digest.
     """
     digest = config_digest(cfg)
     summaries, unfinished = [], {}
@@ -378,9 +385,11 @@ def _load_summaries(cfg: ExperimentConfig) -> tuple[list[dict], dict[tuple, str]
             path = run_dir_for(cfg, rho, seed) / "summary.json"
             try:
                 summary = json.loads(path.read_text(encoding="utf-8"))
+                if not isinstance(summary, dict):
+                    raise ValueError("not a JSON object")
             except FileNotFoundError:
                 unfinished[rho, seed] = "no summary.json"
-            except ValueError as exc:  # truncated or corrupt JSON
+            except ValueError as exc:  # truncated, corrupt or not an object
                 unfinished[rho, seed] = f"unreadable {path}: {exc}"
             else:
                 if summary.get("config_digest") == digest:
@@ -401,7 +410,7 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
     error is raised before any run starts. The pool has no more processes
     than unfinished runs.
     """
-    cfg.check_noise(cfg.load_datasets()[0])
+    cfg.load_datasets()
     summaries, unfinished = _load_summaries(cfg)
     jobs = [(cfg, rho, seed) for rho, seed in unfinished]
     workers = min(cfg.workers or os.cpu_count() or 1, len(jobs))

@@ -10,8 +10,9 @@ ERM baseline row).
 
 ``ExperimentConfig`` alone decides whether an experiment is valid: its
 ``__post_init__`` rejects each value that cannot make a run (among them
-every non-finite number and every seed that cannot key a Philox stream),
-and ``check_noise`` each that does not fit the loaded training set.
+every non-finite number and every seed that cannot key a Philox stream).
+``load_datasets`` is the one gate for the rules that need the data: it
+returns the train/test pair only once every field fits it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 from .adversarial import AttackSpec
 from .data import LabeledSet, load_csv, split, synth_blobs, write_atomic
@@ -85,6 +87,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.source not in ("synthetic", "csv"):
             raise ConfigError(f"unknown data source {self.source!r}")
+        if self.source == "csv" and not (self.train_csv and self.test_csv):
+            raise ConfigError("csv source needs train_csv and test_csv paths")
         for f in fields(self):
             value = getattr(self, f.name)
             for v in value if isinstance(value, tuple) else (value,):
@@ -141,25 +145,25 @@ class ExperimentConfig:
         return self.lr_init * self.lr_decay ** ((t - 1) // self.lr_decay_every)
 
     def load_datasets(self) -> tuple[LabeledSet, LabeledSet]:
+        """The train/test pair, once both sets have the same feature width and
+        ``batch_size`` and the privacy fields fit them and the net trained on them,
+        which the csv source fixes only once its files are read."""
         if self.source == "csv":
-            if not self.train_csv or not self.test_csv:
-                raise ConfigError("csv source needs train_csv and test_csv paths")
             train = load_csv(self.train_csv, header=self.csv_header)
             test = load_csv(self.test_csv, header=self.csv_header)
             classes = max(train.num_classes, test.num_classes)
             train = LabeledSet(train.features, train.labels, classes)
             test = LabeledSet(test.features, test.labels, classes)
-            return train, test
-        pool = synth_blobs(self.n_per_class, self.num_classes, self.dim,
-                           self.spread, self.data_seed)
-        return split(pool, self.n_train, self.data_seed)
-
-    def check_noise(self, train: LabeledSet) -> None:
-        """Fit ``batch_size`` and the privacy fields to the training set and the
-        net trained on it, which the csv source fixes only once its files are read."""
+        else:
+            pool = synth_blobs(self.n_per_class, self.num_classes, self.dim,
+                               self.spread, self.data_seed)
+            train, test = split(pool, self.n_train, self.data_seed)
+        if train.dim != test.dim:
+            raise ConfigError(f"train_csv has {train.dim} features but test_csv has {test.dim}")
         if self.batch_size > len(train):
             raise ConfigError(f"batch_size must be <= {len(train)}, the training set size")
         self.check_noise_for(len(train), param_count((train.dim, *self.hidden, train.num_classes)))
+        return train, test
 
     def check_noise_for(self, n_train: int, params: int) -> None:
         """Fit the privacy fields to an ``n_train``-row training set and the
@@ -260,10 +264,15 @@ _NOT_DIGESTED = ("seeds", "output_dir", "workers")
 def config_digest(cfg: ExperimentConfig) -> str:
     """sha256 over every field that can change a run's artifacts, each
     written as in the INI file. ``radius_list`` is included because each
-    run is also attacked at its last radius; a CSV source enters by its
-    paths, not its contents."""
+    run is also attacked at its last radius. A CSV source also enters by
+    the sha256 of each file's bytes, so editing the data reruns a sweep;
+    reading them raises ``OSError`` as ``load_datasets`` would."""
     text = "".join(f"{f.name}={_format(getattr(cfg, f.name))}\n"
                    for f in fields(ExperimentConfig) if f.name not in _NOT_DIGESTED)
+    if cfg.source == "csv":
+        for name in ("train_csv", "test_csv"):
+            data = Path(getattr(cfg, name)).read_bytes()
+            text += f"{name}_sha256={hashlib.sha256(data).hexdigest()}\n"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -13,6 +13,7 @@ one integer label column. A header row is skipped when ``header=True``.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -153,9 +154,12 @@ def load_csv(path, header: bool = False) -> LabeledSet:
         if len(cells) < 2:
             raise CsvFormatError(f"{path}: line {lineno}: need at least one feature and a label")
         try:
-            rows.append([float(c) for c in cells[:-1]])
+            row = [float(c) for c in cells[:-1]]
         except ValueError:
             raise CsvFormatError(f"{path}: line {lineno}: non-numeric feature") from None
+        if not all(map(math.isfinite, row)):  # nan, inf, or a number past the float range
+            raise CsvFormatError(f"{path}: line {lineno}: non-finite feature")
+        rows.append(row)
         lab = cells[-1].strip()
         try:
             labels.append(int(lab))

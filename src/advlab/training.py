@@ -103,8 +103,6 @@ def train_model(train_set: LabeledSet, net: nn.DenseNet, cfg: ExperimentConfig,
                 iterations: int | None = None) -> Trajectory:
     """The trajectory from ``net`` under ``attack`` and ``seed``'s batch schedule for
     ``iterations`` steps (default ``cfg.total_iterations``); see the module docstring."""
-    if cfg.batch_size > len(train_set):
-        raise ValueError("batch_size exceeds training set size")
     velocity = np.zeros(net.num_params)
     schedule = BatchSchedule(seed, cfg.batch_size)
     digest, logged, diverged_at = hashlib.sha256(), [], None

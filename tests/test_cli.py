@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from advlab import attacks, cli, config, intensity, nn, privacy, training
+from advlab import attacks, cli, config, data, intensity, nn, privacy, training
+from conftest import write_dataset_csv
 
 # frozen oracle value shared with test_privacy: compose([0.1], N/delta'=100)
 COMPOSE_HAND = 0.30848126337324882
@@ -30,6 +31,38 @@ def tiny_config(tmp_path, **overrides):
     path = tmp_path / "exp.ini"
     config.save_config(cfg, path)
     return cfg, path
+
+
+def csv_config(tmp_path, train: bytes, test: bytes):
+    """``tiny_config`` on train.csv and test.csv holding these bytes, with the
+    batch and noise fields small enough for a two-row training set."""
+    train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+    train_csv.write_bytes(train)
+    test_csv.write_bytes(test)
+    return tiny_config(tmp_path, source="csv", train_csv=str(train_csv), test_csv=str(test_csv),
+                       batch_size=1, noise_tau=1, delta_prime=1.0, noise_components=1)
+
+
+def break_summary_then_report_and_resume(tmp_path, capsys, corrupt) -> str:
+    """Sweep, replace the last run's summary.json bytes with ``corrupt(bytes)``,
+    check that ``report`` fails that run as unreadable and that a resumed sweep
+    rewrites it as before; returns ``report``'s stderr."""
+    cfg, path = tiny_config(tmp_path, seeds=(1,))
+    assert cli.main(["sweep", "--config", str(path)]) == 0
+    sweep_csv = (tmp_path / "runs" / "sweep.csv").read_bytes()
+    summary = cli.run_dir_for(cfg, cfg.radius_list[-1], 1) / "summary.json"
+    whole = summary.read_bytes()
+    summary.write_bytes(corrupt(whole))
+    capsys.readouterr()
+    assert cli.main(["report", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "unreadable" in err
+    failures = json.loads((tmp_path / "runs" / "analysis.json").read_text())["failures"]
+    assert len(failures) == 1 and "unreadable" in failures[0]
+    assert cli.main(["sweep", "--config", str(path)]) == 0
+    assert summary.read_bytes() == whole
+    assert (tmp_path / "runs" / "sweep.csv").read_bytes() == sweep_csv
+    return err
 
 
 def patch_logged_norm(monkeypatch, side, index, norm):
@@ -356,21 +389,32 @@ class TestSweepCommand:
         assert len(failures) == 1 and seen[0][1] == failures[0] + "\n"
         assert failures[0].startswith("rho=0.0 seed=1: ") and "Traceback" not in failures[0]
 
+    @pytest.mark.parametrize("text", ["[]", "null", "3", '"done"'])
+    def test_summary_that_is_not_an_object_is_unreadable_then_rerun(
+            self, tmp_path, capsys, text):
+        err = break_summary_then_report_and_resume(tmp_path, capsys, lambda whole: text.encode())
+        assert err.count("\n") == 1 and "not a JSON object" in err
+
+    def test_csv_edit_reruns_every_run(self, tmp_path, capsys):
+        train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+        write_dataset_csv(data.synth_blobs(20, 3, 4, 1.0, seed=1), train_csv)
+        write_dataset_csv(data.synth_blobs(10, 3, 4, 1.0, seed=2), test_csv)
+        cfg, path = tiny_config(tmp_path, source="csv", train_csv=str(train_csv),
+                                test_csv=str(test_csv), seeds=(1,))
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+        summaries = [cli.run_dir_for(cfg, rho, 1) / "summary.json" for rho in cfg.radius_list]
+        before = [json.loads(s.read_text()) for s in summaries]
+        # same shape, new rows
+        write_dataset_csv(data.synth_blobs(20, 3, 4, 1.0, seed=3), train_csv)
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+        after = [json.loads(s.read_text()) for s in summaries]
+        for old, new in zip(before, after):
+            assert new["config_digest"] == config.config_digest(cfg) != old["config_digest"]
+            assert new["noise"] != old["noise"]  # retrained on the new rows, not reused
+
     def test_truncated_summary_is_a_failure_then_rerun(self, tmp_path, capsys):
-        cfg, path = tiny_config(tmp_path, seeds=(1,))
-        assert cli.main(["sweep", "--config", str(path)]) == 0
-        sweep_csv = (tmp_path / "runs" / "sweep.csv").read_bytes()
-        summary = cli.run_dir_for(cfg, cfg.radius_list[-1], 1) / "summary.json"
-        whole = summary.read_bytes()
-        summary.write_bytes(whole[:100])  # as left by a run killed mid-write
-        capsys.readouterr()
-        assert cli.main(["report", "--config", str(path)]) == 1
-        assert "unreadable" in capsys.readouterr().err
-        failures = json.loads((tmp_path / "runs" / "analysis.json").read_text())["failures"]
-        assert len(failures) == 1 and "unreadable" in failures[0]
-        assert cli.main(["sweep", "--config", str(path)]) == 0
-        assert summary.read_bytes() == whole
-        assert (tmp_path / "runs" / "sweep.csv").read_bytes() == sweep_csv
+        # as left by a run killed mid-write
+        break_summary_then_report_and_resume(tmp_path, capsys, lambda whole: whole[:100])
 
 
 # every artifact writer, called with a version number k that changes its bytes
@@ -609,7 +653,7 @@ class TestCheckpointCommands:
         self.assert_config_error(capsys, ["noise", "--config", str(path), "--checkpoint",
                                           str(small), "--out", str(tmp_path / "nh.csv")],
                                  "noise_components", "27")
-        _, path = tiny_config(tmp_path, noise_components=131)
+        _, path = tiny_config(tmp_path, hidden=(16,), noise_components=131)  # 4-16-3 as well
         assert cli.main(["noise", "--config", str(path), "--checkpoint", str(large),
                          "--out", str(tmp_path / "nh.csv")]) == 0
         assert json.loads(capsys.readouterr().out)["count"] == 20 * 131
@@ -882,14 +926,34 @@ class TestFileErrors:
         self.assert_one_line(capsys, ["accountant", "--series", str(series), "--n", "100",
                                       "--b", "0.1", "--delta-prime", "1"], 1, str(series))
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_data_csv_with_a_non_finite_feature_is_one_error_line(
+            self, tmp_path, capsys, command, value):
+        cfg, path = csv_config(tmp_path, f"0.5,1.0,0\n{value},2.0,1\n".encode(),
+                               b"0.5,1.0,0\n-0.5,2.0,1\n")
+        self.assert_one_line(capsys, [command, "--config", str(path)], 1,
+                             cfg.train_csv, "line 2", "non-finite")
+        assert not Path(cfg.output_dir).exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_data_csvs_of_different_widths_are_one_config_error_before_any_job(
+            self, tmp_path, capsys, monkeypatch, command):
+        cfg, path = csv_config(tmp_path, b"0.5,1.0,2.0,0\n-0.5,2.0,1.0,1\n",
+                               b"0.5,1.0,2.0,3.0,0\n-0.5,2.0,1.0,3.0,1\n")
+
+        def never(*args, **kwargs):
+            raise AssertionError("trained despite a config error")
+
+        monkeypatch.setattr(training, "train_twin", never)
+        self.assert_one_line(capsys, [command, "--config", str(path)], 2,
+                             "3 features", "test_csv has 4")
+        assert not Path(cfg.output_dir).exists()
+
     def test_data_csv_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys):
-        train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
-        train_csv.write_text("0.5,1.0,0\n-0.5,2.0,1\n")
-        test_csv.write_bytes(b"0.5,1.0,0\n\xff-0.5,2.0,1\n")
-        cfg, path = tiny_config(tmp_path, source="csv", train_csv=str(train_csv),
-                                test_csv=str(test_csv), batch_size=1, noise_tau=1,
-                                delta_prime=1.0, noise_components=1)
-        self.assert_one_line(capsys, ["train", "--config", str(path)], 1, str(test_csv), "UTF-8")
+        cfg, path = csv_config(tmp_path, b"0.5,1.0,0\n-0.5,2.0,1\n",
+                               b"0.5,1.0,0\n\xff-0.5,2.0,1\n")
+        self.assert_one_line(capsys, ["train", "--config", str(path)], 1, cfg.test_csv, "UTF-8")
         assert not Path(cfg.output_dir).exists()
 
 

@@ -99,7 +99,8 @@ class TestDatasets:
 
     def test_synthetic_deterministic(self):
         import numpy as np
-        cfg = dataclasses.replace(config.ExperimentConfig(), n_per_class=20, n_train=30)
+        cfg = dataclasses.replace(config.ExperimentConfig(), n_per_class=20, n_train=30,
+                                  batch_size=30, noise_tau=30)
         a, _ = cfg.load_datasets()
         b, _ = cfg.load_datasets()
         assert np.array_equal(a.features, b.features)
@@ -112,7 +113,8 @@ class TestDatasets:
         write_dataset_csv(te, tmp_path / "test.csv")
         cfg = dataclasses.replace(config.ExperimentConfig(), source="csv",
                                   train_csv=str(tmp_path / "train.csv"),
-                                  test_csv=str(tmp_path / "test.csv"))
+                                  test_csv=str(tmp_path / "test.csv"),
+                                  batch_size=30, noise_tau=30)
         train, test = cfg.load_datasets()
         assert len(train) == 30 and len(test) == 15
         assert train.num_classes == test.num_classes == 3
@@ -128,17 +130,24 @@ class TestDatasets:
                                   batch_size=30, noise_tau=30, noise_components=67,
                                   delta_prime=29.5, train_csv=str(tmp_path / "train.csv"),
                                   test_csv=str(tmp_path / "test.csv"))
-        train, _ = cfg.load_datasets()
-        cfg.check_noise(train)  # all four near their largest valid value
+        cfg.load_datasets()  # all four near their largest valid value
         for bad in ({"batch_size": 31}, {"noise_tau": 31}, {"noise_tau": 0},
                     {"noise_components": 68}, {"noise_components": 0}, {"delta_prime": 30.0}):
             with pytest.raises(config.ConfigError, match=next(iter(bad))):
-                dataclasses.replace(cfg, **bad).check_noise(train)
+                dataclasses.replace(cfg, **bad).load_datasets()
+
+    def test_csv_feature_widths_must_match(self, tmp_path):
+        (tmp_path / "train.csv").write_text("0.5,1.0,2.0,0\n-0.5,2.0,1.0,1\n")
+        (tmp_path / "test.csv").write_text("0.5,1.0,2.0,3.0,0\n")
+        cfg = dataclasses.replace(config.ExperimentConfig(), source="csv", batch_size=1,
+                                  noise_tau=1, train_csv=str(tmp_path / "train.csv"),
+                                  test_csv=str(tmp_path / "test.csv"))
+        with pytest.raises(config.ConfigError, match="3 features but test_csv has 4"):
+            cfg.load_datasets()
 
     def test_csv_source_needs_paths(self):
-        cfg = dataclasses.replace(config.ExperimentConfig(), source="csv")
         with pytest.raises(config.ConfigError, match="csv source"):
-            cfg.load_datasets()
+            dataclasses.replace(config.ExperimentConfig(), source="csv")
 
 
 class TestDerivedSpecs:
@@ -153,6 +162,24 @@ class TestDerivedSpecs:
 
 
 class TestConfigDigest:
+    def test_default_digest_is_pinned(self):
+        # every default run's summary.json carries it, so it must not move
+        assert config.config_digest(config.ExperimentConfig()) == (
+            "ec13c82f3814ec524b2df67cc32f48e428c61041a332725d960079f3262772dc")
+
+    def test_csv_source_digests_the_bytes_of_both_files(self, tmp_path):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        train.write_text("0.5,1.0,0\n-0.5,2.0,1\n")
+        test.write_text("0.5,1.0,0\n")
+        cfg = dataclasses.replace(config.ExperimentConfig(), source="csv",
+                                  train_csv=str(train), test_csv=str(test))
+        seen = {config.config_digest(cfg)}
+        train.write_text("0.5,1.0,0\n-0.5,2.5,1\n")
+        seen.add(config.config_digest(cfg))
+        test.write_text("0.5,1.0,1\n")
+        seen.add(config.config_digest(cfg))
+        assert len(seen) == 3
+
     def test_sweep_bookkeeping_leaves_the_digest_alone(self):
         cfg = config.ExperimentConfig()
         moved = dataclasses.replace(cfg, seeds=(9,), output_dir="elsewhere", workers=3)

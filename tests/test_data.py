@@ -21,6 +21,14 @@ class TestLoadCsv:
         with pytest.raises(data.CsvFormatError, match="line 2"):
             data.load_csv(p)
 
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e400"])
+    def test_non_finite_feature_names_file_and_line(self, tmp_path, value):
+        p = tmp_path / "d.csv"
+        p.write_text(f"1.0,2.0,0\n3.0,{value},1\n")
+        with pytest.raises(data.CsvFormatError, match="line 2: non-finite") as err:
+            data.load_csv(p)
+        assert str(p) in str(err.value)
+
     def test_non_integer_label_names_line(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("1.0,2.0,0.7\n")
