@@ -66,14 +66,17 @@ summary.json is missing, stale or unreadable. 1 also means a file that
 cannot be read (any ``OSError``: missing, a directory, no permission; ``report``
 reads a CSV source's data files for the digest), a malformed or non-UTF-8
 data or ``--series`` CSV (a data CSV also by a non-finite feature such as
-``nan``, ``inf`` or ``1e400``, named by file and line), ``attack`` or ``noise``
-given a checkpoint whose outputs are not finite, as a diverged run leaves,
+``nan``, ``inf`` or ``1e400``, named by file and line), a checkpoint given
+to ``attack``, ``noise`` or ``probe`` that breaks the RPG1 format or holds a
+non-finite parameter, named by file, ``attack`` or ``noise`` given a
+checkpoint whose outputs are not finite, as a diverged run leaves,
 or ``probe`` meeting a degenerate clean max gradient norm. 2 configuration
 error, in one ``config error:`` line: a config file that is not UTF-8 or
-does not parse, any value ``ExperimentConfig`` rejects (a non-finite number
-or a seed outside [0, 2**128) among them), train and test data of different
-feature widths or a ``batch_size``, ``delta_prime`` or noise field that does
-not fit the data (``ExperimentConfig.load_datasets`` checks these for every
+does not parse, any value ``ExperimentConfig`` rejects (a non-finite number,
+a seed outside [0, 2**128) or a ``log_every`` above ``total_iterations``,
+under which no record would be logged, among them), train and test data of
+different feature widths or a ``batch_size``, ``delta_prime`` or noise field
+that does not fit the data (``ExperimentConfig.load_datasets`` checks these for every
 command that reads data: ``train``, ``sweep``, ``attack``, ``noise`` and
 ``probe``), or a ``--rho`` or ``--seed`` that makes no valid run (``train``
 and ``sweep`` exit before any directory or job; ``noise`` also checks its

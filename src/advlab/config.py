@@ -27,6 +27,7 @@ from pathlib import Path
 from .adversarial import AttackSpec
 from .data import LabeledSet, load_csv, split, synth_blobs, write_atomic
 from .nn import ACTIVATIONS, LossSpec, param_count
+from .privacy import check_delta_prime
 from .rng import SEED_LIMIT
 
 
@@ -122,6 +123,8 @@ class ExperimentConfig:
         for name, floor in floors.items():
             if getattr(self, name) < floor:
                 raise ConfigError(f"{name} must be >= {floor}")
+        if self.log_every > self.total_iterations:  # no record would be logged
+            raise ConfigError(f"log_every must be <= total_iterations ({self.total_iterations})")
         if any(width < 1 for width in self.hidden):
             raise ConfigError("hidden widths must be >= 1")
         if self.activation not in ACTIVATIONS:
@@ -168,8 +171,10 @@ class ExperimentConfig:
     def check_noise_for(self, n_train: int, params: int) -> None:
         """Fit the privacy fields to an ``n_train``-row training set and the
         ``params`` parameters of the net the noise is collected on."""
-        if not self.delta_prime < n_train:
-            raise ConfigError(f"delta_prime must lie in (0, {n_train}), the training set size")
+        try:
+            check_delta_prime(self.delta_prime, n_train)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not 1 <= self.noise_tau <= n_train:
             raise ConfigError(f"noise_tau must lie in [1, {n_train}], the training set size")
         if not 1 <= self.noise_components <= params:

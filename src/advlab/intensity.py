@@ -132,9 +132,10 @@ def consistency_probe(net_erm: nn.DenseNet, net_adv: nn.DenseNet, dataset: Label
     lands in, so they are computed once for the whole dataset and each
     batch estimate is a subset max over precomputed norms. The tau == N
     row is the full-dataset value itself, computed exactly once.
+    ``tau_grid`` and ``repeats`` must pass :func:`check_probe`, which the
+    caller runs before any gradient work.
     """
     n = len(dataset)
-    check_probe(tau_grid, repeats, n)
     clean_norms = nn.grad_params(net_erm, (dataset.features, dataset.labels), loss_spec)[1]
     adv_norms = adv_grad(net_adv, dataset, attack, loss_spec)[1]
     full = single_intensity(float(adv_norms.max()), float(clean_norms.max()))

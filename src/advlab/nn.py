@@ -11,7 +11,9 @@ Flattened parameter order
 Everything that treats the parameters as a single vector (gradients,
 checkpoints, SGD state) uses one fixed ordering: for each layer in
 sequence, the weight matrix in row-major (C) order followed by the bias
-vector. Gradient vectors are plain float64 ndarrays of length
+vector. A net stores its parameters as one read-only vector in this order,
+which :meth:`DenseNet.flatten` returns as it is; its weights and biases are
+views into it. Gradient vectors are plain float64 ndarrays of length
 ``net.num_params`` in this order, and the only norm applied to them is the
 Euclidean norm.
 
@@ -74,15 +76,24 @@ def param_count(widths) -> int:
     return sum(i * o + o for i, o in zip(widths[:-1], widths[1:]))
 
 
-def _lock(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
+def _views(widths, flat: np.ndarray):
+    """(weights, biases) of a net with layer ``widths``, as views into ``flat``."""
+    ws, bs, k = [], [], 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        ws.append(flat[k : k + fan_out * fan_in].reshape(fan_out, fan_in))
+        k += fan_out * fan_in
+        bs.append(flat[k : k + fan_out])
+        k += fan_out
+    return tuple(ws), tuple(bs)
 
 
 @dataclass(frozen=True)
 class DenseNet:
-    """Immutable dense network: ``weights[i]`` is (out x in), ``biases[i]`` is (out,)."""
+    """Immutable dense network: ``weights[i]`` is (out x in), ``biases[i]`` is (out,).
+
+    Both are read-only views into the net's one parameter vector (:meth:`flatten`),
+    which ``DenseNet(...)`` fills with one checked copy of the layers.
+    """
 
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
@@ -93,8 +104,8 @@ class DenseNet:
             raise ValueError(f"unknown activation {self.activation!r}")
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("need one bias vector per weight matrix, at least one layer")
-        ws = tuple(_lock(w) for w in self.weights)
-        bs = tuple(_lock(b) for b in self.biases)
+        ws = [np.asarray(w, dtype=np.float64) for w in self.weights]
+        bs = [np.asarray(b, dtype=np.float64) for b in self.biases]
         for i, (w, b) in enumerate(zip(ws, bs)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise ValueError(f"layer {i}: weight {w.shape} / bias {b.shape} mismatch")
@@ -104,8 +115,20 @@ class DenseNet:
                 )
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {i}: non-finite parameter")
+        flat = np.concatenate([p.ravel() for layer in zip(ws, bs) for p in layer])
+        self._own((ws[0].shape[1], *(w.shape[0] for w in ws)), flat)
+
+    def _own(self, widths, flat: np.ndarray) -> None:
+        """Take ``flat`` as this net's read-only parameter vector, and view it as its layers."""
+        flat.setflags(write=False)
+        ws, bs = _views(widths, flat)
+        object.__setattr__(self, "_flat", flat)
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "biases", bs)
+
+    def __reduce__(self):
+        """Copies and unpickled nets are rebuilt by the constructor, so they own one vector too."""
+        return DenseNet, (self.weights, self.biases, self.activation)
 
     @property
     def in_dim(self) -> int:
@@ -122,49 +145,32 @@ class DenseNet:
 
     @property
     def num_params(self) -> int:
-        return param_count(self.layer_widths)
+        return self._flat.size
 
     def flatten(self) -> np.ndarray:
-        """Parameters as one vector in the documented order (row-major W, then b, per layer)."""
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
-
-    def _views(self, flat: np.ndarray):
-        """(weights, biases) of this net's shape, as views into ``flat``."""
-        ws, bs, k = [], [], 0
-        for w, b in zip(self.weights, self.biases):
-            ws.append(flat[k : k + w.size].reshape(w.shape))
-            k += w.size
-            bs.append(flat[k : k + b.size])
-            k += b.size
-        return tuple(ws), tuple(bs)
+        """The net's own read-only parameter vector, not a copy, in the documented
+        order (row-major W, then b, per layer)."""
+        return self._flat
 
     def with_params(self, flat: np.ndarray) -> "DenseNet":
-        """New net with the same shape and parameters taken from ``flat``."""
+        """New net with the same shape and parameters copied from ``flat``."""
         flat = np.asarray(flat, dtype=np.float64)
         if flat.shape != (self.num_params,):
             raise ValueError(f"expected {self.num_params} parameters, got {flat.shape}")
-        return DenseNet(*self._views(flat), self.activation)
+        return DenseNet(*_views(self.layer_widths, flat), self.activation)
 
     def _adopt(self, flat: np.ndarray) -> "DenseNet":
-        """New net of this shape that takes ownership of ``flat``; no copy, no scan.
+        """New net of this shape that takes ``flat`` as its parameter vector; no copy, no scan.
 
         Private constructor for the SGD hot path, which has just computed
         ``flat`` and checked it finite. The caller guarantees that ``flat``
         is a fresh float64 vector of length ``num_params`` that nothing else
-        holds. It is marked read-only here and the weights and biases are
-        views into it, so the new net is as immutable as one from
-        ``DenseNet(...)``, which copies and validates every array.
+        holds; the new net makes it read-only, as ``DenseNet(...)`` does the
+        copy it checks.
         """
-        flat.setflags(write=False)
         net = object.__new__(DenseNet)
-        ws, bs = self._views(flat)
-        object.__setattr__(net, "weights", ws)
-        object.__setattr__(net, "biases", bs)
         object.__setattr__(net, "activation", self.activation)
+        net._own(self.layer_widths, flat)
         return net
 
     @staticmethod

@@ -144,11 +144,15 @@ def noise_histogram(values: np.ndarray, bins: int = HISTOGRAM_BINS,
     return edges, counts
 
 
+def check_delta_prime(delta_prime: float, n: int) -> None:
+    """Reject a delta' outside (0, N), so that ln(N / delta') > 0 and delta = delta' / N <= 1."""
+    if not 0 < delta_prime < n:  # so N > 0 as well
+        raise ValueError(f"delta_prime must lie in (0, {n}), N the training set size")
+
+
 def compose(eps_list, delta_prime: float, n: int) -> PrivacyBudget:
     """Exact composition of per-step budgets into a whole-run (eps, delta)."""
-    if not 0 < delta_prime < n:  # so N > 0 as well
-        raise ValueError("delta_prime must lie in (0, N) so that ln(N/delta') > 0 "
-                         "and delta <= 1")
+    check_delta_prime(delta_prime, n)
     eps = np.asarray(list(eps_list), dtype=np.float64)
     if eps.size and eps.min() < 0:
         raise ValueError("per-step epsilons must be nonnegative")

@@ -18,6 +18,7 @@ triple reproduces the exact same values on every platform.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 SEED_LIMIT = 1 << 128  # a Philox key is 128 bits
 
@@ -29,9 +30,23 @@ DOMAIN_PROBE = 4
 DOMAIN_BLOBS = 5
 
 
+class _Key(ISeedSequence):
+    """A Philox key handed over as the seed source ``Philox`` reads it from (as two
+    64-bit words), so no ``SeedSequence`` is built from OS entropy and dropped,
+    as under ``Philox(key=...)``."""
+
+    def __init__(self, seed: int):
+        self.words = np.array([seed % (1 << 64), seed >> 64], dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def stream(seed: int, domain: int, step: int = 0) -> np.random.Generator:
     """Fresh generator positioned at the (seed, domain, step) stream start."""
     if not 0 <= step < 1 << 64:
         raise ValueError(f"stream step out of range: {step}")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"stream seed out of range: {seed}")
     counter = (domain << 128) | (step << 64)
-    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+    return np.random.Generator(np.random.Philox(_Key(seed), counter=counter))

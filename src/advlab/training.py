@@ -26,7 +26,7 @@ ERM run fails at t, the adversarial run takes at most t - 1 steps.
 ``diverged_at`` is the earlier failure, and both logged series stop before it.
 
 Checkpoint format (little endian): magic ``RPG1``, uint8 activation code
-(0 relu, 1 tanh), uint32 layer count L, uint32 widths[L+1], then float64
+(0 relu, 1 tanh), uint32 layer count L, uint32 widths[L+1], then finite float64
 parameters in the flattened order documented in :mod:`advlab.nn`.
 """
 
@@ -61,7 +61,7 @@ def sgd_step(net: nn.DenseNet, grad: np.ndarray, lr: float, velocity: np.ndarray
     """Heavy-ball update: v <- mu*v + (g + wd*theta); theta <- theta - lr*v.
 
     The new parameter vector is fresh and checked finite here, so the new
-    net adopts it as read-only views instead of copying and rescanning it.
+    net adopts it as its own instead of copying and rescanning it.
     """
     theta = net.flatten()
     grad = np.asarray(grad, dtype=np.float64)
@@ -158,6 +158,7 @@ def save_checkpoint(net: nn.DenseNet, path) -> None:
 
 
 def load_checkpoint(path) -> nn.DenseNet:
+    """The net in the file at ``path``; a ``CheckpointFormatError`` naming it if it breaks the format."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -181,10 +182,8 @@ def load_checkpoint(path) -> nn.DenseNet:
     if len(payload) != 8 * n_params:
         raise CheckpointFormatError(
             f"{path}: dimension header wants {8 * n_params} payload bytes, found {len(payload)}")
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    template = nn.DenseNet(
-        tuple(np.zeros((o, i)) for i, o in zip(widths[:-1], widths[1:])),
-        tuple(np.zeros(o) for o in widths[1:]),
-        _ACT_NAMES[act_code],
-    )
-    return template.with_params(flat)
+    try:
+        return nn.DenseNet(*nn._views(widths, np.frombuffer(payload, dtype="<f8")),
+                           _ACT_NAMES[act_code])
+    except ValueError as exc:  # the header fixes the shapes, so a non-finite parameter
+        raise CheckpointFormatError(f"{path}: {exc}") from None

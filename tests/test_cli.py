@@ -552,7 +552,7 @@ class TestInvalidValues:
         ("lr_init", "nan"), ("weight_decay", "nan"), ("lr_decay", "nan"), ("momentum", "inf"),
         ("spread", "inf"), ("radius_list", "0.0,nan"), ("step_size", "inf"),
         ("delta_prime", "inf"), ("seeds", "-1"), ("seeds", str(2 ** 128)), ("seeds", "1,1"),
-        ("data_seed", "-2"),
+        ("data_seed", "-2"), ("log_every", "61"),
     ])
     def test_is_one_config_error_before_any_directory_or_job(
             self, tmp_path, capsys, monkeypatch, command, field, value):
@@ -601,6 +601,14 @@ class TestInvalidValues:
 
 
 class TestCheckpointCommands:
+    @staticmethod
+    def checkpoint_argv(command, ckpt, tmp_path):
+        """``command``'s flags that read ``ckpt`` and write into ``tmp_path``."""
+        return {"attack": ["--checkpoint", str(ckpt)],
+                "noise": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "nh.csv")],
+                "probe": ["--erm-checkpoint", str(ckpt), "--adv-checkpoint", str(ckpt),
+                          "--rho", "0.1", "--out", str(tmp_path / "probe.csv")]}[command]
+
     def assert_config_error(self, capsys, argv, *words):
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
@@ -636,10 +644,7 @@ class TestCheckpointCommands:
         _, path = tiny_config(tmp_path)
         ckpt = tmp_path / "net.ckpt"
         training.save_checkpoint(nn.DenseNet.random(widths, "relu", seed=1), ckpt)
-        argv = {"attack": ["--checkpoint", str(ckpt)],
-                "noise": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "nh.csv")],
-                "probe": ["--erm-checkpoint", str(ckpt), "--adv-checkpoint", str(ckpt),
-                          "--rho", "0.1", "--out", str(tmp_path / "probe.csv")]}[command]
+        argv = self.checkpoint_argv(command, ckpt, tmp_path)
         self.assert_config_error(capsys, [command, "--config", str(path), *argv],
                                  str(ckpt), "-".join(map(str, widths)))
         assert sorted(tmp_path.iterdir()) == sorted([path, ckpt])
@@ -657,6 +662,24 @@ class TestCheckpointCommands:
         assert cli.main(["noise", "--config", str(path), "--checkpoint", str(large),
                          "--out", str(tmp_path / "nh.csv")]) == 0
         assert json.loads(capsys.readouterr().out)["count"] == 20 * 131
+
+    @pytest.mark.parametrize("command", ["attack", "noise", "probe"])
+    def test_checkpoint_with_a_non_finite_parameter_is_one_line_error_exit_1(
+            self, tmp_path, capsys, command):
+        _, path = tiny_config(tmp_path)
+        ckpt = tmp_path / "net.ckpt"
+        net = nn.DenseNet.random((4, 8, 3), "relu", seed=1)
+        training.save_checkpoint(net, ckpt)
+        blob = bytearray(ckpt.read_bytes())
+        first = len(blob) - 8 * net.num_params  # the first payload double
+        blob[first:first + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        ckpt.write_bytes(bytes(blob))
+        argv = self.checkpoint_argv(command, ckpt, tmp_path)
+        assert cli.main([command, "--config", str(path), *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: "), err
+        assert str(ckpt) in err and "non-finite" in err, err
+        assert sorted(tmp_path.iterdir()) == sorted([path, ckpt])
 
     def test_checkpoint_with_extra_outputs_is_accepted(self, tmp_path, capsys):
         _, path = tiny_config(tmp_path)

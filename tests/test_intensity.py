@@ -145,9 +145,12 @@ class TestConsistencyProbe:
         assert rows[2].mean_estimate == rows[2].full_value
 
     def test_tau_validation(self):
-        train, e, a = probe_instance()
-        with pytest.raises(ValueError, match="tau"):
-            intensity.consistency_probe(e, a, train, AttackSpec(), [len(train) + 1], 2, 0)
+        # the probe's caller runs this check once, before any gradient work
+        n = len(probe_instance()[0])
+        intensity.check_probe([1, n], 1, n)
+        for taus, repeats, word in (([n + 1], 2, "tau"), ([0], 2, "tau"), ([n], 0, "repeats")):
+            with pytest.raises(ValueError, match=word):
+                intensity.check_probe(taus, repeats, n)
 
     def test_probe_deterministic(self):
         train, e, a = probe_instance()

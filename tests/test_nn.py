@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -79,6 +80,41 @@ class TestDenseNetInvariants:
         again = net.with_params(flat)
         assert np.array_equal(again.flatten(), flat)
         assert again.layer_widths == net.layer_widths
+
+    @pytest.mark.parametrize("build", ["constructor", "random", "with_params", "sgd_step",
+                                       "load_checkpoint", "deepcopy"])
+    def test_net_owns_one_read_only_parameter_vector(self, tmp_path, build):
+        base = nn.DenseNet.random((3, 4, 2), "tanh", seed=5)
+        given = np.arange(base.num_params, dtype=np.float64)
+        if build == "constructor":
+            net = nn.DenseNet(base.weights, base.biases, "tanh")
+            assert not np.shares_memory(net.flatten(), base.flatten())
+        elif build == "random":
+            net = base
+        elif build == "with_params":
+            net = base.with_params(given)
+        elif build == "sgd_step":
+            net = training.sgd_step(base, given, 0.1, np.zeros(base.num_params), 0.9, 0.0)[0]
+        elif build == "deepcopy":
+            net = copy.deepcopy(base)
+            assert np.array_equal(net.flatten(), base.flatten())
+        else:
+            training.save_checkpoint(base, tmp_path / "net.ckpt")
+            net = training.load_checkpoint(tmp_path / "net.ckpt")
+        flat = net.flatten()
+        assert flat is net.flatten()
+        assert flat.dtype == np.float64 and flat.shape == (net.num_params,)
+        assert not flat.flags.writeable
+        for part in (*net.weights, *net.biases):
+            assert np.shares_memory(part, flat) and not part.flags.writeable
+        assert not np.shares_memory(flat, given)
+
+    def test_with_params_never_aliases_the_callers_array(self):
+        net = nn.DenseNet.random((3, 4, 2), "relu", seed=5)
+        for given in (np.arange(net.num_params, dtype=np.float64), net.flatten()):
+            again = net.with_params(given)
+            assert not np.shares_memory(again.flatten(), given)
+            assert np.array_equal(again.flatten(), given)
 
     def test_num_params_matches_flatten(self):
         net, _, _ = random_net_and_batch(8, widths=(3, 4, 4, 2))
