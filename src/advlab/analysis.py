@@ -4,7 +4,8 @@ Fits follow the fourth-order polynomial regression style used for the
 trend plots; the fit solves the normal equations of a Vandermonde system
 built on centered-and-scaled x values (raw fourth powers of unscaled data
 would wreck the conditioning) and converts the solution back to ordinary
-ascending-power coefficients.
+ascending-power coefficients. A fit is reported, in ``analysis.json``;
+nothing in the program evaluates it.
 
 Correlations are Spearman rank correlations: the claims under test are
 monotone-trend claims, so Pearson on raw values would be needlessly
@@ -24,11 +25,12 @@ from .data import LabeledSet
 
 @dataclass(frozen=True)
 class PolyFit:
-    """Least-squares polynomial fit.
+    """Least-squares polynomial fit; its fields are reported, and nothing evaluates it.
 
-    ``coefficients`` are ordinary ascending powers of raw x (the reporting
-    contract); evaluation goes through the centered-and-scaled basis, which
-    stays numerically stable even when the raw expansion cancels badly.
+    ``coefficients`` are ordinary ascending powers of raw x.
+    ``scaled_coefficients`` are ascending powers of ``(x - x_center) /
+    x_scale``, the basis the fit was solved in, which stays numerically
+    stable even when the raw expansion cancels badly.
     """
 
     coefficients: tuple[float, ...]
@@ -36,13 +38,6 @@ class PolyFit:
     x_center: float
     x_scale: float
     degree: int
-
-    def __call__(self, x) -> np.ndarray:
-        u = (np.asarray(x, dtype=np.float64) - self.x_center) / self.x_scale
-        out = np.zeros_like(u)
-        for c in reversed(self.scaled_coefficients):
-            out = out * u + c
-        return out
 
 
 def polyfit(xs, ys, degree: int = 4) -> PolyFit:

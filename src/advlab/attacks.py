@@ -8,8 +8,8 @@ accuracy at threshold zeta is
     Acc(zeta) = (frac(train conf >= zeta) + frac(test conf < zeta)) / 2
 
 which is piecewise constant in zeta and changes only at observed
-confidence values, so scanning those values (plus sentinels below 0 and
-above 1) finds the exact optimum.
+confidence values, so scanning those values (plus the sentinels 0 and
+1 + 1e-12) finds the exact optimum.
 """
 
 from __future__ import annotations
@@ -34,15 +34,6 @@ def true_label_confidences(net: nn.DenseNet, dataset: LabeledSet) -> np.ndarray:
     return p[np.arange(len(dataset)), dataset.labels]
 
 
-def mia_accuracy(train_confs: np.ndarray, test_confs: np.ndarray, zeta: float) -> float:
-    """Attack accuracy at one threshold, equal prior on member/non-member."""
-    train_confs = np.asarray(train_confs, dtype=np.float64)
-    test_confs = np.asarray(test_confs, dtype=np.float64)
-    if train_confs.size == 0 or test_confs.size == 0:
-        raise ValueError("confidence vectors must be non-empty")
-    return 0.5 * (float((train_confs >= zeta).mean()) + float((test_confs < zeta).mean()))
-
-
 @dataclass(frozen=True)
 class AttackReport:
     """Best threshold found by enumeration, with the full candidate sweep."""
@@ -64,8 +55,9 @@ def optimal_threshold(train_confs: np.ndarray, test_confs: np.ndarray) -> Attack
     All candidates are scored at once from sorted confidences:
     ``searchsorted(..., side="left")`` counts the values below each
     candidate. Each count divided by the vector length is bitwise the
-    boolean mean that :func:`mia_accuracy` takes, so every sweep entry
-    equals ``mia_accuracy`` at that candidate, in O((n + m) log(n + m)).
+    boolean mean of Acc(zeta) at one threshold, so every sweep entry equals
+    the test oracle ``conftest.mia_accuracy`` at that candidate, in
+    O((n + m) log(n + m)).
     """
     train_confs = np.asarray(train_confs, dtype=np.float64)
     test_confs = np.asarray(test_confs, dtype=np.float64)

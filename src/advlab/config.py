@@ -135,7 +135,7 @@ class ExperimentConfig:
 
     # derived pieces ----------------------------------------------------
     def loss_spec(self) -> LossSpec:
-        return LossSpec(kind="cross_entropy", clip_m=self.loss_bound)
+        return LossSpec(clip_m=self.loss_bound)
 
     def attack_spec(self, radius: float) -> AttackSpec:
         try:

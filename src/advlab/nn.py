@@ -22,10 +22,7 @@ Loss
 The per-example loss is cross-entropy over softmax, hard-clipped from
 above at ``clip_m`` so that it is bounded in ``[0, clip_m]``. Where the
 clip is active (raw loss >= clip_m) the example sits on the flat part of
-the clipped loss and its gradient is exactly zero. A second loss kind,
-``squared``, treats the integer label as a real regression target and sums
-squared logit residuals; it exists so that tests can build one-dimensional
-convex objectives with hand-computable gradients.
+the clipped loss and its gradient is exactly zero.
 
 Conventions pinned for determinism: the relu subgradient at 0 is 0, and
 the clip subgradient at raw loss == clip_m is 0.
@@ -67,7 +64,6 @@ import numpy as np
 from .rng import DOMAIN_INIT, stream
 
 ACTIVATIONS = ("relu", "tanh")
-LOSS_KINDS = ("cross_entropy", "squared")
 ROW_BLOCK = 256  # rows per pass; one (256, 64) float64 layer array is 128 KiB
 
 
@@ -126,10 +122,6 @@ class DenseNet:
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "biases", bs)
 
-    def __reduce__(self):
-        """Copies and unpickled nets are rebuilt by the constructor, so they own one vector too."""
-        return DenseNet, (self.weights, self.biases, self.activation)
-
     @property
     def in_dim(self) -> int:
         return self.weights[0].shape[1]
@@ -151,13 +143,6 @@ class DenseNet:
         """The net's own read-only parameter vector, not a copy, in the documented
         order (row-major W, then b, per layer)."""
         return self._flat
-
-    def with_params(self, flat: np.ndarray) -> "DenseNet":
-        """New net with the same shape and parameters copied from ``flat``."""
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.num_params,):
-            raise ValueError(f"expected {self.num_params} parameters, got {flat.shape}")
-        return DenseNet(*_views(self.layer_widths, flat), self.activation)
 
     def _adopt(self, flat: np.ndarray) -> "DenseNet":
         """New net of this shape that takes ``flat`` as its parameter vector; no copy, no scan.
@@ -187,14 +172,11 @@ class DenseNet:
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Per-example loss choice plus the hard upper clip ``clip_m``."""
+    """The cross-entropy loss's hard upper clip ``clip_m``."""
 
-    kind: str = "cross_entropy"
     clip_m: float = 10.0
 
     def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}")
         if not self.clip_m > 0:
             raise ValueError("clip_m must be positive")
 
@@ -263,27 +245,24 @@ def forward(net: DenseNet, features: np.ndarray) -> np.ndarray:
     return _by_rows(lambda xb: _forward_cached(net, xb)[-1], net.out_dim, x)
 
 
-def _losses_and_dlogits(logits: np.ndarray, y: np.ndarray, spec: LossSpec):
-    """(raw per-example losses, loss gradient w.r.t. the logits), from one softmax."""
-    if spec.kind == "cross_entropy":
-        rows = np.arange(len(y))
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        total = e.sum(axis=1, keepdims=True)
-        raw = np.log(total[:, 0]) - shifted[rows, y]
-        e /= total
-        e[rows, y] -= 1.0
-        return raw, e
-    # squared: label acts as a real target shared by every output coordinate
-    r = logits - y[:, None].astype(np.float64)
-    return (r ** 2).sum(axis=1), 2.0 * r
+def _losses_and_dlogits(logits: np.ndarray, y: np.ndarray):
+    """(raw per-example cross-entropy losses, their gradient w.r.t. the logits), from one
+    softmax; the callers apply the clip."""
+    rows = np.arange(len(y))
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    raw = np.log(total[:, 0]) - shifted[rows, y]
+    e /= total
+    e[rows, y] -= 1.0
+    return raw, e
 
 
 def loss_batch(net: DenseNet, batch, spec: LossSpec = LossSpec()):
     """(mean clipped loss, per-example clipped losses) for a (features, labels) batch."""
     x = _check_features(net, batch[0])
     y = _check_labels(net, batch[1], len(x))
-    raw, _ = _losses_and_dlogits(forward(net, x), y, spec)
+    raw, _ = _losses_and_dlogits(forward(net, x), y)
     clipped = np.minimum(raw, spec.clip_m)
     return float(clipped.mean()), clipped
 
@@ -295,7 +274,7 @@ def _backward(net: DenseNet, x: np.ndarray, y: np.ndarray, spec: LossSpec):
     example whose raw loss reached clip_m.
     """
     acts = _forward_cached(net, x)
-    raw, dlogits = _losses_and_dlogits(acts[-1], y, spec)
+    raw, dlogits = _losses_and_dlogits(acts[-1], y)
     delta = dlogits * (raw < spec.clip_m)[:, None]
     deltas = [delta]
     for i in range(len(net.weights) - 1, 0, -1):

@@ -84,16 +84,14 @@ def collect_noise(net: nn.DenseNet, dataset: LabeledSet, tau: int, n_batches: in
     Batch indices are drawn without replacement and kept in ascending
     order, so a tau == N batch reproduces the full-gradient summation
     exactly and correctly trips the degenerate-spread error.
+
+    The arguments are not checked here: ``ExperimentConfig`` owns the rules
+    for ``noise_tau`` (in [1, N]), ``noise_batches`` (at least 1) and
+    ``noise_components`` (in [1, parameter count]), and every command checks
+    them before any gradient work.
     """
     n = len(dataset)
-    if not 1 <= tau <= n:
-        raise ValueError(f"tau {tau} outside [1, {n}]")
-    if n_batches < 1 or components_per_batch < 1:
-        raise ValueError("n_batches and components_per_batch must be positive")
     full = nn.mean_grad(net, (dataset.features, dataset.labels), loss_spec)
-    if components_per_batch > full.size:
-        raise ValueError(f"components_per_batch {components_per_batch} exceeds "
-                         f"parameter count {full.size}")
     pooled = np.empty(n_batches * components_per_batch)
     for j in range(n_batches):
         rng = stream(seed, DOMAIN_NOISE, j)

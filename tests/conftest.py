@@ -3,10 +3,11 @@
 The finite-difference helpers here are the independent gradient oracle:
 they never touch the backward pass, only repeated forward losses.
 ``per_example_grads`` is the materialized per-example gradient matrix that
-the library's mean and rank-one norm shortcuts are checked against. The
-``textbook_*`` functions are the plain dense pass, with a stored
-pre-activation per layer and fresh arrays for every step, that the
-library's in-place pass must reproduce bit for bit.
+the library's mean and rank-one norm shortcuts are checked against, and
+``mia_accuracy`` is the one-threshold attack accuracy that the threshold
+scan is checked against. The ``textbook_*`` functions are the plain dense
+pass, with a stored pre-activation per layer and fresh arrays for every
+step, that the library's in-place pass must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ from advlab import data, nn
 FD_STEP = 1e-4
 
 
+def net_with_params(net: nn.DenseNet, flat) -> nn.DenseNet:
+    """A net of ``net``'s shape built from ``flat`` by the constructor, as checkpoints load."""
+    return nn.DenseNet(*nn._views(net.layer_widths, flat), net.activation)
+
+
 def fd_grad_params(net: nn.DenseNet, X, y, spec: nn.LossSpec, h: float = FD_STEP) -> np.ndarray:
     """Central finite differences of the mean batch loss w.r.t. parameters."""
     theta = net.flatten()
@@ -28,8 +34,8 @@ def fd_grad_params(net: nn.DenseNet, X, y, spec: nn.LossSpec, h: float = FD_STEP
         tp[i] += h
         tm = theta.copy()
         tm[i] -= h
-        lp = nn.loss_batch(net.with_params(tp), (X, y), spec)[0]
-        lm = nn.loss_batch(net.with_params(tm), (X, y), spec)[0]
+        lp = nn.loss_batch(net_with_params(net, tp), (X, y), spec)[0]
+        lm = nn.loss_batch(net_with_params(net, tm), (X, y), spec)[0]
         out[i] = (lp - lm) / (2 * h)
     return out
 
@@ -47,6 +53,15 @@ def per_example_grads(net: nn.DenseNet, X, y, spec: nn.LossSpec = nn.LossSpec())
         parts.append(np.einsum("no,ni->noi", d, a).reshape(len(d), -1))
         parts.append(d)
     return np.concatenate(parts, axis=1)
+
+
+def mia_accuracy(train_confs, test_confs, zeta: float) -> float:
+    """Attack accuracy at one threshold, equal prior on member/non-member."""
+    train_confs = np.asarray(train_confs, dtype=np.float64)
+    test_confs = np.asarray(test_confs, dtype=np.float64)
+    if train_confs.size == 0 or test_confs.size == 0:
+        raise ValueError("confidence vectors must be non-empty")
+    return 0.5 * (float((train_confs >= zeta).mean()) + float((test_confs < zeta).mean()))
 
 
 def fd_grad_inputs(net: nn.DenseNet, X, y, spec: nn.LossSpec, h: float = FD_STEP) -> np.ndarray:
@@ -91,7 +106,7 @@ def textbook_backward(net: nn.DenseNet, X, y, spec: nn.LossSpec):
     """
     acts, zs = textbook_forward(net, X)
     y = np.asarray(y, dtype=np.int64)
-    raw, dlogits = nn._losses_and_dlogits(acts[-1], y, spec)
+    raw, dlogits = nn._losses_and_dlogits(acts[-1], y)
     deltas = [dlogits * (raw < spec.clip_m)[:, None]]
     for i in range(len(net.weights) - 1, 0, -1):
         z = zs[i - 1]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,18 +9,20 @@ from advlab import adversarial, nn
 from conftest import random_net_and_batch
 
 
-def linear_1d_net(w=1.0, b=0.0):
-    return nn.DenseNet((np.array([[w]]),), (np.array([b]),), "relu")
+def linear_1d_net():
+    """1 -> 2 linear net with logits z = (0, x): at label 0 the loss is ln(1 + e^x)."""
+    return nn.DenseNet((np.array([[0.0], [1.0]]),), (np.zeros(2),), "relu")
 
 
-SQUARED = nn.LossSpec(kind="squared", clip_m=100.0)
+def sigmoid(x):
+    return 1.0 / (1.0 + math.exp(-x))
 
 
 def enumerate_ascent_1d(x0, rho, alpha, steps):
-    """Independent plain-python trace of linf PGD on l(x) = x^2, y = 0."""
+    """Independent plain-python trace of linf PGD on l(x) = ln(1 + e^x), y = 0."""
     x = x0
     for _ in range(steps):
-        g = 2.0 * x  # d/dx x^2
+        g = sigmoid(x)  # d/dx ln(1 + e^x)
         sign = 1.0 if g > 0 else (-1.0 if g < 0 else 0.0)
         x = x + alpha * sign
         x = min(max(x, x0 - rho), x0 + rho)
@@ -93,7 +97,7 @@ class TestPgdAttack:
     def test_1d_trajectory_matches_enumeration(self):
         net = linear_1d_net()
         spec = adversarial.AttackSpec(norm="linf", radius=0.5, steps=8, step_size=0.125)
-        got = adversarial.pgd_batch(net, np.array([[1.0]]), np.array([0]), spec, SQUARED)[0]
+        got = adversarial.pgd_batch(net, np.array([[1.0]]), np.array([0]), spec)[0]
         expected = enumerate_ascent_1d(1.0, 0.5, 0.125, 8)
         assert expected == 1.5  # saturates at the ball boundary
         assert got == pytest.approx([expected], abs=1e-12)
@@ -113,17 +117,18 @@ class TestPgdAttack:
         for x0 in (-2.0, -0.5, 0.7, 1.0, 3.0):
             net = linear_1d_net()
             spec = adversarial.AttackSpec(norm="linf", radius=0.4, steps=8, step_size=0.1)
-            adv = adversarial.pgd_batch(net, np.array([[x0]]), np.array([0]), spec, SQUARED)[0]
-            clean_loss = nn.loss_batch(net, (np.array([[x0]]), np.array([0])), SQUARED)[1][0]
-            adv_loss = nn.loss_batch(net, (adv.reshape(1, 1), np.array([0])), SQUARED)[1][0]
+            adv = adversarial.pgd_batch(net, np.array([[x0]]), np.array([0]), spec)[0]
+            clean_loss = nn.loss_batch(net, (np.array([[x0]]), np.array([0])))[1][0]
+            adv_loss = nn.loss_batch(net, (adv.reshape(1, 1), np.array([0])))[1][0]
             assert adv_loss >= clean_loss - 1e-12
 
     def test_linf_sign_update_moves_exactly_alpha(self):
         # all-positive input gradient: one step moves every coordinate by +alpha
-        net = nn.DenseNet((np.array([[2.0, 3.0, 0.5]]),), (np.array([1.0]),), "relu")
-        x = np.array([[1.0, 1.0, 1.0]])  # logit 6.5 > 0, grad = 2*logit*w > 0
+        net = nn.DenseNet((np.array([[0.0, 0.0, 0.0], [2.0, 3.0, 0.5]]),),
+                          (np.array([0.0, 1.0]),), "relu")
+        x = np.array([[1.0, 1.0, 1.0]])  # logits (0, 6.5), y = 0: grad = p_1 * (2, 3, 0.5) > 0
         spec = adversarial.AttackSpec(norm="linf", radius=10.0, steps=1, step_size=0.25)
-        out = adversarial.pgd_batch(net, x, np.array([0]), spec, SQUARED)
+        out = adversarial.pgd_batch(net, x, np.array([0]), spec)
         assert np.array_equal(out - x, np.full((1, 3), 0.25))
 
     def test_batched_equals_sequential(self):
@@ -156,11 +161,13 @@ class TestAdvGrad:
         assert m4 == pytest.approx(m1, rel=1e-12, abs=1e-15)
 
     def test_1d_convex_gradient_at_boundary(self):
-        # PGD endpoint is 1.5; l = (w*x'+b)^2 so dl/dw = 2*1.5*1.5, dl/db = 2*1.5
+        # PGD endpoint is x' = 1.5; dl/dz = softmax(0, 1.5) - e_0 = (-s, s) with
+        # s = sigmoid(1.5), so dl/dW = (-s x', s x') and dl/db = (-s, s)
         from advlab.data import LabeledSet
         net = linear_1d_net()
-        batch = LabeledSet(np.array([[1.0]]), np.array([0]), 1)
+        batch = LabeledSet(np.array([[1.0]]), np.array([0]), 2)
         spec = adversarial.AttackSpec(norm="linf", radius=0.5, steps=8, step_size=0.125)
-        mean, _, losses = adversarial.adv_grad(net, batch, spec, SQUARED)
-        assert mean == pytest.approx([4.5, 3.0], abs=1e-12)
-        assert losses[0] == pytest.approx(2.25, abs=1e-12)
+        mean, _, losses = adversarial.adv_grad(net, batch, spec)
+        s = sigmoid(1.5)
+        assert mean == pytest.approx([-1.5 * s, 1.5 * s, -s, s], abs=1e-12)
+        assert losses[0] == pytest.approx(math.log1p(math.exp(1.5)), abs=1e-12)

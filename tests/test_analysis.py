@@ -10,6 +10,20 @@ from advlab.adversarial import AttackSpec
 from advlab.data import LabeledSet, split, synth_blobs
 
 
+def horner(coeffs, u):
+    """Ascending-power polynomial ``coeffs`` at ``u``, by the plain Horner scheme."""
+    out = np.zeros_like(u)
+    for c in reversed(coeffs):
+        out = out * u + c
+    return out
+
+
+def evaluate(fit, xs):
+    """The fit at ``xs``, in the centered-and-scaled basis it was solved in."""
+    return horner(fit.scaled_coefficients, (np.asarray(xs, dtype=np.float64) - fit.x_center)
+                  / fit.x_scale)
+
+
 class TestPolyfit:
     def test_exact_line(self):
         xs = np.array([0.0, 1.0, 2.0, 3.0])
@@ -28,7 +42,7 @@ class TestPolyfit:
         xs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
         ys = xs ** 4
         fit = analysis.polyfit(xs, ys, degree=4)
-        assert fit(xs) == pytest.approx(ys, abs=1e-6)
+        assert evaluate(fit, xs) == pytest.approx(ys, abs=1e-6)
 
     def test_too_few_distinct_points_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -43,12 +57,6 @@ class TestPolyfit:
     def test_residual_local_optimality(self):
         # perturbing any raw coefficient never reduces the SSR; evaluate both
         # the fit and its perturbations with the same plain Horner scheme
-        def horner(coeffs, x):
-            out = np.zeros_like(x)
-            for c in reversed(coeffs):
-                out = out * x + c
-            return out
-
         rng = np.random.default_rng(2)
         xs = np.linspace(0, 2, 15)
         ys = 0.3 * xs ** 3 - xs + 0.2 + rng.normal(scale=0.05, size=15)
@@ -66,7 +74,7 @@ class TestPolyfit:
         xs = np.linspace(100.0, 101.0, 9)
         ys = (xs - 100.0) ** 4
         fit = analysis.polyfit(xs, ys, degree=4)
-        assert fit(xs) == pytest.approx(ys, abs=1e-6)
+        assert evaluate(fit, xs) == pytest.approx(ys, abs=1e-6)
         # raw coefficients agree with the exact binomial expansion of (x-100)^4
         expected = [np.polynomial.polynomial.polypow([-100.0, 1.0], 4)[k] for k in range(5)]
         assert fit.coefficients == pytest.approx(expected, rel=1e-5)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from advlab import attacks, nn
 from advlab.data import LabeledSet
+from conftest import mia_accuracy
 
 
 def brute_force_best(train_confs, test_confs, grid_points=10_000):
@@ -48,21 +49,21 @@ class TestTrueLabelConfidences:
 
 class TestMiaAccuracy:
     def test_perfect_separation(self):
-        assert attacks.mia_accuracy(np.ones(5), np.zeros(5), 0.5) == 1.0
+        assert mia_accuracy(np.ones(5), np.zeros(5), 0.5) == 1.0
 
     def test_identical_distributions_give_half(self):
         v = np.array([0.2, 0.5, 0.9])
         for zeta in (0.0, 0.2, 0.5, 0.7, 1.1):
-            assert attacks.mia_accuracy(v, v, zeta) == 0.5
+            assert mia_accuracy(v, v, zeta) == 0.5
 
     def test_hand_count(self):
         train = np.array([0.9, 0.6])
         test = np.array([0.7, 0.2])
-        assert attacks.mia_accuracy(train, test, 0.6) == 0.75
+        assert mia_accuracy(train, test, 0.6) == 0.75
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            attacks.mia_accuracy(np.array([]), np.ones(2), 0.5)
+            mia_accuracy(np.array([]), np.ones(2), 0.5)
         with pytest.raises(ValueError):
             attacks.optimal_threshold(np.ones(2), np.array([]))
 
@@ -71,7 +72,7 @@ class TestMiaAccuracy:
            st.lists(st.floats(0, 1), min_size=1, max_size=30),
            st.floats(-0.5, 1.5))
     def test_bounded(self, train, test, zeta):
-        acc = attacks.mia_accuracy(np.array(train), np.array(test), zeta)
+        acc = mia_accuracy(np.array(train), np.array(test), zeta)
         assert 0.0 <= acc <= 1.0
 
 
@@ -103,7 +104,7 @@ class TestOptimalThreshold:
         test = rng.uniform(size=25)
         rep = attacks.optimal_threshold(train, test)
         for zeta in rng.uniform(-0.1, 1.1, size=100):
-            assert rep.accuracy >= attacks.mia_accuracy(train, test, float(zeta))
+            assert rep.accuracy >= mia_accuracy(train, test, float(zeta))
 
     def test_matches_dense_grid_brute_force(self):
         rng = np.random.default_rng(9)
@@ -125,7 +126,7 @@ class TestOptimalThreshold:
             if b - a < 1e-9:
                 continue
             mids = np.linspace(a, b, 5)[1:]  # (a, b] half-open: jump happens at a
-            accs = {attacks.mia_accuracy(train, test, float(z)) for z in mids}
+            accs = {mia_accuracy(train, test, float(z)) for z in mids}
             assert len(accs) == 1
 
     # a few shared values force ties within and across the two vectors; NaN
@@ -139,7 +140,7 @@ class TestOptimalThreshold:
         train, test = np.array(train), np.array(test)
         rep = attacks.optimal_threshold(train, test)
         for zeta, acc in rep.sweep:
-            assert acc == attacks.mia_accuracy(train, test, zeta)
+            assert acc == mia_accuracy(train, test, zeta)
 
     def test_sweep_is_recorded(self):
         rep = attacks.optimal_threshold(np.array([0.8]), np.array([0.3]))

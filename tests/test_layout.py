@@ -1,12 +1,13 @@
 """Guards on the shape of the package rather than on its numbers.
 
-Every public module-level function and class in ``src/advlab`` must be used
-by the program: referenced, as a name or an attribute, somewhere in
-``src/advlab`` outside its own definition, or by the benchmark harness in
-``perfbench/``, or by ``pyproject.toml``. Code that only tests call belongs
-in the tests. The exceptions are the oracles the tests check the program
-against. The benchmark's traced names must also still resolve, so that a
-rename cannot silently turn a pinned per-layer metric into "absent".
+Every public module-level function and class in ``src/advlab``, and every
+public method and property of a public class, must be used by the program:
+referenced, as a name or an attribute, somewhere in ``src/advlab`` outside
+its own definition, or by the benchmark harness in ``perfbench/``, or by
+``pyproject.toml``. Code that only tests call belongs in the tests. The
+exceptions are the oracles the tests check the program against. The
+benchmark's traced names must also still resolve, so that a rename cannot
+silently turn a pinned per-layer metric into "absent".
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ SRC = ROOT / "src" / "advlab"
 PERFBENCH = ROOT / "perfbench"
 
 # test oracles: simple reference versions the program's fast paths are checked against
-ORACLES = {"nn.loss_batch", "attacks.mia_accuracy"}
+ORACLES = {"nn.loss_batch"}
 # traced by the benchmark, but gone before the benchmark was written
 ABSENT_FROM_BENCHMARK = {"nn.per_example_grad_norms"}
 
@@ -43,6 +44,17 @@ def _used_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return used
 
 
+def _public_definitions(module: str, tree: ast.Module):
+    """(node, dotted name) of each public module-level function and class, and of
+    each public method and property of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node, f"{module}.{node.name}"
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item, f"{module}.{node.name}.{item.name}"
+
+
 def test_every_public_definition_is_used_by_the_program():
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
     used = {module: _used_names(tree) for module, tree in trees.items()}
@@ -52,10 +64,7 @@ def test_every_public_definition_is_used_by_the_program():
     unused = []
     for module, tree in trees.items():
         elsewhere = outside.union(*(u for m, u in used.items() if m != module))
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            name = f"{module}.{node.name}"
+        for node, name in _public_definitions(module, tree):
             if not (node.name in elsewhere or node.name in _used_names(tree, skip=node)
                     or f":{node.name}" in pyproject or name in ORACLES):
                 unused.append(name)

@@ -1,4 +1,3 @@
-import copy
 import math
 import tracemalloc
 
@@ -10,8 +9,8 @@ from numpy.testing import assert_array_equal
 
 from advlab import adversarial, analysis, attacks, nn, privacy, training
 from advlab.data import LabeledSet
-from conftest import (assert_grad_close, fd_grad_inputs, fd_grad_params, per_example_grads,
-                      random_net_and_batch, textbook_forward, textbook_grads)
+from conftest import (assert_grad_close, fd_grad_inputs, fd_grad_params, net_with_params,
+                      per_example_grads, random_net_and_batch, textbook_forward, textbook_grads)
 
 
 def identity_net(d):
@@ -74,15 +73,15 @@ class TestDenseNetInvariants:
         net = nn.DenseNet((w1, w2), (b1, b2), "tanh")
         assert net.flatten().tolist() == [1, 2, 3, 4, 5, 6, 7, 8, 9]
 
-    def test_with_params_round_trip(self):
+    def test_constructor_over_views_round_trip(self):
         net, _, _ = random_net_and_batch(7)
         flat = net.flatten()
-        again = net.with_params(flat)
+        again = net_with_params(net, flat)
         assert np.array_equal(again.flatten(), flat)
         assert again.layer_widths == net.layer_widths
 
-    @pytest.mark.parametrize("build", ["constructor", "random", "with_params", "sgd_step",
-                                       "load_checkpoint", "deepcopy"])
+    @pytest.mark.parametrize("build", ["constructor", "random", "constructor_over_views",
+                                       "sgd_step", "load_checkpoint"])
     def test_net_owns_one_read_only_parameter_vector(self, tmp_path, build):
         base = nn.DenseNet.random((3, 4, 2), "tanh", seed=5)
         given = np.arange(base.num_params, dtype=np.float64)
@@ -91,13 +90,10 @@ class TestDenseNetInvariants:
             assert not np.shares_memory(net.flatten(), base.flatten())
         elif build == "random":
             net = base
-        elif build == "with_params":
-            net = base.with_params(given)
+        elif build == "constructor_over_views":
+            net = net_with_params(base, given)
         elif build == "sgd_step":
             net = training.sgd_step(base, given, 0.1, np.zeros(base.num_params), 0.9, 0.0)[0]
-        elif build == "deepcopy":
-            net = copy.deepcopy(base)
-            assert np.array_equal(net.flatten(), base.flatten())
         else:
             training.save_checkpoint(base, tmp_path / "net.ckpt")
             net = training.load_checkpoint(tmp_path / "net.ckpt")
@@ -109,10 +105,10 @@ class TestDenseNetInvariants:
             assert np.shares_memory(part, flat) and not part.flags.writeable
         assert not np.shares_memory(flat, given)
 
-    def test_with_params_never_aliases_the_callers_array(self):
+    def test_constructor_over_views_never_aliases_the_callers_array(self):
         net = nn.DenseNet.random((3, 4, 2), "relu", seed=5)
         for given in (np.arange(net.num_params, dtype=np.float64), net.flatten()):
-            again = net.with_params(given)
+            again = net_with_params(net, given)
             assert not np.shares_memory(again.flatten(), given)
             assert np.array_equal(again.flatten(), given)
 
@@ -241,14 +237,14 @@ class TestGradInput:
         g = nn.grad_inputs(net, X, y, spec)
         assert_grad_close(g, fd_grad_inputs(net, X, y, spec))
 
-    def test_linear_squared_loss_hand_calculus(self):
-        # h(x) = x, squared loss, y = 0, x = 1: d/dx (x - 0)^2 = 2
-        net = nn.DenseNet((np.array([[1.0]]),), (np.zeros(1),), "relu")
-        g = nn.grad_inputs(net, np.array([[1.0]]), np.array([0]), nn.LossSpec(kind="squared"))[0]
-        assert g == pytest.approx([2.0], abs=1e-15)
+    def test_linear_cross_entropy_hand_calculus(self):
+        # logits z = (0, x), y = 0: loss ln(1 + e^x), d/dx = (p - e_0) . W = p_1 = sigmoid(x)
+        net = nn.DenseNet((np.array([[0.0], [1.0]]),), (np.zeros(2),), "relu")
+        g = nn.grad_inputs(net, np.array([[1.0]]), np.array([0]))[0]
+        assert g == pytest.approx([1.0 / (1.0 + math.exp(-1.0))], abs=1e-15)
 
 
-def _edge_case_batch(activation: str, kind: str):
+def _edge_case_batch(activation: str):
     """A 5-7-6-3 net and 12 rows with exact-zero pre-activations and clipped rows.
 
     Row 0 is all zeros and the first layer's bias 0 is 0, so that row's unit
@@ -269,8 +265,8 @@ def _edge_case_batch(activation: str, kind: str):
     y = rng.integers(0, 3, size=12)
     _, zs = textbook_forward(net, X)
     assert zs[0][0, 0] == 0.0 and (zs[1][:, 2] == 0.0).all()
-    raw = textbook_grads(net, X, y, nn.LossSpec(kind, clip_m=math.inf))[2]
-    spec = nn.LossSpec(kind, clip_m=float(np.sort(raw)[6]))
+    raw = textbook_grads(net, X, y, nn.LossSpec(clip_m=math.inf))[2]
+    spec = nn.LossSpec(clip_m=float(np.sort(raw)[6]))
     assert (raw >= spec.clip_m).any() and (raw < spec.clip_m).any()
     return net, X, y, spec
 
@@ -279,9 +275,8 @@ class TestTextbookOracle:
     """The in-place pass equals ``conftest.textbook_grads`` bit for bit."""
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    @pytest.mark.parametrize("kind", ["cross_entropy", "squared"])
-    def test_every_output_bitwise_equal(self, activation, kind):
-        net, X, y, spec = _edge_case_batch(activation, kind)
+    def test_every_output_bitwise_equal(self, activation):
+        net, X, y, spec = _edge_case_batch(activation)
         mean, norms, losses, gx = textbook_grads(net, X, y, spec)
         assert_array_equal(nn.forward(net, X), textbook_forward(net, X)[0][-1])
         got_mean, got_norms, got_losses = nn.grad_params(net, (X, y), spec)
@@ -291,12 +286,12 @@ class TestTextbookOracle:
         assert_array_equal(nn.grad_inputs(net, X, y, spec), gx)
 
     @staticmethod
-    def _blocked_batch(activation, kind):
+    def _blocked_batch(activation):
         """2 * ROW_BLOCK + 3 rows: two full blocks, then a ragged block of 3.
 
         The 12 edge-case rows come last, so they span the second and third blocks.
         """
-        net, X_edge, y_edge, spec = _edge_case_batch(activation, kind)
+        net, X_edge, y_edge, spec = _edge_case_batch(activation)
         rng = np.random.default_rng(12)
         m = 2 * nn.ROW_BLOCK + 3 - len(X_edge)
         X = np.concatenate([rng.normal(size=(m, 5)), X_edge])
@@ -305,9 +300,8 @@ class TestTextbookOracle:
         return net, X, y, spec
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    @pytest.mark.parametrize("kind", ["cross_entropy", "squared"])
-    def test_blocked_passes_equal_one_pass(self, activation, kind):
-        net, X, y, spec = self._blocked_batch(activation, kind)
+    def test_blocked_passes_equal_one_pass(self, activation):
+        net, X, y, spec = self._blocked_batch(activation)
         mean, norms, losses, gx = textbook_grads(net, X, y, spec)
         assert_array_equal(nn.forward(net, X), textbook_forward(net, X)[0][-1])
         assert_array_equal(nn.grad_inputs(net, X, y, spec), gx)
@@ -320,7 +314,7 @@ class TestTextbookOracle:
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_dataset_evaluations_equal_one_pass(self, activation, monkeypatch):
-        net, X, y, spec = self._blocked_batch(activation, "cross_entropy")
+        net, X, y, spec = self._blocked_batch(activation)
         ds = LabeledSet(X, y, 3)
         attack = adversarial.AttackSpec("linf", 0.3, 3)
 

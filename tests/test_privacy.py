@@ -26,9 +26,6 @@ COMPOSE_HAND = 0.30848126337324882
 
 
 class TestCollectNoise:
-    def linear_set(self):
-        return LabeledSet(np.array([[1.0], [3.0]]), np.array([0, 0]), 1)
-
     def test_exhaustive_batch_degenerate(self):
         ds = synth_blobs(10, 2, 3, 1.0, seed=1)
         net = nn.DenseNet.random((3, 4, 2), "relu", seed=2)
@@ -54,25 +51,21 @@ class TestCollectNoise:
             sample.values[0] = 0.0
 
     def test_hand_trace_two_point_linear_model(self):
-        # squared loss on h(x) = wx + b with w=1, b=0; points x=1 and x=3:
-        # per-example grads (2,2) and (18,6) so the full mean is (10,4);
-        # a tau=1 batch difference is therefore +-(8,2)
-        ds = self.linear_set()
-        net = nn.DenseNet((np.array([[1.0]]),), (np.array([0.0]),), "relu")
-        spec = nn.LossSpec(kind="squared", clip_m=1e6)
+        # logits z = (0, x) with label 0; points x=1 and x=3: dl/dz = (-s, s) with
+        # s = sigmoid(x), so the per-example gradient (W00, W10, b0, b1) is
+        # (-s x, s x, -s, s); a tau=1 batch minus the two-point mean is
+        # +-(g(1) - g(3)) / 2, whose components are +-a/2 and +-c/2 with
+        # a = 3 s(3) - s(1) and c = s(3) - s(1)
+        ds = LabeledSet(np.array([[1.0], [3.0]]), np.array([0, 0]), 2)
+        net = nn.DenseNet((np.array([[0.0], [1.0]]),), (np.zeros(2),), "relu")
+        s1, s3 = (1.0 / (1.0 + math.exp(-x)) for x in (1.0, 3.0))
+        a, c = 3.0 * s3 - s1, s3 - s1
         sample = privacy.collect_noise(net, ds, tau=1, n_batches=8,
-                                       components_per_batch=2, seed=7, loss_spec=spec)
+                                       components_per_batch=2, seed=7)
         raw = sample.values * sample.divisor
-        allowed = {-8.0, -2.0, 2.0, 8.0}
-        assert {round(v, 9) for v in raw} <= allowed
+        allowed = (-a / 2, -c / 2, c / 2, a / 2)
+        assert all(min(abs(v - w) for w in allowed) <= 1e-12 for v in raw)
         assert abs(float(np.std(sample.values)) - 1.0) <= 1e-12
-
-    def test_parameter_subset_bounds(self):
-        ds = self.linear_set()
-        net = nn.DenseNet((np.array([[1.0]]),), (np.array([0.0]),), "relu")
-        with pytest.raises(ValueError, match="components_per_batch"):
-            privacy.collect_noise(net, ds, tau=1, n_batches=2,
-                                  components_per_batch=3, seed=0)
 
 
 class TestFitLaplace:

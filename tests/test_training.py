@@ -9,8 +9,9 @@ from advlab import intensity, nn, training
 from advlab.adversarial import AttackSpec
 from advlab.config import ExperimentConfig
 from advlab.data import BatchSchedule, LabeledSet, split, synth_blobs
+from conftest import net_with_params
 
-SQUARED = nn.LossSpec(kind="squared", clip_m=1e6)
+UNCLIPPED = nn.LossSpec(clip_m=1e6)
 SEED = 3
 
 
@@ -82,7 +83,7 @@ class TestSgdStep:
         out, v = training.sgd_step(net, grad, 0.1, v0, 0.9, 0.01)
         expected = net.flatten() - 0.1 * v
         assert out.flatten().tobytes() == expected.tobytes()
-        ref = net.with_params(expected)
+        ref = net_with_params(net, expected)
         assert out.activation == ref.activation
         for p, q in zip((*out.weights, *out.biases), (*ref.weights, *ref.biases)):
             assert p.shape == q.shape and p.tobytes() == q.tobytes()
@@ -194,48 +195,51 @@ class TestTrainTwin:
     def test_two_step_hand_trace(self):
         """Full ledger of a 2-iteration twin run reproduced in plain python."""
         x = [0.5, 2.0]
-        ds = LabeledSet(np.array([[x[0]], [x[1]]]), np.array([0, 0]), 1)
+        ds = LabeledSet(np.array([[x[0]], [x[1]]]), np.array([0, 0]), 2)
         rho, alpha, steps, lr = 0.25, 0.0625, 8, 0.05
         cfg = dataclasses.replace(
             ExperimentConfig(), total_iterations=2, batch_size=2, log_every=1, lr_init=lr,
             lr_decay=1.0, lr_decay_every=1, momentum=0.0, weight_decay=0.0, hidden=())
         attack = AttackSpec(norm="linf", radius=rho, steps=steps, step_size=alpha)
-        ledger = training.train_twin(ds, cfg, attack, 17, loss_spec=SQUARED)
+        ledger = training.train_twin(ds, cfg, attack, 17, loss_spec=UNCLIPPED)
 
         # oracle: straight-line float trace sharing only the init and the
-        # batch schedule contract (batch of size 2 == the whole set)
-        net0 = nn.DenseNet.random((1, 1), "relu", seed=17)
-        w_e = w_a = float(net0.weights[0][0, 0])
-        b_e = b_a = 0.0
+        # batch schedule contract (batch of size 2 == the whole set). The
+        # logits (w0 x + b0, w1 x + b1) at label 0 give the loss ln(1 + e^d)
+        # with d = z1 - z0, and dl/dz = (-p, p) with p = sigmoid(d).
+        net0 = nn.DenseNet.random((1, 2), "relu", seed=17)
+        theta_e = theta_a = [*net0.weights[0][:, 0].tolist(), 0.0, 0.0]  # w0, w1, b0, b1
 
-        def grads(w, b, xi):
-            r = w * xi + b
-            return 2.0 * r * xi, 2.0 * r  # dl/dw, dl/db
+        def margin(theta, xi):
+            w0, w1, b0, b1 = theta
+            return (w1 * xi + b1) - (w0 * xi + b0)
 
-        def pgd_point(w, b, xi):
+        def sigmoid(d):
+            return 1.0 / (1.0 + math.exp(-d))
+
+        def grads(theta, xi):
+            p = sigmoid(margin(theta, xi))
+            return [-p * xi, p * xi, -p, p]  # dl/dw0, dl/dw1, dl/db0, dl/db1
+
+        def pgd_point(theta, xi):
             xp = xi
             for _ in range(steps):
-                g = 2.0 * (w * xp + b) * w
+                g = sigmoid(margin(theta, xp)) * (theta[1] - theta[0])  # dl/dx
                 s = 1.0 if g > 0 else (-1.0 if g < 0 else 0.0)
                 xp = min(max(xp + alpha * s, xi - rho), xi + rho)
             return xp
 
+        def step(theta, points):
+            """(next theta, max per-example gradient norm, mean loss) of one SGD step."""
+            per = [grads(theta, xi) for xi in points]
+            l_max = max(math.hypot(*g) for g in per)
+            mean_loss = sum(math.log1p(math.exp(margin(theta, xi))) for xi in points) / 2.0
+            mean = [(g0 + g1) / 2.0 for g0, g1 in zip(*per)]
+            return [p - lr * g for p, g in zip(theta, mean)], l_max, mean_loss
+
         for t in (1, 2):
-            # ERM side
-            per = [grads(w_e, b_e, xi) for xi in x]
-            l_erm = max(math.hypot(gw, gb) for gw, gb in per)
-            erm_loss = sum((w_e * xi + b_e) ** 2 for xi in x) / 2.0
-            mw = (per[0][0] + per[1][0]) / 2.0
-            mb = (per[0][1] + per[1][1]) / 2.0
-            w_e, b_e = w_e - lr * mw, b_e - lr * mb
-            # adversarial side
-            xs = [pgd_point(w_a, b_a, xi) for xi in x]
-            per_a = [grads(w_a, b_a, xp) for xp in xs]
-            l_adv = max(math.hypot(gw, gb) for gw, gb in per_a)
-            adv_loss = sum((w_a * xp + b_a) ** 2 for xp in xs) / 2.0
-            mw = (per_a[0][0] + per_a[1][0]) / 2.0
-            mb = (per_a[0][1] + per_a[1][1]) / 2.0
-            w_a, b_a = w_a - lr * mw, b_a - lr * mb
+            theta_e, l_erm, erm_loss = step(theta_e, x)
+            theta_a, l_adv, adv_loss = step(theta_a, [pgd_point(theta_a, xi) for xi in x])
 
             rec = records(ledger)[t - 1]
             assert rec.t == t
@@ -245,8 +249,8 @@ class TestTrainTwin:
             assert rec.erm_loss == pytest.approx(erm_loss, rel=1e-12)
             assert rec.adv_loss == pytest.approx(adv_loss, rel=1e-12)
 
-        assert ledger.erm.net.flatten() == pytest.approx([w_e, b_e], rel=1e-12)
-        assert ledger.adv.net.flatten() == pytest.approx([w_a, b_a], rel=1e-12)
+        assert ledger.erm.net.flatten() == pytest.approx(theta_e, rel=1e-12)
+        assert ledger.adv.net.flatten() == pytest.approx(theta_a, rel=1e-12)
 
 
 class TestLedgerCsv:
