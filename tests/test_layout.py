@@ -71,6 +71,22 @@ def test_every_public_definition_is_used_by_the_program():
     assert unused == []
 
 
+def test_public_definitions_cover_methods_and_properties_of_public_classes():
+    tree = ast.parse(
+        "def f(): pass\n"
+        "def _g(): pass\n"
+        "class A:\n"
+        "    def m(self): pass\n"
+        "    @property\n"
+        "    def p(self): pass\n"
+        "    def _h(self): pass\n"
+        "    def __init__(self): pass\n"
+        "class _B:\n"
+        "    def n(self): pass\n")
+    names = [name for _, name in _public_definitions("mod", tree)]
+    assert names == ["mod.f", "mod.A", "mod.A.m", "mod.A.p"]
+
+
 def _traced_names() -> tuple[str, ...]:
     spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
     spans = importlib.util.module_from_spec(spec)

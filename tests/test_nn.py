@@ -245,12 +245,11 @@ class TestGradInput:
 
 
 def _edge_case_batch(activation: str):
-    """A 5-7-6-3 net and 12 rows with exact-zero pre-activations and clipped rows.
+    """A 5-7-6-3 net and 12 rows with exact-zero pre-activations.
 
     Row 0 is all zeros and the first layer's bias 0 is 0, so that row's unit
     0 has z exactly 0; unit 2 of the second layer has zero weights and bias,
-    so its z is exactly 0 on every row. ``clip_m`` is the median raw loss,
-    so the upper half of the rows is clipped, one of them at the boundary.
+    so its z is exactly 0 on every row.
     """
     rng = np.random.default_rng(11)
     widths = (5, 7, 6, 3)
@@ -265,18 +264,31 @@ def _edge_case_batch(activation: str):
     y = rng.integers(0, 3, size=12)
     _, zs = textbook_forward(net, X)
     assert zs[0][0, 0] == 0.0 and (zs[1][:, 2] == 0.0).all()
+    return net, X, y
+
+
+def _clip_spec(net, X, y, clip: str) -> nn.LossSpec:
+    """A loss spec whose ``clip_m`` clips no row, the upper half of the rows
+    (``clip_m`` is the median raw loss, so one row sits at the boundary), or
+    every row (``clip_m`` is the least raw loss, again with one at the boundary)."""
     raw = textbook_grads(net, X, y, nn.LossSpec(clip_m=math.inf))[2]
-    spec = nn.LossSpec(clip_m=float(np.sort(raw)[6]))
-    assert (raw >= spec.clip_m).any() and (raw < spec.clip_m).any()
-    return net, X, y, spec
+    clip_m = {"none": math.inf, "median": float(np.sort(raw)[len(raw) // 2]),
+              "all": float(raw.min())}[clip]
+    spec = nn.LossSpec(clip_m=clip_m)
+    clipped = raw >= spec.clip_m
+    assert {"none": not clipped.any(), "median": clipped.any() and not clipped.all(),
+            "all": clipped.all()}[clip]
+    return spec
 
 
 class TestTextbookOracle:
     """The in-place pass equals ``conftest.textbook_grads`` bit for bit."""
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_every_output_bitwise_equal(self, activation):
-        net, X, y, spec = _edge_case_batch(activation)
+    @pytest.mark.parametrize("clip", ["none", "median", "all"])
+    def test_every_output_bitwise_equal(self, activation, clip):
+        net, X, y = _edge_case_batch(activation)
+        spec = _clip_spec(net, X, y, clip)
         mean, norms, losses, gx = textbook_grads(net, X, y, spec)
         assert_array_equal(nn.forward(net, X), textbook_forward(net, X)[0][-1])
         got_mean, got_norms, got_losses = nn.grad_params(net, (X, y), spec)
@@ -291,17 +303,19 @@ class TestTextbookOracle:
 
         The 12 edge-case rows come last, so they span the second and third blocks.
         """
-        net, X_edge, y_edge, spec = _edge_case_batch(activation)
+        net, X_edge, y_edge = _edge_case_batch(activation)
         rng = np.random.default_rng(12)
         m = 2 * nn.ROW_BLOCK + 3 - len(X_edge)
         X = np.concatenate([rng.normal(size=(m, 5)), X_edge])
         y = np.concatenate([rng.integers(0, 3, size=m), y_edge])
         assert len(nn._row_blocks(len(X))) == 3
-        return net, X, y, spec
+        return net, X, y
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_blocked_passes_equal_one_pass(self, activation):
-        net, X, y, spec = self._blocked_batch(activation)
+    @pytest.mark.parametrize("clip", ["none", "median", "all"])
+    def test_blocked_passes_equal_one_pass(self, activation, clip):
+        net, X, y = self._blocked_batch(activation)
+        spec = _clip_spec(net, X, y, clip)
         mean, norms, losses, gx = textbook_grads(net, X, y, spec)
         assert_array_equal(nn.forward(net, X), textbook_forward(net, X)[0][-1])
         assert_array_equal(nn.grad_inputs(net, X, y, spec), gx)
@@ -314,7 +328,8 @@ class TestTextbookOracle:
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_dataset_evaluations_equal_one_pass(self, activation, monkeypatch):
-        net, X, y, spec = self._blocked_batch(activation)
+        net, X, y = self._blocked_batch(activation)
+        spec = _clip_spec(net, X, y, "median")
         ds = LabeledSet(X, y, 3)
         attack = adversarial.AttackSpec("linf", 0.3, 3)
 
