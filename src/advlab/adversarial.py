@@ -65,7 +65,7 @@ def project(clean: np.ndarray, pts: np.ndarray, norm: str, radius: float) -> np.
 
 
 def pgd_batch(net: nn.DenseNet, features: np.ndarray, labels: np.ndarray,
-              attack: AttackSpec, loss_spec: nn.LossSpec = nn.LossSpec()) -> np.ndarray:
+              attack: AttackSpec, clip_m: float) -> np.ndarray:
     """PGD endpoints for every row; rows are attacked independently.
 
     Row i of the result is exactly what a sequential single-example attack
@@ -80,7 +80,7 @@ def pgd_batch(net: nn.DenseNet, features: np.ndarray, labels: np.ndarray,
     def attack_rows(clean: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = clean.copy()
         for _ in range(attack.steps):
-            g = nn.grad_inputs(net, x, y, loss_spec)
+            g = nn.grad_inputs(net, x, y, clip_m)
             if attack.norm == "linf":
                 x = x + attack.alpha * np.sign(g)
             else:
@@ -91,8 +91,7 @@ def pgd_batch(net: nn.DenseNet, features: np.ndarray, labels: np.ndarray,
     return nn._by_rows(attack_rows, net.in_dim, x0, np.asarray(labels))
 
 
-def adv_grad(net: nn.DenseNet, batch: LabeledSet, attack: AttackSpec,
-             loss_spec: nn.LossSpec = nn.LossSpec()):
+def adv_grad(net: nn.DenseNet, batch: LabeledSet, attack: AttackSpec, clip_m: float):
     """:func:`advlab.nn.grad_params` evaluated at the PGD endpoints of ``batch``.
 
     Returns ``(mean_grad, per_example_norms, per_example_adv_losses)`` from
@@ -100,5 +99,5 @@ def adv_grad(net: nn.DenseNet, batch: LabeledSet, attack: AttackSpec,
     the clean features, so the result is bitwise the clean
     ``grad_params`` of the batch; the ERM model trains through this path.
     """
-    x_adv = pgd_batch(net, batch.features, batch.labels, attack, loss_spec)
-    return nn.grad_params(net, (x_adv, batch.labels), loss_spec)
+    x_adv = pgd_batch(net, batch.features, batch.labels, attack, clip_m)
+    return nn.grad_params(net, x_adv, batch.labels, clip_m)

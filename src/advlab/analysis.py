@@ -103,8 +103,8 @@ def spearman(xs, ys) -> float:
 
 
 def adversarial_accuracy(net: nn.DenseNet, dataset: LabeledSet, attack: AttackSpec,
-                         loss_spec: nn.LossSpec = nn.LossSpec()) -> float:
+                         clip_m: float) -> float:
     """Fraction of examples still classified correctly at their PGD points."""
-    x_adv = pgd_batch(net, dataset.features, dataset.labels, attack, loss_spec)
+    x_adv = pgd_batch(net, dataset.features, dataset.labels, attack, clip_m)
     pred = np.argmax(nn.forward(net, x_adv), axis=1)
     return float((pred == dataset.labels).mean())

@@ -186,8 +186,7 @@ def _noise(cfg: ExperimentConfig, net: nn.DenseNet, train_set: LabeledSet,
     the ``{b, location, count, divisor}`` record)."""
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged model overflows
         sample = privacy.collect_noise(net, train_set, cfg.noise_tau, cfg.noise_batches,
-                                       cfg.noise_components, seed=seed,
-                                       loss_spec=cfg.loss_spec())
+                                       cfg.noise_components, seed, cfg.loss_bound)
     fit = privacy.fit_laplace(sample.values)
     return sample.values, {"b": fit.scale, "location": fit.location, "count": fit.count,
                            "divisor": sample.divisor}
@@ -229,9 +228,8 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
     run_dir = run_dir_for(cfg, rho, seed)
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    loss_spec = cfg.loss_spec()
     with _stage(stages, "train"):
-        ledger = training.train_twin(train_set, cfg, attack, seed, loss_spec)
+        ledger = training.train_twin(train_set, cfg, attack, seed)
         accuracies = {side: _accuracy(trajectory.net, train_set, test_set)
                       for side, trajectory in (("erm", ledger.erm), ("adv", ledger.adv))}
     records, good, failure = intensity.judge(ledger.erm.logged, ledger.adv.logged)
@@ -285,11 +283,11 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
 
     with _stage(stages, "adv_eval"):
         summary["adv_accuracy"] = analysis.adversarial_accuracy(
-            ledger.adv.net, test_set, attack, loss_spec)
+            ledger.adv.net, test_set, attack, cfg.loss_bound)
         # the same model under the sweep's common (largest-radius) attack, so
         # robustness is comparable across runs
         summary["adv_accuracy_common"] = analysis.adversarial_accuracy(
-            ledger.adv.net, test_set, cfg.attack_spec(cfg.radius_list[-1]), loss_spec)
+            ledger.adv.net, test_set, cfg.attack_spec(cfg.radius_list[-1]), cfg.loss_bound)
 
     return _write_run(run_dir, started, stages, summary)
 
@@ -575,7 +573,7 @@ def _cmd_probe(args) -> int:
     net_adv = _load_checkpoint_for(args.adv_checkpoint, train_set)
     rows = intensity.consistency_probe(net_erm, net_adv, train_set,
                                        cfg.attack_spec(args.rho), taus,
-                                       args.repeats, args.seed, cfg.loss_spec())
+                                       args.repeats, args.seed, cfg.loss_bound)
     write_csv(args.out, ("tau", "mean_estimate", "full_value"),
               ((r.tau, r.mean_estimate, r.full_value) for r in rows))
     print(f"probe table written to {args.out}")
@@ -624,10 +622,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="stability and generalization bounds")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--loss-bound", type=float, default=10.0, dest="loss_bound")
+    p.add_argument("--loss-bound", type=float, default=ExperimentConfig.loss_bound,
+                   dest="loss_bound")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gamma", type=float, default=0.05)
-    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--gamma", type=float, default=ExperimentConfig.gamma_list[0])
+    p.add_argument("--c", type=float, default=ExperimentConfig.constant_c)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("attack", help="membership inference against a checkpoint")

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .adversarial import AttackSpec
 from .data import LabeledSet, load_csv, split, synth_blobs, write_atomic
-from .nn import ACTIVATIONS, LossSpec, param_count
+from .nn import ACTIVATIONS, param_count
 from .privacy import check_delta_prime
 from .rng import SEED_LIMIT
 
@@ -134,9 +134,6 @@ class ExperimentConfig:
             raise ConfigError(f"n_train must lie in [1, {pool - 1}]")
 
     # derived pieces ----------------------------------------------------
-    def loss_spec(self) -> LossSpec:
-        return LossSpec(clip_m=self.loss_bound)
-
     def attack_spec(self, radius: float) -> AttackSpec:
         try:
             return AttackSpec(norm=self.norm, radius=radius, steps=self.steps,

@@ -125,7 +125,7 @@ def check_probe(tau_grid, repeats: int, n: int) -> None:
 
 def consistency_probe(net_erm: nn.DenseNet, net_adv: nn.DenseNet, dataset: LabeledSet,
                       attack: AttackSpec, tau_grid, repeats: int, seed: int,
-                      loss_spec: nn.LossSpec = nn.LossSpec()) -> list[ProbeRow]:
+                      clip_m: float) -> list[ProbeRow]:
     """Batch-size sweep of the intensity estimate at a fixed parameter pair.
 
     Per-example gradient norms do not depend on which batch an example
@@ -136,8 +136,8 @@ def consistency_probe(net_erm: nn.DenseNet, net_adv: nn.DenseNet, dataset: Label
     caller runs before any gradient work.
     """
     n = len(dataset)
-    clean_norms = nn.grad_params(net_erm, (dataset.features, dataset.labels), loss_spec)[1]
-    adv_norms = adv_grad(net_adv, dataset, attack, loss_spec)[1]
+    clean_norms = nn.grad_params(net_erm, dataset.features, dataset.labels, clip_m)[1]
+    adv_norms = adv_grad(net_adv, dataset, attack, clip_m)[1]
     full = single_intensity(float(adv_norms.max()), float(clean_norms.max()))
 
     rows = []

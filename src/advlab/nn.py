@@ -20,9 +20,12 @@ Euclidean norm.
 Loss
 ----
 The per-example loss is cross-entropy over softmax, hard-clipped from
-above at ``clip_m`` so that it is bounded in ``[0, clip_m]``. Where the
-clip is active (raw loss >= clip_m) the example sits on the flat part of
-the clipped loss and its gradient is exactly zero.
+above at ``clip_m`` so that it is bounded in ``[0, clip_m]``. Every loss
+and gradient function takes ``(net, features, labels, clip_m)``; the
+caller passes its ``ExperimentConfig.loss_bound``, the M of the paper's
+bounds, as ``clip_m``. Where the clip is active (raw loss >= clip_m) the
+example sits on the flat part of the clipped loss and its gradient is
+exactly zero.
 
 Conventions pinned for determinism: the relu subgradient at 0 is 0, and
 the clip subgradient at raw loss == clip_m is 0.
@@ -170,17 +173,6 @@ class DenseNet:
         return DenseNet(tuple(ws), tuple(bs), activation)
 
 
-@dataclass(frozen=True)
-class LossSpec:
-    """The cross-entropy loss's hard upper clip ``clip_m``."""
-
-    clip_m: float = 10.0
-
-    def __post_init__(self):
-        if not self.clip_m > 0:
-            raise ValueError("clip_m must be positive")
-
-
 def _check_features(net: DenseNet, features: np.ndarray) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
@@ -258,16 +250,16 @@ def _losses_and_dlogits(logits: np.ndarray, y: np.ndarray):
     return raw, e
 
 
-def loss_batch(net: DenseNet, batch, spec: LossSpec = LossSpec()):
-    """(mean clipped loss, per-example clipped losses) for a (features, labels) batch."""
-    x = _check_features(net, batch[0])
-    y = _check_labels(net, batch[1], len(x))
+def loss_batch(net: DenseNet, features: np.ndarray, labels, clip_m: float):
+    """(mean clipped loss, per-example clipped losses) of the rows ``features``."""
+    x = _check_features(net, features)
+    y = _check_labels(net, labels, len(x))
     raw, _ = _losses_and_dlogits(forward(net, x), y)
-    clipped = np.minimum(raw, spec.clip_m)
+    clipped = np.minimum(raw, clip_m)
     return float(clipped.mean()), clipped
 
 
-def _backward(net: DenseNet, x: np.ndarray, y: np.ndarray, spec: LossSpec):
+def _backward(net: DenseNet, x: np.ndarray, y: np.ndarray, clip_m: float):
     """Shared backward pass: cached activations, per-layer deltas, clipped losses.
 
     The returned deltas already carry the clip factor, which zeroes every
@@ -275,17 +267,17 @@ def _backward(net: DenseNet, x: np.ndarray, y: np.ndarray, spec: LossSpec):
     """
     acts = _forward_cached(net, x)
     raw, dlogits = _losses_and_dlogits(acts[-1], y)
-    delta = dlogits * (raw < spec.clip_m)[:, None]
+    delta = dlogits * (raw < clip_m)[:, None]
     deltas = [delta]
     for i in range(len(net.weights) - 1, 0, -1):
         delta = delta @ net.weights[i]
         delta *= _act_deriv(net, acts[i])
         deltas.append(delta)
     deltas.reverse()
-    return acts, deltas, np.minimum(raw, spec.clip_m)
+    return acts, deltas, np.minimum(raw, clip_m)
 
 
-def _block_grads(net: DenseNet, x: np.ndarray, y: np.ndarray, spec: LossSpec, rows: slice,
+def _block_grads(net: DenseNet, x: np.ndarray, y: np.ndarray, clip_m: float, rows: slice,
                  sq, losses) -> np.ndarray:
     """Parameter gradient summed over the row block ``rows``, in the flattened order.
 
@@ -293,7 +285,7 @@ def _block_grads(net: DenseNet, x: np.ndarray, y: np.ndarray, spec: LossSpec, ro
     ``sq[rows]`` and writes its clipped loss to ``losses[rows]``. The block's
     layer arrays die on return.
     """
-    acts, deltas, block_losses = _backward(net, x[rows], y[rows], spec)
+    acts, deltas, block_losses = _backward(net, x[rows], y[rows], clip_m)
     if sq is not None:
         losses[rows] = block_losses
         block_sq = sq[rows]
@@ -304,24 +296,24 @@ def _block_grads(net: DenseNet, x: np.ndarray, y: np.ndarray, spec: LossSpec, ro
                            for part in ((d.T @ a).ravel(), d.sum(axis=0))])
 
 
-def _grad_pass(net: DenseNet, batch, spec: LossSpec, per_row: bool):
+def _grad_pass(net: DenseNet, features: np.ndarray, labels, clip_m: float, per_row: bool):
     """Mean gradient, with ``per_row`` also per-example norms and clipped losses.
 
     The row blocks' gradient sums are added up and divided by the row count once.
     """
-    x = _check_features(net, batch[0])
-    y = _check_labels(net, batch[1], len(x))
+    x = _check_features(net, features)
+    y = _check_labels(net, labels, len(x))
     n = len(x)
     sq, losses = (np.zeros(n), np.empty(n)) if per_row else (None, None)
     first, *rest = _row_blocks(n)
-    total = _block_grads(net, x, y, spec, first, sq, losses)
+    total = _block_grads(net, x, y, clip_m, first, sq, losses)
     for rows in rest:
-        total += _block_grads(net, x, y, spec, rows, sq, losses)
+        total += _block_grads(net, x, y, clip_m, rows, sq, losses)
     total /= n
     return (total, np.sqrt(sq, out=sq), losses) if per_row else total
 
 
-def grad_params(net: DenseNet, batch, spec: LossSpec = LossSpec()):
+def grad_params(net: DenseNet, features: np.ndarray, labels, clip_m: float):
     """Everything one training step needs, from a single backward pass.
 
     Returns ``(mean_grad, per_example_norms, losses)``: the mean parameter
@@ -334,19 +326,19 @@ def grad_params(net: DenseNet, batch, spec: LossSpec = LossSpec()):
     delta x activation, so its squared Frobenius norm is
     ``|delta|^2 * |activation|^2``, and the bias block adds ``|delta|^2``.
     """
-    return _grad_pass(net, batch, spec, per_row=True)
+    return _grad_pass(net, features, labels, clip_m, per_row=True)
 
 
-def mean_grad(net: DenseNet, batch, spec: LossSpec = LossSpec()) -> np.ndarray:
+def mean_grad(net: DenseNet, features: np.ndarray, labels, clip_m: float) -> np.ndarray:
     """Mean parameter gradient alone; bitwise equal to ``grad_params(...)[0]``."""
-    return _grad_pass(net, batch, spec, per_row=False)
+    return _grad_pass(net, features, labels, clip_m, per_row=False)
 
 
-def grad_inputs(net: DenseNet, features: np.ndarray, labels, spec: LossSpec = LossSpec()) -> np.ndarray:
+def grad_inputs(net: DenseNet, features: np.ndarray, labels, clip_m: float) -> np.ndarray:
     """Gradient of each example's clipped loss w.r.t. its own feature row, in one pass."""
     x = _check_features(net, features)
     y = _check_labels(net, labels, len(x))
-    return _backward(net, x, y, spec)[1][0] @ net.weights[0]
+    return _backward(net, x, y, clip_m)[1][0] @ net.weights[0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

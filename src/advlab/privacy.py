@@ -77,8 +77,7 @@ class PrivacyBudget:
 
 
 def collect_noise(net: nn.DenseNet, dataset: LabeledSet, tau: int, n_batches: int,
-                  components_per_batch: int, seed: int,
-                  loss_spec: nn.LossSpec = nn.LossSpec()) -> NoiseSample:
+                  components_per_batch: int, seed: int, clip_m: float) -> NoiseSample:
     """Run the five-step noise pipeline against clean-loss gradients.
 
     Batch indices are drawn without replacement and kept in ascending
@@ -91,13 +90,13 @@ def collect_noise(net: nn.DenseNet, dataset: LabeledSet, tau: int, n_batches: in
     them before any gradient work.
     """
     n = len(dataset)
-    full = nn.mean_grad(net, (dataset.features, dataset.labels), loss_spec)
+    full = nn.mean_grad(net, dataset.features, dataset.labels, clip_m)
     pooled = np.empty(n_batches * components_per_batch)
     for j in range(n_batches):
         rng = stream(seed, DOMAIN_NOISE, j)
         idx = np.sort(rng.permutation(n)[:tau])
         batch = dataset.subset(idx)
-        diff = nn.mean_grad(net, (batch.features, batch.labels), loss_spec) - full
+        diff = nn.mean_grad(net, batch.features, batch.labels, clip_m) - full
         comp = rng.permutation(full.size)[:components_per_batch]
         pooled[j * components_per_batch:(j + 1) * components_per_batch] = diff[comp]
     sd = float(np.std(pooled))

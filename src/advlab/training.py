@@ -1,8 +1,8 @@
 """SGD for one model, and the twin run: an ERM model and an adversarial model.
 
 The trainers read the SGD settings, the step-size schedule ``ExperimentConfig.lr``,
-``hidden`` and ``activation`` from an already validated ``ExperimentConfig``;
-the run's attack, seed and loss are arguments. This module only trains: pairing
+``hidden``, ``activation`` and the loss clip ``loss_bound`` from an already
+validated ``ExperimentConfig``; the run's attack and seed are arguments. This module only trains: pairing
 the two logged series into records, and judging whether they can be
 accounted, is :mod:`advlab.intensity`'s; evaluating the models is the
 caller's.
@@ -99,8 +99,7 @@ class RunLedger:
 
 
 def train_model(train_set: LabeledSet, net: nn.DenseNet, cfg: ExperimentConfig,
-                attack: AttackSpec, seed: int, loss_spec: nn.LossSpec = nn.LossSpec(),
-                iterations: int | None = None) -> Trajectory:
+                attack: AttackSpec, seed: int, iterations: int | None = None) -> Trajectory:
     """The trajectory from ``net`` under ``attack`` and ``seed``'s batch schedule for
     ``iterations`` steps (default ``cfg.total_iterations``); see the module docstring."""
     velocity = np.zeros(net.num_params)
@@ -109,7 +108,7 @@ def train_model(train_set: LabeledSet, net: nn.DenseNet, cfg: ExperimentConfig,
     for t in range(1, (cfg.total_iterations if iterations is None else iterations) + 1):
         idx = schedule.indices(t, len(train_set))
         digest.update(idx.astype("<i8").tobytes())
-        g_mean, norms, losses = adv_grad(net, train_set.subset(idx), attack, loss_spec)
+        g_mean, norms, losses = adv_grad(net, train_set.subset(idx), attack, cfg.loss_bound)
         try:
             net, velocity = sgd_step(net, g_mean, cfg.lr(t), velocity,
                                      cfg.momentum, cfg.weight_decay)
@@ -126,15 +125,15 @@ def train_model(train_set: LabeledSet, net: nn.DenseNet, cfg: ExperimentConfig,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def train_twin(train_set: LabeledSet, cfg: ExperimentConfig, attack: AttackSpec, seed: int,
-               loss_spec: nn.LossSpec = nn.LossSpec()) -> RunLedger:
+def train_twin(train_set: LabeledSet, cfg: ExperimentConfig, attack: AttackSpec,
+               seed: int) -> RunLedger:
     """Train the ERM model, then the one under ``attack``, from one initialization.
     A diverging run overflows before a non-finite value stops it, so numpy's
     overflow and invalid-value warnings are silenced inside this call."""
     net0 = nn.DenseNet.random((train_set.dim, *cfg.hidden, train_set.num_classes),
                               cfg.activation, seed)
-    erm = train_model(train_set, net0, cfg, AttackSpec(), seed, loss_spec)
-    adv = train_model(train_set, net0, cfg, attack, seed, loss_spec,
+    erm = train_model(train_set, net0, cfg, AttackSpec(), seed)
+    adv = train_model(train_set, net0, cfg, attack, seed,
                       None if erm.diverged_at is None else erm.diverged_at - 1)
     # the adversarial run stops before the ERM failure, so its own comes first
     return RunLedger(erm, adv, adv.diverged_at or erm.diverged_at)

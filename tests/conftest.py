@@ -18,6 +18,7 @@ import pytest
 from advlab import data, nn
 
 FD_STEP = 1e-4
+CLIP_M = 10.0  # a loss clip the random batches stay below, the default loss_bound
 
 
 def net_with_params(net: nn.DenseNet, flat) -> nn.DenseNet:
@@ -25,7 +26,7 @@ def net_with_params(net: nn.DenseNet, flat) -> nn.DenseNet:
     return nn.DenseNet(*nn._views(net.layer_widths, flat), net.activation)
 
 
-def fd_grad_params(net: nn.DenseNet, X, y, spec: nn.LossSpec, h: float = FD_STEP) -> np.ndarray:
+def fd_grad_params(net: nn.DenseNet, X, y, clip_m: float, h: float = FD_STEP) -> np.ndarray:
     """Central finite differences of the mean batch loss w.r.t. parameters."""
     theta = net.flatten()
     out = np.empty_like(theta)
@@ -34,20 +35,20 @@ def fd_grad_params(net: nn.DenseNet, X, y, spec: nn.LossSpec, h: float = FD_STEP
         tp[i] += h
         tm = theta.copy()
         tm[i] -= h
-        lp = nn.loss_batch(net_with_params(net, tp), (X, y), spec)[0]
-        lm = nn.loss_batch(net_with_params(net, tm), (X, y), spec)[0]
+        lp = nn.loss_batch(net_with_params(net, tp), X, y, clip_m)[0]
+        lm = nn.loss_batch(net_with_params(net, tm), X, y, clip_m)[0]
         out[i] = (lp - lm) / (2 * h)
     return out
 
 
-def per_example_grads(net: nn.DenseNet, X, y, spec: nn.LossSpec = nn.LossSpec()) -> np.ndarray:
+def per_example_grads(net: nn.DenseNet, X, y, clip_m: float) -> np.ndarray:
     """(n, num_params) per-example parameter gradients in the flattened order.
 
     Materializes every outer product from the shared backward pass; the
     library itself only ever needs their mean and their norms.
     """
     acts, deltas, _ = nn._backward(net, np.asarray(X, dtype=np.float64),
-                                   np.asarray(y, dtype=np.int64), spec)
+                                   np.asarray(y, dtype=np.int64), clip_m)
     parts = []
     for a, d in zip(acts[:-1], deltas):
         parts.append(np.einsum("no,ni->noi", d, a).reshape(len(d), -1))
@@ -64,7 +65,7 @@ def mia_accuracy(train_confs, test_confs, zeta: float) -> float:
     return 0.5 * (float((train_confs >= zeta).mean()) + float((test_confs < zeta).mean()))
 
 
-def fd_grad_inputs(net: nn.DenseNet, X, y, spec: nn.LossSpec, h: float = FD_STEP) -> np.ndarray:
+def fd_grad_inputs(net: nn.DenseNet, X, y, clip_m: float, h: float = FD_STEP) -> np.ndarray:
     """Central finite differences of each per-example loss w.r.t. its features."""
     X = np.asarray(X, dtype=np.float64)
     out = np.empty_like(X)
@@ -74,8 +75,8 @@ def fd_grad_inputs(net: nn.DenseNet, X, y, spec: nn.LossSpec, h: float = FD_STEP
             Xp[i, j] += h
             Xm = X.copy()
             Xm[i, j] -= h
-            lp = nn.loss_batch(net, (Xp, y), spec)[1][i]
-            lm = nn.loss_batch(net, (Xm, y), spec)[1][i]
+            lp = nn.loss_batch(net, Xp, y, clip_m)[1][i]
+            lm = nn.loss_batch(net, Xm, y, clip_m)[1][i]
             out[i, j] = (lp - lm) / (2 * h)
     return out
 
@@ -98,7 +99,7 @@ def textbook_forward(net: nn.DenseNet, X):
     return acts, zs
 
 
-def textbook_backward(net: nn.DenseNet, X, y, spec: nn.LossSpec):
+def textbook_backward(net: nn.DenseNet, X, y, clip_m: float):
     """(activations, per-layer deltas, clipped losses): ``delta = (delta @ W) * mask(z)``.
 
     The loss head is the library's own ``_losses_and_dlogits``; the layer
@@ -107,17 +108,17 @@ def textbook_backward(net: nn.DenseNet, X, y, spec: nn.LossSpec):
     acts, zs = textbook_forward(net, X)
     y = np.asarray(y, dtype=np.int64)
     raw, dlogits = nn._losses_and_dlogits(acts[-1], y)
-    deltas = [dlogits * (raw < spec.clip_m)[:, None]]
+    deltas = [dlogits * (raw < clip_m)[:, None]]
     for i in range(len(net.weights) - 1, 0, -1):
         z = zs[i - 1]
         mask = z > 0 if net.activation == "relu" else 1.0 - np.tanh(z) ** 2
         deltas.insert(0, (deltas[0] @ net.weights[i]) * mask)
-    return acts, deltas, np.minimum(raw, spec.clip_m)
+    return acts, deltas, np.minimum(raw, clip_m)
 
 
-def textbook_grads(net: nn.DenseNet, X, y, spec: nn.LossSpec):
+def textbook_grads(net: nn.DenseNet, X, y, clip_m: float):
     """(mean gradient, per-example norms, clipped losses, input gradient) from the textbook pass."""
-    acts, deltas, losses = textbook_backward(net, X, y, spec)
+    acts, deltas, losses = textbook_backward(net, X, y, clip_m)
     n = len(acts[0])
     parts, sq = [], np.zeros(n)
     for a, d in zip(acts[:-1], deltas):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advlab import adversarial, nn
-from conftest import random_net_and_batch
+from conftest import CLIP_M, random_net_and_batch
 
 
 def linear_1d_net():
@@ -85,19 +85,20 @@ class TestPgdAttack:
     def test_zero_radius_returns_input_exactly(self):
         net, X, y = random_net_and_batch(1)
         spec = adversarial.AttackSpec(radius=0.0)
-        out = adversarial.pgd_batch(net, X, y, spec)
+        out = adversarial.pgd_batch(net, X, y, spec, CLIP_M)
         assert np.array_equal(out, X)
         assert out is not X  # caller may mutate the copy freely
 
     def test_zero_steps_returns_input(self):
         net, X, y = random_net_and_batch(2)
-        out = adversarial.pgd_batch(net, X, y, adversarial.AttackSpec(radius=0.5, steps=0))
+        out = adversarial.pgd_batch(net, X, y, adversarial.AttackSpec(radius=0.5, steps=0),
+                                    CLIP_M)
         assert np.array_equal(out, X)
 
     def test_1d_trajectory_matches_enumeration(self):
         net = linear_1d_net()
         spec = adversarial.AttackSpec(norm="linf", radius=0.5, steps=8, step_size=0.125)
-        got = adversarial.pgd_batch(net, np.array([[1.0]]), np.array([0]), spec)[0]
+        got = adversarial.pgd_batch(net, np.array([[1.0]]), np.array([0]), spec, CLIP_M)[0]
         expected = enumerate_ascent_1d(1.0, 0.5, 0.125, 8)
         assert expected == 1.5  # saturates at the ball boundary
         assert got == pytest.approx([expected], abs=1e-12)
@@ -107,7 +108,8 @@ class TestPgdAttack:
     def test_feasibility_on_random_nets(self, norm, seed):
         net, X, y = random_net_and_batch(seed + 10)
         rho = 0.3
-        out = adversarial.pgd_batch(net, X, y, adversarial.AttackSpec(norm=norm, radius=rho))
+        out = adversarial.pgd_batch(net, X, y, adversarial.AttackSpec(norm=norm, radius=rho),
+                                    CLIP_M)
         d = out - X
         dist = np.abs(d).max(axis=1) if norm == "linf" else np.linalg.norm(d, axis=1)
         assert (dist <= rho + 1e-9).all()
@@ -117,9 +119,9 @@ class TestPgdAttack:
         for x0 in (-2.0, -0.5, 0.7, 1.0, 3.0):
             net = linear_1d_net()
             spec = adversarial.AttackSpec(norm="linf", radius=0.4, steps=8, step_size=0.1)
-            adv = adversarial.pgd_batch(net, np.array([[x0]]), np.array([0]), spec)[0]
-            clean_loss = nn.loss_batch(net, (np.array([[x0]]), np.array([0])))[1][0]
-            adv_loss = nn.loss_batch(net, (adv.reshape(1, 1), np.array([0])))[1][0]
+            adv = adversarial.pgd_batch(net, np.array([[x0]]), np.array([0]), spec, CLIP_M)[0]
+            clean_loss = nn.loss_batch(net, np.array([[x0]]), np.array([0]), CLIP_M)[1][0]
+            adv_loss = nn.loss_batch(net, adv.reshape(1, 1), np.array([0]), CLIP_M)[1][0]
             assert adv_loss >= clean_loss - 1e-12
 
     def test_linf_sign_update_moves_exactly_alpha(self):
@@ -128,14 +130,15 @@ class TestPgdAttack:
                           (np.array([0.0, 1.0]),), "relu")
         x = np.array([[1.0, 1.0, 1.0]])  # logits (0, 6.5), y = 0: grad = p_1 * (2, 3, 0.5) > 0
         spec = adversarial.AttackSpec(norm="linf", radius=10.0, steps=1, step_size=0.25)
-        out = adversarial.pgd_batch(net, x, np.array([0]), spec)
+        out = adversarial.pgd_batch(net, x, np.array([0]), spec, CLIP_M)
         assert np.array_equal(out - x, np.full((1, 3), 0.25))
 
     def test_batched_equals_sequential(self):
         net, X, y = random_net_and_batch(30)
         spec = adversarial.AttackSpec(norm="l2", radius=0.4)
-        batched = adversarial.pgd_batch(net, X, y, spec)
-        rows = [adversarial.pgd_batch(net, X[i:i + 1], y[i:i + 1], spec)[0] for i in range(len(X))]
+        batched = adversarial.pgd_batch(net, X, y, spec, CLIP_M)
+        rows = [adversarial.pgd_batch(net, X[i:i + 1], y[i:i + 1], spec, CLIP_M)[0]
+                for i in range(len(X))]
         assert batched == pytest.approx(np.stack(rows), rel=1e-12, abs=1e-14)
 
 
@@ -144,11 +147,12 @@ class TestAdvGrad:
         net, X, y = random_net_and_batch(5)
         from advlab.data import LabeledSet
         batch = LabeledSet(X, y, net.out_dim)
-        mean, norms, losses = adversarial.adv_grad(net, batch, adversarial.AttackSpec(radius=0.0))
-        mean0, norms0, _ = nn.grad_params(net, (X, y))
+        mean, norms, losses = adversarial.adv_grad(net, batch, adversarial.AttackSpec(radius=0.0),
+                                                   CLIP_M)
+        mean0, norms0, _ = nn.grad_params(net, X, y, CLIP_M)
         assert np.array_equal(mean, mean0)
         assert np.array_equal(norms, norms0)
-        assert np.array_equal(losses, nn.loss_batch(net, (X, y))[1])
+        assert np.array_equal(losses, nn.loss_batch(net, X, y, CLIP_M)[1])
 
     def test_duplicated_batch_mean_equals_single(self):
         from advlab.data import LabeledSet
@@ -156,8 +160,8 @@ class TestAdvGrad:
         spec = adversarial.AttackSpec(norm="linf", radius=0.2)
         one = LabeledSet(X[:1], y[:1], net.out_dim)
         four = LabeledSet(np.repeat(X[:1], 4, axis=0), np.repeat(y[:1], 4), net.out_dim)
-        m1, _, _ = adversarial.adv_grad(net, one, spec)
-        m4, _, _ = adversarial.adv_grad(net, four, spec)
+        m1, _, _ = adversarial.adv_grad(net, one, spec, CLIP_M)
+        m4, _, _ = adversarial.adv_grad(net, four, spec, CLIP_M)
         assert m4 == pytest.approx(m1, rel=1e-12, abs=1e-15)
 
     def test_1d_convex_gradient_at_boundary(self):
@@ -167,7 +171,7 @@ class TestAdvGrad:
         net = linear_1d_net()
         batch = LabeledSet(np.array([[1.0]]), np.array([0]), 2)
         spec = adversarial.AttackSpec(norm="linf", radius=0.5, steps=8, step_size=0.125)
-        mean, _, losses = adversarial.adv_grad(net, batch, spec)
+        mean, _, losses = adversarial.adv_grad(net, batch, spec, CLIP_M)
         s = sigmoid(1.5)
         assert mean == pytest.approx([-1.5 * s, 1.5 * s, -s, s], abs=1e-12)
         assert losses[0] == pytest.approx(math.log1p(math.exp(1.5)), abs=1e-12)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from advlab import analysis, nn
 from advlab.adversarial import AttackSpec
 from advlab.data import LabeledSet, split, synth_blobs
+from conftest import CLIP_M
 
 
 def horner(coeffs, u):
@@ -135,7 +136,8 @@ class TestAdversarialAccuracy:
     def test_zero_radius_equals_clean_accuracy(self):
         from advlab.attacks import accuracy
         net, test = self.trained_pair()
-        got = analysis.adversarial_accuracy(net, test, AttackSpec(norm="linf", radius=0.0))
+        got = analysis.adversarial_accuracy(net, test, AttackSpec(norm="linf", radius=0.0),
+                                            CLIP_M)
         assert got == accuracy(net, test)
 
     def test_constant_net_immune_to_attack(self):
@@ -143,7 +145,8 @@ class TestAdversarialAccuracy:
         ds = synth_blobs(15, 3, 4, 1.0, seed=8)
         freq = float((ds.labels == 1).mean())
         for rho in (0.0, 0.5, 3.0):
-            got = analysis.adversarial_accuracy(net, ds, AttackSpec(norm="l2", radius=rho))
+            got = analysis.adversarial_accuracy(net, ds, AttackSpec(norm="l2", radius=rho),
+                                                CLIP_M)
             assert got == freq
 
     def test_1d_threshold_classifier_margin_geometry(self):
@@ -153,14 +156,15 @@ class TestAdversarialAccuracy:
         ds = LabeledSet(np.array([[0.3], [2.0], [-0.3], [-2.0]]),
                         np.array([0, 0, 1, 1]), 2)
         got = analysis.adversarial_accuracy(net, ds, AttackSpec(norm="linf", radius=0.5,
-                                                                steps=20, step_size=0.1))
+                                                                steps=20, step_size=0.1),
+                                            CLIP_M)
         assert got == 0.5  # the two +-0.3 points fall, the +-2.0 points survive
 
     def test_mostly_nonincreasing_in_radius(self):
         net, test = self.trained_pair()
         rhos = np.linspace(0.0, 0.5, 11)
         accs = [analysis.adversarial_accuracy(net, test,
-                                              AttackSpec(norm="linf", radius=float(r)))
+                                              AttackSpec(norm="linf", radius=float(r)), CLIP_M)
                 for r in rhos]
         violations = sum(1 for a, b in zip(accs[:-1], accs[1:]) if b > a + 1e-12)
         assert violations <= max(1, int(0.01 * len(accs)))  # PGD is not exactly optimal

@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import dataclasses
 import json
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from advlab import attacks, cli, config, data, intensity, nn, privacy, training
+from advlab import analysis, attacks, cli, config, data, intensity, nn, privacy, training
 from conftest import write_dataset_csv
 
 # frozen oracle value shared with test_privacy: compose([0.1], N/delta'=100)
@@ -766,6 +767,17 @@ class TestCalculatorCommands:
         assert set(out) == {"beta", "high_prob_bound", "inputs"}
         assert out["inputs"]["c"] == 1.0
 
+    def test_bounds_defaults_are_the_config_defaults(self, capsys):
+        cfg = config.ExperimentConfig()
+        assert cli.main(["bounds", "--eps", "0.1", "--delta", "0.01", "--n", "1000"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert cli.main(["bounds", "--eps", "0.1", "--delta", "0.01", "--n", "1000",
+                         "--loss-bound", repr(cfg.loss_bound), "--gamma", repr(cfg.gamma_list[0]),
+                         "--c", repr(cfg.constant_c)]) == 0
+        assert json.loads(capsys.readouterr().out) == out
+        assert (out["inputs"]["m"], out["inputs"]["gamma"], out["inputs"]["c"]) == (
+            cfg.loss_bound, cfg.gamma_list[0], cfg.constant_c)
+
     def test_bounds_invalid_gamma_is_config_error(self, capsys):
         assert cli.main(["bounds", "--eps", "0.1", "--delta", "0.01", "--n", "1000",
                          "--gamma", "2"]) == 2
@@ -919,6 +931,36 @@ class TestRunAndCommandsAgree:
             inputs = out.pop("inputs")
             assert out | inputs == want | {"eps": leading["epsilon"], "delta": leading["delta"],
                                            "m": cfg.loss_bound, "n": summary["n_train"]}
+
+
+class TestLossClip:
+    def test_a_run_clips_at_the_configs_loss_bound(self, tmp_path, capsys):
+        m = 2.0
+        cfg, path = tiny_config(tmp_path, loss_bound=m)
+        assert cli.main(["train", "--config", str(path), "--rho", "0.15", "--seed", "1"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        run = cli.run_dir_for(cfg, 0.15, 1)
+        train_set, test_set = cfg.load_datasets()
+        erm = training.load_checkpoint(run / "erm.ckpt")
+        adv = training.load_checkpoint(run / "adv.ckpt")
+        # the clip binds: some training row's raw loss at the ERM model is above M
+        assert nn.loss_batch(erm, train_set.features, train_set.labels, math.inf)[1].max() > m
+
+        with open(run / "ledger.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(float(r[k]) <= m for r in rows for k in ("erm_loss", "adv_loss"))
+
+        def noise_b(clip_m):
+            sample = privacy.collect_noise(erm, train_set, cfg.noise_tau, cfg.noise_batches,
+                                           cfg.noise_components, 1, clip_m)
+            return privacy.fit_laplace(sample.values).scale
+
+        def adv_accuracy(clip_m):
+            return analysis.adversarial_accuracy(adv, test_set, cfg.attack_spec(0.15), clip_m)
+
+        assert summary["noise"]["b"] == noise_b(m)
+        assert summary["adv_accuracy"] == adv_accuracy(m)
+        assert (noise_b(10.0), adv_accuracy(10.0)) != (noise_b(m), adv_accuracy(m))
 
 
 class TestFileErrors:

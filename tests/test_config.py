@@ -156,10 +156,6 @@ class TestDerivedSpecs:
         spec = cfg.attack_spec(0.25)
         assert spec.radius == 0.25 and spec.norm == cfg.norm and spec.steps == cfg.steps
 
-    def test_loss_spec_uses_loss_bound(self):
-        cfg = config.ExperimentConfig()
-        assert cfg.loss_spec().clip_m == cfg.loss_bound
-
 
 class TestConfigDigest:
     def test_default_digest_is_pinned(self):

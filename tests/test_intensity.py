@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from advlab import intensity, nn
 from advlab.adversarial import AttackSpec, pgd_batch
 from advlab.data import split, synth_blobs
+from conftest import CLIP_M
 
 # frozen oracle value: ((1 + 3**4) / 2) ** 0.25 computed at 50 digits
 COMPOSITE_1_3 = 2.53043953443524287
@@ -115,17 +116,17 @@ class TestConsistencyProbe:
     def test_full_batch_row_equals_full_value(self):
         train, e, a = probe_instance()
         atk = AttackSpec(norm="linf", radius=0.3)
-        rows = intensity.consistency_probe(e, a, train, atk, [len(train)], 5, seed=0)
+        rows = intensity.consistency_probe(e, a, train, atk, [len(train)], 5, seed=0,
+                                           clip_m=CLIP_M)
         assert rows[0].mean_estimate == rows[0].full_value
 
     def test_components_monotone_under_subsetting(self):
         # batch max <= full max for numerator and denominator families
         train, e, a = probe_instance()
         atk = AttackSpec(norm="l2", radius=0.4)
-        spec = nn.LossSpec()
-        clean = nn.grad_params(e, (train.features, train.labels), spec)[1]
-        x_adv = pgd_batch(a, train.features, train.labels, atk, spec)
-        adv = nn.grad_params(a, (x_adv, train.labels), spec)[1]
+        clean = nn.grad_params(e, train.features, train.labels, CLIP_M)[1]
+        x_adv = pgd_batch(a, train.features, train.labels, atk, CLIP_M)
+        adv = nn.grad_params(a, x_adv, train.labels, CLIP_M)[1]
         rng = np.random.default_rng(5)
         for _ in range(25):
             idx = rng.permutation(len(train))[:40]
@@ -138,7 +139,7 @@ class TestConsistencyProbe:
         n = len(train)
         atk = AttackSpec(norm="linf", radius=0.3)
         rows = intensity.consistency_probe(e, a, train, atk, [n // 8, n // 2, n],
-                                           repeats=160, seed=21)
+                                           repeats=160, seed=21, clip_m=CLIP_M)
         gap8 = abs(rows[0].full_value - rows[0].mean_estimate)
         gap2 = abs(rows[1].full_value - rows[1].mean_estimate)
         assert gap2 < gap8
@@ -155,6 +156,6 @@ class TestConsistencyProbe:
     def test_probe_deterministic(self):
         train, e, a = probe_instance()
         atk = AttackSpec(norm="linf", radius=0.2)
-        r1 = intensity.consistency_probe(e, a, train, atk, [40, 80], 16, seed=3)
-        r2 = intensity.consistency_probe(e, a, train, atk, [40, 80], 16, seed=3)
+        r1 = intensity.consistency_probe(e, a, train, atk, [40, 80], 16, seed=3, clip_m=CLIP_M)
+        r2 = intensity.consistency_probe(e, a, train, atk, [40, 80], 16, seed=3, clip_m=CLIP_M)
         assert r1 == r2

@@ -2,9 +2,10 @@
 
 Every public module-level function and class in ``src/advlab``, and every
 public method and property of a public class, must be used by the program:
-referenced, as a name or an attribute, somewhere in ``src/advlab`` outside
-its own definition, or by the benchmark harness in ``perfbench/``, or by
-``pyproject.toml``. Code that only tests call belongs in the tests. The
+somewhere in ``src/advlab`` outside its own definition, by the benchmark
+harness in ``perfbench/``, or by ``pyproject.toml``. A use is matched to the
+definition's owner, not to its bare name: ``np.random`` is no use of
+``DenseNet.random``. Code that only tests call belongs in the tests. The
 exceptions are the oracles the tests check the program against. The
 benchmark's traced names must also still resolve, so that a rename cannot
 silently turn a pinned per-layer metric into "absent".
@@ -29,19 +30,54 @@ ORACLES = {"nn.loss_batch"}
 ABSENT_FROM_BENCHMARK = {"nn.per_example_grad_norms"}
 
 
-def _used_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
-    """Every name and attribute read in ``tree``, except inside ``skip``."""
-    used, stack = set(), [tree]
+def _package_module(node: ast.ImportFrom) -> str | None:
+    """The advlab module ``node`` imports from, "" for the package itself, None outside advlab."""
+    if node.level == 1:
+        return node.module or ""
+    if node.module == "advlab":
+        return ""
+    if node.module and node.module.startswith("advlab."):
+        return node.module.removeprefix("advlab.")
+    return None
+
+
+def _imported_modules(tree: ast.AST) -> dict[str, str]:
+    """Local name -> module of each module ``tree`` imports: ``import numpy as np``
+    binds ``np`` to numpy, and ``from . import nn`` binds ``nn`` to advlab's nn."""
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                modules[bound] = alias.name if alias.asname else bound
+        elif isinstance(node, ast.ImportFrom) and _package_module(node) == "":
+            modules.update((alias.asname or alias.name, alias.name) for alias in node.names
+                           if (SRC / f"{alias.name}.py").is_file())
+    return modules
+
+
+def _uses(tree: ast.AST, skip: ast.AST | None = None):
+    """What ``tree`` reads, except inside ``skip``: (attribute names read off
+    something other than an imported module, ``(module, name)`` pairs read as
+    ``module.name`` or imported from ``module``, bare names)."""
+    modules = _imported_modules(tree)
+    attrs, qualified, names, stack = set(), set(), set(), [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id in modules:
+                qualified.add((modules[owner.id], node.attr))
+            else:
+                attrs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (source := _package_module(node)):
+            qualified.update((source, alias.name) for alias in node.names)
         stack.extend(ast.iter_child_nodes(node))
-    return used
+    return attrs, qualified, names
 
 
 def _public_definitions(module: str, tree: ast.Module):
@@ -55,20 +91,58 @@ def _public_definitions(module: str, tree: ast.Module):
                     yield item, f"{module}.{node.name}.{item.name}"
 
 
-def test_every_public_definition_is_used_by_the_program():
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
-    used = {module: _used_names(tree) for module, tree in trees.items()}
-    outside = set().union(*(_used_names(ast.parse(p.read_text(encoding="utf-8")))
-                            for p in sorted(PERFBENCH.glob("*.py"))))
-    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+def _unused(trees: dict[str, ast.Module], outside: list[ast.AST], pyproject: str = "") -> list[str]:
+    """Dotted names of the public definitions in ``trees`` (advlab modules by
+    name) that neither the other modules, ``outside`` nor ``pyproject`` use.
+
+    A method or property is used where it is read as an attribute of
+    something other than an imported module. A module-level definition is
+    used as ``<module>.<name>``, as a name imported from its module, or by
+    name in its own module outside its definition.
+    """
+    uses = {module: _uses(tree) for module, tree in trees.items()}
+    outside_uses = [_uses(tree) for tree in outside]
     unused = []
     for module, tree in trees.items():
-        elsewhere = outside.union(*(u for m, u in used.items() if m != module))
+        others = [u for m, u in uses.items() if m != module] + outside_uses
+        attrs = set().union(*(u[0] for u in others))
+        qualified = set().union(*(u[1] for u in others))
         for node, name in _public_definitions(module, tree):
-            if not (node.name in elsewhere or node.name in _used_names(tree, skip=node)
-                    or f":{node.name}" in pyproject or name in ORACLES):
+            own_attrs, _, own_names = _uses(tree, skip=node)
+            if name.count(".") == 2:  # a method or property
+                used = node.name in attrs or node.name in own_attrs
+            else:
+                used = ((module, node.name) in qualified or node.name in own_names
+                        or f"advlab.{module}:{node.name}" in pyproject)
+            if not used:
                 unused.append(name)
-    assert unused == []
+    return unused
+
+
+def test_every_public_definition_is_used_by_the_program():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    outside = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PERFBENCH.glob("*.py"))]
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert [name for name in _unused(trees, outside, pyproject) if name not in ORACLES] == []
+
+
+def test_a_name_counts_as_used_only_through_its_owner():
+    # np.random is numpy's, not DenseNet.random; a local named stream is not rng.stream
+    trees = {
+        "nn": ast.parse("from .rng import stream\n"
+                        "class DenseNet:\n"
+                        "    def random(self): return stream()\n"
+                        "    def flatten(self): pass\n"),
+        "rng": ast.parse("import numpy as np\n"
+                         "from . import nn\n"
+                         "def stream(): return np.random, nn.DenseNet\n"
+                         "def unused(): pass\n"),
+        "cli": ast.parse("def main(net):\n"
+                         "    unused = net.flatten()\n"
+                         "    return unused\n"),
+    }
+    assert _unused(trees, [], "advlab = \"advlab.cli:main\"") == [
+        "nn.DenseNet.random", "rng.unused"]
 
 
 def test_public_definitions_cover_methods_and_properties_of_public_classes():
@@ -85,6 +159,18 @@ def test_public_definitions_cover_methods_and_properties_of_public_classes():
         "    def n(self): pass\n")
     names = [name for _, name in _public_definitions("mod", tree)]
     assert names == ["mod.f", "mod.A", "mod.A.m", "mod.A.p"]
+
+
+def test_no_parameter_default_is_a_call():
+    # a default is evaluated once, where the function is defined, so a call
+    # there is a second owner of a value the program already owns elsewhere
+    found = [f"{path.stem}.{node.name}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and any(isinstance(part, ast.Call)
+                     for default in (*node.args.defaults, *node.args.kw_defaults) if default
+                     for part in ast.walk(default))]
+    assert found == []
 
 
 def _traced_names() -> tuple[str, ...]:

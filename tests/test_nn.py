@@ -9,8 +9,9 @@ from numpy.testing import assert_array_equal
 
 from advlab import adversarial, analysis, attacks, nn, privacy, training
 from advlab.data import LabeledSet
-from conftest import (assert_grad_close, fd_grad_inputs, fd_grad_params, net_with_params,
-                      per_example_grads, random_net_and_batch, textbook_forward, textbook_grads)
+from conftest import (CLIP_M, assert_grad_close, fd_grad_inputs, fd_grad_params,
+                      net_with_params, per_example_grads, random_net_and_batch, textbook_forward,
+                      textbook_grads)
 
 
 def identity_net(d):
@@ -121,14 +122,14 @@ class TestDenseNetInvariants:
 class TestLossBatch:
     def test_uniform_two_class_is_ln2(self):
         net = nn.DenseNet((np.zeros((2, 3)),), (np.zeros(2),), "relu")
-        mean, per = nn.loss_batch(net, (np.ones((5, 3)), np.zeros(5, dtype=int)))
+        mean, per = nn.loss_batch(net, np.ones((5, 3)), np.zeros(5, dtype=int), CLIP_M)
         assert per == pytest.approx(np.full(5, math.log(2.0)), abs=1e-12)
         assert mean == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_clip_boundary(self):
         net = nn.DenseNet((np.zeros((2, 3)),), (np.zeros(2),), "relu")
-        spec = nn.LossSpec(clip_m=0.5)  # raw loss is ln 2 > 0.5
-        mean, per = nn.loss_batch(net, (np.ones((2, 3)), np.zeros(2, dtype=int)), spec)
+        clip_m = 0.5  # raw loss is ln 2 > 0.5
+        mean, per = nn.loss_batch(net, np.ones((2, 3)), np.zeros(2, dtype=int), clip_m)
         assert np.array_equal(per, [0.5, 0.5])
         assert mean == 0.5
 
@@ -139,15 +140,15 @@ class TestLossBatch:
         z = [math.exp(v) for v in logits]
         expected = -math.log(z[label] / sum(z))
         net = nn.DenseNet((np.zeros((3, 1)),), (np.array(logits),), "relu")
-        _, per = nn.loss_batch(net, (np.zeros((1, 1)), np.array([label])))
+        _, per = nn.loss_batch(net, np.zeros((1, 1)), np.array([label]), CLIP_M)
         assert per[0] == pytest.approx(expected, rel=1e-14)
 
     def test_label_out_of_range_rejected(self):
         net = identity_net(2)
         with pytest.raises(ValueError, match="range"):
-            nn.loss_batch(net, (np.ones((1, 2)), np.array([2])))
+            nn.loss_batch(net, np.ones((1, 2)), np.array([2]), CLIP_M)
         with pytest.raises(ValueError, match="range"):
-            nn.loss_batch(net, (np.ones((1, 2)), np.array([-1])))
+            nn.loss_batch(net, np.ones((1, 2)), np.array([-1]), CLIP_M)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-40, 40), min_size=2, max_size=6),
@@ -155,8 +156,7 @@ class TestLossBatch:
     def test_loss_bounded_by_clip(self, logits, clip_m, label_raw):
         label = label_raw % len(logits)
         net = nn.DenseNet((np.zeros((len(logits), 1)),), (np.array(logits),), "relu")
-        _, per = nn.loss_batch(net, (np.zeros((1, 1)), np.array([label])),
-                               nn.LossSpec(clip_m=clip_m))
+        _, per = nn.loss_batch(net, np.zeros((1, 1)), np.array([label]), clip_m)
         assert 0.0 <= per[0] <= clip_m
 
 
@@ -164,23 +164,22 @@ class TestGradParams:
     def test_zero_gradient_at_constructed_minimum(self):
         # all softmax mass on the true class, loss far inside the clip
         net = nn.DenseNet((np.zeros((2, 2)),), (np.array([60.0, 0.0]),), "relu")
-        mean, _, _ = nn.grad_params(net, (np.ones((3, 2)), np.zeros(3, dtype=int)))
+        mean, _, _ = nn.grad_params(net, np.ones((3, 2)), np.zeros(3, dtype=int), CLIP_M)
         assert np.linalg.norm(mean) < 1e-9
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_matches_finite_differences(self, seed, activation):
         net, X, y = random_net_and_batch(seed, activation)
-        spec = nn.LossSpec()
-        mean, _, _ = nn.grad_params(net, (X, y), spec)
-        assert_grad_close(mean, fd_grad_params(net, X, y, spec))
+        mean, _, _ = nn.grad_params(net, X, y, CLIP_M)
+        assert_grad_close(mean, fd_grad_params(net, X, y, CLIP_M))
 
     def test_duplicated_batch_equals_single_example(self):
         net, X, y = random_net_and_batch(21)
         x1, y1 = X[:1], y[:1]
-        single, _, _ = nn.grad_params(net, (x1, y1))
-        dup, _, _ = nn.grad_params(net, (np.repeat(x1, 4, axis=0), np.repeat(y1, 4)))
-        per = per_example_grads(net, np.repeat(x1, 4, axis=0), np.repeat(y1, 4))
+        single, _, _ = nn.grad_params(net, x1, y1, CLIP_M)
+        dup, _, _ = nn.grad_params(net, np.repeat(x1, 4, axis=0), np.repeat(y1, 4), CLIP_M)
+        per = per_example_grads(net, np.repeat(x1, 4, axis=0), np.repeat(y1, 4), CLIP_M)
         # every duplicate row is bitwise identical; the mean can differ from
         # the 1-row batch only by BLAS kernel choice, i.e. the last ulp
         assert all(np.array_equal(per[0], row) for row in per)
@@ -188,59 +187,58 @@ class TestGradParams:
 
     def test_mean_is_componentwise_mean_of_per_example(self):
         net, X, y = random_net_and_batch(22)
-        mean, _, _ = nn.grad_params(net, (X, y))
-        per = per_example_grads(net, X, y)
+        mean, _, _ = nn.grad_params(net, X, y, CLIP_M)
+        per = per_example_grads(net, X, y, CLIP_M)
         # aggregated matmuls sum in a different order than the row mean
         assert mean == pytest.approx(per.mean(axis=0), rel=1e-12, abs=1e-15)
         assert per.shape == (len(X), net.num_params)
 
     def test_clip_active_zeroes_that_example(self):
         net = nn.DenseNet((np.zeros((2, 2)),), (np.zeros(2),), "relu")
-        spec = nn.LossSpec(clip_m=0.5)  # ln 2 > 0.5 for every example
+        clip_m = 0.5  # ln 2 > 0.5 for every example
         X, y = np.ones((3, 2)), np.zeros(3, dtype=int)
-        mean, norms, _ = nn.grad_params(net, (X, y), spec)
-        per = per_example_grads(net, X, y, spec)
+        mean, norms, _ = nn.grad_params(net, X, y, clip_m)
+        per = per_example_grads(net, X, y, clip_m)
         assert np.array_equal(per, np.zeros_like(per))
         assert np.array_equal(norms, np.zeros_like(norms))
         assert np.array_equal(mean, np.zeros_like(mean))
 
     def test_norm_shortcut_matches_materialized_gradients(self):
         net, X, y = random_net_and_batch(23, widths=(5, 7, 4), n=9)
-        per = per_example_grads(net, X, y)
-        _, fast, _ = nn.grad_params(net, (X, y))
+        per = per_example_grads(net, X, y, CLIP_M)
+        _, fast, _ = nn.grad_params(net, X, y, CLIP_M)
         assert fast == pytest.approx(np.linalg.norm(per, axis=1), rel=1e-12)
 
     def test_losses_are_the_clipped_per_example_losses(self):
         net, X, y = random_net_and_batch(25)
-        spec = nn.LossSpec(clip_m=1.0)
-        _, _, losses = nn.grad_params(net, (X, y), spec)
-        assert np.array_equal(losses, nn.loss_batch(net, (X, y), spec)[1])
+        clip_m = 1.0
+        _, _, losses = nn.grad_params(net, X, y, clip_m)
+        assert np.array_equal(losses, nn.loss_batch(net, X, y, clip_m)[1])
 
     def test_aggregated_mean_grad_matches(self):
         net, X, y = random_net_and_batch(24)
-        mean, _, _ = nn.grad_params(net, (X, y))
-        assert np.array_equal(nn.mean_grad(net, (X, y)), mean)
+        mean, _, _ = nn.grad_params(net, X, y, CLIP_M)
+        assert np.array_equal(nn.mean_grad(net, X, y, CLIP_M), mean)
 
 
 class TestGradInput:
     def test_zero_first_layer_kills_input_path(self):
         net = nn.DenseNet((np.zeros((3, 2)), np.ones((2, 3))),
                           (np.ones(3), np.zeros(2)), "relu")
-        g = nn.grad_inputs(net, np.array([[1.0, -2.0]]), np.array([0]))[0]
+        g = nn.grad_inputs(net, np.array([[1.0, -2.0]]), np.array([0]), CLIP_M)[0]
         assert np.array_equal(g, [0.0, 0.0])
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_matches_finite_differences(self, seed, activation):
         net, X, y = random_net_and_batch(seed + 40, activation)
-        spec = nn.LossSpec()
-        g = nn.grad_inputs(net, X, y, spec)
-        assert_grad_close(g, fd_grad_inputs(net, X, y, spec))
+        g = nn.grad_inputs(net, X, y, CLIP_M)
+        assert_grad_close(g, fd_grad_inputs(net, X, y, CLIP_M))
 
     def test_linear_cross_entropy_hand_calculus(self):
         # logits z = (0, x), y = 0: loss ln(1 + e^x), d/dx = (p - e_0) . W = p_1 = sigmoid(x)
         net = nn.DenseNet((np.array([[0.0], [1.0]]),), (np.zeros(2),), "relu")
-        g = nn.grad_inputs(net, np.array([[1.0]]), np.array([0]))[0]
+        g = nn.grad_inputs(net, np.array([[1.0]]), np.array([0]), CLIP_M)[0]
         assert g == pytest.approx([1.0 / (1.0 + math.exp(-1.0))], abs=1e-15)
 
 
@@ -267,18 +265,17 @@ def _edge_case_batch(activation: str):
     return net, X, y
 
 
-def _clip_spec(net, X, y, clip: str) -> nn.LossSpec:
-    """A loss spec whose ``clip_m`` clips no row, the upper half of the rows
-    (``clip_m`` is the median raw loss, so one row sits at the boundary), or
-    every row (``clip_m`` is the least raw loss, again with one at the boundary)."""
-    raw = textbook_grads(net, X, y, nn.LossSpec(clip_m=math.inf))[2]
+def _clip_m(net, X, y, clip: str) -> float:
+    """A loss clip that clips no row, the upper half of the rows (the median
+    raw loss, so one row sits at the boundary), or every row (the least raw
+    loss, again with one at the boundary)."""
+    raw = textbook_grads(net, X, y, math.inf)[2]
     clip_m = {"none": math.inf, "median": float(np.sort(raw)[len(raw) // 2]),
               "all": float(raw.min())}[clip]
-    spec = nn.LossSpec(clip_m=clip_m)
-    clipped = raw >= spec.clip_m
+    clipped = raw >= clip_m
     assert {"none": not clipped.any(), "median": clipped.any() and not clipped.all(),
             "all": clipped.all()}[clip]
-    return spec
+    return clip_m
 
 
 class TestTextbookOracle:
@@ -288,14 +285,14 @@ class TestTextbookOracle:
     @pytest.mark.parametrize("clip", ["none", "median", "all"])
     def test_every_output_bitwise_equal(self, activation, clip):
         net, X, y = _edge_case_batch(activation)
-        spec = _clip_spec(net, X, y, clip)
-        mean, norms, losses, gx = textbook_grads(net, X, y, spec)
+        clip_m = _clip_m(net, X, y, clip)
+        mean, norms, losses, gx = textbook_grads(net, X, y, clip_m)
         assert_array_equal(nn.forward(net, X), textbook_forward(net, X)[0][-1])
-        got_mean, got_norms, got_losses = nn.grad_params(net, (X, y), spec)
+        got_mean, got_norms, got_losses = nn.grad_params(net, X, y, clip_m)
         assert_array_equal(got_mean, mean)
         assert_array_equal(got_norms, norms)
         assert_array_equal(got_losses, losses)
-        assert_array_equal(nn.grad_inputs(net, X, y, spec), gx)
+        assert_array_equal(nn.grad_inputs(net, X, y, clip_m), gx)
 
     @staticmethod
     def _blocked_batch(activation):
@@ -315,28 +312,28 @@ class TestTextbookOracle:
     @pytest.mark.parametrize("clip", ["none", "median", "all"])
     def test_blocked_passes_equal_one_pass(self, activation, clip):
         net, X, y = self._blocked_batch(activation)
-        spec = _clip_spec(net, X, y, clip)
-        mean, norms, losses, gx = textbook_grads(net, X, y, spec)
+        clip_m = _clip_m(net, X, y, clip)
+        mean, norms, losses, gx = textbook_grads(net, X, y, clip_m)
         assert_array_equal(nn.forward(net, X), textbook_forward(net, X)[0][-1])
-        assert_array_equal(nn.grad_inputs(net, X, y, spec), gx)
-        got_mean, got_norms, got_losses = nn.grad_params(net, (X, y), spec)
+        assert_array_equal(nn.grad_inputs(net, X, y, clip_m), gx)
+        got_mean, got_norms, got_losses = nn.grad_params(net, X, y, clip_m)
         assert_array_equal(got_norms, norms)
         assert_array_equal(got_losses, losses)
         # the sum over blocks adds in another order than one matmul
         np.testing.assert_allclose(got_mean, mean, rtol=1e-12, atol=0)
-        assert_array_equal(nn.mean_grad(net, (X, y), spec), got_mean)
+        assert_array_equal(nn.mean_grad(net, X, y, clip_m), got_mean)
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_dataset_evaluations_equal_one_pass(self, activation, monkeypatch):
         net, X, y = self._blocked_batch(activation)
-        spec = _clip_spec(net, X, y, "median")
+        clip_m = _clip_m(net, X, y, "median")
         ds = LabeledSet(X, y, 3)
         attack = adversarial.AttackSpec("linf", 0.3, 3)
 
         def evaluate():
             return (attacks.accuracy(net, ds), attacks.true_label_confidences(net, ds),
-                    adversarial.pgd_batch(net, X, y, attack, spec),
-                    analysis.adversarial_accuracy(net, ds, attack, spec))
+                    adversarial.pgd_batch(net, X, y, attack, clip_m),
+                    analysis.adversarial_accuracy(net, ds, attack, clip_m))
 
         blocked = evaluate()
         monkeypatch.setattr(nn, "ROW_BLOCK", len(X))
@@ -354,12 +351,12 @@ class TestCallerArraysUntouched:
     NET = nn.DenseNet.random((4, 6, 3), "relu", seed=3)
     CALLS = {
         "forward": lambda net, a: nn.forward(net, a["x"]),
-        "grad_params": lambda net, a: nn.grad_params(net, (a["x"], a["y"])),
-        "grad_inputs": lambda net, a: nn.grad_inputs(net, a["x"], a["y"]),
+        "grad_params": lambda net, a: nn.grad_params(net, a["x"], a["y"], CLIP_M),
+        "grad_inputs": lambda net, a: nn.grad_inputs(net, a["x"], a["y"], CLIP_M),
         "pgd_batch_linf": lambda net, a: adversarial.pgd_batch(
-            net, a["x"], a["y"], adversarial.AttackSpec("linf", 0.3, 3)),
+            net, a["x"], a["y"], adversarial.AttackSpec("linf", 0.3, 3), CLIP_M),
         "pgd_batch_l2": lambda net, a: adversarial.pgd_batch(
-            net, a["x"], a["y"], adversarial.AttackSpec("l2", 0.3, 3)),
+            net, a["x"], a["y"], adversarial.AttackSpec("l2", 0.3, 3), CLIP_M),
         "project_linf": lambda net, a: adversarial.project(a["x"], a["pts"], "linf", 0.1),
         "project_l2": lambda net, a: adversarial.project(a["x"], a["pts"], "l2", 0.1),
         "sgd_step": lambda net, a: training.sgd_step(net, a["grad"], 0.1, a["velocity"],
@@ -382,7 +379,7 @@ class TestCallerArraysUntouched:
 
 
 def _noise_pipeline(net, ds):
-    sample = privacy.collect_noise(net, ds, 64, 200, 500, seed=1)
+    sample = privacy.collect_noise(net, ds, 64, 200, 500, seed=1, clip_m=CLIP_M)
     privacy.fit_laplace(sample.values)
     return (sample.values, *privacy.noise_histogram(sample.values))
 
@@ -405,9 +402,9 @@ class TestPeakMemory:
     PASSES = {  # name: (call returning its output arrays, bound in units beyond them)
         "forward": (lambda net, ds: nn.forward(net, ds.features), 3),
         "pgd_batch": (lambda net, ds: adversarial.pgd_batch(
-            net, ds.features, ds.labels, adversarial.AttackSpec("linf", 0.35, 8)), 6),
-        "grad_params": (lambda net, ds: nn.grad_params(net, (ds.features, ds.labels)), 6),
-        "mean_grad": (lambda net, ds: nn.mean_grad(net, (ds.features, ds.labels)), 6),
+            net, ds.features, ds.labels, adversarial.AttackSpec("linf", 0.35, 8), CLIP_M), 6),
+        "grad_params": (lambda net, ds: nn.grad_params(net, ds.features, ds.labels, CLIP_M), 6),
+        "mean_grad": (lambda net, ds: nn.mean_grad(net, ds.features, ds.labels, CLIP_M), 6),
         "noise_pipeline": (_noise_pipeline, 2 + POOL / UNIT),
     }
 

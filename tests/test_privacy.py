@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from advlab import intensity, nn, privacy
 from advlab.data import LabeledSet, synth_blobs
+from conftest import CLIP_M
 
 mp.mp.dps = 50
 
@@ -31,13 +32,13 @@ class TestCollectNoise:
         net = nn.DenseNet.random((3, 4, 2), "relu", seed=2)
         with pytest.raises(privacy.DegenerateNoiseError):
             privacy.collect_noise(net, ds, tau=len(ds), n_batches=4,
-                                  components_per_batch=5, seed=3)
+                                  components_per_batch=5, seed=3, clip_m=CLIP_M)
 
     def test_unit_standard_deviation(self):
         ds = synth_blobs(20, 3, 4, 1.0, seed=4)
         net = nn.DenseNet.random((4, 6, 3), "relu", seed=5)
         sample = privacy.collect_noise(net, ds, tau=8, n_batches=30,
-                                       components_per_batch=12, seed=6)
+                                       components_per_batch=12, seed=6, clip_m=CLIP_M)
         assert abs(float(np.std(sample.values)) - 1.0) <= 1e-12
         assert sample.divisor > 0
 
@@ -45,7 +46,7 @@ class TestCollectNoise:
         ds = synth_blobs(20, 3, 4, 1.0, seed=4)
         net = nn.DenseNet.random((4, 6, 3), "relu", seed=5)
         sample = privacy.collect_noise(net, ds, tau=8, n_batches=3,
-                                       components_per_batch=12, seed=6)
+                                       components_per_batch=12, seed=6, clip_m=CLIP_M)
         assert not sample.values.flags.writeable
         with pytest.raises(ValueError):
             sample.values[0] = 0.0
@@ -61,7 +62,7 @@ class TestCollectNoise:
         s1, s3 = (1.0 / (1.0 + math.exp(-x)) for x in (1.0, 3.0))
         a, c = 3.0 * s3 - s1, s3 - s1
         sample = privacy.collect_noise(net, ds, tau=1, n_batches=8,
-                                       components_per_batch=2, seed=7)
+                                       components_per_batch=2, seed=7, clip_m=CLIP_M)
         raw = sample.values * sample.divisor
         allowed = (-a / 2, -c / 2, c / 2, a / 2)
         assert all(min(abs(v - w) for w in allowed) <= 1e-12 for v in raw)

@@ -11,7 +11,7 @@ from advlab.config import ExperimentConfig
 from advlab.data import BatchSchedule, LabeledSet, split, synth_blobs
 from conftest import net_with_params
 
-UNCLIPPED = nn.LossSpec(clip_m=1e6)
+UNCLIPPED = dataclasses.replace(ExperimentConfig(), loss_bound=1e6)
 SEED = 3
 
 
@@ -198,10 +198,10 @@ class TestTrainTwin:
         ds = LabeledSet(np.array([[x[0]], [x[1]]]), np.array([0, 0]), 2)
         rho, alpha, steps, lr = 0.25, 0.0625, 8, 0.05
         cfg = dataclasses.replace(
-            ExperimentConfig(), total_iterations=2, batch_size=2, log_every=1, lr_init=lr,
+            UNCLIPPED, total_iterations=2, batch_size=2, log_every=1, lr_init=lr,
             lr_decay=1.0, lr_decay_every=1, momentum=0.0, weight_decay=0.0, hidden=())
         attack = AttackSpec(norm="linf", radius=rho, steps=steps, step_size=alpha)
-        ledger = training.train_twin(ds, cfg, attack, 17, loss_spec=UNCLIPPED)
+        ledger = training.train_twin(ds, cfg, attack, 17)
 
         # oracle: straight-line float trace sharing only the init and the
         # batch schedule contract (batch of size 2 == the whole set). The
