@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .data import LabeledSet
 
 NORMS = ("linf", "l2")
 DEFAULT_STEPS = 8
@@ -91,13 +90,14 @@ def pgd_batch(net: nn.DenseNet, features: np.ndarray, labels: np.ndarray,
     return nn._by_rows(attack_rows, net.in_dim, x0, np.asarray(labels))
 
 
-def adv_grad(net: nn.DenseNet, batch: LabeledSet, attack: AttackSpec, clip_m: float):
-    """:func:`advlab.nn.grad_params` evaluated at the PGD endpoints of ``batch``.
+def adv_grad(net: nn.DenseNet, features: np.ndarray, labels: np.ndarray,
+             attack: AttackSpec, clip_m: float):
+    """:func:`advlab.nn.grad_params` at the PGD endpoints of the rows ``(features, labels)``.
 
     Returns ``(mean_grad, per_example_norms, per_example_adv_losses)`` from
     one backward pass. With radius 0 (or 0 steps) :func:`pgd_batch` returns
     the clean features, so the result is bitwise the clean
-    ``grad_params`` of the batch; the ERM model trains through this path.
+    ``grad_params`` of the rows; the ERM model trains through this path.
     """
-    x_adv = pgd_batch(net, batch.features, batch.labels, attack, clip_m)
-    return nn.grad_params(net, x_adv, batch.labels, clip_m)
+    x_adv = pgd_batch(net, features, labels, attack, clip_m)
+    return nn.grad_params(net, x_adv, labels, clip_m)

@@ -68,9 +68,10 @@ reads a CSV source's data files for the digest), a malformed or non-UTF-8
 data or ``--series`` CSV (a data CSV also by a non-finite feature such as
 ``nan``, ``inf`` or ``1e400``, named by file and line), a checkpoint given
 to ``attack``, ``noise`` or ``probe`` that breaks the RPG1 format or holds a
-non-finite parameter, named by file, ``attack`` or ``noise`` given a
-checkpoint whose outputs are not finite, as a diverged run leaves,
-or ``probe`` meeting a degenerate clean max gradient norm. 2 configuration
+non-finite parameter, named by file, ``attack``, ``noise`` or ``probe`` given
+a checkpoint whose outputs (for ``probe``, max gradient norms) are not finite,
+as a diverged run leaves (``probe`` then writes no table), or ``probe``
+meeting a degenerate clean max gradient norm. 2 configuration
 error, in one ``config error:`` line: a config file that is not UTF-8 or
 does not parse, any value ``ExperimentConfig`` rejects (a non-finite number,
 a seed outside [0, 2**128) or a ``log_every`` above ``total_iterations``,
@@ -83,8 +84,9 @@ and ``sweep`` exit before any directory or job; ``noise`` also checks its
 noise fields against the checkpoint's parameter count), a checkpoint given
 to ``attack``, ``noise`` or ``probe`` whose input width differs from the
 data's or that has fewer outputs than the data has classes, ``probe``
-batch sizes that are not integers in [1, training set size] or
-``--repeats`` below 1 (checked before any gradient work), and
+batch sizes that are not integers in [1, training set size] (an empty
+``--taus`` among them) or ``--repeats`` below 1 (checked before any
+gradient work), and
 invalid ``accountant`` and ``bounds`` arguments, among them a nan or
 infinite ``accountant`` statistic, a scalar-mode ``--iterations`` below 1, a
 ``bounds --eps`` of nan, and a ``--loss-bound`` or ``--c`` that is not
@@ -564,16 +566,17 @@ def _cmd_probe(args) -> int:
     train_set, _ = cfg.load_datasets()
     n = len(train_set)
     try:
-        taus = ([int(v) for v in args.taus.split(",")] if args.taus
+        taus = ([int(v) for v in args.taus.split(",")] if args.taus is not None
                 else [max(1, n // 8), max(1, n // 2), n])
         intensity.check_probe(taus, args.repeats, n)
-    except ValueError as exc:  # a --taus entry that is not an integer, or out of range
+    except ValueError as exc:  # a --taus entry that is empty, not an integer, or out of range
         raise ConfigError(f"probe --taus/--repeats: {exc}") from None
     net_erm = _load_checkpoint_for(args.erm_checkpoint, train_set)
     net_adv = _load_checkpoint_for(args.adv_checkpoint, train_set)
-    rows = intensity.consistency_probe(net_erm, net_adv, train_set,
-                                       cfg.attack_spec(args.rho), taus,
-                                       args.repeats, args.seed, cfg.loss_bound)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged model overflows
+        rows = intensity.consistency_probe(net_erm, net_adv, train_set,
+                                           cfg.attack_spec(args.rho), taus,
+                                           args.repeats, args.seed, cfg.loss_bound)
     write_csv(args.out, ("tau", "mean_estimate", "full_value"),
               ((r.tau, r.mean_estimate, r.full_value) for r in rows))
     print(f"probe table written to {args.out}")
@@ -669,7 +672,7 @@ def main(argv=None) -> int:
         return 2
     except (CsvFormatError, OSError, training.CheckpointFormatError,
             training.DivergenceError, privacy.DegenerateNoiseError,
-            intensity.DegenerateDenominatorError) as exc:
+            intensity.DegenerateDenominatorError, intensity.NonFiniteNormError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

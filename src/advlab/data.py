@@ -7,6 +7,9 @@ permutation drawn from the Philox stream ``(seed, DOMAIN_BATCH, t)`` (see
 index sequences on any machine, which is what lets the twin trainer feed
 two models exactly the same data.
 
+A ``LabeledSet`` is validated once, where data enters (:func:`synth_blobs`,
+:func:`load_csv`, :func:`split`); per-batch code slices its arrays.
+
 CSV layout: one example per row, ``d`` numeric feature columns followed by
 one integer label column. A header row is skipped when ``header=True``.
 """
@@ -77,27 +80,12 @@ class LabeledSet:
         return self.features.shape[1]
 
     def subset(self, indices: np.ndarray) -> "LabeledSet":
-        """The rows at ``indices``, in index order, as a new set.
-
-        Built without re-running validation: every row already passed it
-        when this set was constructed, so the rows are finite and the labels
-        are int64 in range. An index array copies the rows and a slice views
-        them; either way the result is read-only like the originals. Only
-        the shape of the selection is checked; an empty one is rejected.
-        """
-        x = self.features[indices]
-        y = self.labels[indices]
-        if y.ndim != 1:
-            raise ValueError(f"misaligned features {x.shape} / labels {y.shape}")
-        if len(y) < 1:
-            raise ValueError("dataset must contain at least one example")
-        x.setflags(write=False)
+        """The rows at ``indices``, in index order, as a new validated set; only
+        :func:`split` builds one, and per-batch code slices the arrays instead."""
+        x, y = self.features[indices], self.labels[indices]
+        x.setflags(write=False)  # fresh and read-only, so the set keeps them uncopied
         y.setflags(write=False)
-        out = object.__new__(LabeledSet)
-        object.__setattr__(out, "features", x)
-        object.__setattr__(out, "labels", y)
-        object.__setattr__(out, "num_classes", self.num_classes)
-        return out
+        return LabeledSet(x, y, self.num_classes)
 
 
 @dataclass(frozen=True)

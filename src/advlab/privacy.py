@@ -95,8 +95,7 @@ def collect_noise(net: nn.DenseNet, dataset: LabeledSet, tau: int, n_batches: in
     for j in range(n_batches):
         rng = stream(seed, DOMAIN_NOISE, j)
         idx = np.sort(rng.permutation(n)[:tau])
-        batch = dataset.subset(idx)
-        diff = nn.mean_grad(net, batch.features, batch.labels, clip_m) - full
+        diff = nn.mean_grad(net, dataset.features[idx], dataset.labels[idx], clip_m) - full
         comp = rng.permutation(full.size)[:components_per_batch]
         pooled[j * components_per_batch:(j + 1) * components_per_batch] = diff[comp]
     sd = float(np.std(pooled))

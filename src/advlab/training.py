@@ -8,10 +8,10 @@ accounted, is :mod:`advlab.intensity`'s; evaluating the models is the
 caller's.
 
 :func:`train_model` runs one model's trajectory from a given initial net
-under a given attack: it draws and hashes its own batch schedule and takes
-``adv_grad`` plus :func:`sgd_step` at each iteration. Every ``log_every``
-iterations it records the batch's max per-example gradient norm and mean
-loss at its parameters before the step.
+under a given attack: it draws and hashes its own batch schedule, and at each
+iteration takes ``adv_grad`` of the batch's rows ``(features[idx], labels[idx])``
+plus :func:`sgd_step`. Every ``log_every`` iterations it records the batch's
+max per-example gradient norm and mean loss at its parameters before the step.
 
 :func:`train_twin` is two such runs from the seed-derived initialization,
 not a lockstep loop: the ERM model under the zero-radius ``AttackSpec()``,
@@ -108,7 +108,8 @@ def train_model(train_set: LabeledSet, net: nn.DenseNet, cfg: ExperimentConfig,
     for t in range(1, (cfg.total_iterations if iterations is None else iterations) + 1):
         idx = schedule.indices(t, len(train_set))
         digest.update(idx.astype("<i8").tobytes())
-        g_mean, norms, losses = adv_grad(net, train_set.subset(idx), attack, cfg.loss_bound)
+        g_mean, norms, losses = adv_grad(net, train_set.features[idx], train_set.labels[idx],
+                                         attack, cfg.loss_bound)
         try:
             net, velocity = sgd_step(net, g_mean, cfg.lr(t), velocity,
                                      cfg.momentum, cfg.weight_decay)

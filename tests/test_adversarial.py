@@ -145,9 +145,7 @@ class TestPgdAttack:
 class TestAdvGrad:
     def test_zero_radius_collapses_to_grad_params_bitwise(self):
         net, X, y = random_net_and_batch(5)
-        from advlab.data import LabeledSet
-        batch = LabeledSet(X, y, net.out_dim)
-        mean, norms, losses = adversarial.adv_grad(net, batch, adversarial.AttackSpec(radius=0.0),
+        mean, norms, losses = adversarial.adv_grad(net, X, y, adversarial.AttackSpec(radius=0.0),
                                                    CLIP_M)
         mean0, norms0, _ = nn.grad_params(net, X, y, CLIP_M)
         assert np.array_equal(mean, mean0)
@@ -155,23 +153,19 @@ class TestAdvGrad:
         assert np.array_equal(losses, nn.loss_batch(net, X, y, CLIP_M)[1])
 
     def test_duplicated_batch_mean_equals_single(self):
-        from advlab.data import LabeledSet
         net, X, y = random_net_and_batch(6)
         spec = adversarial.AttackSpec(norm="linf", radius=0.2)
-        one = LabeledSet(X[:1], y[:1], net.out_dim)
-        four = LabeledSet(np.repeat(X[:1], 4, axis=0), np.repeat(y[:1], 4), net.out_dim)
-        m1, _, _ = adversarial.adv_grad(net, one, spec, CLIP_M)
-        m4, _, _ = adversarial.adv_grad(net, four, spec, CLIP_M)
+        m1, _, _ = adversarial.adv_grad(net, X[:1], y[:1], spec, CLIP_M)
+        m4, _, _ = adversarial.adv_grad(net, np.repeat(X[:1], 4, axis=0), np.repeat(y[:1], 4),
+                                        spec, CLIP_M)
         assert m4 == pytest.approx(m1, rel=1e-12, abs=1e-15)
 
     def test_1d_convex_gradient_at_boundary(self):
         # PGD endpoint is x' = 1.5; dl/dz = softmax(0, 1.5) - e_0 = (-s, s) with
         # s = sigmoid(1.5), so dl/dW = (-s x', s x') and dl/db = (-s, s)
-        from advlab.data import LabeledSet
         net = linear_1d_net()
-        batch = LabeledSet(np.array([[1.0]]), np.array([0]), 2)
         spec = adversarial.AttackSpec(norm="linf", radius=0.5, steps=8, step_size=0.125)
-        mean, _, losses = adversarial.adv_grad(net, batch, spec, CLIP_M)
+        mean, _, losses = adversarial.adv_grad(net, np.array([[1.0]]), np.array([0]), spec, CLIP_M)
         s = sigmoid(1.5)
         assert mean == pytest.approx([-1.5 * s, 1.5 * s, -s, s], abs=1e-12)
         assert losses[0] == pytest.approx(math.log1p(math.exp(1.5)), abs=1e-12)

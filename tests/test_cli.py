@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import multiprocessing
@@ -79,6 +80,18 @@ def patch_logged_norm(monkeypatch, side, index, norm):
         return ledger
 
     monkeypatch.setattr(training, "train_twin", patched)
+
+
+def clips_passed(monkeypatch, module, name) -> list:
+    """The ``clip_m`` of every later call of ``module.name``, which still runs."""
+    real, seen = getattr(module, name), []
+
+    def spy(*args, **kwargs):
+        seen.append(inspect.signature(real).bind(*args, **kwargs).arguments["clip_m"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
 
 
 def kill_the_adversary(monkeypatch):
@@ -619,8 +632,9 @@ class TestCheckpointCommands:
     @pytest.mark.parametrize("flags, words", [
         (["--taus", "61"], ["--taus", "60"]),  # 60 training rows
         (["--taus", "15,x"], ["--taus", "'x'"]),
+        (["--taus", ""], ["--taus", "''"]),
         (["--repeats", "0"], ["--repeats"]),
-    ], ids=["tau_above_n", "tau_not_an_integer", "zero_repeats"])
+    ], ids=["tau_above_n", "tau_not_an_integer", "empty_taus", "zero_repeats"])
     def test_probe_bad_arguments_fail_before_any_gradient(
             self, tmp_path, capsys, monkeypatch, flags, words):
         _, path = tiny_config(tmp_path)
@@ -884,12 +898,15 @@ class TestCalculatorCommands:
         assert cli.main(["train", "--config", str(path), "--rho", "0", "--seed", "1"]) == 1
         ckpt = cli.run_dir_for(cfg, 0.0, 1) / "erm.ckpt"
         assert ckpt.exists()  # finite parameters near 1e200
-        for argv in (["attack"], ["noise", "--out", str(tmp_path / "nh.csv")]):
+        for command in ("attack", "noise", "probe"):
             capsys.readouterr()
-            assert cli.main([*argv, "--config", str(path), "--checkpoint", str(ckpt)]) == 1
+            argv = TestCheckpointCommands.checkpoint_argv(command, ckpt, tmp_path)
+            assert cli.main([command, "--config", str(path), *argv]) == 1
             out, err = capsys.readouterr()
-            assert out == "" and err.count("\n") == 1 and err.startswith("error: "), argv
-            assert "non-finite" in err or "nan" in err, argv
+            assert out == "" and err.count("\n") == 1 and err.startswith("error: "), command
+            assert "non-finite" in err or "nan" in err, command
+            # no table or histogram from a diverged model
+            assert not (tmp_path / "nh.csv").exists() and not (tmp_path / "probe.csv").exists()
 
     def test_missing_checkpoint_is_error_exit_1(self, tmp_path, capsys):
         cfg, path = tiny_config(tmp_path)
@@ -961,6 +978,51 @@ class TestLossClip:
         assert summary["noise"]["b"] == noise_b(m)
         assert summary["adv_accuracy"] == adv_accuracy(m)
         assert (noise_b(10.0), adv_accuracy(10.0)) != (noise_b(m), adv_accuracy(m))
+
+    def test_run_and_probe_hand_the_configs_loss_bound_to_every_evaluation(
+            self, tmp_path, capsys, monkeypatch):
+        # adv_accuracy rarely moves with the clip on a tiny config, so spy on the calls
+        m = 2.0
+        cfg, path = tiny_config(tmp_path, loss_bound=m)
+        accuracy_clips = clips_passed(monkeypatch, analysis, "adversarial_accuracy")
+        probe_clips = clips_passed(monkeypatch, intensity, "consistency_probe")
+        assert cli.main(["train", "--config", str(path), "--rho", "0.15", "--seed", "1"]) == 0
+        run = cli.run_dir_for(cfg, 0.15, 1)
+        assert cli.main(["probe", "--config", str(path), "--erm-checkpoint", str(run / "erm.ckpt"),
+                         "--adv-checkpoint", str(run / "adv.ckpt"), "--rho", "0.15",
+                         "--repeats", "2", "--out", str(tmp_path / "probe.csv")]) == 0
+        assert accuracy_clips == [m, m]  # adv_accuracy and adv_accuracy_common
+        assert probe_clips == [m]
+
+
+class TestDataEntersOnce:
+    @staticmethod
+    def labeled_sets_built(monkeypatch, cfg) -> int:
+        """How many distinct ``LabeledSet`` objects one attacked run of ``cfg`` makes,
+        through the validating constructor or through ``subset``."""
+        built = []
+        post_init, subset = data.LabeledSet.__post_init__, data.LabeledSet.subset
+
+        def counting_post_init(self):
+            post_init(self)
+            built.append(self)
+
+        def counting_subset(self, indices):
+            built.append(subset(self, indices))
+            return built[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(data.LabeledSet, "__post_init__", counting_post_init)
+            patch.setattr(data.LabeledSet, "subset", counting_subset)
+            cli.run_experiment(cfg, 0.15, 1)
+        return len({id(s) for s in built})  # the list keeps each alive, so no id repeats
+
+    def test_no_set_is_built_per_training_step_or_noise_batch(self, tmp_path, monkeypatch):
+        counts = {(iters, batches): self.labeled_sets_built(monkeypatch, tiny_config(
+                      tmp_path, total_iterations=iters, noise_batches=batches)[0])
+                  for iters, batches in ((40, 4), (80, 4), (40, 8))}
+        # the synthetic set and the two sides of its split, whatever the run's length
+        assert set(counts.values()) == {3}, counts
 
 
 class TestFileErrors:

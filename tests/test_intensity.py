@@ -31,6 +31,13 @@ class TestSingleIntensity:
         with pytest.raises(ValueError):
             intensity.single_intensity(-1.0, 1.0)
 
+    @pytest.mark.parametrize("l_adv, l_erm", [(math.nan, 1.0), (1.0, math.nan),
+                                              (math.inf, 1.0), (1.0, math.inf)])
+    def test_non_finite_norm_rejected(self, l_adv, l_erm):
+        # nan is not degenerate (nan <= floor is False), so it needs its own check
+        with pytest.raises(intensity.NonFiniteNormError, match="non-finite"):
+            intensity.single_intensity(l_adv, l_erm)
+
 
 def logged(norms):
     """A logged series with these max gradient norms, every ``log_every`` = 20 steps."""

@@ -6,9 +6,10 @@ somewhere in ``src/advlab`` outside its own definition, by the benchmark
 harness in ``perfbench/``, or by ``pyproject.toml``. A use is matched to the
 definition's owner, not to its bare name: ``np.random`` is no use of
 ``DenseNet.random``. Code that only tests call belongs in the tests. The
-exceptions are the oracles the tests check the program against. The
-benchmark's traced names must also still resolve, so that a rename cannot
-silently turn a pinned per-layer metric into "absent".
+exceptions are the oracles the tests check the program against. Only
+``nn.DenseNet._adopt`` may build an object by ``object.__new__``, past its
+class's checks. The benchmark's traced names must also still resolve, so
+that a rename cannot silently turn a pinned per-layer metric into "absent".
 """
 
 from __future__ import annotations
@@ -171,6 +172,39 @@ def test_no_parameter_default_is_a_call():
                      for default in (*node.args.defaults, *node.args.kw_defaults) if default
                      for part in ast.walk(default))]
     assert found == []
+
+
+def _object_new_sites(module: str, tree: ast.Module) -> list[str]:
+    """The dotted name of the innermost definition around each ``object.__new__`` in ``tree``."""
+    found, stack = [], [(tree, module)]
+    while stack:
+        node, owner = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+        elif (isinstance(node, ast.Attribute) and node.attr == "__new__"
+              and isinstance(node.value, ast.Name) and node.value.id == "object"):
+            found.append(owner)
+        stack.extend((child, owner) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_only_densenet_adopt_skips_a_constructor():
+    # object.__new__ builds an object without its class's checks; DenseNet._adopt
+    # is the one documented bypass (SGD's fresh, checked parameter vector), and
+    # every other object is built, and validated, by its class
+    found = [site for path in sorted(SRC.glob("*.py"))
+             for site in _object_new_sites(path.stem, ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == ["nn.DenseNet._adopt"]
+
+
+def test_object_new_sites_are_named_by_their_innermost_definition():
+    tree = ast.parse("x = object.__new__(int)\n"
+                     "class A:\n"
+                     "    def f(self):\n"
+                     "        def g(): return object.__new__(A)\n"
+                     "        return g, object.__new__(A), object.__init__\n"
+                     "def h(): return super().__new__(A)\n")
+    assert _object_new_sites("m", tree) == ["m", "m.A.f", "m.A.f.g"]
 
 
 def _traced_names() -> tuple[str, ...]:
