@@ -9,7 +9,7 @@ accuracy at threshold zeta is
 
 which is piecewise constant in zeta and changes only at observed
 confidence values, so scanning those values (plus the sentinels 0 and
-1 + 1e-12) finds the exact optimum.
+1 + 1e-12) finds the exact optimum. Confidences must be finite.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ def optimal_threshold(train_confs: np.ndarray, test_confs: np.ndarray) -> Attack
 
     Candidates are the distinct observed confidences plus sentinels 0 and
     1 + 1e-12; Acc is constant between consecutive observed values, so no
-    other threshold can do better.
+    other threshold can do better. A non-finite confidence, as a diverged
+    model gives, is an ``nn.DivergenceError``.
 
     All candidates are scored at once from sorted confidences:
     ``searchsorted(..., side="left")`` counts the values below each
@@ -65,12 +66,10 @@ def optimal_threshold(train_confs: np.ndarray, test_confs: np.ndarray) -> Attack
         raise ValueError("confidence vectors must be non-empty")
     candidates = np.unique(np.concatenate([
         train_confs, test_confs, [0.0, 1.0 + 1e-12]]))
+    nn.check_finite("confidences", candidates)
     train_sorted, test_sorted = np.sort(train_confs), np.sort(test_confs)
-    # NaN sorts last and compares false both ways, so it is never counted
-    at_least = (np.count_nonzero(~np.isnan(train_sorted))
-                - np.searchsorted(train_sorted, candidates, side="left"))
-    below = np.where(np.isnan(candidates), 0,
-                     np.searchsorted(test_sorted, candidates, side="left"))
+    at_least = train_confs.size - np.searchsorted(train_sorted, candidates, side="left")
+    below = np.searchsorted(test_sorted, candidates, side="left")
     acc = 0.5 * (at_least / train_confs.size + below / test_confs.size)
     sweep = np.column_stack((candidates, acc))
     sweep.setflags(write=False)

@@ -40,10 +40,11 @@ adv_accuracy_common, attack_accuracy, gen_gap, eps_leading, beta and
 high_prob_bound (the first gamma's bounds), and ``analysis.json``.
 
 ``sweep`` reruns a run whose summary.json is missing, unreadable (it does
-not parse, or is not a JSON object) or stale: its ``config_digest`` covers
-every config field except ``seeds``, ``output_dir`` and ``workers``, and for
-a CSV source the sha256 of both files' bytes, so editing any other field or
-either data file reruns the sweep.
+not parse, is not a JSON object, or records no failure but lacks a
+``SWEEP_COLUMNS`` path, as one written before a column was renamed does) or
+stale: its ``config_digest`` covers every config field except ``seeds``,
+``output_dir`` and ``workers``, and for a CSV source the sha256 of both
+files' bytes, so editing any other field or either data file reruns the sweep.
 A failed run still writes summary.json (with ``diverged_at`` or a one-line
 ``failure``) and meta.json, so it is not retrained and merges as a failure.
 
@@ -58,39 +59,42 @@ not depend on the machine's core count.
 
 Exit codes: 0 success; 1 an error, in one ``error:`` line (``sweep`` and
 ``report`` print one ``rho=R seed=S: <why>`` line per failed run): a run
-diverged, its logged records are all degenerate (every clean max gradient
-norm numerically zero), a model is dead (its max gradient norm at the last
-logged step numerically zero), or a logged intensity is exactly zero; for
-``sweep`` also a run that raised or lost its worker, for ``report`` one whose
-summary.json is missing, stale or unreadable. 1 also means a file that
-cannot be read (any ``OSError``: missing, a directory, no permission; ``report``
-reads a CSV source's data files for the digest), a malformed or non-UTF-8
-data or ``--series`` CSV (a data CSV also by a non-finite feature such as
-``nan``, ``inf`` or ``1e400``, named by file and line), a checkpoint given
-to ``attack``, ``noise`` or ``probe`` that breaks the RPG1 format or holds a
-non-finite parameter, named by file, ``attack``, ``noise`` or ``probe`` given
-a checkpoint whose outputs (for ``probe``, max gradient norms) are not finite,
-as a diverged run leaves (``probe`` then writes no table), or ``probe``
-meeting a degenerate clean max gradient norm. 2 configuration
-error, in one ``config error:`` line: a config file that is not UTF-8 or
-does not parse, any value ``ExperimentConfig`` rejects (a non-finite number,
-a seed outside [0, 2**128) or a ``log_every`` above ``total_iterations``,
-under which no record would be logged, among them), train and test data of
-different feature widths or a ``batch_size``, ``delta_prime`` or noise field
-that does not fit the data (``ExperimentConfig.load_datasets`` checks these for every
-command that reads data: ``train``, ``sweep``, ``attack``, ``noise`` and
-``probe``), or a ``--rho`` or ``--seed`` that makes no valid run (``train``
-and ``sweep`` exit before any directory or job; ``noise`` also checks its
-noise fields against the checkpoint's parameter count), a checkpoint given
-to ``attack``, ``noise`` or ``probe`` whose input width differs from the
-data's or that has fewer outputs than the data has classes, ``probe``
-batch sizes that are not integers in [1, training set size] (an empty
-``--taus`` among them) or ``--repeats`` below 1 (checked before any
-gradient work), and
-invalid ``accountant`` and ``bounds`` arguments, among them a nan or
-infinite ``accountant`` statistic, a scalar-mode ``--iterations`` below 1, a
-``bounds --eps`` of nan, and a ``--loss-bound`` or ``--c`` that is not
-positive and finite.
+diverged, its logged records are all degenerate (every clean max gradient norm
+numerically zero), a model is dead (its max gradient norm at the last logged
+step numerically zero), or a logged intensity is exactly zero; for ``sweep``
+also a run that raised or lost its worker, for ``report`` one whose
+summary.json is missing, stale or unreadable (among them one that records no
+failure but lacks a sweep column). 1 also means a file that cannot be read
+(any ``OSError``: missing, a directory, no permission; ``report`` reads a CSV
+source's data files for the digest), a malformed or non-UTF-8 data or
+``--series`` CSV (a data CSV also by a non-finite feature such as ``nan``,
+``inf`` or ``1e400``, named by file and line), a checkpoint given to
+``attack``, ``noise`` or ``probe`` that breaks the RPG1 format or holds a
+non-finite parameter, named by file, a diverged model (``attack``, ``noise``
+or ``probe`` given a checkpoint whose confidences, gradient noise spread or
+max gradient norms are not finite, as a diverged run leaves, print the one
+``error: non-finite <what>: the model has diverged`` line and write no table
+or histogram), or ``probe`` meeting a degenerate clean max gradient norm. 2
+configuration error, in one ``config error:`` line: a config file that is not
+UTF-8, does not parse, or has a section outside ``[data]``, ``[net]``,
+``[train]``, ``[attack]``, ``[privacy]``, ``[bounds]`` and ``[sweep]`` or a
+key under ``[DEFAULT]`` (checked before any directory or job), any value
+``ExperimentConfig`` rejects (a non-finite number, a seed outside [0, 2**128)
+or a ``log_every`` above ``total_iterations``, under which no record would be
+logged, among them), train and test data of different feature widths or a
+``batch_size``, ``delta_prime`` or noise field that does not fit the data
+(``ExperimentConfig.load_datasets`` checks these for every command that reads
+data: ``train``, ``sweep``, ``attack``, ``noise`` and ``probe``), or a
+``--rho`` or ``--seed`` that makes no valid run (``train`` and ``sweep`` exit
+before any directory or job; ``noise`` also checks its noise fields against
+the checkpoint's parameter count), a checkpoint given to ``attack``, ``noise``
+or ``probe`` whose input width differs from the data's or that has fewer
+outputs than the data has classes, ``probe`` batch sizes that are not integers
+in [1, training set size] (an empty ``--taus`` among them) or ``--repeats``
+below 1 (checked before any gradient work), and invalid ``accountant`` and
+``bounds`` arguments, among them a nan or infinite ``accountant`` statistic, a
+scalar-mode ``--iterations`` below 1, a ``bounds --eps`` of nan, and a
+``--loss-bound`` or ``--c`` that is not positive and finite.
 """
 
 from __future__ import annotations
@@ -197,13 +201,9 @@ def _noise(cfg: ExperimentConfig, net: nn.DenseNet, train_set: LabeledSet,
 def _mia(net: nn.DenseNet, train_set: LabeledSet,
          test_set: LabeledSet) -> tuple[attacks.AttackReport, dict]:
     """The threshold attack on ``net``'s true-label confidences: (its report, the
-    ``{zeta_optim, accuracy}`` record). A ``DivergenceError`` if a confidence
-    is not finite, as a diverged model's are."""
+    ``{zeta_optim, accuracy}`` record)."""
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged model overflows
         confs = [attacks.true_label_confidences(net, s) for s in (train_set, test_set)]
-    if not all(np.isfinite(c).all() for c in confs):
-        raise training.DivergenceError(
-            "non-finite confidences; is it a diverged run's checkpoint?")
     report = attacks.optimal_threshold(*confs)
     return report, {"zeta_optim": report.zeta_optim, "accuracy": report.accuracy}
 
@@ -325,6 +325,16 @@ def _pool_result(future, job) -> dict:
         return _failed(rho, seed, f"worker process died before this run finished: {exc}")
 
 
+def _lacked_column(summary: dict) -> str | None:
+    """The first ``SWEEP_COLUMNS`` column whose path ``summary`` lacks, or None."""
+    for column, path in SWEEP_COLUMNS.items():
+        try:
+            functools.reduce(operator.getitem, path, summary)
+        except (KeyError, IndexError, TypeError):
+            return column
+    return None
+
+
 def sweep_rows(summaries: list[dict]) -> list[dict]:
     """One ``SWEEP_COLUMNS`` row per summary, in (rho, seed) order."""
     return [{column: functools.reduce(operator.getitem, path, s)
@@ -377,9 +387,10 @@ def _load_summaries(cfg: ExperimentConfig) -> tuple[list[dict], dict[tuple, str]
 
     Returns (summaries, unfinished). ``unfinished`` maps each (rho, seed)
     pair without a current summary, in sweep order, to the reason: its
-    summary.json is missing, unreadable (it does not parse, or parses to
-    something other than a JSON object), or was written under a config
-    with another digest.
+    summary.json is missing, unreadable (it does not parse, parses to
+    something other than a JSON object, or records no failure but lacks a
+    ``SWEEP_COLUMNS`` path), or was written under a config with another
+    digest.
     """
     digest = config_digest(cfg)
     summaries, unfinished = [], {}
@@ -390,9 +401,11 @@ def _load_summaries(cfg: ExperimentConfig) -> tuple[list[dict], dict[tuple, str]
                 summary = json.loads(path.read_text(encoding="utf-8"))
                 if not isinstance(summary, dict):
                     raise ValueError("not a JSON object")
+                if _run_failure(summary) is None and (column := _lacked_column(summary)):
+                    raise ValueError(f"lacks {column}")
             except FileNotFoundError:
                 unfinished[rho, seed] = "no summary.json"
-            except ValueError as exc:  # truncated, corrupt or not an object
+            except ValueError as exc:  # truncated, corrupt, not an object or lacking a column
                 unfinished[rho, seed] = f"unreadable {path}: {exc}"
             else:
                 if summary.get("config_digest") == digest:
@@ -670,9 +683,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CsvFormatError, OSError, training.CheckpointFormatError,
-            training.DivergenceError, privacy.DegenerateNoiseError,
-            intensity.DegenerateDenominatorError, intensity.NonFiniteNormError) as exc:
+    except (CsvFormatError, OSError, training.CheckpointFormatError, nn.DivergenceError,
+            privacy.DegenerateNoiseError, intensity.DegenerateDenominatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,11 +2,13 @@
 
 A sweep carries too many knobs for command-line flags, so experiments are
 described by an INI file with sections ``data``, ``net``, ``train``,
-``attack``, ``privacy``, ``bounds`` and ``sweep``. Parsing and serializing
-round-trip exactly. Defaults describe the desk-scale experiment: 4-class
-Gaussian blobs in 20 dimensions, a 20-64-64-4 relu net, 2000 SGD
-iterations, and an 8-point attack-radius grid that starts at 0 (the plain
-ERM baseline row).
+``attack``, ``privacy``, ``bounds`` and ``sweep``, and no other: an unknown
+section, or a key under ``[DEFAULT]``, is a config error, so a misspelled
+section cannot silently leave its fields at their defaults. Parsing and
+serializing round-trip exactly. Defaults describe the desk-scale
+experiment: 4-class Gaussian blobs in 20 dimensions, a 20-64-64-4 relu net,
+2000 SGD iterations, and an 8-point attack-radius grid that starts at 0
+(the plain ERM baseline row).
 
 ``ExperimentConfig`` alone decides whether an experiment is valid: its
 ``__post_init__`` rejects each value that cannot make a run (among them
@@ -247,6 +249,10 @@ def from_ini(text: str) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"unparsable config: {exc}") from None
+    for section in parser.sections() + ([parser.default_section] if parser.defaults() else []):
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]; the sections are "
+                              + ", ".join(f"[{name}]" for name in _SECTIONS))
     kwargs = {}
     for section, names in _SECTIONS.items():
         if not parser.has_section(section):

@@ -42,21 +42,15 @@ class DegenerateDenominatorError(ValueError):
     """No intensity: a clean max gradient norm is numerically zero (training converged)."""
 
 
-class NonFiniteNormError(ValueError):
-    """No intensity: a max gradient norm is not finite, as a diverged model's are."""
-
-
 def degenerate(norm: float) -> bool:
     """Whether a max gradient norm is numerically zero."""
     return norm <= DEGENERATE_GRAD_FLOOR
 
 
 def single_intensity(l_adv: float, l_erm: float) -> float:
-    """Ratio l_adv / l_erm of max gradient norms for one iteration; a
-    ``NonFiniteNormError`` if either is not finite."""
-    if not (math.isfinite(l_adv) and math.isfinite(l_erm)):
-        raise NonFiniteNormError(f"non-finite max gradient norm (adversarial {l_adv!r}, "
-                                 f"clean {l_erm!r}); is it a diverged run's checkpoint?")
+    """Ratio l_adv / l_erm of max gradient norms for one iteration; an
+    ``nn.DivergenceError`` if either is not finite."""
+    nn.check_finite("max gradient norm", (l_adv, l_erm))
     if l_adv < 0:
         raise ValueError("l_adv must be nonnegative")
     if degenerate(l_erm):

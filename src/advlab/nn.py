@@ -56,6 +56,14 @@ tests). The parameter gradient is summed over the blocks and divided by
 the row count once, so it may also differ from one pass in the last bits.
 A batch of at most ``ROW_BLOCK`` rows, such as every training batch, is
 one block with one-pass arithmetic.
+
+Divergence
+----------
+:func:`check_finite` is the one place a model's non-finite number is found,
+and :class:`DivergenceError` its one error. Training checks each gradient,
+update and logged statistic with it; the commands, a checkpoint's max
+gradient norms, gradient noise spread and confidences. The input gates
+(config, data, checkpoint parameters) reject non-finite input instead.
 """
 
 from __future__ import annotations
@@ -68,6 +76,16 @@ from .rng import DOMAIN_INIT, stream
 
 ACTIVATIONS = ("relu", "tanh")
 ROW_BLOCK = 256  # rows per pass; one (256, 64) float64 layer array is 128 KiB
+
+
+class DivergenceError(RuntimeError):
+    """A model gave a non-finite number: it has diverged."""
+
+
+def check_finite(what: str, values) -> None:
+    """A ``DivergenceError`` naming ``what`` unless every entry of ``values`` is finite."""
+    if not np.isfinite(values).all():
+        raise DivergenceError(f"non-finite {what}: the model has diverged")
 
 
 def param_count(widths) -> int:

@@ -44,7 +44,7 @@ HISTOGRAM_SLICE = 4096  # values per np.histogram call
 
 
 class DegenerateNoiseError(ValueError):
-    """Pooled noise has zero or non-finite spread; nothing to normalize or fit."""
+    """Noise values have zero spread; nothing to normalize or fit."""
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,9 @@ def collect_noise(net: nn.DenseNet, dataset: LabeledSet, tau: int, n_batches: in
         comp = rng.permutation(full.size)[:components_per_batch]
         pooled[j * components_per_batch:(j + 1) * components_per_batch] = diff[comp]
     sd = float(np.std(pooled))
-    if not 0.0 < sd < math.inf:  # nan when a gradient overflowed
-        raise DegenerateNoiseError(f"pooled gradient noise has standard deviation {sd!r}, "
-                                   "not a positive finite number")
+    nn.check_finite("gradient noise spread", sd)
+    if sd == 0.0:
+        raise DegenerateNoiseError("pooled gradient noise has standard deviation 0.0")
     # a finite sd > 0 means every value is finite, and not all are equal, so sd is
     # not negligible next to the largest |value| and no quotient overflows
     pooled /= sd

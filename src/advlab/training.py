@@ -21,9 +21,10 @@ same code on byte-identical inputs, so they coincide exactly; tests rely on
 this.
 
 Divergence: a run stops at the first iteration whose gradient, update or
-logged statistics are not finite, and keeps its last finite iterate. If the
-ERM run fails at t, the adversarial run takes at most t - 1 steps.
-``diverged_at`` is the earlier failure, and both logged series stop before it.
+logged statistics are not finite (``nn.check_finite``, the loop's one exit),
+and keeps its last finite iterate. If the ERM run fails at t, the adversarial
+run takes at most t - 1 steps. ``diverged_at`` is the earlier failure, and
+both logged series stop before it.
 
 Checkpoint format (little endian): magic ``RPG1``, uint8 activation code
 (0 relu, 1 tanh), uint32 layer count L, uint32 widths[L+1], then finite float64
@@ -48,10 +49,6 @@ _ACT_CODES = {"relu": 0, "tanh": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
 
-class DivergenceError(RuntimeError):
-    """Training, or a model it produced, gave a non-finite quantity."""
-
-
 class CheckpointFormatError(ValueError):
     """Checkpoint bytes do not match the documented layout."""
 
@@ -67,14 +64,12 @@ def sgd_step(net: nn.DenseNet, grad: np.ndarray, lr: float, velocity: np.ndarray
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != theta.shape:
         raise ValueError(f"gradient length {grad.shape} != parameter count {theta.shape}")
-    if not np.isfinite(grad).all():
-        raise DivergenceError("non-finite gradient in SGD step")
+    nn.check_finite("gradient", grad)
     v = momentum * velocity + (grad + weight_decay * theta)
     new_theta = theta - lr * v
     if new_theta.shape != theta.shape:
         raise ValueError(f"updated parameters {new_theta.shape} != parameter count {theta.shape}")
-    if not np.isfinite(new_theta).all():
-        raise DivergenceError("non-finite parameters after update")
+    nn.check_finite("parameters after the SGD step", new_theta)
     return net._adopt(new_theta), v
 
 
@@ -113,15 +108,13 @@ def train_model(train_set: LabeledSet, net: nn.DenseNet, cfg: ExperimentConfig,
         try:
             net, velocity = sgd_step(net, g_mean, cfg.lr(t), velocity,
                                      cfg.momentum, cfg.weight_decay)
-        except DivergenceError:
+            if t % cfg.log_every == 0:
+                stats = (t, float(norms.max()), float(losses.mean()))
+                nn.check_finite("logged gradient statistics", stats[1:])
+                logged.append(stats)
+        except nn.DivergenceError:
             diverged_at = t
             break
-        if t % cfg.log_every == 0:
-            stats = (t, float(norms.max()), float(losses.mean()))
-            if not np.isfinite(stats[1:]).all():
-                diverged_at = t
-                break
-            logged.append(stats)
     return Trajectory(net, logged, digest.hexdigest(), diverged_at)
 
 

@@ -130,7 +130,7 @@ class TestOptimalThreshold:
             assert len(accs) == 1
 
     # a few shared values force ties within and across the two vectors; NaN
-    # (from a diverged checkpoint) compares false against every threshold
+    # and inf (from a diverged checkpoint) are rejected
     CONFS = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, math.nan, math.inf]),
                       st.floats(allow_nan=True, allow_infinity=True))
 
@@ -138,6 +138,10 @@ class TestOptimalThreshold:
     @given(st.lists(CONFS, min_size=1, max_size=30), st.lists(CONFS, min_size=1, max_size=30))
     def test_sweep_entries_equal_mia_accuracy_exactly(self, train, test):
         train, test = np.array(train), np.array(test)
+        if not np.isfinite(np.concatenate([train, test])).all():
+            with pytest.raises(nn.DivergenceError, match="^non-finite confidences: "):
+                attacks.optimal_threshold(train, test)
+            return
         rep = attacks.optimal_threshold(train, test)
         for zeta, acc in rep.sweep:
             assert acc == mia_accuracy(train, test, zeta)

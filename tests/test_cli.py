@@ -430,6 +430,22 @@ class TestSweepCommand:
         # as left by a run killed mid-write
         break_summary_then_report_and_resume(tmp_path, capsys, lambda whole: whole[:100])
 
+    @pytest.mark.parametrize("column, edit", [
+        # beta was on_avg_bound before it was renamed, which left the config digest as it was
+        ("beta", lambda s: s["bounds"][0].update(on_avg_bound=s["bounds"][0].pop("beta"))),
+        ("beta", lambda s: s.update(bounds=[])),
+        ("attack_accuracy", lambda s: s.update(mia=None)),
+    ], ids=["renamed", "no-bounds", "null-mia"])
+    def test_summary_that_lacks_a_sweep_column_is_unreadable_then_rerun(
+            self, tmp_path, capsys, column, edit):
+        def corrupt(whole):
+            summary = json.loads(whole)
+            edit(summary)
+            return json.dumps(summary).encode()
+
+        err = break_summary_then_report_and_resume(tmp_path, capsys, corrupt)
+        assert err.count("\n") == 1 and err.endswith(f"summary.json: lacks {column}\n"), err
+
 
 # every artifact writer, called with a version number k that changes its bytes
 WRITERS = {
@@ -584,6 +600,26 @@ class TestInvalidValues:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1 and err.startswith("config error: ")
         assert field in err
+        assert not Path(cfg.output_dir).exists()
+
+    @pytest.mark.parametrize("command", ["config", "train", "sweep"])
+    @pytest.mark.parametrize("extra, section", [
+        ("[trian]\ntotal_iterations = 40\n", "[trian]"),
+        ("[DEFAULT]\ntotal_iterations = 40\n", "[DEFAULT]"),
+    ], ids=["misspelled", "default-key"])
+    def test_unknown_section_is_one_config_error_before_any_directory_or_job(
+            self, tmp_path, capsys, monkeypatch, command, extra, section):
+        cfg, path = tiny_config(tmp_path)
+        path.write_text(path.read_text() + extra)
+
+        def never(*args, **kwargs):
+            raise AssertionError("trained despite a config error")
+
+        monkeypatch.setattr(training, "train_twin", never)
+        assert cli.main([command, "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"config error: unknown section {section}"), err
         assert not Path(cfg.output_dir).exists()
 
     @pytest.mark.parametrize("argv, words", [
@@ -903,8 +939,10 @@ class TestCalculatorCommands:
             argv = TestCheckpointCommands.checkpoint_argv(command, ckpt, tmp_path)
             assert cli.main([command, "--config", str(path), *argv]) == 1
             out, err = capsys.readouterr()
-            assert out == "" and err.count("\n") == 1 and err.startswith("error: "), command
-            assert "non-finite" in err or "nan" in err, command
+            assert out == "" and err.count("\n") == 1, command
+            # one message form, whichever model number is found non-finite first
+            assert err.startswith("error: non-finite ") and err.endswith(
+                ": the model has diverged\n"), err
             # no table or histogram from a diverged model
             assert not (tmp_path / "nh.csv").exists() and not (tmp_path / "probe.csv").exists()
 

@@ -78,6 +78,21 @@ class TestValidation:
         with pytest.raises(config.ConfigError, match="unknown key"):
             config.from_ini(text)
 
+    @pytest.mark.parametrize("text, section", [
+        ("[trian]\ntotal_iterations = 40\n", "trian"),  # else the 2000-step default runs
+        ("[train]\ntotal_iterations = 40\n[Train]\nbatch_size = 8\n", "Train"),
+        ("[DEFAULT]\ntotal_iterations = 40\n", "DEFAULT"),
+        # a [DEFAULT] key would reach every section present
+        ("[DEFAULT]\nlr_init = 0.5\n[train]\ntotal_iterations = 40\n", "DEFAULT"),
+    ], ids=["misspelled", "wrong-case", "default-key-alone", "default-key-beside-a-section"])
+    def test_unknown_section_rejected(self, text, section):
+        with pytest.raises(config.ConfigError, match=rf"^unknown section \[{section}\]"):
+            config.from_ini(text)
+
+    def test_empty_default_section_is_no_config(self):
+        cfg = config.from_ini("[DEFAULT]\n[train]\ntotal_iterations = 40\n")
+        assert cfg == dataclasses.replace(config.ExperimentConfig(), total_iterations=40)
+
     def test_bad_value_rejected(self):
         text = config.to_ini(config.ExperimentConfig()).replace(
             "total_iterations = 2000", "total_iterations = soon")

@@ -35,7 +35,7 @@ class TestSingleIntensity:
                                               (math.inf, 1.0), (1.0, math.inf)])
     def test_non_finite_norm_rejected(self, l_adv, l_erm):
         # nan is not degenerate (nan <= floor is False), so it needs its own check
-        with pytest.raises(intensity.NonFiniteNormError, match="non-finite"):
+        with pytest.raises(nn.DivergenceError, match="non-finite"):
             intensity.single_intensity(l_adv, l_erm)
 
 

@@ -8,8 +8,10 @@ definition's owner, not to its bare name: ``np.random`` is no use of
 ``DenseNet.random``. Code that only tests call belongs in the tests. The
 exceptions are the oracles the tests check the program against. Only
 ``nn.DenseNet._adopt`` may build an object by ``object.__new__``, past its
-class's checks. The benchmark's traced names must also still resolve, so
-that a rename cannot silently turn a pinned per-layer metric into "absent".
+class's checks. Only ``nn.check_finite`` may raise ``DivergenceError`` or
+test finiteness, besides the input gates that check outside input. The
+benchmark's traced names must also still resolve, so that a rename cannot
+silently turn a pinned per-layer metric into "absent".
 """
 
 from __future__ import annotations
@@ -174,27 +176,75 @@ def test_no_parameter_default_is_a_call():
     assert found == []
 
 
-def _object_new_sites(module: str, tree: ast.Module) -> list[str]:
-    """The dotted name of the innermost definition around each ``object.__new__`` in ``tree``."""
+def _sites(module: str, tree: ast.Module, matches) -> list[str]:
+    """The dotted name of the innermost definition around each node of ``tree``
+    for which ``matches(the modules tree imports, node)`` holds."""
+    modules = _imported_modules(tree)
     found, stack = [], [(tree, module)]
     while stack:
         node, owner = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             owner = f"{owner}.{node.name}"
-        elif (isinstance(node, ast.Attribute) and node.attr == "__new__"
-              and isinstance(node.value, ast.Name) and node.value.id == "object"):
+        elif matches(modules, node):
             found.append(owner)
         stack.extend((child, owner) for child in ast.iter_child_nodes(node))
     return sorted(found)
+
+
+def _src_sites(matches) -> list[str]:
+    """``_sites`` over every module of ``src/advlab``."""
+    return [site for path in sorted(SRC.glob("*.py"))
+            for site in _sites(path.stem, ast.parse(path.read_text(encoding="utf-8")), matches)]
+
+
+def _is_object_new(modules: dict[str, str], node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "__new__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object")
 
 
 def test_only_densenet_adopt_skips_a_constructor():
     # object.__new__ builds an object without its class's checks; DenseNet._adopt
     # is the one documented bypass (SGD's fresh, checked parameter vector), and
     # every other object is built, and validated, by its class
-    found = [site for path in sorted(SRC.glob("*.py"))
-             for site in _object_new_sites(path.stem, ast.parse(path.read_text(encoding="utf-8")))]
-    assert found == ["nn.DenseNet._adopt"]
+    assert _src_sites(_is_object_new) == ["nn.DenseNet._adopt"]
+
+
+# np.isfinite and kin, as (module, name) pairs
+FINITENESS_TESTS = {("numpy", "isfinite"), ("numpy", "isnan"), ("numpy", "isinf"),
+                    ("math", "isfinite"), ("math", "isnan"), ("math", "isinf")}
+# the gates where input from outside the program is checked finite
+INPUT_GATES = ["config.ExperimentConfig.__post_init__", "data.LabeledSet.__post_init__",
+               "data.load_csv", "nn.DenseNet.__post_init__"]
+
+
+def _is_finiteness_test(modules: dict[str, str], node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and (modules.get(node.value.id), node.attr) in FINITENESS_TESTS)
+
+
+def _builds_divergence_error(modules: dict[str, str], node: ast.AST) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    return ((isinstance(func, ast.Name) and func.id == "DivergenceError")
+            or (isinstance(func, ast.Attribute) and func.attr == "DivergenceError"))
+
+
+def test_one_check_finds_every_non_finite_model_number():
+    # a diverged model is one DivergenceError from nn.check_finite, whichever
+    # command meets it; only the input gates test finiteness for themselves
+    assert _src_sites(_builds_divergence_error) == ["nn.check_finite"]
+    assert sorted(set(_src_sites(_is_finiteness_test))) == sorted(
+        INPUT_GATES + ["nn.check_finite"])
+
+
+def test_finiteness_sites_resolve_the_module_a_name_is_read_from():
+    tree = ast.parse("import math\n"
+                     "import numpy as np\n"
+                     "def f(x): return np.isfinite(x), math.isnan(x), x.isfinite\n"
+                     "class A:\n"
+                     "    def g(self): raise DivergenceError(np.isinf(1))\n"
+                     "def h(errors): return errors.DivergenceError, nn.DivergenceError('x')\n")
+    assert _sites("m", tree, _is_finiteness_test) == ["m.A.g", "m.f", "m.f"]
+    assert _sites("m", tree, _builds_divergence_error) == ["m.A.g", "m.h"]
 
 
 def test_object_new_sites_are_named_by_their_innermost_definition():
@@ -204,7 +254,7 @@ def test_object_new_sites_are_named_by_their_innermost_definition():
                      "        def g(): return object.__new__(A)\n"
                      "        return g, object.__new__(A), object.__init__\n"
                      "def h(): return super().__new__(A)\n")
-    assert _object_new_sites("m", tree) == ["m", "m.A.f", "m.A.f.g"]
+    assert _sites("m", tree, _is_object_new) == ["m", "m.A.f", "m.A.f.g"]
 
 
 def _traced_names() -> tuple[str, ...]:

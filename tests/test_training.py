@@ -64,9 +64,15 @@ class TestSgdStep:
         assert out.flatten()[0] == pytest.approx(0.75, abs=1e-15)
 
     def test_non_finite_gradient_aborts(self):
-        with pytest.raises(training.DivergenceError):
+        with pytest.raises(nn.DivergenceError):
             training.sgd_step(self.net1(), np.array([np.nan, 0.0]), 0.1,
                               np.zeros(2), 0.0, 0.0)
+
+    def test_overflowing_update_aborts(self):
+        # a finite gradient whose step overflows the parameters
+        with np.errstate(over="ignore"), pytest.raises(
+                nn.DivergenceError, match="^non-finite parameters after the SGD step: "):
+            training.sgd_step(self.net1(), np.array([10.0, 0.0]), 1e308, np.zeros(2), 0.0, 0.0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
@@ -170,6 +176,26 @@ class TestTrainTwin:
             h.update(schedule.indices(t, len(train)).astype("<i8").tobytes())
         assert erm.index_digest == ledger.erm.index_digest == h.hexdigest()
         assert erm.diverged_at is None
+
+    def test_non_finite_logged_statistic_ends_the_run_at_its_step(self, monkeypatch):
+        # the gradient and the update stay finite; only the logged max norm is not
+        train, _ = small_sets()
+        cfg = quick_config(hidden=(8,))  # logs every 10 steps
+        net0 = nn.DenseNet.random((train.dim, 8, train.num_classes), "relu", SEED)
+        clean = training.train_model(train, net0, cfg, AttackSpec(), SEED, iterations=20)
+        adv_grad, calls = training.adv_grad, []
+
+        def inf_norms_at_step_20(*args):
+            g, norms, losses = adv_grad(*args)
+            calls.append(None)
+            return g, np.full_like(norms, np.inf) if len(calls) == 20 else norms, losses
+
+        monkeypatch.setattr(training, "adv_grad", inf_norms_at_step_20)
+        run = training.train_model(train, net0, cfg, AttackSpec(), SEED)
+        assert run.diverged_at == 20 and run.logged == clean.logged[:1]
+        # step 20's update was finite, so the run keeps it as its last iterate
+        assert run.net.flatten().tobytes() == clean.net.flatten().tobytes()
+        assert run.index_digest == clean.index_digest
 
     def test_adversarial_run_stops_before_the_erm_failure(self):
         train, _ = small_sets()
