@@ -72,9 +72,8 @@ def pgd_batch(net: nn.DenseNet, features: np.ndarray, labels: np.ndarray,
     one block of at most ``nn.ROW_BLOCK`` rows before the next block starts,
     so the attack state takes one block's memory whatever the row count.
     """
-    x0 = np.asarray(features, dtype=np.float64)
     if attack.radius == 0.0 or attack.steps == 0:
-        return x0.copy()
+        return features.copy()
 
     def attack_rows(clean: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = clean.copy()
@@ -87,7 +86,7 @@ def pgd_batch(net: nn.DenseNet, features: np.ndarray, labels: np.ndarray,
             x = project(clean, x, attack.norm, attack.radius)
         return x
 
-    return nn._by_rows(attack_rows, net.in_dim, x0, np.asarray(labels))
+    return nn._by_rows(attack_rows, net.in_dim, features, labels)
 
 
 def adv_grad(net: nn.DenseNet, features: np.ndarray, labels: np.ndarray,

@@ -40,13 +40,18 @@ adv_accuracy_common, attack_accuracy, gen_gap, eps_leading, beta and
 high_prob_bound (the first gamma's bounds), and ``analysis.json``.
 
 ``sweep`` reruns a run whose summary.json is missing, unreadable (it does
-not parse, is not a JSON object, or records no failure but lacks a
-``SWEEP_COLUMNS`` path, as one written before a column was renamed does) or
-stale: its ``config_digest`` covers every config field except ``seeds``,
-``output_dir`` and ``workers``, and for a CSV source the sha256 of both
-files' bytes, so editing any other field or either data file reruns the sweep.
+not parse, is not a JSON object, records another run's ``rho`` or ``seed``,
+as one copied from another run's directory does, or records no failure but
+lacks a ``SWEEP_COLUMNS`` path, as one written before a column was renamed
+does) or stale: its ``config_digest`` covers every config field except
+``seeds``, ``output_dir`` and ``workers``, and for a CSV source the sha256 of
+both files' bytes, so editing any other field or either data file reruns the
+sweep.
 A failed run still writes summary.json (with ``diverged_at`` or a one-line
 ``failure``) and meta.json, so it is not retrained and merges as a failure.
+With ``workers = 0`` the sweep runs one process per unfinished run, capped
+by the CPUs it may use (``os.sched_getaffinity`` where it exists, so a
+``taskset`` or cpuset limit counts, else ``os.cpu_count()``).
 
 BLAS threads: importing this module sets ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 unless one of
@@ -63,7 +68,8 @@ diverged, its logged records are all degenerate (every clean max gradient norm
 numerically zero), a model is dead (its max gradient norm at the last logged
 step numerically zero), or a logged intensity is exactly zero; for ``sweep``
 also a run that raised or lost its worker, for ``report`` one whose
-summary.json is missing, stale or unreadable (among them one that records no
+summary.json is missing, stale or unreadable (among them one that records
+another run's rho or seed, and one that records no
 failure but lacks a sweep column). 1 also means a file that cannot be read
 (any ``OSError``: missing, a directory, no permission; ``report`` reads a CSV
 source's data files for the digest), a malformed or non-UTF-8 data or
@@ -388,9 +394,9 @@ def _load_summaries(cfg: ExperimentConfig) -> tuple[list[dict], dict[tuple, str]
     Returns (summaries, unfinished). ``unfinished`` maps each (rho, seed)
     pair without a current summary, in sweep order, to the reason: its
     summary.json is missing, unreadable (it does not parse, parses to
-    something other than a JSON object, or records no failure but lacks a
-    ``SWEEP_COLUMNS`` path), or was written under a config with another
-    digest.
+    something other than a JSON object, records another run's rho or seed,
+    or records no failure but lacks a ``SWEEP_COLUMNS`` path), or was
+    written under a config with another digest.
     """
     digest = config_digest(cfg)
     summaries, unfinished = [], {}
@@ -401,11 +407,14 @@ def _load_summaries(cfg: ExperimentConfig) -> tuple[list[dict], dict[tuple, str]
                 summary = json.loads(path.read_text(encoding="utf-8"))
                 if not isinstance(summary, dict):
                     raise ValueError("not a JSON object")
+                if (summary.get("rho"), summary.get("seed")) != (rho, seed):
+                    raise ValueError(f"written for rho={summary.get('rho')} "
+                                     f"seed={summary.get('seed')}")
                 if _run_failure(summary) is None and (column := _lacked_column(summary)):
                     raise ValueError(f"lacks {column}")
             except FileNotFoundError:
                 unfinished[rho, seed] = "no summary.json"
-            except ValueError as exc:  # truncated, corrupt, not an object or lacking a column
+            except ValueError as exc:  # corrupt, not an object, another run's, lacking a column
                 unfinished[rho, seed] = f"unreadable {path}: {exc}"
             else:
                 if summary.get("config_digest") == digest:
@@ -424,12 +433,15 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
     (summaries, failed runs' too; failure messages). Each run writes only
     inside its own directory; the merge below is single-threaded. A config
     error is raised before any run starts. The pool has no more processes
-    than unfinished runs.
+    than unfinished runs, and with ``workers = 0`` no more than the CPUs
+    this process may use (its affinity mask, where the OS has one).
     """
     cfg.load_datasets()
     summaries, unfinished = _load_summaries(cfg)
     jobs = [(cfg, rho, seed) for rho, seed in unfinished]
-    workers = min(cfg.workers or os.cpu_count() or 1, len(jobs))
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count())
+    workers = min(cfg.workers or usable or 1, len(jobs))
     if workers <= 1:  # one worker, or no job: run here
         summaries.extend(map(_run_job, jobs))
     else:

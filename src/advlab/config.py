@@ -85,7 +85,7 @@ class ExperimentConfig:
     # [sweep]
     seeds: tuple[int, ...] = (1, 2, 3)
     output_dir: str = "runs"
-    workers: int = 0                     # 0: one per job, capped by CPU count
+    workers: int = 0                     # 0: one per job, capped by usable CPUs
 
     def __post_init__(self):
         if self.source not in ("synthetic", "csv"):

@@ -100,11 +100,8 @@ class BatchSchedule:
             raise ValueError("batch_size must be positive")
 
     def indices(self, t: int, n: int) -> np.ndarray:
-        """Batch indices for iteration t >= 1 over a dataset of size n."""
-        if t < 1:
-            raise ValueError("iteration index starts at 1")
-        if self.batch_size > n:
-            raise ValueError(f"batch_size {self.batch_size} exceeds dataset size {n}")
+        """Batch indices for iteration t over a dataset of size n. The caller passes
+        t >= 1 and n >= batch_size (``ExperimentConfig.load_datasets`` checks the latter)."""
         rng = stream(self.seed, DOMAIN_BATCH, t)
         return rng.permutation(n)[: self.batch_size]
 

@@ -30,6 +30,17 @@ exactly zero.
 Conventions pinned for determinism: the relu subgradient at 0 is 0, and
 the clip subgradient at raw loss == clip_m is 0.
 
+Inputs
+------
+The kernels take rows checked where they entered the program and do not
+check them again: 2-d float64 features of the net's input width, and int64
+labels in ``[0, net.out_dim)``. The gates are ``data.LabeledSet`` (finite
+features, labels in ``[0, num_classes)``), ``ExperimentConfig.load_datasets``
+(one feature width, a ``batch_size`` that fits) and ``cli._load_checkpoint_for``
+(a checkpoint reads the data's width and scores all of its classes). Every
+other net is built as ``(train.dim, *hidden, train.num_classes)``, and PGD
+endpoints keep their rows' dtype and shape.
+
 Per-call cost
 -------------
 Training runs the backward pass on small batches thousands of times, so
@@ -191,26 +202,6 @@ class DenseNet:
         return DenseNet(tuple(ws), tuple(bs), activation)
 
 
-def _check_features(net: DenseNet, features: np.ndarray) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"features must be a 2-d matrix, got shape {x.shape}")
-    if x.shape[1] != net.in_dim:
-        raise ValueError(f"feature width {x.shape[1]} != net input width {net.in_dim}")
-    return x
-
-
-def _check_labels(net: DenseNet, labels: np.ndarray, n: int) -> np.ndarray:
-    y = np.asarray(labels)
-    if y.shape != (n,):
-        raise ValueError(f"labels must have shape ({n},), got {y.shape}")
-    if y.dtype.kind not in "iu":
-        raise ValueError("labels must be integers")
-    if y.size and (y.min() < 0 or y.max() >= net.out_dim):
-        raise ValueError(f"label out of range [0, {net.out_dim})")
-    return y.astype(np.int64, copy=False)
-
-
 def _act_deriv(net: DenseNet, h: np.ndarray) -> np.ndarray:
     """Activation derivative from the activation ``h``: relu at 0 gives 0 (a bool mask)."""
     return h > 0 if net.activation == "relu" else 1.0 - h ** 2
@@ -251,8 +242,7 @@ def _by_rows(fn, width: int, *arrays) -> np.ndarray:
 
 def forward(net: DenseNet, features: np.ndarray) -> np.ndarray:
     """Logits, one row per input row. Deterministic and pure."""
-    x = _check_features(net, features)
-    return _by_rows(lambda xb: _forward_cached(net, xb)[-1], net.out_dim, x)
+    return _by_rows(lambda xb: _forward_cached(net, xb)[-1], net.out_dim, features)
 
 
 def _losses_and_dlogits(logits: np.ndarray, y: np.ndarray):
@@ -270,9 +260,7 @@ def _losses_and_dlogits(logits: np.ndarray, y: np.ndarray):
 
 def loss_batch(net: DenseNet, features: np.ndarray, labels, clip_m: float):
     """(mean clipped loss, per-example clipped losses) of the rows ``features``."""
-    x = _check_features(net, features)
-    y = _check_labels(net, labels, len(x))
-    raw, _ = _losses_and_dlogits(forward(net, x), y)
+    raw, _ = _losses_and_dlogits(forward(net, features), labels)
     clipped = np.minimum(raw, clip_m)
     return float(clipped.mean()), clipped
 
@@ -319,14 +307,12 @@ def _grad_pass(net: DenseNet, features: np.ndarray, labels, clip_m: float, per_r
 
     The row blocks' gradient sums are added up and divided by the row count once.
     """
-    x = _check_features(net, features)
-    y = _check_labels(net, labels, len(x))
-    n = len(x)
+    n = len(features)
     sq, losses = (np.zeros(n), np.empty(n)) if per_row else (None, None)
     first, *rest = _row_blocks(n)
-    total = _block_grads(net, x, y, clip_m, first, sq, losses)
+    total = _block_grads(net, features, labels, clip_m, first, sq, losses)
     for rows in rest:
-        total += _block_grads(net, x, y, clip_m, rows, sq, losses)
+        total += _block_grads(net, features, labels, clip_m, rows, sq, losses)
     total /= n
     return (total, np.sqrt(sq, out=sq), losses) if per_row else total
 
@@ -354,9 +340,7 @@ def mean_grad(net: DenseNet, features: np.ndarray, labels, clip_m: float) -> np.
 
 def grad_inputs(net: DenseNet, features: np.ndarray, labels, clip_m: float) -> np.ndarray:
     """Gradient of each example's clipped loss w.r.t. its own feature row, in one pass."""
-    x = _check_features(net, features)
-    y = _check_labels(net, labels, len(x))
-    return _backward(net, x, y, clip_m)[1][0] @ net.weights[0]
+    return _backward(net, features, labels, clip_m)[1][0] @ net.weights[0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -45,11 +45,11 @@ def csv_config(tmp_path, train: bytes, test: bytes):
                        batch_size=1, noise_tau=1, delta_prime=1.0, noise_components=1)
 
 
-def break_summary_then_report_and_resume(tmp_path, capsys, corrupt) -> str:
-    """Sweep, replace the last run's summary.json bytes with ``corrupt(bytes)``,
-    check that ``report`` fails that run as unreadable and that a resumed sweep
-    rewrites it as before; returns ``report``'s stderr."""
-    cfg, path = tiny_config(tmp_path, seeds=(1,))
+def break_summary_then_report_and_resume(tmp_path, capsys, corrupt, seeds=(1,)) -> str:
+    """Sweep, replace the last rho's seed-1 summary.json bytes with
+    ``corrupt(bytes)``, check that ``report`` fails that run as unreadable and
+    that a resumed sweep rewrites it as before; returns ``report``'s stderr."""
+    cfg, path = tiny_config(tmp_path, seeds=seeds)
     assert cli.main(["sweep", "--config", str(path)]) == 0
     sweep_csv = (tmp_path / "runs" / "sweep.csv").read_bytes()
     summary = cli.run_dir_for(cfg, cfg.radius_list[-1], 1) / "summary.json"
@@ -276,11 +276,18 @@ class TestSweepCommand:
         assert len(trees[0]) == 2 + 4 * 5  # sweep.csv, analysis.json, 4 runs x 5 files
         assert trees[0] == trees[1]
 
-    @pytest.mark.parametrize("seeds, pool_sizes", [((1,), []), ((1, 2), [2])],
-                             ids=["one_job_serial", "two_jobs_two_workers"])
+    @pytest.mark.parametrize("seeds, workers, usable_cpus, pool_sizes", [
+        ((1,), 3, {0, 1}, []), ((1, 2), 3, {0, 1}, [2]),
+        # workers = 0 counts the CPUs this process may use, not the machine's 8
+        ((1, 2), 0, {0}, []), ((1, 2, 3), 0, {0, 1}, [2]),
+    ], ids=["one_job_serial", "two_jobs_two_workers", "one_usable_cpu_serial",
+            "two_usable_cpus_two_workers"])
     def test_pool_has_no_more_workers_than_unfinished_runs(self, tmp_path, capsys, monkeypatch,
-                                                           seeds, pool_sizes):
-        cfg, path = tiny_config(tmp_path, radius_list=(0.0,), seeds=seeds, workers=3)
+                                                           seeds, workers, usable_cpus,
+                                                           pool_sizes):
+        cfg, path = tiny_config(tmp_path, radius_list=(0.0,), seeds=seeds, workers=workers)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable_cpus, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         sizes = []
 
         class InlinePool:
@@ -445,6 +452,22 @@ class TestSweepCommand:
 
         err = break_summary_then_report_and_resume(tmp_path, capsys, corrupt)
         assert err.count("\n") == 1 and err.endswith(f"summary.json: lacks {column}\n"), err
+
+    def test_summary_copied_from_another_run_is_unreadable_then_rerun(self, tmp_path, capsys):
+        # the rho=0.0 run's valid summary, copied over the rho=0.15 run's
+        other = tmp_path / "runs" / "rho=0.0" / "seed=1" / "summary.json"
+        err = break_summary_then_report_and_resume(tmp_path, capsys,
+                                                   lambda whole: other.read_bytes())
+        assert err.count("\n") == 1, err
+        assert err.endswith("rho=0.15/seed=1/summary.json: written for rho=0.0 seed=1\n"), err
+
+    def test_summary_copied_from_another_seed_is_unreadable_then_rerun(self, tmp_path, capsys):
+        # the same rho's seed=2 summary, copied over the seed=1 run's
+        other = tmp_path / "runs" / "rho=0.15" / "seed=2" / "summary.json"
+        err = break_summary_then_report_and_resume(tmp_path, capsys,
+                                                   lambda whole: other.read_bytes(), seeds=(1, 2))
+        assert err.count("\n") == 1, err
+        assert err.endswith("rho=0.15/seed=1/summary.json: written for rho=0.15 seed=2\n"), err
 
 
 # every artifact writer, called with a version number k that changes its bytes
@@ -1061,6 +1084,37 @@ class TestDataEntersOnce:
                   for iters, batches in ((40, 4), (80, 4), (40, 8))}
         # the synthetic set and the two sides of its split, whatever the run's length
         assert set(counts.values()) == {3}, counts
+
+    def test_every_kernel_call_gets_rows_the_gates_checked(self, tmp_path, capsys, monkeypatch):
+        """The kernels do not check their rows; every command hands them checked ones."""
+        cfg, path = tiny_config(tmp_path)
+        forward_cached, losses_and_dlogits = nn._forward_cached, nn._losses_and_dlogits
+        calls = {"forward": 0, "loss": 0}
+
+        def checked_forward(net, x):
+            assert x.dtype == np.float64 and x.ndim == 2 and x.shape[1] == net.in_dim
+            calls["forward"] += 1
+            return forward_cached(net, x)
+
+        def checked_losses(logits, y):
+            assert y.dtype == np.int64 and y.shape == (len(logits),)
+            assert 0 <= y.min() and y.max() < logits.shape[1]
+            calls["loss"] += 1
+            return losses_and_dlogits(logits, y)
+
+        monkeypatch.setattr(nn, "_forward_cached", checked_forward)
+        monkeypatch.setattr(nn, "_losses_and_dlogits", checked_losses)
+        assert cli.main(["train", "--config", str(path), "--rho", "0.15", "--seed", "1"]) == 0
+        run = cli.run_dir_for(cfg, 0.15, 1)
+        erm, adv = str(run / "erm.ckpt"), str(run / "adv.ckpt")
+        for argv in (["noise", "--checkpoint", erm, "--out", str(tmp_path / "nh.csv")],
+                     ["attack", "--checkpoint", adv],
+                     ["probe", "--erm-checkpoint", erm, "--adv-checkpoint", adv, "--rho", "0.15",
+                      "--repeats", "2", "--out", str(tmp_path / "probe.csv")]):
+            forwards = calls["forward"]
+            assert cli.main([argv[0], "--config", str(path), *argv[1:]]) == 0, argv
+            assert calls["forward"] > forwards, argv
+        assert calls["loss"] > 0
 
 
 class TestFileErrors:

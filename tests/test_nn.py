@@ -45,10 +45,6 @@ class TestForward:
         assert logits.shape == (1, 1)
         assert logits[0, 0] == pytest.approx(expected, abs=1e-15)
 
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="width"):
-            nn.forward(identity_net(2), np.zeros((1, 3)))
-
     def test_deterministic_bitwise(self):
         net, X, _ = random_net_and_batch(3)
         a = nn.forward(net, X)
@@ -142,13 +138,6 @@ class TestLossBatch:
         net = nn.DenseNet((np.zeros((3, 1)),), (np.array(logits),), "relu")
         _, per = nn.loss_batch(net, np.zeros((1, 1)), np.array([label]), CLIP_M)
         assert per[0] == pytest.approx(expected, rel=1e-14)
-
-    def test_label_out_of_range_rejected(self):
-        net = identity_net(2)
-        with pytest.raises(ValueError, match="range"):
-            nn.loss_batch(net, np.ones((1, 2)), np.array([2]), CLIP_M)
-        with pytest.raises(ValueError, match="range"):
-            nn.loss_batch(net, np.ones((1, 2)), np.array([-1]), CLIP_M)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-40, 40), min_size=2, max_size=6),

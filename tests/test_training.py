@@ -213,11 +213,6 @@ class TestTrainTwin:
         for net in (erm.net, adv.net):
             assert np.isfinite(net.flatten()).all()
 
-    def test_batch_size_validated(self):
-        train, _ = small_sets()
-        with pytest.raises(ValueError, match="exceeds"):
-            training.train_twin(train, quick_config(batch_size=1000), AttackSpec(), SEED)
-
     def test_two_step_hand_trace(self):
         """Full ledger of a 2-iteration twin run reproduced in plain python."""
         x = [0.5, 2.0]
