@@ -37,7 +37,16 @@ across reruns of the same config and seed):
 ``sweep`` and ``report`` write ``<output_dir>/sweep.csv``, a row per successful
 run with the ``SWEEP_COLUMNS`` rho, seed, intensity_1t, adv_accuracy,
 adv_accuracy_common, attack_accuracy, gen_gap, eps_leading, beta and
-high_prob_bound (the first gamma's bounds), and ``analysis.json``.
+high_prob_bound (the first gamma's bounds), and ``<output_dir>/analysis.json``.
+analysis.json has one shape at every row count: ``rows`` (the row count),
+``failures`` (each failed run's ``rho=R seed=S: <why>`` line, sorted) and
+five ``spearman`` rank correlations of intensity_1t: with rho, attack_accuracy
+and gen_gap over every row (``intensity_vs_radius``,
+``intensity_vs_attack_accuracy``, ``intensity_vs_gen_gap``), and with
+adv_accuracy_common and adv_accuracy over the rows with rho > 0
+(``intensity_vs_common_attack_accuracy``,
+``intensity_vs_matched_attack_accuracy``). An entry is null where it has
+fewer than 3 rows or one of its two columns is constant.
 
 ``sweep`` reruns a run whose summary.json is missing, unreadable (it does
 not parse, is not a JSON object, records another run's ``rho`` or ``seed``,
@@ -99,8 +108,9 @@ outputs than the data has classes, ``probe`` batch sizes that are not integers
 in [1, training set size] (an empty ``--taus`` among them) or ``--repeats``
 below 1 (checked before any gradient work), and invalid ``accountant`` and
 ``bounds`` arguments, among them a nan or infinite ``accountant`` statistic, a
-scalar-mode ``--iterations`` below 1, a ``bounds --eps`` of nan, and a
-``--loss-bound`` or ``--c`` that is not positive and finite.
+scalar-mode ``--iterations`` below 1, an empty ``--series`` (a header and no
+rows), a ``bounds --eps`` of nan, and a ``--loss-bound`` or ``--c`` that is not
+positive and finite.
 """
 
 from __future__ import annotations
@@ -280,7 +290,7 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
     leading = budgets["leading_thm5"]
     summary["intensity_1t"] = leading.inputs["i_1t"]
     summary["l_erm_1t"] = leading.inputs["l_erm_1t"]
-    summary["budgets"] = {k: b and dataclasses.asdict(b) for k, b in budgets.items()}
+    summary["budgets"] = {k: dataclasses.asdict(b) for k, b in budgets.items()}
     summary["bounds"] = [
         bounds.bound_report(leading.epsilon, leading.delta, cfg.loss_bound, n, gamma,
                             cfg.constant_c) | {"gamma": gamma, "c": cfg.constant_c}
@@ -331,59 +341,52 @@ def _pool_result(future, job) -> dict:
         return _failed(rho, seed, f"worker process died before this run finished: {exc}")
 
 
-def _lacked_column(summary: dict) -> str | None:
-    """The first ``SWEEP_COLUMNS`` column whose path ``summary`` lacks, or None."""
+def sweep_row(summary: dict) -> dict:
+    """``summary``'s ``SWEEP_COLUMNS`` row; a ``ValueError`` names the first column it lacks."""
+    row = {}
     for column, path in SWEEP_COLUMNS.items():
         try:
-            functools.reduce(operator.getitem, path, summary)
+            row[column] = functools.reduce(operator.getitem, path, summary)
         except (KeyError, IndexError, TypeError):
-            return column
-    return None
+            raise ValueError(f"lacks {column}") from None
+    return row
 
 
 def sweep_rows(summaries: list[dict]) -> list[dict]:
     """One ``SWEEP_COLUMNS`` row per summary, in (rho, seed) order."""
-    return [{column: functools.reduce(operator.getitem, path, s)
-             for column, path in SWEEP_COLUMNS.items()}
-            for s in sorted(summaries, key=lambda s: (s["rho"], s["seed"]))]
+    return [sweep_row(s) for s in sorted(summaries, key=lambda s: (s["rho"], s["seed"]))]
 
 
 def write_sweep_csv(rows: list[dict], path: Path) -> None:
     write_csv(path, SWEEP_COLUMNS, ([row[c] for c in SWEEP_COLUMNS] for row in rows))
 
 
-def _or_none(fn, *args):
-    """``fn(*args)``, or None where it raises ``ValueError``."""
+def _spearman(xs, ys) -> float | None:
+    """The rank correlation of ``xs`` and ``ys``, or None where it is undefined:
+    fewer than 3 points, or a constant column."""
     try:
-        return fn(*args)
+        return analysis.spearman(xs, ys)
     except ValueError:
         return None
 
 
 def analyze_rows(rows: list[dict]) -> dict:
-    """Sweep-level correlations and trend fits; entries degrade to null when
-    a column is constant or too short."""
+    """The sweep's rank correlations: ``rows`` and five ``spearman`` entries,
+    each null where its correlation is undefined."""
     col = lambda name, rows=rows: np.array([row[name] for row in rows])
-    corr = lambda xs, ys: _or_none(analysis.spearman, xs, ys)
-    fit = lambda xs, ys: _or_none(lambda: dataclasses.asdict(analysis.polyfit(xs, ys)))
     ii = col("intensity_1t")
     robust = [row for row in rows if row["rho"] > 0]  # attacked-training rows only
     ii_r = col("intensity_1t", robust)
     return {
         "rows": len(rows),
         "spearman": {
-            "intensity_vs_radius": corr(ii, col("rho")),
-            "intensity_vs_attack_accuracy": corr(ii, col("attack_accuracy")),
-            "intensity_vs_gen_gap": corr(ii, col("gen_gap")),
+            "intensity_vs_radius": _spearman(ii, col("rho")),
+            "intensity_vs_attack_accuracy": _spearman(ii, col("attack_accuracy")),
+            "intensity_vs_gen_gap": _spearman(ii, col("gen_gap")),
             # Fig-1 style trend: every robust model judged by one common attack
-            "intensity_vs_common_attack_accuracy": corr(ii_r, col("adv_accuracy_common", robust)),
-            "intensity_vs_matched_attack_accuracy": corr(ii_r, col("adv_accuracy", robust)),
-        },
-        "polyfit": {
-            "radius_to_intensity": fit(col("rho"), ii),
-            "intensity_to_common_attack_accuracy": fit(ii_r, col("adv_accuracy_common", robust)),
-            "intensity_to_attack_accuracy": fit(ii, col("attack_accuracy")),
-            "intensity_to_gen_gap": fit(ii, col("gen_gap")),
+            "intensity_vs_common_attack_accuracy": _spearman(
+                ii_r, col("adv_accuracy_common", robust)),
+            "intensity_vs_matched_attack_accuracy": _spearman(ii_r, col("adv_accuracy", robust)),
         },
     }
 
@@ -410,8 +413,8 @@ def _load_summaries(cfg: ExperimentConfig) -> tuple[list[dict], dict[tuple, str]
                 if (summary.get("rho"), summary.get("seed")) != (rho, seed):
                     raise ValueError(f"written for rho={summary.get('rho')} "
                                      f"seed={summary.get('seed')}")
-                if _run_failure(summary) is None and (column := _lacked_column(summary)):
-                    raise ValueError(f"lacks {column}")
+                if _run_failure(summary) is None:
+                    sweep_row(summary)  # raises when it lacks a column
             except FileNotFoundError:
                 unfinished[rho, seed] = "no summary.json"
             except ValueError as exc:  # corrupt, not an object, another run's, lacking a column
@@ -461,15 +464,13 @@ def merge_sweep(cfg: ExperimentConfig, summaries: list[dict]) -> tuple[list[dict
     reason) is a failure, not a row, so a resumed sweep or a report cannot
     drop a failed run silently.
     """
-    failures = [f for f in map(_run_failure, summaries) if f is not None]
+    failures = sorted(f for f in map(_run_failure, summaries) if f is not None)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = sweep_rows([s for s in summaries if _run_failure(s) is None])
     write_sweep_csv(rows, out / "sweep.csv")
-    report = analyze_rows(rows) if len(rows) >= 3 else {"rows": len(rows)}
-    report["failures"] = sorted(failures)
-    _write_json(out / "analysis.json", report)
-    return rows, report["failures"]
+    _write_json(out / "analysis.json", analyze_rows(rows) | {"failures": failures})
+    return rows, failures
 
 
 # ---------------------------------------------------------------- commands
@@ -535,7 +536,7 @@ def _cmd_accountant(args) -> int:
                                      args.delta_prime)
     except ValueError as exc:  # invalid calculator arguments
         raise ConfigError(str(exc)) from None
-    print(json.dumps({k: b and dataclasses.asdict(b) for k, b in budgets.items()},
+    print(json.dumps({k: dataclasses.asdict(b) for k, b in budgets.items()},
                      sort_keys=True, indent=2))
     return 0
 

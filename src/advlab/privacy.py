@@ -165,14 +165,15 @@ def compose(eps_list, delta_prime: float, n: int) -> PrivacyBudget:
 
 
 def budgets(l_erm, intensity, t: int, n: int, b: float, delta_prime: float):
-    """Per-step epsilons and the three budgets of one (L_erm, I) series.
+    """Per-step epsilons and the three budgets of one nonempty (L_erm, I) series.
 
     Returns ``(eps_per_step, budgets)``, with ``budgets`` keyed by
     provenance. ``composed_thm4`` composes the series' steps; the leading and
     ERM budgets take the series' fourth-power composites (in their
     ``inputs`` as ``l_erm_1t`` and ``i_1t``; ``i_1t`` is 1 for ERM) over
-    ``t`` steps, and are None for an empty series. Each input is checked
-    once: N, b, the series and T here, delta' by :func:`compose`.
+    ``t`` steps. Each input is checked once: N, b, the series and T here,
+    delta' by :func:`compose`. An empty series has no composite, so it is a
+    ``ValueError`` like a T below 1.
     """
     if n < 1:
         raise ValueError("N must be >= 1")
@@ -181,17 +182,17 @@ def budgets(l_erm, intensity, t: int, n: int, b: float, delta_prime: float):
     if not all(0 <= v < math.inf for v in (*l_erm, *intensity)):
         raise ValueError("gradient statistics must be finite and nonnegative")
     eps = [2.0 * l * i / (n * b) for l, i in zip(l_erm, intensity)]
-    out = {"composed_thm4": compose(eps, delta_prime, n),
-           "leading_thm5": None, "erm_corollary": None}
-    if eps:
-        if t < 1:
-            raise ValueError("T must be >= 1")
-        l_1t = composite_intensity(l_erm)
-        root = math.sqrt(2.0 * t * math.log(n / delta_prime))
-        for name, i_1t in (("leading_thm5", composite_intensity(intensity)),
-                           ("erm_corollary", 1.0)):
-            out[name] = PrivacyBudget(
-                epsilon=(2.0 * l_1t * i_1t / (n * b)) * root, delta=delta_prime / n,
-                provenance=name, inputs={"l_erm_1t": l_1t, "i_1t": i_1t, "t": t, "n": n,
-                                         "b": b, "delta_prime": delta_prime})
+    if not eps:
+        raise ValueError("the (L_erm, I) series is empty: no step to account")
+    if t < 1:
+        raise ValueError("T must be >= 1")
+    out = {"composed_thm4": compose(eps, delta_prime, n)}
+    l_1t = composite_intensity(l_erm)
+    root = math.sqrt(2.0 * t * math.log(n / delta_prime))
+    for name, i_1t in (("leading_thm5", composite_intensity(intensity)),
+                       ("erm_corollary", 1.0)):
+        out[name] = PrivacyBudget(
+            epsilon=(2.0 * l_1t * i_1t / (n * b)) * root, delta=delta_prime / n,
+            provenance=name, inputs={"l_erm_1t": l_1t, "i_1t": i_1t, "t": t, "n": n,
+                                     "b": b, "delta_prime": delta_prime})
     return eps, out

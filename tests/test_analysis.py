@@ -11,76 +11,6 @@ from advlab.data import LabeledSet, split, synth_blobs
 from conftest import CLIP_M
 
 
-def horner(coeffs, u):
-    """Ascending-power polynomial ``coeffs`` at ``u``, by the plain Horner scheme."""
-    out = np.zeros_like(u)
-    for c in reversed(coeffs):
-        out = out * u + c
-    return out
-
-
-def evaluate(fit, xs):
-    """The fit at ``xs``, in the centered-and-scaled basis it was solved in."""
-    return horner(fit.scaled_coefficients, (np.asarray(xs, dtype=np.float64) - fit.x_center)
-                  / fit.x_scale)
-
-
-class TestPolyfit:
-    def test_exact_line(self):
-        xs = np.array([0.0, 1.0, 2.0, 3.0])
-        fit = analysis.polyfit(xs, 2 * xs + 1, degree=1)
-        assert fit.coefficients[0] == pytest.approx(1.0, abs=1e-9)
-        assert fit.coefficients[1] == pytest.approx(2.0, abs=1e-9)
-
-    def test_constant_data(self):
-        xs = np.linspace(-1, 1, 7)
-        fit = analysis.polyfit(xs, np.full(7, 3.25), degree=2)
-        assert fit.coefficients[0] == pytest.approx(3.25, abs=1e-9)
-        assert abs(fit.coefficients[1]) < 1e-9
-        assert abs(fit.coefficients[2]) < 1e-9
-
-    def test_quartic_reproduced_at_sample_points(self):
-        xs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-        ys = xs ** 4
-        fit = analysis.polyfit(xs, ys, degree=4)
-        assert evaluate(fit, xs) == pytest.approx(ys, abs=1e-6)
-
-    def test_too_few_distinct_points_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            analysis.polyfit([1.0, 1.0, 2.0], [0.0, 0.0, 1.0], degree=2)
-
-    def test_scaling_parameters_returned(self):
-        xs = np.array([10.0, 20.0, 30.0, 40.0])
-        fit = analysis.polyfit(xs, xs ** 2, degree=2)
-        assert fit.x_center == pytest.approx(25.0)
-        assert fit.x_scale == pytest.approx(15.0)
-
-    def test_residual_local_optimality(self):
-        # perturbing any raw coefficient never reduces the SSR; evaluate both
-        # the fit and its perturbations with the same plain Horner scheme
-        rng = np.random.default_rng(2)
-        xs = np.linspace(0, 2, 15)
-        ys = 0.3 * xs ** 3 - xs + 0.2 + rng.normal(scale=0.05, size=15)
-        fit = analysis.polyfit(xs, ys, degree=3)
-        best = float(np.sum((ys - horner(fit.coefficients, xs)) ** 2))
-        for i in range(4):
-            for delta in (-1e-3, 1e-3):
-                coeffs = list(fit.coefficients)
-                coeffs[i] += delta
-                assert float(np.sum((ys - horner(coeffs, xs)) ** 2)) >= best - 1e-12
-
-    def test_conditioning_on_offset_scale(self):
-        # an offset that visibly degrades a raw-basis normal-equation solve;
-        # the centered fit still reproduces the data
-        xs = np.linspace(100.0, 101.0, 9)
-        ys = (xs - 100.0) ** 4
-        fit = analysis.polyfit(xs, ys, degree=4)
-        assert evaluate(fit, xs) == pytest.approx(ys, abs=1e-6)
-        # raw coefficients agree with the exact binomial expansion of (x-100)^4
-        expected = [np.polynomial.polynomial.polypow([-100.0, 1.0], 4)[k] for k in range(5)]
-        assert fit.coefficients == pytest.approx(expected, rel=1e-5)
-
-
 class TestSpearman:
     def test_monotone_increasing_is_one(self):
         xs = [1.0, 2.0, 5.0, 9.0]

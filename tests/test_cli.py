@@ -228,8 +228,8 @@ class TestSweepCommand:
         assert lines[0] == ",".join(cli.SWEEP_COLUMNS)
         assert len(lines) - 1 == len(cfg.radius_list) * len(cfg.seeds)
         report = json.loads((tmp_path / "runs" / "analysis.json").read_text())
-        assert "intensity_vs_attack_accuracy" in report["spearman"]
-        assert "intensity_vs_gen_gap" in report["spearman"]
+        assert key_paths(report) == ANALYSIS_PATHS
+        assert report["rows"] == len(lines) - 1
         assert report["failures"] == []
 
     def test_sweep_resumes_completed_runs(self, tmp_path, capsys):
@@ -530,6 +530,12 @@ SUMMARY_PATHS = {
     "bounds[].beta", "bounds[].high_prob_bound", "bounds[].gamma", "bounds[].c",
     "mia.zeta_optim", "mia.accuracy", "adv_accuracy", "adv_accuracy_common",
 }
+# every key path of analysis.json, whatever the sweep's row count
+ANALYSIS_PATHS = {
+    "rows", "failures", "spearman.intensity_vs_radius", "spearman.intensity_vs_attack_accuracy",
+    "spearman.intensity_vs_gen_gap", "spearman.intensity_vs_common_attack_accuracy",
+    "spearman.intensity_vs_matched_attack_accuracy",
+}
 SWEEP_HEADER = ("rho,seed,intensity_1t,adv_accuracy,adv_accuracy_common,attack_accuracy,"
                 "gen_gap,eps_leading,beta,high_prob_bound")
 
@@ -550,6 +556,12 @@ class TestOutputLayout:
         assert key_paths(summary) == SUMMARY_PATHS
         header = (Path(cfg.output_dir) / "sweep.csv").read_text().splitlines()[0]
         assert header == SWEEP_HEADER
+        analysis_json = Path(cfg.output_dir) / "analysis.json"
+        report = json.loads(analysis_json.read_text())
+        assert key_paths(report) == ANALYSIS_PATHS
+        assert report["rows"] == 1 and set(report["spearman"].values()) == {None}
+        assert cli.main(["report", "--config", str(path)]) == 0
+        assert key_paths(json.loads(analysis_json.read_text())) == ANALYSIS_PATHS
 
 
 class TestCsvCells:
@@ -813,15 +825,19 @@ class TestAccountantCommand:
         want = (2 * 1 * 2 / (1000 * 0.1)) * np.sqrt(2 * 2 * np.log(1000))
         assert out["leading_thm5"]["epsilon"] == pytest.approx(want, rel=1e-12)
 
-    def test_empty_series_is_null_budget(self, tmp_path, capsys):
+    def test_empty_series_is_config_error_and_one_row_has_three_budgets(self, tmp_path, capsys):
         p = tmp_path / "series.csv"
+        argv = ["accountant", "--series", str(p), "--n", "100", "--b", "0.1",
+                "--delta-prime", "1.0"]
         p.write_text("l_erm,intensity\n")
-        rc = cli.main(["accountant", "--series", str(p), "--n", "100", "--b", "0.1",
-                       "--delta-prime", "1.0"])
-        assert rc == 0
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("config error:")
+        p.write_text("l_erm,intensity\n0.5,1.0\n")
+        assert cli.main(argv) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["composed_thm4"]["epsilon"] == 0.0
-        assert out["leading_thm5"] is None
+        assert set(out) == {"composed_thm4", "leading_thm5", "erm_corollary"}
+        assert all(out[k]["epsilon"] > 0 for k in out)
 
     def test_malformed_series_nonzero_exit(self, tmp_path, capsys):
         p = tmp_path / "series.csv"
@@ -867,15 +883,18 @@ class TestCalculatorCommands:
         (["accountant", "--l-erm", "inf", "--intensity", "1"], "finite"),
         (["accountant", "--l-erm", "0.5", "--intensity", "nan"], "finite"),
         (["accountant", "--series", "{series}"], "finite"),
+        (["accountant", "--series", "{empty}"], "empty"),
         (["accountant", "--l-erm", "0.5", "--intensity", "1", "--iterations", "0"], "--iterations"),
         (["accountant", "--l-erm", "0.5", "--intensity", "1", "--iterations", "-3"], "--iterations"),
         (["bounds", "--eps", "nan", "--delta", "0.1"], "epsilon"),
-    ], ids=["inf-l-erm", "nan-intensity", "inf-in-series", "zero-iterations",
-            "negative-iterations", "nan-eps"])
+    ], ids=["inf-l-erm", "nan-intensity", "inf-in-series", "empty-series",
+            "zero-iterations", "negative-iterations", "nan-eps"])
     def test_non_finite_or_empty_input_is_config_error(self, argv, message, tmp_path, capsys):
         series = tmp_path / "series.csv"
         series.write_text("l_erm,intensity\n0.5,1.0\n0.5,inf\n")
-        argv = [str(series) if a == "{series}" else a for a in argv]
+        empty = tmp_path / "empty.csv"
+        empty.write_text("l_erm,intensity\n")
+        argv = [{"{series}": str(series), "{empty}": str(empty)}.get(a, a) for a in argv]
         argv += ["--n", "100"] + (["--b", "0.1", "--delta-prime", "1"]
                                   if argv[0] == "accountant" else [])
         assert cli.main(argv) == 2

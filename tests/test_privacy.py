@@ -260,11 +260,9 @@ class TestBudgets:
         assert len(records) - len(eps) == 1
         assert budgets["composed_thm4"].inputs["steps"] == len(eps)
 
-    def test_empty_series_has_no_leading_or_erm_budget(self):
-        eps, budgets = self.budgets([self.rec(1, 0.0, 1.0, degenerate=True)])
-        assert eps == []
-        assert budgets["composed_thm4"].epsilon == 0.0
-        assert budgets["leading_thm5"] is None and budgets["erm_corollary"] is None
+    def test_empty_series_is_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            self.budgets([self.rec(1, 0.0, 1.0, degenerate=True)])
 
     def test_composite_between_extremes(self):
         records = [self.rec(t, 1.0, 1.0 + 0.2 * t) for t in range(1, 8)]
