@@ -564,6 +564,84 @@ class TestOutputLayout:
         assert key_paths(json.loads(analysis_json.read_text())) == ANALYSIS_PATHS
 
 
+def sweep_summary(rho=0.1, seed=1):
+    """The ``SWEEP_COLUMNS`` part of a run's summary.json, every value distinct."""
+    return {"rho": rho, "seed": seed, "intensity_1t": 1.5, "adv_accuracy": 0.6,
+            "adv_accuracy_common": 0.55, "mia": {"accuracy": 0.52, "zeta_optim": 0.3},
+            "adv": {"gen_gap": 0.04}, "budgets": {"leading_thm5": {"epsilon": 7.0}},
+            "bounds": [{"beta": 0.2, "high_prob_bound": 0.9}, {"beta": 0.3, "high_prob_bound": 1.1}]}
+
+
+def sweep_report_row(rho, ii, attack=0.5, gap=0.0, common=0.5, matched=0.5):
+    return {**cli.sweep_row(sweep_summary(rho)), "intensity_1t": ii, "attack_accuracy": attack,
+            "gen_gap": gap, "adv_accuracy_common": common, "adv_accuracy": matched}
+
+
+class TestSweepReport:
+    """``sweep_row`` (the one ``SWEEP_COLUMNS`` walker) and ``analyze_rows``."""
+
+    def test_sweep_row_reads_each_column_at_its_summary_path(self):
+        row = cli.sweep_row(sweep_summary(rho=0.35, seed=2))
+        assert list(row) == list(cli.SWEEP_COLUMNS)
+        assert row == {"rho": 0.35, "seed": 2, "intensity_1t": 1.5, "adv_accuracy": 0.6,
+                       "adv_accuracy_common": 0.55, "attack_accuracy": 0.52, "gen_gap": 0.04,
+                       "eps_leading": 7.0, "beta": 0.2, "high_prob_bound": 0.9}
+
+    @pytest.mark.parametrize("corrupt, column", [
+        ("no_intensity", "intensity_1t"), ("null_adv", "gen_gap"),
+        ("no_leading_budget", "eps_leading"), ("no_seed_and_no_bounds", "seed")])
+    def test_sweep_row_names_the_first_column_it_lacks(self, corrupt, column):
+        summary = sweep_summary()
+        if corrupt == "no_intensity":
+            del summary["intensity_1t"]
+        elif corrupt == "null_adv":
+            summary["adv"] = None
+        elif corrupt == "no_leading_budget":
+            summary["budgets"] = {"erm_corollary": {"epsilon": 1.0}}
+        else:
+            del summary["seed"], summary["bounds"]
+        with pytest.raises(ValueError, match=f"^lacks {column}$"):
+            cli.sweep_row(summary)
+
+    def test_sweep_rows_are_in_rho_then_seed_order(self):
+        keys = [(0.35, 1), (0.0, 2), (0.35, 0), (0.0, 1)]
+        rows = cli.sweep_rows([sweep_summary(rho, seed) for rho, seed in keys])
+        assert [(r["rho"], r["seed"]) for r in rows] == sorted(keys)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_under_three_rows_every_correlation_is_null(self, n):
+        rows = [sweep_report_row(0.1 * (k + 1), ii=1.0 + k, attack=0.5 + 0.1 * k)
+                for k in range(n)]
+        report = cli.analyze_rows(rows)
+        assert report["rows"] == n
+        assert set(report["spearman"]) == {p.split(".", 1)[1] for p in ANALYSIS_PATHS
+                                           if p.startswith("spearman.")}
+        assert set(report["spearman"].values()) == {None}
+
+    def test_a_constant_column_nulls_only_its_own_correlation(self):
+        rows = [sweep_report_row(rho, ii=1.0 + rho, attack=0.5, gap=0.1 * rho,
+                                 common=0.9 - rho, matched=0.2 + rho)
+                for rho in (0.0, 0.1, 0.2, 0.3)]
+        assert cli.analyze_rows(rows)["spearman"] == {
+            "intensity_vs_radius": 1.0, "intensity_vs_attack_accuracy": None,
+            "intensity_vs_gen_gap": 1.0, "intensity_vs_common_attack_accuracy": -1.0,
+            "intensity_vs_matched_attack_accuracy": 1.0}
+
+    def test_robust_correlations_read_only_the_attacked_rows(self):
+        # radius-0 rows whose accuracies would reverse both robust trends if read
+        erm = [sweep_report_row(0.0, ii=0.1 * k, common=0.95 + 0.01 * k,
+                                matched=0.95 + 0.01 * k) for k in range(3)]
+        robust = [sweep_report_row(rho, ii=1.0 + rho, common=rho, matched=rho)
+                  for rho in (0.1, 0.2, 0.3)]
+        spearman = cli.analyze_rows(erm + robust)["spearman"]
+        assert spearman["intensity_vs_common_attack_accuracy"] == 1.0
+        assert spearman["intensity_vs_matched_attack_accuracy"] == 1.0
+        spearman = cli.analyze_rows(erm + robust[:2])["spearman"]  # two attacked rows
+        assert spearman["intensity_vs_radius"] is not None
+        assert spearman["intensity_vs_common_attack_accuracy"] is None
+        assert spearman["intensity_vs_matched_attack_accuracy"] is None
+
+
 class TestCsvCells:
     def test_every_cell_of_run_and_sweep_tables_is_a_number(self, tmp_path, capsys):
         cfg, path = tiny_config(tmp_path, seeds=(1,))
