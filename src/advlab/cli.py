@@ -78,39 +78,42 @@ numerically zero), a model is dead (its max gradient norm at the last logged
 step numerically zero), or a logged intensity is exactly zero; for ``sweep``
 also a run that raised or lost its worker, for ``report`` one whose
 summary.json is missing, stale or unreadable (among them one that records
-another run's rho or seed, and one that records no
-failure but lacks a sweep column). 1 also means a file that cannot be read
-(any ``OSError``: missing, a directory, no permission; ``report`` reads a CSV
-source's data files for the digest), a malformed or non-UTF-8 data or
-``--series`` CSV (a data CSV also by a non-finite feature such as ``nan``,
+another run's rho or seed, and one that records no failure but lacks a sweep
+column). 1 also means a file that cannot be read (any ``OSError``: missing, a
+directory, no permission; ``report`` reads a CSV source's data files for the
+digest) or written (named by the path asked for, such as an ``--out`` in a
+missing directory, never by the temporary file), a malformed or non-UTF-8 data
+or ``--series`` CSV (a data CSV also by a non-finite feature such as ``nan``,
 ``inf`` or ``1e400``, named by file and line), a checkpoint given to
-``attack``, ``noise`` or ``probe`` that breaks the RPG1 format or holds a
-non-finite parameter, named by file, a diverged model (``attack``, ``noise``
-or ``probe`` given a checkpoint whose confidences, gradient noise spread or
-max gradient norms are not finite, as a diverged run leaves, print the one
-``error: non-finite <what>: the model has diverged`` line and write no table
-or histogram), or ``probe`` meeting a degenerate clean max gradient norm. 2
-configuration error, in one ``config error:`` line: a config file that is not
-UTF-8, does not parse, or has a section outside ``[data]``, ``[net]``,
-``[train]``, ``[attack]``, ``[privacy]``, ``[bounds]`` and ``[sweep]`` or a
-key under ``[DEFAULT]`` (checked before any directory or job), any value
-``ExperimentConfig`` rejects (a non-finite number, a seed outside [0, 2**128)
-or a ``log_every`` above ``total_iterations``, under which no record would be
-logged, among them), train and test data of different feature widths or a
-``batch_size``, ``delta_prime`` or noise field that does not fit the data
-(``ExperimentConfig.load_datasets`` checks these for every command that reads
-data: ``train``, ``sweep``, ``attack``, ``noise`` and ``probe``), or a
-``--rho`` or ``--seed`` that makes no valid run (``train`` and ``sweep`` exit
-before any directory or job; ``noise`` also checks its noise fields against
-the checkpoint's parameter count), a checkpoint given to ``attack``, ``noise``
-or ``probe`` whose input width differs from the data's or that has fewer
-outputs than the data has classes, ``probe`` batch sizes that are not integers
-in [1, training set size] (an empty ``--taus`` among them) or ``--repeats``
-below 1 (checked before any gradient work), and invalid ``accountant`` and
-``bounds`` arguments, among them a nan or infinite ``accountant`` statistic, a
-scalar-mode ``--iterations`` below 1, an empty ``--series`` (a header and no
-rows), a ``bounds --eps`` of nan, and a ``--loss-bound`` or ``--c`` that is not
-positive and finite.
+``attack``, ``noise`` or ``probe`` that breaks the RPG1 format (a zero layer
+width among it, which no config builds) or holds a non-finite parameter, named
+by file, a diverged model (``attack``, ``noise`` or ``probe`` given a
+checkpoint whose confidences, gradient noise spread or max gradient norms are
+not finite, as a diverged run leaves, print the one ``error: non-finite <what>:
+the model has diverged`` line and write no table or histogram), or ``probe``
+meeting a degenerate clean max gradient norm. 2 configuration error, in one
+``config error:`` line: a config file that is not UTF-8, does not parse, or has
+a section outside ``[data]``, ``[net]``, ``[train]``, ``[attack]``,
+``[privacy]``, ``[bounds]`` and ``[sweep]`` or a key under ``[DEFAULT]``
+(checked before any directory or job), any value ``ExperimentConfig`` rejects
+(a non-finite number, a seed outside [0, 2**128) or a ``log_every`` above
+``total_iterations``, under which no record would be logged, among them), train
+and test data of different feature widths or a ``batch_size``, ``delta_prime``
+or noise field that does not fit the data (``ExperimentConfig.load_datasets``
+checks these for every command that reads data: ``train``, ``sweep``,
+``attack``, ``noise`` and ``probe``), or a ``--rho`` or ``--seed`` that makes
+no valid run (``train`` and ``sweep`` exit before any directory or job;
+``noise`` also checks its noise fields against the checkpoint's parameter
+count), a checkpoint given to ``attack``, ``noise`` or ``probe`` whose input
+width differs from the data's or that has fewer outputs than the data has
+classes, ``probe`` batch sizes that are not integers in [1, training set size]
+(an empty ``--taus`` among them) or ``--repeats`` below 1 (checked before any
+gradient work), and invalid ``accountant`` and ``bounds`` arguments, among them
+a nan or infinite ``accountant`` statistic, a scalar-mode ``--iterations``
+below 1 (it defaults to 1), ``--l-erm``, ``--intensity`` or ``--iterations``
+given with ``--series``, which takes its steps from the file, an empty
+``--series`` (a header and no rows), a ``bounds --eps`` of nan, and a
+``--loss-bound`` or ``--c`` that is not positive and finite.
 """
 
 from __future__ import annotations
@@ -522,15 +525,19 @@ def _read_series_csv(path) -> tuple[list[float], list[float]]:
 
 
 def _cmd_accountant(args) -> int:
-    if args.series:
+    if args.series is not None:
+        scalar = [flag for flag, v in (("--l-erm", args.l_erm), ("--intensity", args.intensity),
+                                       ("--iterations", args.iterations)) if v is not None]
+        if scalar:
+            raise ConfigError(f"--series takes no scalar-mode {', '.join(scalar)}")
         l_erm, intens = _read_series_csv(args.series)
     else:
         if args.l_erm is None or args.intensity is None:
             raise ConfigError("scalar mode needs --l-erm and --intensity")
-        if args.iterations < 1:
+        steps = 1 if args.iterations is None else args.iterations
+        if steps < 1:
             raise ConfigError("--iterations must be >= 1")
-        l_erm = [args.l_erm] * args.iterations
-        intens = [args.intensity] * args.iterations
+        l_erm, intens = [args.l_erm] * steps, [args.intensity] * steps
     try:
         _, budgets = privacy.budgets(l_erm, intens, len(l_erm), args.n, args.b,
                                      args.delta_prime)
@@ -642,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", default=None, help="CSV with header l_erm,intensity")
     p.add_argument("--l-erm", type=float, default=None, dest="l_erm")
     p.add_argument("--intensity", type=float, default=None)
-    p.add_argument("--iterations", type=int, default=1)
+    p.add_argument("--iterations", type=int, default=None, help="scalar mode only (default 1)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--delta-prime", type=float, required=True, dest="delta_prime")

@@ -162,14 +162,17 @@ def load_csv(path, header: bool = False) -> LabeledSet:
 
 def write_atomic(path, content: str | bytes) -> None:
     """Write ``content`` (text as UTF-8) to a temporary file beside ``path``, then
-    ``os.replace`` it: a killed process leaves the old file or none, never part of one."""
+    ``os.replace`` it: a killed process leaves the old file or none, never part of one.
+    An ``OSError`` names ``path``, not the temporary file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(content.encode("utf-8") if isinstance(content, str) else content)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

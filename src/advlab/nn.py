@@ -1,21 +1,26 @@
 """Dense feedforward classifiers with exact reverse-mode gradients.
 
-A :class:`DenseNet` is an ordered list of fully-connected layers with a
-shared elementwise activation (relu or tanh) between layers and a linear
-output layer. All arithmetic is 64-bit; the privacy accountant downstream
-is sensitive to tiny epsilon values, so nothing here is allowed to run in
-single precision.
+A :class:`DenseNet` is its layer widths ``(in, hidden..., out)``, one
+parameter vector and a shared elementwise activation (relu or tanh) between
+fully-connected layers, with a linear output layer. All arithmetic is
+64-bit; the privacy accountant downstream is sensitive to tiny epsilon
+values, so nothing here is allowed to run in single precision.
 
 Flattened parameter order
 -------------------------
 Everything that treats the parameters as a single vector (gradients,
 checkpoints, SGD state) uses one fixed ordering: for each layer in
 sequence, the weight matrix in row-major (C) order followed by the bias
-vector. A net stores its parameters as one read-only vector in this order,
-which :meth:`DenseNet.flatten` returns as it is; its weights and biases are
-views into it. Gradient vectors are plain float64 ndarrays of length
-``net.num_params`` in this order, and the only norm applied to them is the
-Euclidean norm.
+vector. ``DenseNet(layer_widths, params, activation)`` is the one way a
+vector becomes a net. It checks the activation, at least two widths each
+>= 1, a float64 vector of ``param_count(layer_widths)`` entries, and, with
+:func:`check_finite`, that every entry is finite. It keeps a read-only
+vector that owns its data as it is (``DenseNet.random``, the SGD step) and
+copies any other (a checkpoint's bytes, a caller's writable array), the rule
+``data.LabeledSet`` applies to its rows; ``net.params`` is that vector, and
+``net.weights`` and ``net.biases`` are read-only views into it. Gradient
+vectors are plain float64 ndarrays of length ``net.num_params`` in this
+order, and the only norm applied to them is the Euclidean norm.
 
 Loss
 ----
@@ -71,18 +76,22 @@ one block with one-pass arithmetic.
 Divergence
 ----------
 :func:`check_finite` is the one place a model's non-finite number is found,
-and :class:`DivergenceError` its one error. Training checks each gradient,
-update and logged statistic with it; the commands, a checkpoint's max
-gradient norms, gradient noise spread and confidences. The input gates
-(config, data, checkpoint parameters) reject non-finite input instead.
+and :class:`DivergenceError` its one error. The ``DenseNet`` constructor
+checks every net's parameters with it, so an SGD update that overflows is
+the run's one ``DivergenceError``; training also checks each gradient and
+logged statistic, and the commands a checkpoint's max gradient norms,
+gradient noise spread and confidences. The input gates (config, data)
+reject non-finite input instead, and a checkpoint's loader turns the
+constructor's error into a format error that names the file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _owned
 from .rng import DOMAIN_INIT, stream
 
 ACTIVATIONS = ("relu", "tanh")
@@ -117,89 +126,62 @@ def _views(widths, flat: np.ndarray):
 
 @dataclass(frozen=True)
 class DenseNet:
-    """Immutable dense network: ``weights[i]`` is (out x in), ``biases[i]`` is (out,).
+    """Immutable dense network: its ``layer_widths`` (in, hidden..., out) and its one
+    float64 parameter vector ``params`` in the documented order.
 
-    Both are read-only views into the net's one parameter vector (:meth:`flatten`),
-    which ``DenseNet(...)`` fills with one checked copy of the layers.
+    The constructor is the one way a vector becomes a net. It keeps a
+    read-only vector that owns its data as it is and copies any other, so a
+    caller's writable array never changes the net. ``weights[i]`` (out x in)
+    and ``biases[i]`` (out,) are read-only views into ``params``.
     """
 
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
+    layer_widths: tuple[int, ...]
+    params: np.ndarray
     activation: str = "relu"
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if len(self.weights) != len(self.biases) or not self.weights:
-            raise ValueError("need one bias vector per weight matrix, at least one layer")
-        ws = [np.asarray(w, dtype=np.float64) for w in self.weights]
-        bs = [np.asarray(b, dtype=np.float64) for b in self.biases]
-        for i, (w, b) in enumerate(zip(ws, bs)):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-                raise ValueError(f"layer {i}: weight {w.shape} / bias {b.shape} mismatch")
-            if i > 0 and w.shape[1] != ws[i - 1].shape[0]:
-                raise ValueError(
-                    f"layer {i}: input width {w.shape[1]} != previous output {ws[i - 1].shape[0]}"
-                )
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError(f"layer {i}: non-finite parameter")
-        flat = np.concatenate([p.ravel() for layer in zip(ws, bs) for p in layer])
-        self._own((ws[0].shape[1], *(w.shape[0] for w in ws)), flat)
-
-    def _own(self, widths, flat: np.ndarray) -> None:
-        """Take ``flat`` as this net's read-only parameter vector, and view it as its layers."""
+        widths = tuple(self.layer_widths)
+        if len(widths) < 2 or min(widths) < 1:
+            raise ValueError(f"a {'-'.join(map(str, widths))} net: need at least two layer "
+                             f"widths, each >= 1")
+        flat = _owned(self.params, np.float64)
+        if flat.shape != (param_count(widths),):
+            raise ValueError(f"a {'-'.join(map(str, widths))} net has {param_count(widths)} "
+                             f"parameters, given an array of shape {flat.shape}")
+        check_finite("parameters", flat)
         flat.setflags(write=False)
         ws, bs = _views(widths, flat)
-        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "layer_widths", widths)
+        object.__setattr__(self, "params", flat)
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "biases", bs)
 
     @property
     def in_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.layer_widths[0]
 
     @property
     def out_dim(self) -> int:
-        return self.weights[-1].shape[0]
-
-    @property
-    def layer_widths(self) -> tuple[int, ...]:
-        """(in, hidden..., out) widths."""
-        return (self.in_dim,) + tuple(w.shape[0] for w in self.weights)
+        return self.layer_widths[-1]
 
     @property
     def num_params(self) -> int:
-        return self._flat.size
-
-    def flatten(self) -> np.ndarray:
-        """The net's own read-only parameter vector, not a copy, in the documented
-        order (row-major W, then b, per layer)."""
-        return self._flat
-
-    def _adopt(self, flat: np.ndarray) -> "DenseNet":
-        """New net of this shape that takes ``flat`` as its parameter vector; no copy, no scan.
-
-        Private constructor for the SGD hot path, which has just computed
-        ``flat`` and checked it finite. The caller guarantees that ``flat``
-        is a fresh float64 vector of length ``num_params`` that nothing else
-        holds; the new net makes it read-only, as ``DenseNet(...)`` does the
-        copy it checks.
-        """
-        net = object.__new__(DenseNet)
-        object.__setattr__(net, "activation", self.activation)
-        net._own(self.layer_widths, flat)
-        return net
+        return self.params.size
 
     @staticmethod
     def random(widths: tuple[int, ...], activation: str, seed: int) -> "DenseNet":
         """Gaussian init scaled by fan-in (He for relu, Xavier for tanh), zero biases."""
         rng = stream(seed, DOMAIN_INIT)
         gain = 2.0 if activation == "relu" else 1.0
-        ws, bs = [], []
+        parts = []
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            ws.append(rng.standard_normal((fan_out, fan_in)) * np.sqrt(gain / fan_in))
-            bs.append(np.zeros(fan_out))
-        return DenseNet(tuple(ws), tuple(bs), activation)
+            parts.append(rng.standard_normal(fan_out * fan_in) * np.sqrt(gain / fan_in))
+            parts.append(np.zeros(fan_out))
+        return DenseNet(widths, np.concatenate(parts), activation)
 
 
 def _act_deriv(net: DenseNet, h: np.ndarray) -> np.ndarray:

@@ -27,8 +27,10 @@ run takes at most t - 1 steps. ``diverged_at`` is the earlier failure, and
 both logged series stop before it.
 
 Checkpoint format (little endian): magic ``RPG1``, uint8 activation code
-(0 relu, 1 tanh), uint32 layer count L, uint32 widths[L+1], then finite float64
-parameters in the flattened order documented in :mod:`advlab.nn`.
+(0 relu, 1 tanh), uint32 layer count L >= 1, uint32 widths[L+1], each >= 1, then
+``nn.param_count(widths)`` finite float64 parameters in the flattened order
+documented in :mod:`advlab.nn`: the widths and the one parameter vector that
+``nn.DenseNet`` is built from.
 """
 
 from __future__ import annotations
@@ -57,20 +59,18 @@ def sgd_step(net: nn.DenseNet, grad: np.ndarray, lr: float, velocity: np.ndarray
              momentum: float, weight_decay: float):
     """Heavy-ball update: v <- mu*v + (g + wd*theta); theta <- theta - lr*v.
 
-    The new parameter vector is fresh and checked finite here, so the new
-    net adopts it as its own instead of copying and rescanning it.
+    The new parameter vector is fresh and read-only, so the new net keeps it
+    without a copy; the constructor checks its length and that it is finite.
     """
-    theta = net.flatten()
+    theta = net.params
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != theta.shape:
         raise ValueError(f"gradient length {grad.shape} != parameter count {theta.shape}")
     nn.check_finite("gradient", grad)
     v = momentum * velocity + (grad + weight_decay * theta)
     new_theta = theta - lr * v
-    if new_theta.shape != theta.shape:
-        raise ValueError(f"updated parameters {new_theta.shape} != parameter count {theta.shape}")
-    nn.check_finite("parameters after the SGD step", new_theta)
-    return net._adopt(new_theta), v
+    new_theta.setflags(write=False)
+    return nn.DenseNet(net.layer_widths, new_theta, net.activation), v
 
 
 @dataclass(frozen=True)
@@ -146,12 +146,15 @@ def save_checkpoint(net: nn.DenseNet, path) -> None:
     blob = CHECKPOINT_MAGIC
     blob += struct.pack("<BI", _ACT_CODES[net.activation], len(net.weights))
     blob += struct.pack(f"<{len(widths)}I", *widths)
-    blob += net.flatten().astype("<f8").tobytes()
+    blob += net.params.astype("<f8").tobytes()
     write_atomic(path, blob)
 
 
 def load_checkpoint(path) -> nn.DenseNet:
-    """The net in the file at ``path``; a ``CheckpointFormatError`` naming it if it breaks the format."""
+    """The net in the file at ``path``; a ``CheckpointFormatError`` naming it if it breaks
+    the format: a bad header, a payload of another length than the widths fix, or
+    widths and parameters that ``nn.DenseNet`` rejects (a zero width, a non-finite
+    parameter)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -176,7 +179,6 @@ def load_checkpoint(path) -> nn.DenseNet:
         raise CheckpointFormatError(
             f"{path}: dimension header wants {8 * n_params} payload bytes, found {len(payload)}")
     try:
-        return nn.DenseNet(*nn._views(widths, np.frombuffer(payload, dtype="<f8")),
-                           _ACT_NAMES[act_code])
-    except ValueError as exc:  # the header fixes the shapes, so a non-finite parameter
+        return nn.DenseNet(widths, np.frombuffer(payload, dtype="<f8"), _ACT_NAMES[act_code])
+    except (ValueError, nn.DivergenceError) as exc:  # a zero width or a non-finite parameter
         raise CheckpointFormatError(f"{path}: {exc}") from None

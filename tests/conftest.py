@@ -21,14 +21,23 @@ FD_STEP = 1e-4
 CLIP_M = 10.0  # a loss clip the random batches stay below, the default loss_bound
 
 
+def net_from_layers(weights, biases, activation: str) -> nn.DenseNet:
+    """The net with these (out x in) weight matrices and bias vectors: the constructor
+    given their widths and the one vector they make in the flattened order."""
+    weights = [np.asarray(w, dtype=np.float64) for w in weights]
+    widths = (weights[0].shape[1], *(w.shape[0] for w in weights))
+    flat = np.concatenate([np.ravel(p) for layer in zip(weights, biases) for p in layer])
+    return nn.DenseNet(widths, flat, activation)
+
+
 def net_with_params(net: nn.DenseNet, flat) -> nn.DenseNet:
-    """A net of ``net``'s shape built from ``flat`` by the constructor, as checkpoints load."""
-    return nn.DenseNet(*nn._views(net.layer_widths, flat), net.activation)
+    """A net of ``net``'s widths and activation built from ``flat`` by the constructor."""
+    return nn.DenseNet(net.layer_widths, flat, net.activation)
 
 
 def fd_grad_params(net: nn.DenseNet, X, y, clip_m: float, h: float = FD_STEP) -> np.ndarray:
     """Central finite differences of the mean batch loss w.r.t. parameters."""
-    theta = net.flatten()
+    theta = net.params
     out = np.empty_like(theta)
     for i in range(len(theta)):
         tp = theta.copy()
@@ -140,7 +149,7 @@ def random_net_and_batch(seed: int, activation: str = "relu", widths=(4, 6, 3), 
         ws = tuple(rng.normal(scale=0.6, size=(o, i))
                    for i, o in zip(widths[:-1], widths[1:]))
         bs = tuple(rng.normal(scale=0.3, size=o) for o in widths[1:])
-        net = nn.DenseNet(ws, bs, activation)
+        net = net_from_layers(ws, bs, activation)
         X = rng.normal(size=(n, widths[0]))
         y = rng.integers(0, widths[-1], size=n)
         _, zs = textbook_forward(net, X)

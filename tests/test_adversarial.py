@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advlab import adversarial, nn
-from conftest import CLIP_M, random_net_and_batch
+from conftest import CLIP_M, net_from_layers, random_net_and_batch
 
 
 def linear_1d_net():
     """1 -> 2 linear net with logits z = (0, x): at label 0 the loss is ln(1 + e^x)."""
-    return nn.DenseNet((np.array([[0.0], [1.0]]),), (np.zeros(2),), "relu")
+    return net_from_layers((np.array([[0.0], [1.0]]),), (np.zeros(2),), "relu")
 
 
 def sigmoid(x):
@@ -126,7 +126,7 @@ class TestPgdAttack:
 
     def test_linf_sign_update_moves_exactly_alpha(self):
         # all-positive input gradient: one step moves every coordinate by +alpha
-        net = nn.DenseNet((np.array([[0.0, 0.0, 0.0], [2.0, 3.0, 0.5]]),),
+        net = net_from_layers((np.array([[0.0, 0.0, 0.0], [2.0, 3.0, 0.5]]),),
                           (np.array([0.0, 1.0]),), "relu")
         x = np.array([[1.0, 1.0, 1.0]])  # logits (0, 6.5), y = 0: grad = p_1 * (2, 3, 0.5) > 0
         spec = adversarial.AttackSpec(norm="linf", radius=10.0, steps=1, step_size=0.25)

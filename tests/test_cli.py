@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -845,6 +846,21 @@ class TestCheckpointCommands:
         assert str(ckpt) in err and "non-finite" in err, err
         assert sorted(tmp_path.iterdir()) == sorted([path, ckpt])
 
+    @pytest.mark.parametrize("command", ["attack", "noise", "probe"])
+    def test_checkpoint_with_a_zero_width_is_one_line_error_exit_1(
+            self, tmp_path, capsys, command):
+        # no config builds a 4-0-3 net, whose 3 parameters are the output biases
+        _, path = tiny_config(tmp_path)
+        ckpt = tmp_path / "net.ckpt"
+        ckpt.write_bytes(training.CHECKPOINT_MAGIC + struct.pack("<BI3I", 0, 2, 4, 0, 3)
+                         + np.zeros(3).astype("<f8").tobytes())
+        argv = self.checkpoint_argv(command, ckpt, tmp_path)
+        assert cli.main([command, "--config", str(path), *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: "), err
+        assert str(ckpt) in err and "4-0-3" in err, err
+        assert sorted(tmp_path.iterdir()) == sorted([path, ckpt])
+
     def test_checkpoint_with_extra_outputs_is_accepted(self, tmp_path, capsys):
         _, path = tiny_config(tmp_path)
         ckpt = tmp_path / "net.ckpt"
@@ -965,14 +981,22 @@ class TestCalculatorCommands:
         (["accountant", "--l-erm", "0.5", "--intensity", "1", "--iterations", "0"], "--iterations"),
         (["accountant", "--l-erm", "0.5", "--intensity", "1", "--iterations", "-3"], "--iterations"),
         (["bounds", "--eps", "nan", "--delta", "0.1"], "epsilon"),
+        (["accountant", "--series", "{one_row}", "--iterations", "7"], "--iterations"),
+        (["accountant", "--series", "{one_row}", "--l-erm", "5"], "--l-erm"),
+        (["accountant", "--series", "{one_row}", "--intensity", "9"], "--intensity"),
+        (["accountant", "--series", "", "--l-erm", "5", "--intensity", "9"], "--series"),
     ], ids=["inf-l-erm", "nan-intensity", "inf-in-series", "empty-series",
-            "zero-iterations", "negative-iterations", "nan-eps"])
+            "zero-iterations", "negative-iterations", "nan-eps", "series-with-iterations",
+            "series-with-l-erm", "series-with-intensity", "empty-series-path-with-scalars"])
     def test_non_finite_or_empty_input_is_config_error(self, argv, message, tmp_path, capsys):
         series = tmp_path / "series.csv"
         series.write_text("l_erm,intensity\n0.5,1.0\n0.5,inf\n")
         empty = tmp_path / "empty.csv"
         empty.write_text("l_erm,intensity\n")
-        argv = [{"{series}": str(series), "{empty}": str(empty)}.get(a, a) for a in argv]
+        one_row = tmp_path / "one_row.csv"  # a valid series, so only the flags are wrong
+        one_row.write_text("l_erm,intensity\n0.5,1.0\n")
+        files = {"{series}": str(series), "{empty}": str(empty), "{one_row}": str(one_row)}
+        argv = [files.get(a, a) for a in argv]
         argv += ["--n", "100"] + (["--b", "0.1", "--delta-prime", "1"]
                                   if argv[0] == "accountant" else [])
         assert cli.main(argv) == 2
@@ -1221,6 +1245,7 @@ class TestFileErrors:
         assert out == "" and err.count("\n") == 1, err
         assert err.startswith("error: " if code == 1 else "config error: "), err
         assert all(w in err for w in words), err
+        return err
 
     @pytest.mark.parametrize("command", ["train", "config"])
     def test_config_that_is_a_directory_is_one_error_line(self, tmp_path, capsys, command):
@@ -1265,6 +1290,20 @@ class TestFileErrors:
         self.assert_one_line(capsys, [command, "--config", str(path)], 2,
                              "3 features", "test_csv has 4")
         assert not Path(cfg.output_dir).exists()
+
+    @pytest.mark.parametrize("command", ["noise", "probe", "attack"])
+    def test_output_into_a_missing_directory_names_the_target(self, tmp_path, capsys, command):
+        _, path = tiny_config(tmp_path)
+        ckpt = tmp_path / "net.ckpt"
+        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), "relu", seed=1), ckpt)
+        target = str(tmp_path / "nodir" / "x.csv")
+        argv = {"noise": ["--checkpoint", str(ckpt), "--out", target],
+                "probe": ["--erm-checkpoint", str(ckpt), "--adv-checkpoint", str(ckpt),
+                          "--rho", "0.1", "--taus", "4", "--repeats", "2", "--out", target],
+                "attack": ["--checkpoint", str(ckpt), "--sweep-csv", target]}[command]
+        err = self.assert_one_line(capsys, [command, "--config", str(path), *argv], 1, target)
+        assert ".tmp" not in err, err
+        assert sorted(tmp_path.iterdir()) == sorted([path, ckpt])
 
     def test_data_csv_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys):
         cfg, path = csv_config(tmp_path, b"0.5,1.0,0\n-0.5,2.0,1\n",

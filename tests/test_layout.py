@@ -6,9 +6,9 @@ somewhere in ``src/advlab`` outside its own definition, by the benchmark
 harness in ``perfbench/``, or by ``pyproject.toml``. A use is matched to the
 definition's owner, not to its bare name: ``np.random`` is no use of
 ``DenseNet.random``. Code that only tests call belongs in the tests. The
-exceptions are the oracles the tests check the program against. Only
-``nn.DenseNet._adopt`` may build an object by ``object.__new__``, past its
-class's checks. Only ``nn.check_finite`` may raise ``DivergenceError`` or
+exceptions are the oracles the tests check the program against. No object
+is built by ``object.__new__``, past its class's checks. Only
+``nn.check_finite`` may raise ``DivergenceError`` or
 test finiteness, besides the input gates that check outside input. The
 benchmark's traced names must also still resolve, so that a rename cannot
 silently turn a pinned per-layer metric into "absent".
@@ -202,11 +202,10 @@ def _is_object_new(modules: dict[str, str], node: ast.AST) -> bool:
             and isinstance(node.value, ast.Name) and node.value.id == "object")
 
 
-def test_only_densenet_adopt_skips_a_constructor():
-    # object.__new__ builds an object without its class's checks; DenseNet._adopt
-    # is the one documented bypass (SGD's fresh, checked parameter vector), and
-    # every other object is built, and validated, by its class
-    assert _src_sites(_is_object_new) == ["nn.DenseNet._adopt"]
+def test_no_object_skips_its_constructor():
+    # object.__new__ builds an object without its class's checks; every object,
+    # SGD's stepped nets among them, is built, and validated, by its class
+    assert _src_sites(_is_object_new) == []
 
 
 # np.isfinite and kin, as (module, name) pairs
@@ -214,7 +213,7 @@ FINITENESS_TESTS = {("numpy", "isfinite"), ("numpy", "isnan"), ("numpy", "isinf"
                     ("math", "isfinite"), ("math", "isnan"), ("math", "isinf")}
 # the gates where input from outside the program is checked finite
 INPUT_GATES = ["config.ExperimentConfig.__post_init__", "data.LabeledSet.__post_init__",
-               "data.load_csv", "nn.DenseNet.__post_init__"]
+               "data.load_csv"]
 
 
 def _is_finiteness_test(modules: dict[str, str], node: ast.AST) -> bool:

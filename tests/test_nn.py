@@ -10,12 +10,12 @@ from numpy.testing import assert_array_equal
 from advlab import adversarial, analysis, attacks, nn, privacy, training
 from advlab.data import LabeledSet
 from conftest import (CLIP_M, assert_grad_close, fd_grad_inputs, fd_grad_params,
-                      net_with_params, per_example_grads, random_net_and_batch, textbook_forward,
-                      textbook_grads)
+                      net_from_layers, net_with_params, per_example_grads, random_net_and_batch,
+                      textbook_forward, textbook_grads)
 
 
 def identity_net(d):
-    return nn.DenseNet((np.eye(d),), (np.zeros(d),), "relu")
+    return net_from_layers((np.eye(d),), (np.zeros(d),), "relu")
 
 
 class TestForward:
@@ -26,7 +26,7 @@ class TestForward:
 
     def test_zero_weights_give_bias(self):
         b = np.array([0.5, -1.5, 2.0])
-        net = nn.DenseNet((np.zeros((3, 2)),), (b,), "relu")
+        net = net_from_layers((np.zeros((3, 2)),), (b,), "relu")
         logits = nn.forward(net, np.random.default_rng(0).normal(size=(4, 2)))
         assert np.array_equal(logits, np.tile(b, (4, 1)))
 
@@ -36,7 +36,7 @@ class TestForward:
         b1 = np.array([0.1, -0.3])
         w2 = np.array([[2.0, -1.0]])
         b2 = np.array([0.05])
-        net = nn.DenseNet((w1, w2), (b1, b2), "relu")
+        net = net_from_layers((w1, w2), (b1, b2), "relu")
         x = [1.0, 0.0]
         z1 = [1.0 * x[0] + -2.0 * x[1] + 0.1, 0.5 * x[0] + 0.25 * x[1] + -0.3]
         a1 = [max(z1[0], 0.0), max(z1[1], 0.0)]
@@ -53,28 +53,32 @@ class TestForward:
 
 
 class TestDenseNetInvariants:
-    def test_chained_dimensions_enforced(self):
-        with pytest.raises(ValueError, match="previous output"):
-            nn.DenseNet((np.zeros((3, 2)), np.zeros((2, 4))),
-                        (np.zeros(3), np.zeros(2)), "relu")
+    def test_widths_fix_the_vector_length(self):
+        with pytest.raises(ValueError, match="2-3-2 net has 17 parameters"):
+            nn.DenseNet((2, 3, 2), np.zeros(16), "relu")
+        with pytest.raises(ValueError, match="2-3-2 net has 17 parameters"):
+            nn.DenseNet((2, 3, 2), np.zeros((1, 17)), "relu")
+        with pytest.raises(ValueError, match="each >= 1"):
+            nn.DenseNet((2, 0, 2), np.zeros(nn.param_count((2, 0, 2))), "relu")
+        with pytest.raises(ValueError, match="at least two"):
+            nn.DenseNet((2,), np.zeros(0), "relu")
 
     def test_finite_parameters_enforced(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            nn.DenseNet((np.array([[np.inf]]),), (np.zeros(1),), "relu")
+        with pytest.raises(nn.DivergenceError, match="non-finite parameters"):
+            net_from_layers((np.array([[np.inf]]),), (np.zeros(1),), "relu")
 
     def test_flatten_ordering_row_major_weights_then_biases(self):
         w1 = np.array([[1.0, 2.0], [3.0, 4.0]])
         b1 = np.array([5.0, 6.0])
         w2 = np.array([[7.0, 8.0]])
         b2 = np.array([9.0])
-        net = nn.DenseNet((w1, w2), (b1, b2), "tanh")
-        assert net.flatten().tolist() == [1, 2, 3, 4, 5, 6, 7, 8, 9]
+        net = net_from_layers((w1, w2), (b1, b2), "tanh")
+        assert net.params.tolist() == [1, 2, 3, 4, 5, 6, 7, 8, 9]
 
-    def test_constructor_over_views_round_trip(self):
+    def test_constructor_keeps_a_read_only_vector_that_owns_its_data(self):
         net, _, _ = random_net_and_batch(7)
-        flat = net.flatten()
-        again = net_with_params(net, flat)
-        assert np.array_equal(again.flatten(), flat)
+        again = net_with_params(net, net.params)
+        assert again.params is net.params
         assert again.layer_widths == net.layer_widths
 
     @pytest.mark.parametrize("build", ["constructor", "random", "constructor_over_views",
@@ -83,47 +87,55 @@ class TestDenseNetInvariants:
         base = nn.DenseNet.random((3, 4, 2), "tanh", seed=5)
         given = np.arange(base.num_params, dtype=np.float64)
         if build == "constructor":
-            net = nn.DenseNet(base.weights, base.biases, "tanh")
-            assert not np.shares_memory(net.flatten(), base.flatten())
+            net = nn.DenseNet(base.layer_widths, given, "tanh")
         elif build == "random":
             net = base
         elif build == "constructor_over_views":
-            net = net_with_params(base, given)
+            view = given[:]  # read-only, but its data is another array's
+            view.setflags(write=False)
+            net = nn.DenseNet(base.layer_widths, view, "tanh")
         elif build == "sgd_step":
             net = training.sgd_step(base, given, 0.1, np.zeros(base.num_params), 0.9, 0.0)[0]
         else:
             training.save_checkpoint(base, tmp_path / "net.ckpt")
             net = training.load_checkpoint(tmp_path / "net.ckpt")
-        flat = net.flatten()
-        assert flat is net.flatten()
+        flat = net.params
         assert flat.dtype == np.float64 and flat.shape == (net.num_params,)
-        assert not flat.flags.writeable
+        assert flat.flags.owndata and not flat.flags.writeable
         for part in (*net.weights, *net.biases):
             assert np.shares_memory(part, flat) and not part.flags.writeable
         assert not np.shares_memory(flat, given)
 
-    def test_constructor_over_views_never_aliases_the_callers_array(self):
+    def test_constructor_copies_any_other_vector(self):
         net = nn.DenseNet.random((3, 4, 2), "relu", seed=5)
-        for given in (np.arange(net.num_params, dtype=np.float64), net.flatten()):
+        writable = np.arange(net.num_params, dtype=np.float64)
+        view = writable[:]
+        view.setflags(write=False)
+        for given in (writable, view, np.frombuffer(writable.tobytes()),
+                      np.arange(net.num_params)):
             again = net_with_params(net, given)
-            assert not np.shares_memory(again.flatten(), given)
-            assert np.array_equal(again.flatten(), given)
+            assert not np.shares_memory(again.params, given)
+            assert again.params.dtype == np.float64
+            assert np.array_equal(again.params, writable)
+        again = net_with_params(net, writable)
+        writable[0] = 7.0
+        assert again.params[0] == 0.0 and again.weights[0][0, 0] == 0.0
 
     def test_num_params_matches_flatten(self):
         net, _, _ = random_net_and_batch(8, widths=(3, 4, 4, 2))
-        assert net.num_params == len(net.flatten()) == 46  # (3*4 + 4) + (4*4 + 4) + (4*2 + 2)
+        assert net.num_params == len(net.params) == 46  # (3*4 + 4) + (4*4 + 4) + (4*2 + 2)
         assert nn.param_count(net.layer_widths) == 46
 
 
 class TestLossBatch:
     def test_uniform_two_class_is_ln2(self):
-        net = nn.DenseNet((np.zeros((2, 3)),), (np.zeros(2),), "relu")
+        net = net_from_layers((np.zeros((2, 3)),), (np.zeros(2),), "relu")
         mean, per = nn.loss_batch(net, np.ones((5, 3)), np.zeros(5, dtype=int), CLIP_M)
         assert per == pytest.approx(np.full(5, math.log(2.0)), abs=1e-12)
         assert mean == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_clip_boundary(self):
-        net = nn.DenseNet((np.zeros((2, 3)),), (np.zeros(2),), "relu")
+        net = net_from_layers((np.zeros((2, 3)),), (np.zeros(2),), "relu")
         clip_m = 0.5  # raw loss is ln 2 > 0.5
         mean, per = nn.loss_batch(net, np.ones((2, 3)), np.zeros(2, dtype=int), clip_m)
         assert np.array_equal(per, [0.5, 0.5])
@@ -135,7 +147,7 @@ class TestLossBatch:
         label = 2
         z = [math.exp(v) for v in logits]
         expected = -math.log(z[label] / sum(z))
-        net = nn.DenseNet((np.zeros((3, 1)),), (np.array(logits),), "relu")
+        net = net_from_layers((np.zeros((3, 1)),), (np.array(logits),), "relu")
         _, per = nn.loss_batch(net, np.zeros((1, 1)), np.array([label]), CLIP_M)
         assert per[0] == pytest.approx(expected, rel=1e-14)
 
@@ -144,7 +156,7 @@ class TestLossBatch:
            st.floats(0.01, 20), st.integers(0, 5))
     def test_loss_bounded_by_clip(self, logits, clip_m, label_raw):
         label = label_raw % len(logits)
-        net = nn.DenseNet((np.zeros((len(logits), 1)),), (np.array(logits),), "relu")
+        net = net_from_layers((np.zeros((len(logits), 1)),), (np.array(logits),), "relu")
         _, per = nn.loss_batch(net, np.zeros((1, 1)), np.array([label]), clip_m)
         assert 0.0 <= per[0] <= clip_m
 
@@ -152,7 +164,7 @@ class TestLossBatch:
 class TestGradParams:
     def test_zero_gradient_at_constructed_minimum(self):
         # all softmax mass on the true class, loss far inside the clip
-        net = nn.DenseNet((np.zeros((2, 2)),), (np.array([60.0, 0.0]),), "relu")
+        net = net_from_layers((np.zeros((2, 2)),), (np.array([60.0, 0.0]),), "relu")
         mean, _, _ = nn.grad_params(net, np.ones((3, 2)), np.zeros(3, dtype=int), CLIP_M)
         assert np.linalg.norm(mean) < 1e-9
 
@@ -183,7 +195,7 @@ class TestGradParams:
         assert per.shape == (len(X), net.num_params)
 
     def test_clip_active_zeroes_that_example(self):
-        net = nn.DenseNet((np.zeros((2, 2)),), (np.zeros(2),), "relu")
+        net = net_from_layers((np.zeros((2, 2)),), (np.zeros(2),), "relu")
         clip_m = 0.5  # ln 2 > 0.5 for every example
         X, y = np.ones((3, 2)), np.zeros(3, dtype=int)
         mean, norms, _ = nn.grad_params(net, X, y, clip_m)
@@ -212,7 +224,7 @@ class TestGradParams:
 
 class TestGradInput:
     def test_zero_first_layer_kills_input_path(self):
-        net = nn.DenseNet((np.zeros((3, 2)), np.ones((2, 3))),
+        net = net_from_layers((np.zeros((3, 2)), np.ones((2, 3))),
                           (np.ones(3), np.zeros(2)), "relu")
         g = nn.grad_inputs(net, np.array([[1.0, -2.0]]), np.array([0]), CLIP_M)[0]
         assert np.array_equal(g, [0.0, 0.0])
@@ -226,7 +238,7 @@ class TestGradInput:
 
     def test_linear_cross_entropy_hand_calculus(self):
         # logits z = (0, x), y = 0: loss ln(1 + e^x), d/dx = (p - e_0) . W = p_1 = sigmoid(x)
-        net = nn.DenseNet((np.array([[0.0], [1.0]]),), (np.zeros(2),), "relu")
+        net = net_from_layers((np.array([[0.0], [1.0]]),), (np.zeros(2),), "relu")
         g = nn.grad_inputs(net, np.array([[1.0]]), np.array([0]), CLIP_M)[0]
         assert g == pytest.approx([1.0 / (1.0 + math.exp(-1.0))], abs=1e-15)
 
@@ -245,7 +257,7 @@ def _edge_case_batch(activation: str):
     bs[0][0] = 0.0
     ws[1][2] = 0.0
     bs[1][2] = 0.0
-    net = nn.DenseNet(tuple(ws), tuple(bs), activation)
+    net = net_from_layers(tuple(ws), tuple(bs), activation)
     X = rng.normal(size=(12, 5))
     X[0] = 0.0
     y = rng.integers(0, 3, size=12)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from advlab import intensity, nn, privacy
 from advlab.data import LabeledSet, synth_blobs
-from conftest import CLIP_M
+from conftest import CLIP_M, net_from_layers
 
 mp.mp.dps = 50
 
@@ -58,7 +58,7 @@ class TestCollectNoise:
         # +-(g(1) - g(3)) / 2, whose components are +-a/2 and +-c/2 with
         # a = 3 s(3) - s(1) and c = s(3) - s(1)
         ds = LabeledSet(np.array([[1.0], [3.0]]), np.array([0, 0]), 2)
-        net = nn.DenseNet((np.array([[0.0], [1.0]]),), (np.zeros(2),), "relu")
+        net = net_from_layers((np.array([[0.0], [1.0]]),), (np.zeros(2),), "relu")
         s1, s3 = (1.0 / (1.0 + math.exp(-x)) for x in (1.0, 3.0))
         a, c = 3.0 * s3 - s1, s3 - s1
         sample = privacy.collect_noise(net, ds, tau=1, n_batches=8,

@@ -9,7 +9,7 @@ from advlab import intensity, nn, training
 from advlab.adversarial import AttackSpec
 from advlab.config import ExperimentConfig
 from advlab.data import BatchSchedule, LabeledSet, split, synth_blobs
-from conftest import net_with_params
+from conftest import net_from_layers, net_with_params
 
 UNCLIPPED = dataclasses.replace(ExperimentConfig(), loss_bound=1e6)
 SEED = 3
@@ -34,18 +34,18 @@ def quick_config(**kw):
 
 class TestSgdStep:
     def net1(self, theta=1.0):
-        return nn.DenseNet((np.array([[theta]]),), (np.array([0.0]),), "relu")
+        return net_from_layers((np.array([[theta]]),), (np.array([0.0]),), "relu")
 
     def test_zero_lr_leaves_parameters(self):
         net = self.net1()
         out, _ = training.sgd_step(net, np.array([2.0, 3.0]), 0.0, np.zeros(2), 0.9, 0.1)
-        assert np.array_equal(out.flatten(), net.flatten())
+        assert np.array_equal(out.params, net.params)
 
     def test_plain_step_hand_arithmetic(self):
         # theta=1, g=2, lr=0.1, no momentum, no decay: theta' = 0.8
         out, _ = training.sgd_step(self.net1(1.0), np.array([2.0, 0.0]), 0.1,
                                    np.zeros(2), 0.0, 0.0)
-        assert out.flatten()[0] == pytest.approx(0.8, abs=1e-15)
+        assert out.params[0] == pytest.approx(0.8, abs=1e-15)
 
     def test_two_momentum_steps_unrolled(self):
         # mu=0.9, g=1, lr=1, theta0=0: v1=1, theta1=-1; v2=1.9, theta2=-2.9
@@ -53,15 +53,15 @@ class TestSgdStep:
         g = np.array([1.0, 0.0])
         v = np.zeros(2)
         net, v = training.sgd_step(net, g, 1.0, v, 0.9, 0.0)
-        assert net.flatten()[0] == pytest.approx(-1.0, abs=1e-15)
+        assert net.params[0] == pytest.approx(-1.0, abs=1e-15)
         net, v = training.sgd_step(net, g, 1.0, v, 0.9, 0.0)
-        assert net.flatten()[0] == pytest.approx(-2.9, abs=1e-15)
+        assert net.params[0] == pytest.approx(-2.9, abs=1e-15)
 
     def test_weight_decay_added_to_gradient(self):
         # g_eff = g + wd*theta = 2 + 0.5*1 = 2.5; theta' = 1 - 0.1*2.5 = 0.75
         out, _ = training.sgd_step(self.net1(1.0), np.array([2.0, 0.0]), 0.1,
                                    np.zeros(2), 0.0, 0.5)
-        assert out.flatten()[0] == pytest.approx(0.75, abs=1e-15)
+        assert out.params[0] == pytest.approx(0.75, abs=1e-15)
 
     def test_non_finite_gradient_aborts(self):
         with pytest.raises(nn.DivergenceError):
@@ -71,7 +71,7 @@ class TestSgdStep:
     def test_overflowing_update_aborts(self):
         # a finite gradient whose step overflows the parameters
         with np.errstate(over="ignore"), pytest.raises(
-                nn.DivergenceError, match="^non-finite parameters after the SGD step: "):
+                nn.DivergenceError, match="^non-finite parameters: the model has diverged$"):
             training.sgd_step(self.net1(), np.array([10.0, 0.0]), 1e308, np.zeros(2), 0.0, 0.0)
 
     def test_length_mismatch_rejected(self):
@@ -87,8 +87,8 @@ class TestSgdStep:
         rng = np.random.default_rng(0)
         grad, v0 = rng.normal(size=net.num_params), rng.normal(size=net.num_params)
         out, v = training.sgd_step(net, grad, 0.1, v0, 0.9, 0.01)
-        expected = net.flatten() - 0.1 * v
-        assert out.flatten().tobytes() == expected.tobytes()
+        expected = net.params - 0.1 * v
+        assert out.params.tobytes() == expected.tobytes()
         ref = net_with_params(net, expected)
         assert out.activation == ref.activation
         for p, q in zip((*out.weights, *out.biases), (*ref.weights, *ref.biases)):
@@ -114,7 +114,7 @@ class TestTrainTwin:
         assert len(records(ledger)) == 4
         for r in records(ledger):
             assert abs(r.intensity - 1.0) <= 1e-9
-        assert np.array_equal(ledger.erm.net.flatten(), ledger.adv.net.flatten())
+        assert np.array_equal(ledger.erm.net.params, ledger.adv.net.params)
 
     def test_seed_replay_identical(self):
         train, _ = small_sets()
@@ -122,7 +122,7 @@ class TestTrainTwin:
         a = training.train_twin(train, cfg, attack, SEED)
         b = training.train_twin(train, cfg, attack, SEED)
         assert records(a) == records(b)
-        assert np.array_equal(a.adv.net.flatten(), b.adv.net.flatten())
+        assert np.array_equal(a.adv.net.params, b.adv.net.params)
         assert a.erm.index_digest == b.erm.index_digest
 
     def test_lockstep_index_digests_match(self):
@@ -169,7 +169,7 @@ class TestTrainTwin:
         ledger = training.train_twin(train, cfg, AttackSpec(radius=0.2), SEED)
         net0 = nn.DenseNet.random((train.dim, 8, train.num_classes), "relu", SEED)
         erm = training.train_model(train, net0, cfg, AttackSpec(), SEED)
-        assert erm.net.flatten().tobytes() == ledger.erm.net.flatten().tobytes()
+        assert erm.net.params.tobytes() == ledger.erm.net.params.tobytes()
         assert erm.logged == [(r.t, r.l_erm, r.erm_loss) for r in records(ledger)]
         schedule, h = BatchSchedule(SEED, cfg.batch_size), hashlib.sha256()
         for t in range(1, cfg.total_iterations + 1):
@@ -194,7 +194,7 @@ class TestTrainTwin:
         run = training.train_model(train, net0, cfg, AttackSpec(), SEED)
         assert run.diverged_at == 20 and run.logged == clean.logged[:1]
         # step 20's update was finite, so the run keeps it as its last iterate
-        assert run.net.flatten().tobytes() == clean.net.flatten().tobytes()
+        assert run.net.params.tobytes() == clean.net.params.tobytes()
         assert run.index_digest == clean.index_digest
 
     def test_adversarial_run_stops_before_the_erm_failure(self):
@@ -211,7 +211,7 @@ class TestTrainTwin:
         assert adv.index_digest == h.hexdigest()
         assert [r.t for r in records(ledger)] == list(range(1, ledger.diverged_at))
         for net in (erm.net, adv.net):
-            assert np.isfinite(net.flatten()).all()
+            assert np.isfinite(net.params).all()
 
     def test_two_step_hand_trace(self):
         """Full ledger of a 2-iteration twin run reproduced in plain python."""
@@ -270,8 +270,8 @@ class TestTrainTwin:
             assert rec.erm_loss == pytest.approx(erm_loss, rel=1e-12)
             assert rec.adv_loss == pytest.approx(adv_loss, rel=1e-12)
 
-        assert ledger.erm.net.flatten() == pytest.approx(theta_e, rel=1e-12)
-        assert ledger.adv.net.flatten() == pytest.approx(theta_a, rel=1e-12)
+        assert ledger.erm.net.params == pytest.approx(theta_e, rel=1e-12)
+        assert ledger.adv.net.params == pytest.approx(theta_a, rel=1e-12)
 
 
 class TestLedgerCsv:
@@ -299,7 +299,7 @@ class TestCheckpoint:
         back = training.load_checkpoint(p)
         assert back.activation == "tanh"
         assert back.layer_widths == net.layer_widths
-        assert np.array_equal(back.flatten(), net.flatten())
+        assert np.array_equal(back.params, net.params)
 
     def test_magic_enforced(self, tmp_path):
         p = tmp_path / "net.ckpt"
