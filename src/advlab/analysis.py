@@ -12,22 +12,17 @@ import numpy as np
 
 from . import nn
 from .adversarial import AttackSpec, pgd_batch
+from .attacks import accuracy
 from .data import LabeledSet
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties sharing their average rank."""
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(len(v))
-    sorted_v = v[order]
-    i = 0
-    while i < len(v):
-        j = i
-        while j + 1 < len(v) and sorted_v[j + 1] == sorted_v[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """Ranks 1..n: a tie run over sorted positions i..j ranks 0.5 * (i + j) + 1.
+    -0.0 ties with 0.0, and nan entries (no sweep column holds one) share a run."""
+    _, run_of, run_len = np.unique(v, return_inverse=True, return_counts=True)
+    j = np.cumsum(run_len) - 1
+    i = j - run_len + 1
+    return (0.5 * (i + j) + 1.0)[run_of]
 
 
 def spearman(xs, ys) -> float:
@@ -51,5 +46,4 @@ def adversarial_accuracy(net: nn.DenseNet, dataset: LabeledSet, attack: AttackSp
                          clip_m: float) -> float:
     """Fraction of examples still classified correctly at their PGD points."""
     x_adv = pgd_batch(net, dataset.features, dataset.labels, attack, clip_m)
-    pred = np.argmax(nn.forward(net, x_adv), axis=1)
-    return float((pred == dataset.labels).mean())
+    return accuracy(nn.forward(net, x_adv), dataset.labels)

@@ -1,4 +1,5 @@
-"""Threshold membership inference and 0/1 accuracy.
+"""Threshold membership inference and 0/1 accuracy, both read off the logits
+of one ``nn.forward`` pass over a row set.
 
 The attacker sees a model and a candidate example, assumed equally likely
 to come from the training or the test set, and predicts "member" when the
@@ -19,19 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .data import LabeledSet
 
 
-def accuracy(net: nn.DenseNet, dataset: LabeledSet) -> float:
-    """0/1 accuracy; argmax over logits, first index wins ties."""
-    pred = np.argmax(nn.forward(net, dataset.features), axis=1)
-    return float((pred == dataset.labels).mean())
+def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """0/1 accuracy of the ``logits`` rows against ``labels``; first index wins argmax ties."""
+    return float((np.argmax(logits, axis=1) == labels).mean())
 
 
-def true_label_confidences(net: nn.DenseNet, dataset: LabeledSet) -> np.ndarray:
-    """Softmax probability assigned to each example's true label."""
-    p = nn.softmax(nn.forward(net, dataset.features))
-    return p[np.arange(len(dataset)), dataset.labels]
+def true_label_confidences(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Softmax probability that each ``logits`` row gives its true label in ``labels``."""
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))  # stable: each row's max is 0
+    return p[np.arange(len(labels)), labels] / p.sum(axis=1)
 
 
 @dataclass(frozen=True)

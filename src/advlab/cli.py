@@ -4,7 +4,8 @@ in its directory that ``os.replace`` then moves into place. A CSV cell holds
 an integer as ``str(int(v))`` and any other number as ``repr(float(v))``.
 
 Artifact layout for one run (everything except meta.json is byte-stable
-across reruns of the same config and seed):
+across reruns of the same config and seed; a radius given as -0.0, by
+``--rho`` or ``radius_list``, reads as 0.0, so it is the radius-0 run):
 
     <output_dir>/rho=<r>/seed=<s>/
         ledger.csv       one row per logged iteration
@@ -150,7 +151,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, attacks, bounds, intensity, nn, privacy, training
-from .config import ConfigError, ExperimentConfig, check_seed, config_digest, load_config, to_ini
+from .config import (ConfigError, ExperimentConfig, check_seed, config_digest, load_config,
+                     parse_radius, to_ini)
 from .data import CsvFormatError, LabeledSet, _csv_rows, write_atomic, write_csv
 
 VERSIONS = {"advlab": __version__, "numpy": np.__version__,
@@ -217,21 +219,22 @@ def _noise(cfg: ExperimentConfig, net: nn.DenseNet, train_set: LabeledSet,
                            "divisor": sample.divisor}
 
 
-def _mia(net: nn.DenseNet, train_set: LabeledSet,
-         test_set: LabeledSet) -> tuple[attacks.AttackReport, dict]:
-    """The threshold attack on ``net``'s true-label confidences: (its report, the
-    ``{zeta_optim, accuracy}`` record)."""
+def _score(net: nn.DenseNet, train_set: LabeledSet, test_set: LabeledSet) -> tuple[dict, list]:
+    """Forward each set through ``net`` once: (``net``'s ``{train_acc, test_acc,
+    gen_gap}`` record, the training and test sets' (logits, labels) pairs)."""
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged model overflows
-        confs = [attacks.true_label_confidences(net, s) for s in (train_set, test_set)]
+        scored = [(nn.forward(net, s.features), s.labels) for s in (train_set, test_set)]
+    train, test = (attacks.accuracy(*pair) for pair in scored)
+    return {"train_acc": train, "test_acc": test, "gen_gap": train - test}, scored
+
+
+def _mia(scored) -> tuple[attacks.AttackReport, dict]:
+    """The threshold attack on the true-label confidences of :func:`_score`'s
+    pairs: (its report, the ``{zeta_optim, accuracy}`` record)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged model overflows
+        confs = [attacks.true_label_confidences(*pair) for pair in scored]
     report = attacks.optimal_threshold(*confs)
     return report, {"zeta_optim": report.zeta_optim, "accuracy": report.accuracy}
-
-
-def _accuracy(net: nn.DenseNet, train_set: LabeledSet, test_set: LabeledSet) -> dict:
-    """``net``'s ``{train_acc, test_acc, gen_gap}`` record."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverged model overflows
-        train, test = attacks.accuracy(net, train_set), attacks.accuracy(net, test_set)
-    return {"train_acc": train, "test_acc": test, "gen_gap": train - test}
 
 
 def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
@@ -251,8 +254,8 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
 
     with _stage(stages, "train"):
         ledger = training.train_twin(train_set, cfg, attack, seed)
-        accuracies = {side: _accuracy(trajectory.net, train_set, test_set)
-                      for side, trajectory in (("erm", ledger.erm), ("adv", ledger.adv))}
+        erm, _ = _score(ledger.erm.net, train_set, test_set)
+        adv, adv_scored = _score(ledger.adv.net, train_set, test_set)  # the MIA reads these
     records, good, failure = intensity.judge(ledger.erm.logged, ledger.adv.logged)
     with _stage(stages, "writes"):
         training.write_ledger_csv(records, run_dir / "ledger.csv")
@@ -271,7 +274,7 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
             "adv": ledger.adv.index_digest,
             "match": ledger.erm.index_digest == ledger.adv.index_digest,
         },
-        **accuracies,
+        "erm": erm, "adv": adv,
     }
     if ledger.diverged_at is None and failure is not None:
         summary["failure"] = failure
@@ -300,7 +303,7 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
         for gamma in cfg.gamma_list]
 
     with _stage(stages, "mia"):
-        _, summary["mia"] = _mia(ledger.adv.net, train_set, test_set)
+        _, summary["mia"] = _mia(adv_scored)
 
     with _stage(stages, "adv_eval"):
         summary["adv_accuracy"] = analysis.adversarial_accuracy(
@@ -525,6 +528,7 @@ def _read_series_csv(path) -> tuple[list[float], list[float]]:
 
 
 def _cmd_accountant(args) -> int:
+    per_entry = 1 if args.iterations is None else args.iterations
     if args.series is not None:
         scalar = [flag for flag, v in (("--l-erm", args.l_erm), ("--intensity", args.intensity),
                                        ("--iterations", args.iterations)) if v is not None]
@@ -534,13 +538,12 @@ def _cmd_accountant(args) -> int:
     else:
         if args.l_erm is None or args.intensity is None:
             raise ConfigError("scalar mode needs --l-erm and --intensity")
-        steps = 1 if args.iterations is None else args.iterations
-        if steps < 1:
+        if per_entry < 1:
             raise ConfigError("--iterations must be >= 1")
-        l_erm, intens = [args.l_erm] * steps, [args.intensity] * steps
+        l_erm, intens = [args.l_erm], [args.intensity]  # one entry for every step
     try:
-        _, budgets = privacy.budgets(l_erm, intens, len(l_erm), args.n, args.b,
-                                     args.delta_prime)
+        _, budgets = privacy.budgets(l_erm, intens, per_entry * len(l_erm), args.n, args.b,
+                                     args.delta_prime, per_entry)
     except ValueError as exc:  # invalid calculator arguments
         raise ConfigError(str(exc)) from None
     print(json.dumps({k: dataclasses.asdict(b) for k, b in budgets.items()},
@@ -573,7 +576,8 @@ def _load_checkpoint_for(path, data: LabeledSet) -> nn.DenseNet:
 def _cmd_attack(args) -> int:
     cfg = load_config(args.config)
     train_set, test_set = cfg.load_datasets()
-    report, mia = _mia(_load_checkpoint_for(args.checkpoint, train_set), train_set, test_set)
+    _, scored = _score(_load_checkpoint_for(args.checkpoint, train_set), train_set, test_set)
+    report, mia = _mia(scored)
     if args.sweep_csv:
         write_csv(args.sweep_csv, ("zeta", "accuracy"), report.sweep)
     print(json.dumps(mia | {"n_train": report.n_train, "n_test": report.n_test},
@@ -632,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run one twin experiment")
     p.add_argument("--config", required=True)
-    p.add_argument("--rho", type=float, default=None)
+    p.add_argument("--rho", type=parse_radius, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_train)
 
@@ -682,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--erm-checkpoint", required=True, dest="erm_checkpoint")
     p.add_argument("--adv-checkpoint", required=True, dest="adv_checkpoint")
-    p.add_argument("--rho", type=float, required=True)
+    p.add_argument("--rho", type=parse_radius, required=True)
     p.add_argument("--taus", default=None, help="comma-separated batch sizes")
     p.add_argument("--repeats", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)

@@ -217,11 +217,17 @@ def _tuple_of(kind):
     return lambda raw: tuple(kind(v) for v in raw.split(",")) if raw else ()
 
 
-# one parser per field annotation, keyed by its text (see ``from __future__ import annotations``)
+def parse_radius(raw: str) -> float:
+    """A radius from text; -0.0 reads as 0.0, the radius-0 run and its ``rho=0.0`` directory."""
+    return float(raw) + 0.0
+
+
+# a parser per field name or annotation text (see ``from __future__ import annotations``)
 _PARSERS = {
     "str": str, "int": int, "float": float, "bool": _bool,
     "tuple[int, ...]": _tuple_of(int), "tuple[float, ...]": _tuple_of(float),
     "float | None": lambda raw: float(raw) if raw else None,
+    "radius_list": _tuple_of(parse_radius),
 }
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
@@ -229,7 +235,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 def _parse(name: str, raw: str):
     raw = raw.strip()
     try:
-        return _PARSERS[_FIELD_TYPES[name]](raw)
+        return _PARSERS.get(name, _PARSERS[_FIELD_TYPES[name]])(raw)
     except ValueError:
         raise ConfigError(f"bad value for {name}: {raw!r}") from None
 

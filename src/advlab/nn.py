@@ -323,10 +323,3 @@ def mean_grad(net: DenseNet, features: np.ndarray, labels, clip_m: float) -> np.
 def grad_inputs(net: DenseNet, features: np.ndarray, labels, clip_m: float) -> np.ndarray:
     """Gradient of each example's clipped loss w.r.t. its own feature row, in one pass."""
     return _backward(net, features, labels, clip_m)[1][0] @ net.weights[0]
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    p = np.exp(shifted)
-    return p / p.sum(axis=1, keepdims=True)

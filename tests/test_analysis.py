@@ -5,10 +5,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advlab import analysis
+from advlab import analysis, nn
 from advlab.adversarial import AttackSpec
 from advlab.data import LabeledSet, split, synth_blobs
 from conftest import CLIP_M, net_from_layers
+
+
+def loop_average_ranks(v: np.ndarray) -> np.ndarray:
+    """Oracle: walk the stably sorted values, giving each tie run over sorted
+    positions i..j the rank 0.5 * (i + j) + 1."""
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(len(v))
+    sorted_v = v[order]
+    i = 0
+    while i < len(v):
+        j = i
+        while j + 1 < len(v) and sorted_v[j + 1] == sorted_v[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestAverageRanks:
+    def test_hand_ties(self):
+        got = analysis._average_ranks(np.array([5.0, 1.0, 5.0, 3.0, 5.0]))
+        np.testing.assert_array_equal(got, [4.0, 1.0, 4.0, 2.0, 4.0])
+
+    def test_negative_zero_ties_with_zero(self):
+        got = analysis._average_ranks(np.array([0.0, -1.0, -0.0, 2.0]))
+        np.testing.assert_array_equal(got, [2.5, 1.0, 2.5, 4.0])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_the_loop_exactly_on_tie_heavy_vectors(self, seed):
+        rng = np.random.default_rng(seed)
+        pool = np.array([-0.0, 0.0, 0.1, -2.5, 3.0, 1e-300, -1e-300, np.inf, -np.inf])
+        v = rng.choice(pool, size=int(rng.integers(1, 60)))
+        got = analysis._average_ranks(v)
+        want = loop_average_ranks(v)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestSpearman:
@@ -68,7 +103,7 @@ class TestAdversarialAccuracy:
         net, test = self.trained_pair()
         got = analysis.adversarial_accuracy(net, test, AttackSpec(norm="linf", radius=0.0),
                                             CLIP_M)
-        assert got == accuracy(net, test)
+        assert got == accuracy(nn.forward(net, test.features), test.labels)
 
     def test_constant_net_immune_to_attack(self):
         net = net_from_layers((np.zeros((3, 4)),), (np.array([0.0, 1.0, 0.0]),), "relu")

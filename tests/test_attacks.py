@@ -19,31 +19,50 @@ def brute_force_best(train_confs, test_confs, grid_points=10_000):
     return float(grid[k]), float(accs[k])
 
 
+def scored(net, ds):
+    """The (logits, labels) pair that ``attacks.accuracy`` and ``true_label_confidences`` read."""
+    return nn.forward(net, ds.features), ds.labels
+
+
 class TestTrueLabelConfidences:
     def test_uniform_two_class(self):
         net = net_from_layers((np.zeros((2, 3)),), (np.zeros(2),), "relu")
         ds = LabeledSet(np.ones((4, 3)), np.array([0, 1, 0, 1]), 2)
-        assert attacks.true_label_confidences(net, ds) == pytest.approx(np.full(4, 0.5))
+        assert attacks.true_label_confidences(*scored(net, ds)) == pytest.approx(np.full(4, 0.5))
 
     def test_hand_softmax(self):
         # logits (ln 3, 0): p(label 0) = 3 / (3 + 1) = 0.75
         net = net_from_layers((np.zeros((2, 1)),), (np.array([math.log(3.0), 0.0]),), "relu")
         ds = LabeledSet(np.zeros((1, 1)), np.array([0]), 2)
-        assert attacks.true_label_confidences(net, ds)[0] == pytest.approx(0.75, rel=1e-14)
+        conf = attacks.true_label_confidences(*scored(net, ds))
+        assert conf[0] == pytest.approx(0.75, rel=1e-14)
 
     def test_two_class_confidences_sum_to_one(self):
         rng = np.random.default_rng(4)
         net = net_from_layers((rng.normal(size=(2, 3)),), (rng.normal(size=2),), "relu")
         X = rng.normal(size=(6, 3))
-        c0 = attacks.true_label_confidences(net, LabeledSet(X, np.zeros(6, dtype=int), 2))
-        c1 = attacks.true_label_confidences(net, LabeledSet(X, np.ones(6, dtype=int), 2))
+        c0 = attacks.true_label_confidences(*scored(net, LabeledSet(X, np.zeros(6, dtype=int), 2)))
+        c1 = attacks.true_label_confidences(*scored(net, LabeledSet(X, np.ones(6, dtype=int), 2)))
         assert c0 + c1 == pytest.approx(np.ones(6), abs=1e-12)
+
+    def test_reads_logits(self):
+        logits = np.array([[math.log(3.0), 0.0], [0.0, 0.0], [0.0, math.log(3.0)]])
+        conf = attacks.true_label_confidences(logits, np.array([0, 1, 0]))
+        assert conf == pytest.approx([0.75, 0.5, 0.25], rel=1e-14)
+
+    def test_equals_the_whole_softmax_row_bitwise(self):
+        # oracle: normalize every entry of each stable-softmax row, then pick the label's
+        rng = np.random.default_rng(6)
+        logits, labels = rng.normal(scale=20.0, size=(300, 5)), rng.integers(0, 5, 300)
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        want = (p / p.sum(axis=1, keepdims=True))[np.arange(300), labels]
+        assert attacks.true_label_confidences(logits, labels).tobytes() == want.tobytes()
 
     def test_values_in_open_unit_interval(self):
         rng = np.random.default_rng(5)
         net = net_from_layers((rng.normal(size=(3, 2)),), (rng.normal(size=3),), "tanh")
         ds = LabeledSet(rng.normal(size=(10, 2)), rng.integers(0, 3, 10), 3)
-        c = attacks.true_label_confidences(net, ds)
+        c = attacks.true_label_confidences(*scored(net, ds))
         assert ((c > 0) & (c < 1)).all()
 
 
@@ -161,22 +180,27 @@ class TestGeneralizationGap:
     def test_identical_sets_zero_gap(self):
         ds = LabeledSet(np.array([[1.0], [-1.0]]), np.array([0, 1]), 2)
         net = self.two_point_net()
-        assert attacks.accuracy(net, ds) - attacks.accuracy(net, ds) == 0.0
+        assert attacks.accuracy(*scored(net, ds)) - attacks.accuracy(*scored(net, ds)) == 0.0
 
     def test_extreme_gap_one(self):
         net = self.two_point_net()
         train = LabeledSet(np.array([[2.0], [-2.0]]), np.array([0, 1]), 2)
         test = LabeledSet(np.array([[2.0], [-2.0]]), np.array([1, 0]), 2)
-        assert attacks.accuracy(net, train) - attacks.accuracy(net, test) == 1.0
+        assert attacks.accuracy(*scored(net, train)) - attacks.accuracy(*scored(net, test)) == 1.0
 
     def test_hand_four_example_case(self):
         net = self.two_point_net()
         train = LabeledSet(np.array([[1.0], [2.0], [-1.0], [-3.0]]),
                            np.array([0, 0, 1, 0]), 2)  # 3 of 4 correct
         test = LabeledSet(np.array([[1.0], [-1.0]]), np.array([0, 0]), 2)  # 1 of 2
-        assert attacks.accuracy(net, train) - attacks.accuracy(net, test) == pytest.approx(0.25)
+        gap = attacks.accuracy(*scored(net, train)) - attacks.accuracy(*scored(net, test))
+        assert gap == pytest.approx(0.25)
+
+    def test_reads_logits(self):
+        logits = np.array([[2.0, 1.0], [0.0, 3.0], [5.0, 5.0], [1.0, 0.0]])
+        assert attacks.accuracy(logits, np.array([0, 1, 1, 1])) == 0.5  # the tie is class 0
 
     def test_argmax_tie_breaks_to_first_index(self):
         net = net_from_layers((np.zeros((3, 2)),), (np.zeros(3),), "relu")
         ds = LabeledSet(np.ones((2, 2)), np.array([0, 1]), 3)
-        assert attacks.accuracy(net, ds) == 0.5  # everything predicted as class 0
+        assert attacks.accuracy(*scored(net, ds)) == 0.5  # everything predicted as class 0

@@ -212,6 +212,21 @@ class TestTrainCommand:
 
         assert erm_columns(runs[0]) == erm_columns(runs[1]) != []
 
+    def test_negative_zero_rho_is_the_radius_zero_run(self, tmp_path, capsys):
+        cfg, path = tiny_config(tmp_path, seeds=(1,))
+        assert cli.main(["train", "--config", str(path), "--rho", "-0.0", "--seed", "1"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert math.copysign(1.0, summary["rho"]) == 1.0
+        assert [d.name for d in Path(cfg.output_dir).iterdir()] == ["rho=0.0"]
+        assert (cli.run_dir_for(cfg, 0.0, 1) / "summary.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--config", "x.ini"],
+        ["probe", "--config", "x.ini", "--erm-checkpoint", "e", "--adv-checkpoint", "a"]])
+    def test_every_rho_flag_reads_negative_zero_as_zero(self, command):
+        rho = cli.build_parser().parse_args([*command, "--rho", "-0.0"]).rho
+        assert rho == 0.0 and math.copysign(1.0, rho) == 1.0
+
     def test_config_error_exit_code_2(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text(config.to_ini(config.ExperimentConfig()).replace(
@@ -892,6 +907,16 @@ class TestAccountantCommand:
         assert out["composed_thm4"]["epsilon"] == pytest.approx(
             out["leading_thm5"]["epsilon"] + second, rel=1e-12)
 
+    def test_scalar_mode_composes_a_trillion_steps(self, capsys):
+        steps = 1_000_000_000_000  # a list of this many steps would not fit in memory
+        assert cli.main(["accountant", "--l-erm", "0.5", "--intensity", "1.0",
+                         "--iterations", str(steps), "--n", "100", "--b", "0.1",
+                         "--delta-prime", "1.0"]) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=lambda c: pytest.fail(c))
+        assert out["composed_thm4"]["inputs"]["steps"] == steps
+        assert out["leading_thm5"]["inputs"]["t"] == steps
+        assert all(math.isfinite(out[k]["epsilon"]) for k in out)
+
     def test_run_ledger_as_series_reproduces_the_run_composed_budget(self, tmp_path, capsys):
         cfg, path = tiny_config(tmp_path)
         assert cli.main(["train", "--config", str(path), "--rho", "0.15", "--seed", "1"]) == 0
@@ -1049,8 +1074,9 @@ class TestCalculatorCommands:
         assert 0.0 <= out["accuracy"] <= 1.0
         train_set, test_set = cfg.load_datasets()
         net = training.load_checkpoint(run / "adv.ckpt")
-        rep = attacks.optimal_threshold(attacks.true_label_confidences(net, train_set),
-                                        attacks.true_label_confidences(net, test_set))
+        rep = attacks.optimal_threshold(*(
+            attacks.true_label_confidences(nn.forward(net, s.features), s.labels)
+            for s in (train_set, test_set)))
         assert out["zeta_optim"] == rep.zeta_optim and out["accuracy"] == rep.accuracy
         assert (tmp_path / "mia.csv").read_text() == "zeta,accuracy\n" + "".join(
             f"{z!r},{a!r}\n" for z, a in rep.sweep.tolist())
@@ -1100,6 +1126,46 @@ class TestCalculatorCommands:
         assert rc == 0
         text = capsys.readouterr().out
         assert config.from_ini(text) == config.ExperimentConfig()
+
+
+    def test_negative_zero_radius_round_trips_as_zero(self, tmp_path, capsys):
+        path = tmp_path / "negzero.ini"
+        path.write_text("[attack]\nradius_list = -0.0, 0.1\n")
+        assert cli.main(["config", "--config", str(path)]) == 0
+        assert "radius_list = 0.0,0.1\n" in capsys.readouterr().out
+        radius_0 = config.load_config(path).radius_list[0]
+        assert math.copysign(1.0, radius_0) == 1.0
+
+
+class TestEachModelScoredOnce:
+    """A model's accuracy and its membership-inference confidences on a row set
+    come from one ``nn.forward`` pass over it."""
+
+    def forwarded_rows(self, monkeypatch) -> list:
+        real, rows = nn.forward, []
+
+        def spy(net, features):
+            rows.append(len(features))
+            return real(net, features)
+
+        monkeypatch.setattr(nn, "forward", spy)
+        return rows
+
+    def test_a_run_forwards_six_times(self, tmp_path, capsys, monkeypatch):
+        cfg, path = tiny_config(tmp_path, seeds=(1,))
+        n_train, n_test = (len(s) for s in cfg.load_datasets())
+        rows = self.forwarded_rows(monkeypatch)
+        assert cli.main(["train", "--config", str(path), "--rho", "0.15", "--seed", "1"]) == 0
+        # both sets through the ERM and the adversarial model, then the two PGD endpoint sets
+        assert rows == [n_train, n_test] * 2 + [n_test] * 2
+
+    def test_attack_forwards_each_set_once(self, tmp_path, capsys, monkeypatch):
+        cfg, path = tiny_config(tmp_path)
+        ckpt = tmp_path / "net.ckpt"
+        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), "relu", seed=1), ckpt)
+        rows = self.forwarded_rows(monkeypatch)
+        assert cli.main(["attack", "--config", str(path), "--checkpoint", str(ckpt)]) == 0
+        assert rows == [len(s) for s in cfg.load_datasets()]
 
 
 class TestRunAndCommandsAgree:

@@ -332,7 +332,8 @@ class TestTextbookOracle:
         attack = adversarial.AttackSpec("linf", 0.3, 3)
 
         def evaluate():
-            return (attacks.accuracy(net, ds), attacks.true_label_confidences(net, ds),
+            logits = nn.forward(net, X)
+            return (attacks.accuracy(logits, y), attacks.true_label_confidences(logits, y),
                     adversarial.pgd_batch(net, X, y, attack, clip_m),
                     analysis.adversarial_accuracy(net, ds, attack, clip_m))
 

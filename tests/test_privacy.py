@@ -185,6 +185,20 @@ class TestCompose:
         with pytest.raises(ValueError, match="budget"):
             privacy.PrivacyBudget(float("nan"), 0.1, "composed_thm4")
 
+    def test_steps_per_entry_repeats_each_entry(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            eps = rng.uniform(1e-6, 0.5, size=int(rng.integers(1, 6)))
+            k = int(rng.integers(1, 30))
+            b = privacy.compose(eps, 0.5, 1000, steps_per_entry=k)
+            want = float(compose_oracle(np.repeat(eps, k), 0.5, 1000))
+            assert b.epsilon == pytest.approx(want, rel=1e-12)
+            assert b.inputs["steps"] == k * eps.size
+
+    def test_one_step_per_entry_is_the_default_bitwise(self):
+        eps = np.linspace(0.001, 0.3, 50)
+        assert privacy.compose(eps, 0.7, 4321, 1) == privacy.compose(eps, 0.7, 4321)
+
     def test_purity_bitwise(self):
         eps = np.linspace(0.001, 0.3, 50)
         a = privacy.compose(eps, 0.7, 4321).epsilon
