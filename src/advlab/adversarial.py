@@ -30,7 +30,8 @@ class AttackSpec:
     """PGD configuration: ball norm, radius, step count, step size.
 
     ``step_size=None`` means the radius/4 default; with ``radius=0`` the
-    attack is a no-op and the step size is irrelevant.
+    attack is a no-op and the step size is irrelevant. The radius is stored as
+    ``float(radius) + 0.0``: the one place a radius (-0.0 among them) is normalized.
     """
 
     norm: str = "linf"
@@ -39,6 +40,7 @@ class AttackSpec:
     step_size: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "radius", float(self.radius) + 0.0)  # -0.0 + 0.0 is 0.0
         if self.norm not in NORMS:
             raise ValueError(f"unknown norm {self.norm!r}")
         if not 0 <= self.radius < math.inf:

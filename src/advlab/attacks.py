@@ -50,7 +50,7 @@ def optimal_threshold(train_confs: np.ndarray, test_confs: np.ndarray) -> Attack
     Candidates are the distinct observed confidences plus sentinels 0 and
     1 + 1e-12; Acc is constant between consecutive observed values, so no
     other threshold can do better. A non-finite confidence, as a diverged
-    model gives, is an ``nn.DivergenceError``.
+    model gives, is an ``nn.DivergenceError``; neither vector is empty (``LabeledSet``).
 
     All candidates are scored at once from sorted confidences:
     ``searchsorted(..., side="left")`` counts the values below each
@@ -61,8 +61,6 @@ def optimal_threshold(train_confs: np.ndarray, test_confs: np.ndarray) -> Attack
     """
     train_confs = np.asarray(train_confs, dtype=np.float64)
     test_confs = np.asarray(test_confs, dtype=np.float64)
-    if train_confs.size == 0 or test_confs.size == 0:
-        raise ValueError("confidence vectors must be non-empty")
     candidates = np.unique(np.concatenate([
         train_confs, test_confs, [0.0, 1.0 + 1e-12]]))
     nn.check_finite("confidences", candidates)

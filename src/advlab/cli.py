@@ -4,8 +4,11 @@ in its directory that ``os.replace`` then moves into place. A CSV cell holds
 an integer as ``str(int(v))`` and any other number as ``repr(float(v))``.
 
 Artifact layout for one run (everything except meta.json is byte-stable
-across reruns of the same config and seed; a radius given as -0.0, by
-``--rho`` or ``radius_list``, reads as 0.0, so it is the radius-0 run):
+across reruns of the same config and seed; ``<r>`` and the summary's ``rho``
+are the run's ``AttackSpec`` radius, so a radius of -0.0 is the ``rho=0.0`` run).
+Each value is checked once, where it enters: ``ExperimentConfig`` (config, data
+by ``load_datasets``), ``config.check_seed`` (``--seed``),
+:func:`_load_checkpoint_for` (checkpoints), ``intensity.check_probe`` (``probe``).
 
     <output_dir>/rho=<r>/seed=<s>/
         ledger.csv       one row per logged iteration
@@ -91,30 +94,32 @@ width among it, which no config builds) or holds a non-finite parameter, named
 by file, a diverged model (``attack``, ``noise`` or ``probe`` given a
 checkpoint whose confidences, gradient noise spread or max gradient norms are
 not finite, as a diverged run leaves, print the one ``error: non-finite <what>:
-the model has diverged`` line and write no table or histogram), or ``probe``
-meeting a degenerate clean max gradient norm. 2 configuration error, in one
-``config error:`` line: a config file that is not UTF-8, does not parse, or has
-a section outside ``[data]``, ``[net]``, ``[train]``, ``[attack]``,
-``[privacy]``, ``[bounds]`` and ``[sweep]`` or a key under ``[DEFAULT]``
-(checked before any directory or job), any value ``ExperimentConfig`` rejects
-(a non-finite number, a seed outside [0, 2**128) or a ``log_every`` above
-``total_iterations``, under which no record would be logged, among them), train
-and test data of different feature widths or a ``batch_size``, ``delta_prime``
-or noise field that does not fit the data (``ExperimentConfig.load_datasets``
-checks these for every command that reads data: ``train``, ``sweep``,
-``attack``, ``noise`` and ``probe``), or a ``--rho`` or ``--seed`` that makes
-no valid run (``train`` and ``sweep`` exit before any directory or job;
-``noise`` also checks its noise fields against the checkpoint's parameter
-count), a checkpoint given to ``attack``, ``noise`` or ``probe`` whose input
-width differs from the data's or that has fewer outputs than the data has
-classes, ``probe`` batch sizes that are not integers in [1, training set size]
-(an empty ``--taus`` among them) or ``--repeats`` below 1 (checked before any
-gradient work), and invalid ``accountant`` and ``bounds`` arguments, among them
-a nan or infinite ``accountant`` statistic, a scalar-mode ``--iterations``
-below 1 (it defaults to 1), ``--l-erm``, ``--intensity`` or ``--iterations``
-given with ``--series``, which takes its steps from the file, an empty
-``--series`` (a header and no rows), a ``bounds --eps`` of nan, and a
-``--loss-bound`` or ``--c`` that is not positive and finite.
+the model has diverged`` line and write no table or histogram), ``probe``
+meeting a degenerate clean max gradient norm, or a ``MemoryError`` (an array
+too large for memory, such as a huge ``noise_batches``' pool, after training).
+2 configuration error, in one ``config error:`` line: a config file that is not
+UTF-8, does not parse, or has a section outside ``[data]``, ``[net]``,
+``[train]``, ``[attack]``, ``[privacy]``, ``[bounds]`` and ``[sweep]`` or a key
+under ``[DEFAULT]`` (checked before any directory or job), any value
+``ExperimentConfig`` rejects (a non-finite number, a seed outside [0, 2**128)
+or a ``log_every`` above ``total_iterations``, under which no record would be
+logged, among them), train and test data of different feature widths or a
+``batch_size``, ``delta_prime`` or noise field that does not fit the data
+(``ExperimentConfig.load_datasets`` checks these for every command that reads
+data: ``train``, ``sweep``, ``attack``, ``noise`` and ``probe``), or a
+``--rho`` or ``--seed`` that makes no valid run (``train`` and ``sweep`` exit
+before any directory or job; ``noise`` also checks its noise fields against the
+checkpoint's parameter count), a checkpoint given to ``attack``, ``noise`` or
+``probe`` whose input width differs from the data's or that has fewer outputs
+than the data has classes, ``probe`` batch sizes that are not integers in [1,
+training set size] (an empty ``--taus`` among them) or a ``--repeats`` below 1
+or past 2**64 Philox steps or one float64 array (checked before any gradient
+work), and invalid ``accountant`` and ``bounds`` arguments, among them a nan or
+infinite ``accountant`` statistic, a scalar-mode ``--iterations`` below 1 (it
+defaults to 1), ``--l-erm``, ``--intensity`` or ``--iterations`` given with
+``--series``, which takes its steps from the file, an empty ``--series`` (a
+header and no rows), a ``bounds --eps`` of nan, and a ``--loss-bound`` or
+``--c`` that is not positive and finite.
 """
 
 from __future__ import annotations
@@ -152,7 +157,7 @@ import numpy as np
 
 from . import __version__, analysis, attacks, bounds, intensity, nn, privacy, training
 from .config import (ConfigError, ExperimentConfig, check_seed, config_digest, load_config,
-                     parse_radius, to_ini)
+                     to_ini)
 from .data import CsvFormatError, LabeledSet, _csv_rows, write_atomic, write_csv
 
 VERSIONS = {"advlab": __version__, "numpy": np.__version__,
@@ -249,7 +254,7 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
     attack = cfg.attack_spec(rho)
     check_seed("seed", seed)
     train_set, test_set = cfg.load_datasets()
-    run_dir = run_dir_for(cfg, rho, seed)
+    run_dir = run_dir_for(cfg, attack.radius, seed)
     run_dir.mkdir(parents=True, exist_ok=True)
 
     with _stage(stages, "train"):
@@ -263,7 +268,7 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
         training.save_checkpoint(ledger.adv.net, run_dir / "adv.ckpt")
 
     summary = {
-        "rho": rho,
+        "rho": attack.radius,
         "seed": seed,
         "config_digest": config_digest(cfg),
         "diverged_at": ledger.diverged_at,
@@ -636,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run one twin experiment")
     p.add_argument("--config", required=True)
-    p.add_argument("--rho", type=parse_radius, default=None)
+    p.add_argument("--rho", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_train)
 
@@ -686,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--erm-checkpoint", required=True, dest="erm_checkpoint")
     p.add_argument("--adv-checkpoint", required=True, dest="adv_checkpoint")
-    p.add_argument("--rho", type=parse_radius, required=True)
+    p.add_argument("--rho", type=float, required=True)
     p.add_argument("--taus", default=None, help="comma-separated batch sizes")
     p.add_argument("--repeats", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
@@ -707,8 +712,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CsvFormatError, OSError, training.CheckpointFormatError, nn.DivergenceError,
-            privacy.DegenerateNoiseError, intensity.DegenerateDenominatorError) as exc:
+    except (CsvFormatError, OSError, MemoryError, training.CheckpointFormatError,
+            nn.DivergenceError, privacy.DegenerateNoiseError,
+            intensity.DegenerateDenominatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,11 @@ experiment: 4-class Gaussian blobs in 20 dimensions, a 20-64-64-4 relu net,
 
 ``ExperimentConfig`` alone decides whether an experiment is valid: its
 ``__post_init__`` rejects each value that cannot make a run (among them
-every non-finite number and every seed that cannot key a Philox stream).
+every non-finite number and every seed that cannot key a Philox stream), so
+``data``, ``nn.DenseNet`` and ``rng.stream`` do not check them again. It
+stores a float field given as an int as a float, and each radius as
+``AttackSpec`` does, so a config built in Python writes, digests and names
+its run directories as its INI text does.
 ``load_datasets`` is the one gate for the rules that need the data: it
 returns the train/test pair only once every field fits it.
 """
@@ -93,7 +97,8 @@ class ExperimentConfig:
         if self.source == "csv" and not (self.train_csv and self.test_csv):
             raise ConfigError("csv source needs train_csv and test_csv paths")
         for f in fields(self):
-            value = getattr(self, f.name)
+            value = _AS_FLOAT.get(f.type, lambda v: v)(getattr(self, f.name))
+            object.__setattr__(self, f.name, value)
             for v in value if isinstance(value, tuple) else (value,):
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ConfigError(f"{f.name} must be finite, got {v!r}")
@@ -102,8 +107,9 @@ class ExperimentConfig:
             check_seed("seeds", seed)
         if not self.radius_list:
             raise ConfigError("radius_list must be non-empty")
-        for radius in self.radius_list:  # also checks norm, steps and step_size
-            self.attack_spec(radius)
+        # also checks norm, steps and step_size
+        object.__setattr__(self, "radius_list",
+                           tuple(self.attack_spec(radius).radius for radius in self.radius_list))
         if list(self.radius_list) != sorted(set(self.radius_list)):
             raise ConfigError("radius_list must be strictly ascending")
         if self.radius_list[0] != 0.0:
@@ -217,25 +223,22 @@ def _tuple_of(kind):
     return lambda raw: tuple(kind(v) for v in raw.split(",")) if raw else ()
 
 
-def parse_radius(raw: str) -> float:
-    """A radius from text; -0.0 reads as 0.0, the radius-0 run and its ``rho=0.0`` directory."""
-    return float(raw) + 0.0
-
-
-# a parser per field name or annotation text (see ``from __future__ import annotations``)
+# a parser per annotation text (see ``from __future__ import annotations``)
 _PARSERS = {
     "str": str, "int": int, "float": float, "bool": _bool,
     "tuple[int, ...]": _tuple_of(int), "tuple[float, ...]": _tuple_of(float),
     "float | None": lambda raw: float(raw) if raw else None,
-    "radius_list": _tuple_of(parse_radius),
 }
+# how each float-typed field stores a value given in Python, an int among them
+_AS_FLOAT = {"float": float, "float | None": lambda v: v if v is None else float(v),
+             "tuple[float, ...]": lambda v: tuple(map(float, v))}
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _parse(name: str, raw: str):
     raw = raw.strip()
     try:
-        return _PARSERS.get(name, _PARSERS[_FIELD_TYPES[name]])(raw)
+        return _PARSERS[_FIELD_TYPES[name]](raw)
     except ValueError:
         raise ConfigError(f"bad value for {name}: {raw!r}") from None
 

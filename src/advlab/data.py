@@ -8,7 +8,9 @@ index sequences on any machine, which is what lets the twin trainer feed
 two models exactly the same data.
 
 A ``LabeledSet`` is validated once, where data enters (:func:`synth_blobs`,
-:func:`load_csv`, :func:`split`); per-batch code slices its arrays.
+:func:`load_csv`, :func:`split`); per-batch code slices its arrays. The
+counts, spread, ``n_train`` and ``batch_size`` that :func:`synth_blobs`,
+:func:`split` and ``BatchSchedule`` take are checked by ``ExperimentConfig``.
 
 CSV layout: one example per row, ``d`` numeric feature columns followed by
 one integer label column. A header row is skipped when ``header=True``.
@@ -94,10 +96,6 @@ class BatchSchedule:
 
     seed: int
     batch_size: int
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
 
     def indices(self, t: int, n: int) -> np.ndarray:
         """Batch indices for iteration t over a dataset of size n. The caller passes
@@ -198,10 +196,6 @@ def blob_center(k: int, dim: int) -> np.ndarray:
 
 def synth_blobs(n_per_class: int, num_classes: int, dim: int, spread: float, seed: int) -> LabeledSet:
     """Gaussian clusters at the documented class centers; same seed, same bits."""
-    if n_per_class < 1 or num_classes < 1 or dim < 1:
-        raise ValueError("counts must be positive")
-    if spread < 0:
-        raise ValueError("spread must be nonnegative")
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)
     centers = np.stack([blob_center(k, dim) for k in range(num_classes)])
     x = stream(seed, DOMAIN_BLOBS).standard_normal((len(labels), dim))
@@ -213,8 +207,6 @@ def synth_blobs(n_per_class: int, num_classes: int, dim: int, spread: float, see
 
 
 def split(dataset: LabeledSet, n_train: int, seed: int) -> tuple[LabeledSet, LabeledSet]:
-    """Disjoint shuffled train/test partition with n_train training rows."""
-    if not 1 <= n_train < len(dataset):
-        raise ValueError(f"n_train must be in [1, {len(dataset) - 1}]")
+    """Disjoint shuffled train/test partition with n_train in [1, len(dataset))."""
     perm = stream(seed, DOMAIN_SPLIT).permutation(len(dataset))
     return dataset.subset(perm[:n_train]), dataset.subset(perm[n_train:])

@@ -100,10 +100,8 @@ def judge(erm_logged, adv_logged) -> tuple[list[IterationRecord], list[Iteration
 
 
 def composite_intensity(values) -> float:
-    """Fourth-power mean root: (mean(v^4))^(1/4)."""
+    """Fourth-power mean root (mean(v^4))^(1/4) of a series ``privacy.budgets`` checks nonempty."""
     v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("empty series")
     if not (v > 0).all():
         raise ValueError("series entries must be positive")
     return float(np.mean(v ** 4) ** 0.25)
@@ -117,9 +115,12 @@ class ProbeRow:
 
 
 def check_probe(tau_grid, repeats: int, n: int) -> None:
-    """Reject batch sizes outside [1, n] and fewer than one repeat."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    """Reject batch sizes outside [1, n], and fewer than one repeat or so many that
+    the Philox steps ``j * repeats + r`` would reach 2**64 or the estimates of one
+    batch size would not fit in one float64 array."""
+    most = min((1 << 64) // max(len(tau_grid), 1), np.iinfo(np.intp).max // 8)
+    if not 1 <= repeats <= most:
+        raise ValueError(f"repeats must lie in [1, {most}]")
     for tau in tau_grid:
         if not 1 <= tau <= n:
             raise ValueError(f"tau {tau} outside [1, {n}]")

@@ -12,8 +12,8 @@ Everything that treats the parameters as a single vector (gradients,
 checkpoints, SGD state) uses one fixed ordering: for each layer in
 sequence, the weight matrix in row-major (C) order followed by the bias
 vector. ``DenseNet(layer_widths, params, activation)`` is the one way a
-vector becomes a net. It checks the activation, at least two widths each
->= 1, a float64 vector of ``param_count(layer_widths)`` entries, and, with
+vector becomes a net. It checks at least two widths each >= 1, a float64
+vector of ``param_count(layer_widths)`` entries, and, with
 :func:`check_finite`, that every entry is finite. It keeps a read-only
 vector that owns its data as it is (``DenseNet.random``, the SGD step) and
 copies any other (a checkpoint's bytes, a caller's writable array), the rule
@@ -44,7 +44,8 @@ features, labels in ``[0, num_classes)``), ``ExperimentConfig.load_datasets``
 (one feature width, a ``batch_size`` that fits) and ``cli._load_checkpoint_for``
 (a checkpoint reads the data's width and scores all of its classes). Every
 other net is built as ``(train.dim, *hidden, train.num_classes)``, and PGD
-endpoints keep their rows' dtype and shape.
+endpoints keep their rows' dtype and shape. A net's activation is checked by
+``ExperimentConfig`` or ``training.load_checkpoint``, never by ``DenseNet``.
 
 Per-call cost
 -------------
@@ -77,12 +78,12 @@ Divergence
 ----------
 :func:`check_finite` is the one place a model's non-finite number is found,
 and :class:`DivergenceError` its one error. The ``DenseNet`` constructor
-checks every net's parameters with it, so an SGD update that overflows is
-the run's one ``DivergenceError``; training also checks each gradient and
-logged statistic, and the commands a checkpoint's max gradient norms,
-gradient noise spread and confidences. The input gates (config, data)
-reject non-finite input instead, and a checkpoint's loader turns the
-constructor's error into a format error that names the file.
+checks every net's parameters with it, so an SGD update that overflows (or
+takes a non-finite gradient) is the run's one ``DivergenceError``; training
+also checks each logged statistic, and the commands a checkpoint's max
+gradient norms, gradient noise spread and confidences. The input gates
+(config, data) reject non-finite input instead, and a checkpoint's loader
+turns the constructor's error into a format error that names the file.
 """
 
 from __future__ import annotations
@@ -142,8 +143,6 @@ class DenseNet:
     biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         widths = tuple(self.layer_widths)
         if len(widths) < 2 or min(widths) < 1:
             raise ValueError(f"a {'-'.join(map(str, widths))} net: need at least two layer "

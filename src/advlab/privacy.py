@@ -23,7 +23,7 @@ dropping an O(1/N^2) remainder; the ERM baseline is the same with
 intensity 1. Logs are natural throughout. :func:`budgets` is the one place
 that turns an (L_erm, I) series into these budgets, for a training run and
 for the ``accountant`` calculator alike; :func:`compose` is its composition
-step.
+step, and checks each input once (see its docstring).
 """
 
 from __future__ import annotations
@@ -111,12 +111,9 @@ def collect_noise(net: nn.DenseNet, dataset: LabeledSet, tau: int, n_batches: in
 
 def fit_laplace(values: np.ndarray) -> LaplaceFit:
     """Closed-form Laplace MLE: location is the (lower) median, scale the
-    mean absolute deviation from it."""
+    mean absolute deviation from it. ``values`` are at least two, not all equal:
+    :func:`collect_noise`'s zero-spread check, their gate, makes sure."""
     v = np.sort(np.asarray(values, dtype=np.float64))
-    if v.size < 2:
-        raise ValueError("need at least two values")
-    if v[0] == v[-1]:
-        raise DegenerateNoiseError("all noise values identical; scale would be zero")
     location = float(v[(len(v) - 1) // 2])
     v -= location
     scale = float(np.abs(v, out=v).mean())

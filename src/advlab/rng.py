@@ -43,10 +43,10 @@ class _Key(ISeedSequence):
 
 
 def stream(seed: int, domain: int, step: int = 0) -> np.random.Generator:
-    """Fresh generator positioned at the (seed, domain, step) stream start."""
+    """Fresh generator positioned at the (seed, domain, step) stream start. ``config.check_seed``
+    checks the seed where it enters (numpy raises ``OverflowError`` past its 128 bits); the
+    step is checked here, because step 2**64 would shift silently into the next domain."""
     if not 0 <= step < 1 << 64:
         raise ValueError(f"stream step out of range: {step}")
-    if not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"stream seed out of range: {seed}")
     counter = (domain << 128) | (step << 64)
     return np.random.Generator(np.random.Philox(_Key(seed), counter=counter))

@@ -1,11 +1,11 @@
 """SGD for one model, and the twin run: an ERM model and an adversarial model.
 
-The trainers read the SGD settings, the step-size schedule ``ExperimentConfig.lr``,
-``hidden``, ``activation`` and the loss clip ``loss_bound`` from an already
-validated ``ExperimentConfig``; the run's attack and seed are arguments. This module only trains: pairing
-the two logged series into records, and judging whether they can be
-accounted, is :mod:`advlab.intensity`'s; evaluating the models is the
-caller's.
+The trainers read the SGD settings, the step-size schedule
+``ExperimentConfig.lr``, ``hidden``, ``activation`` and the loss clip
+``loss_bound`` from an already validated ``ExperimentConfig``, which is their
+one check; the run's attack and seed are arguments. This module only trains:
+pairing the two logged series into records, and judging whether they can be
+accounted, is :mod:`advlab.intensity`'s; evaluating the models is the caller's.
 
 :func:`train_model` runs one model's trajectory from a given initial net
 under a given attack: it draws and hashes its own batch schedule, and at each
@@ -20,11 +20,11 @@ run does not depend on the radius, and at radius 0 both runs execute the
 same code on byte-identical inputs, so they coincide exactly; tests rely on
 this.
 
-Divergence: a run stops at the first iteration whose gradient, update or
-logged statistics are not finite (``nn.check_finite``, the loop's one exit),
-and keeps its last finite iterate. If the ERM run fails at t, the adversarial
-run takes at most t - 1 steps. ``diverged_at`` is the earlier failure, and
-both logged series stop before it.
+Divergence: a run stops at the first iteration whose update (non-finite if its
+gradient is) or logged statistics are not finite (``nn.check_finite``, the
+loop's one exit), and keeps its last finite iterate. If the ERM run fails at t,
+the adversarial run takes at most t - 1 steps. ``diverged_at`` is the earlier
+failure, and both logged series stop before it.
 
 Checkpoint format (little endian): magic ``RPG1``, uint8 activation code
 (0 relu, 1 tanh), uint32 layer count L >= 1, uint32 widths[L+1], each >= 1, then
@@ -59,14 +59,14 @@ def sgd_step(net: nn.DenseNet, grad: np.ndarray, lr: float, velocity: np.ndarray
              momentum: float, weight_decay: float):
     """Heavy-ball update: v <- mu*v + (g + wd*theta); theta <- theta - lr*v.
 
-    The new parameter vector is fresh and read-only, so the new net keeps it
-    without a copy; the constructor checks its length and that it is finite.
+    The new parameter vector is fresh and read-only, so the new net keeps it without a
+    copy; the constructor checks that it is finite, which it is not if ``grad`` is
+    not. A length-1 ``grad`` would broadcast, so its length is checked here.
     """
     theta = net.params
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != theta.shape:
         raise ValueError(f"gradient length {grad.shape} != parameter count {theta.shape}")
-    nn.check_finite("gradient", grad)
     v = momentum * velocity + (grad + weight_decay * theta)
     new_theta = theta - lr * v
     new_theta.setflags(write=False)

@@ -83,8 +83,6 @@ class TestMiaAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mia_accuracy(np.array([]), np.ones(2), 0.5)
-        with pytest.raises(ValueError):
-            attacks.optimal_threshold(np.ones(2), np.array([]))
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=30),

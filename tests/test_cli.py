@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from advlab import analysis, attacks, cli, config, data, intensity, nn, privacy, training
+from advlab import analysis, attacks, cli, config, data, intensity, nn, privacy, rng, training
 from conftest import write_dataset_csv
 
 # frozen oracle value shared with test_privacy: compose([0.1], N/delta'=100)
@@ -224,8 +224,10 @@ class TestTrainCommand:
         ["train", "--config", "x.ini"],
         ["probe", "--config", "x.ini", "--erm-checkpoint", "e", "--adv-checkpoint", "a"]])
     def test_every_rho_flag_reads_negative_zero_as_zero(self, command):
+        # the flag parses as a float; the attack it names stores the radius 0.0
         rho = cli.build_parser().parse_args([*command, "--rho", "-0.0"]).rho
-        assert rho == 0.0 and math.copysign(1.0, rho) == 1.0
+        radius = config.ExperimentConfig().attack_spec(rho).radius
+        assert radius == 0.0 and math.copysign(1.0, radius) == 1.0
 
     def test_config_error_exit_code_2(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
@@ -707,7 +709,7 @@ class TestInvalidValues:
         ("total_iterations", "0"), ("log_every", "0"), ("lr_decay_every", "0"),
         ("batch_size", "0"), ("batch_size", "5000"), ("steps", "-1"), ("norm", "l3"),
         ("activation", "sigmoid"), ("hidden", "8,0"), ("n_per_class", "0"), ("dim", "0"),
-        ("spread", "-1.0"), ("workers", "-1"),
+        ("num_classes", "0"), ("n_train", "300"), ("spread", "-1.0"), ("workers", "-1"),
         ("lr_init", "nan"), ("weight_decay", "nan"), ("lr_decay", "nan"), ("momentum", "inf"),
         ("spread", "inf"), ("radius_list", "0.0,nan"), ("step_size", "inf"),
         ("delta_prime", "inf"), ("seeds", "-1"), ("seeds", str(2 ** 128)), ("seeds", "1,1"),
@@ -799,7 +801,10 @@ class TestCheckpointCommands:
         (["--taus", "15,x"], ["--taus", "'x'"]),
         (["--taus", ""], ["--taus", "''"]),
         (["--repeats", "0"], ["--repeats"]),
-    ], ids=["tau_above_n", "tau_not_an_integer", "empty_taus", "zero_repeats"])
+        (["--repeats", str(10 ** 19)], ["--repeats"]),  # 3 batch sizes: steps past 2**64
+        (["--repeats", str(10 ** 20)], ["--repeats"]),  # past numpy's largest dimension too
+    ], ids=["tau_above_n", "tau_not_an_integer", "empty_taus", "zero_repeats", "repeats_1e19",
+            "repeats_1e20"])
     def test_probe_bad_arguments_fail_before_any_gradient(
             self, tmp_path, capsys, monkeypatch, flags, words):
         _, path = tiny_config(tmp_path)
@@ -1302,6 +1307,92 @@ class TestDataEntersOnce:
             assert cli.main([argv[0], "--config", str(path), *argv[1:]]) == 0, argv
             assert calls["forward"] > forwards, argv
         assert calls["loss"] > 0
+
+
+class TestGatesCheckOnce:
+    """Each function below takes a value whose check was deleted from it, because a
+    gate (named in its docstring) checks that value first. Every call that
+    ``train``, ``sweep``, ``attack``, ``noise`` and ``probe`` make must therefore
+    meet the precondition the deleted check enforced."""
+
+    PRECONDITIONS = {
+        (data, "synth_blobs"): lambda a: (min(a["n_per_class"], a["num_classes"], a["dim"]) >= 1
+                                          and a["spread"] >= 0),
+        (data, "split"): lambda a: 1 <= a["n_train"] < len(a["dataset"]),
+        (data, "BatchSchedule"): lambda a: a["batch_size"] >= 1,
+        (nn.DenseNet, "__post_init__"): lambda a: a["self"].activation in nn.ACTIVATIONS,
+        (privacy, "fit_laplace"): lambda a: (len(a["values"]) >= 2
+                                             and a["values"].min() < a["values"].max()),
+        (intensity, "composite_intensity"): lambda a: len(a["values"]) >= 1,
+        (attacks, "optimal_threshold"): lambda a: (len(a["train_confs"]) >= 1
+                                                   and len(a["test_confs"]) >= 1),
+        (rng, "stream"): lambda a: 0 <= a["seed"] < rng.SEED_LIMIT,
+    }
+
+    @staticmethod
+    def record(monkeypatch, owner, name, calls: list) -> None:
+        """Append the bound arguments of every call of ``owner.name`` to ``calls``:
+        a method is patched on its class, a function in every advlab module that holds it."""
+        original = getattr(owner, name)
+        signature = inspect.signature(original)
+
+        def recording(*args, **kwargs):
+            calls.append(signature.bind(*args, **kwargs).arguments)
+            return original(*args, **kwargs)
+
+        if isinstance(owner, type):
+            monkeypatch.setattr(owner, name, recording)
+            return
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "advlab":
+                for attr in [a for a, v in vars(module).items() if v is original]:
+                    monkeypatch.setattr(module, attr, recording)
+
+    def test_every_call_meets_the_precondition_its_gate_checked(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        cfg, path = tiny_config(tmp_path)
+        calls = {key: [] for key in self.PRECONDITIONS}
+        for (owner, name), log in calls.items():
+            self.record(monkeypatch, owner, name, log)
+        assert cli.main(["train", "--config", str(path), "--rho", "0.15", "--seed", "1"]) == 0
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+        run = cli.run_dir_for(cfg, 0.15, 1)
+        erm, adv = str(run / "erm.ckpt"), str(run / "adv.ckpt")
+        for argv in (["attack", "--checkpoint", adv],
+                     ["noise", "--checkpoint", erm, "--out", str(tmp_path / "nh.csv")],
+                     ["probe", "--erm-checkpoint", erm, "--adv-checkpoint", adv, "--rho", "0.15",
+                      "--repeats", "2", "--out", str(tmp_path / "probe.csv")]):
+            assert cli.main([argv[0], "--config", str(path), *argv[1:]]) == 0, argv
+        for (owner, name), log in calls.items():
+            assert log, f"{name} was never called"
+            bad = [args for args in log if not self.PRECONDITIONS[owner, name](args)]
+            assert not bad, (name, bad[:1])
+
+
+class TestOversizedCounts:
+    """A count that passes its gate but makes an array too large for memory is one
+    ``error:`` line with exit 1, not a traceback."""
+
+    def assert_one_error_line(self, capsys, argv):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_probe_estimates_that_do_not_fit_in_memory(self, tmp_path, capsys):
+        _, path = tiny_config(tmp_path)
+        ckpt, out = tmp_path / "net.ckpt", tmp_path / "probe.csv"
+        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), "relu", seed=1), ckpt)
+        self.assert_one_error_line(capsys, [
+            "probe", "--config", str(path), "--erm-checkpoint", str(ckpt),
+            "--adv-checkpoint", str(ckpt), "--rho", "0.1", "--repeats", str(10 ** 17),
+            "--out", str(out)])
+        assert not out.exists()
+
+    def test_noise_pool_that_does_not_fit_in_memory(self, tmp_path, capsys):
+        cfg, path = tiny_config(tmp_path, noise_batches=10 ** 15)
+        self.assert_one_error_line(capsys, ["train", "--config", str(path), "--rho", "0.15",
+                                            "--seed", "1"])
+        assert not (cli.run_dir_for(cfg, 0.15, 1) / "summary.json").exists()
 
 
 class TestFileErrors:

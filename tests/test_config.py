@@ -1,8 +1,9 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 
-from advlab import config
+from advlab import cli, config
 from conftest import write_dataset_csv
 
 
@@ -26,6 +27,18 @@ class TestRoundTrip:
         cfg = config.ExperimentConfig()
         config.save_config(cfg, p)
         assert config.load_config(p) == cfg
+
+    @pytest.mark.parametrize("overrides", [
+        {"spread": 2}, {"lr_init": 1}, {"radius_list": (0, 0.1)}, {"radius_list": (-0.0, 0.1)}],
+        ids=["int_spread", "int_lr_init", "int_radius", "negative_zero_radius"])
+    def test_a_config_built_in_python_is_its_round_trip(self, overrides):
+        # an int float field and a -0.0 radius are stored as the float their INI text reads as
+        cfg = config.ExperimentConfig(**overrides)
+        again = config.from_ini(config.to_ini(cfg))
+        assert config.to_ini(cfg) == config.to_ini(again)
+        assert config.config_digest(cfg) == config.config_digest(again)
+        run_dirs = [cli.run_dir_for(c, c.radius_list[0], 1) for c in (cfg, again)]
+        assert run_dirs[0] == run_dirs[1] == Path("runs", "rho=0.0", "seed=1")
 
     def test_empty_step_size_means_default(self):
         cfg = config.ExperimentConfig()

@@ -85,10 +85,6 @@ class TestCompositeIntensity:
     def test_singleton(self):
         assert intensity.composite_intensity([0.37]) == pytest.approx(0.37, rel=1e-15)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            intensity.composite_intensity([])
-
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             intensity.composite_intensity([1.0, 0.0])
@@ -159,6 +155,14 @@ class TestConsistencyProbe:
         for taus, repeats, word in (([n + 1], 2, "tau"), ([0], 2, "tau"), ([n], 0, "repeats")):
             with pytest.raises(ValueError, match=word):
                 intensity.check_probe(taus, repeats, n)
+
+    def test_repeats_bounded_by_the_philox_steps_and_one_array(self):
+        # steps j * repeats + r stay below 2**64; one float64 array holds the estimates
+        n = 10
+        for taus, most in (([n], np.iinfo(np.intp).max // 8), ([n] * 17, 2 ** 64 // 17)):
+            intensity.check_probe(taus, most, n)
+            with pytest.raises(ValueError, match="repeats"):
+                intensity.check_probe(taus, most + 1, n)
 
     def test_probe_deterministic(self):
         train, e, a = probe_instance()
