@@ -86,9 +86,10 @@ another run's rho or seed, and one that records no failure but lacks a sweep
 column). 1 also means a file that cannot be read (any ``OSError``: missing, a
 directory, no permission; ``report`` reads a CSV source's data files for the
 digest) or written (named by the path asked for, such as an ``--out`` in a
-missing directory, never by the temporary file), a malformed or non-UTF-8 data
-or ``--series`` CSV (a data CSV also by a non-finite feature such as ``nan``,
-``inf`` or ``1e400``, named by file and line), a checkpoint given to
+missing directory or with no file name, as ``""``, ``.`` and ``/`` have, never
+by the temporary file), a malformed or non-UTF-8 data or ``--series`` CSV (a
+data CSV also by a non-finite feature such as ``nan``, ``inf`` or ``1e400``,
+named by file and line), a checkpoint given to
 ``attack``, ``noise`` or ``probe`` that breaks the RPG1 format (a zero layer
 width among it, which no config builds) or holds a non-finite parameter, named
 by file, a diverged model (``attack``, ``noise`` or ``probe`` given a
@@ -101,10 +102,13 @@ too large for memory, such as a huge ``noise_batches``' pool, after training).
 UTF-8, does not parse, or has a section outside ``[data]``, ``[net]``,
 ``[train]``, ``[attack]``, ``[privacy]``, ``[bounds]`` and ``[sweep]`` or a key
 under ``[DEFAULT]`` (checked before any directory or job), any value
-``ExperimentConfig`` rejects (a non-finite number, a seed outside [0, 2**128)
+``ExperimentConfig`` rejects (a value of the wrong type such as
+``total_iterations = 40.0``, a non-finite number, a seed outside [0, 2**128)
 or a ``log_every`` above ``total_iterations``, under which no record would be
-logged, among them), train and test data of different feature widths or a
-``batch_size``, ``delta_prime`` or noise field that does not fit the data
+logged, among them), train and test data of different feature widths, a blob
+matrix, net or noise pool past one float64 array or ``noise_batches`` past
+2**64 Philox steps (checked before the data is drawn), or a ``batch_size``,
+``delta_prime`` or noise field that does not fit the data
 (``ExperimentConfig.load_datasets`` checks these for every command that reads
 data: ``train``, ``sweep``, ``attack``, ``noise`` and ``probe``), or a
 ``--rho`` or ``--seed`` that makes no valid run (``train`` and ``sweep`` exit
@@ -176,7 +180,7 @@ def _write_json(path: Path, obj) -> None:
     write_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _write_histogram_csv(path: Path, values: np.ndarray) -> None:
+def _write_histogram_csv(path, values: np.ndarray) -> None:
     edges, counts = privacy.noise_histogram(values)
     write_csv(path, ("bin_left", "bin_right", "count"), zip(edges[:-1], edges[1:], counts))
 
@@ -583,7 +587,7 @@ def _cmd_attack(args) -> int:
     train_set, test_set = cfg.load_datasets()
     _, scored = _score(_load_checkpoint_for(args.checkpoint, train_set), train_set, test_set)
     report, mia = _mia(scored)
-    if args.sweep_csv:
+    if args.sweep_csv is not None:
         write_csv(args.sweep_csv, ("zeta", "accuracy"), report.sweep)
     print(json.dumps(mia | {"n_train": report.n_train, "n_test": report.n_test},
                      sort_keys=True, indent=2))
@@ -597,7 +601,7 @@ def _cmd_noise(args) -> int:
     net = _load_checkpoint_for(args.checkpoint, train_set)
     cfg.check_noise_for(len(train_set), net.num_params)
     values, noise = _noise(cfg, net, train_set, args.seed)
-    _write_histogram_csv(Path(args.out), values)
+    _write_histogram_csv(args.out, values)
     print(json.dumps(noise | {"histogram": args.out}, sort_keys=True, indent=2))
     return 0
 

@@ -2,23 +2,23 @@
 
 A sweep carries too many knobs for command-line flags, so experiments are
 described by an INI file with sections ``data``, ``net``, ``train``,
-``attack``, ``privacy``, ``bounds`` and ``sweep``, and no other: an unknown
-section, or a key under ``[DEFAULT]``, is a config error, so a misspelled
-section cannot silently leave its fields at their defaults. Parsing and
-serializing round-trip exactly. Defaults describe the desk-scale
-experiment: 4-class Gaussian blobs in 20 dimensions, a 20-64-64-4 relu net,
-2000 SGD iterations, and an 8-point attack-radius grid that starts at 0
-(the plain ERM baseline row).
+``attack``, ``privacy``, ``bounds`` and ``sweep``, which each field names,
+and no other: an unknown section, or a key under ``[DEFAULT]``, is a config
+error, so a misspelled section cannot silently leave its fields at their
+defaults. Parsing and serializing round-trip exactly. Defaults describe the
+desk-scale experiment: 4-class Gaussian blobs in 20 dimensions, a 20-64-64-4
+relu net, 2000 SGD iterations, and an 8-point attack-radius grid that starts
+at 0 (the plain ERM baseline row).
 
-``ExperimentConfig`` alone decides whether an experiment is valid: its
-``__post_init__`` rejects each value that cannot make a run (among them
-every non-finite number and every seed that cannot key a Philox stream), so
-``data``, ``nn.DenseNet`` and ``rng.stream`` do not check them again. It
-stores a float field given as an int as a float, and each radius as
-``AttackSpec`` does, so a config built in Python writes, digests and names
-its run directories as its INI text does.
-``load_datasets`` is the one gate for the rules that need the data: it
-returns the train/test pair only once every field fits it.
+``ExperimentConfig`` alone decides whether an experiment is valid. A value is
+what its INI text reads as (``csv_header=1`` is true, ``seeds=[5, 6]`` a tuple,
+``total_iterations=40.0`` a bad value), and a radius what ``AttackSpec`` makes
+of it, so a config built in Python writes, digests and names its run
+directories as its INI text does. ``__post_init__`` rejects each value that
+cannot make a run (among them every non-finite number and every seed that
+cannot key a Philox stream), so ``data``, ``nn.DenseNet`` and ``rng.stream``
+do not check them again. ``load_datasets`` is the one gate for the rules that
+need the data, and for counts past one float64 array or a Philox stream's steps.
 """
 
 from __future__ import annotations
@@ -27,14 +27,14 @@ import configparser
 import hashlib
 import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .adversarial import AttackSpec
-from .data import LabeledSet, load_csv, split, synth_blobs, write_atomic
+from .data import ENTRY_LIMIT, LabeledSet, load_csv, split, synth_blobs, write_atomic
 from .nn import ACTIVATIONS, param_count
 from .privacy import check_delta_prime
-from .rng import SEED_LIMIT
+from .rng import SEED_LIMIT, STEP_LIMIT
 
 
 class ConfigError(ValueError):
@@ -47,61 +47,63 @@ def check_seed(name: str, seed: int) -> None:
         raise ConfigError(f"{name} must lie in [0, 2**128), got {seed}")
 
 
+def _in(section: str, default):
+    """A field written under ``[section]`` of the INI file."""
+    return field(default=default, metadata={"section": section})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    # [data]
-    source: str = "synthetic"            # synthetic | csv
-    n_per_class: int = 1000
-    num_classes: int = 4
-    dim: int = 20
-    spread: float = 1.0
-    data_seed: int = 7
-    n_train: int = 2000
-    train_csv: str = ""
-    test_csv: str = ""
-    csv_header: bool = False
-    # [net]
-    hidden: tuple[int, ...] = (64, 64)
-    activation: str = "relu"
-    # [train]
-    total_iterations: int = 2000
-    batch_size: int = 32
-    log_every: int = 20
-    lr_init: float = 0.1
-    lr_decay: float = 0.1
-    lr_decay_every: int = 750
-    momentum: float = 0.9
-    weight_decay: float = 0.0002
-    # [attack]
-    norm: str = "linf"
-    radius_list: tuple[float, ...] = (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35)
-    steps: int = 8
-    step_size: float | None = None       # None: radius / 4
-    # [privacy]
-    delta_prime: float = 1.0
-    noise_tau: int = 64
-    noise_batches: int = 200
-    noise_components: int = 500
-    # [bounds]
-    loss_bound: float = 10.0
-    constant_c: float = 1.0
-    gamma_list: tuple[float, ...] = (0.05,)
-    # [sweep]
-    seeds: tuple[int, ...] = (1, 2, 3)
-    output_dir: str = "runs"
-    workers: int = 0                     # 0: one per job, capped by usable CPUs
+    source: str = _in("data", "synthetic")            # synthetic | csv
+    n_per_class: int = _in("data", 1000)
+    num_classes: int = _in("data", 4)
+    dim: int = _in("data", 20)
+    spread: float = _in("data", 1.0)
+    data_seed: int = _in("data", 7)
+    n_train: int = _in("data", 2000)
+    train_csv: str = _in("data", "")
+    test_csv: str = _in("data", "")
+    csv_header: bool = _in("data", False)
+    hidden: tuple[int, ...] = _in("net", (64, 64))
+    activation: str = _in("net", "relu")
+    total_iterations: int = _in("train", 2000)
+    batch_size: int = _in("train", 32)
+    log_every: int = _in("train", 20)
+    lr_init: float = _in("train", 0.1)
+    lr_decay: float = _in("train", 0.1)
+    lr_decay_every: int = _in("train", 750)
+    momentum: float = _in("train", 0.9)
+    weight_decay: float = _in("train", 0.0002)
+    norm: str = _in("attack", "linf")
+    radius_list: tuple[float, ...] = _in("attack", (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35))
+    steps: int = _in("attack", 8)
+    step_size: float | None = _in("attack", None)    # None: radius / 4
+    delta_prime: float = _in("privacy", 1.0)
+    noise_tau: int = _in("privacy", 64)
+    noise_batches: int = _in("privacy", 200)
+    noise_components: int = _in("privacy", 500)
+    loss_bound: float = _in("bounds", 10.0)
+    constant_c: float = _in("bounds", 1.0)
+    gamma_list: tuple[float, ...] = _in("bounds", (0.05,))
+    seeds: tuple[int, ...] = _in("sweep", (1, 2, 3))
+    output_dir: str = _in("sweep", "runs")
+    workers: int = _in("sweep", 0)                   # 0: one per job, capped by usable CPUs
 
     def __post_init__(self):
-        if self.source not in ("synthetic", "csv"):
-            raise ConfigError(f"unknown data source {self.source!r}")
-        if self.source == "csv" and not (self.train_csv and self.test_csv):
-            raise ConfigError("csv source needs train_csv and test_csv paths")
-        for f in fields(self):
-            value = _AS_FLOAT.get(f.type, lambda v: v)(getattr(self, f.name))
+        for f in fields(self):  # a value is what its INI text reads as
+            raw = _format(getattr(self, f.name)).strip()
+            try:
+                value = _PARSERS[f.type](raw)
+            except ValueError:
+                raise ConfigError(f"bad value for {f.name}: {raw!r}") from None
             object.__setattr__(self, f.name, value)
             for v in value if isinstance(value, tuple) else (value,):
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ConfigError(f"{f.name} must be finite, got {v!r}")
+        if self.source not in ("synthetic", "csv"):
+            raise ConfigError(f"unknown data source {self.source!r}")
+        if self.source == "csv" and not (self.train_csv and self.test_csv):
+            raise ConfigError("csv source needs train_csv and test_csv paths")
         check_seed("data_seed", self.data_seed)
         for seed in self.seeds:
             check_seed("seeds", seed)
@@ -155,27 +157,32 @@ class ExperimentConfig:
     def load_datasets(self) -> tuple[LabeledSet, LabeledSet]:
         """The train/test pair, once both sets have the same feature width and
         ``batch_size`` and the privacy fields fit them and the net trained on them,
-        which the csv source fixes only once its files are read."""
+        which the csv source fixes only once its files are read; blobs are drawn last."""
         if self.source == "csv":
             train = load_csv(self.train_csv, header=self.csv_header)
             test = load_csv(self.test_csv, header=self.csv_header)
-            classes = max(train.num_classes, test.num_classes)
-            train = LabeledSet(train.features, train.labels, classes)
-            test = LabeledSet(test.features, test.labels, classes)
+            if train.dim != test.dim:
+                raise ConfigError(f"train_csv has {train.dim} features but test_csv has {test.dim}")
+            n, dim, classes = len(train), train.dim, max(train.num_classes, test.num_classes)
         else:
-            pool = synth_blobs(self.n_per_class, self.num_classes, self.dim,
-                               self.spread, self.data_seed)
-            train, test = split(pool, self.n_train, self.data_seed)
-        if train.dim != test.dim:
-            raise ConfigError(f"train_csv has {train.dim} features but test_csv has {test.dim}")
-        if self.batch_size > len(train):
-            raise ConfigError(f"batch_size must be <= {len(train)}, the training set size")
-        self.check_noise_for(len(train), param_count((train.dim, *self.hidden, train.num_classes)))
-        return train, test
+            n, dim, classes = self.n_train, self.dim, self.num_classes
+            if self.n_per_class * classes * dim > ENTRY_LIMIT:
+                raise ConfigError(f"n_per_class * num_classes * dim must be <= {ENTRY_LIMIT}")
+        if self.batch_size > n:
+            raise ConfigError(f"batch_size must be <= {n}, the training set size")
+        self.check_noise_for(n, param_count((dim, *self.hidden, classes)))
+        if self.source == "csv":
+            return (LabeledSet(train.features, train.labels, classes),
+                    LabeledSet(test.features, test.labels, classes))
+        pool = synth_blobs(self.n_per_class, classes, dim, self.spread, self.data_seed)
+        return split(pool, n, self.data_seed)
 
     def check_noise_for(self, n_train: int, params: int) -> None:
         """Fit the privacy fields to an ``n_train``-row training set and the
-        ``params`` parameters of the net the noise is collected on."""
+        ``params`` parameters of the net the noise is collected on. The net and the
+        noise pool must each fit in one float64 array (``ENTRY_LIMIT`` entries)."""
+        if params > ENTRY_LIMIT:
+            raise ConfigError(f"hidden widths give {params} parameters, more than {ENTRY_LIMIT}")
         try:
             check_delta_prime(self.delta_prime, n_train)
         except ValueError as exc:
@@ -184,30 +191,26 @@ class ExperimentConfig:
             raise ConfigError(f"noise_tau must lie in [1, {n_train}], the training set size")
         if not 1 <= self.noise_components <= params:
             raise ConfigError(f"noise_components must lie in [1, {params}], the parameter count")
+        if self.noise_batches > STEP_LIMIT:
+            raise ConfigError(f"noise_batches must be <= {STEP_LIMIT}, a Philox stream's steps")
+        if self.noise_batches * self.noise_components > ENTRY_LIMIT:
+            raise ConfigError(f"noise_batches * noise_components must be <= {ENTRY_LIMIT}")
 
 
-_SECTIONS = {
-    "data": ("source", "n_per_class", "num_classes", "dim", "spread", "data_seed",
-             "n_train", "train_csv", "test_csv", "csv_header"),
-    "net": ("hidden", "activation"),
-    "train": ("total_iterations", "batch_size", "log_every", "lr_init", "lr_decay",
-              "lr_decay_every", "momentum", "weight_decay"),
-    "attack": ("norm", "radius_list", "steps", "step_size"),
-    "privacy": ("delta_prime", "noise_tau", "noise_batches", "noise_components"),
-    "bounds": ("loss_bound", "constant_c", "gamma_list"),
-    "sweep": ("seeds", "output_dir", "workers"),
-}
+# each field's INI section, and the sections in file order
+_SECTION_OF = {f.name: f.metadata["section"] for f in fields(ExperimentConfig)}
+_SECTIONS = tuple(dict.fromkeys(_SECTION_OF.values()))
 
 
 def _format(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(_format(v) for v in value)
+    if isinstance(value, (tuple, list)):
+        return ",".join(map(_format, value))
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float too
     return str(value)
 
 
@@ -229,31 +232,20 @@ _PARSERS = {
     "tuple[int, ...]": _tuple_of(int), "tuple[float, ...]": _tuple_of(float),
     "float | None": lambda raw: float(raw) if raw else None,
 }
-# how each float-typed field stores a value given in Python, an int among them
-_AS_FLOAT = {"float": float, "float | None": lambda v: v if v is None else float(v),
-             "tuple[float, ...]": lambda v: tuple(map(float, v))}
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-
-
-def _parse(name: str, raw: str):
-    raw = raw.strip()
-    try:
-        return _PARSERS[_FIELD_TYPES[name]](raw)
-    except ValueError:
-        raise ConfigError(f"bad value for {name}: {raw!r}") from None
 
 
 def to_ini(cfg: ExperimentConfig) -> str:
-    parser = configparser.ConfigParser()
-    for section, names in _SECTIONS.items():
-        parser[section] = {name: _format(getattr(cfg, name)) for name in names}
+    parser = configparser.ConfigParser(interpolation=None)  # a "%" is itself
+    parser.read_dict({section: {} for section in _SECTIONS})
+    for name, section in _SECTION_OF.items():
+        parser[section][name] = _format(getattr(cfg, name))
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
 
 
 def from_ini(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a "%" is itself
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -263,13 +255,11 @@ def from_ini(text: str) -> ExperimentConfig:
             raise ConfigError(f"unknown section [{section}]; the sections are "
                               + ", ".join(f"[{name}]" for name in _SECTIONS))
     kwargs = {}
-    for section, names in _SECTIONS.items():
-        if not parser.has_section(section):
-            continue
+    for section in parser.sections():
         for key in parser[section]:
-            if key not in names:
+            if _SECTION_OF.get(key) != section:
                 raise ConfigError(f"unknown key [{section}] {key}")
-            kwargs[key] = _parse(key, parser[section][key])
+            kwargs[key] = parser[section][key]  # parsed by the constructor
     return ExperimentConfig(**kwargs)
 
 

@@ -18,6 +18,7 @@ one integer label column. A header row is skipped when ``header=True``.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ import numpy as np
 from .rng import DOMAIN_BATCH, DOMAIN_BLOBS, DOMAIN_SPLIT, stream
 
 BLOB_CENTER_SCALE = 3.0
+ENTRY_LIMIT = np.iinfo(np.intp).max // 8  # the float64 entries one array can hold
 
 
 class CsvFormatError(ValueError):
@@ -161,7 +163,9 @@ def load_csv(path, header: bool = False) -> LabeledSet:
 def write_atomic(path, content: str | bytes) -> None:
     """Write ``content`` (text as UTF-8) to a temporary file beside ``path``, then
     ``os.replace`` it: a killed process leaves the old file or none, never part of one.
-    An ``OSError`` names ``path``, not the temporary file."""
+    An ``OSError`` names ``path``, not the temporary file, also when it names no file."""
+    if not Path(path).name:  # "", "." and "/" are directories
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

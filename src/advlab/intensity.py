@@ -32,8 +32,8 @@ import numpy as np
 
 from . import nn
 from .adversarial import AttackSpec, adv_grad
-from .data import LabeledSet
-from .rng import DOMAIN_PROBE, stream
+from .data import ENTRY_LIMIT, LabeledSet
+from .rng import DOMAIN_PROBE, STEP_LIMIT, stream
 
 DEGENERATE_GRAD_FLOOR = 1e-30
 
@@ -118,7 +118,7 @@ def check_probe(tau_grid, repeats: int, n: int) -> None:
     """Reject batch sizes outside [1, n], and fewer than one repeat or so many that
     the Philox steps ``j * repeats + r`` would reach 2**64 or the estimates of one
     batch size would not fit in one float64 array."""
-    most = min((1 << 64) // max(len(tau_grid), 1), np.iinfo(np.intp).max // 8)
+    most = min(STEP_LIMIT // max(len(tau_grid), 1), ENTRY_LIMIT)
     if not 1 <= repeats <= most:
         raise ValueError(f"repeats must lie in [1, {most}]")
     for tau in tau_grid:

@@ -21,6 +21,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 SEED_LIMIT = 1 << 128  # a Philox key is 128 bits
+STEP_LIMIT = 1 << 64   # the steps of one (seed, domain) stream
 
 DOMAIN_BATCH = 0
 DOMAIN_INIT = 1
@@ -46,7 +47,7 @@ def stream(seed: int, domain: int, step: int = 0) -> np.random.Generator:
     """Fresh generator positioned at the (seed, domain, step) stream start. ``config.check_seed``
     checks the seed where it enters (numpy raises ``OverflowError`` past its 128 bits); the
     step is checked here, because step 2**64 would shift silently into the next domain."""
-    if not 0 <= step < 1 << 64:
+    if not 0 <= step < STEP_LIMIT:
         raise ValueError(f"stream step out of range: {step}")
     counter = (domain << 128) | (step << 64)
     return np.random.Generator(np.random.Philox(_Key(seed), counter=counter))

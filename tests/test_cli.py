@@ -714,6 +714,10 @@ class TestInvalidValues:
         ("spread", "inf"), ("radius_list", "0.0,nan"), ("step_size", "inf"),
         ("delta_prime", "inf"), ("seeds", "-1"), ("seeds", str(2 ** 128)), ("seeds", "1,1"),
         ("data_seed", "-2"), ("log_every", "61"),
+        # past one float64 array or the Philox steps of the noise stream
+        ("n_per_class", str(10 ** 19)), ("dim", str(10 ** 19)), ("num_classes", str(10 ** 19)),
+        ("hidden", f"8,{10 ** 19}"), ("noise_batches", str(10 ** 19)),
+        ("noise_batches", str(2 ** 64 + 5)),
     ])
     def test_is_one_config_error_before_any_directory_or_job(
             self, tmp_path, capsys, monkeypatch, command, field, value):
@@ -723,8 +727,9 @@ class TestInvalidValues:
         path.write_text(text.replace(line, f"{field} = {value}\n"))
 
         def never(*args, **kwargs):
-            raise AssertionError("trained despite a config error")
+            raise AssertionError("started work despite a config error")
 
+        monkeypatch.setattr(config, "synth_blobs", never)
         monkeypatch.setattr(training, "train_twin", never)
         extra = ["--rho", "0.1"] if command == "train" else []
         assert cli.main([command, "--config", str(path), *extra]) == 2
@@ -1460,6 +1465,21 @@ class TestFileErrors:
                 "attack": ["--checkpoint", str(ckpt), "--sweep-csv", target]}[command]
         err = self.assert_one_line(capsys, [command, "--config", str(path), *argv], 1, target)
         assert ".tmp" not in err, err
+        assert sorted(tmp_path.iterdir()) == sorted([path, ckpt])
+
+    @pytest.mark.parametrize("command", ["noise", "probe", "attack"])
+    @pytest.mark.parametrize("target", ["", ".", "/"])
+    def test_output_path_with_no_file_name_is_one_error_line(
+            self, tmp_path, capsys, monkeypatch, command, target):
+        _, path = tiny_config(tmp_path)
+        ckpt = tmp_path / "net.ckpt"
+        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), "relu", seed=1), ckpt)
+        monkeypatch.chdir(tmp_path)
+        argv = {"noise": ["--checkpoint", str(ckpt), "--out", target],
+                "probe": ["--erm-checkpoint", str(ckpt), "--adv-checkpoint", str(ckpt),
+                          "--rho", "0.1", "--taus", "4", "--repeats", "2", "--out", target],
+                "attack": ["--checkpoint", str(ckpt), "--sweep-csv", target]}[command]
+        self.assert_one_line(capsys, [command, "--config", str(path), *argv], 1, repr(target))
         assert sorted(tmp_path.iterdir()) == sorted([path, ckpt])
 
     def test_data_csv_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys):

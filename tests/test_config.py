@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from advlab import cli, config
@@ -29,16 +31,20 @@ class TestRoundTrip:
         assert config.load_config(p) == cfg
 
     @pytest.mark.parametrize("overrides", [
-        {"spread": 2}, {"lr_init": 1}, {"radius_list": (0, 0.1)}, {"radius_list": (-0.0, 0.1)}],
-        ids=["int_spread", "int_lr_init", "int_radius", "negative_zero_radius"])
+        {"spread": 2}, {"lr_init": 1}, {"radius_list": (0, 0.1)}, {"radius_list": (-0.0, 0.1)},
+        {"csv_header": 1}, {"seeds": [5, 6]}, {"hidden": [16]}, {"spread": np.float64(1.5)},
+        {"output_dir": Path("x")}, {"output_dir": "runs%1"}],
+        ids=["int_spread", "int_lr_init", "int_radius", "negative_zero_radius", "int_csv_header",
+             "list_seeds", "list_hidden", "numpy_spread", "path_output_dir", "percent_sign"])
     def test_a_config_built_in_python_is_its_round_trip(self, overrides):
-        # an int float field and a -0.0 radius are stored as the float their INI text reads as
+        # a value given in Python is stored as what its INI text reads as
         cfg = config.ExperimentConfig(**overrides)
         again = config.from_ini(config.to_ini(cfg))
+        assert again == cfg
         assert config.to_ini(cfg) == config.to_ini(again)
         assert config.config_digest(cfg) == config.config_digest(again)
         run_dirs = [cli.run_dir_for(c, c.radius_list[0], 1) for c in (cfg, again)]
-        assert run_dirs[0] == run_dirs[1] == Path("runs", "rho=0.0", "seed=1")
+        assert run_dirs[0] == run_dirs[1] == Path(again.output_dir, "rho=0.0", "seed=1")
 
     def test_empty_step_size_means_default(self):
         cfg = config.ExperimentConfig()
@@ -106,6 +112,12 @@ class TestValidation:
         cfg = config.from_ini("[DEFAULT]\n[train]\ntotal_iterations = 40\n")
         assert cfg == dataclasses.replace(config.ExperimentConfig(), total_iterations=40)
 
+    @pytest.mark.parametrize("name, value", [
+        ("total_iterations", 40.0), ("workers", True), ("hidden", (16.0,))])
+    def test_a_wrong_typed_python_value_is_a_bad_value(self, name, value):
+        with pytest.raises(config.ConfigError, match=f"^bad value for {name}: "):
+            config.ExperimentConfig(**{name: value})
+
     def test_bad_value_rejected(self):
         text = config.to_ini(config.ExperimentConfig()).replace(
             "total_iterations = 2000", "total_iterations = soon")
@@ -126,7 +138,6 @@ class TestDatasets:
         assert train.num_classes == 4
 
     def test_synthetic_deterministic(self):
-        import numpy as np
         cfg = dataclasses.replace(config.ExperimentConfig(), n_per_class=20, n_train=30,
                                   batch_size=30, noise_tau=30)
         a, _ = cfg.load_datasets()
@@ -190,6 +201,12 @@ class TestConfigDigest:
         # every default run's summary.json carries it, so it must not move
         assert config.config_digest(config.ExperimentConfig()) == (
             "ec13c82f3814ec524b2df67cc32f48e428c61041a332725d960079f3262772dc")
+
+    def test_default_ini_text_is_pinned(self):
+        # the fields' section order decides the file's bytes, so it must not move
+        text = config.to_ini(config.ExperimentConfig())
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "cfcd0f480c116045619cf8c0c6f7e5e3c896d5d4a745280b58ed87668482203c")
 
     def test_csv_source_digests_the_bytes_of_both_files(self, tmp_path):
         train, test = tmp_path / "train.csv", tmp_path / "test.csv"
