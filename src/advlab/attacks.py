@@ -35,13 +35,10 @@ def true_label_confidences(logits: np.ndarray, labels: np.ndarray) -> np.ndarray
 
 @dataclass(frozen=True)
 class AttackReport:
-    """Best threshold found by enumeration, with the full candidate sweep."""
+    """Best threshold found by enumeration, and the attack accuracy there."""
 
     zeta_optim: float
     accuracy: float
-    sweep: np.ndarray  # read-only (k, 2): rows of (zeta candidate, Acc(zeta)), zeta ascending
-    n_train: int
-    n_test: int
 
 
 def optimal_threshold(train_confs: np.ndarray, test_confs: np.ndarray) -> AttackReport:
@@ -55,9 +52,9 @@ def optimal_threshold(train_confs: np.ndarray, test_confs: np.ndarray) -> Attack
     All candidates are scored at once from sorted confidences:
     ``searchsorted(..., side="left")`` counts the values below each
     candidate. Each count divided by the vector length is bitwise the
-    boolean mean of Acc(zeta) at one threshold, so every sweep entry equals
-    the test oracle ``conftest.mia_accuracy`` at that candidate, in
-    O((n + m) log(n + m)).
+    boolean mean of Acc(zeta) at one threshold, so the accuracy at each
+    candidate, and with it the reported optimum, equals the test oracle
+    ``conftest.mia_accuracy`` there, in O((n + m) log(n + m)).
     """
     train_confs = np.asarray(train_confs, dtype=np.float64)
     test_confs = np.asarray(test_confs, dtype=np.float64)
@@ -68,8 +65,5 @@ def optimal_threshold(train_confs: np.ndarray, test_confs: np.ndarray) -> Attack
     at_least = train_confs.size - np.searchsorted(train_sorted, candidates, side="left")
     below = np.searchsorted(test_sorted, candidates, side="left")
     acc = 0.5 * (at_least / train_confs.size + below / test_confs.size)
-    sweep = np.column_stack((candidates, acc))
-    sweep.setflags(write=False)
     best = int(np.argmax(acc))  # the first maximum: candidates ascend
-    return AttackReport(zeta_optim=float(candidates[best]), accuracy=float(acc[best]),
-                        sweep=sweep, n_train=train_confs.size, n_test=test_confs.size)
+    return AttackReport(zeta_optim=float(candidates[best]), accuracy=float(acc[best]))

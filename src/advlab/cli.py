@@ -1,7 +1,8 @@
-"""Command-line front end: run one twin experiment, a radius sweep, or the
-standalone calculators. Every artifact is written whole, to a temporary file
-in its directory that ``os.replace`` then moves into place. A CSV cell holds
-an integer as ``str(int(v))`` and any other number as ``repr(float(v))``.
+"""Command-line front end: run one twin experiment or a radius sweep, merge a
+sweep, probe two checkpoints, or print a config. Every artifact is written
+whole, to a temporary file in its directory that ``os.replace`` then moves
+into place. A CSV cell holds an integer as ``str(int(v))`` and any other
+number as ``repr(float(v))``.
 
 Artifact layout for one run (everything except meta.json is byte-stable
 across reruns of the same config and seed; ``<r>`` and the summary's ``rho``
@@ -87,17 +88,16 @@ column). 1 also means a file that cannot be read (any ``OSError``: missing, a
 directory, no permission; ``report`` reads a CSV source's data files for the
 digest) or written (named by the path asked for, such as an ``--out`` in a
 missing directory or with no file name, as ``""``, ``.`` and ``/`` have, never
-by the temporary file), a malformed or non-UTF-8 data or ``--series`` CSV (a
-data CSV also by a non-finite feature such as ``nan``, ``inf`` or ``1e400``,
-named by file and line), a checkpoint given to
-``attack``, ``noise`` or ``probe`` that breaks the RPG1 format (a zero layer
+by the temporary file), a malformed or non-UTF-8 data CSV (also one with a
+non-finite feature such as ``nan``, ``inf`` or ``1e400``), named by file and
+line, a checkpoint given to ``probe`` that breaks the RPG1 format (a zero layer
 width among it, which no config builds) or holds a non-finite parameter, named
-by file, a diverged model (``attack``, ``noise`` or ``probe`` given a
-checkpoint whose confidences, gradient noise spread or max gradient norms are
-not finite, as a diverged run leaves, print the one ``error: non-finite <what>:
-the model has diverged`` line and write no table or histogram), ``probe``
-meeting a degenerate clean max gradient norm, or a ``MemoryError`` (an array
-too large for memory, such as a huge ``noise_batches``' pool, after training).
+by file, a diverged model (a checkpoint given to ``probe`` whose max gradient
+norms are not finite, as a diverged run leaves, prints the one ``error:
+non-finite <what>: the model has diverged`` line and writes no table),
+``probe`` meeting a degenerate clean max gradient norm, or a ``MemoryError``
+(an array too large for memory, such as a huge ``noise_batches``' pool, after
+training).
 2 configuration error, in one ``config error:`` line: a config file that is not
 UTF-8, does not parse, or has a section outside ``[data]``, ``[net]``,
 ``[train]``, ``[attack]``, ``[privacy]``, ``[bounds]`` and ``[sweep]`` or a key
@@ -107,23 +107,22 @@ under ``[DEFAULT]`` (checked before any directory or job), any value
 or a ``log_every`` above ``total_iterations``, under which no record would be
 logged, among them), train and test data of different feature widths, a blob
 matrix, net or noise pool past one float64 array or ``noise_batches`` past
-2**64 Philox steps (checked before the data is drawn), or a ``batch_size``,
+2**64 Philox steps (checked before the data is drawn), a ``batch_size``,
 ``delta_prime`` or noise field that does not fit the data
 (``ExperimentConfig.load_datasets`` checks these for every command that reads
-data: ``train``, ``sweep``, ``attack``, ``noise`` and ``probe``), or a
-``--rho`` or ``--seed`` that makes no valid run (``train`` and ``sweep`` exit
-before any directory or job; ``noise`` also checks its noise fields against the
-checkpoint's parameter count), a checkpoint given to ``attack``, ``noise`` or
-``probe`` whose input width differs from the data's or that has fewer outputs
-than the data has classes, ``probe`` batch sizes that are not integers in [1,
-training set size] (an empty ``--taus`` among them) or a ``--repeats`` below 1
-or past 2**64 Philox steps or one float64 array (checked before any gradient
-work), and invalid ``accountant`` and ``bounds`` arguments, among them a nan or
-infinite ``accountant`` statistic, a scalar-mode ``--iterations`` below 1 (it
-defaults to 1), ``--l-erm``, ``--intensity`` or ``--iterations`` given with
-``--series``, which takes its steps from the file, an empty ``--series`` (a
-header and no rows), a ``bounds --eps`` of nan, and a ``--loss-bound`` or
-``--c`` that is not positive and finite.
+data: ``train``, ``sweep`` and ``probe``), a ``--rho`` or ``--seed`` that
+makes no valid run (``train`` and ``sweep`` exit before any directory or job),
+a checkpoint given to ``probe`` whose input width differs from the data's or
+that has fewer outputs than the data has classes, or ``probe`` batch sizes that
+are not integers in [1, training set size] (an empty ``--taus`` among them) or
+a ``--repeats`` below 1 or past 2**64 Philox steps or one float64 array
+(checked before any gradient work).
+A command line that argparse rejects also exits 2, but prints a usage line and
+an ``advlab: error:`` line (``advlab <command>: error:`` for a command's known
+flags): no command or an unknown one (``attack``, ``noise``, ``accountant`` and
+``bounds`` among them; every run writes the attack, noise fit, budgets and
+bounds to summary.json), an unknown flag, a missing ``--config`` or another
+required flag, or a flag value of the wrong type such as a non-integer ``--seed``.
 """
 
 from __future__ import annotations
@@ -162,7 +161,7 @@ import numpy as np
 from . import __version__, analysis, attacks, bounds, intensity, nn, privacy, training
 from .config import (ConfigError, ExperimentConfig, check_seed, config_digest, load_config,
                      to_ini)
-from .data import CsvFormatError, LabeledSet, _csv_rows, write_atomic, write_csv
+from .data import CsvFormatError, LabeledSet, write_atomic, write_csv
 
 VERSIONS = {"advlab": __version__, "numpy": np.__version__,
             "python": platform.python_version()}
@@ -237,13 +236,12 @@ def _score(net: nn.DenseNet, train_set: LabeledSet, test_set: LabeledSet) -> tup
     return {"train_acc": train, "test_acc": test, "gen_gap": train - test}, scored
 
 
-def _mia(scored) -> tuple[attacks.AttackReport, dict]:
+def _mia(scored) -> dict:
     """The threshold attack on the true-label confidences of :func:`_score`'s
-    pairs: (its report, the ``{zeta_optim, accuracy}`` record)."""
+    pairs: its ``{zeta_optim, accuracy}`` record."""
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged model overflows
         confs = [attacks.true_label_confidences(*pair) for pair in scored]
-    report = attacks.optimal_threshold(*confs)
-    return report, {"zeta_optim": report.zeta_optim, "accuracy": report.accuracy}
+    return dataclasses.asdict(attacks.optimal_threshold(*confs))
 
 
 def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
@@ -312,7 +310,7 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
         for gamma in cfg.gamma_list]
 
     with _stage(stages, "mia"):
-        _, summary["mia"] = _mia(adv_scored)
+        summary["mia"] = _mia(adv_scored)
 
     with _stage(stages, "adv_eval"):
         summary["adv_accuracy"] = analysis.adversarial_accuracy(
@@ -525,53 +523,6 @@ def _cmd_report(args) -> int:
     return 1 if failures else 0
 
 
-def _read_series_csv(path) -> tuple[list[float], list[float]]:
-    l_erm, intens = [], []
-    for lineno, (l, i) in _csv_rows(path, header="l_erm,intensity", width=2):
-        try:
-            l_erm.append(float(l))
-            intens.append(float(i))
-        except ValueError:
-            raise CsvFormatError(f"{path}: line {lineno}: non-numeric value") from None
-    return l_erm, intens
-
-
-def _cmd_accountant(args) -> int:
-    per_entry = 1 if args.iterations is None else args.iterations
-    if args.series is not None:
-        scalar = [flag for flag, v in (("--l-erm", args.l_erm), ("--intensity", args.intensity),
-                                       ("--iterations", args.iterations)) if v is not None]
-        if scalar:
-            raise ConfigError(f"--series takes no scalar-mode {', '.join(scalar)}")
-        l_erm, intens = _read_series_csv(args.series)
-    else:
-        if args.l_erm is None or args.intensity is None:
-            raise ConfigError("scalar mode needs --l-erm and --intensity")
-        if per_entry < 1:
-            raise ConfigError("--iterations must be >= 1")
-        l_erm, intens = [args.l_erm], [args.intensity]  # one entry for every step
-    try:
-        _, budgets = privacy.budgets(l_erm, intens, per_entry * len(l_erm), args.n, args.b,
-                                     args.delta_prime, per_entry)
-    except ValueError as exc:  # invalid calculator arguments
-        raise ConfigError(str(exc)) from None
-    print(json.dumps({k: dataclasses.asdict(b) for k, b in budgets.items()},
-                     sort_keys=True, indent=2))
-    return 0
-
-
-def _cmd_bounds(args) -> int:
-    try:
-        rep = bounds.bound_report(args.eps, args.delta, args.loss_bound, args.n,
-                                  args.gamma, args.c)
-    except ValueError as exc:  # invalid calculator arguments
-        raise ConfigError(str(exc)) from None
-    print(json.dumps(rep | {"inputs": {
-        "eps": args.eps, "delta": args.delta, "m": args.loss_bound, "n": args.n,
-        "gamma": args.gamma, "c": args.c}}, sort_keys=True, indent=2))
-    return 0
-
-
 def _load_checkpoint_for(path, data: LabeledSet) -> nn.DenseNet:
     """The checkpoint at ``path``; a config error unless it reads the data's
     features and scores every one of its classes."""
@@ -580,30 +531,6 @@ def _load_checkpoint_for(path, data: LabeledSet) -> nn.DenseNet:
         raise ConfigError(f"{path}: a {'-'.join(map(str, net.layer_widths))} net does not fit "
                           f"data with {data.dim} features and {data.num_classes} classes")
     return net
-
-
-def _cmd_attack(args) -> int:
-    cfg = load_config(args.config)
-    train_set, test_set = cfg.load_datasets()
-    _, scored = _score(_load_checkpoint_for(args.checkpoint, train_set), train_set, test_set)
-    report, mia = _mia(scored)
-    if args.sweep_csv is not None:
-        write_csv(args.sweep_csv, ("zeta", "accuracy"), report.sweep)
-    print(json.dumps(mia | {"n_train": report.n_train, "n_test": report.n_test},
-                     sort_keys=True, indent=2))
-    return 0
-
-
-def _cmd_noise(args) -> int:
-    cfg = load_config(args.config)
-    check_seed("--seed", args.seed)
-    train_set, _ = cfg.load_datasets()
-    net = _load_checkpoint_for(args.checkpoint, train_set)
-    cfg.check_noise_for(len(train_set), net.num_params)
-    values, noise = _noise(cfg, net, train_set, args.seed)
-    _write_histogram_csv(args.out, values)
-    print(json.dumps(noise | {"histogram": args.out}, sort_keys=True, indent=2))
-    return 0
 
 
 def _cmd_probe(args) -> int:
@@ -657,39 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "whose summary.json is missing, stale or unreadable fails")
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("accountant", help="standalone privacy-budget calculator")
-    p.add_argument("--series", default=None, help="CSV with header l_erm,intensity")
-    p.add_argument("--l-erm", type=float, default=None, dest="l_erm")
-    p.add_argument("--intensity", type=float, default=None)
-    p.add_argument("--iterations", type=int, default=None, help="scalar mode only (default 1)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--delta-prime", type=float, required=True, dest="delta_prime")
-    p.set_defaults(func=_cmd_accountant)
-
-    p = sub.add_parser("bounds", help="stability and generalization bounds")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--loss-bound", type=float, default=ExperimentConfig.loss_bound,
-                   dest="loss_bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gamma", type=float, default=ExperimentConfig.gamma_list[0])
-    p.add_argument("--c", type=float, default=ExperimentConfig.constant_c)
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("attack", help="membership inference against a checkpoint")
-    p.add_argument("--config", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--sweep-csv", default=None, dest="sweep_csv")
-    p.set_defaults(func=_cmd_attack)
-
-    p = sub.add_parser("noise", help="gradient-noise histogram and Laplace fit")
-    p.add_argument("--config", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", default="noise_hist.csv")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_noise)
 
     p = sub.add_parser("probe", help="batch-size consistency probe")
     p.add_argument("--config", required=True)

@@ -170,31 +170,26 @@ class ExperimentConfig:
                 raise ConfigError(f"n_per_class * num_classes * dim must be <= {ENTRY_LIMIT}")
         if self.batch_size > n:
             raise ConfigError(f"batch_size must be <= {n}, the training set size")
-        self.check_noise_for(n, param_count((dim, *self.hidden, classes)))
-        if self.source == "csv":
-            return (LabeledSet(train.features, train.labels, classes),
-                    LabeledSet(test.features, test.labels, classes))
-        pool = synth_blobs(self.n_per_class, classes, dim, self.spread, self.data_seed)
-        return split(pool, n, self.data_seed)
-
-    def check_noise_for(self, n_train: int, params: int) -> None:
-        """Fit the privacy fields to an ``n_train``-row training set and the
-        ``params`` parameters of the net the noise is collected on. The net and the
-        noise pool must each fit in one float64 array (``ENTRY_LIMIT`` entries)."""
-        if params > ENTRY_LIMIT:
+        params = param_count((dim, *self.hidden, classes))
+        if params > ENTRY_LIMIT:  # the net, like the noise pool below, is one float64 array
             raise ConfigError(f"hidden widths give {params} parameters, more than {ENTRY_LIMIT}")
         try:
-            check_delta_prime(self.delta_prime, n_train)
+            check_delta_prime(self.delta_prime, n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if not 1 <= self.noise_tau <= n_train:
-            raise ConfigError(f"noise_tau must lie in [1, {n_train}], the training set size")
+        if not 1 <= self.noise_tau <= n:
+            raise ConfigError(f"noise_tau must lie in [1, {n}], the training set size")
         if not 1 <= self.noise_components <= params:
             raise ConfigError(f"noise_components must lie in [1, {params}], the parameter count")
         if self.noise_batches > STEP_LIMIT:
             raise ConfigError(f"noise_batches must be <= {STEP_LIMIT}, a Philox stream's steps")
         if self.noise_batches * self.noise_components > ENTRY_LIMIT:
             raise ConfigError(f"noise_batches * noise_components must be <= {ENTRY_LIMIT}")
+        if self.source == "csv":
+            return (LabeledSet(train.features, train.labels, classes),
+                    LabeledSet(test.features, test.labels, classes))
+        pool = synth_blobs(self.n_per_class, classes, dim, self.spread, self.data_seed)
+        return split(pool, n, self.data_seed)
 
 
 # each field's INI section, and the sections in file order

@@ -106,21 +106,19 @@ class BatchSchedule:
         return rng.permutation(n)[: self.batch_size]
 
 
-def _csv_rows(path, header: bool | str = False, width: int | None = None):
+def _csv_rows(path, header: bool):
     """(1-based line number, cells) of each non-blank line of a CSV file.
 
-    ``header=True`` skips line 1; a string also requires line 1 to equal it.
-    Every row has ``width`` cells, or as many as the first row when ``width``
-    is None. Errors are ``CsvFormatError``s naming the file and the line.
+    ``header=True`` skips line 1. Every row has as many cells as the first.
+    Errors are ``CsvFormatError``s naming the file and the line.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path}: not UTF-8 text: {exc}") from None
-    if isinstance(header, str) and (not lines or lines[0].strip() != header):
-        raise CsvFormatError(f"{path}: line 1: expected header {header!r}")
     start = 1 if header else 0
+    width = None
     for lineno, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             continue

@@ -80,8 +80,8 @@ Divergence
 and :class:`DivergenceError` its one error. The ``DenseNet`` constructor
 checks every net's parameters with it, so an SGD update that overflows (or
 takes a non-finite gradient) is the run's one ``DivergenceError``; training
-also checks each logged statistic, and the commands a checkpoint's max
-gradient norms, gradient noise spread and confidences. The input gates
+also checks each logged statistic, a run its gradient noise spread and
+confidences, and ``probe`` a checkpoint's max gradient norms. The input gates
 (config, data) reject non-finite input instead, and a checkpoint's loader
 turns the constructor's error into a format error that names the file.
 """

@@ -21,9 +21,8 @@ The leading-term budget replaces the per-step series by its fourth-power
 composites: eps = (2 * L_1T * I_1T / (N * b)) * sqrt(2 T ln(N / delta')),
 dropping an O(1/N^2) remainder; the ERM baseline is the same with
 intensity 1. Logs are natural throughout. :func:`budgets` is the one place
-that turns an (L_erm, I) series into these budgets, for a training run and
-for the ``accountant`` calculator alike; :func:`compose` is its composition
-step, and checks each input once (see its docstring).
+that turns a run's (L_erm, I) series into these budgets; :func:`compose` is
+its composition step, and checks each input once (see its docstring).
 """
 
 from __future__ import annotations
@@ -143,32 +142,30 @@ def check_delta_prime(delta_prime: float, n: int) -> None:
         raise ValueError(f"delta_prime must lie in (0, {n}), N the training set size")
 
 
-def compose(eps_list, delta_prime: float, n: int, steps_per_entry: int = 1) -> PrivacyBudget:
-    """Exact composition of per-step budgets into a whole-run (eps, delta). Each
-    entry of ``eps_list`` stands for ``steps_per_entry`` steps: 1 in a run, T for
-    the ``accountant``'s constant series, so that series is never materialized."""
+def compose(eps_list, delta_prime: float, n: int) -> PrivacyBudget:
+    """Exact composition of per-step budgets, one per entry of ``eps_list``,
+    into a whole-run (eps, delta)."""
     check_delta_prime(delta_prime, n)
     eps = np.asarray(list(eps_list), dtype=np.float64)
     if eps.size and eps.min() < 0:
         raise ValueError("per-step epsilons must be nonnegative")
     log_term = math.log(n / delta_prime)
-    sq = math.sqrt(2.0 * log_term * steps_per_entry * float(np.sum(eps ** 2)))
+    sq = math.sqrt(2.0 * log_term * float(np.sum(eps ** 2)))
     # (e^eps - 1) / (e^eps + 1) written as tanh(eps / 2), which cannot overflow
-    second = steps_per_entry * float(np.sum(eps * np.tanh(eps / 2.0)))
+    second = float(np.sum(eps * np.tanh(eps / 2.0)))
     return PrivacyBudget(
         epsilon=sq + second,
         delta=delta_prime / n,
         provenance="composed_thm4",
-        inputs={"n": n, "delta_prime": delta_prime, "steps": steps_per_entry * int(eps.size)},
+        inputs={"n": n, "delta_prime": delta_prime, "steps": int(eps.size)},
     )
 
 
-def budgets(l_erm, intensity, t: int, n: int, b: float, delta_prime: float,
-            steps_per_entry: int = 1):
+def budgets(l_erm, intensity, t: int, n: int, b: float, delta_prime: float):
     """Per-step epsilons and the three budgets of one nonempty (L_erm, I) series.
 
     Returns ``(eps_per_step, budgets)``, with ``budgets`` keyed by
-    provenance. ``composed_thm4`` composes ``steps_per_entry`` steps per entry; the leading and
+    provenance. ``composed_thm4`` composes one step per entry; the leading and
     ERM budgets take the series' fourth-power composites (in their
     ``inputs`` as ``l_erm_1t`` and ``i_1t``; ``i_1t`` is 1 for ERM) over
     ``t`` steps. Each input is checked once: N, b, the series and T here,
@@ -186,7 +183,7 @@ def budgets(l_erm, intensity, t: int, n: int, b: float, delta_prime: float,
         raise ValueError("the (L_erm, I) series is empty: no step to account")
     if t < 1:
         raise ValueError("T must be >= 1")
-    out = {"composed_thm4": compose(eps, delta_prime, n, steps_per_entry)}
+    out = {"composed_thm4": compose(eps, delta_prime, n)}
     l_1t = composite_intensity(l_erm)
     root = math.sqrt(2.0 * t * math.log(n / delta_prime))
     for name, i_1t in (("leading_thm5", composite_intensity(intensity)),

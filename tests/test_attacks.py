@@ -19,6 +19,15 @@ def brute_force_best(train_confs, test_confs, grid_points=10_000):
     return float(grid[k]), float(accs[k])
 
 
+def enumerated_best(train_confs, test_confs):
+    """(zeta, Acc) at the first of the best candidates, scored one by one with
+    ``mia_accuracy``: every observed confidence plus the sentinels 0 and 1 + 1e-12."""
+    candidates = sorted({*train_confs.tolist(), *test_confs.tolist(), 0.0, 1.0 + 1e-12})
+    accs = [mia_accuracy(train_confs, test_confs, z) for z in candidates]
+    best = accs.index(max(accs))  # ties go to the smallest zeta
+    return candidates[best], accs[best]
+
+
 def scored(net, ds):
     """The (logits, labels) pair that ``attacks.accuracy`` and ``true_label_confidences`` read."""
     return nn.forward(net, ds.features), ds.labels
@@ -105,15 +114,12 @@ class TestOptimalThreshold:
         assert rep.accuracy == 0.5
         assert rep.zeta_optim == 0.0  # the low sentinel, smallest tied candidate
 
-    def test_sweep_is_a_read_only_array_and_ties_go_to_the_smallest_zeta(self):
+    def test_ties_go_to_the_smallest_zeta(self):
         # Acc is 0.75 at both 0.3 and 0.9
-        rep = attacks.optimal_threshold(np.array([0.9, 0.3]), np.array([0.5, 0.1]))
-        assert rep.zeta_optim == 0.3 and rep.accuracy == 0.75
+        train, test = np.array([0.9, 0.3]), np.array([0.5, 0.1])
+        rep = attacks.optimal_threshold(train, test)
+        assert (rep.zeta_optim, rep.accuracy) == enumerated_best(train, test) == (0.3, 0.75)
         assert type(rep.zeta_optim) is float and type(rep.accuracy) is float
-        assert rep.sweep.shape == (6, 2) and rep.sweep.dtype == np.float64
-        assert not rep.sweep.flags.writeable
-        assert (np.diff(rep.sweep[:, 0]) > 0).all()
-        assert rep.sweep[:, 1].tolist() == [0.5, 0.5, 0.75, 0.5, 0.75, 0.5]
 
     def test_never_beaten_by_random_probes(self):
         rng = np.random.default_rng(8)
@@ -153,21 +159,24 @@ class TestOptimalThreshold:
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(CONFS, min_size=1, max_size=30), st.lists(CONFS, min_size=1, max_size=30))
-    def test_sweep_entries_equal_mia_accuracy_exactly(self, train, test):
+    def test_optimum_equals_the_mia_accuracy_enumeration_exactly(self, train, test):
         train, test = np.array(train), np.array(test)
         if not np.isfinite(np.concatenate([train, test])).all():
             with pytest.raises(nn.DivergenceError, match="^non-finite confidences: "):
                 attacks.optimal_threshold(train, test)
             return
         rep = attacks.optimal_threshold(train, test)
-        for zeta, acc in rep.sweep:
-            assert acc == mia_accuracy(train, test, zeta)
+        assert (rep.zeta_optim, rep.accuracy) == enumerated_best(train, test)
 
-    def test_sweep_is_recorded(self):
-        rep = attacks.optimal_threshold(np.array([0.8]), np.array([0.3]))
-        zetas = [z for z, _ in rep.sweep]
-        assert 0.0 in zetas and 1.0 + 1e-12 in zetas
-        assert rep.accuracy == max(a for _, a in rep.sweep)
+    @pytest.mark.parametrize("train, test, best", [
+        ([0.8], [0.3], (0.8, 1.0)),  # an observed confidence
+        ([0.3], [0.8], (0.0, 0.5)),  # the low sentinel
+        ([2.0], [1.0], (1.0 + 1e-12, 1.0)),  # the high sentinel
+    ])
+    def test_optimum_is_the_enumerated_best(self, train, test, best):
+        train, test = np.array(train), np.array(test)
+        rep = attacks.optimal_threshold(train, test)
+        assert (rep.zeta_optim, rep.accuracy) == enumerated_best(train, test) == best
 
 
 class TestGeneralizationGap:

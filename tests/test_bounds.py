@@ -39,6 +39,10 @@ class TestStabilityBeta:
             bounds.stability_beta(0.1, 1.5, 1.0)
         with pytest.raises(ValueError):
             bounds.stability_beta(0.1, 0.5, 0.0)
+        with pytest.raises(ValueError, match="epsilon"):
+            bounds.stability_beta(math.nan, 0.1, 1.0)
+        with pytest.raises(ValueError, match="loss bound M"):
+            bounds.stability_beta(1.0, 0.0, math.inf)
 
 
 class TestOnAverageBound:
@@ -63,6 +67,11 @@ class TestHighProbBound:
     def test_c_scales_linearly(self):
         one = bounds.high_prob_bound(0.02, 500, 0.1, 1.0)
         assert bounds.high_prob_bound(0.02, 500, 0.1, 3.0) == pytest.approx(3 * one, rel=1e-15)
+
+    @pytest.mark.parametrize("c", [0.0, math.inf, math.nan])
+    def test_c_domain(self, c):
+        with pytest.raises(ValueError, match="c must"):
+            bounds.high_prob_bound(0.1, 100, 0.1, c)
 
     def test_gamma_domain(self):
         for g in (0.0, 1.0, -0.5, 2.0):
@@ -106,3 +115,18 @@ class TestBoundReport:
             10.0 * bounds.high_prob_bound(rep["beta"] / 10.0, 2000, 0.05, 1.0), rel=1e-15)
         # c defaults to 1
         assert bounds.bound_report(eps=0.4, delta=1e-3, m=10.0, n=2000, gamma=0.05) == rep
+
+    def test_infinite_eps_gives_beta_m(self):
+        assert bounds.bound_report(math.inf, 0.1, 3.0, 100, 0.05)["beta"] == 3.0
+
+    @pytest.mark.parametrize("kwargs, words", [
+        (dict(eps=math.nan), "epsilon"),
+        (dict(m=math.inf), "loss bound M"),
+        (dict(gamma=2.0), "gamma"),
+        (dict(c=math.inf), "c must"),
+        (dict(n=1), "N must"),
+    ], ids=["nan-eps", "inf-loss-bound", "gamma-2", "inf-c", "one-example"])
+    def test_invalid_argument_is_rejected(self, kwargs, words):
+        args = dict(eps=1.0, delta=0.0, m=10.0, n=100, gamma=0.05, c=1.0) | kwargs
+        with pytest.raises(ValueError, match=words):
+            bounds.bound_report(**args)

@@ -15,12 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from advlab import analysis, attacks, cli, config, data, intensity, nn, privacy, rng, training
+from advlab import analysis, attacks, bounds, cli, config, data, intensity, nn, privacy, rng, training
 from conftest import write_dataset_csv
-
-# frozen oracle value shared with test_privacy: compose([0.1], N/delta'=100)
-COMPOSE_HAND = 0.30848126337324882
-
 
 def tiny_config(tmp_path, **overrides):
     base = dict(
@@ -93,6 +89,13 @@ def clips_passed(monkeypatch, module, name) -> list:
 
     monkeypatch.setattr(module, name, spy)
     return seen
+
+
+def probe_argv(path, ckpt, out):
+    """``probe`` under the config at ``path``, with ``ckpt`` as both models,
+    writing its table to ``out``."""
+    return ["probe", "--config", str(path), "--erm-checkpoint", str(ckpt),
+            "--adv-checkpoint", str(ckpt), "--rho", "0.1", "--repeats", "2", "--out", str(out)]
 
 
 def kill_the_adversary(monkeypatch):
@@ -679,7 +682,7 @@ class TestCsvCells:
 
 
 class TestNoiseFields:
-    @pytest.mark.parametrize("command", ["train", "sweep", "noise"])
+    @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize("field, value", [
         ("noise_tau", 61),  # n_train + 1
         ("noise_components", 68),  # the 4-8-3 net has 67 parameters
@@ -688,19 +691,16 @@ class TestNoiseFields:
     def test_outside_the_data_is_config_error_before_training(
             self, tmp_path, capsys, monkeypatch, command, field, value):
         cfg, path = tiny_config(tmp_path, **{field: value})
-        ckpt = tmp_path / "erm.ckpt"
-        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), "relu", seed=1), ckpt)
 
         def never(*args, **kwargs):
             raise AssertionError("trained despite a config error")
 
         monkeypatch.setattr(training, "train_twin", never)
-        extra = ["--checkpoint", str(ckpt), "--out", str(tmp_path / "nh.csv")] if command == "noise" else []
-        assert cli.main([command, "--config", str(path), *extra]) == 2
+        assert cli.main([command, "--config", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1 and err.startswith("config error: ")
         assert field in err
-        assert not Path(cfg.output_dir).exists() and not (tmp_path / "nh.csv").exists()
+        assert not Path(cfg.output_dir).exists()
 
 
 class TestInvalidValues:
@@ -713,7 +713,7 @@ class TestInvalidValues:
         ("lr_init", "nan"), ("weight_decay", "nan"), ("lr_decay", "nan"), ("momentum", "inf"),
         ("spread", "inf"), ("radius_list", "0.0,nan"), ("step_size", "inf"),
         ("delta_prime", "inf"), ("seeds", "-1"), ("seeds", str(2 ** 128)), ("seeds", "1,1"),
-        ("data_seed", "-2"), ("log_every", "61"),
+        ("data_seed", "-2"), ("log_every", "61"), ("loss_bound", "inf"), ("constant_c", "inf"),
         # past one float64 array or the Philox steps of the noise stream
         ("n_per_class", str(10 ** 19)), ("dim", str(10 ** 19)), ("num_classes", str(10 ** 19)),
         ("hidden", f"8,{10 ** 19}"), ("noise_batches", str(10 ** 19)),
@@ -762,10 +762,9 @@ class TestInvalidValues:
         (["train", "--rho", "nan"], ["radius", "nan"]),
         (["train", "--rho", "inf"], ["radius", "inf"]),
         (["train", "--rho", "0.1", "--seed", "-1"], ["seed", "-1"]),
-        (["noise", "--checkpoint", "{ckpt}", "--out", "{out}", "--seed", "-1"], ["--seed"]),
         (["probe", "--erm-checkpoint", "{ckpt}", "--adv-checkpoint", "{ckpt}", "--rho", "0.1",
           "--out", "{out}", "--seed", "-1"], ["--seed"]),
-    ], ids=["train-rho-nan", "train-rho-inf", "train-seed", "noise-seed", "probe-seed"])
+    ], ids=["train-rho-nan", "train-rho-inf", "train-seed", "probe-seed"])
     def test_bad_rho_or_seed_flag_is_one_config_error_before_any_work(
             self, tmp_path, capsys, monkeypatch, argv, words):
         cfg, path = tiny_config(tmp_path)
@@ -787,14 +786,6 @@ class TestInvalidValues:
 
 
 class TestCheckpointCommands:
-    @staticmethod
-    def checkpoint_argv(command, ckpt, tmp_path):
-        """``command``'s flags that read ``ckpt`` and write into ``tmp_path``."""
-        return {"attack": ["--checkpoint", str(ckpt)],
-                "noise": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "nh.csv")],
-                "probe": ["--erm-checkpoint", str(ckpt), "--adv-checkpoint", str(ckpt),
-                          "--rho", "0.1", "--out", str(tmp_path / "probe.csv")]}[command]
-
     def assert_config_error(self, capsys, argv, *words):
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
@@ -826,36 +817,19 @@ class TestCheckpointCommands:
             "--adv-checkpoint", str(ckpt), "--rho", "0.1", "--out", str(out), *flags], *words)
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["attack", "noise", "probe"])
     @pytest.mark.parametrize("widths", [(5, 8, 3), (4, 8, 2)],  # data: 4 features, 3 classes
                              ids=["wide_input", "few_outputs"])
     def test_checkpoint_that_does_not_fit_the_data_is_config_error(
-            self, tmp_path, capsys, command, widths):
+            self, tmp_path, capsys, widths):
         _, path = tiny_config(tmp_path)
         ckpt = tmp_path / "net.ckpt"
         training.save_checkpoint(nn.DenseNet.random(widths, "relu", seed=1), ckpt)
-        argv = self.checkpoint_argv(command, ckpt, tmp_path)
-        self.assert_config_error(capsys, [command, "--config", str(path), *argv],
+        self.assert_config_error(capsys, probe_argv(path, ckpt, tmp_path / "probe.csv"),
                                  str(ckpt), "-".join(map(str, widths)))
         assert sorted(tmp_path.iterdir()) == sorted([path, ckpt])
 
-    def test_noise_components_are_checked_against_the_checkpoint(self, tmp_path, capsys):
-        # the config's 4-8-3 net has 67 parameters
-        _, path = tiny_config(tmp_path, noise_components=30)
-        small, large = tmp_path / "small.ckpt", tmp_path / "large.ckpt"
-        training.save_checkpoint(nn.DenseNet.random((4, 3, 3), "relu", seed=1), small)  # 27
-        training.save_checkpoint(nn.DenseNet.random((4, 16, 3), "relu", seed=1), large)  # 131
-        self.assert_config_error(capsys, ["noise", "--config", str(path), "--checkpoint",
-                                          str(small), "--out", str(tmp_path / "nh.csv")],
-                                 "noise_components", "27")
-        _, path = tiny_config(tmp_path, hidden=(16,), noise_components=131)  # 4-16-3 as well
-        assert cli.main(["noise", "--config", str(path), "--checkpoint", str(large),
-                         "--out", str(tmp_path / "nh.csv")]) == 0
-        assert json.loads(capsys.readouterr().out)["count"] == 20 * 131
-
-    @pytest.mark.parametrize("command", ["attack", "noise", "probe"])
     def test_checkpoint_with_a_non_finite_parameter_is_one_line_error_exit_1(
-            self, tmp_path, capsys, command):
+            self, tmp_path, capsys):
         _, path = tiny_config(tmp_path)
         ckpt = tmp_path / "net.ckpt"
         net = nn.DenseNet.random((4, 8, 3), "relu", seed=1)
@@ -864,23 +838,19 @@ class TestCheckpointCommands:
         first = len(blob) - 8 * net.num_params  # the first payload double
         blob[first:first + 8] = np.array([np.nan], dtype="<f8").tobytes()
         ckpt.write_bytes(bytes(blob))
-        argv = self.checkpoint_argv(command, ckpt, tmp_path)
-        assert cli.main([command, "--config", str(path), *argv]) == 1
+        assert cli.main(probe_argv(path, ckpt, tmp_path / "probe.csv")) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1 and err.startswith("error: "), err
         assert str(ckpt) in err and "non-finite" in err, err
         assert sorted(tmp_path.iterdir()) == sorted([path, ckpt])
 
-    @pytest.mark.parametrize("command", ["attack", "noise", "probe"])
-    def test_checkpoint_with_a_zero_width_is_one_line_error_exit_1(
-            self, tmp_path, capsys, command):
+    def test_checkpoint_with_a_zero_width_is_one_line_error_exit_1(self, tmp_path, capsys):
         # no config builds a 4-0-3 net, whose 3 parameters are the output biases
         _, path = tiny_config(tmp_path)
         ckpt = tmp_path / "net.ckpt"
         ckpt.write_bytes(training.CHECKPOINT_MAGIC + struct.pack("<BI3I", 0, 2, 4, 0, 3)
                          + np.zeros(3).astype("<f8").tobytes())
-        argv = self.checkpoint_argv(command, ckpt, tmp_path)
-        assert cli.main([command, "--config", str(path), *argv]) == 1
+        assert cli.main(probe_argv(path, ckpt, tmp_path / "probe.csv")) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1 and err.startswith("error: "), err
         assert str(ckpt) in err and "4-0-3" in err, err
@@ -890,221 +860,17 @@ class TestCheckpointCommands:
         _, path = tiny_config(tmp_path)
         ckpt = tmp_path / "net.ckpt"
         training.save_checkpoint(nn.DenseNet.random((4, 8, 5), "relu", seed=1), ckpt)
-        assert cli.main(["attack", "--config", str(path), "--checkpoint", str(ckpt)]) == 0
+        assert cli.main(probe_argv(path, ckpt, tmp_path / "probe.csv")) == 0
 
-
-class TestAccountantCommand:
-    def test_scalar_mode_reproduces_hand_example(self, capsys):
-        # eps_1 = 2*0.5*1/(10*1) = 0.1 and N/delta' = 100
-        rc = cli.main(["accountant", "--l-erm", "0.5", "--intensity", "1.0",
-                       "--n", "10", "--b", "1.0", "--delta-prime", "0.1"])
-        assert rc == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["composed_thm4"]["epsilon"] == pytest.approx(COMPOSE_HAND, abs=1e-12)
-
-    @pytest.mark.parametrize("steps", [1, 2000])
-    def test_scalar_mode_composed_is_leading_plus_second_order_sum(self, steps, capsys):
-        # constant (L, I): composed_thm4 = leading_thm5 + T * eps * expm1(eps) / (e^eps + 1)
-        l_erm, inten, n, b = 0.7, 3.0, 500, 0.25
-        assert cli.main(["accountant", "--l-erm", str(l_erm), "--intensity", str(inten),
-                         "--iterations", str(steps), "--n", str(n), "--b", str(b),
-                         "--delta-prime", "0.5"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        eps = 2 * l_erm * inten / (n * b)
-        second = steps * eps * math.expm1(eps) / (math.exp(eps) + 1)
-        assert out["composed_thm4"]["inputs"]["steps"] == steps
-        assert out["leading_thm5"]["inputs"]["t"] == steps
-        assert out["composed_thm4"]["epsilon"] == pytest.approx(
-            out["leading_thm5"]["epsilon"] + second, rel=1e-12)
-
-    def test_scalar_mode_composes_a_trillion_steps(self, capsys):
-        steps = 1_000_000_000_000  # a list of this many steps would not fit in memory
-        assert cli.main(["accountant", "--l-erm", "0.5", "--intensity", "1.0",
-                         "--iterations", str(steps), "--n", "100", "--b", "0.1",
-                         "--delta-prime", "1.0"]) == 0
-        out = json.loads(capsys.readouterr().out, parse_constant=lambda c: pytest.fail(c))
-        assert out["composed_thm4"]["inputs"]["steps"] == steps
-        assert out["leading_thm5"]["inputs"]["t"] == steps
-        assert all(math.isfinite(out[k]["epsilon"]) for k in out)
-
-    def test_run_ledger_as_series_reproduces_the_run_composed_budget(self, tmp_path, capsys):
-        cfg, path = tiny_config(tmp_path)
-        assert cli.main(["train", "--config", str(path), "--rho", "0.15", "--seed", "1"]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        lines = (cli.run_dir_for(cfg, 0.15, 1) / "ledger.csv").read_text().splitlines()
-        columns = lines[0].split(",")
-        rows = [dict(zip(columns, line.split(","))) for line in lines[1:]]
-        series = tmp_path / "series.csv"
-        series.write_text("l_erm,intensity\n" + "".join(
-            f"{r['l_erm']},{r['intensity']}\n" for r in rows if r["degenerate"] == "0"))
-        assert cli.main(["accountant", "--series", str(series), "--n", str(summary["n_train"]),
-                         "--b", repr(summary["noise"]["b"]),
-                         "--delta-prime", repr(cfg.delta_prime)]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["composed_thm4"]["epsilon"] == summary["budgets"]["composed_thm4"]["epsilon"]
-
-    def test_series_csv_mode(self, tmp_path, capsys):
-        p = tmp_path / "series.csv"
-        p.write_text("l_erm,intensity\n1.0,2.0\n1.0,2.0\n")
-        rc = cli.main(["accountant", "--series", str(p), "--n", "1000", "--b", "0.1",
-                       "--delta-prime", "1.0"])
-        assert rc == 0
-        out = json.loads(capsys.readouterr().out)
-        # constant series: leading epsilon = 2*1*2/(1000*0.1)*sqrt(2*2*ln 1000)
-        want = (2 * 1 * 2 / (1000 * 0.1)) * np.sqrt(2 * 2 * np.log(1000))
-        assert out["leading_thm5"]["epsilon"] == pytest.approx(want, rel=1e-12)
-
-    def test_empty_series_is_config_error_and_one_row_has_three_budgets(self, tmp_path, capsys):
-        p = tmp_path / "series.csv"
-        argv = ["accountant", "--series", str(p), "--n", "100", "--b", "0.1",
-                "--delta-prime", "1.0"]
-        p.write_text("l_erm,intensity\n")
-        assert cli.main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("config error:")
-        p.write_text("l_erm,intensity\n0.5,1.0\n")
-        assert cli.main(argv) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert set(out) == {"composed_thm4", "leading_thm5", "erm_corollary"}
-        assert all(out[k]["epsilon"] > 0 for k in out)
-
-    def test_malformed_series_nonzero_exit(self, tmp_path, capsys):
-        p = tmp_path / "series.csv"
-        p.write_text("l_erm,intensity\noops\n")
-        assert cli.main(["accountant", "--series", str(p), "--n", "100", "--b", "0.1",
-                         "--delta-prime", "1.0"]) == 1
-        assert "line 2" in capsys.readouterr().err
-
-
-class TestCalculatorCommands:
-    def test_bounds_command(self, capsys):
-        rc = cli.main(["bounds", "--eps", "0.1", "--delta", "0.01",
-                       "--loss-bound", "1.0", "--n", "1000", "--gamma", "0.05"])
-        assert rc == 0
-        out = json.loads(capsys.readouterr().out)
-        assert set(out) == {"beta", "high_prob_bound", "inputs"}
-        assert out["inputs"]["c"] == 1.0
-
-    def test_bounds_defaults_are_the_config_defaults(self, capsys):
-        cfg = config.ExperimentConfig()
-        assert cli.main(["bounds", "--eps", "0.1", "--delta", "0.01", "--n", "1000"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert cli.main(["bounds", "--eps", "0.1", "--delta", "0.01", "--n", "1000",
-                         "--loss-bound", repr(cfg.loss_bound), "--gamma", repr(cfg.gamma_list[0]),
-                         "--c", repr(cfg.constant_c)]) == 0
-        assert json.loads(capsys.readouterr().out) == out
-        assert (out["inputs"]["m"], out["inputs"]["gamma"], out["inputs"]["c"]) == (
-            cfg.loss_bound, cfg.gamma_list[0], cfg.constant_c)
-
-    def test_bounds_invalid_gamma_is_config_error(self, capsys):
-        assert cli.main(["bounds", "--eps", "0.1", "--delta", "0.01", "--n", "1000",
-                         "--gamma", "2"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "gamma" in err
-
-    def test_accountant_zero_b_is_config_error(self, capsys):
-        assert cli.main(["accountant", "--l-erm", "0.5", "--intensity", "1.0",
-                         "--n", "10", "--b", "0", "--delta-prime", "0.1"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "Laplace scale b" in err
-
-    @pytest.mark.parametrize("argv, message", [
-        (["accountant", "--l-erm", "inf", "--intensity", "1"], "finite"),
-        (["accountant", "--l-erm", "0.5", "--intensity", "nan"], "finite"),
-        (["accountant", "--series", "{series}"], "finite"),
-        (["accountant", "--series", "{empty}"], "empty"),
-        (["accountant", "--l-erm", "0.5", "--intensity", "1", "--iterations", "0"], "--iterations"),
-        (["accountant", "--l-erm", "0.5", "--intensity", "1", "--iterations", "-3"], "--iterations"),
-        (["bounds", "--eps", "nan", "--delta", "0.1"], "epsilon"),
-        (["accountant", "--series", "{one_row}", "--iterations", "7"], "--iterations"),
-        (["accountant", "--series", "{one_row}", "--l-erm", "5"], "--l-erm"),
-        (["accountant", "--series", "{one_row}", "--intensity", "9"], "--intensity"),
-        (["accountant", "--series", "", "--l-erm", "5", "--intensity", "9"], "--series"),
-    ], ids=["inf-l-erm", "nan-intensity", "inf-in-series", "empty-series",
-            "zero-iterations", "negative-iterations", "nan-eps", "series-with-iterations",
-            "series-with-l-erm", "series-with-intensity", "empty-series-path-with-scalars"])
-    def test_non_finite_or_empty_input_is_config_error(self, argv, message, tmp_path, capsys):
-        series = tmp_path / "series.csv"
-        series.write_text("l_erm,intensity\n0.5,1.0\n0.5,inf\n")
-        empty = tmp_path / "empty.csv"
-        empty.write_text("l_erm,intensity\n")
-        one_row = tmp_path / "one_row.csv"  # a valid series, so only the flags are wrong
-        one_row.write_text("l_erm,intensity\n0.5,1.0\n")
-        files = {"{series}": str(series), "{empty}": str(empty), "{one_row}": str(one_row)}
-        argv = [files.get(a, a) for a in argv]
-        argv += ["--n", "100"] + (["--b", "0.1", "--delta-prime", "1"]
-                                  if argv[0] == "accountant" else [])
-        assert cli.main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1 and captured.err.startswith("config error:")
-        assert message in captured.err
-
-    @pytest.mark.parametrize("argv, ini_edit", [
-        (["bounds", "--eps", "1", "--delta", "0", "--loss-bound", "inf", "--n", "100"], None),
-        (["bounds", "--eps", "1", "--delta", "0", "--c", "inf", "--n", "100"], None),
-        (["train", "--rho", "0.1"], ("loss_bound = 10.0", "loss_bound = inf")),
-        (["train", "--rho", "0.1"], ("constant_c = 1.0", "constant_c = inf")),
-    ], ids=["bounds-loss-bound", "bounds-c", "config-loss-bound", "config-constant-c"])
-    def test_infinite_loss_bound_or_c_is_config_error(self, argv, ini_edit, tmp_path, capsys):
-        if ini_edit:
-            cfg, path = tiny_config(tmp_path)
-            text = path.read_text()
-            assert ini_edit[0] in text
-            path.write_text(text.replace(*ini_edit))
-            argv = [*argv, "--config", str(path)]
-        assert cli.main(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1 and err.startswith("config error:")
-        assert not (tmp_path / "runs").exists()
-
-    def test_accountant_huge_step_gives_finite_json(self, capsys):
-        # one per-step epsilon of 800, past where e^eps overflows
-        assert cli.main(["accountant", "--l-erm", "400", "--intensity", "1", "--n", "1",
-                         "--b", "1", "--delta-prime", "0.5"]) == 0
-        out = json.loads(capsys.readouterr().out, parse_constant=lambda c: pytest.fail(c))
-        assert out["composed_thm4"]["epsilon"] > out["leading_thm5"]["epsilon"]
-
-    def test_bounds_infinite_eps_gives_beta_m(self, capsys):
-        assert cli.main(["bounds", "--eps", "inf", "--delta", "0.1", "--loss-bound", "3",
-                         "--n", "100"]) == 0
-        assert json.loads(capsys.readouterr().out)["beta"] == 3.0
-
-    def test_attack_and_noise_and_probe(self, tmp_path, capsys):
+    def test_probe_writes_a_row_per_batch_size(self, tmp_path, capsys):
         cfg, path = tiny_config(tmp_path, seeds=(1,), radius_list=(0.0, 0.1))
-        cli.main(["train", "--config", str(path), "--rho", "0.1", "--seed", "1"])
+        assert cli.main(["train", "--config", str(path), "--rho", "0.1", "--seed", "1"]) == 0
         run = cli.run_dir_for(cfg, 0.1, 1)
-        capsys.readouterr()
-
-        rc = cli.main(["attack", "--config", str(path),
-                       "--checkpoint", str(run / "adv.ckpt"),
-                       "--sweep-csv", str(tmp_path / "mia.csv")])
-        assert rc == 0
-        out = json.loads(capsys.readouterr().out)
-        assert 0.0 <= out["accuracy"] <= 1.0
-        train_set, test_set = cfg.load_datasets()
-        net = training.load_checkpoint(run / "adv.ckpt")
-        rep = attacks.optimal_threshold(*(
-            attacks.true_label_confidences(nn.forward(net, s.features), s.labels)
-            for s in (train_set, test_set)))
-        assert out["zeta_optim"] == rep.zeta_optim and out["accuracy"] == rep.accuracy
-        assert (tmp_path / "mia.csv").read_text() == "zeta,accuracy\n" + "".join(
-            f"{z!r},{a!r}\n" for z, a in rep.sweep.tolist())
-
-        rc = cli.main(["noise", "--config", str(path),
-                       "--checkpoint", str(run / "erm.ckpt"),
-                       "--out", str(tmp_path / "nh.csv"), "--seed", "4"])
-        assert rc == 0
-        fit = json.loads(capsys.readouterr().out)
-        assert fit["b"] > 0
-        assert (tmp_path / "nh.csv").read_text().startswith("bin_left,bin_right,count")
-
-        rc = cli.main(["probe", "--config", str(path),
-                       "--erm-checkpoint", str(run / "erm.ckpt"),
-                       "--adv-checkpoint", str(run / "adv.ckpt"),
-                       "--rho", "0.1", "--taus", "15,30,60", "--repeats", "8",
-                       "--out", str(tmp_path / "probe.csv")])
-        assert rc == 0
+        assert cli.main(["probe", "--config", str(path),
+                         "--erm-checkpoint", str(run / "erm.ckpt"),
+                         "--adv-checkpoint", str(run / "adv.ckpt"),
+                         "--rho", "0.1", "--taus", "15,30,60", "--repeats", "8",
+                         "--out", str(tmp_path / "probe.csv")]) == 0
         lines = (tmp_path / "probe.csv").read_text().splitlines()
         assert lines[0] == "tau,mean_estimate,full_value"
         assert len(lines) == 4
@@ -1114,29 +880,25 @@ class TestCalculatorCommands:
         assert cli.main(["train", "--config", str(path), "--rho", "0", "--seed", "1"]) == 1
         ckpt = cli.run_dir_for(cfg, 0.0, 1) / "erm.ckpt"
         assert ckpt.exists()  # finite parameters near 1e200
-        for command in ("attack", "noise", "probe"):
-            capsys.readouterr()
-            argv = TestCheckpointCommands.checkpoint_argv(command, ckpt, tmp_path)
-            assert cli.main([command, "--config", str(path), *argv]) == 1
-            out, err = capsys.readouterr()
-            assert out == "" and err.count("\n") == 1, command
-            # one message form, whichever model number is found non-finite first
-            assert err.startswith("error: non-finite ") and err.endswith(
-                ": the model has diverged\n"), err
-            # no table or histogram from a diverged model
-            assert not (tmp_path / "nh.csv").exists() and not (tmp_path / "probe.csv").exists()
+        capsys.readouterr()
+        assert cli.main(probe_argv(path, ckpt, tmp_path / "probe.csv")) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: non-finite ") and err.endswith(
+            ": the model has diverged\n"), err
+        assert not (tmp_path / "probe.csv").exists()  # no table from a diverged model
 
     def test_missing_checkpoint_is_error_exit_1(self, tmp_path, capsys):
-        cfg, path = tiny_config(tmp_path)
-        assert cli.main(["attack", "--config", str(path),
-                         "--checkpoint", str(tmp_path / "nope.ckpt")]) == 1
+        _, path = tiny_config(tmp_path)
+        assert cli.main(probe_argv(path, tmp_path / "nope.ckpt", tmp_path / "probe.csv")) == 1
 
+
+class TestConfigCommand:
     def test_config_print_round_trips(self, tmp_path, capsys):
         rc = cli.main(["config"])
         assert rc == 0
         text = capsys.readouterr().out
         assert config.from_ini(text) == config.ExperimentConfig()
-
 
     def test_negative_zero_radius_round_trips_as_zero(self, tmp_path, capsys):
         path = tmp_path / "negzero.ini"
@@ -1145,6 +907,70 @@ class TestCalculatorCommands:
         assert "radius_list = 0.0,0.1\n" in capsys.readouterr().out
         radius_0 = config.load_config(path).radius_list[0]
         assert math.copysign(1.0, radius_0) == 1.0
+
+
+COMMANDS = ("train", "sweep", "report", "probe", "config")
+
+
+class TestUsageErrors:
+    """A command line that argparse rejects exits 2 with a usage line and an
+    ``advlab: error:`` line (``advlab <command>: error:`` for a command's flags),
+    not the one ``config error:`` line."""
+
+    def usage_error(self, capsys, argv) -> str:
+        """The error line of ``argv``'s usage error."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "", out
+        assert err.startswith("usage: advlab "), err
+        *_, line = err.splitlines()
+        assert line.startswith("advlab") and ": error: " in line, err
+        return line
+
+    @pytest.mark.parametrize("name", ["attack", "noise", "accountant", "bounds"])
+    def test_removed_calculator_is_an_unknown_command(self, capsys, name):
+        line = self.usage_error(capsys, [name, "--config", "exp.ini"])
+        assert line.startswith("advlab: error: ") and f"invalid choice: '{name}'" in line
+        assert all(command in line for command in COMMANDS), line
+
+    @pytest.mark.parametrize("argv, words", [
+        (["train"], ["--config"]),
+        (["train", "--config", "exp.ini", "--seed", "1.5"], ["--seed", "'1.5'"]),
+        (["train", "--config", "exp.ini", "--rho", "abc"], ["--rho", "'abc'"]),
+        (["sweep"], ["--config"]),
+        (["report"], ["--config"]),
+        (["probe", "--config", "exp.ini"], ["--erm-checkpoint", "--adv-checkpoint", "--rho"]),
+        (["probe", "--config", "exp.ini", "--erm-checkpoint", "a", "--adv-checkpoint", "b",
+          "--rho", "0.1", "--repeats", "2.5"], ["--repeats", "'2.5'"]),
+    ], ids=["missing-config", "non-integer-seed", "non-float-rho", "sweep-missing-config",
+            "report-missing-config", "probe-missing-checkpoints", "probe-non-integer-repeats"])
+    def test_bad_flag_names_the_flag(self, capsys, argv, words):
+        line = self.usage_error(capsys, argv)
+        assert line.startswith(f"advlab {argv[0]}: error: "), line
+        assert all(w in line for w in words), line
+
+    @pytest.mark.parametrize("argv, words", [
+        ([], "required: command"),
+        (["train", "--config", "exp.ini", "--bogus"], "unrecognized arguments: --bogus"),
+    ], ids=["no-command", "unknown-flag"])
+    def test_no_command_or_unknown_flag_is_a_top_level_error(self, capsys, argv, words):
+        line = self.usage_error(capsys, argv)
+        assert line.startswith("advlab: error: ") and words in line, line
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_command_has_its_own_help(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 0 and err == ""
+        assert out.startswith(f"usage: advlab {command} ") and "--config" in out
+
+    def test_help_lists_exactly_the_five_commands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert f"{{{','.join(COMMANDS)}}}" in capsys.readouterr().out
 
 
 class TestEachModelScoredOnce:
@@ -1169,43 +995,51 @@ class TestEachModelScoredOnce:
         # both sets through the ERM and the adversarial model, then the two PGD endpoint sets
         assert rows == [n_train, n_test] * 2 + [n_test] * 2
 
-    def test_attack_forwards_each_set_once(self, tmp_path, capsys, monkeypatch):
-        cfg, path = tiny_config(tmp_path)
-        ckpt = tmp_path / "net.ckpt"
-        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), "relu", seed=1), ckpt)
-        rows = self.forwarded_rows(monkeypatch)
-        assert cli.main(["attack", "--config", str(path), "--checkpoint", str(ckpt)]) == 0
-        assert rows == [len(s) for s in cfg.load_datasets()]
+class TestRunAgreesWithTheLibrary:
+    """Every number a run writes is what the library computes from the run's own
+    artifacts: the run is the one path to its noise fit, budgets, bounds and attack."""
 
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        cfg, _ = tiny_config(tmp_path_factory.mktemp("run"), gamma_list=(0.1, 0.2))
+        summary = cli.run_experiment(cfg, 0.15, 2)
+        run_dir = cli.run_dir_for(cfg, 0.15, 2)
+        assert json.loads((run_dir / "summary.json").read_text()) == summary
+        return cfg, run_dir, summary
 
-class TestRunAndCommandsAgree:
-    def test_noise_attack_and_bounds_reproduce_the_run(self, tmp_path, capsys):
-        cfg, path = tiny_config(tmp_path, gamma_list=(0.1, 0.2))
-        assert cli.main(["train", "--config", str(path), "--rho", "0.15", "--seed", "2"]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        run = cli.run_dir_for(cfg, 0.15, 2)
+    def test_ledger_series_reproduces_the_budgets_bitwise(self, run):
+        cfg, run_dir, summary = run
+        with open(run_dir / "ledger.csv", newline="") as fh:
+            good = [r for r in csv.DictReader(fh) if r["degenerate"] == "0"]
+        assert len(good) == summary["records"] - summary["records_skipped"] > 0
+        eps, budgets = privacy.budgets(
+            [float(r["l_erm"]) for r in good], [float(r["intensity"]) for r in good],
+            cfg.total_iterations, summary["n_train"], summary["noise"]["b"], cfg.delta_prime)
+        assert eps == summary["eps_per_step"]
+        assert budgets["composed_thm4"].epsilon == summary["budgets"]["composed_thm4"]["epsilon"]
+        assert {k: dataclasses.asdict(b) for k, b in budgets.items()} == summary["budgets"]
 
-        hist = tmp_path / "nh.csv"
-        assert cli.main(["noise", "--config", str(path), "--checkpoint", str(run / "erm.ckpt"),
-                         "--seed", "2", "--out", str(hist)]) == 0
-        assert json.loads(capsys.readouterr().out) == summary["noise"] | {"histogram": str(hist)}
-        assert hist.read_bytes() == (run / "noise_hist.csv").read_bytes()
-
-        assert cli.main(["attack", "--config", str(path),
-                         "--checkpoint", str(run / "adv.ckpt")]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out == summary["mia"] | {"n_train": summary["n_train"], "n_test": summary["n_test"]}
-
+    def test_bound_report_reproduces_every_bounds_entry(self, run):
+        cfg, _, summary = run
         leading = summary["budgets"]["leading_thm5"]
-        for want in summary["bounds"]:
-            assert cli.main(["bounds", "--eps", repr(leading["epsilon"]),
-                             "--delta", repr(leading["delta"]), "--n", str(summary["n_train"]),
-                             "--loss-bound", repr(cfg.loss_bound), "--gamma", repr(want["gamma"]),
-                             "--c", repr(cfg.constant_c)]) == 0
-            out = json.loads(capsys.readouterr().out)
-            inputs = out.pop("inputs")
-            assert out | inputs == want | {"eps": leading["epsilon"], "delta": leading["delta"],
-                                           "m": cfg.loss_bound, "n": summary["n_train"]}
+        assert summary["bounds"] == [
+            bounds.bound_report(leading["epsilon"], leading["delta"], cfg.loss_bound,
+                                summary["n_train"], gamma, cfg.constant_c)
+            | {"gamma": gamma, "c": cfg.constant_c} for gamma in cfg.gamma_list]
+
+    def test_noise_at_the_erm_checkpoint_reproduces_the_fit_and_histogram(self, run, tmp_path):
+        cfg, run_dir, summary = run
+        train_set, _ = cfg.load_datasets()
+        values, fit = cli._noise(cfg, training.load_checkpoint(run_dir / "erm.ckpt"),
+                                 train_set, summary["seed"])
+        assert fit == summary["noise"]
+        cli._write_histogram_csv(tmp_path / "nh.csv", values)
+        assert (tmp_path / "nh.csv").read_bytes() == (run_dir / "noise_hist.csv").read_bytes()
+
+    def test_attack_on_the_adversarial_checkpoint_reproduces_the_mia_record(self, run):
+        cfg, run_dir, summary = run
+        net = training.load_checkpoint(run_dir / "adv.ckpt")
+        assert cli._mia(cli._score(net, *cfg.load_datasets())[1]) == summary["mia"]
 
 
 class TestLossClip:
@@ -1303,22 +1137,19 @@ class TestDataEntersOnce:
         monkeypatch.setattr(nn, "_losses_and_dlogits", checked_losses)
         assert cli.main(["train", "--config", str(path), "--rho", "0.15", "--seed", "1"]) == 0
         run = cli.run_dir_for(cfg, 0.15, 1)
-        erm, adv = str(run / "erm.ckpt"), str(run / "adv.ckpt")
-        for argv in (["noise", "--checkpoint", erm, "--out", str(tmp_path / "nh.csv")],
-                     ["attack", "--checkpoint", adv],
-                     ["probe", "--erm-checkpoint", erm, "--adv-checkpoint", adv, "--rho", "0.15",
-                      "--repeats", "2", "--out", str(tmp_path / "probe.csv")]):
-            forwards = calls["forward"]
-            assert cli.main([argv[0], "--config", str(path), *argv[1:]]) == 0, argv
-            assert calls["forward"] > forwards, argv
+        forwards = calls["forward"]
+        assert cli.main(["probe", "--config", str(path), "--erm-checkpoint", str(run / "erm.ckpt"),
+                         "--adv-checkpoint", str(run / "adv.ckpt"), "--rho", "0.15",
+                         "--repeats", "2", "--out", str(tmp_path / "probe.csv")]) == 0
+        assert calls["forward"] > forwards > 0
         assert calls["loss"] > 0
 
 
 class TestGatesCheckOnce:
     """Each function below takes a value whose check was deleted from it, because a
     gate (named in its docstring) checks that value first. Every call that
-    ``train``, ``sweep``, ``attack``, ``noise`` and ``probe`` make must therefore
-    meet the precondition the deleted check enforced."""
+    ``train``, ``sweep`` and ``probe`` make must therefore meet the precondition
+    the deleted check enforced."""
 
     PRECONDITIONS = {
         (data, "synth_blobs"): lambda a: (min(a["n_per_class"], a["num_classes"], a["dim"]) >= 1
@@ -1362,12 +1193,9 @@ class TestGatesCheckOnce:
         assert cli.main(["train", "--config", str(path), "--rho", "0.15", "--seed", "1"]) == 0
         assert cli.main(["sweep", "--config", str(path)]) == 0
         run = cli.run_dir_for(cfg, 0.15, 1)
-        erm, adv = str(run / "erm.ckpt"), str(run / "adv.ckpt")
-        for argv in (["attack", "--checkpoint", adv],
-                     ["noise", "--checkpoint", erm, "--out", str(tmp_path / "nh.csv")],
-                     ["probe", "--erm-checkpoint", erm, "--adv-checkpoint", adv, "--rho", "0.15",
-                      "--repeats", "2", "--out", str(tmp_path / "probe.csv")]):
-            assert cli.main([argv[0], "--config", str(path), *argv[1:]]) == 0, argv
+        assert cli.main(["probe", "--config", str(path), "--erm-checkpoint", str(run / "erm.ckpt"),
+                         "--adv-checkpoint", str(run / "adv.ckpt"), "--rho", "0.15",
+                         "--repeats", "2", "--out", str(tmp_path / "probe.csv")]) == 0
         for (owner, name), log in calls.items():
             assert log, f"{name} was never called"
             bad = [args for args in log if not self.PRECONDITIONS[owner, name](args)]
@@ -1419,16 +1247,6 @@ class TestFileErrors:
         path.write_bytes(b"\xff" + config.to_ini(config.ExperimentConfig()).encode())
         self.assert_one_line(capsys, [command, "--config", str(path)], 2, str(path), "UTF-8")
 
-    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
-    def test_unreadable_series_is_one_error_line(self, tmp_path, capsys, kind):
-        series = tmp_path / "series.csv"
-        if kind == "directory":
-            series.mkdir()
-        else:
-            series.write_bytes(b"l_erm,intensity\n0.5,1.0\xff\n")
-        self.assert_one_line(capsys, ["accountant", "--series", str(series), "--n", "100",
-                                      "--b", "0.1", "--delta-prime", "1"], 1, str(series))
-
     @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
     def test_data_csv_with_a_non_finite_feature_is_one_error_line(
@@ -1453,34 +1271,26 @@ class TestFileErrors:
                              "3 features", "test_csv has 4")
         assert not Path(cfg.output_dir).exists()
 
-    @pytest.mark.parametrize("command", ["noise", "probe", "attack"])
-    def test_output_into_a_missing_directory_names_the_target(self, tmp_path, capsys, command):
+    @staticmethod
+    def probe_writing_to(tmp_path, target):
+        """``probe`` under a tiny config, writing its table to ``target``."""
         _, path = tiny_config(tmp_path)
         ckpt = tmp_path / "net.ckpt"
         training.save_checkpoint(nn.DenseNet.random((4, 8, 3), "relu", seed=1), ckpt)
-        target = str(tmp_path / "nodir" / "x.csv")
-        argv = {"noise": ["--checkpoint", str(ckpt), "--out", target],
-                "probe": ["--erm-checkpoint", str(ckpt), "--adv-checkpoint", str(ckpt),
-                          "--rho", "0.1", "--taus", "4", "--repeats", "2", "--out", target],
-                "attack": ["--checkpoint", str(ckpt), "--sweep-csv", target]}[command]
-        err = self.assert_one_line(capsys, [command, "--config", str(path), *argv], 1, target)
-        assert ".tmp" not in err, err
-        assert sorted(tmp_path.iterdir()) == sorted([path, ckpt])
+        return probe_argv(path, ckpt, target)
 
-    @pytest.mark.parametrize("command", ["noise", "probe", "attack"])
+    def test_output_into_a_missing_directory_names_the_target(self, tmp_path, capsys):
+        target = str(tmp_path / "nodir" / "x.csv")
+        err = self.assert_one_line(capsys, self.probe_writing_to(tmp_path, target), 1, target)
+        assert ".tmp" not in err, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "net.ckpt"]
+
     @pytest.mark.parametrize("target", ["", ".", "/"])
     def test_output_path_with_no_file_name_is_one_error_line(
-            self, tmp_path, capsys, monkeypatch, command, target):
-        _, path = tiny_config(tmp_path)
-        ckpt = tmp_path / "net.ckpt"
-        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), "relu", seed=1), ckpt)
+            self, tmp_path, capsys, monkeypatch, target):
         monkeypatch.chdir(tmp_path)
-        argv = {"noise": ["--checkpoint", str(ckpt), "--out", target],
-                "probe": ["--erm-checkpoint", str(ckpt), "--adv-checkpoint", str(ckpt),
-                          "--rho", "0.1", "--taus", "4", "--repeats", "2", "--out", target],
-                "attack": ["--checkpoint", str(ckpt), "--sweep-csv", target]}[command]
-        self.assert_one_line(capsys, [command, "--config", str(path), *argv], 1, repr(target))
-        assert sorted(tmp_path.iterdir()) == sorted([path, ckpt])
+        self.assert_one_line(capsys, self.probe_writing_to(tmp_path, target), 1, repr(target))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "net.ckpt"]
 
     def test_data_csv_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys):
         cfg, path = csv_config(tmp_path, b"0.5,1.0,0\n-0.5,2.0,1\n",

@@ -178,20 +178,6 @@ class TestCompose:
         with pytest.raises(ValueError, match="budget"):
             privacy.PrivacyBudget(float("nan"), 0.1, "composed_thm4")
 
-    def test_steps_per_entry_repeats_each_entry(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            eps = rng.uniform(1e-6, 0.5, size=int(rng.integers(1, 6)))
-            k = int(rng.integers(1, 30))
-            b = privacy.compose(eps, 0.5, 1000, steps_per_entry=k)
-            want = float(compose_oracle(np.repeat(eps, k), 0.5, 1000))
-            assert b.epsilon == pytest.approx(want, rel=1e-12)
-            assert b.inputs["steps"] == k * eps.size
-
-    def test_one_step_per_entry_is_the_default_bitwise(self):
-        eps = np.linspace(0.001, 0.3, 50)
-        assert privacy.compose(eps, 0.7, 4321, 1) == privacy.compose(eps, 0.7, 4321)
-
     def test_purity_bitwise(self):
         eps = np.linspace(0.001, 0.3, 50)
         a = privacy.compose(eps, 0.7, 4321).epsilon
@@ -270,6 +256,56 @@ class TestBudgets:
     def test_empty_series_is_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             self.budgets([self.rec(1, 0.0, 1.0, degenerate=True)])
+
+    @pytest.mark.parametrize("l_erm, i", [(math.inf, 1.0), (0.5, math.nan), (-0.1, 1.0),
+                                          (math.nan, 1.0), (0.5, math.inf), (0.5, -1.0),
+                                          (-math.inf, 1.0)])
+    def test_non_finite_or_negative_statistic_is_rejected(self, l_erm, i):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            privacy.budgets([0.5, l_erm], [1.0, i], 2, 100, 0.1, 1.0)
+
+    @pytest.mark.parametrize("t, n, match", [(0, 100, "T must"), (2, 0, "N must"),
+                                             (-3, 100, "T must"), (2, -5, "N must")])
+    def test_no_step_or_no_example_is_rejected(self, t, n, match):
+        with pytest.raises(ValueError, match=match):
+            privacy.budgets([0.5], [1.0], t, n, 0.1, 1.0)
+
+    @pytest.mark.parametrize("b", [-0.1, -math.inf, math.nan])
+    def test_laplace_scale_that_is_not_positive_is_rejected(self, b):
+        with pytest.raises(ValueError, match="Laplace scale b"):
+            privacy.budgets([0.5], [1.0], 1, 100, b, 1.0)
+
+    @pytest.mark.parametrize("delta_prime", [0.0, -1.0, 100.0, math.nan])
+    def test_delta_prime_outside_zero_n_is_rejected(self, delta_prime):
+        # compose checks delta' before the leading budgets take ln(N / delta')
+        with pytest.raises(ValueError, match="delta_prime"):
+            privacy.budgets([0.5], [1.0], 1, 100, 0.1, delta_prime)
+
+    def test_one_row_series_has_three_positive_budgets(self):
+        eps, budgets = privacy.budgets([0.5], [1.0], 1, 100, 0.1, 1.0)
+        assert eps == [0.1]
+        assert set(budgets) == {"composed_thm4", "leading_thm5", "erm_corollary"}
+        assert all(b.epsilon > 0 and b.delta == 0.01 for b in budgets.values())
+
+    @pytest.mark.parametrize("steps", [1, 2000])
+    def test_constant_series_composes_to_leading_plus_second_order_sum(self, steps):
+        # constant (L, I): composed_thm4 = leading_thm5 + T * eps * expm1(eps) / (e^eps + 1)
+        l_erm, i, n, b = 0.7, 3.0, 500, 0.25
+        eps, budgets = privacy.budgets([l_erm] * steps, [i] * steps, steps, n, b, 0.5)
+        assert eps == [2 * l_erm * i / (n * b)] * steps
+        second = steps * eps[0] * math.expm1(eps[0]) / (math.exp(eps[0]) + 1)
+        assert budgets["composed_thm4"].inputs["steps"] == steps
+        assert budgets["leading_thm5"].inputs["t"] == steps
+        assert budgets["composed_thm4"].epsilon == pytest.approx(
+            budgets["leading_thm5"].epsilon + second, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_step_gives_finite_budgets(self):
+        # one per-step epsilon of 800, past where e^eps overflows
+        eps, budgets = privacy.budgets([400.0], [1.0], 1, 1, 1.0, 0.5)
+        assert eps == [800.0]
+        assert all(math.isfinite(b.epsilon) for b in budgets.values())
+        assert budgets["composed_thm4"].epsilon > budgets["leading_thm5"].epsilon
 
     def test_composite_between_extremes(self):
         records = [self.rec(t, 1.0, 1.0 + 0.2 * t) for t in range(1, 8)]
