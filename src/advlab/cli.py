@@ -17,18 +17,20 @@ by ``load_datasets``), ``config.check_seed`` (``--seed``),
         adv.ckpt         final adversarial model
         noise_hist.csv   201-bin histogram of normalized gradient noise
         summary.json     intensities, budgets, bounds, attack, accuracies,
-                         and the config digest the run was made under; a
-                         ``bounds`` entry per gamma holds ``beta`` (also the
+                         and the config digest the run was made under; the
+                         one ``bounds`` record holds ``beta`` (also the
                          on-average bound), ``high_prob_bound`` (computed on
-                         loss / M, times M), ``gamma`` and ``c``
+                         loss / M, times M, with c = 1) and the ``gamma`` it
+                         holds at, ``bounds.GAMMA``
         meta.json        how the run was made: ``started`` and ``finished``
                          wall-clock stamps, ``stages_s`` (wall seconds spent
                          in ``train``, ``noise``, ``mia``, ``adv_eval`` and
-                         ``writes``; the rest of the run, such as loading data
-                         and accounting, is in none of them), ``max_rss_mb``
-                         (the process's peak resident set so far, from
-                         ``ru_maxrss``; a sweep worker's peak covers its
-                         earlier jobs), ``stage_peak_rss_mb`` (that peak
+                         ``writes``, the last without the summary.json write,
+                         which follows meta.json; the rest of the run, such
+                         as loading data and accounting, is in none of
+                         them), ``max_rss_mb`` (the process's peak
+                         resident set so far, from ``ru_maxrss``; a sweep
+                         worker's peak covers its earlier jobs), ``stage_peak_rss_mb`` (that peak
                          as each stage last ended, null for a stage that did
                          not run; ``train``, ``noise``, ``mia`` and
                          ``adv_eval`` run in this order with ``writes``
@@ -42,7 +44,7 @@ by ``load_datasets``), ``config.check_seed`` (``--seed``),
 ``sweep`` and ``report`` write ``<output_dir>/sweep.csv``, a row per successful
 run with the ``SWEEP_COLUMNS`` rho, seed, intensity_1t, adv_accuracy,
 adv_accuracy_common, attack_accuracy, gen_gap, eps_leading, beta and
-high_prob_bound (the first gamma's bounds), and ``<output_dir>/analysis.json``.
+high_prob_bound (from the ``bounds`` record), and ``<output_dir>/analysis.json``.
 analysis.json has one shape at every row count: ``rows`` (the row count),
 ``failures`` (each failed run's ``rho=R seed=S: <why>`` line, sorted) and
 five ``spearman`` rank correlations of intensity_1t: with rho, attack_accuracy
@@ -57,12 +59,14 @@ fewer than 3 rows or one of its two columns is constant.
 not parse, is not a JSON object, records another run's ``rho`` or ``seed``,
 as one copied from another run's directory does, or records no failure but
 lacks a ``SWEEP_COLUMNS`` path, as one written before a column was renamed
-does) or stale: its ``config_digest`` covers every config field except
-``seeds``, ``output_dir`` and ``workers``, and for a CSV source the sha256 of
-both files' bytes, so editing any other field or either data file reruns the
-sweep.
+or before ``bounds`` became one record does) or stale: its ``config_digest``
+covers every config field except ``seeds``, ``output_dir`` and ``workers``,
+and for a CSV source the sha256 of both files' bytes, so editing any other
+field or either data file reruns the sweep.
 A failed run still writes summary.json (with ``diverged_at`` or a one-line
 ``failure``) and meta.json, so it is not retrained and merges as a failure.
+A run writes meta.json before summary.json, so a run killed between the two
+has no summary.json and is unfinished: a finished run has both.
 With ``workers = 0`` the sweep runs one process per unfinished run, capped
 by the CPUs it may use (``os.sched_getaffinity`` where it exists, so a
 ``taskset`` or cpuset limit counts, else ``os.cpu_count()``).
@@ -91,7 +95,8 @@ missing directory or with no file name, as ``""``, ``.`` and ``/`` have, never
 by the temporary file), a malformed or non-UTF-8 data CSV (also one with a
 non-finite feature such as ``nan``, ``inf`` or ``1e400``), named by file and
 line, a checkpoint given to ``probe`` that breaks the RPG1 format (a zero layer
-width among it, which no config builds) or holds a non-finite parameter, named
+width, which no config builds, and an activation byte other than relu's 0, as an
+older version's tanh net has, among it) or holds a non-finite parameter, named
 by file, a diverged model (a checkpoint given to ``probe`` whose max gradient
 norms are not finite, as a diverged run leaves, prints the one ``error:
 non-finite <what>: the model has diverged`` line and writes no table),
@@ -100,8 +105,10 @@ non-finite <what>: the model has diverged`` line and writes no table),
 training).
 2 configuration error, in one ``config error:`` line: a config file that is not
 UTF-8, does not parse, or has a section outside ``[data]``, ``[net]``,
-``[train]``, ``[attack]``, ``[privacy]``, ``[bounds]`` and ``[sweep]`` or a key
-under ``[DEFAULT]`` (checked before any directory or job), any value
+``[train]``, ``[attack]``, ``[privacy]``, ``[bounds]`` and ``[sweep]``, a key
+under ``[DEFAULT]`` or a key that names no field of its section (such as
+``activation``, ``gamma_list`` or ``constant_c``, which older versions wrote;
+all checked before any directory or job), any value
 ``ExperimentConfig`` rejects (a value of the wrong type such as
 ``total_iterations = 40.0``, a non-finite number, a seed outside [0, 2**128)
 or a ``log_every`` above ``total_iterations``, under which no record would be
@@ -166,13 +173,13 @@ from .data import CsvFormatError, LabeledSet, write_atomic, write_csv
 VERSIONS = {"advlab": __version__, "numpy": np.__version__,
             "python": platform.python_version()}
 
-# sweep.csv column -> its path in a run's summary.json; the bounds are the first gamma's
+# sweep.csv column -> its path in a run's summary.json
 SWEEP_COLUMNS = {
     "rho": ("rho",), "seed": ("seed",), "intensity_1t": ("intensity_1t",),
     "adv_accuracy": ("adv_accuracy",), "adv_accuracy_common": ("adv_accuracy_common",),
     "attack_accuracy": ("mia", "accuracy"), "gen_gap": ("adv", "gen_gap"),
-    "eps_leading": ("budgets", "leading_thm5", "epsilon"), "beta": ("bounds", 0, "beta"),
-    "high_prob_bound": ("bounds", 0, "high_prob_bound")}
+    "eps_leading": ("budgets", "leading_thm5", "epsilon"), "beta": ("bounds", "beta"),
+    "high_prob_bound": ("bounds", "high_prob_bound")}
 
 
 def _write_json(path: Path, obj) -> None:
@@ -201,13 +208,13 @@ def _stage(stages: dict, name: str):
 
 
 def _write_run(run_dir: Path, started: float, stages: dict, summary: dict) -> dict:
-    """Write a run's summary.json, then its meta.json; returns the summary."""
-    with _stage(stages, "writes"):
-        _write_json(run_dir / "summary.json", summary)
+    """Write a run's meta.json, then its summary.json, which marks the run
+    finished (see :func:`_load_summaries`); returns the summary."""
     _write_json(run_dir / "meta.json", {
         "started": started, "finished": time.time(), "stages_s": stages["s"],
         "stage_peak_rss_mb": stages["peak_rss_mb"], "max_rss_mb": _max_rss_mb(),
         "blas_env": BLAS_ENV, "numpy_preloaded": NUMPY_PRELOADED, "versions": VERSIONS})
+    _write_json(run_dir / "summary.json", summary)
     return summary
 
 
@@ -304,10 +311,7 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
     summary["intensity_1t"] = leading.inputs["i_1t"]
     summary["l_erm_1t"] = leading.inputs["l_erm_1t"]
     summary["budgets"] = {k: dataclasses.asdict(b) for k, b in budgets.items()}
-    summary["bounds"] = [
-        bounds.bound_report(leading.epsilon, leading.delta, cfg.loss_bound, n, gamma,
-                            cfg.constant_c) | {"gamma": gamma, "c": cfg.constant_c}
-        for gamma in cfg.gamma_list]
+    summary["bounds"] = bounds.bound_report(leading.epsilon, leading.delta, cfg.loss_bound, n)
 
     with _stage(stages, "mia"):
         summary["mia"] = _mia(adv_scored)
@@ -360,7 +364,7 @@ def sweep_row(summary: dict) -> dict:
     for column, path in SWEEP_COLUMNS.items():
         try:
             row[column] = functools.reduce(operator.getitem, path, summary)
-        except (KeyError, IndexError, TypeError):
+        except (KeyError, TypeError):
             raise ValueError(f"lacks {column}") from None
     return row
 

@@ -10,6 +10,10 @@ desk-scale experiment: 4-class Gaussian blobs in 20 dimensions, a 20-64-64-4
 relu net, 2000 SGD iterations, and an 8-point attack-radius grid that starts
 at 0 (the plain ERM baseline row).
 
+A field is a knob some run turns. What no run varies is fixed in code: relu
+is the only activation (``nn``), and the bounds hold at confidence
+1 - ``bounds.GAMMA`` with the constant c = 1.
+
 ``ExperimentConfig`` alone decides whether an experiment is valid. A value is
 what its INI text reads as (``csv_header=1`` is true, ``seeds=[5, 6]`` a tuple,
 ``total_iterations=40.0`` a bad value), and a radius what ``AttackSpec`` makes
@@ -32,7 +36,7 @@ from pathlib import Path
 
 from .adversarial import AttackSpec
 from .data import ENTRY_LIMIT, LabeledSet, load_csv, split, synth_blobs, write_atomic
-from .nn import ACTIVATIONS, param_count
+from .nn import param_count
 from .privacy import check_delta_prime
 from .rng import SEED_LIMIT, STEP_LIMIT
 
@@ -65,7 +69,6 @@ class ExperimentConfig:
     test_csv: str = _in("data", "")
     csv_header: bool = _in("data", False)
     hidden: tuple[int, ...] = _in("net", (64, 64))
-    activation: str = _in("net", "relu")
     total_iterations: int = _in("train", 2000)
     batch_size: int = _in("train", 32)
     log_every: int = _in("train", 20)
@@ -83,8 +86,6 @@ class ExperimentConfig:
     noise_batches: int = _in("privacy", 200)
     noise_components: int = _in("privacy", 500)
     loss_bound: float = _in("bounds", 10.0)
-    constant_c: float = _in("bounds", 1.0)
-    gamma_list: tuple[float, ...] = _in("bounds", (0.05,))
     seeds: tuple[int, ...] = _in("sweep", (1, 2, 3))
     output_dir: str = _in("sweep", "runs")
     workers: int = _in("sweep", 0)                   # 0: one per job, capped by usable CPUs
@@ -120,12 +121,10 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):  # a run directory per (rho, seed)
             raise ConfigError("seeds must be distinct")
-        if not all(0 < g < 1 for g in self.gamma_list) or not self.gamma_list:
-            raise ConfigError("gamma values must lie in (0, 1)")
         if not 0 < self.delta_prime:
             raise ConfigError("delta_prime must be positive")
-        if not (0 < self.loss_bound and 0 < self.constant_c):
-            raise ConfigError("loss_bound and constant_c must be positive")
+        if not 0 < self.loss_bound:
+            raise ConfigError("loss_bound must be positive")
         floors = {"total_iterations": 1, "log_every": 1, "batch_size": 1, "lr_decay_every": 1,
                   "noise_batches": 1, "workers": 0}
         if self.source == "synthetic":
@@ -137,8 +136,6 @@ class ExperimentConfig:
             raise ConfigError(f"log_every must be <= total_iterations ({self.total_iterations})")
         if any(width < 1 for width in self.hidden):
             raise ConfigError("hidden widths must be >= 1")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
         pool = self.n_per_class * self.num_classes
         if self.source == "synthetic" and not 1 <= self.n_train < pool:
             raise ConfigError(f"n_train must lie in [1, {pool - 1}]")

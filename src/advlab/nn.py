@@ -1,19 +1,20 @@
 """Dense feedforward classifiers with exact reverse-mode gradients.
 
-A :class:`DenseNet` is its layer widths ``(in, hidden..., out)``, one
-parameter vector and a shared elementwise activation (relu or tanh) between
-fully-connected layers, with a linear output layer. All arithmetic is
-64-bit; the privacy accountant downstream is sensitive to tiny epsilon
-values, so nothing here is allowed to run in single precision.
+A :class:`DenseNet` is its layer widths ``(in, hidden..., out)`` and one
+parameter vector: fully-connected layers with relu between them and a linear
+output layer. relu is the only activation, since the paper's bounds do not
+depend on the architecture. All arithmetic is 64-bit; the privacy accountant
+downstream is sensitive to tiny epsilon values, so nothing here is allowed to
+run in single precision.
 
 Flattened parameter order
 -------------------------
 Everything that treats the parameters as a single vector (gradients,
 checkpoints, SGD state) uses one fixed ordering: for each layer in
 sequence, the weight matrix in row-major (C) order followed by the bias
-vector. ``DenseNet(layer_widths, params, activation)`` is the one way a
-vector becomes a net. It checks at least two widths each >= 1, a float64
-vector of ``param_count(layer_widths)`` entries, and, with
+vector. ``DenseNet(layer_widths, params)`` is the one way a vector becomes
+a net. It checks at least two widths each >= 1, a float64 vector of
+``param_count(layer_widths)`` entries, and, with
 :func:`check_finite`, that every entry is finite. It keeps a read-only
 vector that owns its data as it is (``DenseNet.random``, the SGD step) and
 copies any other (a checkpoint's bytes, a caller's writable array), the rule
@@ -44,18 +45,17 @@ features, labels in ``[0, num_classes)``), ``ExperimentConfig.load_datasets``
 (one feature width, a ``batch_size`` that fits) and ``cli._load_checkpoint_for``
 (a checkpoint reads the data's width and scores all of its classes). Every
 other net is built as ``(train.dim, *hidden, train.num_classes)``, and PGD
-endpoints keep their rows' dtype and shape. A net's activation is checked by
-``ExperimentConfig`` or ``training.load_checkpoint``, never by ``DenseNet``.
+endpoints keep their rows' dtype and shape.
 
 Per-call cost
 -------------
 Training runs the backward pass on small batches thousands of times, so
 per-call overhead and allocations matter more than flops. The forward pass
-keeps one array per layer and adds the bias and activation in place. The
-backward pass reads each derivative from the activation (relu ``h > 0``,
-the same mask as ``z > 0``; tanh ``1 - h**2``) and scales deltas in place,
-bitwise equal to the textbook form. One softmax yields the raw losses and
-the logit gradient. A bool mask (relu derivative, clip factor) multiplies
+keeps one array per layer and adds the bias and relu in place. The
+backward pass reads each relu derivative from the activation (``h > 0``,
+the same mask as ``z > 0``) and scales deltas in place, bitwise equal to
+the textbook form. One softmax yields the raw losses and the logit
+gradient. A bool mask (relu derivative, clip factor) multiplies
 float arrays directly, bitwise like multiplying by 0.0 or 1.0.
 
 Whole-dataset calls (evaluation, PGD over a test set, the full gradient of
@@ -95,7 +95,6 @@ import numpy as np
 from .data import _owned
 from .rng import DOMAIN_INIT, stream
 
-ACTIVATIONS = ("relu", "tanh")
 ROW_BLOCK = 256  # rows per pass; one (256, 64) float64 layer array is 128 KiB
 
 
@@ -138,7 +137,6 @@ class DenseNet:
 
     layer_widths: tuple[int, ...]
     params: np.ndarray
-    activation: str = "relu"
     weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
     biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
@@ -172,20 +170,14 @@ class DenseNet:
         return self.params.size
 
     @staticmethod
-    def random(widths: tuple[int, ...], activation: str, seed: int) -> "DenseNet":
-        """Gaussian init scaled by fan-in (He for relu, Xavier for tanh), zero biases."""
+    def random(widths: tuple[int, ...], seed: int) -> "DenseNet":
+        """He init (Gaussian, variance 2 / fan-in), zero biases."""
         rng = stream(seed, DOMAIN_INIT)
-        gain = 2.0 if activation == "relu" else 1.0
         parts = []
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            parts.append(rng.standard_normal(fan_out * fan_in) * np.sqrt(gain / fan_in))
+            parts.append(rng.standard_normal(fan_out * fan_in) * np.sqrt(2.0 / fan_in))
             parts.append(np.zeros(fan_out))
-        return DenseNet(widths, np.concatenate(parts), activation)
-
-
-def _act_deriv(net: DenseNet, h: np.ndarray) -> np.ndarray:
-    """Activation derivative from the activation ``h``: relu at 0 gives 0 (a bool mask)."""
-    return h > 0 if net.activation == "relu" else 1.0 - h ** 2
+        return DenseNet(widths, np.concatenate(parts))
 
 
 def _forward_cached(net: DenseNet, x: np.ndarray) -> list[np.ndarray]:
@@ -196,7 +188,7 @@ def _forward_cached(net: DenseNet, x: np.ndarray) -> list[np.ndarray]:
         h = h @ w.T
         h += b
         if i < last:
-            np.maximum(h, 0.0, out=h) if net.activation == "relu" else np.tanh(h, out=h)
+            np.maximum(h, 0.0, out=h)
         acts.append(h)
     return acts
 
@@ -258,7 +250,7 @@ def _backward(net: DenseNet, x: np.ndarray, y: np.ndarray, clip_m: float):
     deltas = [delta]
     for i in range(len(net.weights) - 1, 0, -1):
         delta = delta @ net.weights[i]
-        delta *= _act_deriv(net, acts[i])
+        delta *= acts[i] > 0  # relu at 0 gives 0
         deltas.append(delta)
     deltas.reverse()
     return acts, deltas, np.minimum(raw, clip_m)

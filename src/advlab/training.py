@@ -1,7 +1,7 @@
 """SGD for one model, and the twin run: an ERM model and an adversarial model.
 
 The trainers read the SGD settings, the step-size schedule
-``ExperimentConfig.lr``, ``hidden``, ``activation`` and the loss clip
+``ExperimentConfig.lr``, ``hidden`` and the loss clip
 ``loss_bound`` from an already validated ``ExperimentConfig``, which is their
 one check; the run's attack and seed are arguments. This module only trains:
 pairing the two logged series into records, and judging whether they can be
@@ -26,8 +26,10 @@ loop's one exit), and keeps its last finite iterate. If the ERM run fails at t,
 the adversarial run takes at most t - 1 steps. ``diverged_at`` is the earlier
 failure, and both logged series stop before it.
 
-Checkpoint format (little endian): magic ``RPG1``, uint8 activation code
-(0 relu, 1 tanh), uint32 layer count L >= 1, uint32 widths[L+1], each >= 1, then
+Checkpoint format (little endian): magic ``RPG1``, a reserved uint8
+activation byte that is always 0 (relu, the only activation; any other byte,
+such as an older version's tanh code 1, is a format error), uint32 layer
+count L >= 1, uint32 widths[L+1], each >= 1, then
 ``nn.param_count(widths)`` finite float64 parameters in the flattened order
 documented in :mod:`advlab.nn`: the widths and the one parameter vector that
 ``nn.DenseNet`` is built from.
@@ -47,8 +49,6 @@ from .config import ExperimentConfig
 from .data import BatchSchedule, LabeledSet, write_atomic, write_csv
 
 CHECKPOINT_MAGIC = b"RPG1"
-_ACT_CODES = {"relu": 0, "tanh": 1}
-_ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
 
 class CheckpointFormatError(ValueError):
@@ -70,7 +70,7 @@ def sgd_step(net: nn.DenseNet, grad: np.ndarray, lr: float, velocity: np.ndarray
     v = momentum * velocity + (grad + weight_decay * theta)
     new_theta = theta - lr * v
     new_theta.setflags(write=False)
-    return nn.DenseNet(net.layer_widths, new_theta, net.activation), v
+    return nn.DenseNet(net.layer_widths, new_theta), v
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,7 @@ def train_twin(train_set: LabeledSet, cfg: ExperimentConfig, attack: AttackSpec,
     """Train the ERM model, then the one under ``attack``, from one initialization.
     A diverging run overflows before a non-finite value stops it, so numpy's
     overflow and invalid-value warnings are silenced inside this call."""
-    net0 = nn.DenseNet.random((train_set.dim, *cfg.hidden, train_set.num_classes),
-                              cfg.activation, seed)
+    net0 = nn.DenseNet.random((train_set.dim, *cfg.hidden, train_set.num_classes), seed)
     erm = train_model(train_set, net0, cfg, AttackSpec(), seed)
     adv = train_model(train_set, net0, cfg, attack, seed,
                       None if erm.diverged_at is None else erm.diverged_at - 1)
@@ -144,7 +143,7 @@ def write_ledger_csv(records, path) -> None:
 def save_checkpoint(net: nn.DenseNet, path) -> None:
     widths = net.layer_widths
     blob = CHECKPOINT_MAGIC
-    blob += struct.pack("<BI", _ACT_CODES[net.activation], len(net.weights))
+    blob += struct.pack("<BI", 0, len(net.weights))  # the activation byte: 0, relu
     blob += struct.pack(f"<{len(widths)}I", *widths)
     blob += net.params.astype("<f8").tobytes()
     write_atomic(path, blob)
@@ -152,9 +151,9 @@ def save_checkpoint(net: nn.DenseNet, path) -> None:
 
 def load_checkpoint(path) -> nn.DenseNet:
     """The net in the file at ``path``; a ``CheckpointFormatError`` naming it if it breaks
-    the format: a bad header, a payload of another length than the widths fix, or
-    widths and parameters that ``nn.DenseNet`` rejects (a zero width, a non-finite
-    parameter)."""
+    the format: a bad header (a nonzero activation byte among them), a payload of
+    another length than the widths fix, or widths and parameters that ``nn.DenseNet``
+    rejects (a zero width, a non-finite parameter)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -163,8 +162,9 @@ def load_checkpoint(path) -> nn.DenseNet:
         act_code, n_layers = struct.unpack_from("<BI", blob, 4)
     except struct.error:
         raise CheckpointFormatError(f"{path}: truncated header") from None
-    if act_code not in _ACT_NAMES:
-        raise CheckpointFormatError(f"{path}: unknown activation code {act_code}")
+    if act_code != 0:
+        raise CheckpointFormatError(f"{path}: activation code {act_code}; only 0 (relu) "
+                                    f"is supported")
     if n_layers < 1:
         raise CheckpointFormatError(f"{path}: no layers")
     off = 4 + struct.calcsize("<BI")
@@ -179,6 +179,6 @@ def load_checkpoint(path) -> nn.DenseNet:
         raise CheckpointFormatError(
             f"{path}: dimension header wants {8 * n_params} payload bytes, found {len(payload)}")
     try:
-        return nn.DenseNet(widths, np.frombuffer(payload, dtype="<f8"), _ACT_NAMES[act_code])
+        return nn.DenseNet(widths, np.frombuffer(payload, dtype="<f8"))
     except (ValueError, nn.DivergenceError) as exc:  # a zero width or a non-finite parameter
         raise CheckpointFormatError(f"{path}: {exc}") from None

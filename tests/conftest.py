@@ -21,18 +21,18 @@ FD_STEP = 1e-4
 CLIP_M = 10.0  # a loss clip the random batches stay below, the default loss_bound
 
 
-def net_from_layers(weights, biases, activation: str) -> nn.DenseNet:
+def net_from_layers(weights, biases) -> nn.DenseNet:
     """The net with these (out x in) weight matrices and bias vectors: the constructor
     given their widths and the one vector they make in the flattened order."""
     weights = [np.asarray(w, dtype=np.float64) for w in weights]
     widths = (weights[0].shape[1], *(w.shape[0] for w in weights))
     flat = np.concatenate([np.ravel(p) for layer in zip(weights, biases) for p in layer])
-    return nn.DenseNet(widths, flat, activation)
+    return nn.DenseNet(widths, flat)
 
 
 def net_with_params(net: nn.DenseNet, flat) -> nn.DenseNet:
-    """A net of ``net``'s widths and activation built from ``flat`` by the constructor."""
-    return nn.DenseNet(net.layer_widths, flat, net.activation)
+    """A net of ``net``'s widths built from ``flat`` by the constructor."""
+    return nn.DenseNet(net.layer_widths, flat)
 
 
 def fd_grad_params(net: nn.DenseNet, X, y, clip_m: float, h: float = FD_STEP) -> np.ndarray:
@@ -104,12 +104,12 @@ def textbook_forward(net: nn.DenseNet, X):
         if i == len(net.weights) - 1:
             acts.append(z)
         else:
-            acts.append(np.maximum(z, 0.0) if net.activation == "relu" else np.tanh(z))
+            acts.append(np.maximum(z, 0.0))
     return acts, zs
 
 
 def textbook_backward(net: nn.DenseNet, X, y, clip_m: float):
-    """(activations, per-layer deltas, clipped losses): ``delta = (delta @ W) * mask(z)``.
+    """(activations, per-layer deltas, clipped losses): ``delta = (delta @ W) * (z > 0)``.
 
     The loss head is the library's own ``_losses_and_dlogits``; the layer
     recursion around it is written out with the pre-activation mask.
@@ -120,8 +120,7 @@ def textbook_backward(net: nn.DenseNet, X, y, clip_m: float):
     deltas = [dlogits * (raw < clip_m)[:, None]]
     for i in range(len(net.weights) - 1, 0, -1):
         z = zs[i - 1]
-        mask = z > 0 if net.activation == "relu" else 1.0 - np.tanh(z) ** 2
-        deltas.insert(0, (deltas[0] @ net.weights[i]) * mask)
+        deltas.insert(0, (deltas[0] @ net.weights[i]) * (z > 0))
     return acts, deltas, np.minimum(raw, clip_m)
 
 
@@ -137,7 +136,7 @@ def textbook_grads(net: nn.DenseNet, X, y, clip_m: float):
     return np.concatenate(parts), np.sqrt(sq), losses, deltas[0] @ net.weights[0]
 
 
-def random_net_and_batch(seed: int, activation: str = "relu", widths=(4, 6, 3), n: int = 5):
+def random_net_and_batch(seed: int, widths=(4, 6, 3), n: int = 5):
     """Random net plus a batch kept away from relu kinks and the loss clip.
 
     Pre-activations are resampled until every |z| exceeds 1e-3, which both
@@ -149,12 +148,12 @@ def random_net_and_batch(seed: int, activation: str = "relu", widths=(4, 6, 3), 
         ws = tuple(rng.normal(scale=0.6, size=(o, i))
                    for i, o in zip(widths[:-1], widths[1:]))
         bs = tuple(rng.normal(scale=0.3, size=o) for o in widths[1:])
-        net = net_from_layers(ws, bs, activation)
+        net = net_from_layers(ws, bs)
         X = rng.normal(size=(n, widths[0]))
         y = rng.integers(0, widths[-1], size=n)
         _, zs = textbook_forward(net, X)
         margin = min(np.abs(z).min() for z in zs[:-1]) if len(zs) > 1 else 1.0
-        if activation != "relu" or margin > 1e-3:
+        if margin > 1e-3:
             return net, X, y
     raise AssertionError("could not find a kink-free instance")
 

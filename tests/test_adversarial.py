@@ -11,7 +11,7 @@ from conftest import CLIP_M, net_from_layers, random_net_and_batch
 
 def linear_1d_net():
     """1 -> 2 linear net with logits z = (0, x): at label 0 the loss is ln(1 + e^x)."""
-    return net_from_layers((np.array([[0.0], [1.0]]),), (np.zeros(2),), "relu")
+    return net_from_layers((np.array([[0.0], [1.0]]),), (np.zeros(2),))
 
 
 def sigmoid(x):
@@ -127,7 +127,7 @@ class TestPgdAttack:
     def test_linf_sign_update_moves_exactly_alpha(self):
         # all-positive input gradient: one step moves every coordinate by +alpha
         net = net_from_layers((np.array([[0.0, 0.0, 0.0], [2.0, 3.0, 0.5]]),),
-                          (np.array([0.0, 1.0]),), "relu")
+                          (np.array([0.0, 1.0]),))
         x = np.array([[1.0, 1.0, 1.0]])  # logits (0, 6.5), y = 0: grad = p_1 * (2, 3, 0.5) > 0
         spec = adversarial.AttackSpec(norm="linf", radius=10.0, steps=1, step_size=0.25)
         out = adversarial.pgd_batch(net, x, np.array([0]), spec, CLIP_M)

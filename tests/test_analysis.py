@@ -106,7 +106,7 @@ class TestAdversarialAccuracy:
         assert got == accuracy(nn.forward(net, test.features), test.labels)
 
     def test_constant_net_immune_to_attack(self):
-        net = net_from_layers((np.zeros((3, 4)),), (np.array([0.0, 1.0, 0.0]),), "relu")
+        net = net_from_layers((np.zeros((3, 4)),), (np.array([0.0, 1.0, 0.0]),))
         ds = synth_blobs(15, 3, 4, 1.0, seed=8)
         freq = float((ds.labels == 1).mean())
         for rho in (0.0, 0.5, 3.0):
@@ -117,7 +117,7 @@ class TestAdversarialAccuracy:
     def test_1d_threshold_classifier_margin_geometry(self):
         # logits (x, -x): class 0 iff x >= 0; attacking with rho > margin flips
         # every class-0 point at distance < rho from the boundary
-        net = net_from_layers((np.array([[1.0], [-1.0]]),), (np.zeros(2),), "relu")
+        net = net_from_layers((np.array([[1.0], [-1.0]]),), (np.zeros(2),))
         ds = LabeledSet(np.array([[0.3], [2.0], [-0.3], [-2.0]]),
                         np.array([0, 0, 1, 1]), 2)
         got = analysis.adversarial_accuracy(net, ds, AttackSpec(norm="linf", radius=0.5,

@@ -35,20 +35,20 @@ def scored(net, ds):
 
 class TestTrueLabelConfidences:
     def test_uniform_two_class(self):
-        net = net_from_layers((np.zeros((2, 3)),), (np.zeros(2),), "relu")
+        net = net_from_layers((np.zeros((2, 3)),), (np.zeros(2),))
         ds = LabeledSet(np.ones((4, 3)), np.array([0, 1, 0, 1]), 2)
         assert attacks.true_label_confidences(*scored(net, ds)) == pytest.approx(np.full(4, 0.5))
 
     def test_hand_softmax(self):
         # logits (ln 3, 0): p(label 0) = 3 / (3 + 1) = 0.75
-        net = net_from_layers((np.zeros((2, 1)),), (np.array([math.log(3.0), 0.0]),), "relu")
+        net = net_from_layers((np.zeros((2, 1)),), (np.array([math.log(3.0), 0.0]),))
         ds = LabeledSet(np.zeros((1, 1)), np.array([0]), 2)
         conf = attacks.true_label_confidences(*scored(net, ds))
         assert conf[0] == pytest.approx(0.75, rel=1e-14)
 
     def test_two_class_confidences_sum_to_one(self):
         rng = np.random.default_rng(4)
-        net = net_from_layers((rng.normal(size=(2, 3)),), (rng.normal(size=2),), "relu")
+        net = net_from_layers((rng.normal(size=(2, 3)),), (rng.normal(size=2),))
         X = rng.normal(size=(6, 3))
         c0 = attacks.true_label_confidences(*scored(net, LabeledSet(X, np.zeros(6, dtype=int), 2)))
         c1 = attacks.true_label_confidences(*scored(net, LabeledSet(X, np.ones(6, dtype=int), 2)))
@@ -69,7 +69,7 @@ class TestTrueLabelConfidences:
 
     def test_values_in_open_unit_interval(self):
         rng = np.random.default_rng(5)
-        net = net_from_layers((rng.normal(size=(3, 2)),), (rng.normal(size=3),), "tanh")
+        net = net_from_layers((rng.normal(size=(3, 2)),), (rng.normal(size=3),))
         ds = LabeledSet(rng.normal(size=(10, 2)), rng.integers(0, 3, 10), 3)
         c = attacks.true_label_confidences(*scored(net, ds))
         assert ((c > 0) & (c < 1)).all()
@@ -182,7 +182,7 @@ class TestOptimalThreshold:
 class TestGeneralizationGap:
     def two_point_net(self):
         # threshold unit: logit_0 = x, logit_1 = -x, decides class by sign
-        return net_from_layers((np.array([[1.0], [-1.0]]),), (np.zeros(2),), "relu")
+        return net_from_layers((np.array([[1.0], [-1.0]]),), (np.zeros(2),))
 
     def test_identical_sets_zero_gap(self):
         ds = LabeledSet(np.array([[1.0], [-1.0]]), np.array([0, 1]), 2)
@@ -208,6 +208,6 @@ class TestGeneralizationGap:
         assert attacks.accuracy(logits, np.array([0, 1, 1, 1])) == 0.5  # the tie is class 0
 
     def test_argmax_tie_breaks_to_first_index(self):
-        net = net_from_layers((np.zeros((3, 2)),), (np.zeros(3),), "relu")
+        net = net_from_layers((np.zeros((3, 2)),), (np.zeros(3),))
         ds = LabeledSet(np.ones((2, 2)), np.array([0, 1]), 3)
         assert attacks.accuracy(*scored(net, ds)) == 0.5  # everything predicted as class 0

@@ -54,33 +54,18 @@ class TestOnAverageBound:
 
 class TestHighProbBound:
     def test_zero_beta_leaves_only_sqrt_term(self):
-        got = bounds.high_prob_bound(0.0, 100, math.exp(-1.0), 1.0)
-        assert got == pytest.approx(0.1, rel=1e-12)
-
-    def test_gamma_near_one_vanishes(self):
-        assert bounds.high_prob_bound(0.0, 100, 1 - 1e-12, 1.0) < 1e-6
+        # sqrt(ln(1 / 0.05) / 100) = sqrt(ln(20)) / 10
+        got = bounds.high_prob_bound(0.0, 100)
+        assert got == pytest.approx(math.sqrt(math.log(20.0)) / 10, rel=1e-12)
 
     def test_hand_example_frozen(self):
-        got = bounds.high_prob_bound(0.01, 1000, 0.05, 1.0)
+        assert bounds.GAMMA == 0.05
+        got = bounds.high_prob_bound(0.01, 1000)
         assert got == pytest.approx(HIGH_PROB_HAND, rel=1e-13)
-
-    def test_c_scales_linearly(self):
-        one = bounds.high_prob_bound(0.02, 500, 0.1, 1.0)
-        assert bounds.high_prob_bound(0.02, 500, 0.1, 3.0) == pytest.approx(3 * one, rel=1e-15)
-
-    @pytest.mark.parametrize("c", [0.0, math.inf, math.nan])
-    def test_c_domain(self, c):
-        with pytest.raises(ValueError, match="c must"):
-            bounds.high_prob_bound(0.1, 100, 0.1, c)
-
-    def test_gamma_domain(self):
-        for g in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
-                bounds.high_prob_bound(0.1, 100, g)
 
     def test_beta_above_m_rejected(self):
         with pytest.raises(ValueError, match="exceed"):
-            bounds.high_prob_bound(2.0, 100, 0.1, 1.0)
+            bounds.high_prob_bound(2.0, 100)
 
 
 class TestRateChecks:
@@ -99,34 +84,31 @@ class TestRateChecks:
 
     def test_high_prob_sqrt_term_exact_rate(self):
         # the concentration term is exactly 1/sqrt(N)
-        gamma, c = 0.05, 1.0
-        t1 = bounds.high_prob_bound(0.0, 10 ** 3, gamma, c)
-        t2 = bounds.high_prob_bound(0.0, 10 ** 5, gamma, c)
+        t1 = bounds.high_prob_bound(0.0, 10 ** 3)
+        t2 = bounds.high_prob_bound(0.0, 10 ** 5)
         assert t1 / t2 == pytest.approx(math.sqrt(10 ** 5 / 10 ** 3), rel=1e-12)
 
 
 class TestBoundReport:
     def test_fields_consistent(self):
-        rep = bounds.bound_report(eps=0.4, delta=1e-3, m=10.0, n=2000, gamma=0.05, c=1.0)
+        rep = bounds.bound_report(eps=0.4, delta=1e-3, m=10.0, n=2000)
+        assert set(rep) == {"beta", "high_prob_bound", "gamma"}
         assert rep["beta"] == bounds.stability_beta(0.4, 1e-3, 10.0)
         assert rep["beta"] <= 10.0
         # the bound on loss / M, whose stability is beta / M, scaled back by M
         assert rep["high_prob_bound"] == pytest.approx(
-            10.0 * bounds.high_prob_bound(rep["beta"] / 10.0, 2000, 0.05, 1.0), rel=1e-15)
-        # c defaults to 1
-        assert bounds.bound_report(eps=0.4, delta=1e-3, m=10.0, n=2000, gamma=0.05) == rep
+            10.0 * bounds.high_prob_bound(rep["beta"] / 10.0, 2000), rel=1e-15)
+        assert rep["gamma"] == bounds.GAMMA
 
     def test_infinite_eps_gives_beta_m(self):
-        assert bounds.bound_report(math.inf, 0.1, 3.0, 100, 0.05)["beta"] == 3.0
+        assert bounds.bound_report(math.inf, 0.1, 3.0, 100)["beta"] == 3.0
 
     @pytest.mark.parametrize("kwargs, words", [
         (dict(eps=math.nan), "epsilon"),
         (dict(m=math.inf), "loss bound M"),
-        (dict(gamma=2.0), "gamma"),
-        (dict(c=math.inf), "c must"),
         (dict(n=1), "N must"),
-    ], ids=["nan-eps", "inf-loss-bound", "gamma-2", "inf-c", "one-example"])
+    ], ids=["nan-eps", "inf-loss-bound", "one-example"])
     def test_invalid_argument_is_rejected(self, kwargs, words):
-        args = dict(eps=1.0, delta=0.0, m=10.0, n=100, gamma=0.05, c=1.0) | kwargs
+        args = dict(eps=1.0, delta=0.0, m=10.0, n=100) | kwargs
         with pytest.raises(ValueError, match=words):
             bounds.bound_report(**args)

@@ -141,7 +141,8 @@ class TestTrainCommand:
         assert meta["max_rss_mb"] > 0
         peaks = meta["stage_peak_rss_mb"]
         assert set(peaks) == set(stages)
-        order = [peaks[k] for k in ("train", "noise", "mia", "adv_eval", "writes")]
+        # the stages in the order they last end: the last writes are noise_hist.csv's
+        order = [peaks[k] for k in ("train", "noise", "writes", "mia", "adv_eval")]
         assert 0 < order[0] and order == sorted(order) and order[-1] <= meta["max_rss_mb"]
         assert meta["blas_env"] == cli.BLAS_ENV
         assert meta["numpy_preloaded"] is True  # the test session imported numpy first
@@ -454,16 +455,41 @@ class TestSweepCommand:
             assert new["config_digest"] == config.config_digest(cfg) != old["config_digest"]
             assert new["noise"] != old["noise"]  # retrained on the new rows, not reused
 
+    def test_run_killed_between_its_last_two_writes_is_complete_or_unfinished(
+            self, tmp_path, capsys, monkeypatch):
+        cfg, path = tiny_config(tmp_path, radius_list=(0.0,), seeds=(1,))
+        write_json, written = cli._write_json, []
+
+        def killed_at_the_second(target, obj):  # _write_run's two writes are a run's only ones
+            if written:
+                raise KeyboardInterrupt("killed")
+            write_json(target, obj)
+            written.append(target.name)
+
+        monkeypatch.setattr(cli, "_write_json", killed_at_the_second)
+        with pytest.raises(KeyboardInterrupt):
+            cli.run_experiment(cfg, 0.0, 1)
+        monkeypatch.undo()
+        assert len(written) == 1
+        run = cli.run_dir_for(cfg, 0.0, 1)
+        summaries, unfinished = cli._load_summaries(cfg)
+        complete = (run / "summary.json").is_file() and (run / "meta.json").is_file()
+        assert (len(summaries), list(unfinished)) == ((1, []) if complete else (0, [(0.0, 1)]))
+        assert cli.main(["sweep", "--config", str(path)]) == 0  # a resumed sweep finishes it
+        assert (run / "summary.json").is_file() and (run / "meta.json").is_file()
+
     def test_truncated_summary_is_a_failure_then_rerun(self, tmp_path, capsys):
         # as left by a run killed mid-write
         break_summary_then_report_and_resume(tmp_path, capsys, lambda whole: whole[:100])
 
     @pytest.mark.parametrize("column, edit", [
         # beta was on_avg_bound before it was renamed, which left the config digest as it was
-        ("beta", lambda s: s["bounds"][0].update(on_avg_bound=s["bounds"][0].pop("beta"))),
-        ("beta", lambda s: s.update(bounds=[])),
+        ("beta", lambda s: s["bounds"].update(on_avg_bound=s["bounds"].pop("beta"))),
+        ("beta", lambda s: s.update(bounds={})),
+        # bounds was a list of one record per gamma before it became one record
+        ("beta", lambda s: s.update(bounds=[s["bounds"]])),
         ("attack_accuracy", lambda s: s.update(mia=None)),
-    ], ids=["renamed", "no-bounds", "null-mia"])
+    ], ids=["renamed", "no-bounds", "bounds-list", "null-mia"])
     def test_summary_that_lacks_a_sweep_column_is_unreadable_then_rerun(
             self, tmp_path, capsys, column, edit):
         def corrupt(whole):
@@ -497,7 +523,7 @@ WRITERS = {
     "ledger": lambda path, k: training.write_ledger_csv(
         [intensity.IterationRecord(20, 1.0, 2.0 * k, 2.0 * k, 0.5, 0.5)], path),
     "checkpoint": lambda path, k: training.save_checkpoint(
-        nn.DenseNet.random((2, 3, 2), "relu", seed=k), path),
+        nn.DenseNet.random((2, 3, 2), seed=k), path),
     "histogram": lambda path, k: cli._write_histogram_csv(path, np.full(10, float(k))),
     "sweep_csv": lambda path, k: cli.write_sweep_csv(
         [{c: float(k) for c in cli.SWEEP_COLUMNS} | {"seed": k}], path),
@@ -548,7 +574,7 @@ SUMMARY_PATHS = {
     "budgets.erm_corollary.inputs.i_1t", "budgets.erm_corollary.inputs.t",
     "budgets.erm_corollary.inputs.n", "budgets.erm_corollary.inputs.b",
     "budgets.erm_corollary.inputs.delta_prime",
-    "bounds[].beta", "bounds[].high_prob_bound", "bounds[].gamma", "bounds[].c",
+    "bounds.beta", "bounds.high_prob_bound", "bounds.gamma",
     "mia.zeta_optim", "mia.accuracy", "adv_accuracy", "adv_accuracy_common",
 }
 # every key path of analysis.json, whatever the sweep's row count
@@ -590,7 +616,7 @@ def sweep_summary(rho=0.1, seed=1):
     return {"rho": rho, "seed": seed, "intensity_1t": 1.5, "adv_accuracy": 0.6,
             "adv_accuracy_common": 0.55, "mia": {"accuracy": 0.52, "zeta_optim": 0.3},
             "adv": {"gen_gap": 0.04}, "budgets": {"leading_thm5": {"epsilon": 7.0}},
-            "bounds": [{"beta": 0.2, "high_prob_bound": 0.9}, {"beta": 0.3, "high_prob_bound": 1.1}]}
+            "bounds": {"beta": 0.2, "high_prob_bound": 0.9, "gamma": 0.05}}
 
 
 def sweep_report_row(rho, ii, attack=0.5, gap=0.0, common=0.5, matched=0.5):
@@ -704,16 +730,20 @@ class TestNoiseFields:
 
 
 class TestInvalidValues:
+    REMOVED = {"activation": "[net]", "gamma_list": "[bounds]", "constant_c": "[bounds]"}
+
     @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize("field, value", [
         ("total_iterations", "0"), ("log_every", "0"), ("lr_decay_every", "0"),
         ("batch_size", "0"), ("batch_size", "5000"), ("steps", "-1"), ("norm", "l3"),
-        ("activation", "sigmoid"), ("hidden", "8,0"), ("n_per_class", "0"), ("dim", "0"),
+        ("hidden", "8,0"), ("n_per_class", "0"), ("dim", "0"),
         ("num_classes", "0"), ("n_train", "300"), ("spread", "-1.0"), ("workers", "-1"),
         ("lr_init", "nan"), ("weight_decay", "nan"), ("lr_decay", "nan"), ("momentum", "inf"),
         ("spread", "inf"), ("radius_list", "0.0,nan"), ("step_size", "inf"),
         ("delta_prime", "inf"), ("seeds", "-1"), ("seeds", str(2 ** 128)), ("seeds", "1,1"),
-        ("data_seed", "-2"), ("log_every", "61"), ("loss_bound", "inf"), ("constant_c", "inf"),
+        ("data_seed", "-2"), ("log_every", "61"), ("loss_bound", "inf"),
+        # keys that older versions wrote, at the values they wrote
+        ("activation", "relu"), ("gamma_list", "0.05"), ("constant_c", "1.0"),
         # past one float64 array or the Philox steps of the noise stream
         ("n_per_class", str(10 ** 19)), ("dim", str(10 ** 19)), ("num_classes", str(10 ** 19)),
         ("hidden", f"8,{10 ** 19}"), ("noise_batches", str(10 ** 19)),
@@ -723,8 +753,12 @@ class TestInvalidValues:
             self, tmp_path, capsys, monkeypatch, command, field, value):
         cfg, path = tiny_config(tmp_path, total_iterations=40, n_per_class=100, n_train=200)
         text = path.read_text()
-        line = next(line for line in text.splitlines(True) if line.startswith(f"{field} = "))
-        path.write_text(text.replace(line, f"{field} = {value}\n"))
+        if field in self.REMOVED:  # added under the section that held it
+            section = self.REMOVED[field]
+            path.write_text(text.replace(f"{section}\n", f"{section}\n{field} = {value}\n"))
+        else:
+            line = next(line for line in text.splitlines(True) if line.startswith(f"{field} = "))
+            path.write_text(text.replace(line, f"{field} = {value}\n"))
 
         def never(*args, **kwargs):
             raise AssertionError("started work despite a config error")
@@ -736,6 +770,8 @@ class TestInvalidValues:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1 and err.startswith("config error: ")
         assert field in err
+        if field in self.REMOVED:
+            assert err == f"config error: unknown key {self.REMOVED[field]} {field}\n"
         assert not Path(cfg.output_dir).exists()
 
     @pytest.mark.parametrize("command", ["config", "train", "sweep"])
@@ -769,7 +805,7 @@ class TestInvalidValues:
             self, tmp_path, capsys, monkeypatch, argv, words):
         cfg, path = tiny_config(tmp_path)
         ckpt, out = tmp_path / "net.ckpt", tmp_path / "out.csv"
-        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), "relu", seed=1), ckpt)
+        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), seed=1), ckpt)
 
         def never(*args, **kwargs):
             raise AssertionError("started work despite a config error")
@@ -805,7 +841,7 @@ class TestCheckpointCommands:
             self, tmp_path, capsys, monkeypatch, flags, words):
         _, path = tiny_config(tmp_path)
         ckpt = tmp_path / "net.ckpt"
-        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), "relu", seed=1), ckpt)
+        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), seed=1), ckpt)
 
         def never(*args, **kwargs):
             raise AssertionError("probed despite a config error")
@@ -823,7 +859,7 @@ class TestCheckpointCommands:
             self, tmp_path, capsys, widths):
         _, path = tiny_config(tmp_path)
         ckpt = tmp_path / "net.ckpt"
-        training.save_checkpoint(nn.DenseNet.random(widths, "relu", seed=1), ckpt)
+        training.save_checkpoint(nn.DenseNet.random(widths, seed=1), ckpt)
         self.assert_config_error(capsys, probe_argv(path, ckpt, tmp_path / "probe.csv"),
                                  str(ckpt), "-".join(map(str, widths)))
         assert sorted(tmp_path.iterdir()) == sorted([path, ckpt])
@@ -832,7 +868,7 @@ class TestCheckpointCommands:
             self, tmp_path, capsys):
         _, path = tiny_config(tmp_path)
         ckpt = tmp_path / "net.ckpt"
-        net = nn.DenseNet.random((4, 8, 3), "relu", seed=1)
+        net = nn.DenseNet.random((4, 8, 3), seed=1)
         training.save_checkpoint(net, ckpt)
         blob = bytearray(ckpt.read_bytes())
         first = len(blob) - 8 * net.num_params  # the first payload double
@@ -856,10 +892,25 @@ class TestCheckpointCommands:
         assert str(ckpt) in err and "4-0-3" in err, err
         assert sorted(tmp_path.iterdir()) == sorted([path, ckpt])
 
+    def test_checkpoint_of_an_older_tanh_net_is_one_line_error_exit_1(self, tmp_path, capsys):
+        # older versions wrote activation byte 1 for a tanh net; only relu's 0 is read
+        _, path = tiny_config(tmp_path)
+        ckpt = tmp_path / "net.ckpt"
+        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), seed=1), ckpt)
+        blob = bytearray(ckpt.read_bytes())
+        assert blob[4] == 0  # the activation byte follows the magic
+        blob[4] = 1
+        ckpt.write_bytes(bytes(blob))
+        assert cli.main(probe_argv(path, ckpt, tmp_path / "probe.csv")) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith(f"error: {ckpt}: "), err
+        assert "activation code 1" in err, err
+        assert sorted(tmp_path.iterdir()) == sorted([path, ckpt])
+
     def test_checkpoint_with_extra_outputs_is_accepted(self, tmp_path, capsys):
         _, path = tiny_config(tmp_path)
         ckpt = tmp_path / "net.ckpt"
-        training.save_checkpoint(nn.DenseNet.random((4, 8, 5), "relu", seed=1), ckpt)
+        training.save_checkpoint(nn.DenseNet.random((4, 8, 5), seed=1), ckpt)
         assert cli.main(probe_argv(path, ckpt, tmp_path / "probe.csv")) == 0
 
     def test_probe_writes_a_row_per_batch_size(self, tmp_path, capsys):
@@ -1001,7 +1052,7 @@ class TestRunAgreesWithTheLibrary:
 
     @pytest.fixture(scope="class")
     def run(self, tmp_path_factory):
-        cfg, _ = tiny_config(tmp_path_factory.mktemp("run"), gamma_list=(0.1, 0.2))
+        cfg, _ = tiny_config(tmp_path_factory.mktemp("run"))
         summary = cli.run_experiment(cfg, 0.15, 2)
         run_dir = cli.run_dir_for(cfg, 0.15, 2)
         assert json.loads((run_dir / "summary.json").read_text()) == summary
@@ -1019,13 +1070,12 @@ class TestRunAgreesWithTheLibrary:
         assert budgets["composed_thm4"].epsilon == summary["budgets"]["composed_thm4"]["epsilon"]
         assert {k: dataclasses.asdict(b) for k, b in budgets.items()} == summary["budgets"]
 
-    def test_bound_report_reproduces_every_bounds_entry(self, run):
+    def test_bound_report_reproduces_the_bounds_record(self, run):
         cfg, _, summary = run
         leading = summary["budgets"]["leading_thm5"]
-        assert summary["bounds"] == [
-            bounds.bound_report(leading["epsilon"], leading["delta"], cfg.loss_bound,
-                                summary["n_train"], gamma, cfg.constant_c)
-            | {"gamma": gamma, "c": cfg.constant_c} for gamma in cfg.gamma_list]
+        assert summary["bounds"] == bounds.bound_report(
+            leading["epsilon"], leading["delta"], cfg.loss_bound, summary["n_train"])
+        assert summary["bounds"]["gamma"] == bounds.GAMMA
 
     def test_noise_at_the_erm_checkpoint_reproduces_the_fit_and_histogram(self, run, tmp_path):
         cfg, run_dir, summary = run
@@ -1156,7 +1206,6 @@ class TestGatesCheckOnce:
                                           and a["spread"] >= 0),
         (data, "split"): lambda a: 1 <= a["n_train"] < len(a["dataset"]),
         (data, "BatchSchedule"): lambda a: a["batch_size"] >= 1,
-        (nn.DenseNet, "__post_init__"): lambda a: a["self"].activation in nn.ACTIVATIONS,
         (privacy, "fit_laplace"): lambda a: (len(a["values"]) >= 2
                                              and a["values"].min() < a["values"].max()),
         (intensity, "composite_intensity"): lambda a: len(a["values"]) >= 1,
@@ -1214,7 +1263,7 @@ class TestOversizedCounts:
     def test_probe_estimates_that_do_not_fit_in_memory(self, tmp_path, capsys):
         _, path = tiny_config(tmp_path)
         ckpt, out = tmp_path / "net.ckpt", tmp_path / "probe.csv"
-        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), "relu", seed=1), ckpt)
+        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), seed=1), ckpt)
         self.assert_one_error_line(capsys, [
             "probe", "--config", str(path), "--erm-checkpoint", str(ckpt),
             "--adv-checkpoint", str(ckpt), "--rho", "0.1", "--repeats", str(10 ** 17),
@@ -1276,7 +1325,7 @@ class TestFileErrors:
         """``probe`` under a tiny config, writing its table to ``target``."""
         _, path = tiny_config(tmp_path)
         ckpt = tmp_path / "net.ckpt"
-        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), "relu", seed=1), ckpt)
+        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), seed=1), ckpt)
         return probe_argv(path, ckpt, target)
 
     def test_output_into_a_missing_directory_names_the_target(self, tmp_path, capsys):

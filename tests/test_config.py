@@ -20,8 +20,7 @@ class TestRoundTrip:
     def test_non_default_values_survive(self):
         cfg = dataclasses.replace(
             config.ExperimentConfig(), norm="l2", radius_list=(0.0, 0.4, 0.9),
-            hidden=(32,), seeds=(5,), step_size=0.07, csv_header=True,
-            gamma_list=(0.01, 0.1), spread=2.5)
+            hidden=(32,), seeds=(5,), step_size=0.07, csv_header=True, spread=2.5)
         assert config.from_ini(config.to_ini(cfg)) == cfg
 
     def test_file_round_trip(self, tmp_path):
@@ -65,10 +64,6 @@ class TestValidation:
     def test_radius_nonnegative(self):
         with pytest.raises(config.ConfigError, match="nonnegative"):
             dataclasses.replace(config.ExperimentConfig(), radius_list=(-0.1, 0.0))
-
-    def test_gamma_in_unit_interval(self):
-        with pytest.raises(config.ConfigError, match="gamma"):
-            dataclasses.replace(config.ExperimentConfig(), gamma_list=(1.5,))
 
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(config.ExperimentConfig)
                                       if "float" in f.type])
@@ -200,13 +195,13 @@ class TestConfigDigest:
     def test_default_digest_is_pinned(self):
         # every default run's summary.json carries it, so it must not move
         assert config.config_digest(config.ExperimentConfig()) == (
-            "ec13c82f3814ec524b2df67cc32f48e428c61041a332725d960079f3262772dc")
+            "5d26e9ded6861c7db1d261eac37f51668c6a0a51c17fe31999ee5bd50cdac2e0")
 
     def test_default_ini_text_is_pinned(self):
         # the fields' section order decides the file's bytes, so it must not move
         text = config.to_ini(config.ExperimentConfig())
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-            "cfcd0f480c116045619cf8c0c6f7e5e3c896d5d4a745280b58ed87668482203c")
+            "25d8ae69ee415654488415a44df2fc4dd0dc5c2ec0f0364aa858ea37fba22530")
 
     def test_csv_source_digests_the_bytes_of_both_files(self, tmp_path):
         train, test = tmp_path / "train.csv", tmp_path / "test.csv"
@@ -228,7 +223,7 @@ class TestConfigDigest:
 
     @pytest.mark.parametrize("change", [
         {"lr_init": 0.05}, {"radius_list": (0.0, 0.05, 0.4)}, {"steps": 4},
-        {"hidden": (32,)}, {"step_size": 0.01}, {"noise_tau": 32}, {"gamma_list": (0.1,)},
+        {"hidden": (32,)}, {"step_size": 0.01}, {"noise_tau": 32}, {"loss_bound": 5.0},
     ])
     def test_fields_that_shape_a_run_change_the_digest(self, change):
         cfg = config.ExperimentConfig()

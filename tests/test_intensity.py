@@ -110,8 +110,8 @@ class TestCompositeIntensity:
 def probe_instance(n_total=240, n_train=160, seed=13):
     pool = synth_blobs(n_total // 3, 3, 6, 1.2, seed=seed)
     train, _ = split(pool, n_train, seed=seed)
-    e = nn.DenseNet.random((6, 12, 3), "relu", seed=seed)
-    a = nn.DenseNet.random((6, 12, 3), "relu", seed=seed + 1)
+    e = nn.DenseNet.random((6, 12, 3), seed=seed)
+    a = nn.DenseNet.random((6, 12, 3), seed=seed + 1)
     return train, e, a
 
 

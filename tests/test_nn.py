@@ -15,7 +15,7 @@ from conftest import (CLIP_M, assert_grad_close, fd_grad_inputs, fd_grad_params,
 
 
 def identity_net(d):
-    return net_from_layers((np.eye(d),), (np.zeros(d),), "relu")
+    return net_from_layers((np.eye(d),), (np.zeros(d),))
 
 
 class TestForward:
@@ -26,7 +26,7 @@ class TestForward:
 
     def test_zero_weights_give_bias(self):
         b = np.array([0.5, -1.5, 2.0])
-        net = net_from_layers((np.zeros((3, 2)),), (b,), "relu")
+        net = net_from_layers((np.zeros((3, 2)),), (b,))
         logits = nn.forward(net, np.random.default_rng(0).normal(size=(4, 2)))
         assert np.array_equal(logits, np.tile(b, (4, 1)))
 
@@ -36,7 +36,7 @@ class TestForward:
         b1 = np.array([0.1, -0.3])
         w2 = np.array([[2.0, -1.0]])
         b2 = np.array([0.05])
-        net = net_from_layers((w1, w2), (b1, b2), "relu")
+        net = net_from_layers((w1, w2), (b1, b2))
         x = [1.0, 0.0]
         z1 = [1.0 * x[0] + -2.0 * x[1] + 0.1, 0.5 * x[0] + 0.25 * x[1] + -0.3]
         a1 = [max(z1[0], 0.0), max(z1[1], 0.0)]
@@ -55,24 +55,24 @@ class TestForward:
 class TestDenseNetInvariants:
     def test_widths_fix_the_vector_length(self):
         with pytest.raises(ValueError, match="2-3-2 net has 17 parameters"):
-            nn.DenseNet((2, 3, 2), np.zeros(16), "relu")
+            nn.DenseNet((2, 3, 2), np.zeros(16))
         with pytest.raises(ValueError, match="2-3-2 net has 17 parameters"):
-            nn.DenseNet((2, 3, 2), np.zeros((1, 17)), "relu")
+            nn.DenseNet((2, 3, 2), np.zeros((1, 17)))
         with pytest.raises(ValueError, match="each >= 1"):
-            nn.DenseNet((2, 0, 2), np.zeros(nn.param_count((2, 0, 2))), "relu")
+            nn.DenseNet((2, 0, 2), np.zeros(nn.param_count((2, 0, 2))))
         with pytest.raises(ValueError, match="at least two"):
-            nn.DenseNet((2,), np.zeros(0), "relu")
+            nn.DenseNet((2,), np.zeros(0))
 
     def test_finite_parameters_enforced(self):
         with pytest.raises(nn.DivergenceError, match="non-finite parameters"):
-            net_from_layers((np.array([[np.inf]]),), (np.zeros(1),), "relu")
+            net_from_layers((np.array([[np.inf]]),), (np.zeros(1),))
 
     def test_flatten_ordering_row_major_weights_then_biases(self):
         w1 = np.array([[1.0, 2.0], [3.0, 4.0]])
         b1 = np.array([5.0, 6.0])
         w2 = np.array([[7.0, 8.0]])
         b2 = np.array([9.0])
-        net = net_from_layers((w1, w2), (b1, b2), "tanh")
+        net = net_from_layers((w1, w2), (b1, b2))
         assert net.params.tolist() == [1, 2, 3, 4, 5, 6, 7, 8, 9]
 
     def test_constructor_keeps_a_read_only_vector_that_owns_its_data(self):
@@ -84,16 +84,16 @@ class TestDenseNetInvariants:
     @pytest.mark.parametrize("build", ["constructor", "random", "constructor_over_views",
                                        "sgd_step", "load_checkpoint"])
     def test_net_owns_one_read_only_parameter_vector(self, tmp_path, build):
-        base = nn.DenseNet.random((3, 4, 2), "tanh", seed=5)
+        base = nn.DenseNet.random((3, 4, 2), seed=5)
         given = np.arange(base.num_params, dtype=np.float64)
         if build == "constructor":
-            net = nn.DenseNet(base.layer_widths, given, "tanh")
+            net = nn.DenseNet(base.layer_widths, given)
         elif build == "random":
             net = base
         elif build == "constructor_over_views":
             view = given[:]  # read-only, but its data is another array's
             view.setflags(write=False)
-            net = nn.DenseNet(base.layer_widths, view, "tanh")
+            net = nn.DenseNet(base.layer_widths, view)
         elif build == "sgd_step":
             net = training.sgd_step(base, given, 0.1, np.zeros(base.num_params), 0.9, 0.0)[0]
         else:
@@ -107,7 +107,7 @@ class TestDenseNetInvariants:
         assert not np.shares_memory(flat, given)
 
     def test_constructor_copies_any_other_vector(self):
-        net = nn.DenseNet.random((3, 4, 2), "relu", seed=5)
+        net = nn.DenseNet.random((3, 4, 2), seed=5)
         writable = np.arange(net.num_params, dtype=np.float64)
         view = writable[:]
         view.setflags(write=False)
@@ -129,13 +129,13 @@ class TestDenseNetInvariants:
 
 class TestLossBatch:
     def test_uniform_two_class_is_ln2(self):
-        net = net_from_layers((np.zeros((2, 3)),), (np.zeros(2),), "relu")
+        net = net_from_layers((np.zeros((2, 3)),), (np.zeros(2),))
         mean, per = nn.loss_batch(net, np.ones((5, 3)), np.zeros(5, dtype=int), CLIP_M)
         assert per == pytest.approx(np.full(5, math.log(2.0)), abs=1e-12)
         assert mean == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_clip_boundary(self):
-        net = net_from_layers((np.zeros((2, 3)),), (np.zeros(2),), "relu")
+        net = net_from_layers((np.zeros((2, 3)),), (np.zeros(2),))
         clip_m = 0.5  # raw loss is ln 2 > 0.5
         mean, per = nn.loss_batch(net, np.ones((2, 3)), np.zeros(2, dtype=int), clip_m)
         assert np.array_equal(per, [0.5, 0.5])
@@ -147,7 +147,7 @@ class TestLossBatch:
         label = 2
         z = [math.exp(v) for v in logits]
         expected = -math.log(z[label] / sum(z))
-        net = net_from_layers((np.zeros((3, 1)),), (np.array(logits),), "relu")
+        net = net_from_layers((np.zeros((3, 1)),), (np.array(logits),))
         _, per = nn.loss_batch(net, np.zeros((1, 1)), np.array([label]), CLIP_M)
         assert per[0] == pytest.approx(expected, rel=1e-14)
 
@@ -156,7 +156,7 @@ class TestLossBatch:
            st.floats(0.01, 20), st.integers(0, 5))
     def test_loss_bounded_by_clip(self, logits, clip_m, label_raw):
         label = label_raw % len(logits)
-        net = net_from_layers((np.zeros((len(logits), 1)),), (np.array(logits),), "relu")
+        net = net_from_layers((np.zeros((len(logits), 1)),), (np.array(logits),))
         _, per = nn.loss_batch(net, np.zeros((1, 1)), np.array([label]), clip_m)
         assert 0.0 <= per[0] <= clip_m
 
@@ -164,14 +164,13 @@ class TestLossBatch:
 class TestGradParams:
     def test_zero_gradient_at_constructed_minimum(self):
         # all softmax mass on the true class, loss far inside the clip
-        net = net_from_layers((np.zeros((2, 2)),), (np.array([60.0, 0.0]),), "relu")
+        net = net_from_layers((np.zeros((2, 2)),), (np.array([60.0, 0.0]),))
         mean, _, _ = nn.grad_params(net, np.ones((3, 2)), np.zeros(3, dtype=int), CLIP_M)
         assert np.linalg.norm(mean) < 1e-9
 
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_matches_finite_differences(self, seed, activation):
-        net, X, y = random_net_and_batch(seed, activation)
+    def test_matches_finite_differences(self, seed):
+        net, X, y = random_net_and_batch(seed)
         mean, _, _ = nn.grad_params(net, X, y, CLIP_M)
         assert_grad_close(mean, fd_grad_params(net, X, y, CLIP_M))
 
@@ -195,7 +194,7 @@ class TestGradParams:
         assert per.shape == (len(X), net.num_params)
 
     def test_clip_active_zeroes_that_example(self):
-        net = net_from_layers((np.zeros((2, 2)),), (np.zeros(2),), "relu")
+        net = net_from_layers((np.zeros((2, 2)),), (np.zeros(2),))
         clip_m = 0.5  # ln 2 > 0.5 for every example
         X, y = np.ones((3, 2)), np.zeros(3, dtype=int)
         mean, norms, _ = nn.grad_params(net, X, y, clip_m)
@@ -225,25 +224,24 @@ class TestGradParams:
 class TestGradInput:
     def test_zero_first_layer_kills_input_path(self):
         net = net_from_layers((np.zeros((3, 2)), np.ones((2, 3))),
-                          (np.ones(3), np.zeros(2)), "relu")
+                          (np.ones(3), np.zeros(2)))
         g = nn.grad_inputs(net, np.array([[1.0, -2.0]]), np.array([0]), CLIP_M)[0]
         assert np.array_equal(g, [0.0, 0.0])
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_matches_finite_differences(self, seed, activation):
-        net, X, y = random_net_and_batch(seed + 40, activation)
+    def test_matches_finite_differences(self, seed):
+        net, X, y = random_net_and_batch(seed + 40)
         g = nn.grad_inputs(net, X, y, CLIP_M)
         assert_grad_close(g, fd_grad_inputs(net, X, y, CLIP_M))
 
     def test_linear_cross_entropy_hand_calculus(self):
         # logits z = (0, x), y = 0: loss ln(1 + e^x), d/dx = (p - e_0) . W = p_1 = sigmoid(x)
-        net = net_from_layers((np.array([[0.0], [1.0]]),), (np.zeros(2),), "relu")
+        net = net_from_layers((np.array([[0.0], [1.0]]),), (np.zeros(2),))
         g = nn.grad_inputs(net, np.array([[1.0]]), np.array([0]), CLIP_M)[0]
         assert g == pytest.approx([1.0 / (1.0 + math.exp(-1.0))], abs=1e-15)
 
 
-def _edge_case_batch(activation: str):
+def _edge_case_batch():
     """A 5-7-6-3 net and 12 rows with exact-zero pre-activations.
 
     Row 0 is all zeros and the first layer's bias 0 is 0, so that row's unit
@@ -257,7 +255,7 @@ def _edge_case_batch(activation: str):
     bs[0][0] = 0.0
     ws[1][2] = 0.0
     bs[1][2] = 0.0
-    net = net_from_layers(tuple(ws), tuple(bs), activation)
+    net = net_from_layers(tuple(ws), tuple(bs))
     X = rng.normal(size=(12, 5))
     X[0] = 0.0
     y = rng.integers(0, 3, size=12)
@@ -282,10 +280,9 @@ def _clip_m(net, X, y, clip: str) -> float:
 class TestTextbookOracle:
     """The in-place pass equals ``conftest.textbook_grads`` bit for bit."""
 
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("clip", ["none", "median", "all"])
-    def test_every_output_bitwise_equal(self, activation, clip):
-        net, X, y = _edge_case_batch(activation)
+    def test_every_output_bitwise_equal(self, clip):
+        net, X, y = _edge_case_batch()
         clip_m = _clip_m(net, X, y, clip)
         mean, norms, losses, gx = textbook_grads(net, X, y, clip_m)
         assert_array_equal(nn.forward(net, X), textbook_forward(net, X)[0][-1])
@@ -296,12 +293,12 @@ class TestTextbookOracle:
         assert_array_equal(nn.grad_inputs(net, X, y, clip_m), gx)
 
     @staticmethod
-    def _blocked_batch(activation):
+    def _blocked_batch():
         """2 * ROW_BLOCK + 3 rows: two full blocks, then a ragged block of 3.
 
         The 12 edge-case rows come last, so they span the second and third blocks.
         """
-        net, X_edge, y_edge = _edge_case_batch(activation)
+        net, X_edge, y_edge = _edge_case_batch()
         rng = np.random.default_rng(12)
         m = 2 * nn.ROW_BLOCK + 3 - len(X_edge)
         X = np.concatenate([rng.normal(size=(m, 5)), X_edge])
@@ -309,10 +306,9 @@ class TestTextbookOracle:
         assert len(nn._row_blocks(len(X))) == 3
         return net, X, y
 
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("clip", ["none", "median", "all"])
-    def test_blocked_passes_equal_one_pass(self, activation, clip):
-        net, X, y = self._blocked_batch(activation)
+    def test_blocked_passes_equal_one_pass(self, clip):
+        net, X, y = self._blocked_batch()
         clip_m = _clip_m(net, X, y, clip)
         mean, norms, losses, gx = textbook_grads(net, X, y, clip_m)
         assert_array_equal(nn.forward(net, X), textbook_forward(net, X)[0][-1])
@@ -324,9 +320,8 @@ class TestTextbookOracle:
         np.testing.assert_allclose(got_mean, mean, rtol=1e-12, atol=0)
         assert_array_equal(nn.mean_grad(net, X, y, clip_m), got_mean)
 
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_dataset_evaluations_equal_one_pass(self, activation, monkeypatch):
-        net, X, y = self._blocked_batch(activation)
+    def test_dataset_evaluations_equal_one_pass(self, monkeypatch):
+        net, X, y = self._blocked_batch()
         clip_m = _clip_m(net, X, y, "median")
         ds = LabeledSet(X, y, 3)
         attack = adversarial.AttackSpec("linf", 0.3, 3)
@@ -350,7 +345,7 @@ class TestTextbookOracle:
 class TestCallerArraysUntouched:
     """In-place arithmetic never writes to an array the caller passed in."""
 
-    NET = nn.DenseNet.random((4, 6, 3), "relu", seed=3)
+    NET = nn.DenseNet.random((4, 6, 3), seed=3)
     CALLS = {
         "forward": lambda net, a: nn.forward(net, a["x"]),
         "grad_params": lambda net, a: nn.grad_params(net, a["x"], a["y"], CLIP_M),
@@ -400,7 +395,7 @@ class TestPeakMemory:
 
     UNIT = nn.ROW_BLOCK * 64 * 8
     POOL = 200 * 500 * 8  # bytes of the noise pool
-    NET = nn.DenseNet.random((20, 64, 64, 4), "relu", seed=1)
+    NET = nn.DenseNet.random((20, 64, 64, 4), seed=1)
     PASSES = {  # name: (call returning its output arrays, bound in units beyond them)
         "forward": (lambda net, ds: nn.forward(net, ds.features), 3),
         "pgd_batch": (lambda net, ds: adversarial.pgd_batch(

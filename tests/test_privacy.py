@@ -29,14 +29,14 @@ COMPOSE_HAND = 0.30848126337324882
 class TestCollectNoise:
     def test_exhaustive_batch_degenerate(self):
         ds = synth_blobs(10, 2, 3, 1.0, seed=1)
-        net = nn.DenseNet.random((3, 4, 2), "relu", seed=2)
+        net = nn.DenseNet.random((3, 4, 2), seed=2)
         with pytest.raises(privacy.DegenerateNoiseError):
             privacy.collect_noise(net, ds, tau=len(ds), n_batches=4,
                                   components_per_batch=5, seed=3, clip_m=CLIP_M)
 
     def test_unit_standard_deviation(self):
         ds = synth_blobs(20, 3, 4, 1.0, seed=4)
-        net = nn.DenseNet.random((4, 6, 3), "relu", seed=5)
+        net = nn.DenseNet.random((4, 6, 3), seed=5)
         sample = privacy.collect_noise(net, ds, tau=8, n_batches=30,
                                        components_per_batch=12, seed=6, clip_m=CLIP_M)
         assert abs(float(np.std(sample.values)) - 1.0) <= 1e-12
@@ -44,7 +44,7 @@ class TestCollectNoise:
 
     def test_values_are_read_only(self):
         ds = synth_blobs(20, 3, 4, 1.0, seed=4)
-        net = nn.DenseNet.random((4, 6, 3), "relu", seed=5)
+        net = nn.DenseNet.random((4, 6, 3), seed=5)
         sample = privacy.collect_noise(net, ds, tau=8, n_batches=3,
                                        components_per_batch=12, seed=6, clip_m=CLIP_M)
         assert not sample.values.flags.writeable
@@ -58,7 +58,7 @@ class TestCollectNoise:
         # +-(g(1) - g(3)) / 2, whose components are +-a/2 and +-c/2 with
         # a = 3 s(3) - s(1) and c = s(3) - s(1)
         ds = LabeledSet(np.array([[1.0], [3.0]]), np.array([0, 0]), 2)
-        net = net_from_layers((np.array([[0.0], [1.0]]),), (np.zeros(2),), "relu")
+        net = net_from_layers((np.array([[0.0], [1.0]]),), (np.zeros(2),))
         s1, s3 = (1.0 / (1.0 + math.exp(-x)) for x in (1.0, 3.0))
         a, c = 3.0 * s3 - s1, s3 - s1
         sample = privacy.collect_noise(net, ds, tau=1, n_batches=8,

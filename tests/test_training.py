@@ -34,7 +34,7 @@ def quick_config(**kw):
 
 class TestSgdStep:
     def net1(self, theta=1.0):
-        return net_from_layers((np.array([[theta]]),), (np.array([0.0]),), "relu")
+        return net_from_layers((np.array([[theta]]),), (np.array([0.0]),))
 
     def test_zero_lr_leaves_parameters(self):
         net = self.net1()
@@ -83,14 +83,13 @@ class TestSgdStep:
             training.sgd_step(self.net1(), np.array([1.0, 0.0]), 0.1, np.zeros((2, 2)), 0.9, 0.0)
 
     def test_stepped_net_is_read_only_and_bitwise_the_update(self):
-        net = nn.DenseNet.random((3, 4, 2), "tanh", seed=1)
+        net = nn.DenseNet.random((3, 4, 2), seed=1)
         rng = np.random.default_rng(0)
         grad, v0 = rng.normal(size=net.num_params), rng.normal(size=net.num_params)
         out, v = training.sgd_step(net, grad, 0.1, v0, 0.9, 0.01)
         expected = net.params - 0.1 * v
         assert out.params.tobytes() == expected.tobytes()
         ref = net_with_params(net, expected)
-        assert out.activation == ref.activation
         for p, q in zip((*out.weights, *out.biases), (*ref.weights, *ref.biases)):
             assert p.shape == q.shape and p.tobytes() == q.tobytes()
             assert not p.flags.writeable
@@ -167,7 +166,7 @@ class TestTrainTwin:
         train, _ = small_sets()
         cfg = quick_config(hidden=(8,))
         ledger = training.train_twin(train, cfg, AttackSpec(radius=0.2), SEED)
-        net0 = nn.DenseNet.random((train.dim, 8, train.num_classes), "relu", SEED)
+        net0 = nn.DenseNet.random((train.dim, 8, train.num_classes), SEED)
         erm = training.train_model(train, net0, cfg, AttackSpec(), SEED)
         assert erm.net.params.tobytes() == ledger.erm.net.params.tobytes()
         assert erm.logged == [(r.t, r.l_erm, r.erm_loss) for r in records(ledger)]
@@ -181,7 +180,7 @@ class TestTrainTwin:
         # the gradient and the update stay finite; only the logged max norm is not
         train, _ = small_sets()
         cfg = quick_config(hidden=(8,))  # logs every 10 steps
-        net0 = nn.DenseNet.random((train.dim, 8, train.num_classes), "relu", SEED)
+        net0 = nn.DenseNet.random((train.dim, 8, train.num_classes), SEED)
         clean = training.train_model(train, net0, cfg, AttackSpec(), SEED, iterations=20)
         adv_grad, calls = training.adv_grad, []
 
@@ -228,7 +227,7 @@ class TestTrainTwin:
         # batch schedule contract (batch of size 2 == the whole set). The
         # logits (w0 x + b0, w1 x + b1) at label 0 give the loss ln(1 + e^d)
         # with d = z1 - z0, and dl/dz = (-p, p) with p = sigmoid(d).
-        net0 = nn.DenseNet.random((1, 2), "relu", seed=17)
+        net0 = nn.DenseNet.random((1, 2), seed=17)
         theta_e = theta_a = [*net0.weights[0][:, 0].tolist(), 0.0, 0.0]  # w0, w1, b0, b1
 
         def margin(theta, xi):
@@ -293,11 +292,10 @@ class TestLedgerCsv:
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
-        net = nn.DenseNet.random((3, 5, 2), "tanh", seed=8)
+        net = nn.DenseNet.random((3, 5, 2), seed=8)
         p = tmp_path / "net.ckpt"
         training.save_checkpoint(net, p)
         back = training.load_checkpoint(p)
-        assert back.activation == "tanh"
         assert back.layer_widths == net.layer_widths
         assert np.array_equal(back.params, net.params)
 
@@ -308,7 +306,7 @@ class TestCheckpoint:
             training.load_checkpoint(p)
 
     def test_truncated_payload_rejected(self, tmp_path):
-        net = nn.DenseNet.random((3, 4, 2), "relu", seed=1)
+        net = nn.DenseNet.random((3, 4, 2), seed=1)
         p = tmp_path / "net.ckpt"
         training.save_checkpoint(net, p)
         blob = p.read_bytes()
@@ -317,7 +315,7 @@ class TestCheckpoint:
             training.load_checkpoint(p)
 
     def test_trailing_garbage_rejected(self, tmp_path):
-        net = nn.DenseNet.random((2, 2), "relu", seed=1)
+        net = nn.DenseNet.random((2, 2), seed=1)
         p = tmp_path / "net.ckpt"
         training.save_checkpoint(net, p)
         p.write_bytes(p.read_bytes() + b"\x00" * 8)
