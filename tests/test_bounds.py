@@ -58,6 +58,14 @@ class TestHighProbBound:
         got = bounds.high_prob_bound(0.0, 100)
         assert got == pytest.approx(math.sqrt(math.log(20.0)) / 10, rel=1e-12)
 
+    def test_gamma_near_one_vanishes(self, monkeypatch):
+        # gamma is read from bounds.GAMMA at each call, and the report records it
+        monkeypatch.setattr(bounds, "GAMMA", 1 - 1e-12)
+        assert bounds.high_prob_bound(0.0, 100) < 1e-6
+        assert bounds.bound_report(0.0, 0.0, 1.0, 100) == {
+            "beta": 0.0, "high_prob_bound": bounds.high_prob_bound(0.0, 100),
+            "gamma": 1 - 1e-12}
+
     def test_hand_example_frozen(self):
         assert bounds.GAMMA == 0.05
         got = bounds.high_prob_bound(0.01, 1000)
@@ -66,6 +74,13 @@ class TestHighProbBound:
     def test_beta_above_m_rejected(self):
         with pytest.raises(ValueError, match="exceed"):
             bounds.high_prob_bound(2.0, 100)
+
+    @pytest.mark.parametrize("beta, n, words", [
+        (-0.1, 100, "beta"), (math.nan, 100, "beta"), (0.1, 1, "N must"), (0.1, 0, "N must"),
+    ], ids=["negative-beta", "nan-beta", "one-example", "no-examples"])
+    def test_domain(self, beta, n, words):
+        with pytest.raises(ValueError, match=words):
+            bounds.high_prob_bound(beta, n)
 
 
 class TestRateChecks:
@@ -105,9 +120,11 @@ class TestBoundReport:
 
     @pytest.mark.parametrize("kwargs, words", [
         (dict(eps=math.nan), "epsilon"),
+        (dict(eps=-1.0), "epsilon"),
+        (dict(delta=2.0), "delta"),
         (dict(m=math.inf), "loss bound M"),
         (dict(n=1), "N must"),
-    ], ids=["nan-eps", "inf-loss-bound", "one-example"])
+    ], ids=["nan-eps", "negative-eps", "delta-2", "inf-loss-bound", "one-example"])
     def test_invalid_argument_is_rejected(self, kwargs, words):
         args = dict(eps=1.0, delta=0.0, m=10.0, n=100) | kwargs
         with pytest.raises(ValueError, match=words):

@@ -92,6 +92,27 @@ class TestValidation:
         with pytest.raises(config.ConfigError, match="unknown key"):
             config.from_ini(text)
 
+    # nets are relu-only and the bounds hold at bounds.GAMMA with c = 1
+    REMOVED = [("net", "activation", "relu"), ("bounds", "gamma_list", "0.05"),
+               ("bounds", "constant_c", "1.0")]
+
+    @pytest.mark.parametrize("section, key, value", REMOVED)
+    def test_a_removed_key_is_an_unknown_key(self, section, key, value):
+        text = config.to_ini(config.ExperimentConfig()).replace(
+            f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(config.ConfigError, match=rf"^unknown key \[{section}\] {key}$"):
+            config.from_ini(text)
+
+    @pytest.mark.parametrize("section, key, value", REMOVED)
+    def test_a_removed_key_is_no_field(self, section, key, value):
+        with pytest.raises(TypeError, match=key):
+            config.ExperimentConfig(**{key: value})
+
+    def test_the_config_has_31_fields(self):
+        names = [f.name for f in dataclasses.fields(config.ExperimentConfig)]
+        assert len(names) == 31
+        assert not {key for _, key, _ in self.REMOVED} & set(names)
+
     @pytest.mark.parametrize("text, section", [
         ("[trian]\ntotal_iterations = 40\n", "trian"),  # else the 2000-step default runs
         ("[train]\ntotal_iterations = 40\n[Train]\nbatch_size = 8\n", "Train"),

@@ -168,9 +168,10 @@ class TestGradParams:
         mean, _, _ = nn.grad_params(net, np.ones((3, 2)), np.zeros(3, dtype=int), CLIP_M)
         assert np.linalg.norm(mean) < 1e-9
 
+    @pytest.mark.parametrize("widths", [(4, 6, 3), (4, 6, 5, 3)], ids=["1-hidden", "2-hidden"])
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_finite_differences(self, seed):
-        net, X, y = random_net_and_batch(seed)
+    def test_matches_finite_differences(self, seed, widths):
+        net, X, y = random_net_and_batch(seed, widths)
         mean, _, _ = nn.grad_params(net, X, y, CLIP_M)
         assert_grad_close(mean, fd_grad_params(net, X, y, CLIP_M))
 
@@ -228,9 +229,10 @@ class TestGradInput:
         g = nn.grad_inputs(net, np.array([[1.0, -2.0]]), np.array([0]), CLIP_M)[0]
         assert np.array_equal(g, [0.0, 0.0])
 
+    @pytest.mark.parametrize("widths", [(4, 6, 3), (4, 6, 5, 3)], ids=["1-hidden", "2-hidden"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_matches_finite_differences(self, seed):
-        net, X, y = random_net_and_batch(seed + 40)
+    def test_matches_finite_differences(self, seed, widths):
+        net, X, y = random_net_and_batch(seed + 40, widths)
         g = nn.grad_inputs(net, X, y, CLIP_M)
         assert_grad_close(g, fd_grad_inputs(net, X, y, CLIP_M))
 
@@ -241,26 +243,31 @@ class TestGradInput:
         assert g == pytest.approx([1.0 / (1.0 + math.exp(-1.0))], abs=1e-15)
 
 
-def _edge_case_batch():
-    """A 5-7-6-3 net and 12 rows with exact-zero pre-activations.
+# the edge-case nets: 5 inputs, 3 classes, and two or three hidden layers
+DEPTHS = {"2-hidden": (5, 7, 6, 3), "3-hidden": (5, 7, 6, 4, 3)}
+
+
+def _edge_case_batch(depth):
+    """A ``DEPTHS[depth]`` net and 12 rows with exact-zero pre-activations.
 
     Row 0 is all zeros and the first layer's bias 0 is 0, so that row's unit
-    0 has z exactly 0; unit 2 of the second layer has zero weights and bias,
-    so its z is exactly 0 on every row.
+    0 has z exactly 0; unit 2 of every later hidden layer has zero weights and
+    bias, so its z is exactly 0 on every row.
     """
     rng = np.random.default_rng(11)
-    widths = (5, 7, 6, 3)
+    widths = DEPTHS[depth]
     ws = [rng.normal(scale=0.8, size=(o, i)) for i, o in zip(widths[:-1], widths[1:])]
     bs = [rng.normal(scale=0.3, size=o) for o in widths[1:]]
     bs[0][0] = 0.0
-    ws[1][2] = 0.0
-    bs[1][2] = 0.0
+    for k in range(1, len(widths) - 2):
+        ws[k][2] = 0.0
+        bs[k][2] = 0.0
     net = net_from_layers(tuple(ws), tuple(bs))
     X = rng.normal(size=(12, 5))
     X[0] = 0.0
     y = rng.integers(0, 3, size=12)
     _, zs = textbook_forward(net, X)
-    assert zs[0][0, 0] == 0.0 and (zs[1][:, 2] == 0.0).all()
+    assert zs[0][0, 0] == 0.0 and all((z[:, 2] == 0.0).all() for z in zs[1:-1])
     return net, X, y
 
 
@@ -280,9 +287,10 @@ def _clip_m(net, X, y, clip: str) -> float:
 class TestTextbookOracle:
     """The in-place pass equals ``conftest.textbook_grads`` bit for bit."""
 
+    @pytest.mark.parametrize("depth", sorted(DEPTHS))
     @pytest.mark.parametrize("clip", ["none", "median", "all"])
-    def test_every_output_bitwise_equal(self, clip):
-        net, X, y = _edge_case_batch()
+    def test_every_output_bitwise_equal(self, clip, depth):
+        net, X, y = _edge_case_batch(depth)
         clip_m = _clip_m(net, X, y, clip)
         mean, norms, losses, gx = textbook_grads(net, X, y, clip_m)
         assert_array_equal(nn.forward(net, X), textbook_forward(net, X)[0][-1])
@@ -293,12 +301,12 @@ class TestTextbookOracle:
         assert_array_equal(nn.grad_inputs(net, X, y, clip_m), gx)
 
     @staticmethod
-    def _blocked_batch():
+    def _blocked_batch(depth):
         """2 * ROW_BLOCK + 3 rows: two full blocks, then a ragged block of 3.
 
         The 12 edge-case rows come last, so they span the second and third blocks.
         """
-        net, X_edge, y_edge = _edge_case_batch()
+        net, X_edge, y_edge = _edge_case_batch(depth)
         rng = np.random.default_rng(12)
         m = 2 * nn.ROW_BLOCK + 3 - len(X_edge)
         X = np.concatenate([rng.normal(size=(m, 5)), X_edge])
@@ -306,9 +314,10 @@ class TestTextbookOracle:
         assert len(nn._row_blocks(len(X))) == 3
         return net, X, y
 
+    @pytest.mark.parametrize("depth", sorted(DEPTHS))
     @pytest.mark.parametrize("clip", ["none", "median", "all"])
-    def test_blocked_passes_equal_one_pass(self, clip):
-        net, X, y = self._blocked_batch()
+    def test_blocked_passes_equal_one_pass(self, clip, depth):
+        net, X, y = self._blocked_batch(depth)
         clip_m = _clip_m(net, X, y, clip)
         mean, norms, losses, gx = textbook_grads(net, X, y, clip_m)
         assert_array_equal(nn.forward(net, X), textbook_forward(net, X)[0][-1])
@@ -320,8 +329,9 @@ class TestTextbookOracle:
         np.testing.assert_allclose(got_mean, mean, rtol=1e-12, atol=0)
         assert_array_equal(nn.mean_grad(net, X, y, clip_m), got_mean)
 
-    def test_dataset_evaluations_equal_one_pass(self, monkeypatch):
-        net, X, y = self._blocked_batch()
+    @pytest.mark.parametrize("depth", sorted(DEPTHS))
+    def test_dataset_evaluations_equal_one_pass(self, monkeypatch, depth):
+        net, X, y = self._blocked_batch(depth)
         clip_m = _clip_m(net, X, y, "median")
         ds = LabeledSet(X, y, 3)
         attack = adversarial.AttackSpec("linf", 0.3, 3)

@@ -322,6 +322,20 @@ class TestCheckpoint:
         with pytest.raises(training.CheckpointFormatError, match="payload"):
             training.load_checkpoint(p)
 
+    @pytest.mark.parametrize("code", [1, 2, 255])
+    def test_nonzero_activation_byte_rejected(self, tmp_path, code):
+        # byte 4 is the activation code; 1 was tanh in checkpoints of older versions
+        net = nn.DenseNet.random((3, 4, 2), seed=1)
+        p = tmp_path / "net.ckpt"
+        training.save_checkpoint(net, p)
+        blob = bytearray(p.read_bytes())
+        assert blob[4] == 0
+        blob[4] = code
+        p.write_bytes(bytes(blob))
+        with pytest.raises(training.CheckpointFormatError) as exc:
+            training.load_checkpoint(p)
+        assert str(exc.value).startswith(f"{p}: activation code {code}; only 0 (relu)")
+
     def test_truncated_header_rejected(self, tmp_path):
         p = tmp_path / "net.ckpt"
         p.write_bytes(b"RPG1\x00")
