@@ -1,11 +1,12 @@
 """PGD inner maximization on norm balls, and the resulting adversarial gradients.
 
 The attack runs K steps of projected gradient ascent on the per-example
-loss, starting from the clean input (no random restart). The L-infinity
-update moves by ``alpha * sign(grad)`` and projects by componentwise
-clamping; the L2 update moves by ``alpha * grad`` and projects by radial
-scaling. The gradient of the inner max is taken as the parameter gradient
-evaluated at the attack endpoint.
+loss, starting from the clean input (no random restart). ``AttackSpec``
+holds the ball's norm and radius and K; the step size ``alpha`` is fixed at
+radius / 4. The L-infinity update moves by ``alpha * sign(grad)`` and
+projects by componentwise clamping; the L2 update moves by ``alpha * grad``
+and projects by radial scaling. The gradient of the inner max is taken as
+the parameter gradient evaluated at the attack endpoint.
 
 Feature-space box constraints are deliberately not applied: the lab works
 in unbounded feature space, so adversarial points are constrained only by
@@ -27,17 +28,16 @@ DEFAULT_STEPS = 8
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """PGD configuration: ball norm, radius, step count, step size.
+    """PGD configuration: ball norm, radius, step count.
 
-    ``step_size=None`` means the radius/4 default; with ``radius=0`` the
-    attack is a no-op and the step size is irrelevant. The radius is stored as
-    ``float(radius) + 0.0``: the one place a radius (-0.0 among them) is normalized.
+    The step size ``alpha`` is radius / 4; with ``radius=0`` the attack is a
+    no-op. The radius is stored as ``float(radius) + 0.0``: the one place a
+    radius (-0.0 among them) is normalized.
     """
 
     norm: str = "linf"
     radius: float = 0.0
     steps: int = DEFAULT_STEPS
-    step_size: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "radius", float(self.radius) + 0.0)  # -0.0 + 0.0 is 0.0
@@ -47,12 +47,10 @@ class AttackSpec:
             raise ValueError(f"radius must be finite and nonnegative, got {self.radius!r}")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
-        if self.step_size is not None and not 0 < self.step_size < math.inf:
-            raise ValueError("step_size must be positive and finite when given")
 
     @property
     def alpha(self) -> float:
-        return self.radius / 4.0 if self.step_size is None else self.step_size
+        return self.radius / 4.0
 
 
 def project(clean: np.ndarray, pts: np.ndarray, norm: str, radius: float) -> np.ndarray:

@@ -107,7 +107,8 @@ training).
 UTF-8, does not parse, or has a section outside ``[data]``, ``[net]``,
 ``[train]``, ``[attack]``, ``[privacy]``, ``[bounds]`` and ``[sweep]``, a key
 under ``[DEFAULT]`` or a key that names no field of its section (such as
-``activation``, ``gamma_list`` or ``constant_c``, which older versions wrote;
+``activation``, ``gamma_list``, ``constant_c``, ``lr_decay``, ``lr_decay_every``,
+``momentum``, ``weight_decay`` or ``step_size``, which older versions wrote;
 all checked before any directory or job), any value
 ``ExperimentConfig`` rejects (a value of the wrong type such as
 ``total_iterations = 40.0``, a non-finite number, a seed outside [0, 2**128)

@@ -11,8 +11,9 @@ relu net, 2000 SGD iterations, and an 8-point attack-radius grid that starts
 at 0 (the plain ERM baseline row).
 
 A field is a knob some run turns. What no run varies is fixed in code: relu
-is the only activation (``nn``), and the bounds hold at confidence
-1 - ``bounds.GAMMA`` with the constant c = 1.
+nets (``nn``); confidence 1 - ``bounds.GAMMA`` and c = 1 (``bounds``); the SGD
+momentum, weight decay and step-size cuts around ``lr_init`` (``training``);
+and the radius / 4 PGD step (``adversarial``).
 
 ``ExperimentConfig`` alone decides whether an experiment is valid. A value is
 what its INI text reads as (``csv_header=1`` is true, ``seeds=[5, 6]`` a tuple,
@@ -73,14 +74,9 @@ class ExperimentConfig:
     batch_size: int = _in("train", 32)
     log_every: int = _in("train", 20)
     lr_init: float = _in("train", 0.1)
-    lr_decay: float = _in("train", 0.1)
-    lr_decay_every: int = _in("train", 750)
-    momentum: float = _in("train", 0.9)
-    weight_decay: float = _in("train", 0.0002)
     norm: str = _in("attack", "linf")
     radius_list: tuple[float, ...] = _in("attack", (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35))
     steps: int = _in("attack", 8)
-    step_size: float | None = _in("attack", None)    # None: radius / 4
     delta_prime: float = _in("privacy", 1.0)
     noise_tau: int = _in("privacy", 64)
     noise_batches: int = _in("privacy", 200)
@@ -110,7 +106,7 @@ class ExperimentConfig:
             check_seed("seeds", seed)
         if not self.radius_list:
             raise ConfigError("radius_list must be non-empty")
-        # also checks norm, steps and step_size
+        # also checks norm and steps
         object.__setattr__(self, "radius_list",
                            tuple(self.attack_spec(radius).radius for radius in self.radius_list))
         if list(self.radius_list) != sorted(set(self.radius_list)):
@@ -125,8 +121,8 @@ class ExperimentConfig:
             raise ConfigError("delta_prime must be positive")
         if not 0 < self.loss_bound:
             raise ConfigError("loss_bound must be positive")
-        floors = {"total_iterations": 1, "log_every": 1, "batch_size": 1, "lr_decay_every": 1,
-                  "noise_batches": 1, "workers": 0}
+        floors = {"total_iterations": 1, "log_every": 1, "batch_size": 1, "noise_batches": 1,
+                  "workers": 0}
         if self.source == "synthetic":
             floors.update(n_per_class=1, num_classes=1, dim=1, spread=0)
         for name, floor in floors.items():
@@ -143,13 +139,9 @@ class ExperimentConfig:
     # derived pieces ----------------------------------------------------
     def attack_spec(self, radius: float) -> AttackSpec:
         try:
-            return AttackSpec(norm=self.norm, radius=radius, steps=self.steps,
-                              step_size=self.step_size)
+            return AttackSpec(norm=self.norm, radius=radius, steps=self.steps)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-
-    def lr(self, t: int) -> float:
-        return self.lr_init * self.lr_decay ** ((t - 1) // self.lr_decay_every)
 
     def load_datasets(self) -> tuple[LabeledSet, LabeledSet]:
         """The train/test pair, once both sets have the same feature width and
@@ -199,8 +191,6 @@ def _format(value) -> str:
         return ",".join(map(_format, value))
     if isinstance(value, bool):
         return "true" if value else "false"
-    if value is None:
-        return ""
     if isinstance(value, float):
         return repr(float(value))  # a numpy float too
     return str(value)
@@ -222,7 +212,6 @@ def _tuple_of(kind):
 _PARSERS = {
     "str": str, "int": int, "float": float, "bool": _bool,
     "tuple[int, ...]": _tuple_of(int), "tuple[float, ...]": _tuple_of(float),
-    "float | None": lambda raw: float(raw) if raw else None,
 }
 
 

@@ -119,9 +119,8 @@ def fit_laplace(values: np.ndarray) -> LaplaceFit:
     return LaplaceFit(location=location, scale=scale, count=int(v.size))
 
 
-def noise_histogram(values: np.ndarray, bins: int = HISTOGRAM_BINS,
-                    value_range: tuple[float, float] = HISTOGRAM_RANGE):
-    """(edges, counts) over the fixed histogram window; out-of-window values drop.
+def noise_histogram(values: np.ndarray):
+    """(edges, counts) of ``HISTOGRAM_BINS`` bins over ``HISTOGRAM_RANGE``; values outside drop.
 
     The counts are summed over slices of ``HISTOGRAM_SLICE`` values, which
     bounds ``np.histogram``'s temporaries; each value falls in the same bin
@@ -130,8 +129,8 @@ def noise_histogram(values: np.ndarray, bins: int = HISTOGRAM_BINS,
     v = np.asarray(values, dtype=np.float64).ravel()
     counts = 0
     for start in range(0, max(v.size, 1), HISTOGRAM_SLICE):
-        part, edges = np.histogram(v[start:start + HISTOGRAM_SLICE], bins=bins,
-                                   range=value_range)
+        part, edges = np.histogram(v[start:start + HISTOGRAM_SLICE], bins=HISTOGRAM_BINS,
+                                   range=HISTOGRAM_RANGE)
         counts = counts + part
     return edges, counts
 

@@ -1,11 +1,13 @@
 """SGD for one model, and the twin run: an ERM model and an adversarial model.
 
-The trainers read the SGD settings, the step-size schedule
-``ExperimentConfig.lr``, ``hidden`` and the loss clip
-``loss_bound`` from an already validated ``ExperimentConfig``, which is their
-one check; the run's attack and seed are arguments. This module only trains:
-pairing the two logged series into records, and judging whether they can be
-accounted, is :mod:`advlab.intensity`'s; evaluating the models is the caller's.
+The SGD recipe is fixed here: ``MOMENTUM``, ``WEIGHT_DECAY`` and the step size
+:func:`lr`, which cuts ``lr_init`` by ``LR_DECAY`` every ``LR_DECAY_EVERY``
+iterations. The trainers read ``lr_init``, the batch size, iteration count and
+logging period, ``hidden`` and the loss clip ``loss_bound`` from an already
+validated ``ExperimentConfig``, which is their one check; the run's attack and
+seed are arguments. This module only trains: pairing the two logged series into
+records, and judging whether they can be accounted, is :mod:`advlab.intensity`'s;
+evaluating the models is the caller's.
 
 :func:`train_model` runs one model's trajectory from a given initial net
 under a given attack: it draws and hashes its own batch schedule, and at each
@@ -50,14 +52,21 @@ from .data import BatchSchedule, LabeledSet, write_atomic, write_csv
 
 CHECKPOINT_MAGIC = b"RPG1"
 
+MOMENTUM, WEIGHT_DECAY = 0.9, 0.0002
+LR_DECAY, LR_DECAY_EVERY = 0.1, 750
+
 
 class CheckpointFormatError(ValueError):
     """Checkpoint bytes do not match the documented layout."""
 
 
-def sgd_step(net: nn.DenseNet, grad: np.ndarray, lr: float, velocity: np.ndarray,
-             momentum: float, weight_decay: float):
-    """Heavy-ball update: v <- mu*v + (g + wd*theta); theta <- theta - lr*v.
+def lr(lr_init: float, t: int) -> float:
+    """The step size of iteration ``t`` >= 1."""
+    return lr_init * LR_DECAY ** ((t - 1) // LR_DECAY_EVERY)
+
+
+def sgd_step(net: nn.DenseNet, grad: np.ndarray, lr: float, velocity: np.ndarray):
+    """Heavy-ball update: v <- MOMENTUM*v + (g + WEIGHT_DECAY*theta); theta <- theta - lr*v.
 
     The new parameter vector is fresh and read-only, so the new net keeps it without a
     copy; the constructor checks that it is finite, which it is not if ``grad`` is
@@ -67,7 +76,7 @@ def sgd_step(net: nn.DenseNet, grad: np.ndarray, lr: float, velocity: np.ndarray
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != theta.shape:
         raise ValueError(f"gradient length {grad.shape} != parameter count {theta.shape}")
-    v = momentum * velocity + (grad + weight_decay * theta)
+    v = MOMENTUM * velocity + (grad + WEIGHT_DECAY * theta)
     new_theta = theta - lr * v
     new_theta.setflags(write=False)
     return nn.DenseNet(net.layer_widths, new_theta), v
@@ -106,8 +115,7 @@ def train_model(train_set: LabeledSet, net: nn.DenseNet, cfg: ExperimentConfig,
         g_mean, norms, losses = adv_grad(net, train_set.features[idx], train_set.labels[idx],
                                          attack, cfg.loss_bound)
         try:
-            net, velocity = sgd_step(net, g_mean, cfg.lr(t), velocity,
-                                     cfg.momentum, cfg.weight_decay)
+            net, velocity = sgd_step(net, g_mean, lr(cfg.lr_init, t), velocity)
             if t % cfg.log_every == 0:
                 stats = (t, float(norms.max()), float(losses.mean()))
                 nn.check_finite("logged gradient statistics", stats[1:])

@@ -35,8 +35,10 @@ class TestAttackSpec:
         assert spec.steps == 8
         assert spec.alpha == pytest.approx(0.2)
 
-    def test_explicit_step_size_wins(self):
-        assert adversarial.AttackSpec(radius=0.8, step_size=0.05).alpha == 0.05
+    @pytest.mark.parametrize("radius", [0.0, 0.05, 0.1, 0.35, 0.8, 3.0])
+    def test_step_size_is_a_quarter_of_the_radius(self, radius):
+        for norm in adversarial.NORMS:
+            assert adversarial.AttackSpec(norm=norm, radius=radius).alpha == radius / 4.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -46,12 +48,10 @@ class TestAttackSpec:
         with pytest.raises(ValueError):
             adversarial.AttackSpec(steps=-1)
 
-    @pytest.mark.parametrize("field, value", [
-        ("radius", float("nan")), ("radius", float("inf")),
-        ("step_size", float("nan")), ("step_size", float("inf"))])
-    def test_non_finite_radius_or_step_size_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            adversarial.AttackSpec(**{field: value})
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_radius_rejected(self, value):
+        with pytest.raises(ValueError, match="radius"):
+            adversarial.AttackSpec(radius=value)
 
 
 class TestProject:
@@ -97,7 +97,7 @@ class TestPgdAttack:
 
     def test_1d_trajectory_matches_enumeration(self):
         net = linear_1d_net()
-        spec = adversarial.AttackSpec(norm="linf", radius=0.5, steps=8, step_size=0.125)
+        spec = adversarial.AttackSpec(norm="linf", radius=0.5, steps=8)
         got = adversarial.pgd_batch(net, np.array([[1.0]]), np.array([0]), spec, CLIP_M)[0]
         expected = enumerate_ascent_1d(1.0, 0.5, 0.125, 8)
         assert expected == 1.5  # saturates at the ball boundary
@@ -118,7 +118,7 @@ class TestPgdAttack:
         # one ascent step on a convex loss can only increase it
         for x0 in (-2.0, -0.5, 0.7, 1.0, 3.0):
             net = linear_1d_net()
-            spec = adversarial.AttackSpec(norm="linf", radius=0.4, steps=8, step_size=0.1)
+            spec = adversarial.AttackSpec(norm="linf", radius=0.4, steps=8)
             adv = adversarial.pgd_batch(net, np.array([[x0]]), np.array([0]), spec, CLIP_M)[0]
             clean_loss = nn.loss_batch(net, np.array([[x0]]), np.array([0]), CLIP_M)[1][0]
             adv_loss = nn.loss_batch(net, adv.reshape(1, 1), np.array([0]), CLIP_M)[1][0]
@@ -129,7 +129,7 @@ class TestPgdAttack:
         net = net_from_layers((np.array([[0.0, 0.0, 0.0], [2.0, 3.0, 0.5]]),),
                           (np.array([0.0, 1.0]),))
         x = np.array([[1.0, 1.0, 1.0]])  # logits (0, 6.5), y = 0: grad = p_1 * (2, 3, 0.5) > 0
-        spec = adversarial.AttackSpec(norm="linf", radius=10.0, steps=1, step_size=0.25)
+        spec = adversarial.AttackSpec(norm="linf", radius=1.0, steps=1)  # alpha = 0.25
         out = adversarial.pgd_batch(net, x, np.array([0]), spec, CLIP_M)
         assert np.array_equal(out - x, np.full((1, 3), 0.25))
 
@@ -164,7 +164,7 @@ class TestAdvGrad:
         # PGD endpoint is x' = 1.5; dl/dz = softmax(0, 1.5) - e_0 = (-s, s) with
         # s = sigmoid(1.5), so dl/dW = (-s x', s x') and dl/db = (-s, s)
         net = linear_1d_net()
-        spec = adversarial.AttackSpec(norm="linf", radius=0.5, steps=8, step_size=0.125)
+        spec = adversarial.AttackSpec(norm="linf", radius=0.5, steps=8)
         mean, _, losses = adversarial.adv_grad(net, np.array([[1.0]]), np.array([0]), spec, CLIP_M)
         s = sigmoid(1.5)
         assert mean == pytest.approx([-1.5 * s, 1.5 * s, -s, s], abs=1e-12)

@@ -94,7 +94,7 @@ class TestAdversarialAccuracy:
         from advlab.config import ExperimentConfig
         from advlab.training import train_twin
         cfg = dataclasses.replace(ExperimentConfig(), total_iterations=150, batch_size=24,
-                                  log_every=50, lr_init=0.1, lr_decay_every=100, hidden=(12,))
+                                  log_every=50, lr_init=0.1, hidden=(12,))
         ledger = train_twin(train, cfg, AttackSpec(norm="linf", radius=0.1), 5)
         return ledger.adv.net, test
 
@@ -121,8 +121,7 @@ class TestAdversarialAccuracy:
         ds = LabeledSet(np.array([[0.3], [2.0], [-0.3], [-2.0]]),
                         np.array([0, 0, 1, 1]), 2)
         got = analysis.adversarial_accuracy(net, ds, AttackSpec(norm="linf", radius=0.5,
-                                                                steps=20, step_size=0.1),
-                                            CLIP_M)
+                                                                steps=20), CLIP_M)
         assert got == 0.5  # the two +-0.3 points fall, the +-2.0 points survive
 
     def test_mostly_nonincreasing_in_radius(self):

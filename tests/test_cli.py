@@ -22,7 +22,7 @@ def tiny_config(tmp_path, **overrides):
     base = dict(
         n_per_class=30, num_classes=3, dim=4, spread=1.0, data_seed=3, n_train=60,
         hidden=(8,), total_iterations=60, batch_size=16, log_every=20,
-        lr_decay_every=40, radius_list=(0.0, 0.15), seeds=(1, 2),
+        radius_list=(0.0, 0.15), seeds=(1, 2),
         noise_tau=16, noise_batches=20, noise_components=30,
         output_dir=str(tmp_path / "runs"), workers=1)
     base.update(overrides)
@@ -730,20 +730,23 @@ class TestNoiseFields:
 
 
 class TestInvalidValues:
-    REMOVED = {"activation": "[net]", "gamma_list": "[bounds]", "constant_c": "[bounds]"}
+    REMOVED = {"activation": "[net]", "gamma_list": "[bounds]", "constant_c": "[bounds]",
+               "lr_decay": "[train]", "lr_decay_every": "[train]", "momentum": "[train]",
+               "weight_decay": "[train]", "step_size": "[attack]"}
 
     @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize("field, value", [
-        ("total_iterations", "0"), ("log_every", "0"), ("lr_decay_every", "0"),
+        ("total_iterations", "0"), ("log_every", "0"),
         ("batch_size", "0"), ("batch_size", "5000"), ("steps", "-1"), ("norm", "l3"),
         ("hidden", "8,0"), ("n_per_class", "0"), ("dim", "0"),
         ("num_classes", "0"), ("n_train", "300"), ("spread", "-1.0"), ("workers", "-1"),
-        ("lr_init", "nan"), ("weight_decay", "nan"), ("lr_decay", "nan"), ("momentum", "inf"),
-        ("spread", "inf"), ("radius_list", "0.0,nan"), ("step_size", "inf"),
+        ("lr_init", "nan"), ("spread", "inf"), ("radius_list", "0.0,nan"),
         ("delta_prime", "inf"), ("seeds", "-1"), ("seeds", str(2 ** 128)), ("seeds", "1,1"),
         ("data_seed", "-2"), ("log_every", "61"), ("loss_bound", "inf"),
         # keys that older versions wrote, at the values they wrote
         ("activation", "relu"), ("gamma_list", "0.05"), ("constant_c", "1.0"),
+        ("lr_decay", "0.1"), ("lr_decay_every", "750"), ("momentum", "0.9"),
+        ("weight_decay", "0.0002"), ("step_size", ""),
         # past one float64 array or the Philox steps of the noise stream
         ("n_per_class", str(10 ** 19)), ("dim", str(10 ** 19)), ("num_classes", str(10 ** 19)),
         ("hidden", f"8,{10 ** 19}"), ("noise_batches", str(10 ** 19)),

@@ -20,7 +20,7 @@ class TestRoundTrip:
     def test_non_default_values_survive(self):
         cfg = dataclasses.replace(
             config.ExperimentConfig(), norm="l2", radius_list=(0.0, 0.4, 0.9),
-            hidden=(32,), seeds=(5,), step_size=0.07, csv_header=True, spread=2.5)
+            hidden=(32,), seeds=(5,), steps=4, csv_header=True, spread=2.5)
         assert config.from_ini(config.to_ini(cfg)) == cfg
 
     def test_file_round_trip(self, tmp_path):
@@ -44,12 +44,6 @@ class TestRoundTrip:
         assert config.config_digest(cfg) == config.config_digest(again)
         run_dirs = [cli.run_dir_for(c, c.radius_list[0], 1) for c in (cfg, again)]
         assert run_dirs[0] == run_dirs[1] == Path(again.output_dir, "rho=0.0", "seed=1")
-
-    def test_empty_step_size_means_default(self):
-        cfg = config.ExperimentConfig()
-        assert cfg.step_size is None
-        assert "step_size = \n" in config.to_ini(cfg)
-        assert config.from_ini(config.to_ini(cfg)).step_size is None
 
 
 class TestValidation:
@@ -92,9 +86,12 @@ class TestValidation:
         with pytest.raises(config.ConfigError, match="unknown key"):
             config.from_ini(text)
 
-    # nets are relu-only and the bounds hold at bounds.GAMMA with c = 1
+    # nets are relu-only, the bounds hold at bounds.GAMMA with c = 1, the SGD recipe
+    # is training's and the PGD step is radius / 4
     REMOVED = [("net", "activation", "relu"), ("bounds", "gamma_list", "0.05"),
-               ("bounds", "constant_c", "1.0")]
+               ("bounds", "constant_c", "1.0"), ("train", "lr_decay", "0.1"),
+               ("train", "lr_decay_every", "750"), ("train", "momentum", "0.9"),
+               ("train", "weight_decay", "0.0002"), ("attack", "step_size", "")]
 
     @pytest.mark.parametrize("section, key, value", REMOVED)
     def test_a_removed_key_is_an_unknown_key(self, section, key, value):
@@ -108,9 +105,9 @@ class TestValidation:
         with pytest.raises(TypeError, match=key):
             config.ExperimentConfig(**{key: value})
 
-    def test_the_config_has_31_fields(self):
+    def test_the_config_has_26_fields(self):
         names = [f.name for f in dataclasses.fields(config.ExperimentConfig)]
-        assert len(names) == 31
+        assert len(names) == 26
         assert not {key for _, key, _ in self.REMOVED} & set(names)
 
     @pytest.mark.parametrize("text, section", [
@@ -216,13 +213,13 @@ class TestConfigDigest:
     def test_default_digest_is_pinned(self):
         # every default run's summary.json carries it, so it must not move
         assert config.config_digest(config.ExperimentConfig()) == (
-            "5d26e9ded6861c7db1d261eac37f51668c6a0a51c17fe31999ee5bd50cdac2e0")
+            "5f87fea732963fef6683b52c5af89baab86e12a7bbb21a5d2a4178a817d214f5")
 
     def test_default_ini_text_is_pinned(self):
         # the fields' section order decides the file's bytes, so it must not move
         text = config.to_ini(config.ExperimentConfig())
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-            "25d8ae69ee415654488415a44df2fc4dd0dc5c2ec0f0364aa858ea37fba22530")
+            "8dc0dc40f7d69f50986bad8509679ff57702a3d16e372111834fb0665d98fcbc")
 
     def test_csv_source_digests_the_bytes_of_both_files(self, tmp_path):
         train, test = tmp_path / "train.csv", tmp_path / "test.csv"
@@ -244,7 +241,7 @@ class TestConfigDigest:
 
     @pytest.mark.parametrize("change", [
         {"lr_init": 0.05}, {"radius_list": (0.0, 0.05, 0.4)}, {"steps": 4},
-        {"hidden": (32,)}, {"step_size": 0.01}, {"noise_tau": 32}, {"loss_bound": 5.0},
+        {"hidden": (32,)}, {"noise_components": 400}, {"noise_tau": 32}, {"loss_bound": 5.0},
     ])
     def test_fields_that_shape_a_run_change_the_digest(self, change):
         cfg = config.ExperimentConfig()

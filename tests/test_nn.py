@@ -95,7 +95,7 @@ class TestDenseNetInvariants:
             view.setflags(write=False)
             net = nn.DenseNet(base.layer_widths, view)
         elif build == "sgd_step":
-            net = training.sgd_step(base, given, 0.1, np.zeros(base.num_params), 0.9, 0.0)[0]
+            net = training.sgd_step(base, given, 0.1, np.zeros(base.num_params))[0]
         else:
             training.save_checkpoint(base, tmp_path / "net.ckpt")
             net = training.load_checkpoint(tmp_path / "net.ckpt")
@@ -366,8 +366,7 @@ class TestCallerArraysUntouched:
             net, a["x"], a["y"], adversarial.AttackSpec("l2", 0.3, 3), CLIP_M),
         "project_linf": lambda net, a: adversarial.project(a["x"], a["pts"], "linf", 0.1),
         "project_l2": lambda net, a: adversarial.project(a["x"], a["pts"], "l2", 0.1),
-        "sgd_step": lambda net, a: training.sgd_step(net, a["grad"], 0.1, a["velocity"],
-                                                     0.9, 1e-3),
+        "sgd_step": lambda net, a: training.sgd_step(net, a["grad"], 0.1, a["velocity"]),
         "fit_laplace": lambda net, a: privacy.fit_laplace(a["pts"].ravel()),
         "noise_histogram": lambda net, a: privacy.noise_histogram(a["pts"].ravel()),
     }

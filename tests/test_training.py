@@ -26,10 +26,12 @@ def records(ledger):
 
 
 def quick_config(**kw):
-    base = dict(total_iterations=40, batch_size=16, log_every=10, lr_init=0.05,
-                lr_decay=0.1, lr_decay_every=30, momentum=0.9, weight_decay=0.0002)
+    base = dict(total_iterations=40, batch_size=16, log_every=10, lr_init=0.05)
     base.update(kw)
     return dataclasses.replace(ExperimentConfig(), **base)
+
+
+MU, WD = training.MOMENTUM, training.WEIGHT_DECAY
 
 
 class TestSgdStep:
@@ -38,55 +40,60 @@ class TestSgdStep:
 
     def test_zero_lr_leaves_parameters(self):
         net = self.net1()
-        out, _ = training.sgd_step(net, np.array([2.0, 3.0]), 0.0, np.zeros(2), 0.9, 0.1)
+        out, _ = training.sgd_step(net, np.array([2.0, 3.0]), 0.0, np.zeros(2))
         assert np.array_equal(out.params, net.params)
 
     def test_plain_step_hand_arithmetic(self):
-        # theta=1, g=2, lr=0.1, no momentum, no decay: theta' = 0.8
-        out, _ = training.sgd_step(self.net1(1.0), np.array([2.0, 0.0]), 0.1,
-                                   np.zeros(2), 0.0, 0.0)
-        assert out.params[0] == pytest.approx(0.8, abs=1e-15)
+        # theta=0, g=2, lr=0.1, no velocity: the decay term vanishes, theta' = -0.2
+        out, v = training.sgd_step(self.net1(0.0), np.array([2.0, 0.0]), 0.1, np.zeros(2))
+        assert out.params[0] == pytest.approx(-0.2, abs=1e-15)
+        assert v[0] == 2.0
 
     def test_two_momentum_steps_unrolled(self):
-        # mu=0.9, g=1, lr=1, theta0=0: v1=1, theta1=-1; v2=1.9, theta2=-2.9
+        # g=1, lr=1, theta0=0: v1=1, theta1=-1; v2=mu*1 + (1 + wd*(-1)), theta2=-1-v2
         net = self.net1(0.0)
         g = np.array([1.0, 0.0])
         v = np.zeros(2)
-        net, v = training.sgd_step(net, g, 1.0, v, 0.9, 0.0)
+        net, v = training.sgd_step(net, g, 1.0, v)
         assert net.params[0] == pytest.approx(-1.0, abs=1e-15)
-        net, v = training.sgd_step(net, g, 1.0, v, 0.9, 0.0)
-        assert net.params[0] == pytest.approx(-2.9, abs=1e-15)
+        net, v = training.sgd_step(net, g, 1.0, v)
+        assert net.params[0] == pytest.approx(-1.0 - (MU + 1.0 - WD), abs=1e-15)
 
     def test_weight_decay_added_to_gradient(self):
-        # g_eff = g + wd*theta = 2 + 0.5*1 = 2.5; theta' = 1 - 0.1*2.5 = 0.75
-        out, _ = training.sgd_step(self.net1(1.0), np.array([2.0, 0.0]), 0.1,
-                                   np.zeros(2), 0.0, 0.5)
-        assert out.params[0] == pytest.approx(0.75, abs=1e-15)
+        # g_eff = g + wd*theta = 2 + wd*1; theta' = 1 - 0.1*g_eff
+        out, _ = training.sgd_step(self.net1(1.0), np.array([2.0, 0.0]), 0.1, np.zeros(2))
+        assert out.params[0] == pytest.approx(1.0 - 0.1 * (2.0 + WD), abs=1e-15)
+
+    def test_the_recipe_is_momentum_0_9_and_weight_decay_0_0002(self):
+        # weight 1, bias 0, g=0, lr=1, v0=1: v = (0.9 + 0.0002*1, 0.9 + 0.0002*0)
+        out, v = training.sgd_step(self.net1(1.0), np.zeros(2), 1.0, np.ones(2))
+        assert v.tolist() == [0.9 + 0.0002, 0.9]
+        assert out.params.tolist() == [1.0 - (0.9 + 0.0002), -0.9]
 
     def test_non_finite_gradient_aborts(self):
         with pytest.raises(nn.DivergenceError):
-            training.sgd_step(self.net1(), np.array([np.nan, 0.0]), 0.1,
-                              np.zeros(2), 0.0, 0.0)
+            training.sgd_step(self.net1(), np.array([np.nan, 0.0]), 0.1, np.zeros(2))
 
     def test_overflowing_update_aborts(self):
         # a finite gradient whose step overflows the parameters
         with np.errstate(over="ignore"), pytest.raises(
                 nn.DivergenceError, match="^non-finite parameters: the model has diverged$"):
-            training.sgd_step(self.net1(), np.array([10.0, 0.0]), 1e308, np.zeros(2), 0.0, 0.0)
+            training.sgd_step(self.net1(), np.array([10.0, 0.0]), 1e308, np.zeros(2))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
-            training.sgd_step(self.net1(), np.array([1.0]), 0.1, np.zeros(1), 0.0, 0.0)
+            training.sgd_step(self.net1(), np.array([1.0]), 0.1, np.zeros(1))
 
     def test_velocity_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            training.sgd_step(self.net1(), np.array([1.0, 0.0]), 0.1, np.zeros((2, 2)), 0.9, 0.0)
+            training.sgd_step(self.net1(), np.array([1.0, 0.0]), 0.1, np.zeros((2, 2)))
 
     def test_stepped_net_is_read_only_and_bitwise_the_update(self):
         net = nn.DenseNet.random((3, 4, 2), seed=1)
         rng = np.random.default_rng(0)
         grad, v0 = rng.normal(size=net.num_params), rng.normal(size=net.num_params)
-        out, v = training.sgd_step(net, grad, 0.1, v0, 0.9, 0.01)
+        out, v = training.sgd_step(net, grad, 0.1, v0)
+        assert v.tobytes() == (MU * v0 + (grad + WD * net.params)).tobytes()
         expected = net.params - 0.1 * v
         assert out.params.tobytes() == expected.tobytes()
         ref = net_with_params(net, expected)
@@ -99,11 +106,25 @@ class TestSgdStep:
 
 class TestLrSchedule:
     def test_decay_boundaries(self):
-        cfg = quick_config(total_iterations=100, lr_init=0.1, lr_decay=0.1,
-                           lr_decay_every=30)
-        assert cfg.lr(1) == cfg.lr(30) == 0.1
-        assert cfg.lr(31) == pytest.approx(0.01)
-        assert cfg.lr(61) == pytest.approx(0.001)
+        # x0.1 every 750 iterations, as powers of 0.1 (0.1 ** 2 is not 0.01)
+        assert training.lr(0.1, 1) == training.lr(0.1, 750) == 0.1
+        assert training.lr(0.1, 751) == training.lr(0.1, 1500) == 0.1 * 0.1 ** 1
+        assert training.lr(0.1, 1501) == 0.1 * 0.1 ** 2
+        assert training.lr(0.5, 2000) == 0.5 * 0.1 ** 2
+
+    def test_train_model_steps_by_the_schedule(self, monkeypatch):
+        train, _ = small_sets()
+        cfg = quick_config(hidden=(4,), total_iterations=751, log_every=751)
+        sgd_step, seen = training.sgd_step, []
+
+        def record_lr(net, grad, lr, velocity):
+            seen.append(lr)
+            return sgd_step(net, grad, lr, velocity)
+
+        monkeypatch.setattr(training, "sgd_step", record_lr)
+        net0 = nn.DenseNet.random((train.dim, 4, train.num_classes), SEED)
+        training.train_model(train, net0, cfg, AttackSpec(), SEED)
+        assert seen == [0.05] * 750 + [0.05 * 0.1]
 
 
 class TestTrainTwin:
@@ -218,9 +239,8 @@ class TestTrainTwin:
         ds = LabeledSet(np.array([[x[0]], [x[1]]]), np.array([0, 0]), 2)
         rho, alpha, steps, lr = 0.25, 0.0625, 8, 0.05
         cfg = dataclasses.replace(
-            UNCLIPPED, total_iterations=2, batch_size=2, log_every=1, lr_init=lr,
-            lr_decay=1.0, lr_decay_every=1, momentum=0.0, weight_decay=0.0, hidden=())
-        attack = AttackSpec(norm="linf", radius=rho, steps=steps, step_size=alpha)
+            UNCLIPPED, total_iterations=2, batch_size=2, log_every=1, lr_init=lr, hidden=())
+        attack = AttackSpec(norm="linf", radius=rho, steps=steps)
         ledger = training.train_twin(ds, cfg, attack, 17)
 
         # oracle: straight-line float trace sharing only the init and the
@@ -249,17 +269,21 @@ class TestTrainTwin:
                 xp = min(max(xp + alpha * s, xi - rho), xi + rho)
             return xp
 
-        def step(theta, points):
-            """(next theta, max per-example gradient norm, mean loss) of one SGD step."""
+        def step(theta, v, points):
+            """(next theta, next velocity, max per-example gradient norm, mean loss) of
+            one heavy-ball SGD step; both steps lie before the first step-size cut."""
             per = [grads(theta, xi) for xi in points]
             l_max = max(math.hypot(*g) for g in per)
             mean_loss = sum(math.log1p(math.exp(margin(theta, xi))) for xi in points) / 2.0
             mean = [(g0 + g1) / 2.0 for g0, g1 in zip(*per)]
-            return [p - lr * g for p, g in zip(theta, mean)], l_max, mean_loss
+            v = [MU * vi + (g + WD * p) for vi, g, p in zip(v, mean, theta)]
+            return [p - lr * vi for p, vi in zip(theta, v)], v, l_max, mean_loss
 
+        v_e = v_a = [0.0] * 4
         for t in (1, 2):
-            theta_e, l_erm, erm_loss = step(theta_e, x)
-            theta_a, l_adv, adv_loss = step(theta_a, [pgd_point(theta_a, xi) for xi in x])
+            theta_e, v_e, l_erm, erm_loss = step(theta_e, v_e, x)
+            theta_a, v_a, l_adv, adv_loss = step(theta_a, v_a,
+                                                 [pgd_point(theta_a, xi) for xi in x])
 
             rec = records(ledger)[t - 1]
             assert rec.t == t
