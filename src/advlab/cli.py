@@ -61,7 +61,7 @@ as one copied from another run's directory does, or records no failure but
 lacks a ``SWEEP_COLUMNS`` path, as one written before a column was renamed
 or before ``bounds`` became one record does) or stale: its ``config_digest``
 covers every config field except ``seeds``, ``output_dir`` and ``workers``,
-and for a CSV source the sha256 of both files' bytes, so editing any other
+and for CSV data the sha256 of both files' bytes, so editing any other
 field or either data file reruns the sweep.
 A failed run still writes summary.json (with ``diverged_at`` or a one-line
 ``failure``) and meta.json, so it is not retrained and merges as a failure.
@@ -89,7 +89,7 @@ also a run that raised or lost its worker, for ``report`` one whose
 summary.json is missing, stale or unreadable (among them one that records
 another run's rho or seed, and one that records no failure but lacks a sweep
 column). 1 also means a file that cannot be read (any ``OSError``: missing, a
-directory, no permission; ``report`` reads a CSV source's data files for the
+directory, no permission; ``report`` reads a run's CSV data files for the
 digest) or written (named by the path asked for, such as an ``--out`` in a
 missing directory or with no file name, as ``""``, ``.`` and ``/`` have, never
 by the temporary file), a malformed or non-UTF-8 data CSV (also one with a
@@ -107,16 +107,18 @@ training).
 UTF-8, does not parse, or has a section outside ``[data]``, ``[net]``,
 ``[train]``, ``[attack]``, ``[privacy]``, ``[bounds]`` and ``[sweep]``, a key
 under ``[DEFAULT]`` or a key that names no field of its section (such as
-``activation``, ``gamma_list``, ``constant_c``, ``lr_decay``, ``lr_decay_every``,
-``momentum``, ``weight_decay`` or ``step_size``, which older versions wrote;
-all checked before any directory or job), any value
-``ExperimentConfig`` rejects (a value of the wrong type such as
-``total_iterations = 40.0``, a non-finite number, a seed outside [0, 2**128)
-or a ``log_every`` above ``total_iterations``, under which no record would be
-logged, among them), train and test data of different feature widths, a blob
-matrix, net or noise pool past one float64 array or ``noise_batches`` past
-2**64 Philox steps (checked before the data is drawn), a ``batch_size``,
-``delta_prime`` or noise field that does not fit the data
+``source``, ``activation``, ``gamma_list``, ``constant_c``, ``lr_decay``,
+``lr_decay_every``, ``momentum``, ``weight_decay``, ``step_size`` or
+``delta_prime``, which older versions wrote; all checked before any directory
+or job), any value ``ExperimentConfig`` rejects (a value of the wrong type
+such as ``total_iterations = 40.0``, a non-finite number, a seed outside
+[0, 2**128), an ``lr_init`` <= 0, one of ``train_csv`` and ``test_csv``
+without the other, or a ``log_every`` above ``total_iterations``, under which
+no record would be logged, among them), a training set of fewer than 2 rows,
+train and test data of different feature widths, a blob matrix, net or noise
+pool past one float64 array or ``noise_batches`` past 2**64 Philox steps
+(checked before the data is drawn), a ``batch_size`` or noise field that does
+not fit the data
 (``ExperimentConfig.load_datasets`` checks these for every command that reads
 data: ``train``, ``sweep`` and ``probe``), a ``--rho`` or ``--seed`` that
 makes no valid run (``train`` and ``sweep`` exit before any directory or job),
@@ -307,7 +309,7 @@ def run_experiment(cfg: ExperimentConfig, rho: float, seed: int) -> dict:
     n = len(train_set)
     summary["eps_per_step"], budgets = privacy.budgets(
         [r.l_erm for r in good], [r.intensity for r in good], cfg.total_iterations, n,
-        summary["noise"]["b"], cfg.delta_prime)
+        summary["noise"]["b"])
     leading = budgets["leading_thm5"]
     summary["intensity_1t"] = leading.inputs["i_1t"]
     summary["l_erm_1t"] = leading.inputs["l_erm_1t"]

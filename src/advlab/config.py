@@ -8,12 +8,14 @@ error, so a misspelled section cannot silently leave its fields at their
 defaults. Parsing and serializing round-trip exactly. Defaults describe the
 desk-scale experiment: 4-class Gaussian blobs in 20 dimensions, a 20-64-64-4
 relu net, 2000 SGD iterations, and an 8-point attack-radius grid that starts
-at 0 (the plain ERM baseline row).
+at 0 (the plain ERM baseline row). Setting both ``train_csv`` and ``test_csv``
+trains on those files instead; setting one alone is a config error.
 
 A field is a knob some run turns. What no run varies is fixed in code: relu
-nets (``nn``); confidence 1 - ``bounds.GAMMA`` and c = 1 (``bounds``); the SGD
-momentum, weight decay and step-size cuts around ``lr_init`` (``training``);
-and the radius / 4 PGD step (``adversarial``).
+nets (``nn``); confidence 1 - ``bounds.GAMMA`` and c = 1 (``bounds``); delta'
+= ``privacy.DELTA_PRIME`` = 1; the SGD momentum, weight decay and step-size
+cuts around ``lr_init`` (``training``); and the radius / 4 PGD step
+(``adversarial``).
 
 ``ExperimentConfig`` alone decides whether an experiment is valid. A value is
 what its INI text reads as (``csv_header=1`` is true, ``seeds=[5, 6]`` a tuple,
@@ -38,7 +40,6 @@ from pathlib import Path
 from .adversarial import AttackSpec
 from .data import ENTRY_LIMIT, LabeledSet, load_csv, split, synth_blobs, write_atomic
 from .nn import param_count
-from .privacy import check_delta_prime
 from .rng import SEED_LIMIT, STEP_LIMIT
 
 
@@ -59,7 +60,6 @@ def _in(section: str, default):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    source: str = _in("data", "synthetic")            # synthetic | csv
     n_per_class: int = _in("data", 1000)
     num_classes: int = _in("data", 4)
     dim: int = _in("data", 20)
@@ -77,7 +77,6 @@ class ExperimentConfig:
     norm: str = _in("attack", "linf")
     radius_list: tuple[float, ...] = _in("attack", (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35))
     steps: int = _in("attack", 8)
-    delta_prime: float = _in("privacy", 1.0)
     noise_tau: int = _in("privacy", 64)
     noise_batches: int = _in("privacy", 200)
     noise_components: int = _in("privacy", 500)
@@ -97,10 +96,8 @@ class ExperimentConfig:
             for v in value if isinstance(value, tuple) else (value,):
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ConfigError(f"{f.name} must be finite, got {v!r}")
-        if self.source not in ("synthetic", "csv"):
-            raise ConfigError(f"unknown data source {self.source!r}")
-        if self.source == "csv" and not (self.train_csv and self.test_csv):
-            raise ConfigError("csv source needs train_csv and test_csv paths")
+        if bool(self.train_csv) != bool(self.test_csv):  # so train_csv alone names the source
+            raise ConfigError("train_csv and test_csv must be set together, or both left empty")
         check_seed("data_seed", self.data_seed)
         for seed in self.seeds:
             check_seed("seeds", seed)
@@ -117,13 +114,13 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):  # a run directory per (rho, seed)
             raise ConfigError("seeds must be distinct")
-        if not 0 < self.delta_prime:
-            raise ConfigError("delta_prime must be positive")
+        if not 0 < self.lr_init:
+            raise ConfigError("lr_init must be positive")
         if not 0 < self.loss_bound:
             raise ConfigError("loss_bound must be positive")
         floors = {"total_iterations": 1, "log_every": 1, "batch_size": 1, "noise_batches": 1,
                   "workers": 0}
-        if self.source == "synthetic":
+        if not self.train_csv:
             floors.update(n_per_class=1, num_classes=1, dim=1, spread=0)
         for name, floor in floors.items():
             if getattr(self, name) < floor:
@@ -133,7 +130,7 @@ class ExperimentConfig:
         if any(width < 1 for width in self.hidden):
             raise ConfigError("hidden widths must be >= 1")
         pool = self.n_per_class * self.num_classes
-        if self.source == "synthetic" and not 1 <= self.n_train < pool:
+        if not self.train_csv and not 1 <= self.n_train < pool:
             raise ConfigError(f"n_train must lie in [1, {pool - 1}]")
 
     # derived pieces ----------------------------------------------------
@@ -144,10 +141,11 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
 
     def load_datasets(self) -> tuple[LabeledSet, LabeledSet]:
-        """The train/test pair, once both sets have the same feature width and
-        ``batch_size`` and the privacy fields fit them and the net trained on them,
-        which the csv source fixes only once its files are read; blobs are drawn last."""
-        if self.source == "csv":
+        """The train/test pair, once the training set has at least 2 rows, both sets
+        have the same feature width and ``batch_size`` and the noise fields fit them and
+        the net trained on them, which CSV files fix only once they are read; blobs are
+        drawn last."""
+        if self.train_csv:
             train = load_csv(self.train_csv, header=self.csv_header)
             test = load_csv(self.test_csv, header=self.csv_header)
             if train.dim != test.dim:
@@ -157,15 +155,13 @@ class ExperimentConfig:
             n, dim, classes = self.n_train, self.dim, self.num_classes
             if self.n_per_class * classes * dim > ENTRY_LIMIT:
                 raise ConfigError(f"n_per_class * num_classes * dim must be <= {ENTRY_LIMIT}")
+        if n < 2:  # N > privacy.DELTA_PRIME = 1, so that ln(N / delta') > 0
+            raise ConfigError(f"the training set must have at least 2 rows, got {n}")
         if self.batch_size > n:
             raise ConfigError(f"batch_size must be <= {n}, the training set size")
         params = param_count((dim, *self.hidden, classes))
         if params > ENTRY_LIMIT:  # the net, like the noise pool below, is one float64 array
             raise ConfigError(f"hidden widths give {params} parameters, more than {ENTRY_LIMIT}")
-        try:
-            check_delta_prime(self.delta_prime, n)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         if not 1 <= self.noise_tau <= n:
             raise ConfigError(f"noise_tau must lie in [1, {n}], the training set size")
         if not 1 <= self.noise_components <= params:
@@ -174,7 +170,7 @@ class ExperimentConfig:
             raise ConfigError(f"noise_batches must be <= {STEP_LIMIT}, a Philox stream's steps")
         if self.noise_batches * self.noise_components > ENTRY_LIMIT:
             raise ConfigError(f"noise_batches * noise_components must be <= {ENTRY_LIMIT}")
-        if self.source == "csv":
+        if self.train_csv:
             return (LabeledSet(train.features, train.labels, classes),
                     LabeledSet(test.features, test.labels, classes))
         pool = synth_blobs(self.n_per_class, classes, dim, self.spread, self.data_seed)
@@ -252,12 +248,12 @@ _NOT_DIGESTED = ("seeds", "output_dir", "workers")
 def config_digest(cfg: ExperimentConfig) -> str:
     """sha256 over every field that can change a run's artifacts, each
     written as in the INI file. ``radius_list`` is included because each
-    run is also attacked at its last radius. A CSV source also enters by
-    the sha256 of each file's bytes, so editing the data reruns a sweep;
+    run is also attacked at its last radius. CSV data also enter by the
+    sha256 of each file's bytes, so editing the data reruns a sweep;
     reading them raises ``OSError`` as ``load_datasets`` would."""
     text = "".join(f"{f.name}={_format(getattr(cfg, f.name))}\n"
                    for f in fields(ExperimentConfig) if f.name not in _NOT_DIGESTED)
-    if cfg.source == "csv":
+    if cfg.train_csv:
         for name in ("train_csv", "test_csv"):
             data = Path(getattr(cfg, name)).read_bytes()
             text += f"{name}_sha256={hashlib.sha256(data).hexdigest()}\n"

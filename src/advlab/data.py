@@ -10,7 +10,8 @@ two models exactly the same data.
 A ``LabeledSet`` is validated once, where data enters (:func:`synth_blobs`,
 :func:`load_csv`, :func:`split`); per-batch code slices its arrays. The
 counts, spread, ``n_train`` and ``batch_size`` that :func:`synth_blobs`,
-:func:`split` and ``BatchSchedule`` take are checked by ``ExperimentConfig``.
+:func:`split` and ``BatchSchedule`` take are checked by ``ExperimentConfig``,
+which reads CSV files when both its paths are set and draws blobs when neither is.
 
 CSV layout: one example per row, ``d`` numeric feature columns followed by
 one integer label column. A header row is skipped when ``header=True``.

@@ -15,8 +15,9 @@ SGD step on an N-example set leaks
 and T steps compose to
 
     eps = sqrt(2 * ln(N / delta') * sum eps_t^2)
-          + sum eps_t * (e^eps_t - 1) / (e^eps_t + 1),      delta = delta' / N.
+          + sum eps_t * (e^eps_t - 1) / (e^eps_t + 1),      delta = delta' / N,
 
+with delta' = ``DELTA_PRIME`` = 1, so delta = ``DELTA_PRIME`` / N and N > 1.
 The leading-term budget replaces the per-step series by its fourth-power
 composites: eps = (2 * L_1T * I_1T / (N * b)) * sqrt(2 T ln(N / delta')),
 dropping an O(1/N^2) remainder; the ERM baseline is the same with
@@ -40,6 +41,7 @@ from .rng import DOMAIN_NOISE, stream
 HISTOGRAM_BINS = 201
 HISTOGRAM_RANGE = (-10.0, 10.0)
 HISTOGRAM_SLICE = 4096  # values per np.histogram call
+DELTA_PRIME = 1.0  # delta' of every budget: delta = DELTA_PRIME / N
 
 
 class DegenerateNoiseError(ValueError):
@@ -135,44 +137,38 @@ def noise_histogram(values: np.ndarray):
     return edges, counts
 
 
-def check_delta_prime(delta_prime: float, n: int) -> None:
-    """Reject a delta' outside (0, N), so that ln(N / delta') > 0 and delta = delta' / N <= 1."""
-    if not 0 < delta_prime < n:  # so N > 0 as well
-        raise ValueError(f"delta_prime must lie in (0, {n}), N the training set size")
-
-
-def compose(eps_list, delta_prime: float, n: int) -> PrivacyBudget:
+def compose(eps_list, n: int) -> PrivacyBudget:
     """Exact composition of per-step budgets, one per entry of ``eps_list``,
-    into a whole-run (eps, delta)."""
-    check_delta_prime(delta_prime, n)
+    into a whole-run (eps, delta) on an N-example set, N > ``DELTA_PRIME``
+    (:func:`budgets` checks N)."""
     eps = np.asarray(list(eps_list), dtype=np.float64)
     if eps.size and eps.min() < 0:
         raise ValueError("per-step epsilons must be nonnegative")
-    log_term = math.log(n / delta_prime)
+    log_term = math.log(n / DELTA_PRIME)
     sq = math.sqrt(2.0 * log_term * float(np.sum(eps ** 2)))
     # (e^eps - 1) / (e^eps + 1) written as tanh(eps / 2), which cannot overflow
     second = float(np.sum(eps * np.tanh(eps / 2.0)))
     return PrivacyBudget(
         epsilon=sq + second,
-        delta=delta_prime / n,
+        delta=DELTA_PRIME / n,
         provenance="composed_thm4",
-        inputs={"n": n, "delta_prime": delta_prime, "steps": int(eps.size)},
+        inputs={"n": n, "delta_prime": DELTA_PRIME, "steps": int(eps.size)},
     )
 
 
-def budgets(l_erm, intensity, t: int, n: int, b: float, delta_prime: float):
+def budgets(l_erm, intensity, t: int, n: int, b: float):
     """Per-step epsilons and the three budgets of one nonempty (L_erm, I) series.
 
     Returns ``(eps_per_step, budgets)``, with ``budgets`` keyed by
     provenance. ``composed_thm4`` composes one step per entry; the leading and
     ERM budgets take the series' fourth-power composites (in their
     ``inputs`` as ``l_erm_1t`` and ``i_1t``; ``i_1t`` is 1 for ERM) over
-    ``t`` steps. Each input is checked once: N, b, the series and T here,
-    delta' by :func:`compose`. An empty series has no composite, so it is a
-    ``ValueError`` like a T below 1.
+    ``t`` steps. Each input is checked once, here: N, b, the series and T.
+    An empty series has no composite, so it is a ``ValueError`` like a T
+    below 1.
     """
-    if n < 1:
-        raise ValueError("N must be >= 1")
+    if not n > DELTA_PRIME:  # so that ln(N / delta') > 0 and delta = delta' / N < 1
+        raise ValueError(f"N must exceed delta' = {DELTA_PRIME}, got {n}")
     if not b > 0:
         raise ValueError("Laplace scale b must be positive")
     if not all(0 <= v < math.inf for v in (*l_erm, *intensity)):
@@ -182,13 +178,13 @@ def budgets(l_erm, intensity, t: int, n: int, b: float, delta_prime: float):
         raise ValueError("the (L_erm, I) series is empty: no step to account")
     if t < 1:
         raise ValueError("T must be >= 1")
-    out = {"composed_thm4": compose(eps, delta_prime, n)}
+    out = {"composed_thm4": compose(eps, n)}
     l_1t = composite_intensity(l_erm)
-    root = math.sqrt(2.0 * t * math.log(n / delta_prime))
+    root = math.sqrt(2.0 * t * math.log(n / DELTA_PRIME))
     for name, i_1t in (("leading_thm5", composite_intensity(intensity)),
                        ("erm_corollary", 1.0)):
         out[name] = PrivacyBudget(
-            epsilon=(2.0 * l_1t * i_1t / (n * b)) * root, delta=delta_prime / n,
+            epsilon=(2.0 * l_1t * i_1t / (n * b)) * root, delta=DELTA_PRIME / n,
             provenance=name, inputs={"l_erm_1t": l_1t, "i_1t": i_1t, "t": t, "n": n,
-                                     "b": b, "delta_prime": delta_prime})
+                                     "b": b, "delta_prime": DELTA_PRIME})
     return eps, out

@@ -86,7 +86,7 @@ class TestHighProbBound:
 class TestRateChecks:
     def pipeline(self, n):
         # fixed accountant pipeline with leading-term eps and delta = 1/N
-        budget = privacy.budgets([1.0], [1.0], 100, n, 1.0, 1.0)[1]["leading_thm5"]
+        budget = privacy.budgets([1.0], [1.0], 100, n, 1.0)[1]["leading_thm5"]
         return budget.epsilon, budget.delta
 
     def test_on_average_rate_sqrt_log_over_n(self):

@@ -38,8 +38,8 @@ def csv_config(tmp_path, train: bytes, test: bytes):
     train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
     train_csv.write_bytes(train)
     test_csv.write_bytes(test)
-    return tiny_config(tmp_path, source="csv", train_csv=str(train_csv), test_csv=str(test_csv),
-                       batch_size=1, noise_tau=1, delta_prime=1.0, noise_components=1)
+    return tiny_config(tmp_path, train_csv=str(train_csv), test_csv=str(test_csv),
+                       batch_size=1, noise_tau=1, noise_components=1)
 
 
 def break_summary_then_report_and_resume(tmp_path, capsys, corrupt, seeds=(1,)) -> str:
@@ -442,8 +442,8 @@ class TestSweepCommand:
         train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
         write_dataset_csv(data.synth_blobs(20, 3, 4, 1.0, seed=1), train_csv)
         write_dataset_csv(data.synth_blobs(10, 3, 4, 1.0, seed=2), test_csv)
-        cfg, path = tiny_config(tmp_path, source="csv", train_csv=str(train_csv),
-                                test_csv=str(test_csv), seeds=(1,))
+        cfg, path = tiny_config(tmp_path, train_csv=str(train_csv), test_csv=str(test_csv),
+                                seeds=(1,))
         assert cli.main(["sweep", "--config", str(path)]) == 0
         summaries = [cli.run_dir_for(cfg, rho, 1) / "summary.json" for rho in cfg.radius_list]
         before = [json.loads(s.read_text()) for s in summaries]
@@ -712,7 +712,6 @@ class TestNoiseFields:
     @pytest.mark.parametrize("field, value", [
         ("noise_tau", 61),  # n_train + 1
         ("noise_components", 68),  # the 4-8-3 net has 67 parameters
-        ("delta_prime", 60.0),  # ln(n_train / delta_prime) must be positive
     ])
     def test_outside_the_data_is_config_error_before_training(
             self, tmp_path, capsys, monkeypatch, command, field, value):
@@ -728,11 +727,26 @@ class TestNoiseFields:
         assert field in err
         assert not Path(cfg.output_dir).exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_a_one_row_training_set_is_config_error_before_training(
+            self, tmp_path, capsys, monkeypatch, command):
+        cfg, path = tiny_config(tmp_path, n_train=1, batch_size=1, noise_tau=1)
+
+        def never(*args, **kwargs):
+            raise AssertionError("trained despite a config error")
+
+        monkeypatch.setattr(training, "train_twin", never)
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "config error: the training set must have at least 2 rows, got 1\n")
+        assert not Path(cfg.output_dir).exists()
+
 
 class TestInvalidValues:
     REMOVED = {"activation": "[net]", "gamma_list": "[bounds]", "constant_c": "[bounds]",
                "lr_decay": "[train]", "lr_decay_every": "[train]", "momentum": "[train]",
-               "weight_decay": "[train]", "step_size": "[attack]"}
+               "weight_decay": "[train]", "step_size": "[attack]", "source": "[data]",
+               "delta_prime": "[privacy]"}
 
     @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize("field, value", [
@@ -740,13 +754,16 @@ class TestInvalidValues:
         ("batch_size", "0"), ("batch_size", "5000"), ("steps", "-1"), ("norm", "l3"),
         ("hidden", "8,0"), ("n_per_class", "0"), ("dim", "0"),
         ("num_classes", "0"), ("n_train", "300"), ("spread", "-1.0"), ("workers", "-1"),
-        ("lr_init", "nan"), ("spread", "inf"), ("radius_list", "0.0,nan"),
-        ("delta_prime", "inf"), ("seeds", "-1"), ("seeds", str(2 ** 128)), ("seeds", "1,1"),
+        ("lr_init", "nan"), ("lr_init", "-0.1"), ("lr_init", "0"), ("spread", "inf"),
+        ("radius_list", "0.0,nan"), ("seeds", "-1"), ("seeds", str(2 ** 128)), ("seeds", "1,1"),
         ("data_seed", "-2"), ("log_every", "61"), ("loss_bound", "inf"),
+        # one csv path alone
+        ("train_csv", "train.csv"), ("test_csv", "test.csv"),
         # keys that older versions wrote, at the values they wrote
         ("activation", "relu"), ("gamma_list", "0.05"), ("constant_c", "1.0"),
         ("lr_decay", "0.1"), ("lr_decay_every", "750"), ("momentum", "0.9"),
-        ("weight_decay", "0.0002"), ("step_size", ""),
+        ("weight_decay", "0.0002"), ("step_size", ""), ("source", "synthetic"),
+        ("delta_prime", "1.0"),
         # past one float64 array or the Philox steps of the noise stream
         ("n_per_class", str(10 ** 19)), ("dim", str(10 ** 19)), ("num_classes", str(10 ** 19)),
         ("hidden", f"8,{10 ** 19}"), ("noise_batches", str(10 ** 19)),
@@ -1068,7 +1085,7 @@ class TestRunAgreesWithTheLibrary:
         assert len(good) == summary["records"] - summary["records_skipped"] > 0
         eps, budgets = privacy.budgets(
             [float(r["l_erm"]) for r in good], [float(r["intensity"]) for r in good],
-            cfg.total_iterations, summary["n_train"], summary["noise"]["b"], cfg.delta_prime)
+            cfg.total_iterations, summary["n_train"], summary["noise"]["b"])
         assert eps == summary["eps_per_step"]
         assert budgets["composed_thm4"].epsilon == summary["budgets"]["composed_thm4"]["epsilon"]
         assert {k: dataclasses.asdict(b) for k, b in budgets.items()} == summary["budgets"]
@@ -1093,6 +1110,16 @@ class TestRunAgreesWithTheLibrary:
         cfg, run_dir, summary = run
         net = training.load_checkpoint(run_dir / "adv.ckpt")
         assert cli._mia(cli._score(net, *cfg.load_datasets())[1]) == summary["mia"]
+
+    def test_the_default_data_give_every_budget_delta_one_over_2000(self, tmp_path):
+        # delta = privacy.DELTA_PRIME / N with delta' = 1 and the default N = 2000
+        cfg = config.ExperimentConfig(total_iterations=40, noise_batches=4,
+                                      output_dir=str(tmp_path))
+        summary = cli.run_experiment(cfg, 0.0, 1)
+        assert summary["n_train"] == 2000
+        for budget in summary["budgets"].values():
+            assert budget["delta"] == 1 / 2000
+            assert budget["inputs"]["delta_prime"] == 1.0
 
 
 class TestLossClip:

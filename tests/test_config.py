@@ -87,11 +87,13 @@ class TestValidation:
             config.from_ini(text)
 
     # nets are relu-only, the bounds hold at bounds.GAMMA with c = 1, the SGD recipe
-    # is training's and the PGD step is radius / 4
+    # is training's, the PGD step is radius / 4, the CSV paths name the source and
+    # delta' is privacy.DELTA_PRIME
     REMOVED = [("net", "activation", "relu"), ("bounds", "gamma_list", "0.05"),
                ("bounds", "constant_c", "1.0"), ("train", "lr_decay", "0.1"),
                ("train", "lr_decay_every", "750"), ("train", "momentum", "0.9"),
-               ("train", "weight_decay", "0.0002"), ("attack", "step_size", "")]
+               ("train", "weight_decay", "0.0002"), ("attack", "step_size", ""),
+               ("data", "source", "synthetic"), ("privacy", "delta_prime", "1.0")]
 
     @pytest.mark.parametrize("section, key, value", REMOVED)
     def test_a_removed_key_is_an_unknown_key(self, section, key, value):
@@ -105,9 +107,9 @@ class TestValidation:
         with pytest.raises(TypeError, match=key):
             config.ExperimentConfig(**{key: value})
 
-    def test_the_config_has_26_fields(self):
+    def test_the_config_has_24_fields(self):
         names = [f.name for f in dataclasses.fields(config.ExperimentConfig)]
-        assert len(names) == 26
+        assert len(names) == 24
         assert not {key for _, key, _ in self.REMOVED} & set(names)
 
     @pytest.mark.parametrize("text, section", [
@@ -163,7 +165,7 @@ class TestDatasets:
         te = synth_blobs(5, 3, 4, 1.0, seed=2)
         write_dataset_csv(tr, tmp_path / "train.csv")
         write_dataset_csv(te, tmp_path / "test.csv")
-        cfg = dataclasses.replace(config.ExperimentConfig(), source="csv",
+        cfg = dataclasses.replace(config.ExperimentConfig(),
                                   train_csv=str(tmp_path / "train.csv"),
                                   test_csv=str(tmp_path / "test.csv"),
                                   batch_size=30, noise_tau=30)
@@ -171,35 +173,62 @@ class TestDatasets:
         assert len(train) == 30 and len(test) == 15
         assert train.num_classes == test.num_classes == 3
 
-    @pytest.mark.parametrize("source", ["synthetic", "csv"])
-    def test_noise_fields_checked_against_the_data(self, tmp_path, source):
+    def test_both_paths_read_the_csv_files(self, tmp_path):
+        # the blobs' fields keep their defaults, under which 4000 blobs would be drawn
+        train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+        train_csv.write_text("0.5,1.0,0\n-0.5,2.0,1\n")
+        test_csv.write_text("0.5,1.0,1\n")
+        cfg = config.ExperimentConfig(train_csv=str(train_csv), test_csv=str(test_csv),
+                                      batch_size=1, noise_tau=1, noise_components=1)
+        train, test = cfg.load_datasets()
+        assert train.features.tolist() == [[0.5, 1.0], [-0.5, 2.0]]
+        assert test.labels.tolist() == [1]
+        missing = dataclasses.replace(cfg, train_csv=str(tmp_path / "missing.csv"))
+        with pytest.raises(FileNotFoundError):
+            missing.load_datasets()
+
+    @pytest.mark.parametrize("path", ["train_csv", "test_csv"])
+    def test_one_csv_path_alone_is_a_config_error(self, path):
+        with pytest.raises(config.ConfigError,
+                           match="^train_csv and test_csv must be set together"):
+            config.ExperimentConfig(**{path: "data.csv"})
+
+    @pytest.mark.parametrize("csv", [False, True], ids=["synthetic", "csv"])
+    def test_a_training_set_needs_two_rows(self, tmp_path, csv):
+        (tmp_path / "train.csv").write_text("0.5,1.0,0\n")
+        (tmp_path / "test.csv").write_text("0.5,1.0,1\n")
+        paths = dict(train_csv=str(tmp_path / "train.csv"),
+                     test_csv=str(tmp_path / "test.csv")) if csv else {}
+        cfg = config.ExperimentConfig(n_train=1, batch_size=1, noise_tau=1, **paths)
+        with pytest.raises(config.ConfigError,
+                           match="^the training set must have at least 2 rows, got 1$"):
+            cfg.load_datasets()
+
+    @pytest.mark.parametrize("csv", [False, True], ids=["synthetic", "csv"])
+    def test_noise_fields_checked_against_the_data(self, tmp_path, csv):
         from advlab.data import synth_blobs
         write_dataset_csv(synth_blobs(10, 3, 4, 1.0, seed=1), tmp_path / "train.csv")
         write_dataset_csv(synth_blobs(5, 3, 4, 1.0, seed=2), tmp_path / "test.csv")
+        paths = dict(train_csv=str(tmp_path / "train.csv"),
+                     test_csv=str(tmp_path / "test.csv")) if csv else {}
         # 30 training rows of 4 features in 3 classes; a 4-8-3 net has 67 parameters
-        cfg = dataclasses.replace(config.ExperimentConfig(), source=source, n_per_class=15,
+        cfg = dataclasses.replace(config.ExperimentConfig(), n_per_class=15,
                                   num_classes=3, dim=4, n_train=30, hidden=(8,),
-                                  batch_size=30, noise_tau=30, noise_components=67,
-                                  delta_prime=29.5, train_csv=str(tmp_path / "train.csv"),
-                                  test_csv=str(tmp_path / "test.csv"))
-        cfg.load_datasets()  # all four near their largest valid value
+                                  batch_size=30, noise_tau=30, noise_components=67, **paths)
+        cfg.load_datasets()  # all three near their largest valid value
         for bad in ({"batch_size": 31}, {"noise_tau": 31}, {"noise_tau": 0},
-                    {"noise_components": 68}, {"noise_components": 0}, {"delta_prime": 30.0}):
+                    {"noise_components": 68}, {"noise_components": 0}):
             with pytest.raises(config.ConfigError, match=next(iter(bad))):
                 dataclasses.replace(cfg, **bad).load_datasets()
 
     def test_csv_feature_widths_must_match(self, tmp_path):
         (tmp_path / "train.csv").write_text("0.5,1.0,2.0,0\n-0.5,2.0,1.0,1\n")
         (tmp_path / "test.csv").write_text("0.5,1.0,2.0,3.0,0\n")
-        cfg = dataclasses.replace(config.ExperimentConfig(), source="csv", batch_size=1,
+        cfg = dataclasses.replace(config.ExperimentConfig(), batch_size=1,
                                   noise_tau=1, train_csv=str(tmp_path / "train.csv"),
                                   test_csv=str(tmp_path / "test.csv"))
         with pytest.raises(config.ConfigError, match="3 features but test_csv has 4"):
             cfg.load_datasets()
-
-    def test_csv_source_needs_paths(self):
-        with pytest.raises(config.ConfigError, match="csv source"):
-            dataclasses.replace(config.ExperimentConfig(), source="csv")
 
 
 class TestDerivedSpecs:
@@ -213,19 +242,19 @@ class TestConfigDigest:
     def test_default_digest_is_pinned(self):
         # every default run's summary.json carries it, so it must not move
         assert config.config_digest(config.ExperimentConfig()) == (
-            "5f87fea732963fef6683b52c5af89baab86e12a7bbb21a5d2a4178a817d214f5")
+            "0d31566302d6b94e1cefcfb6ca226b3ddba3a5eec6d8d784cf9df4c06b4137ca")
 
     def test_default_ini_text_is_pinned(self):
         # the fields' section order decides the file's bytes, so it must not move
         text = config.to_ini(config.ExperimentConfig())
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-            "8dc0dc40f7d69f50986bad8509679ff57702a3d16e372111834fb0665d98fcbc")
+            "eab0556ac35c3017bf81ed734ca8d1d6077f40ab94d58b8c270fb35da19b2607")
 
     def test_csv_source_digests_the_bytes_of_both_files(self, tmp_path):
         train, test = tmp_path / "train.csv", tmp_path / "test.csv"
         train.write_text("0.5,1.0,0\n-0.5,2.0,1\n")
         test.write_text("0.5,1.0,0\n")
-        cfg = dataclasses.replace(config.ExperimentConfig(), source="csv",
+        cfg = dataclasses.replace(config.ExperimentConfig(),
                                   train_csv=str(train), test_csv=str(test))
         seen = {config.config_digest(cfg)}
         train.write_text("0.5,1.0,0\n-0.5,2.5,1\n")

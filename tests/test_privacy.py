@@ -95,19 +95,19 @@ class TestFitLaplace:
 
 
 
-def per_step(l_erm, i, n, b, delta_prime=1.0):
+def per_step(l_erm, i, n, b):
     """The per-step epsilon of a one-step (L_erm, I) series."""
-    return privacy.budgets([l_erm], [i], 1, n, b, delta_prime)[0][0]
+    return privacy.budgets([l_erm], [i], 1, n, b)[0][0]
 
 
-def leading(l_1t, i_1t, t, n, b, delta_prime):
+def leading(l_1t, i_1t, t, n, b):
     """The leading-term budget of a one-step series, whose composites are its own values."""
-    return privacy.budgets([l_1t], [i_1t], t, n, b, delta_prime)[1]["leading_thm5"]
+    return privacy.budgets([l_1t], [i_1t], t, n, b)[1]["leading_thm5"]
 
 
-def erm(l_1t, t, n, b, delta_prime):
+def erm(l_1t, t, n, b):
     """The ERM-corollary budget of a one-step series."""
-    return privacy.budgets([l_1t], [1.0], t, n, b, delta_prime)[1]["erm_corollary"]
+    return privacy.budgets([l_1t], [1.0], t, n, b)[1]["erm_corollary"]
 
 
 class TestPerStepEpsilon:
@@ -126,51 +126,47 @@ class TestPerStepEpsilon:
 
 class TestCompose:
     def test_all_zero_steps(self):
-        assert privacy.compose([0.0] * 10, 1.0, 100).epsilon == 0.0
+        assert privacy.compose([0.0] * 10, 100).epsilon == 0.0
 
     def test_empty_series_is_null_budget(self):
-        b = privacy.compose([], 1.0, 100)
+        b = privacy.compose([], 100)
         assert b.epsilon == 0.0 and b.delta == 0.01
 
     def test_hand_example_frozen(self):
         # eps_1 = 0.1 with N / delta' = 100
-        b = privacy.compose([0.1], 1.0, 100)
+        b = privacy.compose([0.1], 100)
         assert b.epsilon == pytest.approx(COMPOSE_HAND, abs=1e-12)
         assert b.delta == pytest.approx(0.01, rel=1e-15)
 
-    def test_matches_high_precision_oracle(self):
+    def test_matches_high_precision_oracle(self, monkeypatch):
         rng = np.random.default_rng(99)
         for _ in range(60):
             t = int(rng.integers(1, 40))
             eps = rng.uniform(1e-6, 0.5, size=t)
             dp = float(rng.uniform(0.1, 5.0))
             n = int(rng.integers(10, 100000))
-            got = privacy.compose(eps, dp, n).epsilon
+            monkeypatch.setattr(privacy, "DELTA_PRIME", dp)
+            got = privacy.compose(eps, n).epsilon
             want = float(compose_oracle(eps, dp, n))
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_strictly_increasing_in_each_step(self):
         eps = [0.05, 0.1, 0.2]
-        base = privacy.compose(eps, 1.0, 1000).epsilon
+        base = privacy.compose(eps, 1000).epsilon
         for i in range(3):
             bumped = list(eps)
             bumped[i] += 1e-6
-            assert privacy.compose(bumped, 1.0, 1000).epsilon > base
-
-    def test_delta_prime_domain(self):
-        with pytest.raises(ValueError):
-            privacy.compose([0.1], 100.0, 100)
-        with pytest.raises(ValueError):
-            privacy.compose([0.1], 0.0, 100)
+            assert privacy.compose(bumped, 1000).epsilon > base
 
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
-            privacy.compose([-0.1], 1.0, 100)
+            privacy.compose([-0.1], 100)
 
     @pytest.mark.filterwarnings("error")
-    def test_huge_step_composes_to_a_finite_epsilon(self):
+    def test_huge_step_composes_to_a_finite_epsilon(self, monkeypatch):
         # e^800 overflows a double; tanh(800 / 2) == 1 does not
-        b = privacy.compose([800.0], 0.5, 1)
+        monkeypatch.setattr(privacy, "DELTA_PRIME", 0.5)
+        b = privacy.compose([800.0], 1)
         assert b.epsilon == pytest.approx(math.sqrt(2 * math.log(2) * 800.0 ** 2) + 800.0,
                                           rel=1e-15)
 
@@ -180,8 +176,8 @@ class TestCompose:
 
     def test_purity_bitwise(self):
         eps = np.linspace(0.001, 0.3, 50)
-        a = privacy.compose(eps, 0.7, 4321).epsilon
-        b = privacy.compose(eps, 0.7, 4321).epsilon
+        a = privacy.compose(eps, 4321).epsilon
+        b = privacy.compose(eps, 4321).epsilon
         assert a == b
 
 
@@ -192,7 +188,7 @@ ERM_HAND = 0.74338443776996768939
 
 class TestLeadingEpsilon:
     def test_hand_example_frozen(self):
-        b = leading(1.0, 2.0, 100, 1000, 0.1, 1.0)
+        b = leading(1.0, 2.0, 100, 1000, 0.1)
         assert b.epsilon == pytest.approx(LEADING_HAND, rel=1e-14)
         assert b.delta == pytest.approx(1e-3, rel=1e-15)
         assert b.provenance == "leading_thm5"
@@ -200,34 +196,34 @@ class TestLeadingEpsilon:
     def test_dominates_compose_sqrt_term_for_constant_series(self):
         # Cauchy-Schwarz collapses to equality on constant series, so the
         # leading term must be >= the sqrt part of the composed budget
-        n, b, dp, t = 2000, 0.2, 1.0, 50
+        n, b, t = 2000, 0.2, 50
         l, i = 0.8, 1.7
-        eps, budgets = privacy.budgets([l] * t, [i] * t, t, n, b, dp)
-        sqrt_term = math.sqrt(2 * math.log(n / dp) * t * eps[0] ** 2)
+        eps, budgets = privacy.budgets([l] * t, [i] * t, t, n, b)
+        sqrt_term = math.sqrt(2 * math.log(n) * t * eps[0] ** 2)
         lead = budgets["leading_thm5"].epsilon
         assert lead >= sqrt_term - 1e-12
         assert lead == pytest.approx(sqrt_term, rel=1e-12)
 
     def test_inputs_snapshot(self):
-        b = leading(1.0, 2.0, 100, 1000, 0.1, 1.0)
+        b = leading(1.0, 2.0, 100, 1000, 0.1)
         assert b.inputs == {"l_erm_1t": 1.0, "i_1t": 2.0, "t": 100, "n": 1000,
                             "b": 0.1, "delta_prime": 1.0}
 
 
 class TestErmEpsilon:
     def test_equals_leading_at_unit_intensity(self):
-        a = erm(0.9, 80, 5000, 0.15, 1.0)
-        b = leading(0.9, 1.0, 80, 5000, 0.15, 1.0)
+        a = erm(0.9, 80, 5000, 0.15)
+        b = leading(0.9, 1.0, 80, 5000, 0.15)
         assert a.epsilon == b.epsilon
         assert a.provenance == "erm_corollary"
 
     def test_ratio_is_composite_intensity(self):
-        _, budgets = privacy.budgets([0.9], [1.8], 80, 5000, 0.15, 1.0)
+        _, budgets = privacy.budgets([0.9], [1.8], 80, 5000, 0.15)
         lead, base = budgets["leading_thm5"].epsilon, budgets["erm_corollary"].epsilon
         assert lead / base == pytest.approx(1.8, rel=1e-14)
 
     def test_hand_example_frozen(self):
-        b = erm(1.0, 100, 1000, 0.1, 1.0)
+        b = erm(1.0, 100, 1000, 0.1)
         assert b.epsilon == pytest.approx(ERM_HAND, rel=1e-14)
 
 
@@ -241,7 +237,7 @@ class TestBudgets:
     def budgets(self, records, t=100):
         good = [r for r in records if not r.degenerate]
         return privacy.budgets([r.l_erm for r in good], [r.intensity for r in good], t,
-                               1000, 0.1, 1.0)
+                               1000, 0.1)
 
     def test_composites_and_skip_count(self):
         records = [self.rec(1, 1.0, 2.0), self.rec(2, 1.0, 1.0, degenerate=True),
@@ -262,36 +258,40 @@ class TestBudgets:
                                           (-math.inf, 1.0)])
     def test_non_finite_or_negative_statistic_is_rejected(self, l_erm, i):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            privacy.budgets([0.5, l_erm], [1.0, i], 2, 100, 0.1, 1.0)
+            privacy.budgets([0.5, l_erm], [1.0, i], 2, 100, 0.1)
 
     @pytest.mark.parametrize("t, n, match", [(0, 100, "T must"), (2, 0, "N must"),
-                                             (-3, 100, "T must"), (2, -5, "N must")])
+                                             (-3, 100, "T must"), (2, -5, "N must"),
+                                             (2, 1, "N must")])
     def test_no_step_or_no_example_is_rejected(self, t, n, match):
         with pytest.raises(ValueError, match=match):
-            privacy.budgets([0.5], [1.0], t, n, 0.1, 1.0)
+            privacy.budgets([0.5], [1.0], t, n, 0.1)
 
     @pytest.mark.parametrize("b", [-0.1, -math.inf, math.nan])
     def test_laplace_scale_that_is_not_positive_is_rejected(self, b):
         with pytest.raises(ValueError, match="Laplace scale b"):
-            privacy.budgets([0.5], [1.0], 1, 100, b, 1.0)
+            privacy.budgets([0.5], [1.0], 1, 100, b)
 
-    @pytest.mark.parametrize("delta_prime", [0.0, -1.0, 100.0, math.nan])
-    def test_delta_prime_outside_zero_n_is_rejected(self, delta_prime):
-        # compose checks delta' before the leading budgets take ln(N / delta')
-        with pytest.raises(ValueError, match="delta_prime"):
-            privacy.budgets([0.5], [1.0], 1, 100, 0.1, delta_prime)
+    @pytest.mark.parametrize("delta_prime, n", [(1.0, 1), (100.0, 100), (0.5, 0)])
+    def test_n_not_above_delta_prime_is_rejected(self, monkeypatch, delta_prime, n):
+        # checked before the budgets take ln(N / delta')
+        monkeypatch.setattr(privacy, "DELTA_PRIME", delta_prime)
+        with pytest.raises(ValueError, match=rf"^N must exceed delta' = {delta_prime}, got {n}$"):
+            privacy.budgets([0.5], [1.0], 1, n, 0.1)
+        assert privacy.budgets([0.5], [1.0], 1, n + 1, 0.1)[1]["leading_thm5"].delta < 1
 
     def test_one_row_series_has_three_positive_budgets(self):
-        eps, budgets = privacy.budgets([0.5], [1.0], 1, 100, 0.1, 1.0)
+        eps, budgets = privacy.budgets([0.5], [1.0], 1, 100, 0.1)
         assert eps == [0.1]
         assert set(budgets) == {"composed_thm4", "leading_thm5", "erm_corollary"}
         assert all(b.epsilon > 0 and b.delta == 0.01 for b in budgets.values())
 
     @pytest.mark.parametrize("steps", [1, 2000])
-    def test_constant_series_composes_to_leading_plus_second_order_sum(self, steps):
+    def test_constant_series_composes_to_leading_plus_second_order_sum(self, monkeypatch, steps):
         # constant (L, I): composed_thm4 = leading_thm5 + T * eps * expm1(eps) / (e^eps + 1)
+        monkeypatch.setattr(privacy, "DELTA_PRIME", 0.5)
         l_erm, i, n, b = 0.7, 3.0, 500, 0.25
-        eps, budgets = privacy.budgets([l_erm] * steps, [i] * steps, steps, n, b, 0.5)
+        eps, budgets = privacy.budgets([l_erm] * steps, [i] * steps, steps, n, b)
         assert eps == [2 * l_erm * i / (n * b)] * steps
         second = steps * eps[0] * math.expm1(eps[0]) / (math.exp(eps[0]) + 1)
         assert budgets["composed_thm4"].inputs["steps"] == steps
@@ -300,9 +300,10 @@ class TestBudgets:
             budgets["leading_thm5"].epsilon + second, rel=1e-12)
 
     @pytest.mark.filterwarnings("error")
-    def test_huge_step_gives_finite_budgets(self):
+    def test_huge_step_gives_finite_budgets(self, monkeypatch):
         # one per-step epsilon of 800, past where e^eps overflows
-        eps, budgets = privacy.budgets([400.0], [1.0], 1, 1, 1.0, 0.5)
+        monkeypatch.setattr(privacy, "DELTA_PRIME", 0.5)
+        eps, budgets = privacy.budgets([400.0], [1.0], 1, 1, 1.0)
         assert eps == [800.0]
         assert all(math.isfinite(b.epsilon) for b in budgets.values())
         assert budgets["composed_thm4"].epsilon > budgets["leading_thm5"].epsilon
@@ -313,16 +314,17 @@ class TestBudgets:
         vals = [r.intensity for r in records]
         assert min(vals) <= budgets["leading_thm5"].inputs["i_1t"] <= max(vals)
 
-    def test_each_budget_is_its_theorem_over_the_series(self):
+    def test_each_budget_is_its_theorem_over_the_series(self, monkeypatch):
         l_series, i_series, t, n, b, dp = [0.4, 0.9, 0.7], [1.5, 1.1, 2.0], 2000, 500, 0.3, 0.5
-        eps, budgets = privacy.budgets(l_series, i_series, t, n, b, dp)
+        monkeypatch.setattr(privacy, "DELTA_PRIME", dp)
+        eps, budgets = privacy.budgets(l_series, i_series, t, n, b)
         assert eps == [2.0 * l * i / (n * b) for l, i in zip(l_series, i_series)]
         l_1t = intensity.composite_intensity(l_series)
         i_1t = intensity.composite_intensity(i_series)
         root = math.sqrt(2.0 * t * math.log(n / dp))
         inputs = {"l_erm_1t": l_1t, "t": t, "n": n, "b": b, "delta_prime": dp}
         assert budgets == {
-            "composed_thm4": privacy.compose(eps, dp, n),
+            "composed_thm4": privacy.compose(eps, n),
             "leading_thm5": privacy.PrivacyBudget((2.0 * l_1t * i_1t / (n * b)) * root, dp / n,
                                                   "leading_thm5", inputs | {"i_1t": i_1t}),
             "erm_corollary": privacy.PrivacyBudget((2.0 * l_1t / (n * b)) * root, dp / n,
@@ -338,8 +340,8 @@ class TestAccountantRelations:
             t = int(rng.integers(2, 60))
             l_series = rng.uniform(0.05, 2.0, size=t)
             i_series = rng.uniform(0.5, 3.0, size=t)
-            n, b, dp = int(rng.integers(100, 100000)), float(rng.uniform(0.05, 1.0)), 1.0
-            eps_series, budgets = privacy.budgets(l_series, i_series, t, n, b, dp)
+            n, b = int(rng.integers(100, 100000)), float(rng.uniform(0.05, 1.0))
+            eps_series, budgets = privacy.budgets(l_series, i_series, t, n, b)
             composed = budgets["composed_thm4"].epsilon
             lead = budgets["leading_thm5"].epsilon
             second = float(np.sum([e * (math.exp(e) - 1) / (math.exp(e) + 1)
@@ -350,7 +352,7 @@ class TestAccountantRelations:
         # leading eps times N / sqrt(ln N) is constant when delta' = 1
         vals = []
         for n in (10 ** 3, 10 ** 4, 10 ** 5):
-            eps = leading(1.0, 2.0, 100, n, 0.1, 1.0).epsilon
+            eps = leading(1.0, 2.0, 100, n, 0.1).epsilon
             vals.append(eps * n / math.sqrt(math.log(n)))
         assert vals[0] == pytest.approx(vals[1], rel=1e-12)
         assert vals[1] == pytest.approx(vals[2], rel=1e-12)
