@@ -60,9 +60,10 @@ not parse, is not a JSON object, records another run's ``rho`` or ``seed``,
 as one copied from another run's directory does, or records no failure but
 lacks a ``SWEEP_COLUMNS`` path, as one written before a column was renamed
 or before ``bounds`` became one record does) or stale: its ``config_digest``
-covers every config field except ``seeds``, ``output_dir`` and ``workers``,
-and for CSV data the sha256 of both files' bytes, so editing any other
-field or either data file reruns the sweep.
+covers every config field except ``train_csv``, ``test_csv``, ``seeds``,
+``output_dir`` and ``workers``, and for CSV data the sha256 of both files'
+bytes, so editing any other field or either data file reruns the sweep, and
+moving the data files does not.
 A failed run still writes summary.json (with ``diverged_at`` or a one-line
 ``failure``) and meta.json, so it is not retrained and merges as a failure.
 A run writes meta.json before summary.json, so a run killed between the two
@@ -108,13 +109,13 @@ UTF-8, does not parse, or has a section outside ``[data]``, ``[net]``,
 ``[train]``, ``[attack]``, ``[privacy]``, ``[bounds]`` and ``[sweep]``, a key
 under ``[DEFAULT]`` or a key that names no field of its section (such as
 ``source``, ``activation``, ``gamma_list``, ``constant_c``, ``lr_decay``,
-``lr_decay_every``, ``momentum``, ``weight_decay``, ``step_size`` or
-``delta_prime``, which older versions wrote; all checked before any directory
-or job), any value ``ExperimentConfig`` rejects (a value of the wrong type
-such as ``total_iterations = 40.0``, a non-finite number, a seed outside
-[0, 2**128), an ``lr_init`` <= 0, one of ``train_csv`` and ``test_csv``
-without the other, or a ``log_every`` above ``total_iterations``, under which
-no record would be logged, among them), a training set of fewer than 2 rows,
+``lr_decay_every``, ``momentum``, ``weight_decay``, ``step_size``,
+``delta_prime``, ``norm`` or ``steps``, which older versions wrote; all checked
+before any directory or job), any value ``ExperimentConfig`` rejects (a value
+of the wrong type such as ``total_iterations = 40.0``, a non-finite number, a
+seed outside [0, 2**128), an ``lr_init`` <= 0, one of ``train_csv`` and
+``test_csv`` without the other, or a ``log_every`` above ``total_iterations``,
+under which no record would be logged, among them), a training set of fewer than 2 rows,
 train and test data of different feature widths, a blob matrix, net or noise
 pool past one float64 array or ``noise_batches`` past 2**64 Philox steps
 (checked before the data is drawn), a ``batch_size`` or noise field that does

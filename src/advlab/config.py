@@ -9,13 +9,14 @@ defaults. Parsing and serializing round-trip exactly. Defaults describe the
 desk-scale experiment: 4-class Gaussian blobs in 20 dimensions, a 20-64-64-4
 relu net, 2000 SGD iterations, and an 8-point attack-radius grid that starts
 at 0 (the plain ERM baseline row). Setting both ``train_csv`` and ``test_csv``
-trains on those files instead; setting one alone is a config error.
+trains on those files instead; setting one alone is a config error. A relative
+path resolves against the working directory.
 
 A field is a knob some run turns. What no run varies is fixed in code: relu
 nets (``nn``); confidence 1 - ``bounds.GAMMA`` and c = 1 (``bounds``); delta'
 = ``privacy.DELTA_PRIME`` = 1; the SGD momentum, weight decay and step-size
-cuts around ``lr_init`` (``training``); and the radius / 4 PGD step
-(``adversarial``).
+cuts around ``lr_init`` (``training``); and L∞ PGD with ``adversarial.STEPS``
+= 8 steps of radius / 4 (``adversarial``).
 
 ``ExperimentConfig`` alone decides whether an experiment is valid. A value is
 what its INI text reads as (``csv_header=1`` is true, ``seeds=[5, 6]`` a tuple,
@@ -74,9 +75,7 @@ class ExperimentConfig:
     batch_size: int = _in("train", 32)
     log_every: int = _in("train", 20)
     lr_init: float = _in("train", 0.1)
-    norm: str = _in("attack", "linf")
     radius_list: tuple[float, ...] = _in("attack", (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35))
-    steps: int = _in("attack", 8)
     noise_tau: int = _in("privacy", 64)
     noise_batches: int = _in("privacy", 200)
     noise_components: int = _in("privacy", 500)
@@ -103,7 +102,6 @@ class ExperimentConfig:
             check_seed("seeds", seed)
         if not self.radius_list:
             raise ConfigError("radius_list must be non-empty")
-        # also checks norm and steps
         object.__setattr__(self, "radius_list",
                            tuple(self.attack_spec(radius).radius for radius in self.radius_list))
         if list(self.radius_list) != sorted(set(self.radius_list)):
@@ -136,7 +134,7 @@ class ExperimentConfig:
     # derived pieces ----------------------------------------------------
     def attack_spec(self, radius: float) -> AttackSpec:
         try:
-            return AttackSpec(norm=self.norm, radius=radius, steps=self.steps)
+            return AttackSpec(radius=radius)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -241,16 +239,19 @@ def from_ini(text: str) -> ExperimentConfig:
 
 
 # sweep bookkeeping: a run's directory names its seed, and neither the output
-# directory nor the worker count changes what a run writes
-_NOT_DIGESTED = ("seeds", "output_dir", "workers")
+# directory nor the worker count changes what a run writes; CSV data enter by
+# their bytes, so neither how a path is spelled nor where the files sit does
+_NOT_DIGESTED = ("train_csv", "test_csv", "seeds", "output_dir", "workers")
 
 
 def config_digest(cfg: ExperimentConfig) -> str:
     """sha256 over every field that can change a run's artifacts, each
     written as in the INI file. ``radius_list`` is included because each
-    run is also attacked at its last radius. CSV data also enter by the
-    sha256 of each file's bytes, so editing the data reruns a sweep;
-    reading them raises ``OSError`` as ``load_datasets`` would."""
+    run is also attacked at its last radius. CSV data enter by the sha256
+    of each file's bytes, not by their paths, so editing or swapping the
+    data reruns a sweep while moving the files does not. A relative path
+    resolves against the working directory; reading the files raises
+    ``OSError`` as ``load_datasets`` would."""
     text = "".join(f"{f.name}={_format(getattr(cfg, f.name))}\n"
                    for f in fields(ExperimentConfig) if f.name not in _NOT_DIGESTED)
     if cfg.train_csv:

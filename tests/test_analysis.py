@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advlab import analysis, nn
+from advlab import adversarial, analysis, nn
 from advlab.adversarial import AttackSpec
 from advlab.data import LabeledSet, split, synth_blobs
 from conftest import CLIP_M, net_from_layers
@@ -95,14 +95,13 @@ class TestAdversarialAccuracy:
         from advlab.training import train_twin
         cfg = dataclasses.replace(ExperimentConfig(), total_iterations=150, batch_size=24,
                                   log_every=50, lr_init=0.1, hidden=(12,))
-        ledger = train_twin(train, cfg, AttackSpec(norm="linf", radius=0.1), 5)
+        ledger = train_twin(train, cfg, AttackSpec(radius=0.1), 5)
         return ledger.adv.net, test
 
     def test_zero_radius_equals_clean_accuracy(self):
         from advlab.attacks import accuracy
         net, test = self.trained_pair()
-        got = analysis.adversarial_accuracy(net, test, AttackSpec(norm="linf", radius=0.0),
-                                            CLIP_M)
+        got = analysis.adversarial_accuracy(net, test, AttackSpec(radius=0.0), CLIP_M)
         assert got == accuracy(nn.forward(net, test.features), test.labels)
 
     def test_constant_net_immune_to_attack(self):
@@ -110,25 +109,23 @@ class TestAdversarialAccuracy:
         ds = synth_blobs(15, 3, 4, 1.0, seed=8)
         freq = float((ds.labels == 1).mean())
         for rho in (0.0, 0.5, 3.0):
-            got = analysis.adversarial_accuracy(net, ds, AttackSpec(norm="l2", radius=rho),
-                                                CLIP_M)
+            got = analysis.adversarial_accuracy(net, ds, AttackSpec(radius=rho), CLIP_M)
             assert got == freq
 
-    def test_1d_threshold_classifier_margin_geometry(self):
+    def test_1d_threshold_classifier_margin_geometry(self, monkeypatch):
         # logits (x, -x): class 0 iff x >= 0; attacking with rho > margin flips
         # every class-0 point at distance < rho from the boundary
+        monkeypatch.setattr(adversarial, "STEPS", 20)
         net = net_from_layers((np.array([[1.0], [-1.0]]),), (np.zeros(2),))
         ds = LabeledSet(np.array([[0.3], [2.0], [-0.3], [-2.0]]),
                         np.array([0, 0, 1, 1]), 2)
-        got = analysis.adversarial_accuracy(net, ds, AttackSpec(norm="linf", radius=0.5,
-                                                                steps=20), CLIP_M)
+        got = analysis.adversarial_accuracy(net, ds, AttackSpec(radius=0.5), CLIP_M)
         assert got == 0.5  # the two +-0.3 points fall, the +-2.0 points survive
 
     def test_mostly_nonincreasing_in_radius(self):
         net, test = self.trained_pair()
         rhos = np.linspace(0.0, 0.5, 11)
-        accs = [analysis.adversarial_accuracy(net, test,
-                                              AttackSpec(norm="linf", radius=float(r)), CLIP_M)
+        accs = [analysis.adversarial_accuracy(net, test, AttackSpec(radius=float(r)), CLIP_M)
                 for r in rhos]
         violations = sum(1 for a, b in zip(accs[:-1], accs[1:]) if b > a + 1e-12)
         assert violations <= max(1, int(0.01 * len(accs)))  # PGD is not exactly optimal

@@ -746,12 +746,12 @@ class TestInvalidValues:
     REMOVED = {"activation": "[net]", "gamma_list": "[bounds]", "constant_c": "[bounds]",
                "lr_decay": "[train]", "lr_decay_every": "[train]", "momentum": "[train]",
                "weight_decay": "[train]", "step_size": "[attack]", "source": "[data]",
-               "delta_prime": "[privacy]"}
+               "delta_prime": "[privacy]", "norm": "[attack]", "steps": "[attack]"}
 
     @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize("field, value", [
         ("total_iterations", "0"), ("log_every", "0"),
-        ("batch_size", "0"), ("batch_size", "5000"), ("steps", "-1"), ("norm", "l3"),
+        ("batch_size", "0"), ("batch_size", "5000"),
         ("hidden", "8,0"), ("n_per_class", "0"), ("dim", "0"),
         ("num_classes", "0"), ("n_train", "300"), ("spread", "-1.0"), ("workers", "-1"),
         ("lr_init", "nan"), ("lr_init", "-0.1"), ("lr_init", "0"), ("spread", "inf"),
@@ -763,7 +763,7 @@ class TestInvalidValues:
         ("activation", "relu"), ("gamma_list", "0.05"), ("constant_c", "1.0"),
         ("lr_decay", "0.1"), ("lr_decay_every", "750"), ("momentum", "0.9"),
         ("weight_decay", "0.0002"), ("step_size", ""), ("source", "synthetic"),
-        ("delta_prime", "1.0"),
+        ("delta_prime", "1.0"), ("norm", "linf"), ("steps", "8"),
         # past one float64 array or the Philox steps of the noise stream
         ("n_per_class", str(10 ** 19)), ("dim", str(10 ** 19)), ("num_classes", str(10 ** 19)),
         ("hidden", f"8,{10 ** 19}"), ("noise_batches", str(10 ** 19)),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from advlab import cli, config
+from advlab.adversarial import AttackSpec
 from conftest import write_dataset_csv
 
 
@@ -19,8 +20,8 @@ class TestRoundTrip:
 
     def test_non_default_values_survive(self):
         cfg = dataclasses.replace(
-            config.ExperimentConfig(), norm="l2", radius_list=(0.0, 0.4, 0.9),
-            hidden=(32,), seeds=(5,), steps=4, csv_header=True, spread=2.5)
+            config.ExperimentConfig(), radius_list=(0.0, 0.4, 0.9),
+            hidden=(32,), seeds=(5,), csv_header=True, spread=2.5)
         assert config.from_ini(config.to_ini(cfg)) == cfg
 
     def test_file_round_trip(self, tmp_path):
@@ -87,13 +88,14 @@ class TestValidation:
             config.from_ini(text)
 
     # nets are relu-only, the bounds hold at bounds.GAMMA with c = 1, the SGD recipe
-    # is training's, the PGD step is radius / 4, the CSV paths name the source and
-    # delta' is privacy.DELTA_PRIME
+    # is training's, the attack is L-infinity PGD of adversarial.STEPS steps of
+    # radius / 4, the CSV paths name the source and delta' is privacy.DELTA_PRIME
     REMOVED = [("net", "activation", "relu"), ("bounds", "gamma_list", "0.05"),
                ("bounds", "constant_c", "1.0"), ("train", "lr_decay", "0.1"),
                ("train", "lr_decay_every", "750"), ("train", "momentum", "0.9"),
                ("train", "weight_decay", "0.0002"), ("attack", "step_size", ""),
-               ("data", "source", "synthetic"), ("privacy", "delta_prime", "1.0")]
+               ("data", "source", "synthetic"), ("privacy", "delta_prime", "1.0"),
+               ("attack", "norm", "linf"), ("attack", "steps", "8")]
 
     @pytest.mark.parametrize("section, key, value", REMOVED)
     def test_a_removed_key_is_an_unknown_key(self, section, key, value):
@@ -107,9 +109,9 @@ class TestValidation:
         with pytest.raises(TypeError, match=key):
             config.ExperimentConfig(**{key: value})
 
-    def test_the_config_has_24_fields(self):
+    def test_the_config_has_22_fields(self):
         names = [f.name for f in dataclasses.fields(config.ExperimentConfig)]
-        assert len(names) == 24
+        assert len(names) == 22
         assert not {key for _, key, _ in self.REMOVED} & set(names)
 
     @pytest.mark.parametrize("text, section", [
@@ -233,22 +235,20 @@ class TestDatasets:
 
 class TestDerivedSpecs:
     def test_attack_spec_carries_radius(self):
-        cfg = config.ExperimentConfig()
-        spec = cfg.attack_spec(0.25)
-        assert spec.radius == 0.25 and spec.norm == cfg.norm and spec.steps == cfg.steps
+        assert config.ExperimentConfig().attack_spec(0.25) == AttackSpec(radius=0.25)
 
 
 class TestConfigDigest:
     def test_default_digest_is_pinned(self):
         # every default run's summary.json carries it, so it must not move
         assert config.config_digest(config.ExperimentConfig()) == (
-            "0d31566302d6b94e1cefcfb6ca226b3ddba3a5eec6d8d784cf9df4c06b4137ca")
+            "172a8cc5dba5e0aca90e5b6ab503f35e63440cd82aa6aeb02d751a8b2257a57c")
 
     def test_default_ini_text_is_pinned(self):
         # the fields' section order decides the file's bytes, so it must not move
         text = config.to_ini(config.ExperimentConfig())
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-            "eab0556ac35c3017bf81ed734ca8d1d6077f40ab94d58b8c270fb35da19b2607")
+            "d687c4bd9ecbfb271d92a2cc5e3de507b6a2c868c5e3fb1e4116d761741a9f91")
 
     def test_csv_source_digests_the_bytes_of_both_files(self, tmp_path):
         train, test = tmp_path / "train.csv", tmp_path / "test.csv"
@@ -263,13 +263,36 @@ class TestConfigDigest:
         seen.add(config.config_digest(cfg))
         assert len(seen) == 3
 
+    def test_csv_data_are_digested_by_their_bytes_not_their_paths(self, tmp_path, monkeypatch):
+        rows = {"train.csv": "0.5,1.0,0\n-0.5,2.0,1\n", "test.csv": "0.5,1.0,0\n"}
+        for where in ("a", "b"):
+            (tmp_path / where).mkdir()
+            for name, text in rows.items():
+                (tmp_path / where / name).write_text(text)
+        monkeypatch.chdir(tmp_path / "a")  # a relative path resolves against the working directory
+
+        def digest(train_csv, test_csv):
+            return config.config_digest(config.ExperimentConfig(train_csv=train_csv,
+                                                                test_csv=test_csv))
+
+        same = {digest("train.csv", "test.csv"), digest("./train.csv", "../a/test.csv"),
+                digest(str(tmp_path / "b" / "train.csv"), "../b/test.csv")}
+        assert len(same) == 1
+        edited = set(same)
+        for name in rows:
+            path = tmp_path / "b" / name
+            path.write_bytes(b"1" + path.read_bytes()[1:])  # one byte: 0.5 becomes 1.5
+            edited.add(digest("../b/train.csv", "../b/test.csv"))
+            path.write_text(rows[name])
+        assert len(edited) == 3
+
     def test_sweep_bookkeeping_leaves_the_digest_alone(self):
         cfg = config.ExperimentConfig()
         moved = dataclasses.replace(cfg, seeds=(9,), output_dir="elsewhere", workers=3)
         assert config.config_digest(moved) == config.config_digest(cfg)
 
     @pytest.mark.parametrize("change", [
-        {"lr_init": 0.05}, {"radius_list": (0.0, 0.05, 0.4)}, {"steps": 4},
+        {"lr_init": 0.05}, {"radius_list": (0.0, 0.05, 0.4)},
         {"hidden": (32,)}, {"noise_components": 400}, {"noise_tau": 32}, {"loss_bound": 5.0},
     ])
     def test_fields_that_shape_a_run_change_the_digest(self, change):

@@ -118,7 +118,7 @@ def probe_instance(n_total=240, n_train=160, seed=13):
 class TestConsistencyProbe:
     def test_full_batch_row_equals_full_value(self):
         train, e, a = probe_instance()
-        atk = AttackSpec(norm="linf", radius=0.3)
+        atk = AttackSpec(radius=0.3)
         rows = intensity.consistency_probe(e, a, train, atk, [len(train)], 5, seed=0,
                                            clip_m=CLIP_M)
         assert rows[0].mean_estimate == rows[0].full_value
@@ -126,7 +126,7 @@ class TestConsistencyProbe:
     def test_components_monotone_under_subsetting(self):
         # batch max <= full max for numerator and denominator families
         train, e, a = probe_instance()
-        atk = AttackSpec(norm="l2", radius=0.4)
+        atk = AttackSpec(radius=0.4)
         clean = nn.grad_params(e, train.features, train.labels, CLIP_M)[1]
         x_adv = pgd_batch(a, train.features, train.labels, atk, CLIP_M)
         adv = nn.grad_params(a, x_adv, train.labels, CLIP_M)[1]
@@ -140,7 +140,7 @@ class TestConsistencyProbe:
         # Monte Carlo on a fixed instance: larger batches estimate better
         train, e, a = probe_instance()
         n = len(train)
-        atk = AttackSpec(norm="linf", radius=0.3)
+        atk = AttackSpec(radius=0.3)
         rows = intensity.consistency_probe(e, a, train, atk, [n // 8, n // 2, n],
                                            repeats=160, seed=21, clip_m=CLIP_M)
         gap8 = abs(rows[0].full_value - rows[0].mean_estimate)
@@ -166,7 +166,7 @@ class TestConsistencyProbe:
 
     def test_probe_deterministic(self):
         train, e, a = probe_instance()
-        atk = AttackSpec(norm="linf", radius=0.2)
+        atk = AttackSpec(radius=0.2)
         r1 = intensity.consistency_probe(e, a, train, atk, [40, 80], 16, seed=3, clip_m=CLIP_M)
         r2 = intensity.consistency_probe(e, a, train, atk, [40, 80], 16, seed=3, clip_m=CLIP_M)
         assert r1 == r2

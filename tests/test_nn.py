@@ -334,7 +334,7 @@ class TestTextbookOracle:
         net, X, y = self._blocked_batch(depth)
         clip_m = _clip_m(net, X, y, "median")
         ds = LabeledSet(X, y, 3)
-        attack = adversarial.AttackSpec("linf", 0.3, 3)
+        attack = adversarial.AttackSpec(0.3)
 
         def evaluate():
             logits = nn.forward(net, X)
@@ -360,12 +360,9 @@ class TestCallerArraysUntouched:
         "forward": lambda net, a: nn.forward(net, a["x"]),
         "grad_params": lambda net, a: nn.grad_params(net, a["x"], a["y"], CLIP_M),
         "grad_inputs": lambda net, a: nn.grad_inputs(net, a["x"], a["y"], CLIP_M),
-        "pgd_batch_linf": lambda net, a: adversarial.pgd_batch(
-            net, a["x"], a["y"], adversarial.AttackSpec("linf", 0.3, 3), CLIP_M),
-        "pgd_batch_l2": lambda net, a: adversarial.pgd_batch(
-            net, a["x"], a["y"], adversarial.AttackSpec("l2", 0.3, 3), CLIP_M),
-        "project_linf": lambda net, a: adversarial.project(a["x"], a["pts"], "linf", 0.1),
-        "project_l2": lambda net, a: adversarial.project(a["x"], a["pts"], "l2", 0.1),
+        "pgd_batch": lambda net, a: adversarial.pgd_batch(
+            net, a["x"], a["y"], adversarial.AttackSpec(0.3), CLIP_M),
+        "project": lambda net, a: adversarial.project(a["x"], a["pts"], 0.1),
         "sgd_step": lambda net, a: training.sgd_step(net, a["grad"], 0.1, a["velocity"]),
         "fit_laplace": lambda net, a: privacy.fit_laplace(a["pts"].ravel()),
         "noise_histogram": lambda net, a: privacy.noise_histogram(a["pts"].ravel()),
@@ -408,7 +405,7 @@ class TestPeakMemory:
     PASSES = {  # name: (call returning its output arrays, bound in units beyond them)
         "forward": (lambda net, ds: nn.forward(net, ds.features), 3),
         "pgd_batch": (lambda net, ds: adversarial.pgd_batch(
-            net, ds.features, ds.labels, adversarial.AttackSpec("linf", 0.35, 8), CLIP_M), 6),
+            net, ds.features, ds.labels, adversarial.AttackSpec(0.35), CLIP_M), 6),
         "grad_params": (lambda net, ds: nn.grad_params(net, ds.features, ds.labels, CLIP_M), 6),
         "mean_grad": (lambda net, ds: nn.mean_grad(net, ds.features, ds.labels, CLIP_M), 6),
         "noise_pipeline": (_noise_pipeline, 2 + POOL / UNIT),

@@ -138,7 +138,7 @@ class TestTrainTwin:
 
     def test_seed_replay_identical(self):
         train, _ = small_sets()
-        cfg, attack = quick_config(hidden=(8,)), AttackSpec(norm="linf", radius=0.2)
+        cfg, attack = quick_config(hidden=(8,)), AttackSpec(radius=0.2)
         a = training.train_twin(train, cfg, attack, SEED)
         b = training.train_twin(train, cfg, attack, SEED)
         assert records(a) == records(b)
@@ -240,7 +240,7 @@ class TestTrainTwin:
         rho, alpha, steps, lr = 0.25, 0.0625, 8, 0.05
         cfg = dataclasses.replace(
             UNCLIPPED, total_iterations=2, batch_size=2, log_every=1, lr_init=lr, hidden=())
-        attack = AttackSpec(norm="linf", radius=rho, steps=steps)
+        attack = AttackSpec(radius=rho)
         ledger = training.train_twin(ds, cfg, attack, 17)
 
         # oracle: straight-line float trace sharing only the init and the
