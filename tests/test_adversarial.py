@@ -93,6 +93,29 @@ class TestPgdAttack:
         adversarial.pgd_batch(net, X, y, adversarial.AttackSpec(radius=0.1), CLIP_M)
         assert len(calls) == adversarial.STEPS == 8
 
+    def test_zero_radius_takes_no_input_gradient(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(nn, "grad_inputs", lambda *a: calls.append(1))
+        net, X, y = random_net_and_batch(4)
+        adversarial.pgd_batch(net, X, y, adversarial.AttackSpec(radius=0.0), CLIP_M)
+        assert calls == []
+
+    def test_each_block_takes_all_steps_before_the_next(self, monkeypatch):
+        # ROW_BLOCK + 3 rows: every step on the full block, then every step on the 3
+        rows_seen = []
+        grad_inputs = nn.grad_inputs
+        monkeypatch.setattr(
+            nn, "grad_inputs",
+            lambda net, x, y, m: rows_seen.append(len(x)) or grad_inputs(net, x, y, m))
+        net, X, y = random_net_and_batch(5)
+        n = nn.ROW_BLOCK + 3
+        X, y = np.resize(X, (n, X.shape[1])), np.resize(y, n)
+        spec = adversarial.AttackSpec(radius=0.1)
+        out = adversarial.pgd_batch(net, X, y, spec, CLIP_M)
+        assert rows_seen == [nn.ROW_BLOCK] * adversarial.STEPS + [3] * adversarial.STEPS
+        tail = adversarial.pgd_batch(net, X[-3:], y[-3:], spec, CLIP_M)
+        assert np.array_equal(out[-3:], tail)
+
     def test_1d_trajectory_matches_enumeration(self):
         net = linear_1d_net()
         spec = adversarial.AttackSpec(radius=0.5)
