@@ -1,5 +1,5 @@
 """Command-line front end: run one twin experiment or a radius sweep, merge a
-sweep, probe two checkpoints, or print a config. Every artifact is written
+sweep, or print a config. Every artifact is written
 whole, to a temporary file in its directory that ``os.replace`` then moves
 into place. A CSV cell holds an integer as ``str(int(v))`` and any other
 number as ``repr(float(v))``.
@@ -8,8 +8,7 @@ Artifact layout for one run (everything except meta.json is byte-stable
 across reruns of the same config and seed; ``<r>`` and the summary's ``rho``
 are the run's ``AttackSpec`` radius, so a radius of -0.0 is the ``rho=0.0`` run).
 Each value is checked once, where it enters: ``ExperimentConfig`` (config, data
-by ``load_datasets``), ``config.check_seed`` (``--seed``),
-:func:`_load_checkpoint_for` (checkpoints), ``intensity.check_probe`` (``probe``).
+by ``load_datasets``) and ``config.check_seed`` (``--seed``).
 
     <output_dir>/rho=<r>/seed=<s>/
         ledger.csv       one row per logged iteration
@@ -91,19 +90,11 @@ summary.json is missing, stale or unreadable (among them one that records
 another run's rho or seed, and one that records no failure but lacks a sweep
 column). 1 also means a file that cannot be read (any ``OSError``: missing, a
 directory, no permission; ``report`` reads a run's CSV data files for the
-digest) or written (named by the path asked for, such as an ``--out`` in a
-missing directory or with no file name, as ``""``, ``.`` and ``/`` have, never
-by the temporary file), a malformed or non-UTF-8 data CSV (also one with a
-non-finite feature such as ``nan``, ``inf`` or ``1e400``), named by file and
-line, a checkpoint given to ``probe`` that breaks the RPG1 format (a zero layer
-width, which no config builds, and an activation byte other than relu's 0, as an
-older version's tanh net has, among it) or holds a non-finite parameter, named
-by file, a diverged model (a checkpoint given to ``probe`` whose max gradient
-norms are not finite, as a diverged run leaves, prints the one ``error:
-non-finite <what>: the model has diverged`` line and writes no table),
-``probe`` meeting a degenerate clean max gradient norm, or a ``MemoryError``
-(an array too large for memory, such as a huge ``noise_batches``' pool, after
-training).
+digest) or written (named by the path asked for, never by the temporary
+file; an ``output_dir`` under a regular file among them), a malformed or non-UTF-8
+data CSV (also one with a non-finite feature such as ``nan``, ``inf`` or
+``1e400``), named by file and line, or a ``MemoryError`` (an array too large
+for memory, such as a huge ``noise_batches``' pool, after training).
 2 configuration error, in one ``config error:`` line: a config file that is not
 UTF-8, does not parse, or has a section outside ``[data]``, ``[net]``,
 ``[train]``, ``[attack]``, ``[privacy]``, ``[bounds]`` and ``[sweep]``, a key
@@ -121,13 +112,8 @@ pool past one float64 array or ``noise_batches`` past 2**64 Philox steps
 (checked before the data is drawn), a ``batch_size`` or noise field that does
 not fit the data
 (``ExperimentConfig.load_datasets`` checks these for every command that reads
-data: ``train``, ``sweep`` and ``probe``), a ``--rho`` or ``--seed`` that
-makes no valid run (``train`` and ``sweep`` exit before any directory or job),
-a checkpoint given to ``probe`` whose input width differs from the data's or
-that has fewer outputs than the data has classes, or ``probe`` batch sizes that
-are not integers in [1, training set size] (an empty ``--taus`` among them) or
-a ``--repeats`` below 1 or past 2**64 Philox steps or one float64 array
-(checked before any gradient work).
+data: ``train`` and ``sweep``), or a ``--rho`` or ``--seed`` that makes no
+valid run (``train`` and ``sweep`` exit before any directory or job).
 A command line that argparse rejects also exits 2, but prints a usage line and
 an ``advlab: error:`` line (``advlab <command>: error:`` for a command's known
 flags): no command or an unknown one (``attack``, ``noise``, ``accountant`` and
@@ -531,39 +517,6 @@ def _cmd_report(args) -> int:
     return 1 if failures else 0
 
 
-def _load_checkpoint_for(path, data: LabeledSet) -> nn.DenseNet:
-    """The checkpoint at ``path``; a config error unless it reads the data's
-    features and scores every one of its classes."""
-    net = training.load_checkpoint(path)
-    if net.in_dim != data.dim or net.out_dim < data.num_classes:
-        raise ConfigError(f"{path}: a {'-'.join(map(str, net.layer_widths))} net does not fit "
-                          f"data with {data.dim} features and {data.num_classes} classes")
-    return net
-
-
-def _cmd_probe(args) -> int:
-    cfg = load_config(args.config)
-    check_seed("--seed", args.seed)
-    train_set, _ = cfg.load_datasets()
-    n = len(train_set)
-    try:
-        taus = ([int(v) for v in args.taus.split(",")] if args.taus is not None
-                else [max(1, n // 8), max(1, n // 2), n])
-        intensity.check_probe(taus, args.repeats, n)
-    except ValueError as exc:  # a --taus entry that is empty, not an integer, or out of range
-        raise ConfigError(f"probe --taus/--repeats: {exc}") from None
-    net_erm = _load_checkpoint_for(args.erm_checkpoint, train_set)
-    net_adv = _load_checkpoint_for(args.adv_checkpoint, train_set)
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverged model overflows
-        rows = intensity.consistency_probe(net_erm, net_adv, train_set,
-                                           cfg.attack_spec(args.rho), taus,
-                                           args.repeats, args.seed, cfg.loss_bound)
-    write_csv(args.out, ("tau", "mean_estimate", "full_value"),
-              ((r.tau, r.mean_estimate, r.full_value) for r in rows))
-    print(f"probe table written to {args.out}")
-    return 0
-
-
 def _cmd_config(args) -> int:
     if args.config:
         print(to_ini(load_config(args.config)), end="")
@@ -593,17 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("probe", help="batch-size consistency probe")
-    p.add_argument("--config", required=True)
-    p.add_argument("--erm-checkpoint", required=True, dest="erm_checkpoint")
-    p.add_argument("--adv-checkpoint", required=True, dest="adv_checkpoint")
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--taus", default=None, help="comma-separated batch sizes")
-    p.add_argument("--repeats", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="probe.csv")
-    p.set_defaults(func=_cmd_probe)
-
     p = sub.add_parser("config", help="print the default (or a normalized) config")
     p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_config)
@@ -618,9 +560,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CsvFormatError, OSError, MemoryError, training.CheckpointFormatError,
-            nn.DivergenceError, privacy.DegenerateNoiseError,
-            intensity.DegenerateDenominatorError) as exc:
+    except (CsvFormatError, OSError, MemoryError, nn.DivergenceError,
+            privacy.DegenerateNoiseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,16 +11,15 @@ reading, under which a few late, near-converged ERM records dominate the
 composite.
 
 :func:`judge` owns the rules between training and the accountant: it pairs
-the two trajectories' logged series into records and gives the run's one
-verdict. A norm at most ``DEGENERATE_GRAD_FLOOR`` is numerically zero
+the two trajectories' logged series into records, computes each record's
+ratio I_t (the one place I_t is defined), and gives the run's one verdict.
+A norm at most ``DEGENERATE_GRAD_FLOOR`` is numerically zero
 (:func:`degenerate`): a record with such a clean norm is skipped, and a
 model whose last logged norm is such is dead.
 
 A whole run is summarized by the fourth-power mean root of its
 per-iteration intensities; the same aggregation is applied to the clean
-max-norm series for the privacy accountant. The consistency probe measures
-how fast the batch estimate approaches the full-dataset value as the batch
-grows, holding both parameter vectors fixed so only batch sampling varies.
+max-norm series for the privacy accountant.
 """
 
 from __future__ import annotations
@@ -30,33 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
-from .adversarial import AttackSpec, adv_grad
-from .data import ENTRY_LIMIT, LabeledSet
-from .rng import DOMAIN_PROBE, STEP_LIMIT, stream
-
 DEGENERATE_GRAD_FLOOR = 1e-30
-
-
-class DegenerateDenominatorError(ValueError):
-    """No intensity: a clean max gradient norm is numerically zero (training converged)."""
 
 
 def degenerate(norm: float) -> bool:
     """Whether a max gradient norm is numerically zero."""
     return norm <= DEGENERATE_GRAD_FLOOR
-
-
-def single_intensity(l_adv: float, l_erm: float) -> float:
-    """Ratio l_adv / l_erm of max gradient norms for one iteration; an
-    ``nn.DivergenceError`` if either is not finite."""
-    nn.check_finite("max gradient norm", (l_adv, l_erm))
-    if l_adv < 0:
-        raise ValueError("l_adv must be nonnegative")
-    if degenerate(l_erm):
-        raise DegenerateDenominatorError(
-            f"clean max gradient norm {l_erm!r} is degenerate; skip this record")
-    return l_adv / l_erm
 
 
 @dataclass(frozen=True)
@@ -105,54 +83,3 @@ def composite_intensity(values) -> float:
     if not (v > 0).all():
         raise ValueError("series entries must be positive")
     return float(np.mean(v ** 4) ** 0.25)
-
-
-@dataclass(frozen=True)
-class ProbeRow:
-    tau: int
-    mean_estimate: float
-    full_value: float
-
-
-def check_probe(tau_grid, repeats: int, n: int) -> None:
-    """Reject batch sizes outside [1, n], and fewer than one repeat or so many that
-    the Philox steps ``j * repeats + r`` would reach 2**64 or the estimates of one
-    batch size would not fit in one float64 array."""
-    most = min(STEP_LIMIT // max(len(tau_grid), 1), ENTRY_LIMIT)
-    if not 1 <= repeats <= most:
-        raise ValueError(f"repeats must lie in [1, {most}]")
-    for tau in tau_grid:
-        if not 1 <= tau <= n:
-            raise ValueError(f"tau {tau} outside [1, {n}]")
-
-
-def consistency_probe(net_erm: nn.DenseNet, net_adv: nn.DenseNet, dataset: LabeledSet,
-                      attack: AttackSpec, tau_grid, repeats: int, seed: int,
-                      clip_m: float) -> list[ProbeRow]:
-    """Batch-size sweep of the intensity estimate at a fixed parameter pair.
-
-    Per-example gradient norms do not depend on which batch an example
-    lands in, so they are computed once for the whole dataset and each
-    batch estimate is a subset max over precomputed norms. The tau == N
-    row is the full-dataset value itself, computed exactly once.
-    ``tau_grid`` and ``repeats`` must pass :func:`check_probe`, which the
-    caller runs before any gradient work.
-    """
-    n = len(dataset)
-    clean_norms = nn.grad_params(net_erm, dataset.features, dataset.labels, clip_m)[1]
-    adv_norms = adv_grad(net_adv, dataset.features, dataset.labels, attack, clip_m)[1]
-    full = single_intensity(float(adv_norms.max()), float(clean_norms.max()))
-
-    rows = []
-    for j, tau in enumerate(tau_grid):
-        if tau == n:
-            rows.append(ProbeRow(tau, full, full))
-            continue
-        estimates = np.empty(repeats)
-        for r in range(repeats):
-            rng = stream(seed, DOMAIN_PROBE, j * repeats + r)
-            idx = rng.permutation(n)[:tau]
-            estimates[r] = single_intensity(float(adv_norms[idx].max()),
-                                            float(clean_norms[idx].max()))
-        rows.append(ProbeRow(tau, float(estimates.mean()), full))
-    return rows

@@ -41,11 +41,10 @@ Inputs
 The kernels take rows checked where they entered the program and do not
 check them again: 2-d float64 features of the net's input width, and int64
 labels in ``[0, net.out_dim)``. The gates are ``data.LabeledSet`` (finite
-features, labels in ``[0, num_classes)``), ``ExperimentConfig.load_datasets``
-(one feature width, a ``batch_size`` that fits) and ``cli._load_checkpoint_for``
-(a checkpoint reads the data's width and scores all of its classes). Every
-other net is built as ``(train.dim, *hidden, train.num_classes)``, and PGD
-endpoints keep their rows' dtype and shape.
+features, labels in ``[0, num_classes)``) and ``ExperimentConfig.load_datasets``
+(one feature width, a ``batch_size`` that fits). Every net is built as
+``(train.dim, *hidden, train.num_classes)``, and PGD endpoints keep their
+rows' dtype and shape.
 
 Per-call cost
 -------------
@@ -80,10 +79,10 @@ Divergence
 and :class:`DivergenceError` its one error. The ``DenseNet`` constructor
 checks every net's parameters with it, so an SGD update that overflows (or
 takes a non-finite gradient) is the run's one ``DivergenceError``; training
-also checks each logged statistic, a run its gradient noise spread and
-confidences, and ``probe`` a checkpoint's max gradient norms. The input gates
-(config, data) reject non-finite input instead, and a checkpoint's loader
-turns the constructor's error into a format error that names the file.
+also checks each logged statistic, and a run its gradient noise spread and
+confidences. The input gates (config, data) reject non-finite input instead,
+and a checkpoint's loader turns the constructor's error into a format error
+that names the file.
 """
 
 from __future__ import annotations

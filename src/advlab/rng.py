@@ -23,11 +23,11 @@ from numpy.random.bit_generator import ISeedSequence
 SEED_LIMIT = 1 << 128  # a Philox key is 128 bits
 STEP_LIMIT = 1 << 64   # the steps of one (seed, domain) stream
 
+# a domain's number fixes its streams' bits, so none is renumbered; 4 is unused
 DOMAIN_BATCH = 0
 DOMAIN_INIT = 1
 DOMAIN_SPLIT = 2
 DOMAIN_NOISE = 3
-DOMAIN_PROBE = 4
 DOMAIN_BLOBS = 5
 
 

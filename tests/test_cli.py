@@ -7,7 +7,6 @@ import math
 import multiprocessing
 import os
 import shutil
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -89,13 +88,6 @@ def clips_passed(monkeypatch, module, name) -> list:
 
     monkeypatch.setattr(module, name, spy)
     return seen
-
-
-def probe_argv(path, ckpt, out):
-    """``probe`` under the config at ``path``, with ``ckpt`` as both models,
-    writing its table to ``out``."""
-    return ["probe", "--config", str(path), "--erm-checkpoint", str(ckpt),
-            "--adv-checkpoint", str(ckpt), "--rho", "0.1", "--repeats", "2", "--out", str(out)]
 
 
 def kill_the_adversary(monkeypatch):
@@ -224,12 +216,9 @@ class TestTrainCommand:
         assert [d.name for d in Path(cfg.output_dir).iterdir()] == ["rho=0.0"]
         assert (cli.run_dir_for(cfg, 0.0, 1) / "summary.json").exists()
 
-    @pytest.mark.parametrize("command", [
-        ["train", "--config", "x.ini"],
-        ["probe", "--config", "x.ini", "--erm-checkpoint", "e", "--adv-checkpoint", "a"]])
-    def test_every_rho_flag_reads_negative_zero_as_zero(self, command):
+    def test_rho_flag_reads_negative_zero_as_zero(self):
         # the flag parses as a float; the attack it names stores the radius 0.0
-        rho = cli.build_parser().parse_args([*command, "--rho", "-0.0"]).rho
+        rho = cli.build_parser().parse_args(["train", "--config", "x.ini", "--rho", "-0.0"]).rho
         radius = config.ExperimentConfig().attack_spec(rho).radius
         assert radius == 0.0 and math.copysign(1.0, radius) == 1.0
 
@@ -818,150 +807,21 @@ class TestInvalidValues:
         (["train", "--rho", "nan"], ["radius", "nan"]),
         (["train", "--rho", "inf"], ["radius", "inf"]),
         (["train", "--rho", "0.1", "--seed", "-1"], ["seed", "-1"]),
-        (["probe", "--erm-checkpoint", "{ckpt}", "--adv-checkpoint", "{ckpt}", "--rho", "0.1",
-          "--out", "{out}", "--seed", "-1"], ["--seed"]),
-    ], ids=["train-rho-nan", "train-rho-inf", "train-seed", "probe-seed"])
+    ], ids=["train-rho-nan", "train-rho-inf", "train-seed"])
     def test_bad_rho_or_seed_flag_is_one_config_error_before_any_work(
             self, tmp_path, capsys, monkeypatch, argv, words):
         cfg, path = tiny_config(tmp_path)
-        ckpt, out = tmp_path / "net.ckpt", tmp_path / "out.csv"
-        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), seed=1), ckpt)
 
         def never(*args, **kwargs):
             raise AssertionError("started work despite a config error")
 
-        for module, name in ((training, "train_twin"), (privacy, "collect_noise"),
-                             (intensity, "consistency_probe")):
+        for module, name in ((training, "train_twin"), (privacy, "collect_noise")):
             monkeypatch.setattr(module, name, never)
-        argv = [{"{ckpt}": str(ckpt), "{out}": str(out)}.get(a, a) for a in argv]
         assert cli.main([*argv, "--config", str(path)]) == 2
-        out_text, err = capsys.readouterr()
-        assert out_text == "" and err.count("\n") == 1 and err.startswith("config error: ")
-        assert all(w in err for w in words), err
-        assert not Path(cfg.output_dir).exists() and not out.exists()
-
-
-class TestCheckpointCommands:
-    def assert_config_error(self, capsys, argv, *words):
-        assert cli.main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1 and err.startswith("config error: ")
         assert all(w in err for w in words), err
-
-    @pytest.mark.parametrize("flags, words", [
-        (["--taus", "61"], ["--taus", "60"]),  # 60 training rows
-        (["--taus", "15,x"], ["--taus", "'x'"]),
-        (["--taus", ""], ["--taus", "''"]),
-        (["--repeats", "0"], ["--repeats"]),
-        (["--repeats", str(10 ** 19)], ["--repeats"]),  # 3 batch sizes: steps past 2**64
-        (["--repeats", str(10 ** 20)], ["--repeats"]),  # past numpy's largest dimension too
-    ], ids=["tau_above_n", "tau_not_an_integer", "empty_taus", "zero_repeats", "repeats_1e19",
-            "repeats_1e20"])
-    def test_probe_bad_arguments_fail_before_any_gradient(
-            self, tmp_path, capsys, monkeypatch, flags, words):
-        _, path = tiny_config(tmp_path)
-        ckpt = tmp_path / "net.ckpt"
-        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), seed=1), ckpt)
-
-        def never(*args, **kwargs):
-            raise AssertionError("probed despite a config error")
-
-        monkeypatch.setattr(intensity, "consistency_probe", never)
-        out = tmp_path / "probe.csv"
-        self.assert_config_error(capsys, [
-            "probe", "--config", str(path), "--erm-checkpoint", str(ckpt),
-            "--adv-checkpoint", str(ckpt), "--rho", "0.1", "--out", str(out), *flags], *words)
-        assert not out.exists()
-
-    @pytest.mark.parametrize("widths", [(5, 8, 3), (4, 8, 2)],  # data: 4 features, 3 classes
-                             ids=["wide_input", "few_outputs"])
-    def test_checkpoint_that_does_not_fit_the_data_is_config_error(
-            self, tmp_path, capsys, widths):
-        _, path = tiny_config(tmp_path)
-        ckpt = tmp_path / "net.ckpt"
-        training.save_checkpoint(nn.DenseNet.random(widths, seed=1), ckpt)
-        self.assert_config_error(capsys, probe_argv(path, ckpt, tmp_path / "probe.csv"),
-                                 str(ckpt), "-".join(map(str, widths)))
-        assert sorted(tmp_path.iterdir()) == sorted([path, ckpt])
-
-    def test_checkpoint_with_a_non_finite_parameter_is_one_line_error_exit_1(
-            self, tmp_path, capsys):
-        _, path = tiny_config(tmp_path)
-        ckpt = tmp_path / "net.ckpt"
-        net = nn.DenseNet.random((4, 8, 3), seed=1)
-        training.save_checkpoint(net, ckpt)
-        blob = bytearray(ckpt.read_bytes())
-        first = len(blob) - 8 * net.num_params  # the first payload double
-        blob[first:first + 8] = np.array([np.nan], dtype="<f8").tobytes()
-        ckpt.write_bytes(bytes(blob))
-        assert cli.main(probe_argv(path, ckpt, tmp_path / "probe.csv")) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1 and err.startswith("error: "), err
-        assert str(ckpt) in err and "non-finite" in err, err
-        assert sorted(tmp_path.iterdir()) == sorted([path, ckpt])
-
-    def test_checkpoint_with_a_zero_width_is_one_line_error_exit_1(self, tmp_path, capsys):
-        # no config builds a 4-0-3 net, whose 3 parameters are the output biases
-        _, path = tiny_config(tmp_path)
-        ckpt = tmp_path / "net.ckpt"
-        ckpt.write_bytes(training.CHECKPOINT_MAGIC + struct.pack("<BI3I", 0, 2, 4, 0, 3)
-                         + np.zeros(3).astype("<f8").tobytes())
-        assert cli.main(probe_argv(path, ckpt, tmp_path / "probe.csv")) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1 and err.startswith("error: "), err
-        assert str(ckpt) in err and "4-0-3" in err, err
-        assert sorted(tmp_path.iterdir()) == sorted([path, ckpt])
-
-    def test_checkpoint_of_an_older_tanh_net_is_one_line_error_exit_1(self, tmp_path, capsys):
-        # older versions wrote activation byte 1 for a tanh net; only relu's 0 is read
-        _, path = tiny_config(tmp_path)
-        ckpt = tmp_path / "net.ckpt"
-        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), seed=1), ckpt)
-        blob = bytearray(ckpt.read_bytes())
-        assert blob[4] == 0  # the activation byte follows the magic
-        blob[4] = 1
-        ckpt.write_bytes(bytes(blob))
-        assert cli.main(probe_argv(path, ckpt, tmp_path / "probe.csv")) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1 and err.startswith(f"error: {ckpt}: "), err
-        assert "activation code 1" in err, err
-        assert sorted(tmp_path.iterdir()) == sorted([path, ckpt])
-
-    def test_checkpoint_with_extra_outputs_is_accepted(self, tmp_path, capsys):
-        _, path = tiny_config(tmp_path)
-        ckpt = tmp_path / "net.ckpt"
-        training.save_checkpoint(nn.DenseNet.random((4, 8, 5), seed=1), ckpt)
-        assert cli.main(probe_argv(path, ckpt, tmp_path / "probe.csv")) == 0
-
-    def test_probe_writes_a_row_per_batch_size(self, tmp_path, capsys):
-        cfg, path = tiny_config(tmp_path, seeds=(1,), radius_list=(0.0, 0.1))
-        assert cli.main(["train", "--config", str(path), "--rho", "0.1", "--seed", "1"]) == 0
-        run = cli.run_dir_for(cfg, 0.1, 1)
-        assert cli.main(["probe", "--config", str(path),
-                         "--erm-checkpoint", str(run / "erm.ckpt"),
-                         "--adv-checkpoint", str(run / "adv.ckpt"),
-                         "--rho", "0.1", "--taus", "15,30,60", "--repeats", "8",
-                         "--out", str(tmp_path / "probe.csv")]) == 0
-        lines = (tmp_path / "probe.csv").read_text().splitlines()
-        assert lines[0] == "tau,mean_estimate,full_value"
-        assert len(lines) == 4
-
-    def test_diverged_checkpoint_is_one_line_error_exit_1(self, tmp_path, capsys):
-        cfg, path = tiny_config(tmp_path, seeds=(1,), lr_init=1e200)
-        assert cli.main(["train", "--config", str(path), "--rho", "0", "--seed", "1"]) == 1
-        ckpt = cli.run_dir_for(cfg, 0.0, 1) / "erm.ckpt"
-        assert ckpt.exists()  # finite parameters near 1e200
-        capsys.readouterr()
-        assert cli.main(probe_argv(path, ckpt, tmp_path / "probe.csv")) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1
-        assert err.startswith("error: non-finite ") and err.endswith(
-            ": the model has diverged\n"), err
-        assert not (tmp_path / "probe.csv").exists()  # no table from a diverged model
-
-    def test_missing_checkpoint_is_error_exit_1(self, tmp_path, capsys):
-        _, path = tiny_config(tmp_path)
-        assert cli.main(probe_argv(path, tmp_path / "nope.ckpt", tmp_path / "probe.csv")) == 1
+        assert not Path(cfg.output_dir).exists()
 
 
 class TestConfigCommand:
@@ -980,7 +840,7 @@ class TestConfigCommand:
         assert math.copysign(1.0, radius_0) == 1.0
 
 
-COMMANDS = ("train", "sweep", "report", "probe", "config")
+COMMANDS = ("train", "sweep", "report", "config")
 
 
 class TestUsageErrors:
@@ -999,7 +859,7 @@ class TestUsageErrors:
         assert line.startswith("advlab") and ": error: " in line, err
         return line
 
-    @pytest.mark.parametrize("name", ["attack", "noise", "accountant", "bounds"])
+    @pytest.mark.parametrize("name", ["attack", "noise", "accountant", "bounds", "probe"])
     def test_removed_calculator_is_an_unknown_command(self, capsys, name):
         line = self.usage_error(capsys, [name, "--config", "exp.ini"])
         assert line.startswith("advlab: error: ") and f"invalid choice: '{name}'" in line
@@ -1011,11 +871,8 @@ class TestUsageErrors:
         (["train", "--config", "exp.ini", "--rho", "abc"], ["--rho", "'abc'"]),
         (["sweep"], ["--config"]),
         (["report"], ["--config"]),
-        (["probe", "--config", "exp.ini"], ["--erm-checkpoint", "--adv-checkpoint", "--rho"]),
-        (["probe", "--config", "exp.ini", "--erm-checkpoint", "a", "--adv-checkpoint", "b",
-          "--rho", "0.1", "--repeats", "2.5"], ["--repeats", "'2.5'"]),
     ], ids=["missing-config", "non-integer-seed", "non-float-rho", "sweep-missing-config",
-            "report-missing-config", "probe-missing-checkpoints", "probe-non-integer-repeats"])
+            "report-missing-config"])
     def test_bad_flag_names_the_flag(self, capsys, argv, words):
         line = self.usage_error(capsys, argv)
         assert line.startswith(f"advlab {argv[0]}: error: "), line
@@ -1151,20 +1008,14 @@ class TestLossClip:
         assert summary["adv_accuracy"] == adv_accuracy(m)
         assert (noise_b(10.0), adv_accuracy(10.0)) != (noise_b(m), adv_accuracy(m))
 
-    def test_run_and_probe_hand_the_configs_loss_bound_to_every_evaluation(
+    def test_run_hands_the_configs_loss_bound_to_every_evaluation(
             self, tmp_path, capsys, monkeypatch):
         # adv_accuracy rarely moves with the clip on a tiny config, so spy on the calls
         m = 2.0
-        cfg, path = tiny_config(tmp_path, loss_bound=m)
+        _, path = tiny_config(tmp_path, loss_bound=m)
         accuracy_clips = clips_passed(monkeypatch, analysis, "adversarial_accuracy")
-        probe_clips = clips_passed(monkeypatch, intensity, "consistency_probe")
         assert cli.main(["train", "--config", str(path), "--rho", "0.15", "--seed", "1"]) == 0
-        run = cli.run_dir_for(cfg, 0.15, 1)
-        assert cli.main(["probe", "--config", str(path), "--erm-checkpoint", str(run / "erm.ckpt"),
-                         "--adv-checkpoint", str(run / "adv.ckpt"), "--rho", "0.15",
-                         "--repeats", "2", "--out", str(tmp_path / "probe.csv")]) == 0
         assert accuracy_clips == [m, m]  # adv_accuracy and adv_accuracy_common
-        assert probe_clips == [m]
 
 
 class TestDataEntersOnce:
@@ -1198,7 +1049,7 @@ class TestDataEntersOnce:
 
     def test_every_kernel_call_gets_rows_the_gates_checked(self, tmp_path, capsys, monkeypatch):
         """The kernels do not check their rows; every command hands them checked ones."""
-        cfg, path = tiny_config(tmp_path)
+        _, path = tiny_config(tmp_path)
         forward_cached, losses_and_dlogits = nn._forward_cached, nn._losses_and_dlogits
         calls = {"forward": 0, "loss": 0}
 
@@ -1216,20 +1067,17 @@ class TestDataEntersOnce:
         monkeypatch.setattr(nn, "_forward_cached", checked_forward)
         monkeypatch.setattr(nn, "_losses_and_dlogits", checked_losses)
         assert cli.main(["train", "--config", str(path), "--rho", "0.15", "--seed", "1"]) == 0
-        run = cli.run_dir_for(cfg, 0.15, 1)
-        forwards = calls["forward"]
-        assert cli.main(["probe", "--config", str(path), "--erm-checkpoint", str(run / "erm.ckpt"),
-                         "--adv-checkpoint", str(run / "adv.ckpt"), "--rho", "0.15",
-                         "--repeats", "2", "--out", str(tmp_path / "probe.csv")]) == 0
-        assert calls["forward"] > forwards > 0
-        assert calls["loss"] > 0
+        assert calls["forward"] > 0 and calls["loss"] > 0
+        calls.update(forward=0, loss=0)
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+        assert calls["forward"] > 0 and calls["loss"] > 0
 
 
 class TestGatesCheckOnce:
     """Each function below takes a value whose check was deleted from it, because a
     gate (named in its docstring) checks that value first. Every call that
-    ``train``, ``sweep`` and ``probe`` make must therefore meet the precondition
-    the deleted check enforced."""
+    ``train`` and ``sweep`` make must therefore meet the precondition the
+    deleted check enforced."""
 
     PRECONDITIONS = {
         (data, "synth_blobs"): lambda a: (min(a["n_per_class"], a["num_classes"], a["dim"]) >= 1
@@ -1265,16 +1113,12 @@ class TestGatesCheckOnce:
 
     def test_every_call_meets_the_precondition_its_gate_checked(self, tmp_path, capsys,
                                                                  monkeypatch):
-        cfg, path = tiny_config(tmp_path)
+        _, path = tiny_config(tmp_path)
         calls = {key: [] for key in self.PRECONDITIONS}
         for (owner, name), log in calls.items():
             self.record(monkeypatch, owner, name, log)
         assert cli.main(["train", "--config", str(path), "--rho", "0.15", "--seed", "1"]) == 0
         assert cli.main(["sweep", "--config", str(path)]) == 0
-        run = cli.run_dir_for(cfg, 0.15, 1)
-        assert cli.main(["probe", "--config", str(path), "--erm-checkpoint", str(run / "erm.ckpt"),
-                         "--adv-checkpoint", str(run / "adv.ckpt"), "--rho", "0.15",
-                         "--repeats", "2", "--out", str(tmp_path / "probe.csv")]) == 0
         for (owner, name), log in calls.items():
             assert log, f"{name} was never called"
             bad = [args for args in log if not self.PRECONDITIONS[owner, name](args)]
@@ -1289,16 +1133,6 @@ class TestOversizedCounts:
         assert cli.main(argv) == 1
         out, err = capsys.readouterr()
         assert err.startswith("error: ") and err.count("\n") == 1, err
-
-    def test_probe_estimates_that_do_not_fit_in_memory(self, tmp_path, capsys):
-        _, path = tiny_config(tmp_path)
-        ckpt, out = tmp_path / "net.ckpt", tmp_path / "probe.csv"
-        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), seed=1), ckpt)
-        self.assert_one_error_line(capsys, [
-            "probe", "--config", str(path), "--erm-checkpoint", str(ckpt),
-            "--adv-checkpoint", str(ckpt), "--rho", "0.1", "--repeats", str(10 ** 17),
-            "--out", str(out)])
-        assert not out.exists()
 
     def test_noise_pool_that_does_not_fit_in_memory(self, tmp_path, capsys):
         cfg, path = tiny_config(tmp_path, noise_batches=10 ** 15)
@@ -1350,26 +1184,13 @@ class TestFileErrors:
                              "3 features", "test_csv has 4")
         assert not Path(cfg.output_dir).exists()
 
-    @staticmethod
-    def probe_writing_to(tmp_path, target):
-        """``probe`` under a tiny config, writing its table to ``target``."""
-        _, path = tiny_config(tmp_path)
-        ckpt = tmp_path / "net.ckpt"
-        training.save_checkpoint(nn.DenseNet.random((4, 8, 3), seed=1), ckpt)
-        return probe_argv(path, ckpt, target)
-
-    def test_output_into_a_missing_directory_names_the_target(self, tmp_path, capsys):
-        target = str(tmp_path / "nodir" / "x.csv")
-        err = self.assert_one_line(capsys, self.probe_writing_to(tmp_path, target), 1, target)
-        assert ".tmp" not in err, err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "net.ckpt"]
-
-    @pytest.mark.parametrize("target", ["", ".", "/"])
-    def test_output_path_with_no_file_name_is_one_error_line(
-            self, tmp_path, capsys, monkeypatch, target):
-        monkeypatch.chdir(tmp_path)
-        self.assert_one_line(capsys, self.probe_writing_to(tmp_path, target), 1, repr(target))
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "net.ckpt"]
+    def test_output_dir_under_a_regular_file_is_one_error_line(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        cfg, path = tiny_config(tmp_path, output_dir=str(blocker / "runs"))
+        self.assert_one_line(capsys, ["train", "--config", str(path), "--rho", "0.15",
+                                      "--seed", "1"], 1, str(blocker / "runs"))
+        assert blocker.read_text() == ""
 
     def test_data_csv_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys):
         cfg, path = csv_config(tmp_path, b"0.5,1.0,0\n-0.5,2.0,1\n",

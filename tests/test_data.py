@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from advlab import data
+from advlab import data, rng
 from conftest import write_dataset_csv
 
 
@@ -59,6 +59,34 @@ class TestLoadCsv:
             data.load_csv(p)
         assert str(p) in str(err.value)
 
+    def test_negative_label_rejected(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("1.0,0\n2.0,-1\n")
+        with pytest.raises(data.CsvFormatError, match="negative label") as err:
+            data.load_csv(p)
+        assert str(err.value).startswith(f"{p}: ")
+
+    def test_row_without_a_feature_names_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("0\n1\n")
+        with pytest.raises(data.CsvFormatError, match="line 1: need at least one feature"):
+            data.load_csv(p)
+
+    def test_blank_lines_are_skipped_and_later_lines_keep_their_numbers(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("1.0,0\n\n  \n2.0,1\n3.0,x\n")
+        with pytest.raises(data.CsvFormatError, match="line 5: non-integer label 'x'"):
+            data.load_csv(p)
+        p.write_text("1.0,0\n\n  \n2.0,1\n")
+        assert data.load_csv(p).labels.tolist() == [0, 1]
+
+    def test_classes_are_the_largest_label_plus_one(self, tmp_path):
+        # a label that no row carries still counts as a class below the largest
+        p = tmp_path / "d.csv"
+        p.write_text("1.0,0\n2.0,3\n3.0, 3 \n")
+        ds = data.load_csv(p)
+        assert ds.num_classes == 4 and ds.labels.tolist() == [0, 3, 3]
+
     def test_save_load_round_trip_exact(self, tmp_path):
         ds = data.synth_blobs(7, 3, 5, 1.3, seed=2)
         p = tmp_path / "r.csv"
@@ -82,6 +110,77 @@ class TestWriteCsv:
         assert p.read_text() == "1.5,2\n"
 
 
+class TestWriteAtomic:
+    def test_missing_directory_names_the_target_and_leaves_no_file(self, tmp_path):
+        target = tmp_path / "nodir" / "x.csv"
+        with pytest.raises(OSError) as exc:
+            data.write_atomic(target, "a\n")
+        assert exc.value.filename == str(target) and ".tmp" not in str(exc.value)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("target", ["", ".", "/"])
+    def test_path_with_no_file_name_is_named_and_leaves_no_file(
+            self, tmp_path, monkeypatch, target):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(OSError) as exc:
+            data.write_atomic(target, "a\n")
+        assert repr(target) in str(exc.value) and ".tmp" not in str(exc.value)
+        assert list(tmp_path.iterdir()) == []
+
+
+    def test_replaces_an_existing_file_whole(self, tmp_path):
+        target = tmp_path / "x.csv"
+        target.write_text("an older and longer content\n")
+        data.write_atomic(target, "new\n")
+        assert target.read_bytes() == b"new\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["x.csv"]
+
+    def test_text_is_utf8_and_bytes_are_written_as_they_are(self, tmp_path):
+        text, blob = tmp_path / "t.txt", tmp_path / "b.bin"
+        data.write_atomic(text, "\u03c1=0.35\n")
+        data.write_atomic(blob, b"\xff\x00RPG1")
+        assert text.read_bytes() == "\u03c1=0.35\n".encode("utf-8")
+        assert blob.read_bytes() == b"\xff\x00RPG1"
+
+    def test_directory_target_is_named_and_left_alone(self, tmp_path):
+        target = tmp_path / "run"
+        target.mkdir()
+        (target / "keep.csv").write_text("a\n")
+        with pytest.raises(OSError) as exc:
+            data.write_atomic(target, "a\n")
+        assert exc.value.filename == str(target) and ".tmp" not in str(exc.value)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["run"]
+        assert [f.name for f in target.iterdir()] == ["keep.csv"]
+
+    def test_failed_replace_keeps_the_old_file_and_names_the_target(self, tmp_path, monkeypatch):
+        target = tmp_path / "x.csv"
+        target.write_text("old\n")
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", str(src))
+
+        monkeypatch.setattr(data.os, "replace", refuse)
+        with pytest.raises(OSError) as exc:
+            data.write_atomic(target, "new\n")
+        assert exc.value.filename == str(target) and exc.value.errno == 13
+        assert target.read_text() == "old\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["x.csv"]
+
+    def test_interrupt_before_the_replace_leaves_the_old_file_and_no_temporary(
+            self, tmp_path, monkeypatch):
+        target = tmp_path / "x.csv"
+        target.write_text("old\n")
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(data.os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            data.write_atomic(target, "new\n")
+        assert target.read_text() == "old\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["x.csv"]
+
+
 class TestSynthBlobs:
     def test_zero_spread_hits_centers_exactly(self):
         ds = data.synth_blobs(3, 4, 6, spread=0.0, seed=1)
@@ -93,6 +192,13 @@ class TestSynthBlobs:
         b = data.synth_blobs(10, 3, 4, 0.8, seed=11)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
+
+    def test_features_are_centers_plus_spread_times_the_blobs_stream(self):
+        ds = data.synth_blobs(4, 3, 2, 0.7, seed=13)
+        noise = rng.stream(13, rng.DOMAIN_BLOBS).standard_normal((12, 2))
+        centers = np.stack([data.blob_center(k, 2) for k in np.repeat(np.arange(3), 4)])
+        assert ds.labels.tolist() == [0] * 4 + [1] * 4 + [2] * 4
+        assert ds.features.tobytes() == (noise * 0.7 + centers).tobytes()
 
     def test_center_layout_pairwise_distances(self):
         # recompute the documented layout: axis k%d, magnitude scale*(1 + k//d)
@@ -118,6 +224,12 @@ class TestBatchSchedule:
         batch = ds.subset(sched.indices(1, len(ds)))
         assert sorted(sched.indices(1, len(ds)).tolist()) == list(range(len(ds)))
         assert np.array_equal(np.sort(batch.labels), np.sort(ds.labels))
+
+    def test_batch_is_the_head_of_the_iterations_philox_permutation(self):
+        sched = data.BatchSchedule(seed=31, batch_size=7)
+        for t in (1, 2, 1000):
+            want = rng.stream(31, rng.DOMAIN_BATCH, t).permutation(40)[:7]
+            assert sched.indices(t, 40).tolist() == want.tolist()
 
     def test_same_iteration_identical(self):
         sched = data.BatchSchedule(seed=9, batch_size=4)
@@ -156,6 +268,13 @@ class TestSplit:
         assert len(got) == len(ds)
         assert set(got) == rows
 
+    def test_train_rows_are_the_head_of_the_split_permutation(self):
+        ds = data.synth_blobs(6, 2, 3, 1.0, seed=5)
+        train, test = data.split(ds, 5, seed=8)
+        perm = rng.stream(8, rng.DOMAIN_SPLIT).permutation(len(ds))
+        assert train.features.tobytes() == ds.features[perm[:5]].tobytes()
+        assert test.labels.tolist() == ds.labels[perm[5:]].tolist()
+
     def test_split_deterministic(self):
         ds = data.synth_blobs(10, 2, 3, 1.0, seed=5)
         a, _ = data.split(ds, 8, seed=42)
@@ -171,6 +290,21 @@ class TestLabeledSetInvariants:
     def test_label_range_enforced(self):
         with pytest.raises(ValueError, match="labels outside"):
             data.LabeledSet(np.zeros((2, 2)), np.array([0, 3]), 2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, value):
+        x = np.zeros((2, 2))
+        x[1, 0] = value
+        with pytest.raises(ValueError, match="non-finite feature"):
+            data.LabeledSet(x, np.array([0, 1]), 2)
+
+    def test_non_integer_labels_rejected(self):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            data.LabeledSet(np.zeros((2, 2)), np.array([0.0, 1.0]), 2)
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one example"):
+            data.LabeledSet(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2)
 
     def test_read_only_after_construction(self):
         ds = data.synth_blobs(2, 2, 2, 1.0, seed=0)

@@ -27,8 +27,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "advlab"
 PERFBENCH = ROOT / "perfbench"
 
-# test oracles: simple reference versions the program's fast paths are checked against
-ORACLES = {"nn.loss_batch"}
+# test oracles: simple reference versions the program's fast paths are checked against,
+# and the RPG1 checkpoint reader, which no command calls but the tests read a run's nets with
+ORACLES = {"nn.loss_batch", "training.load_checkpoint"}
 # traced by the benchmark, but gone before the benchmark was written
 ABSENT_FROM_BENCHMARK = {"nn.per_example_grad_norms"}
 

@@ -17,6 +17,20 @@ def test_stream_is_the_philox_keyed_by_seed_at_domain_and_step(seed, domain, ste
         assert draw(got).tobytes() == draw(want).tobytes()
 
 
+def test_domain_numbers_are_fixed():
+    # a domain's number is part of its streams' counters, so renumbering one changes its bits
+    assert {name: getattr(rng, name) for name in dir(rng) if name.startswith("DOMAIN_")} == {
+        "DOMAIN_BATCH": 0, "DOMAIN_INIT": 1, "DOMAIN_SPLIT": 2, "DOMAIN_NOISE": 3,
+        "DOMAIN_BLOBS": 5}
+
+
+def test_each_domain_and_step_starts_its_own_stream():
+    starts = {(domain, step): rng.stream(5, domain, step).integers(0, 2 ** 63, 4).tolist()
+              for domain in (rng.DOMAIN_BATCH, rng.DOMAIN_INIT, rng.DOMAIN_SPLIT,
+                             rng.DOMAIN_NOISE, rng.DOMAIN_BLOBS) for step in (0, 1)}
+    assert len({tuple(v) for v in starts.values()}) == len(starts) == 10
+
+
 @pytest.mark.parametrize("step", [-1, 2 ** 64])
 def test_step_outside_the_philox_range_is_rejected(step):
     with pytest.raises(ValueError, match="step"):

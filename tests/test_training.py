@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -323,6 +324,28 @@ class TestCheckpoint:
         assert back.layer_widths == net.layer_widths
         assert np.array_equal(back.params, net.params)
 
+    @pytest.mark.parametrize("widths", [(2, 2), (4, 8, 3), (3, 5, 5, 2)])
+    def test_round_trip_at_every_depth(self, tmp_path, widths):
+        net = nn.DenseNet.random(widths, seed=4)
+        p = tmp_path / "net.ckpt"
+        training.save_checkpoint(net, p)
+        back = training.load_checkpoint(p)
+        assert back.layer_widths == widths and back.params.tobytes() == net.params.tobytes()
+
+    def test_bytes_follow_the_documented_layout(self, tmp_path):
+        net = nn.DenseNet.random((3, 4, 2), seed=6)
+        p = tmp_path / "net.ckpt"
+        training.save_checkpoint(net, p)
+        assert p.read_bytes() == (b"RPG1" + bytes([0]) + (2).to_bytes(4, "little")
+                                  + b"".join(w.to_bytes(4, "little") for w in (3, 4, 2))
+                                  + net.params.astype("<f8").tobytes())
+
+    def test_missing_file_is_an_os_error_naming_it(self, tmp_path):
+        p = tmp_path / "absent.ckpt"
+        with pytest.raises(FileNotFoundError) as exc:
+            training.load_checkpoint(p)
+        assert exc.value.filename == str(p)
+
     def test_magic_enforced(self, tmp_path):
         p = tmp_path / "net.ckpt"
         p.write_bytes(b"NOPE" + bytes(64))
@@ -360,15 +383,50 @@ class TestCheckpoint:
             training.load_checkpoint(p)
         assert str(exc.value).startswith(f"{p}: activation code {code}; only 0 (relu)")
 
+    def test_zero_width_names_the_file_and_the_widths(self, tmp_path):
+        # no config builds a 4-0-3 net, whose 3 parameters are the output biases
+        p = tmp_path / "net.ckpt"
+        p.write_bytes(training.CHECKPOINT_MAGIC + struct.pack("<BI3I", 0, 2, 4, 0, 3)
+                      + np.zeros(3).astype("<f8").tobytes())
+        with pytest.raises(training.CheckpointFormatError) as exc:
+            training.load_checkpoint(p)
+        assert str(exc.value).startswith(f"{p}: ") and "4-0-3" in str(exc.value)
+
+    def test_non_finite_parameter_names_the_file(self, tmp_path):
+        net = nn.DenseNet.random((4, 8, 3), seed=1)
+        p = tmp_path / "net.ckpt"
+        training.save_checkpoint(net, p)
+        blob = bytearray(p.read_bytes())
+        first = len(blob) - 8 * net.num_params  # the first payload double
+        blob[first:first + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        p.write_bytes(bytes(blob))
+        with pytest.raises(training.CheckpointFormatError) as exc:
+            training.load_checkpoint(p)
+        assert str(exc.value).startswith(f"{p}: ") and "non-finite" in str(exc.value)
+
     def test_truncated_header_rejected(self, tmp_path):
         p = tmp_path / "net.ckpt"
         p.write_bytes(b"RPG1\x00")
         with pytest.raises(training.CheckpointFormatError, match="header"):
             training.load_checkpoint(p)
 
+    def test_no_layers_rejected(self, tmp_path):
+        p = tmp_path / "net.ckpt"
+        p.write_bytes(training.CHECKPOINT_MAGIC + struct.pack("<BI", 0, 0) + struct.pack("<I", 2))
+        with pytest.raises(training.CheckpointFormatError) as exc:
+            training.load_checkpoint(p)
+        assert str(exc.value) == f"{p}: no layers"
+
+    def test_truncated_dimension_header_rejected(self, tmp_path):
+        # three layers announce four widths; the file ends after two
+        p = tmp_path / "net.ckpt"
+        p.write_bytes(training.CHECKPOINT_MAGIC + struct.pack("<BI2I", 0, 3, 4, 8))
+        with pytest.raises(training.CheckpointFormatError) as exc:
+            training.load_checkpoint(p)
+        assert str(exc.value) == f"{p}: truncated dimension header"
+
     def test_dims_payload_mismatch_rejected(self, tmp_path):
         # header announces a 2x2 net but payload carries one extra float
-        import struct
         blob = b"RPG1" + struct.pack("<BI", 0, 1) + struct.pack("<2I", 2, 2)
         blob += np.zeros(7).astype("<f8").tobytes()
         p = tmp_path / "net.ckpt"
